@@ -164,8 +164,10 @@ func validKey(key string) error {
 	return nil
 }
 
-// QueueGet buffers a GET request.
-func (c *Conn) QueueGet(key string) error {
+// queue buffers one request line "<verb> <key>[ <arg>...]" whose reply
+// will be read as class op; every Queue* method is this encoder plus its
+// verb's own argument checks.
+func (c *Conn) queue(op opCode, verb, key string, args ...string) error {
 	if c.broken != nil {
 		return c.broken
 	}
@@ -173,172 +175,80 @@ func (c *Conn) QueueGet(key string) error {
 		return err
 	}
 	c.writeTrace()
-	c.w.WriteString("GET ")
+	c.w.WriteString(verb)
+	c.w.WriteByte(' ')
 	c.w.WriteString(key)
+	for _, a := range args {
+		c.w.WriteByte(' ')
+		c.w.WriteString(a)
+	}
 	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opGet)
+	c.pending = append(c.pending, op)
 	return nil
 }
+
+// queueStore buffers a SET-shaped request: args in wire order, the last
+// of them the value, which runs to the end of the line and so must not
+// contain a newline.
+func (c *Conn) queueStore(op opCode, verb, key string, args ...string) error {
+	if strings.ContainsAny(args[len(args)-1], "\r\n") {
+		return fmt.Errorf("client: value for %q contains newline", key)
+	}
+	return c.queue(op, verb, key, args...)
+}
+
+// ttlMillis renders ttl as the wire's whole-millisecond word, rounding
+// up; ttl <= 0 is "0" (no expiry).
+func ttlMillis(ttl time.Duration) string {
+	if ttl <= 0 {
+		return "0"
+	}
+	return strconv.FormatInt(int64((ttl+time.Millisecond-1)/time.Millisecond), 10)
+}
+
+// QueueGet buffers a GET request.
+func (c *Conn) QueueGet(key string) error { return c.queue(opGet, "GET", key) }
 
 // QueueSet buffers a SET (ttl == 0) or SETEX request. The value must not
 // contain newlines; ttl is rounded up to a whole millisecond.
 func (c *Conn) QueueSet(key, val string, ttl time.Duration) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if strings.ContainsAny(val, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	c.writeTrace()
 	if ttl <= 0 {
-		c.w.WriteString("SET ")
-		c.w.WriteString(key)
-	} else {
-		ms := (ttl + time.Millisecond - 1) / time.Millisecond
-		c.w.WriteString("SETEX ")
-		c.w.WriteString(key)
-		c.w.WriteByte(' ')
-		c.w.WriteString(strconv.FormatInt(int64(ms), 10))
+		return c.queueStore(opSet, "SET", key, val)
 	}
-	c.w.WriteByte(' ')
-	c.w.WriteString(val)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opSet)
-	return nil
+	return c.queueStore(opSet, "SETEX", key, ttlMillis(ttl), val)
 }
 
 // QueueDel buffers a DEL request.
-func (c *Conn) QueueDel(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("DEL ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opDel)
-	return nil
-}
+func (c *Conn) QueueDel(key string) error { return c.queue(opDel, "DEL", key) }
 
 // QueueGetV buffers a GETV request: a GET whose hit reply carries the
 // entry's replication version word.
-func (c *Conn) QueueGetV(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("GETV ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opGetV)
-	return nil
-}
+func (c *Conn) QueueGetV(key string) error { return c.queue(opGetV, "GETV", key) }
 
 // QueueSetV buffers a SETV request: a SET acknowledged with the write's
 // version word (ttl 0 = no expiry; rounded up to a whole millisecond).
 func (c *Conn) QueueSetV(key, val string, ttl time.Duration) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	if strings.ContainsAny(val, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	var ms int64
-	if ttl > 0 {
-		ms = int64((ttl + time.Millisecond - 1) / time.Millisecond)
-	}
-	c.writeTrace()
-	c.w.WriteString("SETV ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(ms, 10))
-	c.w.WriteByte(' ')
-	c.w.WriteString(val)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opSetV)
-	return nil
+	return c.queueStore(opSetV, "SETV", key, ttlMillis(ttl), val)
 }
 
 // QueueLease buffers a LEASE request: a GET that, on a miss, enters the
 // server's fill-lease protocol instead of returning MISS. The reply is
 // a VALUEV hit, a granted LEASE token, a STALE copy, or a WAIT hint.
-func (c *Conn) QueueLease(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("LEASE ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opLease)
-	return nil
-}
+func (c *Conn) QueueLease(key string) error { return c.queue(opLease, "LEASE", key) }
 
 // QueueSetLease buffers a SETL request: the lease winner's fill,
 // publishing val under the token a LEASE grant handed out. A MISS reply
 // means the fill lost (the lease expired or a newer write invalidated
 // it) and nothing was stored.
 func (c *Conn) QueueSetLease(key string, token uint64, val string, ttl time.Duration) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
 	if token == 0 {
 		return fmt.Errorf("client: zero lease token for %q", key)
 	}
-	if strings.ContainsAny(val, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	var ms int64
-	if ttl > 0 {
-		ms = int64((ttl + time.Millisecond - 1) / time.Millisecond)
-	}
-	c.writeTrace()
-	c.w.WriteString("SETL ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatUint(token, 16))
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(ms, 10))
-	c.w.WriteByte(' ')
-	c.w.WriteString(val)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opSetL)
-	return nil
+	return c.queueStore(opSetL, "SETL", key, strconv.FormatUint(token, 16), ttlMillis(ttl), val)
 }
 
 // QueueTTL buffers a TTL query.
-func (c *Conn) QueueTTL(key string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("TTL ")
-	c.w.WriteString(key)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opTTL)
-	return nil
-}
+func (c *Conn) QueueTTL(key string) error { return c.queue(opTTL, "TTL", key) }
 
 // Pending returns the number of queued, unflushed requests.
 func (c *Conn) Pending() int { return len(c.pending) }
@@ -519,9 +429,8 @@ func (c *Conn) GetV(key string) (val string, ver uint64, found bool, err error) 
 	return rep.Value, rep.Ver, rep.Found, rep.Err
 }
 
-// SetV stores key=val (ttl 0 = no expiry) and returns the write's
-// version word (0 if the entry was evicted before the acknowledging
-// read-back — harmless, the client just learns nothing).
+// SetV stores key=val (ttl 0 = no expiry) and returns the version word
+// the server stored with this very write (never 0).
 func (c *Conn) SetV(key, val string, ttl time.Duration) (uint64, error) {
 	if err := c.QueueSetV(key, val, ttl); err != nil {
 		return 0, err

@@ -26,67 +26,23 @@ var ErrTxnAborted = errors.New("client: transaction aborted")
 // request: key's integer value changes by delta, starting from 0 for a
 // missing key.
 func (c *Conn) QueueIncr(key string, delta int64) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("INCR ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(delta, 10))
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opIncr)
-	return nil
+	return c.queue(opIncr, "INCR", key, strconv.FormatInt(delta, 10))
 }
 
 // QueueMaxUpdate buffers a MAXUPDATE request: key's integer value becomes
 // max(current, val), treating a missing key as 0.
 func (c *Conn) QueueMaxUpdate(key string, val int64) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	c.writeTrace()
-	c.w.WriteString("MAXUPDATE ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.FormatInt(val, 10))
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opIncr)
-	return nil
+	return c.queue(opIncr, "MAXUPDATE", key, strconv.FormatInt(val, 10))
 }
 
 // QueueCAS buffers a CAS request: key's value becomes newVal only if it
 // currently equals old. old is a single protocol token (no spaces);
 // newVal may contain spaces but not newlines.
 func (c *Conn) QueueCAS(key, old, newVal string) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
 	if old == "" || strings.ContainsAny(old, " \r\n") {
 		return fmt.Errorf("client: CAS expected value %q must be one token", old)
 	}
-	if strings.ContainsAny(newVal, "\r\n") {
-		return fmt.Errorf("client: value for %q contains newline", key)
-	}
-	c.writeTrace()
-	c.w.WriteString("CAS ")
-	c.w.WriteString(key)
-	c.w.WriteByte(' ')
-	c.w.WriteString(old)
-	c.w.WriteByte(' ')
-	c.w.WriteString(newVal)
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, opCAS)
-	return nil
+	return c.queueStore(opCAS, "CAS", key, old, newVal)
 }
 
 // Incr adds delta to key's integer value (negative deltas subtract).
@@ -197,8 +153,7 @@ func (t *Txn) Set(key, val string, ttl time.Duration) *Txn {
 	if ttl <= 0 {
 		return t.add(key, "SET "+key+" "+val, opSet)
 	}
-	ms := (ttl + time.Millisecond - 1) / time.Millisecond
-	return t.add(key, fmt.Sprintf("SETEX %s %d %s", key, ms, val), opSet)
+	return t.add(key, "SETEX "+key+" "+ttlMillis(ttl)+" "+val, opSet)
 }
 
 // Del queues a delete; its EXEC result is Found when the key existed.

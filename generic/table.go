@@ -270,78 +270,83 @@ func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K) (uint64, bool) {
 // Insert adds key, returning ErrExists if present. With auto-grow enabled
 // (the default) it resizes instead of returning ErrFull.
 func (t *Table[K, V]) Insert(key K, val V) error {
-	return t.put(key, val, false)
+	_, err := t.put(key, val, false)
+	return err
 }
 
 // Upsert inserts or overwrites key.
 func (t *Table[K, V]) Upsert(key K, val V) error {
+	_, err := t.put(key, val, true)
+	return err
+}
+
+// Put is Upsert reporting whether the write consumed a new slot
+// (inserted) or replaced the key's existing entry in place. A key folded
+// forward out of a draining generation counts as replaced: it already
+// held a slot. Callers that keep per-entry bookkeeping (the server's
+// eviction ring) need exactly this bit, and learning it from the write
+// itself saves them an Insert-then-Upsert double probe.
+func (t *Table[K, V]) Put(key K, val V) (inserted bool, err error) {
 	return t.put(key, val, true)
 }
 
-// put is the shared write loop behind Insert and Upsert: the in-place
-// fast path, then BFS path search (the audited slow path), growing and
-// draining as needed.
+// put is the shared write loop behind Insert, Upsert and Put: the
+// in-place fast path, then BFS path search (the audited slow path),
+// growing and draining as needed.
 //
 //cuckoo:hotpath the table write path; search/grow/migrate are the audited slow paths
-func (t *Table[K, V]) put(key K, val V, overwrite bool) error {
+func (t *Table[K, V]) put(key K, val V, overwrite bool) (inserted bool, err error) {
 	for {
 		observed := t.loadState().live.buckets
-		err := t.tryPut(key, val, overwrite)
+		inserted, err = t.tryPut(key, val, overwrite)
 		if err == ErrFull && !t.cfg.DisableAutoGrow {
 			if t.grow(observed) {
 				continue
 			}
 		}
 		t.migrateStep()
-		return err
+		return inserted, err
 	}
 }
 
-func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
+func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) (inserted bool, err error) {
 	h := t.hash(key)
 	for {
 		st := t.loadState()
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 
-		switch t.attempt(st, h, b1, b2, key, val, overwrite, -1) {
-		case putDone:
-			return nil
-		case putExists:
-			return ErrExists
-		case putStale:
-			continue
-		case putNoSpace:
-		}
-
-		path, ok := t.search(st, b1, b2)
-		if !ok {
-			// Re-check under the lock before giving up.
-			switch t.attempt(st, h, b1, b2, key, val, overwrite, -1) {
-			case putDone:
-				return nil
-			case putExists:
-				return ErrExists
-			case putStale:
-				continue
+		res := t.attempt(st, h, b1, b2, key, val, overwrite, -1)
+		if res == putNoSpace {
+			if path, ok := t.search(st, b1, b2); ok {
+				t.stats.observePath(b1, uint64(len(path)-1))
+				res = t.execute(st, path, h, b1, b2, key, val, overwrite)
+				if res == putNoSpace || res == putStale {
+					// Path invalidated or generations swapped (Eq. 1); retry.
+					t.stats.restarts.add(b1, 1)
+					continue
+				}
+			} else if res = t.attempt(st, h, b1, b2, key, val, overwrite, -1); res == putNoSpace {
+				// Still no room on the re-check under the lock: give up.
+				return false, ErrFull
 			}
-			return ErrFull
 		}
-		t.stats.observePath(b1, uint64(len(path)-1))
-		switch t.execute(st, path, h, b1, b2, key, val, overwrite) {
-		case putDone:
-			return nil
+		switch res {
+		case putInserted:
+			return true, nil
+		case putReplaced:
+			return false, nil
 		case putExists:
-			return ErrExists
+			return false, ErrExists
 		}
-		// Path invalidated or generations swapped (Eq. 1); retry.
-		t.stats.restarts.add(b1, 1)
+		// putStale: the generation set changed under us; retry.
 	}
 }
 
 type putResult int
 
 const (
-	putDone putResult = iota
+	putInserted putResult = iota // a new slot was consumed
+	putReplaced                  // the key's existing entry was overwritten (or folded forward)
 	putExists
 	putNoSpace
 	putStale
@@ -367,7 +372,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 				return putExists
 			}
 			live.vals[i] = val
-			return putDone
+			return putReplaced
 		}
 	}
 	for _, g := range st.olds {
@@ -384,23 +389,14 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 			if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
 				t.placeNoCount(live, s.bucket, s.slot, key, val)
 				t.clearSlot(g.arr, ob, i)
-				return putDone
+				return putReplaced
 			}
 			return putNoSpace
 		}
 	}
-	if reqSlot >= 0 {
-		if live.occ[b1]&(1<<uint(reqSlot)) != 0 {
-			return putNoSpace
-		}
-		t.place(live, b1, reqSlot, key, val)
-		return putDone
-	}
-	for _, b := range [2]uint64{b1, b2} {
-		if s, ok := freeSlot(live.occ[b], int(t.assoc)); ok {
-			t.place(live, b, s, key, val)
-			return putDone
-		}
+	if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
+		t.place(live, s.bucket, s.slot, key, val)
+		return putInserted
 	}
 	return putNoSpace
 }

@@ -17,7 +17,7 @@
 // that return with stripes held, like lockAllGens), then checked
 // transitively over the callgraph summaries, resolving interface calls
 // against every module implementer. Function values passed to a callee
-// that invokes them inside a region (txn.WithLockSpan's fn argument) are
+// that invokes them inside a region (txn.Store.WithLock's fn argument) are
 // checked at each call site that supplies them.
 //
 // Blocking is a deny list: sync lock/wait primitives, channel operations
@@ -418,7 +418,7 @@ func end(pass *analysis.Pass) error {
 	sort.Slice(sums, func(i, j int) bool { return sums[i].Object.Pos() < sums[j].Object.Pos() })
 
 	// Propagate "invokes its parameter inside a region" through parameter
-	// hand-offs (WithLock passes fn through to WithLockSpan) to a fixpoint.
+	// hand-offs (a wrapper that passes fn through to WithLock) to a fixpoint.
 	for changed := true; changed; {
 		changed = false
 		for _, of := range sums {

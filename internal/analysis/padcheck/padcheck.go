@@ -51,6 +51,11 @@ func run(pass *analysis.Pass) (any, error) {
 			default:
 				return true
 			}
+			// A slice of pointers lays no two records side by side, so
+			// the pointee's size is irrelevant to false sharing.
+			if _, ptr := elem.(*types.Pointer); ptr {
+				return true
+			}
 			named := checkutil.NamedOf(elem)
 			if named == nil || reported[named] {
 				return true

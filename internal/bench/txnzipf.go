@@ -128,7 +128,7 @@ func TxnZipf(sc Scale) *Report {
 				stream := streams[th]
 				var my uint64
 				for _, rank := range stream {
-					if err := st.Incr(keys[rank], 1, uint64(th)); err != nil {
+					if err := st.Incr(keys[rank], 1, uint64(th), nil); err != nil {
 						return
 					}
 					my++
@@ -217,7 +217,7 @@ func occNotes(r *Report, sc Scale, universe uint64, zipfS float64, key func(uint
 				st.Exec([]txn.Op{
 					{Kind: txn.OpIncr, Key: key(a), Delta: 1},
 					{Kind: txn.OpGet, Key: key(b)},
-				})
+				}, nil)
 			}
 		}(th)
 	}

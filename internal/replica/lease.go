@@ -32,8 +32,8 @@ type leaseShard struct {
 
 // LeaseTable hands out per-key miss leases: the first client to miss a
 // key wins a fill token, everyone else is told to wait briefly (or is
-// served a stale copy by the caller). A SET or DEL on the key
-// invalidates any outstanding token, so a delayed fill can never
+// served a stale copy by the caller). Any acknowledged mutation of the
+// key invalidates its outstanding token, so a delayed fill can never
 // overwrite fresher data through the lease path.
 type LeaseTable struct {
 	ttl      int64 // lease lifetime, nanoseconds
@@ -113,8 +113,8 @@ func (t *LeaseTable) ValidateRelease(key string, token uint64, now int64) bool {
 }
 
 // Invalidate drops any outstanding lease on key, reporting whether one
-// existed. The server calls this on every SET/DEL so an in-flight fill
-// holding a now-stale token cannot publish through SETL.
+// existed. The server calls this after every acknowledged mutation so an
+// in-flight fill holding a now-stale token cannot publish through SETL.
 func (t *LeaseTable) Invalidate(key string) bool {
 	sh := t.shardFor(key)
 	sh.mu.Lock()

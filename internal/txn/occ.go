@@ -3,6 +3,8 @@ package txn
 import (
 	"runtime"
 	"strconv"
+
+	"cuckoohash/internal/obs"
 )
 
 // OpKind enumerates the operations a transaction may queue.
@@ -96,9 +98,40 @@ func (s *Store) epochOf(key string) uint64 {
 // concurrent writer moves a version, validation fails, and the attempt
 // retries from scratch; after MaxRetries failures the transaction takes
 // every stripe up front (ascending order, the §4.4 LockPair discipline
-// generalized) and cannot abort.
-func (s *Store) Exec(ops []Op) ([]Result, ExecInfo) {
-	return s.ExecSpan(ops, nil)
+// generalized) and cannot abort. Each failed optimistic attempt is
+// attributed to rec as StageTxnRetry and the committing attempt
+// (optimistic or pessimistic) as StageProbe, so a transaction's span
+// shows how much of its latency was wasted work.
+func (s *Store) Exec(ops []Op, rec *obs.Span) ([]Result, ExecInfo) {
+	if len(ops) == 0 {
+		return nil, ExecInfo{}
+	}
+	// Split counters trade read freshness for commutativity; a
+	// transaction's read set must be exact, so hot keys fold first.
+	if s.split.hotCount.Load() > 0 {
+		for i := range ops {
+			s.ReconcileKey(ops[i].Key)
+		}
+	}
+	for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+		t0 := rec.Begin()
+		res, ok := s.tryExec(ops)
+		if ok {
+			rec.End(obs.StageProbe, t0)
+			s.stats.commits.Add(1)
+			s.stats.recordRetries(attempt)
+			return res, ExecInfo{Retries: attempt}
+		}
+		rec.End(obs.StageTxnRetry, t0)
+		s.stats.aborts.Add(1)
+	}
+	t0 := rec.Begin()
+	res := s.execPessimistic(ops)
+	rec.End(obs.StageProbe, t0)
+	s.stats.commits.Add(1)
+	s.stats.fallbacks.Add(1)
+	s.stats.recordRetries(s.cfg.MaxRetries + 1)
+	return res, ExecInfo{Retries: s.cfg.MaxRetries + 1, Pessimistic: true}
 }
 
 // tryExec is one optimistic attempt: versioned reads, private execution,

@@ -99,10 +99,12 @@ func (t *splitTable) lookup(key string) (hotEntry, bool) {
 	return e, ok
 }
 
-// add records a pending ADD in the hint's shard slot. It reports false
-// when the slot is dead — the key was demoted between the caller's hot
-// lookup and here — and the caller must apply on the stripe path instead.
-func (t *splitTable) add(e hotEntry, d int64, hint uint64) bool {
+// record parks one pending commutative update — an ADD of n or a
+// MAXUPDATE to n, per the key's split class — in the hint's shard slot.
+// It reports false when the slot is dead — the key was demoted between
+// the caller's hot lookup and here — and the caller must apply on the
+// stripe path instead.
+func (t *splitTable) record(e hotEntry, n int64, hint uint64) bool {
 	i := hint & t.mask
 	p := e.slots[i]
 	sh := &t.shards[i]
@@ -111,24 +113,9 @@ func (t *splitTable) add(e hotEntry, d int64, hint uint64) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	p.add += d
-	p.ops++
-	sh.mu.Unlock()
-	return true
-}
-
-// max records a pending MAXUPDATE in the hint's shard slot, with the
-// same dead-slot contract as add.
-func (t *splitTable) max(e hotEntry, n int64, hint uint64) bool {
-	i := hint & t.mask
-	p := e.slots[i]
-	sh := &t.shards[i]
-	sh.mu.Lock()
-	if p.dead {
-		sh.mu.Unlock()
-		return false
-	}
-	if p.ops == 0 || n > p.max {
+	if e.class == classAdd {
+		p.add += n
+	} else if p.ops == 0 || n > p.max {
 		p.max = n
 	}
 	p.ops++
@@ -136,53 +123,59 @@ func (t *splitTable) max(e hotEntry, n int64, hint uint64) bool {
 	return true
 }
 
+// pending is the sum of a key's drained delta slots.
+type pending struct {
+	add     int64
+	max     int64
+	haveMax bool
+	ops     uint64
+}
+
+// take moves p's pending state into f and zeroes p, so a slot can never
+// be folded twice — not even a dead one that a racing re-promotion
+// adopted into a new hot entry just before drainRemove unlinked it.
+// Caller holds p's shard mutex.
+func (f *pending) take(p *delta) {
+	if p.ops == 0 {
+		return
+	}
+	f.add += p.add
+	if p.class == classMax && (!f.haveMax || p.max > f.max) {
+		f.max, f.haveMax = p.max, true
+	}
+	f.ops += p.ops
+	p.add, p.max, p.ops = 0, 0, 0
+}
+
 // drainZero folds a still-hot key's pending deltas in place: each slot
 // is zeroed but stays registered in its shard map, so the next split op
 // reuses it. Caller holds key's stripe.
-func (t *splitTable) drainZero(e hotEntry) (addSum int64, maxVal int64, haveMax bool, ops uint64) {
+func (t *splitTable) drainZero(e hotEntry) (f pending) {
 	for i := range t.shards {
 		sh := &t.shards[i]
-		p := e.slots[i]
 		sh.mu.Lock()
-		if p.ops > 0 {
-			addSum += p.add
-			if p.class == classMax && (!haveMax || p.max > maxVal) {
-				maxVal, haveMax = p.max, true
-			}
-			ops += p.ops
-			p.add, p.max, p.ops = 0, 0, 0
-		}
+		f.take(e.slots[i])
 		sh.mu.Unlock()
 	}
-	return addSum, maxVal, haveMax, ops
+	return f
 }
 
 // drainRemove unlinks and returns a demoted key's deltas from every
 // shard, marking each dead so stragglers holding cached slot pointers
 // divert to the stripe path. After this, no state for key remains in any
 // shard and none can silently reappear. Caller holds key's stripe.
-func (t *splitTable) drainRemove(key string) (addSum int64, maxVal int64, haveMax bool, ops uint64) {
+func (t *splitTable) drainRemove(key string) (f pending) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		p, ok := sh.deltas[key]
-		if ok {
+		if p, ok := sh.deltas[key]; ok {
 			delete(sh.deltas, key)
 			p.dead = true
+			f.take(p)
 		}
 		sh.mu.Unlock()
-		if !ok {
-			continue
-		}
-		if p.ops > 0 {
-			addSum += p.add
-			if p.class == classMax && (!haveMax || p.max > maxVal) {
-				maxVal, haveMax = p.max, true
-			}
-			ops += p.ops
-		}
 	}
-	return addSum, maxVal, haveMax, ops
+	return f
 }
 
 // pendingKeys snapshots every key registered in any shard: all hot keys
@@ -299,38 +292,39 @@ func (s *Store) reconcileIfHotLocked(key string) {
 //
 //cuckoo:coldpath a fold runs once per phase tick (or on a hot key's first stripe op), not per operation
 func (s *Store) foldLocked(key string) uint64 {
-	var addSum, maxVal int64
-	var haveMax bool
-	var ops uint64
+	var f pending
 	if e, ok := s.split.lookup(key); ok {
-		addSum, maxVal, haveMax, ops = s.split.drainZero(e)
+		f = s.split.drainZero(e)
 	} else {
-		addSum, maxVal, haveMax, ops = s.split.drainRemove(key)
+		f = s.split.drainRemove(key)
 	}
-	if ops == 0 {
+	if f.ops == 0 {
 		return 0
 	}
-	s.stats.splitOps.Add(ops)
+	s.stats.splitOps.Add(f.ops)
 	var cur int64
 	if v, ok := s.kv.Load(key); ok {
 		cur, _ = strconv.ParseInt(v, 10, 64)
 	}
-	n := cur + addSum
-	if haveMax && maxVal > n {
-		n = maxVal
+	n := cur + f.add
+	if f.haveMax && f.max > n {
+		n = f.max
 	}
 	// Best effort: a full backing store drops the fold (counters on a
 	// shard that cannot even hold the key are already lost causes), but
 	// the drained deltas were removed, so count the reconcile regardless.
 	_ = s.kv.Store(key, strconv.FormatInt(n, 10), 0, true)
 	s.stats.reconciles.Add(1)
-	return ops
+	return f.ops
 }
 
 // Tick runs one split-phase boundary: every pending delta is folded into
 // its canonical value, and hot keys that were idle for two consecutive
 // ticks are demoted. Call it periodically (tens of milliseconds — the
-// phase length bounds read staleness) from a single goroutine.
+// phase length bounds read staleness). It is safe to call concurrently:
+// folds serialize on the key stripes and the hot-set rebuild on
+// promoteMu; a Tick that loses the race to another's demotions simply
+// finds less (or nothing) left to do.
 func (s *Store) Tick() {
 	t := s.split
 	hot := t.hot.Load()
@@ -352,9 +346,15 @@ func (s *Store) Tick() {
 	// Demote hot keys that have gone quiet so the hot set tracks the
 	// workload's current skew rather than its history. Reload the hot
 	// set under promoteMu: a promotion may have raced the fold above,
-	// and rebuilding from a stale snapshot would silently drop it.
+	// and rebuilding from a stale snapshot would silently drop it —
+	// or another Tick may have emptied the set entirely.
 	t.promoteMu.Lock()
 	hot = t.hot.Load()
+	if hot == nil {
+		// A concurrent Tick demoted the last hot key since the load above.
+		t.promoteMu.Unlock()
+		return
+	}
 	var demote []string
 	next := make(map[string]hotEntry, len(*hot))
 	for k, e := range *hot {

@@ -32,6 +32,7 @@ import (
 	"hash/maphash"
 	"strconv"
 
+	"cuckoohash/internal/obs"
 	"cuckoohash/internal/spinlock"
 )
 
@@ -125,28 +126,53 @@ func (s *Store) stripeFor(key string) uint64 {
 	return s.locks.IndexFor(maphash.String(s.seed, key))
 }
 
+// Every verb takes a *obs.Span and attributes its stripe wait
+// (StageLock) and backing-store work (StageProbe) to it. A nil or
+// unarmed span is free — Begin returns 0 without reading the clock and
+// End on a zero start is a no-op — so untraced callers pass nil.
+
 // WithLock runs fn while holding key's stripe, first folding any pending
 // split deltas so fn observes the reconciled value. Every out-of-band
 // mutation of the backing store (plain SET/DEL, TTL expiry, eviction,
 // cluster migration removal) must run through here: the version bump on
 // unlock is what invalidates concurrent optimistic read sets.
-func (s *Store) WithLock(key string, fn func()) {
-	s.WithLockSpan(key, nil, fn)
+//
+//cuckoo:hotpath every keyed verb runs its critical section through here
+func (s *Store) WithLock(key string, rec *obs.Span, fn func()) {
+	i := s.stripeFor(key)
+	t0 := rec.Begin()
+	s.locks.Lock(i)
+	rec.End(obs.StageLock, t0)
+	s.reconcileIfHotLocked(key)
+	fn()
+	s.locks.Unlock(i)
 }
 
 // Set writes key=val with the given absolute expiry under the key's
 // stripe, reconciling pending deltas first (they serialize before the
 // overwrite). It returns the backing store's error unchanged so callers
 // can drive eviction-and-retry outside the stripe.
-func (s *Store) Set(key, val string, expireAt int64) error {
-	return s.SetSpan(key, val, expireAt, nil)
+func (s *Store) Set(key, val string, expireAt int64, rec *obs.Span) error {
+	var err error
+	s.WithLock(key, rec, func() {
+		t0 := rec.Begin()
+		err = s.kv.Store(key, val, expireAt, false)
+		rec.End(obs.StageProbe, t0)
+	})
+	return err
 }
 
 // Delete removes key under its stripe. Pending deltas are folded first,
 // then discarded with the entry; deltas that arrive afterwards serialize
 // after the delete and re-create the counter from zero.
-func (s *Store) Delete(key string) bool {
-	return s.DeleteSpan(key, nil)
+func (s *Store) Delete(key string, rec *obs.Span) bool {
+	var ok bool
+	s.WithLock(key, rec, func() {
+		t0 := rec.Begin()
+		ok = s.kv.Delete(key)
+		rec.End(obs.StageProbe, t0)
+	})
+	return ok
 }
 
 // Incr atomically adds delta to the signed 64-bit integer stored at key
@@ -155,15 +181,64 @@ func (s *Store) Delete(key string) bool {
 // per-worker value such as a connection id. The new count is not
 // returned: during a split phase no single core knows it, which is
 // exactly the property that lets hot counters scale (Doppel).
-func (s *Store) Incr(key string, delta int64, hint uint64) error {
-	return s.IncrSpan(key, delta, hint, nil)
+func (s *Store) Incr(key string, delta int64, hint uint64, rec *obs.Span) error {
+	return s.commute(key, classAdd, delta, hint, rec)
 }
 
 // MaxUpdate atomically raises the integer at key to n if n is larger
 // (a missing key is treated as having no value, so n is stored). Like
 // Incr it is commutative and split-eligible, and returns no value.
-func (s *Store) MaxUpdate(key string, n int64, hint uint64) error {
-	return s.MaxUpdateSpan(key, n, hint, nil)
+func (s *Store) MaxUpdate(key string, n int64, hint uint64, rec *obs.Span) error {
+	return s.commute(key, classMax, n, hint, rec)
+}
+
+// commute is the one body of the commutative verbs. A key split for this
+// class takes the fast path — one padded slot update, no stripe, nothing
+// recorded in rec; everything else takes the stripe, charging contended
+// acquisitions toward promotion.
+//
+//cuckoo:hotpath a split-mode INCR/MAXUPDATE is one slot update; the stripe path's value re-encode is its audited cost
+func (s *Store) commute(key string, class uint8, n int64, hint uint64, rec *obs.Span) error {
+	if e, ok := s.split.lookup(key); ok && e.class == class {
+		if s.split.record(e, n, hint) {
+			return nil
+		}
+		// Demoted between the lookup and the slot write: fall through to
+		// the stripe path like any cold key.
+	}
+	i := s.stripeFor(key)
+	t0 := rec.Begin()
+	if !s.locks.TryLock(i) {
+		if s.cfg.PromoteAfter > 0 {
+			s.noteContention(key, class)
+		}
+		s.locks.Lock(i)
+	}
+	rec.End(obs.StageLock, t0)
+	s.reconcileIfHotLocked(key)
+	t1 := rec.Begin()
+	err := s.applyLocked(key, class, n)
+	rec.End(obs.StageProbe, t1)
+	s.locks.Unlock(i)
+	return err
+}
+
+// applyLocked performs the read-modify-write of a commutative verb: add
+// n (classAdd) or raise to n (classMax). Caller holds key's stripe.
+func (s *Store) applyLocked(key string, class uint8, n int64) error {
+	if cur, ok := s.kv.Load(key); ok {
+		v, err := strconv.ParseInt(cur, 10, 64)
+		if err != nil {
+			return ErrNotInteger
+		}
+		if class == classAdd {
+			n += v
+		} else if v >= n {
+			return nil
+		}
+	}
+	//lint:allow cuckoovet:allocfree the re-encoded value string is the write; split mode batches these to one per fold
+	return s.kv.Store(key, strconv.FormatInt(n, 10), 0, true)
 }
 
 // CASResult is the outcome of a CAS.
@@ -181,41 +256,24 @@ const (
 // CAS replaces key's value with newVal only if it currently equals old.
 // CAS observes the value, so it is never split; it always takes the
 // stripe and reconciles pending deltas first.
-func (s *Store) CAS(key, old, newVal string) (CASResult, error) {
-	return s.CASSpan(key, old, newVal, nil)
-}
-
-// applyAddLocked performs the read-modify-write of an arithmetic add.
-// Caller holds key's stripe.
-func (s *Store) applyAddLocked(key string, delta int64) error {
-	cur, ok := s.kv.Load(key)
-	var n int64
-	if ok {
-		v, err := strconv.ParseInt(cur, 10, 64)
-		if err != nil {
-			return ErrNotInteger
+func (s *Store) CAS(key, old, newVal string, rec *obs.Span) (CASResult, error) {
+	res, err := CASMiss, error(nil)
+	s.WithLock(key, rec, func() {
+		t0 := rec.Begin()
+		cur, ok := s.kv.Load(key)
+		switch {
+		case !ok:
+			res = CASMiss
+		case cur != old:
+			res = CASConflict
+			s.stats.casConflicts.Add(1)
+		default:
+			res = CASStored
+			err = s.kv.Store(key, newVal, 0, true)
 		}
-		n = v
-	}
-	//lint:allow cuckoovet:allocfree the re-encoded value string is the write; split mode batches these to one per fold
-	return s.kv.Store(key, strconv.FormatInt(n+delta, 10), 0, true)
-}
-
-// applyMaxLocked performs the read-modify-write of MAXUPDATE. Caller
-// holds key's stripe.
-func (s *Store) applyMaxLocked(key string, n int64) error {
-	cur, ok := s.kv.Load(key)
-	if ok {
-		v, err := strconv.ParseInt(cur, 10, 64)
-		if err != nil {
-			return ErrNotInteger
-		}
-		if v >= n {
-			return nil
-		}
-	}
-	//lint:allow cuckoovet:allocfree the re-encoded value string is the write; split mode batches these to one per fold
-	return s.kv.Store(key, strconv.FormatInt(n, 10), 0, true)
+		rec.End(obs.StageProbe, t0)
+	})
+	return res, err
 }
 
 // ReconcileKey folds key's pending split deltas into the backing store

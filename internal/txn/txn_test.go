@@ -53,25 +53,25 @@ func (k *mapKV) get(t *testing.T, key string) string {
 func TestIncrBasics(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{PromoteAfter: -1})
-	if err := s.Incr("c", 1, 0); err != nil {
+	if err := s.Incr("c", 1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Incr("c", 41, 0); err != nil {
+	if err := s.Incr("c", 41, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := kv.get(t, "c"); got != "42" {
 		t.Fatalf("c = %q, want 42", got)
 	}
-	if err := s.Incr("c", -2, 0); err != nil {
+	if err := s.Incr("c", -2, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := kv.get(t, "c"); got != "40" {
 		t.Fatalf("c = %q, want 40", got)
 	}
-	if err := s.Set("junk", "not-a-number", 0); err != nil {
+	if err := s.Set("junk", "not-a-number", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Incr("junk", 1, 0); err != ErrNotInteger {
+	if err := s.Incr("junk", 1, 0, nil); err != ErrNotInteger {
 		t.Fatalf("Incr on junk = %v, want ErrNotInteger", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestMaxUpdate(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{PromoteAfter: -1})
 	for _, n := range []int64{5, 3, 9, 7} {
-		if err := s.MaxUpdate("m", n, 0); err != nil {
+		if err := s.MaxUpdate("m", n, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,14 +92,14 @@ func TestMaxUpdate(t *testing.T) {
 func TestCAS(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{})
-	if res, _ := s.CAS("k", "a", "b"); res != CASMiss {
+	if res, _ := s.CAS("k", "a", "b", nil); res != CASMiss {
 		t.Fatalf("CAS on missing = %v, want CASMiss", res)
 	}
-	s.Set("k", "a", 0)
-	if res, _ := s.CAS("k", "x", "b"); res != CASConflict {
+	s.Set("k", "a", 0, nil)
+	if res, _ := s.CAS("k", "x", "b", nil); res != CASConflict {
 		t.Fatalf("CAS wrong old = %v, want CASConflict", res)
 	}
-	if res, _ := s.CAS("k", "a", "b"); res != CASStored {
+	if res, _ := s.CAS("k", "a", "b", nil); res != CASStored {
 		t.Fatalf("CAS matching = %v, want CASStored", res)
 	}
 	if got := kv.get(t, "k"); got != "b" {
@@ -127,7 +127,7 @@ func TestConcurrentIncrExact(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for n := 0; n < perG; n++ {
-				if err := s.Incr("hot", 1, uint64(g)); err != nil {
+				if err := s.Incr("hot", 1, uint64(g), nil); err != nil {
 					t.Errorf("Incr: %v", err)
 					return
 				}
@@ -176,7 +176,7 @@ func TestReconcileOnRead(t *testing.T) {
 		t.Fatal("h not promoted")
 	}
 	for i := 0; i < 10; i++ {
-		s.Incr("h", 1, uint64(i))
+		s.Incr("h", 1, uint64(i), nil)
 	}
 	if v, ok := kv.Load("h"); ok {
 		t.Fatalf("h reconciled too early: %q", v)
@@ -191,7 +191,7 @@ func TestTickDemotesIdleKeys(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{PromoteAfter: 1})
 	s.noteContention("h", classAdd)
-	s.Incr("h", 3, 1)
+	s.Incr("h", 3, 1, nil)
 	s.Tick() // folds 3
 	if got := kv.get(t, "h"); got != "3" {
 		t.Fatalf("h = %q, want 3", got)
@@ -210,20 +210,20 @@ func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{PromoteAfter: 1})
 	s.noteContention("h", classAdd)
-	s.Incr("h", 5, 0)
+	s.Incr("h", 5, 0, nil)
 	// SET serializes after the pending INCRs: they fold, then the SET
 	// overwrites.
-	s.Set("h", "100", 0)
+	s.Set("h", "100", 0, nil)
 	if got := kv.get(t, "h"); got != "100" {
 		t.Fatalf("h = %q, want 100", got)
 	}
-	s.Incr("h", 5, 0)
-	s.Delete("h")
+	s.Incr("h", 5, 0, nil)
+	s.Delete("h", nil)
 	if v, ok := kv.Load("h"); ok {
 		t.Fatalf("h survived delete: %q", v)
 	}
 	// A delta arriving after the delete restarts the counter from zero.
-	s.Incr("h", 7, 0)
+	s.Incr("h", 7, 0, nil)
 	s.ReconcileAll()
 	if got := kv.get(t, "h"); got != "7" {
 		t.Fatalf("h = %q, want 7 after post-delete INCR", got)
@@ -233,7 +233,7 @@ func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 func TestExecReadYourWrites(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{})
-	s.Set("a", "1", 0)
+	s.Set("a", "1", 0, nil)
 	res, info := s.Exec([]Op{
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpSet, Key: "a", Val: "2"},
@@ -241,7 +241,7 @@ func TestExecReadYourWrites(t *testing.T) {
 		{Kind: OpIncr, Key: "a", Delta: 10},
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpGet, Key: "missing"},
-	})
+	}, nil)
 	if info.Pessimistic {
 		t.Fatal("uncontended txn took the pessimistic path")
 	}
@@ -266,13 +266,13 @@ func TestExecReadYourWrites(t *testing.T) {
 func TestExecCASAndDelete(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{})
-	s.Set("k", "v1", 0)
+	s.Set("k", "v1", 0, nil)
 	res, _ := s.Exec([]Op{
 		{Kind: OpCAS, Key: "k", Old: "nope", Val: "v2"},
 		{Kind: OpCAS, Key: "k", Old: "v1", Val: "v2"},
 		{Kind: OpDel, Key: "k"},
 		{Kind: OpDel, Key: "k"},
-	})
+	}, nil)
 	want := []Status{StatusConflict, StatusOK, StatusOK, StatusMiss}
 	for i, w := range want {
 		if res[i].Status != w {
@@ -290,8 +290,8 @@ func TestExecAtomicTransfer(t *testing.T) {
 	// histogram must account for every commit.
 	kv := newMapKV()
 	s := New(kv, Config{Stripes: 8}) // few stripes → frequent conflicts
-	s.Set("x", "1000", 0)
-	s.Set("y", "1000", 0)
+	s.Set("x", "1000", 0, nil)
+	s.Set("y", "1000", 0, nil)
 	const goroutines, transfers = 8, 300
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -302,7 +302,7 @@ func TestExecAtomicTransfer(t *testing.T) {
 				s.Exec([]Op{
 					{Kind: OpIncr, Key: "x", Delta: -1},
 					{Kind: OpIncr, Key: "y", Delta: 1},
-				})
+				}, nil)
 			}
 		}()
 	}
@@ -328,7 +328,7 @@ func TestExecAtomicTransfer(t *testing.T) {
 func TestExecPessimisticFallback(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{MaxRetries: 1, Stripes: 2})
-	s.Set("a", "0", 0)
+	s.Set("a", "0", 0, nil)
 	// Hammer the same stripe from writers while transacting; with a
 	// 1-retry budget some transactions must fall back, and every one
 	// must still commit.
@@ -342,12 +342,12 @@ func TestExecPessimisticFallback(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s.Set(fmt.Sprintf("w%d", i%16), "x", 0)
+				s.Set(fmt.Sprintf("w%d", i%16), "x", 0, nil)
 			}
 		}
 	}()
 	for n := 0; n < 500; n++ {
-		res, _ := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}})
+		res, _ := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}}, nil)
 		if res[0].Status != StatusOK {
 			t.Fatalf("txn %d: %+v", n, res[0])
 		}
@@ -376,7 +376,7 @@ func TestWithLockBumpsVersion(t *testing.T) {
 	s := New(kv, Config{})
 	i := s.stripeFor("k")
 	before := s.locks.Version(i)
-	s.WithLock("k", func() { kv.Store("k", "v", 0, false) })
+	s.WithLock("k", nil, func() { kv.Store("k", "v", 0, false) })
 	if after := s.locks.Version(i); after == before {
 		t.Fatal("WithLock did not advance the stripe version")
 	}
@@ -399,10 +399,10 @@ func TestEpochAbortOnMigration(t *testing.T) {
 			return epoch.Load()
 		},
 	})
-	if err := s.Set("a", "1", 0); err != nil {
+	if err := s.Set("a", "1", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, info := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}})
+	res, info := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}}, nil)
 	if res[0].Status != StatusOK {
 		t.Fatalf("result = %+v", res[0])
 	}
@@ -427,10 +427,10 @@ func TestEpochStableCommitsFirstTry(t *testing.T) {
 		PromoteAfter: -1,
 		Epoch:        func(string) uint64 { return 7 },
 	})
-	if err := s.Set("a", "1", 0); err != nil {
+	if err := s.Set("a", "1", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, info := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}})
+	res, info := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}}, nil)
 	if res[0].Status != StatusOK || info.Retries != 0 {
 		t.Fatalf("res=%+v info=%+v, want clean first-try commit", res[0], info)
 	}

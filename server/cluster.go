@@ -192,7 +192,7 @@ func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, ma
 func (c *Cache) removeIfUnchanged(key string, want entry) bool {
 	sh := c.shards[c.shardFor(key)]
 	removed := false
-	c.txn.WithLock(key, func() {
+	c.txn.WithLock(key, nil, func() {
 		if cur, ok := sh.table.Get(key); ok && cur == want {
 			removed = sh.table.Delete(key)
 		}
@@ -259,6 +259,6 @@ func (s *Server) applyHandoff(r *bufio.Reader, w *bufio.Writer, n uint64, sp *ob
 	}
 	s.cache.stats.handoffs.Add(1)
 	s.cache.stats.migratedIn.Add(uint64(loaded))
-	writeHandoff(w, loaded)
+	writeCount(w, "HANDOFF ", uint64(loaded))
 	return nil
 }

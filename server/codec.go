@@ -235,29 +235,9 @@ func parseRequest1(line []byte, allowTrace bool) (request, error) {
 	case asciiEqualFold(cmd, "TTL"):
 		return parseKeyOnly(opTTL, rest)
 	case asciiEqualFold(cmd, "SET"):
-		key, val := nextToken(rest)
-		if len(key) == 0 || val == nil {
-			return request{}, errBadArgs
-		}
-		if len(key) > maxKeyLen {
-			return request{}, errKeyTooLong
-		}
-		return request{op: opSet, key: key, val: val}, nil
+		return parseStore(opSet, rest)
 	case asciiEqualFold(cmd, "SETEX"):
-		key, rest2 := nextToken(rest)
-		ttlTok, val := nextToken(rest2)
-		if len(key) == 0 || len(ttlTok) == 0 || val == nil {
-			return request{}, errBadArgs
-		}
-		if len(key) > maxKeyLen {
-			return request{}, errKeyTooLong
-		}
-		//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; SETEX pays one bounded copy, GET/SET none
-		ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
-		if err != nil || ms == 0 {
-			return request{}, errBadTTL
-		}
-		return request{op: opSetEx, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+		return parseStore(opSetEx, rest)
 	case asciiEqualFold(cmd, "STATS"):
 		if len(rest) != 0 {
 			return request{}, errBadArgs
@@ -304,93 +284,101 @@ func parseRequest1(line []byte, allowTrace bool) (request, error) {
 	case asciiEqualFold(cmd, "GETV"):
 		return parseKeyOnly(opGetV, rest)
 	case asciiEqualFold(cmd, "SETV"):
-		return parseSetV(rest)
+		return parseStore(opSetV, rest)
 	case asciiEqualFold(cmd, "LEASE"):
 		return parseKeyOnly(opLease, rest)
 	case asciiEqualFold(cmd, "SETL"):
-		return parseSetLease(rest)
+		return parseStore(opSetLease, rest)
 	case asciiEqualFold(cmd, "REPLSET"):
-		return parseReplSet(rest)
+		return parseStore(opReplSet, rest)
 	case asciiEqualFold(cmd, "REPLDEL"):
 		return parseReplDel(rest)
 	}
 	return request{}, errUnknownCmd
 }
 
-// parseSetV parses SETV <key> <ttl_ms> <val>: SET returning the write's
-// version word. Unlike SETEX, ttl 0 is legal and means no expiry, so
-// one verb covers both SET and SETEX shapes for version-aware clients.
-func parseSetV(rest []byte) (request, error) {
-	key, rest2 := nextToken(rest)
-	ttlTok, val := nextToken(rest2)
-	if len(key) == 0 || len(ttlTok) == 0 || val == nil {
+// parseStore parses the SET-shaped verbs, which share one frame — a key,
+// zero to two numeric words, and the value as the rest of the line:
+//
+//	SET     <key> <val>
+//	SETEX   <key> <ttl_ms> <val>             (ttl must be positive)
+//	SETV    <key> <ttl_ms> <val>             (ttl 0 = no expiry)
+//	SETL    <key> <token> <ttl_ms> <val>     (token: the hex word a LEASE grant handed out)
+//	REPLSET <key> <ver> <expireAtNs> <val>   (origin version; absolute expiry, 0 = none)
+//
+// SETV's ttl 0 lets one verb cover both SET and SETEX shapes for
+// version-aware clients; REPLSET's expiry is absolute unix nanoseconds
+// so TTLs survive the hop without clock math. The token and version
+// ride in req.ver, REPLSET's expiry in req.delta.
+func parseStore(op opCode, rest []byte) (request, error) {
+	nWords := 0
+	switch op {
+	case opSetEx, opSetV:
+		nWords = 1
+	case opSetLease, opReplSet:
+		nWords = 2
+	}
+	var words [2][]byte
+	key, rest := nextToken(rest)
+	ok := len(key) != 0
+	for i := 0; i < nWords; i++ {
+		words[i], rest = nextToken(rest)
+		ok = ok && len(words[i]) != 0
+	}
+	if !ok || rest == nil {
 		return request{}, errBadArgs
 	}
 	if len(key) > maxKeyLen {
 		return request{}, errKeyTooLong
 	}
-	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; SETV pays one bounded copy like SETEX
-	ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
-	if err != nil {
-		return request{}, errBadTTL
+	req := request{op: op, key: key, val: rest}
+	var err error
+	switch op {
+	case opSetEx, opSetV:
+		req.ttl, err = parseTTL(words[0], op == opSetV)
+	case opSetLease:
+		if len(words[0]) > 16 {
+			return request{}, errBadToken
+		}
+		//lint:allow cuckoovet:allocfree lease fills happen once per miss storm; the token copy is bounded to 16 bytes
+		if req.ver, err = strconv.ParseUint(string(words[0]), 16, 64); err != nil || req.ver == 0 {
+			return request{}, errBadToken
+		}
+		req.ttl, err = parseTTL(words[1], true)
+	case opReplSet:
+		if req.ver, err = parseVer(words[0]); err != nil {
+			return request{}, err
+		}
+		//lint:allow cuckoovet:allocfree mirror traffic copies its numeric tokens for strconv; bounded to 20 bytes each
+		if req.delta, err = strconv.ParseInt(string(words[1]), 10, 64); err != nil || req.delta < 0 {
+			return request{}, errBadDelta
+		}
 	}
-	return request{op: opSetV, key: key, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+	if err != nil {
+		return request{}, err
+	}
+	return req, nil
 }
 
-// parseSetLease parses SETL <key> <token> <ttl_ms> <val>: the lease
-// winner's fill. token is the hex word a LEASE grant handed out; ttl 0
-// means no expiry.
-func parseSetLease(rest []byte) (request, error) {
-	key, rest2 := nextToken(rest)
-	tokTok, rest3 := nextToken(rest2)
-	ttlTok, val := nextToken(rest3)
-	if len(key) == 0 || len(tokTok) == 0 || len(ttlTok) == 0 || val == nil {
-		return request{}, errBadArgs
+// parseTTL parses a millisecond TTL word; zero (no expiry) is legal only
+// where the verb says so.
+func parseTTL(tok []byte, zeroOK bool) (time.Duration, error) {
+	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv; TTL-carrying verbs pay one bounded copy, GET/SET none
+	ms, err := strconv.ParseUint(string(tok), 10, 32)
+	if err != nil || (ms == 0 && !zeroOK) {
+		return 0, errBadTTL
 	}
-	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
-	}
-	if len(tokTok) > 16 {
-		return request{}, errBadToken
-	}
-	//lint:allow cuckoovet:allocfree lease fills happen once per miss storm; the token copy is bounded to 16 bytes
-	token, err := strconv.ParseUint(string(tokTok), 16, 64)
-	if err != nil || token == 0 {
-		return request{}, errBadToken
-	}
-	//lint:allow cuckoovet:allocfree the TTL token is copied for strconv, same as SETEX
-	ms, err := strconv.ParseUint(string(ttlTok), 10, 32)
-	if err != nil {
-		return request{}, errBadTTL
-	}
-	return request{op: opSetLease, key: key, ver: token, ttl: time.Duration(ms) * time.Millisecond, val: val}, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// parseReplSet parses REPLSET <key> <ver> <expireAtNs> <val>, the
-// inbound mirror write. ver is the origin's version word; expireAt is
-// absolute unix nanoseconds (0 = no expiry) so TTLs survive the hop
-// without clock math.
-func parseReplSet(rest []byte) (request, error) {
-	key, rest2 := nextToken(rest)
-	verTok, rest3 := nextToken(rest2)
-	expTok, val := nextToken(rest3)
-	if len(key) == 0 || len(verTok) == 0 || len(expTok) == 0 || val == nil {
-		return request{}, errBadArgs
-	}
-	if len(key) > maxKeyLen {
-		return request{}, errKeyTooLong
-	}
-	//lint:allow cuckoovet:allocfree mirror traffic copies its two numeric tokens for strconv; bounded to 20 bytes each
-	ver, err := strconv.ParseUint(string(verTok), 10, 64)
+// parseVer parses a mirror verb's origin version word (never zero).
+func parseVer(tok []byte) (uint64, error) {
+	//lint:allow cuckoovet:allocfree mirror traffic copies its version token for strconv; bounded to 20 bytes
+	ver, err := strconv.ParseUint(string(tok), 10, 64)
 	if err != nil || ver == 0 {
-		return request{}, errBadVer
+		return 0, errBadVer
 	}
-	//lint:allow cuckoovet:allocfree see above
-	exp, err := strconv.ParseInt(string(expTok), 10, 64)
-	if err != nil || exp < 0 {
-		return request{}, errBadDelta
-	}
-	return request{op: opReplSet, key: key, ver: ver, delta: exp, val: val}, nil
+	return ver, nil
 }
 
 // parseReplDel parses REPLDEL <key> <ver>, the mirrored tombstone.
@@ -403,10 +391,9 @@ func parseReplDel(rest []byte) (request, error) {
 	if len(key) > maxKeyLen {
 		return request{}, errKeyTooLong
 	}
-	//lint:allow cuckoovet:allocfree mirror traffic copies its version token for strconv; bounded to 20 bytes
-	ver, err := strconv.ParseUint(string(verTok), 10, 64)
-	if err != nil || ver == 0 {
-		return request{}, errBadVer
+	ver, err := parseVer(verTok)
+	if err != nil {
+		return request{}, err
 	}
 	return request{op: opReplDel, key: key, ver: ver}, nil
 }
@@ -582,13 +569,26 @@ func writeMiss(w *bufio.Writer) {
 	w.WriteString("MISS\n")
 }
 
-// writeValue renders a GET hit; with writeMiss it is the whole of the
-// read path's reply surface.
+// Reply tags of the VALUE-shaped lines.
+const (
+	tagValue  = "VALUE "  // GET hit, EXEC read result: no version word
+	tagValueV = "VALUEV " // GETV hit, LEASE live hit
+	tagStale  = "STALE "  // LEASE: an expired copy served while a fill is in flight
+)
+
+// writeValue renders the VALUE-shaped replies from one entry: "VALUE
+// <val>", or "<tag><ver> <val>" for the versioned tags. The version word
+// precedes the value because values may contain spaces — parsers split
+// twice and take the rest, like HOTKEY lines.
 //
-//cuckoo:hotpath the GET reply writer
-func writeValue(w *bufio.Writer, val string) {
-	w.WriteString("VALUE ")
-	w.WriteString(val)
+//cuckoo:hotpath the read path's reply writer
+func writeValue(w *bufio.Writer, tag string, e entry) {
+	w.WriteString(tag)
+	if tag != tagValue {
+		writeUint(w, e.ver, 10)
+		w.WriteByte(' ')
+	}
+	w.WriteString(e.val)
 	w.WriteByte('\n')
 }
 
@@ -653,7 +653,7 @@ func writeExecResults(w *bufio.Writer, results []txn.Result) {
 		case txn.StatusOK:
 			writeOK(w)
 		case txn.StatusValue:
-			writeValue(w, results[i].Value)
+			writeValue(w, tagValue, entry{val: results[i].Value})
 		case txn.StatusMiss:
 			writeMiss(w)
 		case txn.StatusConflict:
@@ -666,68 +666,36 @@ func writeExecResults(w *bufio.Writer, results []txn.Result) {
 	}
 }
 
-func writeMigrated(w *bufio.Writer, count int) {
-	w.WriteString("MIGRATED ")
-	w.WriteString(strconv.Itoa(count))
-	w.WriteByte('\n')
+// writeUint renders n in the given base straight into w's own buffer. A
+// stack scratch would not do: bufio's Write hands its argument to an
+// io.Writer interface call, so any scratch escapes to the heap — one
+// allocation per versioned reply.
+func writeUint(w *bufio.Writer, n uint64, base int) {
+	if w.Available() < 20 { // the longest rendering: 2^64-1 in decimal
+		// Make room, so the append below can never outgrow the buffer. A
+		// write error is sticky in bufio and surfaces at the batch flush.
+		w.Flush()
+	}
+	//lint:allow cuckoovet:allocfree appends into the writer's spare capacity, which the check above guarantees is enough
+	w.Write(strconv.AppendUint(w.AvailableBuffer(), n, base))
 }
 
-func writeHandoff(w *bufio.Writer, loaded int) {
-	w.WriteString("HANDOFF ")
-	w.WriteString(strconv.Itoa(loaded))
-	w.WriteByte('\n')
-}
-
-// writeValueV renders a GETV hit: "VALUEV <ver> <val>". The version
-// word precedes the value because values may contain spaces — parsers
-// split twice and take the rest, like HOTKEY lines.
-//
-//cuckoo:hotpath the versioned GET reply writer
-func writeValueV(w *bufio.Writer, ver uint64, val string) {
-	w.WriteString("VALUEV ")
-	var num [20]byte
-	//lint:allow cuckoovet:allocfree AppendUint into the stack scratch never allocates
-	w.Write(strconv.AppendUint(num[:0], ver, 10))
-	w.WriteByte(' ')
-	w.WriteString(val)
-	w.WriteByte('\n')
-}
-
-// writeVer acknowledges a versioned write (SETV, accepted SETL).
-func writeVer(w *bufio.Writer, ver uint64) {
-	w.WriteString("VER ")
-	var num [20]byte
-	w.Write(strconv.AppendUint(num[:0], ver, 10))
+// writeCount renders the "<TAG> <n>" replies: MIGRATED, HANDOFF, VER (a
+// versioned write's ack: SETV, accepted SETL) and WAIT (how many
+// milliseconds a non-winning client should back off before retrying
+// its LEASE).
+func writeCount(w *bufio.Writer, tag string, n uint64) {
+	w.WriteString(tag)
+	writeUint(w, n, 10)
 	w.WriteByte('\n')
 }
 
 // writeLease renders a granted fill token: "LEASE <token-hex> <ttl_ms>".
 func writeLease(w *bufio.Writer, token uint64, ttlMS int64) {
 	w.WriteString("LEASE ")
-	var num [20]byte
-	w.Write(strconv.AppendUint(num[:0], token, 16))
+	writeUint(w, token, 16)
 	w.WriteByte(' ')
-	w.Write(strconv.AppendInt(num[:0], ttlMS, 10))
-	w.WriteByte('\n')
-}
-
-// writeWait tells a non-winning client how long to back off before
-// retrying its LEASE: "WAIT <ms>".
-func writeWait(w *bufio.Writer, ms int64) {
-	w.WriteString("WAIT ")
-	var num [20]byte
-	w.Write(strconv.AppendInt(num[:0], ms, 10))
-	w.WriteByte('\n')
-}
-
-// writeStaleValue serves an expired-but-present copy while a fill is in
-// flight: "STALE <ver> <val>".
-func writeStaleValue(w *bufio.Writer, ver uint64, val string) {
-	w.WriteString("STALE ")
-	var num [20]byte
-	w.Write(strconv.AppendUint(num[:0], ver, 10))
-	w.WriteByte(' ')
-	w.WriteString(val)
+	writeUint(w, uint64(ttlMS), 10)
 	w.WriteByte('\n')
 }
 

@@ -298,8 +298,7 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 	}
 	switch req.op {
 	case opDel:
-		if s.cache.DeleteTraced(string(req.key), &cs.span) {
-			s.leaseInvalidate(req.key)
+		if s.cache.Delete(string(req.key), &cs.span) {
 			writeOK(w)
 		} else {
 			writeMiss(w)
@@ -316,43 +315,26 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 		writeCluster(w, s.clusterInfo())
 	case opHotKeys:
 		writeHotKeys(w, s.cache.stats.HotKeys(int(req.delta)))
-	case opGetV:
-		if v, ver, ok := s.cache.GetVBytesTraced(req.key, &cs.span); ok {
-			writeValueV(w, ver, v)
-		} else {
-			writeMiss(w)
-		}
-	case opSetV:
-		s.dispatchSetV(req, w, cs)
-	case opLease:
-		s.dispatchLease(req, w, cs)
-	case opSetLease:
-		s.dispatchSetLease(req, w, cs)
-	case opReplSet:
+	case opReplSet, opReplDel:
+		key := string(req.key)
+		var applied bool
+		var err error
 		t0 := cs.span.Begin()
-		applied, err := s.cache.applyReplicaSet(string(req.key),
-			entry{val: string(req.val), expireAt: req.delta, ver: req.ver}, &cs.span)
+		if req.op == opReplSet {
+			applied, err = s.cache.applyReplicaSet(key,
+				entry{val: string(req.val), expireAt: req.delta, ver: req.ver}, &cs.span)
+		} else {
+			applied = s.cache.applyReplicaDel(key, req.ver, &cs.span)
+		}
 		cs.span.End(obs.StageRepl, t0)
 		switch {
 		case err != nil:
 			s.replyErr(w, cs, err)
 		case applied:
 			s.cache.stats.replApplied.Add(1)
-			s.leaseInvalidate(req.key)
+			s.cache.leaseInvalidate(key)
 			writeOK(w)
 		default:
-			s.cache.stats.replStale.Add(1)
-			writeStale(w)
-		}
-	case opReplDel:
-		t0 := cs.span.Begin()
-		applied := s.cache.applyReplicaDel(string(req.key), req.ver, &cs.span)
-		cs.span.End(obs.StageRepl, t0)
-		if applied {
-			s.cache.stats.replApplied.Add(1)
-			s.leaseInvalidate(req.key)
-			writeOK(w)
-		} else {
 			s.cache.stats.replStale.Add(1)
 			writeStale(w)
 		}
@@ -360,7 +342,7 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 		if n, err := s.Migrate(req.mig, req.trace); err != nil {
 			s.replyErr(w, cs, err)
 		} else {
-			writeMigrated(w, n)
+			writeCount(w, "MIGRATED ", uint64(n))
 		}
 	case opHandoff:
 		if err := s.applyHandoff(r, w, req.payload, &cs.span); err != nil {
@@ -369,20 +351,18 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			cs.outcome = obs.OutcomeErr
 			return req, true
 		}
-	case opIncr, opDecr, opAdd:
-		if err := s.cache.IncrTraced(string(req.key), req.delta, cs.latShard, &cs.span); err != nil {
-			s.replyErr(w, cs, err)
-		} else {
-			writeOK(w)
+	case opIncr, opDecr, opAdd, opMaxUpdate:
+		apply := s.cache.Incr
+		if req.op == opMaxUpdate {
+			apply = s.cache.MaxUpdate
 		}
-	case opMaxUpdate:
-		if err := s.cache.MaxUpdateTraced(string(req.key), req.delta, cs.latShard, &cs.span); err != nil {
+		if err := apply(string(req.key), req.delta, cs.latShard, &cs.span); err != nil {
 			s.replyErr(w, cs, err)
 		} else {
 			writeOK(w)
 		}
 	case opCAS:
-		res, err := s.cache.CASTraced(string(req.key), string(req.old), string(req.val), &cs.span)
+		res, err := s.cache.CAS(string(req.key), string(req.old), string(req.val), &cs.span)
 		switch {
 		case err != nil:
 			s.replyErr(w, cs, err)
@@ -408,7 +388,7 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			cs.resetTxn()
 			s.replyErr(w, cs, errTxnAborted)
 		default:
-			writeExecResults(w, s.cache.ExecTraced(cs.txnOps, &cs.span))
+			writeExecResults(w, s.cache.Exec(cs.txnOps, &cs.span))
 			cs.resetTxn()
 		}
 	case opDiscard:
@@ -424,29 +404,60 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 	return req, false
 }
 
-// dispatchFast executes the hot verbs — GET, SET, SETEX — and reports
-// whether it handled the request; everything else falls through to
-// serveRequest's full switch. The split exists so the allocation proof
-// has a root covering exactly the per-request steady state: a GET runs
-// from read buffer to reply writer without touching the allocator, and
-// a SET allocates exactly the two copies it stores.
+// dispatchFast executes the read family (GET, GETV, LEASE) and the SET
+// family (SET, SETEX, SETV, SETL) and reports whether it handled the
+// request; everything else falls through to serveRequest's full switch.
+// Each family is one Cache operation — the verbs are projections that
+// drop what they do not reply — and the split from serveRequest exists
+// so the allocation proof has a root covering exactly the per-request
+// steady state: a read hit or miss runs from read buffer to reply writer
+// without touching the allocator, and a SET allocates exactly the two
+// copies it stores.
 //
-//cuckoo:hotpath dispatch for GET/SET/SETEX; GET is proven allocation-free end to end
+//cuckoo:hotpath dispatch for the read and SET families; a read hit or miss is proven allocation-free end to end
 func (s *Server) dispatchFast(req request, w *bufio.Writer, cs *connState) bool {
 	switch req.op {
-	case opGet:
-		if v, ok := s.cache.GetBytesTraced(req.key, &cs.span); ok {
-			writeValue(w, v)
-		} else {
+	case opGet, opGetV:
+		e, ok := s.cache.get(req.key, &cs.span)
+		switch {
+		case !ok:
 			writeMiss(w)
+		case req.op == opGet:
+			writeValue(w, tagValue, e)
+		default:
+			writeValue(w, tagValueV, e)
 		}
-	case opSet, opSetEx:
-		//lint:allow cuckoovet:allocfree SET's two inherent copies: the stored key and value must outlive the connection read buffer
-		if err := s.cache.SetTraced(string(req.key), string(req.val), req.ttl, &cs.span); err != nil {
-			s.replyErr(w, cs, err)
+	case opLease:
+		// A live hit short-circuits to VALUEV (the common case once the
+		// key is filled); anything else enters the fill-lease protocol.
+		e, si, state := s.cache.lookup(req.key, &cs.span)
+		s.cache.countGet(si, state == probeLive)
+		if state == probeLive {
+			writeValue(w, tagValueV, e)
 		} else {
-			s.leaseInvalidate(req.key)
+			s.leaseMiss(req, w, cs, e, state == probeStale)
+		}
+	case opSet, opSetEx, opSetV, opSetLease:
+		//lint:allow cuckoovet:allocfree SET's two inherent copies: the stored key and value must outlive the connection read buffer
+		key, val := string(req.key), string(req.val)
+		if req.op == opSetLease && !s.redeemLease(key, req.ver, cs) {
+			writeMiss(w)
+			break
+		}
+		ver, err := s.cache.set(key, val, req.ttl, &cs.span)
+		switch {
+		case err != nil:
+			s.replyErr(w, cs, err)
+		case req.op == opSet || req.op == opSetEx:
 			writeOK(w)
+		default:
+			// SETV and an accepted SETL acknowledge with the version the
+			// write itself stored, so version-aware clients can maintain
+			// a monotonic floor for their own writes.
+			if req.op == opSetLease {
+				s.cache.stats.leaseFills.Add(1)
+			}
+			writeCount(w, "VER ", ver)
 		}
 	default:
 		return false
@@ -454,86 +465,45 @@ func (s *Server) dispatchFast(req request, w *bufio.Writer, cs *connState) bool 
 	return true
 }
 
-// dispatchSetV handles SETV: a SET that acknowledges with the write's
-// version word so version-aware clients can maintain a monotonic floor
-// for their own writes. The version is read back from the table rather
-// than threaded out of the store: if a concurrent writer has already
-// replaced the entry, the later version is reported, which only
-// tightens the client's floor (and VER 0 means the entry was evicted
-// between store and read-back — the client learns nothing, safely).
-func (s *Server) dispatchSetV(req request, w *bufio.Writer, cs *connState) {
-	key := string(req.key)
-	if err := s.cache.SetTraced(key, string(req.val), req.ttl, &cs.span); err != nil {
-		s.replyErr(w, cs, err)
-		return
-	}
-	s.leaseInvalidate(req.key)
-	writeVer(w, s.cache.versionOf(key))
-}
-
-// dispatchLease handles LEASE, the miss-storm collapse verb. A live hit
-// short-circuits to VALUEV (the common case once the key is filled).
-// Otherwise the first caller wins the fill lease and gets LEASE
-// <token> <ttl_ms>; later callers are served the expired copy as
-// STALE <ver> <val> when one is still in the table, or told to WAIT.
-func (s *Server) dispatchLease(req request, w *bufio.Writer, cs *connState) {
-	val, ver, state := s.cache.leaseProbe(req.key, &cs.span)
-	if state == probeLive {
-		writeValueV(w, ver, val)
-		return
-	}
+// leaseMiss is LEASE on a key with no live copy, the miss-storm collapse:
+// the first caller wins the fill lease and gets LEASE <token> <ttl_ms>;
+// later callers are served the expired copy as STALE <ver> <val> when
+// one is still in the table (the sweeper reclaims it eventually, which
+// bounds the stale window), or told to WAIT.
+//
+//cuckoo:coldpath a lease round runs once per missing key per client, never on a hit
+func (s *Server) leaseMiss(req request, w *bufio.Writer, cs *connState, stale entry, haveStale bool) {
 	st := s.cache.stats
 	t0 := cs.span.Begin()
-	token, granted, waitMS := s.leases.Acquire(string(req.key), time.Now().UnixNano())
+	token, granted, waitMS := s.cache.leases.Acquire(string(req.key), time.Now().UnixNano())
 	cs.span.End(obs.StageLease, t0)
 	switch {
 	case granted:
 		st.leaseGrants.Add(1)
-		writeLease(w, token, s.leases.TTLMillis())
-	case state == probeStale:
+		writeLease(w, token, s.cache.leases.TTLMillis())
+	case haveStale:
 		st.leaseStaleServes.Add(1)
-		writeStaleValue(w, ver, val)
+		writeValue(w, tagStale, stale)
 	default:
 		st.leaseWaits.Add(1)
-		writeWait(w, waitMS)
+		writeCount(w, "WAIT ", uint64(waitMS))
 	}
 }
 
-// dispatchSetLease handles SETL, the lease winner's fill. The token is
-// validated-and-released atomically first: a fill racing a fresher SET
-// or DEL (which invalidated the lease) is rejected with MISS and stores
-// nothing, so a slow filler can never resurrect data a newer write
-// superseded. An accepted fill stores through the normal SET path —
-// versioned, mirrored, evicting — and acknowledges like SETV.
-func (s *Server) dispatchSetLease(req request, w *bufio.Writer, cs *connState) {
-	st := s.cache.stats
-	key := string(req.key)
+// redeemLease validates-and-releases SETL's token atomically before the
+// fill is stored: a fill racing any fresher acknowledged mutation (which
+// invalidated the lease) is rejected and stores nothing, so a slow
+// filler can never resurrect data a newer write superseded. An accepted
+// fill then stores through the one SET path — versioned, mirrored,
+// evicting.
+func (s *Server) redeemLease(key string, token uint64, cs *connState) bool {
 	t0 := cs.span.Begin()
-	ok := s.leases.ValidateRelease(key, req.ver, time.Now().UnixNano())
+	ok := s.cache.leases.ValidateRelease(key, token, time.Now().UnixNano())
 	cs.span.End(obs.StageLease, t0)
 	if !ok {
-		st.leaseRejects.Add(1)
-		writeMiss(w)
-		return
+		s.cache.stats.leaseRejects.Add(1)
 	}
-	if err := s.cache.SetTraced(key, string(req.val), req.ttl, &cs.span); err != nil {
-		s.replyErr(w, cs, err)
-		return
-	}
-	st.leaseFills.Add(1)
-	writeVer(w, s.cache.versionOf(key))
-}
-
-// leaseInvalidate kills any outstanding fill lease on key after a
-// client-visible write, so an in-flight SETL holding a now-stale token
-// loses its ValidateRelease. Gated on one atomic load: the hot write
-// path pays nothing when no leases are outstanding anywhere.
-func (s *Server) leaseInvalidate(key []byte) {
-	// nil-safe: tests drive dispatch on hand-built Servers without a
-	// lease table; production servers always get one from New.
-	if s.leases != nil && s.leases.Active() > 0 {
-		s.leases.Invalidate(string(key))
-	}
+	return ok
 }
 
 // replyErr writes an error reply and classifies the request for the

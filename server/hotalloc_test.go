@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// TestGetWirePathZeroAlloc proves the steady-state GET path — wire parse,
-// dispatch, byte-key probe, reply — allocation-free end to end, hit and
-// miss alike. This is the dynamic counterpart of the static allocfree
-// proof over the //cuckoo:hotpath roots (parseRequest, dispatchFast,
-// GetBytesTraced, generic.GetBytes, writeValue).
+// TestGetWirePathZeroAlloc proves the steady-state read path — wire
+// parse, dispatch, byte-key probe, reply — allocation-free end to end,
+// hit and miss alike, for every verb that shares it: GET, GETV and a
+// live-hit LEASE are projections of one lookup. This is the dynamic
+// counterpart of the static allocfree proof over the //cuckoo:hotpath
+// roots (parseRequest, dispatchFast, GetBytesTraced, generic.GetBytes,
+// writeValue).
 func TestGetWirePathZeroAlloc(t *testing.T) {
 	c, err := NewCache(4, 1<<12)
 	if err != nil {
@@ -27,8 +29,11 @@ func TestGetWirePathZeroAlloc(t *testing.T) {
 		name string
 		line string
 	}{
-		{"hit", "GET hot"},
-		{"miss", "GET absent"},
+		{"GET hit", "GET hot"},
+		{"GET miss", "GET absent"},
+		{"GETV hit", "GETV hot"},
+		{"GETV miss", "GETV absent"},
+		{"LEASE live hit", "LEASE hot"},
 	} {
 		line := []byte(tc.line)
 		allocs := testing.AllocsPerRun(500, func() {
@@ -37,12 +42,12 @@ func TestGetWirePathZeroAlloc(t *testing.T) {
 				panic(err)
 			}
 			if !s.dispatchFast(req, w, &cs) {
-				panic("GET not handled by the fast dispatch")
+				panic(tc.name + " not handled by the fast dispatch")
 			}
 			w.Reset(io.Discard)
 		})
 		if allocs != 0 {
-			t.Errorf("GET %s wire round trip: %.1f allocs/op, want 0", tc.name, allocs)
+			t.Errorf("%s wire round trip: %.1f allocs/op, want 0", tc.name, allocs)
 		}
 	}
 }

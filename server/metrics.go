@@ -101,15 +101,7 @@ func (s *Server) collectLease(m *obs.Metrics) {
 	m.Counter("cuckood_lease_stale_serves_total", "LEASE requests served an expired copy while a fill was in flight.", float64(st.leaseStaleServes.Load()))
 	m.Counter("cuckood_lease_fills_total", "SETL fills accepted from lease winners.", float64(st.leaseFills.Load()))
 	m.Counter("cuckood_lease_rejects_total", "SETL fills rejected because the lease was invalidated or expired.", float64(st.leaseRejects.Load()))
-	m.Gauge("cuckood_lease_active", "Outstanding fill leases.", float64(s.leaseActive()))
-}
-
-// leaseActive is nil-safe for hand-built test servers.
-func (s *Server) leaseActive() int64 {
-	if s.leases == nil {
-		return 0
-	}
-	return s.leases.Active()
+	m.Gauge("cuckood_lease_active", "Outstanding fill leases.", float64(s.cache.leases.Active()))
 }
 
 // collectTrace exports the cuckootrace series (docs/OBSERVABILITY.md):

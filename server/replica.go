@@ -4,7 +4,7 @@ package server
 // ring placement already names a natural second home — its alternate
 // node. This file mirrors writes there asynchronously:
 //
-//   - the write path (cacheKV.Store / DeleteTraced) enqueues each
+//   - the write path (Cache.store / Cache.remove) enqueues each
 //     mutation, with its version word, onto a bounded per-peer log;
 //   - one mirror worker per peer drains the log in batches and streams
 //     REPLSET/REPLDEL lines over a persistent connection;
@@ -22,10 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"time"
 
-	"cuckoohash/generic"
 	"cuckoohash/internal/cluster"
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
@@ -82,44 +80,22 @@ func (r *replState) peerFor(key string) *replPeer {
 	}
 }
 
-// replEnqueueSet mirrors a stored entry to the key's alternate node.
-// Called from cacheKV.Store with the key's stripe held: the log append
-// spins (never parks) and the wake-up send is non-blocking.
-func (c *Cache) replEnqueueSet(key string, e entry) {
+// replEnqueue mirrors one mutation — a stored entry, or a client-visible
+// delete as a versioned tombstone (ent.Del) — to the key's alternate
+// node. Called from Cache.store / Cache.remove with the key's stripe
+// held: the log append spins (never parks) and the wake-up send is
+// non-blocking.
+func (c *Cache) replEnqueue(ent replica.Entry) {
 	r := c.repl
 	if r == nil {
 		return
 	}
-	p := r.peerFor(key)
+	p := r.peerFor(ent.Key)
 	if p == nil {
 		return
 	}
-	p.log.Append(replica.Entry{
-		Key:        key,
-		Val:        e.val,
-		ExpireAt:   e.expireAt,
-		Ver:        e.ver,
-		EnqueuedAt: time.Now().UnixNano(),
-	})
-	c.stats.replEnqueued.Add(1)
-	select { //lint:allow cuckoovet:blockcheck wake-up is a non-blocking send (default arm): it never parks the goroutine
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// replEnqueueDel mirrors a client-visible delete as a versioned
-// tombstone. Same calling contract as replEnqueueSet.
-func (c *Cache) replEnqueueDel(key string, ver uint64) {
-	r := c.repl
-	if r == nil {
-		return
-	}
-	p := r.peerFor(key)
-	if p == nil {
-		return
-	}
-	p.log.Append(replica.Entry{Key: key, Ver: ver, Del: true, EnqueuedAt: time.Now().UnixNano()})
+	ent.EnqueuedAt = time.Now().UnixNano()
+	p.log.Append(ent)
 	c.stats.replEnqueued.Add(1)
 	select { //lint:allow cuckoovet:blockcheck wake-up is a non-blocking send (default arm): it never parks the goroutine
 	case p.wake <- struct{}{}:
@@ -139,44 +115,11 @@ func (c *Cache) replEnqueueDel(key string, ver uint64) {
 // version that must be preserved, not reassigned.
 func (c *Cache) applyReplicaSet(key string, e entry, sp *obs.Span) (bool, error) {
 	c.observeVersion(e.ver)
-	si := c.shardFor(key)
-	sh := c.shards[si]
-	for tries := 0; ; tries++ {
-		applied, full := false, false
-		c.txn.WithLockSpan(key, sp, func() {
-			if cur, ok := sh.table.Get(key); ok {
-				if cur.ver >= e.ver {
-					return // local copy is newer (or this is a redelivery)
-				}
-				applied = sh.table.Upsert(key, e) == nil
-				return
-			}
-			switch err := sh.table.Insert(key, e); err {
-			case nil:
-				sh.pushRing(key)
-				applied = true
-			case generic.ErrExists:
-				applied = sh.table.Upsert(key, e) == nil
-			default:
-				full = true
-			}
-		})
-		if !full {
-			return applied, nil
-		}
-		if tries >= maxEvictTries {
-			return false, ErrServerFull
-		}
-		// Same escalating evict-outside-the-stripe loop as setEntry.
-		t0 := sp.Begin()
-		for n := 0; n <= tries; n++ {
-			if !c.evictOne(si) {
-				sp.End(obs.StageEvict, t0)
-				return false, ErrServerFull
-			}
-		}
-		sp.End(obs.StageEvict, t0)
+	_, err := c.put(c.shardFor(key), key, e, true, sp)
+	if err == errStaleReplica {
+		return false, nil
 	}
+	return err == nil, err
 }
 
 // applyReplicaDel applies a versioned tombstone: the local copy is
@@ -186,7 +129,7 @@ func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 	c.observeVersion(ver)
 	sh := c.shards[c.shardFor(key)]
 	applied := true
-	c.txn.WithLockSpan(key, sp, func() {
+	c.txn.WithLock(key, sp, func() {
 		if cur, ok := sh.table.Get(key); ok {
 			if cur.ver > ver {
 				applied = false
@@ -374,21 +317,20 @@ func (rc *replConn) close() { rc.nc.Close() }
 // transport failure fails the batch.
 func (rc *replConn) sendBatch(batch []replica.Entry) error {
 	rc.nc.SetDeadline(time.Now().Add(replIOTimeout))
-	var num [20]byte
 	for i := range batch {
 		e := &batch[i]
 		if e.Del {
 			rc.bw.WriteString("REPLDEL ")
 			rc.bw.WriteString(e.Key)
 			rc.bw.WriteByte(' ')
-			rc.bw.Write(strconv.AppendUint(num[:0], e.Ver, 10))
+			writeUint(rc.bw, e.Ver, 10)
 		} else {
 			rc.bw.WriteString("REPLSET ")
 			rc.bw.WriteString(e.Key)
 			rc.bw.WriteByte(' ')
-			rc.bw.Write(strconv.AppendUint(num[:0], e.Ver, 10))
+			writeUint(rc.bw, e.Ver, 10)
 			rc.bw.WriteByte(' ')
-			rc.bw.Write(strconv.AppendInt(num[:0], e.ExpireAt, 10))
+			writeUint(rc.bw, uint64(e.ExpireAt), 10)
 			rc.bw.WriteByte(' ')
 			rc.bw.WriteString(e.Val)
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,5 +236,124 @@ func TestLeaseProtocol(t *testing.T) {
 	c2.send("LEASE k4\n")
 	if rep := c2.readLine(); !strings.HasPrefix(rep, "STALE ") || !strings.HasSuffix(rep, " oldcopy") {
 		t.Fatalf("expired-entry follower reply %q, want STALE …oldcopy", rep)
+	}
+}
+
+// TestLeaseInvalidatedByEveryWrite pins the single post-write step: any
+// acknowledged mutation — not just SET/DEL — kills the key's outstanding
+// fill lease, so a slow filler's SETL is rejected and the newer value
+// survives. Before the write paths were merged, lease invalidation was
+// hand-placed per verb and every case below overwrote an acknowledged
+// write with the stale fill.
+func TestLeaseInvalidatedByEveryWrite(t *testing.T) {
+	s := startServer(t, Config{Shards: 1, SlotsPerShard: 1 << 10, SweepInterval: -1})
+	filler, writer := dialRaw(t, s), dialRaw(t, s)
+
+	for _, tc := range []struct {
+		name   string
+		writes []string // request lines; the last reply must not be ERR
+		want   string   // GET reply once the stale fill has been refused
+	}{
+		{"INCR", []string{"INCR %s 5"}, "VALUE 5"},
+		{"DECR", []string{"DECR %s 2"}, "VALUE -2"},
+		{"ADD", []string{"ADD %s 7"}, "VALUE 7"},
+		{"MAXUPDATE", []string{"MAXUPDATE %s 9"}, "VALUE 9"},
+		{"MULTI-SET-EXEC", []string{"MULTI", "SET %s committed", "EXEC"}, "VALUE committed"},
+		{"MULTI-INCR-EXEC", []string{"MULTI", "INCR %s 3", "EXEC"}, "VALUE 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := "lease-" + tc.name
+			var token string
+			var ttlMS int64
+			if _, err := fmt.Sscanf(filler.roundTrip("LEASE "+key), "LEASE %s %d", &token, &ttlMS); err != nil {
+				t.Fatalf("LEASE on a missing key was not granted: %v", err)
+			}
+			for _, line := range tc.writes {
+				if strings.Contains(line, "%s") {
+					line = fmt.Sprintf(line, key)
+				}
+				rep := writer.roundTrip(line)
+				if strings.HasPrefix(rep, "EXEC ") {
+					rep = writer.readLine() // the one queued op's result
+				}
+				if rep != "OK" && rep != "QUEUED" {
+					t.Fatalf("%q replied %q", line, rep)
+				}
+			}
+			if rep := filler.roundTrip("SETL " + key + " " + token + " 0 old"); rep != "MISS" {
+				t.Errorf("stale fill after an acknowledged %s replied %q, want MISS", tc.name, rep)
+			}
+			if rep := filler.roundTrip("GET " + key); rep != tc.want {
+				t.Errorf("GET after the refused fill = %q, want %q", rep, tc.want)
+			}
+		})
+	}
+}
+
+// TestSetVRepliesItsOwnVersion hammers SETV on one 64-slot shard from
+// several connections, so entries are evicted and overwritten by other
+// writers all the time. Every successful SETV must acknowledge with the
+// version its own write stored: never 0 (the old read-back found the
+// entry already evicted), strictly increasing per connection, and never
+// a version another connection was also told (the old read-back could
+// report a concurrent writer's later store).
+func TestSetVRepliesItsOwnVersion(t *testing.T) {
+	s := startServer(t, Config{Shards: 1, SlotsPerShard: 64, SweepInterval: -1})
+	const conns, rounds, depth = 6, 60, 32
+	vers := make([][]uint64, conns)
+	var wg sync.WaitGroup
+	for ci := 0; ci < conns; ci++ {
+		c := dialRaw(t, s)
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			var batch strings.Builder
+			for r := 0; r < rounds; r++ {
+				batch.Reset()
+				for d := 0; d < depth; d++ {
+					// Half the keys are shared across connections (same-key
+					// races), half are this connection's own (eviction churn).
+					n := r*depth + d
+					key := fmt.Sprintf("shared%d", n%16)
+					if d%2 == 1 {
+						key = fmt.Sprintf("c%d-%d", ci, n)
+					}
+					fmt.Fprintf(&batch, "SETV %s 0 v%d\n", key, n)
+				}
+				c.send(batch.String())
+				for d := 0; d < depth; d++ {
+					rep := c.readLine()
+					if strings.HasPrefix(rep, "ERR ") {
+						continue // cache full: not acknowledged, nothing to check
+					}
+					var ver uint64
+					if _, err := fmt.Sscanf(rep, "VER %d", &ver); err != nil {
+						t.Errorf("conn %d: SETV replied %q", ci, rep)
+						return
+					}
+					vers[ci] = append(vers[ci], ver)
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+
+	owner := make(map[uint64]int)
+	for ci, vs := range vers {
+		if len(vs) < rounds*depth/2 {
+			t.Errorf("conn %d: only %d of %d SETVs acknowledged", ci, len(vs), rounds*depth)
+		}
+		for i, v := range vs {
+			if v == 0 {
+				t.Fatalf("conn %d: SETV #%d acknowledged VER 0", ci, i)
+			}
+			if i > 0 && v <= vs[i-1] {
+				t.Fatalf("conn %d: VER went %d -> %d, want strictly increasing", ci, vs[i-1], v)
+			}
+			if prev, dup := owner[v]; dup {
+				t.Fatalf("VER %d acknowledged to both conn %d and conn %d", v, prev, ci)
+			}
+			owner[v] = ci
+		}
 	}
 }

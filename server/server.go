@@ -13,7 +13,6 @@ import (
 	"cuckoohash/generic"
 	"cuckoohash/internal/faultinject"
 	"cuckoohash/internal/obs"
-	"cuckoohash/internal/replica"
 )
 
 // ErrServerClosed is returned by Serve after Shutdown or Close.
@@ -113,12 +112,6 @@ type Server struct {
 	// the automatic log dumps to one per second.
 	flight       *obs.Flight
 	flightDumpAt atomic.Int64
-
-	// leases is the miss-lease table (docs/REPLICATION.md): the LEASE
-	// verb grants one client the right to fill a missing key while the
-	// rest wait or serve stale; SET/DEL invalidate outstanding leases so
-	// a delayed fill can never publish over fresher data.
-	leases *replica.LeaseTable
 }
 
 // New creates a Server; call Listen then Serve (or ListenAndServe).
@@ -141,7 +134,6 @@ func New(cfg Config) (*Server, error) {
 		conns:     make(map[net.Conn]struct{}),
 		sweepStop: make(chan struct{}),
 		flight:    obs.NewFlight(flightShards, flightPerShard),
-		leases:    replica.NewLeaseTable(0),
 	}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)

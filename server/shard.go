@@ -20,6 +20,7 @@ import (
 
 	"cuckoohash/generic"
 	"cuckoohash/internal/obs"
+	"cuckoohash/internal/replica"
 	"cuckoohash/internal/spinlock"
 	"cuckoohash/internal/txn"
 )
@@ -32,6 +33,10 @@ var ErrServerFull = errors.New("server: cache full")
 // txn-layer backing store; Cache-level write loops turn it into eviction
 // attempts (outside any stripe) and eventually into ErrServerFull.
 var errShardFull = errors.New("server: shard full")
+
+// errStaleReplica is put's "the local copy is at least as new" outcome
+// for a replica write; applyReplicaSet turns it into applied=false.
+var errStaleReplica = errors.New("server: stale replica write")
 
 // maxEvictTries bounds how many victims one SET may evict before giving
 // up. Each eviction frees at least one slot, so a handful of tries is
@@ -102,6 +107,13 @@ type Cache struct {
 	// pointer check.
 	repl *replState
 
+	// leases is the miss-lease table (docs/REPLICATION.md): the LEASE
+	// verb grants one client the right to fill a missing key while the
+	// rest wait or serve stale; every acknowledged mutation invalidates
+	// the key's outstanding lease (wrote) so a delayed fill can never
+	// publish over fresher data.
+	leases *replica.LeaseTable
+
 	// txn is the cuckootxn layer (internal/txn): per-key version/lock
 	// stripes, atomic verbs, OCC transactions, and split counters. Every
 	// mutation of the shards — including plain SET/DEL, TTL expiry,
@@ -148,6 +160,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		mask:   uint64(shards - 1),
 		stats:  newStats(shards),
 		log:    slog.New(slog.DiscardHandler),
+		leases: replica.NewLeaseTable(0),
 	}
 	initial := slotsPerShard / growInitialDivisor
 	if initial < 64 {
@@ -277,36 +290,57 @@ func (k cacheKV) Store(key, val string, expireAt int64, keepTTL bool) error {
 			expireAt = cur.expireAt
 		}
 	}
-	// Every store — plain SET, counter fold, CAS swap, transaction
-	// commit — funnels through here with the key's stripe held, so
-	// versioning this one site makes per-key versions monotonic, and the
-	// mirror enqueue below sees writes in stripe order.
-	e := entry{val: val, expireAt: expireAt, ver: k.c.nextVersion()}
-	switch err := sh.table.Insert(key, e); err {
-	case nil:
-		sh.pushRing(key)
-		k.c.replEnqueueSet(key, e)
-		return nil
-	case generic.ErrExists:
-		// Overwrite in place; no new slot is consumed, so the ring keeps
-		// its existing record for this key.
-		if err := sh.table.Upsert(key, e); err != nil {
-			return err
-		}
-		k.c.replEnqueueSet(key, e)
-		return nil
-	default:
-		// ErrFull: the caller must evict outside the stripe and retry —
-		// deleting victims here would mutate other keys' entries without
-		// bumping their stripe versions.
-		return errShardFull
-	}
+	_, err := k.c.store(sh, key, entry{val: val, expireAt: expireAt}, false)
+	return err
 }
 
 func (k cacheKV) Delete(key string) bool {
-	ok := k.c.shards[k.c.shardFor(key)].table.Delete(key)
+	return k.c.remove(k.c.shards[k.c.shardFor(key)], key)
+}
+
+// store is the one table write. Every entry that lands in a shard — a
+// client SET, a counter fold, a CAS swap, a transaction commit, a
+// mirrored, restored or handed-off record — is put here with the key's
+// stripe held, in a single probe: the table's Put reports whether a new
+// slot was consumed, which is the only time the key earns an eviction-
+// ring record. This is also the only site that versions an entry: a
+// local write is issued the next version and mirrored to the key's
+// alternate node; a write from a peer keeps its origin version and is
+// never re-mirrored (that is what stops a mirrored write bouncing
+// between the pair). Because every local store runs here under the
+// stripe, per-key versions are monotonic and the mirror log sees writes
+// in stripe order.
+// It returns the version now stored, so a versioned ack (SETV/SETL)
+// reports its own write and nobody else's.
+func (c *Cache) store(sh *shard, key string, e entry, fromPeer bool) (uint64, error) {
+	if !fromPeer {
+		e.ver = c.nextVersion()
+	}
+	inserted, err := sh.table.Put(key, e)
+	if err != nil {
+		// ErrFull: the caller must evict outside the stripe and retry —
+		// deleting victims here would mutate other keys' entries without
+		// bumping their stripe versions.
+		return 0, errShardFull
+	}
+	if inserted {
+		sh.pushRing(key)
+	}
+	if !fromPeer {
+		c.replEnqueue(replica.Entry{Key: key, Val: e.val, ExpireAt: e.expireAt, Ver: e.ver})
+	}
+	return e.ver, nil
+}
+
+// remove deletes key's entry on behalf of a client (DEL, a committed
+// transactional delete) and mirrors the delete as a versioned tombstone.
+// Expiry, eviction and migration removals do not come through here: each
+// replica holds the same absolute expireAt and lapses on its own. Caller
+// holds key's stripe.
+func (c *Cache) remove(sh *shard, key string) bool {
+	ok := sh.table.Delete(key)
 	if ok {
-		k.c.replEnqueueDel(key, k.c.nextVersion())
+		c.replEnqueue(replica.Entry{Key: key, Ver: c.nextVersion(), Del: true})
 	}
 	return ok
 }
@@ -362,44 +396,68 @@ func (c *Cache) SetFailpoint(f func(op, key string) error) { c.failOp = f }
 // is full it evicts entries in approximate insertion order; if even that
 // fails it returns ErrServerFull.
 func (c *Cache) Set(key, val string, ttl time.Duration) error {
-	return c.SetTraced(key, val, ttl, nil)
-}
-
-// SetTraced is Set with stage attribution recorded into sp (nil-safe;
-// the plain verbs delegate here with nil, which records nothing).
-//
-//cuckoo:hotpath the SET path allocates exactly what it stores
-func (c *Cache) SetTraced(key, val string, ttl time.Duration, sp *obs.Span) error {
-	if f := c.failOp; f != nil {
-		//lint:allow cuckoovet:allocfree fault-injection hook: nil in production, installed only by tests
-		if err := f("SET", key); err != nil {
-			return err
-		}
-	}
-	var expireAt int64
-	if ttl > 0 {
-		expireAt = time.Now().Add(ttl).UnixNano()
-	}
-	si := c.shardFor(key)
-	err := c.setEntry(key, entry{val: val, expireAt: expireAt}, sp)
-	if err == nil {
-		c.stats.sets.Add(si, 1)
-	}
-	c.driveMigration(si, sp)
+	_, err := c.set(key, val, ttl, nil)
 	return err
 }
 
-// setEntry is the write loop shared by SET and snapshot/handoff loads:
-// attempt the insert under the key's stripe; on a full shard, evict
-// victims outside the stripe (each under its own stripe, so versions
-// stay honest) and retry. Escalate — evicting one entry frees a slot
+// set is the one client write behind SET, SETEX, SETV, SETL and Set; the
+// verbs differ only in what they reply. It returns the version the write
+// stored. sp (nil-safe) receives the stage attribution.
+//
+//cuckoo:hotpath the SET path allocates exactly what it stores
+func (c *Cache) set(key, val string, ttl time.Duration, sp *obs.Span) (uint64, error) {
+	if f := c.failOp; f != nil {
+		//lint:allow cuckoovet:allocfree fault-injection hook: nil in production, installed only by tests
+		if err := f("SET", key); err != nil {
+			return 0, err
+		}
+	}
+	e := entry{val: val}
+	if ttl > 0 {
+		e.expireAt = time.Now().Add(ttl).UnixNano()
+	}
+	si := c.shardFor(key)
+	ver, err := c.put(si, key, e, false, sp)
+	if err == nil {
+		c.stats.sets.Add(si, 1)
+		c.wrote(si, key, sp)
+	}
+	return ver, err
+}
+
+// put stores e under key's stripe with eviction on a full shard, and
+// returns the version stored. A put from a peer (REPLSET, snapshot
+// restore, HANDOFF load) is last-writer-wins: unless e.ver is newer than
+// the local copy it stores nothing and reports errStaleReplica.
+func (c *Cache) put(si int, key string, e entry, fromPeer bool, sp *obs.Span) (ver uint64, err error) {
+	sh := c.shards[si]
+	err = c.evicting(si, sp, func() (serr error) {
+		c.txn.WithLock(key, sp, func() {
+			if fromPeer {
+				if cur, ok := sh.table.Get(key); ok && cur.ver >= e.ver {
+					serr = errStaleReplica // the local copy is newer, or this is a redelivery
+					return
+				}
+			}
+			t0 := sp.Begin()
+			ver, serr = c.store(sh, key, e, fromPeer)
+			sp.End(obs.StageProbe, t0)
+		})
+		return serr
+	})
+	return ver, err
+}
+
+// evicting is the one evict-and-retry loop: run attempt (which takes the
+// key's stripe itself); while it reports a full shard, evict victims
+// outside the stripe (each under its own stripe, so versions stay
+// honest) and retry. Escalate — evicting one entry frees a slot
 // *somewhere*, but not necessarily one reachable from this key's two
 // candidate buckets, so each retry evicts one more victim than the last
 // to open up the cuckoo graph.
-func (c *Cache) setEntry(key string, e entry, sp *obs.Span) error {
-	si := c.shardFor(key)
+func (c *Cache) evicting(si int, sp *obs.Span, attempt func() error) error {
 	for tries := 0; ; tries++ {
-		err := c.txn.SetSpan(key, e.val, e.expireAt, sp)
+		err := attempt()
 		if !errors.Is(err, errShardFull) {
 			return err
 		}
@@ -414,6 +472,26 @@ func (c *Cache) setEntry(key string, e entry, sp *obs.Span) error {
 			}
 		}
 		sp.End(obs.StageEvict, t0)
+	}
+}
+
+// wrote is the one post-write step: every acknowledged client-visible
+// mutation of key — whatever the verb, alone or inside EXEC — passes
+// through here once it has applied. It kills any outstanding fill lease
+// on the key, so an in-flight SETL holding a now-stale token loses its
+// ValidateRelease, and advances an in-flight resize of the key's shard
+// so migration progress scales with write traffic.
+func (c *Cache) wrote(si int, key string, sp *obs.Span) {
+	c.leaseInvalidate(key)
+	c.driveMigration(si, sp)
+}
+
+// leaseInvalidate drops key's outstanding fill lease, if any. Gated on
+// one atomic load: the write path pays nothing when no leases are
+// outstanding anywhere.
+func (c *Cache) leaseInvalidate(key string) {
+	if c.leases.Active() > 0 {
+		c.leases.Invalidate(key)
 	}
 }
 
@@ -421,106 +499,58 @@ func (c *Cache) setEntry(key string, e entry, sp *obs.Span) error {
 // from zero), evicting on a full shard like SET. hint spreads split-mode
 // updates across delta shards; pass a stable per-connection value. The
 // new count is intentionally not returned — see txn.Store.Incr.
-func (c *Cache) Incr(key string, delta int64, hint uint64) error {
-	return c.IncrTraced(key, delta, hint, nil)
-}
-
-// IncrTraced is Incr with stage attribution recorded into sp.
-func (c *Cache) IncrTraced(key string, delta int64, hint uint64, sp *obs.Span) error {
+func (c *Cache) Incr(key string, delta int64, hint uint64, sp *obs.Span) error {
 	if f := c.failOp; f != nil {
 		if err := f("INCR", key); err != nil {
 			return err
 		}
 	}
-	si := c.shardFor(key)
-	defer c.driveMigration(si, sp)
-	for tries := 0; ; tries++ {
-		err := c.txn.IncrSpan(key, delta, hint, sp)
-		if !errors.Is(err, errShardFull) {
-			if err == nil {
-				c.stats.incrs.Add(si, 1)
-			}
-			return err
-		}
-		if tries >= maxEvictTries {
-			return ErrServerFull
-		}
-		t0 := sp.Begin()
-		for n := 0; n <= tries; n++ {
-			if !c.evictOne(si) {
-				sp.End(obs.StageEvict, t0)
-				return ErrServerFull
-			}
-		}
-		sp.End(obs.StageEvict, t0)
-	}
+	return c.commute(key, sp, func() error { return c.txn.Incr(key, delta, hint, sp) })
 }
 
 // MaxUpdate atomically raises the counter at key to n if larger.
-func (c *Cache) MaxUpdate(key string, n int64, hint uint64) error {
-	return c.MaxUpdateTraced(key, n, hint, nil)
+func (c *Cache) MaxUpdate(key string, n int64, hint uint64, sp *obs.Span) error {
+	return c.commute(key, sp, func() error { return c.txn.MaxUpdate(key, n, hint, sp) })
 }
 
-// MaxUpdateTraced is MaxUpdate with stage attribution recorded into sp.
-func (c *Cache) MaxUpdateTraced(key string, n int64, hint uint64, sp *obs.Span) error {
+// commute is the shared tail of the counter verbs.
+func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
 	si := c.shardFor(key)
-	defer c.driveMigration(si, sp)
-	for tries := 0; ; tries++ {
-		err := c.txn.MaxUpdateSpan(key, n, hint, sp)
-		if !errors.Is(err, errShardFull) {
-			if err == nil {
-				c.stats.incrs.Add(si, 1)
-			}
-			return err
-		}
-		if tries >= maxEvictTries {
-			return ErrServerFull
-		}
-		t0 := sp.Begin()
-		for n := 0; n <= tries; n++ {
-			if !c.evictOne(si) {
-				sp.End(obs.StageEvict, t0)
-				return ErrServerFull
-			}
-		}
-		sp.End(obs.StageEvict, t0)
+	err := c.evicting(si, sp, apply)
+	if err == nil {
+		c.stats.incrs.Add(si, 1)
+		c.wrote(si, key, sp)
 	}
+	return err
 }
 
 // CAS replaces key's value only if it currently equals old. A store on
 // an existing key consumes no new slot, so no eviction loop is needed.
-func (c *Cache) CAS(key, old, newVal string) (txn.CASResult, error) {
-	return c.CASTraced(key, old, newVal, nil)
-}
-
-// CASTraced is CAS with stage attribution recorded into sp.
-func (c *Cache) CASTraced(key, old, newVal string, sp *obs.Span) (txn.CASResult, error) {
+func (c *Cache) CAS(key, old, newVal string, sp *obs.Span) (txn.CASResult, error) {
 	si := c.shardFor(key)
 	c.stats.cass.Add(si, 1)
-	res, err := c.txn.CASSpan(key, old, newVal, sp)
-	c.driveMigration(si, sp)
+	res, err := c.txn.CAS(key, old, newVal, sp)
+	if err == nil && res == txn.CASStored {
+		c.wrote(si, key, sp)
+	}
 	return res, err
 }
 
-// Exec runs a MULTI/EXEC transaction. A write that lands on a full shard
-// cannot evict at commit time (the commit holds the transaction's
-// stripes; deleting a victim there would bump other keys' versions
-// mid-validation), and the whole transaction cannot be re-run after a
-// partial apply — so full-shard failures are repaired afterwards on the
-// per-op evict-and-retry paths instead.
-func (c *Cache) Exec(ops []txn.Op) []txn.Result {
-	return c.ExecTraced(ops, nil)
-}
-
-// ExecTraced is Exec with stage attribution (OCC retries as
-// StageTxnRetry) recorded into sp.
-func (c *Cache) ExecTraced(ops []txn.Op, sp *obs.Span) []txn.Result {
-	res, _ := c.txn.ExecSpan(ops, sp)
+// Exec runs a MULTI/EXEC transaction, attributing OCC retries to sp as
+// StageTxnRetry. A write that lands on a full shard cannot evict at
+// commit time (the commit holds the transaction's stripes; deleting a
+// victim there would bump other keys' versions mid-validation), and the
+// whole transaction cannot be re-run after a partial apply — so
+// full-shard failures are repaired afterwards through the evict-and-retry
+// loop instead.
+func (c *Cache) Exec(ops []txn.Op, sp *obs.Span) []txn.Result {
+	res, _ := c.txn.Exec(ops, sp)
 	c.repairFullWrites(ops, res)
-	if len(ops) > 0 {
-		// One bounded batch per transaction, charged to the first key's
-		// shard — enough to keep migration moving under EXEC-only load.
-		c.driveMigration(c.shardFor(ops[0].Key), sp)
+	for i := range ops {
+		// StatusOK on a non-GET op is exactly "this op changed its key".
+		if ops[i].Kind != txn.OpGet && res[i].Status == txn.StatusOK {
+			c.wrote(c.shardFor(ops[i].Key), ops[i].Key, sp)
+		}
 	}
 	return res
 }
@@ -540,14 +570,16 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 		if res[i].Status != txn.StatusErr || res[i].Err != errShardFull.Error() {
 			continue
 		}
+		op := &ops[i]
+		si := c.shardFor(op.Key)
 		var err error
-		switch ops[i].Kind {
+		switch op.Kind {
 		case txn.OpSet:
-			err = c.setEntry(ops[i].Key, entry{val: ops[i].Val, expireAt: ops[i].ExpireAt}, nil)
+			_, err = c.put(si, op.Key, entry{val: op.Val, expireAt: op.ExpireAt}, false, nil)
 		case txn.OpIncr:
-			err = c.Incr(ops[i].Key, ops[i].Delta, 0)
+			err = c.evicting(si, nil, func() error { return c.txn.Incr(op.Key, op.Delta, 0, nil) })
 		case txn.OpMax:
-			err = c.MaxUpdate(ops[i].Key, ops[i].Delta, 0)
+			err = c.evicting(si, nil, func() error { return c.txn.MaxUpdate(op.Key, op.Delta, 0, nil) })
 		default:
 			continue
 		}
@@ -602,7 +634,7 @@ func (c *Cache) evictOne(si int) bool {
 			return false
 		}
 		removed := false
-		c.txn.WithLock(victim, func() { removed = s.table.Delete(victim) })
+		c.txn.WithLock(victim, nil, func() { removed = s.table.Delete(victim) })
 		if removed {
 			c.stats.evictions.Add(si, 1)
 			// Eviction only happens when a shard is full, so this is off
@@ -613,75 +645,86 @@ func (c *Cache) evictOne(si int) bool {
 	}
 }
 
-// Get returns the live value for key. Expired entries are deleted lazily
-// and reported as misses, so a key never outlives its TTL from a client's
-// point of view even if the sweeper has not run yet.
-func (c *Cache) Get(key string) (string, bool) {
-	return c.GetTraced(key, nil)
-}
+// Lookup outcomes: a live hit, an expired-but-unswept copy, or nothing.
+const (
+	probeLive = iota
+	probeStale
+	probeAbsent
+)
 
-// GetTraced is Get with the table probe attributed to sp as StageProbe.
-func (c *Cache) GetTraced(key string, sp *obs.Span) (string, bool) {
-	// Fold pending split deltas first so a read observes every
-	// acknowledged commutative update (costs one atomic load when no
-	// keys are split, which is the common state).
-	c.txn.ReconcileKey(key)
-	si := c.shardFor(key)
-	s := c.shards[si]
-	c.stats.gets.Add(si, 1)
-	t0 := sp.Begin()
-	e, ok := s.table.Get(key)
-	sp.End(obs.StageProbe, t0)
-	if ok && e.expired(time.Now().UnixNano()) {
-		c.expireKey(si, key)
-		ok = false
-	}
-	if !ok {
-		c.stats.misses.Add(si, 1)
-		return "", false
-	}
-	c.stats.hits.Add(si, 1)
-	return e.val, true
-}
-
-// GetBytesTraced is GetTraced for a key still aliasing the connection
-// read buffer: the probe hashes and compares the raw bytes
-// (generic.GetBytes), so a hit or a miss — the entire steady-state GET
-// path — never materializes a string. The rare branches that need an
-// owned key (folding a hot split counter, lazily expiring a dead entry)
-// pay the copy when they fire.
-//
-//cuckoo:hotpath the daemon's GET fast path; BENCH_hotalloc asserts 0 allocs/op
-func (c *Cache) GetBytesTraced(key []byte, sp *obs.Span) (string, bool) {
+// lookup is the one versioned read behind GET, GETV, LEASE, TTL and the
+// string-key entry points. It first folds pending split deltas so the
+// read observes every acknowledged commutative update (one atomic load
+// when no keys are split, the common state), then probes the key's
+// shard with the raw bytes — key may still alias the connection read
+// buffer, and a hit or a miss never materializes a string — and
+// classifies what it found. What to do with a stale copy is the
+// caller's decision: GET, GETV and TTL expire it lazily (so a key never
+// outlives its TTL from a client's point of view even if the sweeper has
+// not run yet), LEASE serves it.
+func (c *Cache) lookup(key []byte, sp *obs.Span) (e entry, si int, state int) {
 	c.txn.ReconcileKeyBytes(key)
-	si := c.shardForBytes(key)
-	s := c.shards[si]
-	c.stats.gets.Add(si, 1)
+	si = c.shardForBytes(key)
 	t0 := sp.Begin()
-	e, ok := generic.GetBytes(s.table, key)
+	e, ok := generic.GetBytes(c.shards[si].table, key)
 	sp.End(obs.StageProbe, t0)
-	if ok && e.expired(time.Now().UnixNano()) {
+	switch {
+	case !ok:
+		return entry{}, si, probeAbsent
+	case e.expired(time.Now().UnixNano()):
+		return e, si, probeStale
+	}
+	return e, si, probeLive
+}
+
+// countGet books one read against shard si's hit/miss counters.
+func (c *Cache) countGet(si int, hit bool) {
+	c.stats.gets.Add(si, 1)
+	if hit {
+		c.stats.hits.Add(si, 1)
+	} else {
+		c.stats.misses.Add(si, 1)
+	}
+}
+
+// get is GET and GETV: the live entry, or a miss. The verbs differ only
+// in which fields of the entry they reply with.
+func (c *Cache) get(key []byte, sp *obs.Span) (entry, bool) {
+	e, si, state := c.lookup(key, sp)
+	c.countGet(si, state == probeLive)
+	if state == probeLive {
+		return e, true
+	}
+	if state == probeStale {
 		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
 		c.expireKey(si, string(key))
-		ok = false
 	}
-	if !ok {
-		c.stats.misses.Add(si, 1)
-		return "", false
-	}
-	c.stats.hits.Add(si, 1)
-	return e.val, true
+	return entry{}, false
+}
+
+// GetBytesTraced returns the live value for a key still aliasing the
+// connection read buffer, with the probe attributed to sp as StageProbe.
+//
+//cuckoo:hotpath the byte-key GET in-process callers share with the wire; BENCH_hotalloc asserts 0 allocs/op
+func (c *Cache) GetBytesTraced(key []byte, sp *obs.Span) (string, bool) {
+	e, ok := c.get(key, sp)
+	return e.val, ok
+}
+
+// Get returns the live value for key.
+func (c *Cache) Get(key string) (string, bool) {
+	return c.GetBytesTraced([]byte(key), nil)
 }
 
 // TTL returns the remaining lifetime of key: (d, true) with d > 0 for an
 // expiring entry, (0, true) for a persistent one, (0, false) for a miss.
+// It is a metadata peek, not a get: hit/miss counters are untouched.
 func (c *Cache) TTL(key string) (time.Duration, bool) {
-	si := c.shardFor(key)
-	e, ok := c.shards[si].table.Get(key)
-	if !ok {
+	e, si, state := c.lookup([]byte(key), nil)
+	switch {
+	case state == probeAbsent:
 		return 0, false
-	}
-	if e.expireAt == 0 {
+	case e.expireAt == 0:
 		return 0, true
 	}
 	d := time.Duration(e.expireAt - time.Now().UnixNano())
@@ -692,19 +735,14 @@ func (c *Cache) TTL(key string) (time.Duration, bool) {
 	return d, true
 }
 
-// Delete removes key, reporting whether it was present and live.
-func (c *Cache) Delete(key string) bool {
-	return c.DeleteTraced(key, nil)
-}
-
-// DeleteTraced is Delete with lock wait and the removal probe
-// attributed to sp.
-func (c *Cache) DeleteTraced(key string, sp *obs.Span) bool {
+// Delete removes key, reporting whether it was present and live; lock
+// wait and the removal probe are attributed to sp.
+func (c *Cache) Delete(key string, sp *obs.Span) bool {
 	si := c.shardFor(key)
 	s := c.shards[si]
 	c.stats.dels.Add(si, 1)
 	ok := false
-	c.txn.WithLockSpan(key, sp, func() {
+	c.txn.WithLock(key, sp, func() {
 		e, found := s.table.Get(key)
 		switch {
 		case !found:
@@ -715,90 +753,13 @@ func (c *Cache) DeleteTraced(key string, sp *obs.Span) bool {
 				c.stats.expired.Add(si, 1)
 			}
 		default:
-			ok = s.table.Delete(key)
-			if ok {
-				// Client-visible deletes mirror to the alternate copy;
-				// expiries do not (each replica holds the same absolute
-				// expireAt and lapses on its own).
-				c.replEnqueueDel(key, c.nextVersion())
-			}
+			ok = c.remove(s, key)
 		}
 	})
-	c.driveMigration(si, sp)
+	if ok {
+		c.wrote(si, key, sp)
+	}
 	return ok
-}
-
-// GetVBytesTraced is GetBytesTraced returning the entry's replication
-// version alongside the value, for the GETV verb: clients compare the
-// version against the newest one they have observed for the key, so a
-// lagging replica can never shadow a newer primary write.
-//
-//cuckoo:hotpath the versioned GET path shares the 0-alloc probe with GetBytesTraced
-func (c *Cache) GetVBytesTraced(key []byte, sp *obs.Span) (string, uint64, bool) {
-	c.txn.ReconcileKeyBytes(key)
-	si := c.shardForBytes(key)
-	s := c.shards[si]
-	c.stats.gets.Add(si, 1)
-	t0 := sp.Begin()
-	e, ok := generic.GetBytes(s.table, key)
-	sp.End(obs.StageProbe, t0)
-	if ok && e.expired(time.Now().UnixNano()) {
-		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
-		c.expireKey(si, string(key))
-		ok = false
-	}
-	if !ok {
-		c.stats.misses.Add(si, 1)
-		return "", 0, false
-	}
-	c.stats.hits.Add(si, 1)
-	return e.val, e.ver, true
-}
-
-// versionOf reports the stored version word for key (0 when absent).
-// SETV reads its own write back through here; a concurrent later write
-// may already have replaced the entry, in which case the later version
-// is returned — which only tightens the client's monotonic floor.
-func (c *Cache) versionOf(key string) uint64 {
-	e, ok := c.shards[c.shardFor(key)].table.Get(key)
-	if !ok {
-		return 0
-	}
-	return e.ver
-}
-
-// Lease-probe outcomes: a live hit, an expired-but-unswept copy the
-// server may serve stale while a fill is in flight, or nothing at all.
-const (
-	probeLive = iota
-	probeStale
-	probeAbsent
-)
-
-// leaseProbe is the LEASE verb's read: like GetVBytesTraced, but an
-// expired entry is reported as probeStale instead of being lazily
-// deleted — the whole point of stale-while-revalidate is that the dead
-// copy stays servable until the lease winner refills it (the background
-// sweeper still reclaims it eventually, bounding the stale window).
-func (c *Cache) leaseProbe(key []byte, sp *obs.Span) (val string, ver uint64, state int) {
-	c.txn.ReconcileKeyBytes(key)
-	si := c.shardForBytes(key)
-	s := c.shards[si]
-	c.stats.gets.Add(si, 1)
-	t0 := sp.Begin()
-	e, ok := generic.GetBytes(s.table, key)
-	sp.End(obs.StageProbe, t0)
-	switch {
-	case !ok:
-		c.stats.misses.Add(si, 1)
-		return "", 0, probeAbsent
-	case e.expired(time.Now().UnixNano()):
-		c.stats.misses.Add(si, 1)
-		return e.val, e.ver, probeStale
-	default:
-		c.stats.hits.Add(si, 1)
-		return e.val, e.ver, probeLive
-	}
 }
 
 // expireKey removes an entry observed to be expired, re-checking under
@@ -810,7 +771,7 @@ func (c *Cache) leaseProbe(key []byte, sp *obs.Span) (val string, ver uint64, st
 func (c *Cache) expireKey(si int, key string) bool {
 	s := c.shards[si]
 	removed := false
-	c.txn.WithLock(key, func() {
+	c.txn.WithLock(key, nil, func() {
 		if e, ok := s.table.Get(key); ok && e.expired(time.Now().UnixNano()) {
 			removed = s.table.Delete(key)
 		}
