@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build vet lint cuckoovet test race bench bench-selftest bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
+.PHONY: check build vet lint cuckoovet test race bench bench-selftest bench-pair bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
 
 check: build vet lint race bench-selftest
 
@@ -57,6 +57,17 @@ race:
 # its own module so tier-1 `go test ./...` never reaches it; ~3 s.
 bench-selftest:
 	cd benchmark && $(GO) test ./...
+
+# Paired runs of the repository benchmark, this checkout against BASE,
+# alternating which side goes first (benchmark/README.md, "How to claim a
+# gain on a moved metric"): per metric both medians, both quartile
+# distances and the pairs this checkout won. About a minute per pair;
+# results/PAIR_*.txt are committed outputs of this target.
+WORKLOAD ?= wire-get-pipelined
+BASE ?= HEAD~1
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(WORKLOAD) $(BASE) $(PAIRS)
 
 # Non-test, non-generated Go code lines per package (blank and
 # comment-only lines are not counted). ROADMAP item 4: the trend is a

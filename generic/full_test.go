@@ -1,0 +1,234 @@
+package generic
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// cappedTable returns a table that is already at its MaxCapacity, so a
+// failed search ends in ErrFull and never in a grow.
+func cappedTable(t *testing.T, slots uint64) *Table[int, int] {
+	t.Helper()
+	tab, err := New[int, int](Config{InitialCapacity: slots, MaxCapacity: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// fillToFull inserts ascending keys from next until the first ErrFull and
+// returns the first key it did not insert.
+func fillToFull(t *testing.T, tab *Table[int, int], next int) int {
+	t.Helper()
+	for ; ; next++ {
+		switch err := tab.Upsert(next, next); err {
+		case nil:
+		case ErrFull:
+			return next
+		default:
+			t.Fatalf("Upsert(%d): %v", next, err)
+		}
+	}
+}
+
+// pairFull reports whether both of key's live candidate buckets are full.
+// Single-goroutine tests only: it reads occ without the stripes.
+func pairFull[K comparable, V any](tab *Table[K, V], key K) bool {
+	live := tab.loadState().live
+	b1, b2 := tab.twoBuckets(tab.hash(key), live.buckets)
+	full := uint32(1)<<tab.assoc - 1
+	return live.occ[b1] == full && live.occ[b2] == full
+}
+
+// nextFullPair returns the first key at or after next that is absent
+// (ascending keys: everything from next on is) and whose candidate pair
+// is full, so that inserting it needs a search.
+func nextFullPair(t *testing.T, tab *Table[int, int], next int) int {
+	t.Helper()
+	for end := next + 1<<20; next < end; next++ {
+		if pairFull(tab, next) {
+			return next
+		}
+	}
+	t.Fatal("no key with a full candidate pair")
+	return 0
+}
+
+// TestSearchMark pins ErrFull's documented behaviour: one search that
+// runs out of budget is not repeated while the table stays as full, a
+// delete re-arms it, and an overwrite never asks.
+func TestSearchMark(t *testing.T) {
+	tab := cappedTable(t, 4096)
+	next := fillToFull(t, tab, 0)
+	if lf := tab.LoadFactor(); lf < 0.95 {
+		t.Fatalf("first ErrFull at load factor %.3f: displacement should fill past 0.95", lf)
+	}
+	mark, searches := tab.Len(), tab.Stats().Searches
+
+	// New keys: refused (or placed in a free slot of their own pair)
+	// without a single further search.
+	for i := 0; i < 1000; i++ {
+		if err := tab.Upsert(next, next); err != nil && err != ErrFull {
+			t.Fatalf("Upsert(%d): %v", next, err)
+		}
+		next++
+	}
+	// Resident keys: overwritten in place, whatever the mark says.
+	for k := 0; k < 1000; k++ {
+		if _, ok := tab.Get(k); !ok {
+			continue
+		}
+		if err := tab.Upsert(k, -k); err != nil {
+			t.Fatalf("overwrite of resident key %d on a full table: %v", k, err)
+		}
+	}
+	if got := tab.Stats().Searches; got != searches {
+		t.Fatalf("%d searches on a table that just proved full, want 0", got-searches)
+	}
+
+	// Deleting below the mark re-arms the search, and with this much room
+	// the search succeeds.
+	for k := 0; tab.Len()+64 > mark; k++ {
+		tab.Delete(k)
+	}
+	k := nextFullPair(t, tab, next)
+	if err := tab.Upsert(k, k); err != nil {
+		t.Fatalf("Upsert(%d) with 64 slots freed: %v", k, err)
+	}
+	if got := tab.Stats().Searches; got != searches+1 {
+		t.Fatalf("Searches = %d after a full-pair insert below the mark, want %d", got, searches+1)
+	}
+}
+
+// TestSearchMarkForgotten: Clear and a grow both forget the mark, so the
+// table fills again to where it filled the first time.
+func TestSearchMarkForgotten(t *testing.T) {
+	tab := cappedTable(t, 1024)
+	next := fillToFull(t, tab, 0)
+	first := tab.Len()
+	if tab.loadState().live.fullAt.Load() == 0 {
+		t.Fatal("no mark after a failed search")
+	}
+
+	tab.Clear()
+	if got := tab.loadState().live.fullAt.Load(); got != 0 {
+		t.Fatalf("mark = %d after Clear, want 0", got)
+	}
+	next = fillToFull(t, tab, next)
+	if got := tab.Len(); got*10 < first*9 {
+		t.Fatalf("refill after Clear stopped at %d keys, the first fill at %d", got, first)
+	}
+
+	// MaxCapacity forbids a put-driven grow; force one, as a drain
+	// escalation would.
+	tab.growMu.Lock()
+	tab.growLocked(true)
+	tab.growMu.Unlock()
+	for tab.Growing() {
+		tab.MigrateBatch(64)
+	}
+	if got := tab.loadState().live.fullAt.Load(); got != 0 {
+		t.Fatalf("mark = %d after a grow, want 0", got)
+	}
+	searches := tab.Stats().Searches
+	k := nextFullPair(t, tab, next)
+	if err := tab.Upsert(k, k); err != nil {
+		t.Fatalf("Upsert(%d) into a doubled table: %v", k, err)
+	}
+	if got := tab.Stats().Searches; got != searches+1 {
+		t.Fatalf("Searches = %d after a full-pair insert into a doubled table, want %d", got, searches+1)
+	}
+}
+
+// TestOldest checks the victim choice against the buckets themselves.
+func TestOldest(t *testing.T) {
+	tab := cappedTable(t, 256)
+	next := fillToFull(t, tab, 0)
+	less := func(a, b int) bool { return a < b }
+	for n := 0; n < 100; n, next = n+1, next+1 {
+		live := tab.loadState().live
+		b1, b2 := tab.twoBuckets(tab.hash(next), live.buckets)
+		want, found := 0, false
+		for _, b := range [2]uint64{b1, b2} {
+			for s := uint64(0); s < tab.assoc; s++ {
+				if live.occ[b]&(1<<s) == 0 {
+					continue
+				}
+				if v := live.vals[b*tab.assoc+s]; !found || v < want {
+					want, found = v, true
+				}
+			}
+		}
+		got, ok := tab.Oldest(next, less)
+		if ok != found || got != want { // values are the keys
+			t.Fatalf("Oldest(%d) = %d, %v; buckets %d and %d hold %d, %v", next, got, ok, b1, b2, want, found)
+		}
+	}
+
+	// The key itself is never its own victim, even when it ranks first.
+	resident := 0
+	for ; ; resident++ {
+		if _, ok := tab.Get(resident); ok {
+			break
+		}
+	}
+	if err := tab.Upsert(resident, -1); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tab.Oldest(resident, less); ok && got == resident {
+		t.Fatalf("Oldest(%d) chose the key itself", resident)
+	}
+
+	empty := cappedTable(t, 256)
+	if got, ok := empty.Oldest(1, less); ok {
+		t.Fatalf("Oldest on an empty table = %d, true", got)
+	}
+}
+
+// TestSearchAllocatesOnDemand: a search that ends one hop from the key's
+// own buckets must not pay for the whole MaxSearchSlots queue (64 KB for
+// string keys).
+func TestSearchAllocatesOnDemand(t *testing.T) {
+	tab, err := New[string, int](Config{InitialCapacity: 4096, DisableAutoGrow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 8192)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	for _, k := range keys[:3400] { // load factor 0.83: most full pairs have room one hop away
+		if err := tab.Insert(k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tab.loadState()
+	live := st.live
+	for _, k := range keys[3400:] {
+		if !pairFull(tab, k) {
+			continue
+		}
+		b1, b2 := tab.twoBuckets(tab.hash(k), live.buckets)
+		path, ok := tab.search(st, b1, b2)
+		if !ok || len(path)-1 > 1 {
+			continue
+		}
+		// TotalAlloc is the whole process's, and earlier tests' sweepers
+		// may still be winding down: the search's own share is the least
+		// of a few repeats (it changes nothing, so it repeats exactly).
+		least := ^uint64(0)
+		var m0, m1 runtime.MemStats
+		for range 5 {
+			runtime.ReadMemStats(&m0)
+			tab.search(st, b1, b2)
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if least >= 2048 {
+			t.Fatalf("a search of depth %d allocated %d bytes, want < 2048", len(path)-1, least)
+		}
+		return
+	}
+	t.Fatal("no key whose search ends within one hop")
+}

@@ -38,12 +38,14 @@ func (t *Table[K, V]) Items() map[K]V {
 // Clear removes every entry. Like Range it first completes any
 // in-flight migration, then empties the live buckets one stripe at a
 // time; concurrent operations interleave with it, so an entry written
-// while Clear runs may survive. The capacity is retained.
+// while Clear runs may survive. The capacity is retained; the search
+// mark (ErrFull) is not.
 func (t *Table[K, V]) Clear() {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
 	t.drainAllLocked()
 	st := t.loadState()
+	st.live.fullAt.Store(0)
 	for b := uint64(0); b < st.live.buckets; b++ {
 		l := t.locks.IndexFor(b)
 		t.locks.Lock(l)

@@ -113,6 +113,10 @@ func TestWritesLandInLiveGeneration(t *testing.T) {
 			t.Fatalf("mid-migration Upsert(%d): %v", i, err)
 		}
 	}
+	// A key folded forward already held a slot: it is moved, not added.
+	if got := tab.Len(); got != uint64(n) {
+		t.Fatalf("Len = %d after fold-forward overwrites, want %d unchanged", got, n)
+	}
 	// Insert of an existing key must still report ErrExists across
 	// generations.
 	if err := tab.Insert(0, 1); err != ErrExists {
@@ -137,58 +141,6 @@ func TestWritesLandInLiveGeneration(t *testing.T) {
 		if !ok || v != i*7 {
 			t.Fatalf("Get(%d) = %v, %v; want %d", i, v, ok, i*7)
 		}
-	}
-}
-
-// TestPutReportsInsertedVsReplaced pins Put's one-bit report — did the
-// write consume a new slot? — in every place a key can be found: absent,
-// in the live arrays, and in a draining generation. The last is the
-// subtle one: a key folded forward out of an old generation lands in a
-// fresh live slot, but it already held a slot, so it must count as
-// replaced (a caller keeping one eviction record per slot must not add
-// a second).
-func TestPutReportsInsertedVsReplaced(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
-	put := func(key, val int, wantInserted bool, when string) {
-		t.Helper()
-		inserted, err := tab.Put(key, val)
-		if err != nil || inserted != wantInserted {
-			t.Fatalf("Put(%d) %s: inserted=%v err=%v, want inserted=%v", key, when, inserted, err, wantInserted)
-		}
-	}
-	put(-1, 1, true, "on an absent key")
-	put(-1, 2, false, "on a live key")
-	tab.Delete(-1)
-	put(-1, 3, true, "after a delete")
-
-	n := fillUntilGrow(t, tab)
-	if !tab.Growing() {
-		t.Fatal("expected migration in flight")
-	}
-	// Nothing has been drained (no sweeper, no per-op batch), so every
-	// key inserted before the grow still sits in the old generation.
-	size := tab.Len()
-	for i := 0; i < n-1; i++ {
-		put(i, i*7, false, "folding forward out of the draining generation")
-	}
-	put(-1, 4, false, "folding forward out of the draining generation")
-	if got := tab.Len(); got != size {
-		t.Fatalf("Len = %d after fold-forward overwrites, want %d unchanged", got, size)
-	}
-	put(n+1, 0, true, "on an absent key mid-migration")
-	for i := 0; i < n-1; i++ {
-		put(i, i*9, false, "on a key already folded into the live generation")
-	}
-	for tab.Growing() {
-		tab.MigrateBatch(16)
-	}
-	for i := 0; i < n-1; i++ {
-		if v, ok := tab.Get(i); !ok || v != i*9 {
-			t.Fatalf("Get(%d) = %v, %v; want %d", i, v, ok, i*9)
-		}
-	}
-	if got := tab.Len(); got != size+1 {
-		t.Fatalf("Len = %d after drain, want %d", got, size+1)
 	}
 }
 

@@ -21,7 +21,10 @@ type bfsNode[K comparable] struct {
 	slotInPar int8
 }
 
-// search runs BFS from b1/b2 to an empty live slot.
+// search runs BFS from b1/b2 to an empty live slot. The queue starts
+// with room for the roots, their children and their grandchildren — all
+// a search that ends one hop away can enqueue — and grows on demand to
+// at most the roots plus MaxSearchSlots nodes.
 //
 //cuckoo:coldpath BFS path discovery is the insert slow path (§4, Eq. 2); its queue is the cost of a full bucket pair
 func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K], bool) {
@@ -29,7 +32,7 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K],
 	arr := st.live
 	assoc := int(t.assoc)
 	budget := t.cfg.MaxSearchSlots
-	nodes := make([]bfsNode[K], 0, budget+2)
+	nodes := make([]bfsNode[K], 0, min(2+2*assoc*(1+assoc), budget+2))
 	nodes = append(nodes,
 		bfsNode[K]{bucket: b1, parent: -1},
 		bfsNode[K]{bucket: b2, parent: -1},
@@ -37,18 +40,18 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K],
 	keys := make([]K, assoc)
 	slotsExamined := 0
 	for qi := 0; qi < len(nodes) && slotsExamined < budget; qi++ {
-		n := &nodes[qi]
+		bucket := nodes[qi].bucket // a copy: the appends below may move nodes
 		slotsExamined += assoc
 
 		// Snapshot the bucket under its stripe.
-		l := t.locks.IndexFor(n.bucket)
+		l := t.locks.IndexFor(bucket)
 		t.locks.Lock(l)
 		if !t.stateValid(st) {
 			t.locks.Unlock(l)
 			return nil, false
 		}
-		occ := arr.occ[n.bucket]
-		base := n.bucket * t.assoc
+		occ := arr.occ[bucket]
+		base := bucket * t.assoc
 		for s := 0; s < assoc; s++ {
 			keys[s] = arr.keys[base+uint64(s)]
 		}
@@ -57,11 +60,11 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K],
 		if s, ok := freeSlot(occ, assoc); ok {
 			return t.buildPath(nodes, qi, s), true
 		}
-		if len(nodes)+assoc > cap(nodes) {
+		if len(nodes)+assoc > budget+2 {
 			continue
 		}
 		for s := 0; s < assoc; s++ {
-			alt := t.altBucket(t.hash(keys[s]), arr.buckets, n.bucket)
+			alt := t.altBucket(t.hash(keys[s]), arr.buckets, bucket)
 			nodes = append(nodes, bfsNode[K]{
 				bucket:    alt,
 				kickedKey: keys[s],

@@ -25,8 +25,12 @@ import (
 	"cuckoohash/internal/spinlock"
 )
 
-// ErrFull is returned by Insert when no slot is reachable and automatic
-// resizing is disabled (or capped by MaxCapacity).
+// ErrFull is returned by Insert and Upsert when no slot is reachable and
+// automatic resizing is disabled (or capped by MaxCapacity). A search
+// that exhausts its budget records the Len it started from; until Len
+// falls below that mark — a Delete, or a grow or Clear, which forget it —
+// a key whose two buckets are full gets ErrFull without repeating a
+// search that just proved futile.
 var ErrFull = errors.New("generic: table is too full")
 
 // ErrExists is returned by Insert when the key is already present.
@@ -106,6 +110,13 @@ type tArrays[K comparable, V any] struct {
 	keys    []K
 	vals    []V
 	occ     []uint32 // guarded by the bucket's lock stripe
+
+	// fullAt is the search mark: the table's Len when a path search in
+	// these arrays last ran out of budget, 0 when none has (or since
+	// Clear). It lives with the arrays so that a grow, which publishes
+	// fresh ones, forgets it, and a search that lost a race with the grow
+	// marks only the generation it searched.
+	fullAt atomic.Uint64
 }
 
 // New creates a Table.
@@ -270,46 +281,34 @@ func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K) (uint64, bool) {
 // Insert adds key, returning ErrExists if present. With auto-grow enabled
 // (the default) it resizes instead of returning ErrFull.
 func (t *Table[K, V]) Insert(key K, val V) error {
-	_, err := t.put(key, val, false)
-	return err
+	return t.put(key, val, false)
 }
 
 // Upsert inserts or overwrites key.
 func (t *Table[K, V]) Upsert(key K, val V) error {
-	_, err := t.put(key, val, true)
-	return err
-}
-
-// Put is Upsert reporting whether the write consumed a new slot
-// (inserted) or replaced the key's existing entry in place. A key folded
-// forward out of a draining generation counts as replaced: it already
-// held a slot. Callers that keep per-entry bookkeeping (the server's
-// eviction ring) need exactly this bit, and learning it from the write
-// itself saves them an Insert-then-Upsert double probe.
-func (t *Table[K, V]) Put(key K, val V) (inserted bool, err error) {
 	return t.put(key, val, true)
 }
 
-// put is the shared write loop behind Insert, Upsert and Put: the
-// in-place fast path, then BFS path search (the audited slow path),
-// growing and draining as needed.
+// put is the shared write loop behind Insert and Upsert: the in-place
+// fast path, then BFS path search (the audited slow path), growing and
+// draining as needed.
 //
 //cuckoo:hotpath the table write path; search/grow/migrate are the audited slow paths
-func (t *Table[K, V]) put(key K, val V, overwrite bool) (inserted bool, err error) {
+func (t *Table[K, V]) put(key K, val V, overwrite bool) error {
 	for {
 		observed := t.loadState().live.buckets
-		inserted, err = t.tryPut(key, val, overwrite)
+		err := t.tryPut(key, val, overwrite)
 		if err == ErrFull && !t.cfg.DisableAutoGrow {
 			if t.grow(observed) {
 				continue
 			}
 		}
 		t.migrateStep()
-		return inserted, err
+		return err
 	}
 }
 
-func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) (inserted bool, err error) {
+func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
 	h := t.hash(key)
 	for {
 		st := t.loadState()
@@ -317,6 +316,12 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) (inserted bool, err e
 
 		res := t.attempt(st, h, b1, b2, key, val, overwrite, -1)
 		if res == putNoSpace {
+			// The mark is the Len the failed search started from, so a
+			// delete that made room while it ran re-arms the next one.
+			n := t.Len()
+			if mark := st.live.fullAt.Load(); mark != 0 && n >= mark && len(st.olds) == 0 {
+				return ErrFull
+			}
 			if path, ok := t.search(st, b1, b2); ok {
 				t.stats.observePath(b1, uint64(len(path)-1))
 				res = t.execute(st, path, h, b1, b2, key, val, overwrite)
@@ -326,17 +331,20 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) (inserted bool, err e
 					continue
 				}
 			} else if res = t.attempt(st, h, b1, b2, key, val, overwrite, -1); res == putNoSpace {
-				// Still no room on the re-check under the lock: give up.
-				return false, ErrFull
+				// Still no room on the re-check under the lock: give up. A
+				// search that failed mid-migration says nothing about the
+				// settled table, whose keys Len already counts.
+				if len(st.olds) == 0 {
+					st.live.fullAt.Store(n)
+				}
+				return ErrFull
 			}
 		}
 		switch res {
-		case putInserted:
-			return true, nil
-		case putReplaced:
-			return false, nil
+		case putDone:
+			return nil
 		case putExists:
-			return false, ErrExists
+			return ErrExists
 		}
 		// putStale: the generation set changed under us; retry.
 	}
@@ -345,8 +353,7 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) (inserted bool, err e
 type putResult int
 
 const (
-	putInserted putResult = iota // a new slot was consumed
-	putReplaced                  // the key's existing entry was overwritten (or folded forward)
+	putDone putResult = iota
 	putExists
 	putNoSpace
 	putStale
@@ -372,7 +379,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 				return putExists
 			}
 			live.vals[i] = val
-			return putReplaced
+			return putDone
 		}
 	}
 	for _, g := range st.olds {
@@ -389,14 +396,14 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 			if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
 				t.placeNoCount(live, s.bucket, s.slot, key, val)
 				t.clearSlot(g.arr, ob, i)
-				return putReplaced
+				return putDone
 			}
 			return putNoSpace
 		}
 	}
 	if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
 		t.place(live, s.bucket, s.slot, key, val)
-		return putInserted
+		return putDone
 	}
 	return putNoSpace
 }
@@ -504,6 +511,44 @@ func (t *Table[K, V]) Delete(key K) bool {
 			t.migrateStep()
 		}
 		return deleted
+	}
+}
+
+// Oldest returns the key that older ranks first among the entries in the
+// live slots of key's two candidate buckets, key itself excepted — the
+// ones whose removal lets an Upsert of key that just got ErrFull land
+// without a search. It is how a bounded cache picks an eviction victim
+// where the room is needed instead of keeping an eviction order of its
+// own. ok is false when those slots hold nothing else. older runs under
+// the buckets' stripes: it must only compare, and not call into t.
+func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool) {
+	h := t.hash(key)
+	for {
+		st := t.loadState()
+		live := st.live
+		b1, b2 := t.twoBuckets(h, live.buckets)
+		l1, l2 := t.lockPair(b1, b2)
+		if !t.stateValid(st) {
+			t.locks.UnlockPair(l1, l2)
+			continue
+		}
+		var best uint64
+		for _, b := range [2]uint64{b1, b2} {
+			occ := live.occ[b]
+			for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
+				if occ&1 == 0 || live.keys[i] == key {
+					continue
+				}
+				if !ok || older(live.vals[i], live.vals[best]) {
+					best, ok = i, true
+				}
+			}
+		}
+		if ok {
+			victim = live.keys[best]
+		}
+		t.locks.UnlockPair(l1, l2)
+		return victim, ok
 	}
 }
 

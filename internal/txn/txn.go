@@ -21,7 +21,7 @@
 // the new count — that contract is what makes the split legal.
 //
 // Lock hierarchy (outermost first): key stripe → backing-store internals
-// (table bucket stripes, eviction-ring mutexes) and split-shard mutexes.
+// (table bucket stripes) and split-shard mutexes.
 // Split-shard mutexes and the backing store are never held while a key
 // stripe is being acquired, and multi-stripe acquisition happens only
 // through spinlock.LockOrdered, so the hierarchy is cycle-free.

@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# Paired runs of the repository benchmark: this checkout against BASE.
+#
+#   bash scripts/bench-pair.sh WORKLOAD BASE PAIRS      (or: make bench-pair)
+#
+# benchmark/README.md, "How to claim a gain on a moved metric": run pairs
+# of untraced runs, alternate which side goes first, and claim only what
+# wins nine pairs in ten by more than the distance between the base's
+# quartiles. BASE is exported with git archive into .bench_build/ (ignored
+# by git), so both sides build from committed or working-tree source with
+# the benchmark's own run.sh. Prints, per metric, both medians, both
+# quartile distances and the pairs this checkout won.
+set -euo pipefail
+workload="${1:?usage: bench-pair.sh WORKLOAD BASE PAIRS}"
+base="${2:?usage: bench-pair.sh WORKLOAD BASE PAIRS}"
+pairs="${3:?usage: bench-pair.sh WORKLOAD BASE PAIRS}"
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+rev="$(git rev-parse --short "$base^{commit}")"
+basedir="$root/.bench_build/base-$rev"
+rm -rf "$basedir"
+mkdir -p "$basedir"
+git archive "$rev" | tar -x -C "$basedir"
+out="$root/.bench_build/pair-$workload"
+rm -rf "$out"
+mkdir -p "$out"
+
+# one SIDE DIR N: one untraced run; keeps "metric value" lines from the
+# result line and the candidates line before it, and fails on a failed op.
+one() {
+	local log="$out/$1-$3.log"
+	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 15 --trace 0) >"$log" 2>&1 ||
+		{ tail -5 "$log" >&2; exit 1; }
+	tail -1 "$log" | grep -q '"failed":0,' || { echo "$1 run $3: failed operations" >&2; tail -1 "$log" >&2; exit 1; }
+	tail -2 "$log" | grep -o '"[a-z0-9_.]*":{"value":[^,]*' |
+		sed 's/^"\([^"]*\)":{"value":/\1 /' >"$out/$1-$3.txt"
+}
+
+for n in $(seq 1 "$pairs"); do
+	if ((n % 2)); then order="base head"; else order="head base"; fi
+	for side in $order; do
+		echo "pair $n/$pairs: $side" >&2
+		if [ "$side" = base ]; then one base "$basedir" "$n"; else one head "$root" "$n"; fi
+	done
+done
+
+echo "bench-pair  workload $workload  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  pairs $pairs  seed 1  seconds 15  trace 0"
+grep -m1 '^host ' "$out/head-1.log"
+# "better" per metric, from BENCHMARK.json (one metric per line there).
+sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' BENCHMARK.json >"$out/better.txt"
+for n in $(seq 1 "$pairs"); do
+	sed "s/^/base $n /" "$out/base-$n.txt"
+	sed "s/^/head $n /" "$out/head-$n.txt"
+done | awk -v pairs="$pairs" '
+	function quantile(a, n, q,    pos, lo) { pos = (n - 1) * q; lo = int(pos); return a[lo + 1] + (pos - lo) * (a[(lo + 2 > n) ? n : lo + 2] - a[lo + 1]) }
+	function summarize(side, m, res,    n, i, j, t, a) {
+		for (n = 1; n <= pairs; n++) a[n] = v[side, n, m]
+		for (i = 2; i <= pairs; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		res["med"] = quantile(a, pairs, 0.5); res["iqr"] = quantile(a, pairs, 0.75) - quantile(a, pairs, 0.25)
+	}
+	NR == FNR { better[$1] = $2; next }
+	{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 } }
+	END {
+		printf "%-22s %-7s %12s %10s %12s %10s %9s\n", "metric", "better", "base median", "base iqr", "head median", "head iqr", "head won"
+		for (k = 1; k <= nm; k++) {
+			m = order[k]; won = 0
+			for (n = 1; n <= pairs; n++) {
+				d = v["head", n, m] - v["base", n, m]
+				if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) won++
+			}
+			summarize("base", m, b); summarize("head", m, h)
+			printf "%-22s %-7s %12.6g %10.4g %12.6g %10.4g %6d/%d\n", m, better[m], b["med"], b["iqr"], h["med"], h["iqr"], won, pairs
+		}
+	}' "$out/better.txt" -

@@ -193,7 +193,7 @@ func TestChaosGrowUnderLoad(t *testing.T) {
 		// Small cap: each shard starts at 512/8 = 64 slots and must grow
 		// 64 -> 128 -> 256 (-> 512 at full scale) to hold the workload,
 		// which stays far enough under the 2048-slot maximum that the
-		// FIFO evictor never fires and durability is entirely on the
+		// evictor never fires and durability is entirely on the
 		// resize machinery.
 		SlotsPerShard: 512,
 		SweepInterval: -1,

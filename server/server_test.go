@@ -214,7 +214,8 @@ func TestEvictionOnFull(t *testing.T) {
 	if got, capSlots := s.Cache().Len(), s.Cache().Cap(); got > capSlots {
 		t.Fatalf("Len %d exceeds capacity %d", got, capSlots)
 	}
-	// The most recent key must have survived (FIFO evicts oldest first).
+	// The most recent key must have survived: a SET evicts among the
+	// neighbours of the key it is writing, never that key.
 	if got := c.roundTrip(fmt.Sprintf("GET e%d", n-1)); !strings.HasPrefix(got, "VALUE") {
 		t.Fatalf("most recent key evicted: %q", got)
 	}

@@ -4,8 +4,9 @@
 // MemC3, a memcached replacement): a text protocol over TCP with
 // pipelining, a cache sharded N ways by key hash so lock stripes and Grow
 // operations stay independent, TTL support with lazy expiry plus a
-// background sweeper, bounded-memory admission (FIFO eviction on a full
-// shard instead of failing the connection), and per-shard statistics.
+// background sweeper, bounded-memory admission (a full shard evicts the
+// oldest write among the new key's own bucket neighbours instead of
+// failing the connection), and per-shard statistics.
 //
 // The wire protocol is documented in docs/PROTOCOL.md.
 package server
@@ -21,7 +22,6 @@ import (
 	"cuckoohash/generic"
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
-	"cuckoohash/internal/spinlock"
 	"cuckoohash/internal/txn"
 )
 
@@ -39,8 +39,9 @@ var errShardFull = errors.New("server: shard full")
 var errStaleReplica = errors.New("server: stale replica write")
 
 // maxEvictTries bounds how many victims one SET may evict before giving
-// up. Each eviction frees at least one slot, so a handful of tries is
-// enough unless the cuckoo search keeps failing on pathological keys.
+// up. An eviction frees a slot in one of the key's own two buckets, so
+// the retry lands unless a concurrent insert takes the slot first; only
+// losing that race every time ends in ErrServerFull.
 const maxEvictTries = 8
 
 // growInitialDivisor is how much smaller than its configured capacity a
@@ -72,6 +73,15 @@ type entry struct {
 
 func (e entry) expired(now int64) bool {
 	return e.expireAt != 0 && now >= e.expireAt
+}
+
+// olderThan is the eviction order: an expired entry goes before a live
+// one, and otherwise the earlier write goes first.
+func (e entry) olderThan(o entry, now int64) bool {
+	if ex, ox := e.expired(now), o.expired(now); ex != ox {
+		return ex
+	}
+	return e.ver < o.ver
 }
 
 // Cache is the sharded store behind the daemon. Keys are hashed to one of
@@ -122,25 +132,16 @@ type Cache struct {
 	txn *txn.Store
 }
 
-// shard is one cuckoo table plus a FIFO ring of inserted keys used as the
-// eviction order when the table fills.
+// shard is one cuckoo table. It keeps no eviction order of its own: every
+// entry carries its write version, and a full shard asks the table which
+// of the inserting key's bucket neighbours is oldest (evictFor).
 type shard struct {
 	table *generic.Table[string, entry]
-
-	// mu guards the ring only; the table locks itself. It is a spinlock:
-	// pushRing runs with the transaction layer's key stripe held (Store →
-	// fold paths), and a stripe holder must never park (blockcheck). The
-	// ring critical sections are a handful of word writes.
-	mu   spinlock.Mutex
-	ring []string
-	head uint64  // next victim
-	tail uint64  // next free slot; tail-head = live ring entries
-	_    [8]byte // spinlock is 4 bytes where sync.Mutex was 8: restore the 64-byte line
 }
 
 // NewCache creates a cache with the given shard count (rounded up to a
 // power of two, min 1) and per-shard slot capacity. Total capacity is
-// bounded: when a shard fills, SET evicts in approximate insertion order.
+// bounded: when a shard fills, SET evicts the oldest write near the key.
 // Each shard starts small and grows toward slotsPerShard with the
 // table's incremental two-generation migration — a grow never blocks the
 // request loop behind a stop-the-world rehash.
@@ -179,12 +180,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.shards[i] = &shard{
-			table: t,
-			// The eviction ring is sized to the shard's configured maximum,
-			// not its current capacity, so records survive grows.
-			ring: make([]string, slotsPerShard),
-		}
+		c.shards[i] = &shard{table: t}
 	}
 	c.txn = txn.New(cacheKV{c}, txn.Config{
 		// OCC read sets observe the shard's migration epoch so a commit
@@ -301,30 +297,25 @@ func (k cacheKV) Delete(key string) bool {
 // store is the one table write. Every entry that lands in a shard — a
 // client SET, a counter fold, a CAS swap, a transaction commit, a
 // mirrored, restored or handed-off record — is put here with the key's
-// stripe held, in a single probe: the table's Put reports whether a new
-// slot was consumed, which is the only time the key earns an eviction-
-// ring record. This is also the only site that versions an entry: a
-// local write is issued the next version and mirrored to the key's
-// alternate node; a write from a peer keeps its origin version and is
-// never re-mirrored (that is what stops a mirrored write bouncing
-// between the pair). Because every local store runs here under the
-// stripe, per-key versions are monotonic and the mirror log sees writes
-// in stripe order.
+// stripe held, in a single probe. This is also the only site that
+// versions an entry: a local write is issued the next version and
+// mirrored to the key's alternate node; a write from a peer keeps its
+// origin version and is never re-mirrored (that is what stops a mirrored
+// write bouncing between the pair). Because every local store runs here
+// under the stripe, per-key versions are monotonic and the mirror log
+// sees writes in stripe order. The version is also the entry's age when
+// a full shard picks a victim (evictFor).
 // It returns the version now stored, so a versioned ack (SETV/SETL)
 // reports its own write and nobody else's.
 func (c *Cache) store(sh *shard, key string, e entry, fromPeer bool) (uint64, error) {
 	if !fromPeer {
 		e.ver = c.nextVersion()
 	}
-	inserted, err := sh.table.Put(key, e)
-	if err != nil {
+	if err := sh.table.Upsert(key, e); err != nil {
 		// ErrFull: the caller must evict outside the stripe and retry —
 		// deleting victims here would mutate other keys' entries without
 		// bumping their stripe versions.
 		return 0, errShardFull
-	}
-	if inserted {
-		sh.pushRing(key)
 	}
 	if !fromPeer {
 		c.replEnqueue(replica.Entry{Key: key, Val: e.val, ExpireAt: e.expireAt, Ver: e.ver})
@@ -393,8 +384,9 @@ func (c *Cache) Stats() *stats { return c.stats }
 func (c *Cache) SetFailpoint(f func(op, key string) error) { c.failOp = f }
 
 // Set stores key=val with the given TTL (0 = no expiry). When the shard
-// is full it evicts entries in approximate insertion order; if even that
-// fails it returns ErrServerFull.
+// is full it evicts an entry from one of key's two buckets; if concurrent
+// inserts take the freed slot maxEvictTries times over it returns
+// ErrServerFull.
 func (c *Cache) Set(key, val string, ttl time.Duration) error {
 	_, err := c.set(key, val, ttl, nil)
 	return err
@@ -431,7 +423,7 @@ func (c *Cache) set(key, val string, ttl time.Duration, sp *obs.Span) (uint64, e
 // the local copy it stores nothing and reports errStaleReplica.
 func (c *Cache) put(si int, key string, e entry, fromPeer bool, sp *obs.Span) (ver uint64, err error) {
 	sh := c.shards[si]
-	err = c.evicting(si, sp, func() (serr error) {
+	err = c.evicting(si, key, sp, func() (serr error) {
 		c.txn.WithLock(key, sp, func() {
 			if fromPeer {
 				if cur, ok := sh.table.Get(key); ok && cur.ver >= e.ver {
@@ -448,14 +440,13 @@ func (c *Cache) put(si int, key string, e entry, fromPeer bool, sp *obs.Span) (v
 	return ver, err
 }
 
-// evicting is the one evict-and-retry loop: run attempt (which takes the
-// key's stripe itself); while it reports a full shard, evict victims
-// outside the stripe (each under its own stripe, so versions stay
-// honest) and retry. Escalate — evicting one entry frees a slot
-// *somewhere*, but not necessarily one reachable from this key's two
-// candidate buckets, so each retry evicts one more victim than the last
-// to open up the cuckoo graph.
-func (c *Cache) evicting(si int, sp *obs.Span, attempt func() error) error {
+// evicting is the one evict-and-retry loop: run attempt (which stores
+// key, taking its stripe itself); while it reports a full shard, evict
+// one of key's bucket neighbours outside the stripe and retry. The slot
+// freed is one the retry's first probe sees, so one eviction admits one
+// key and further rounds only make up for a slot lost to a concurrent
+// insert.
+func (c *Cache) evicting(si int, key string, sp *obs.Span, attempt func() error) error {
 	for tries := 0; ; tries++ {
 		err := attempt()
 		if !errors.Is(err, errShardFull) {
@@ -465,12 +456,7 @@ func (c *Cache) evicting(si int, sp *obs.Span, attempt func() error) error {
 			return ErrServerFull
 		}
 		t0 := sp.Begin()
-		for n := 0; n <= tries; n++ {
-			if !c.evictOne(si) {
-				sp.End(obs.StageEvict, t0)
-				return ErrServerFull
-			}
-		}
+		c.evictFor(si, key)
 		sp.End(obs.StageEvict, t0)
 	}
 }
@@ -516,7 +502,7 @@ func (c *Cache) MaxUpdate(key string, n int64, hint uint64, sp *obs.Span) error 
 // commute is the shared tail of the counter verbs.
 func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
 	si := c.shardFor(key)
-	err := c.evicting(si, sp, apply)
+	err := c.evicting(si, key, sp, apply)
 	if err == nil {
 		c.stats.incrs.Add(si, 1)
 		c.wrote(si, key, sp)
@@ -577,9 +563,9 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 		case txn.OpSet:
 			_, err = c.put(si, op.Key, entry{val: op.Val, expireAt: op.ExpireAt}, false, nil)
 		case txn.OpIncr:
-			err = c.evicting(si, nil, func() error { return c.txn.Incr(op.Key, op.Delta, 0, nil) })
+			err = c.evicting(si, op.Key, nil, func() error { return c.txn.Incr(op.Key, op.Delta, 0, nil) })
 		case txn.OpMax:
-			err = c.evicting(si, nil, func() error { return c.txn.MaxUpdate(op.Key, op.Delta, 0, nil) })
+			err = c.evicting(si, op.Key, nil, func() error { return c.txn.MaxUpdate(op.Key, op.Delta, 0, nil) })
 		default:
 			continue
 		}
@@ -591,57 +577,30 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 	}
 }
 
-// pushRing records an inserted key as a future eviction victim. The ring
-// has exactly table-capacity slots; if it wraps (possible because deleted
-// keys leave stale records behind) the oldest record is dropped, which
-// only makes eviction order more approximate, never incorrect.
-func (s *shard) pushRing(key string) {
-	s.mu.Lock()
-	if s.tail-s.head == uint64(len(s.ring)) {
-		s.head++
-	}
-	s.ring[s.tail%uint64(len(s.ring))] = key
-	s.tail++
-	s.mu.Unlock()
-}
-
-// popVictim removes and returns the oldest eviction-ring record.
-func (s *shard) popVictim() (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.head == s.tail {
-		return "", false
-	}
-	i := s.head % uint64(len(s.ring))
-	victim := s.ring[i]
-	s.ring[i] = "" // release the string for the GC
-	s.head++
-	return victim, true
-}
-
-// evictOne deletes the oldest ring entry that is still present, reporting
-// whether a slot was freed. Stale records (keys already deleted or
-// re-inserted elsewhere in the ring) are skipped for free. The delete
-// runs under the victim's stripe — never the inserting key's — so the
-// victim's version bump is honest and no two stripes are ever held.
+// evictFor makes room for key in full shard si: it deletes, among the
+// entries sharing key's two candidate buckets, an expired one if there
+// is one and the oldest write otherwise (Kuszmaul's kick-out eviction,
+// arXiv:1605.05236, with the hybrid-clock version as the age). Choosing
+// among at most 2·B entries is a sample of the shard, not its global
+// oldest, which is what buys deleting the eviction order altogether. The
+// delete runs under the victim's stripe — never the inserting key's — so
+// the victim's version bump is honest and no two stripes are ever held.
 //
 //cuckoo:coldpath eviction runs only when a shard is full; the documented admission slow path
-func (c *Cache) evictOne(si int) bool {
+func (c *Cache) evictFor(si int, key string) {
 	s := c.shards[si]
-	for {
-		victim, ok := s.popVictim()
-		if !ok {
-			return false
-		}
-		removed := false
-		c.txn.WithLock(victim, nil, func() { removed = s.table.Delete(victim) })
-		if removed {
-			c.stats.evictions.Add(si, 1)
-			// Eviction only happens when a shard is full, so this is off
-			// the fast path even at debug verbosity.
-			c.log.Debug("evicted entry", "shard", si, "key", victim)
-			return true
-		}
+	now := time.Now().UnixNano()
+	victim, ok := s.table.Oldest(key, func(a, b entry) bool { return a.olderThan(b, now) })
+	if !ok {
+		return
+	}
+	removed := false
+	c.txn.WithLock(victim, nil, func() { removed = s.table.Delete(victim) })
+	if removed {
+		c.stats.evictions.Add(si, 1)
+		// Eviction only happens when a shard is full, so this is off
+		// the fast path even at debug verbosity.
+		c.log.Debug("evicted entry", "shard", si, "key", victim)
 	}
 }
 
