@@ -7,15 +7,22 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build vet lint cuckoovet test race bench bench-selftest bench-pair bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
+.PHONY: check build vet vet386 lint cuckoovet test race bench bench-selftest bench-pair bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
 
-check: build vet lint race bench-selftest
+check: build vet vet386 lint race bench-selftest
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The align64 analyzer (docs/ANALYSIS.md) guards the GOARCH=386 layout of
+# 64-bit atomics; this is the target it guards, built and vetted so the
+# guarantee is about code that compiles there.
+vet386:
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./...
 
 # lint = the repo's own invariant checker (always; it builds offline from
 # this module with no dependencies) + staticcheck when present (CI installs
@@ -46,11 +53,16 @@ test:
 # double-folded split slot): on a 2-CPU host the default run never
 # reaches the interleavings the paper is about. -count=1 because a
 # cached pass proves nothing about a scheduler-dependent bug.
-PARALLEL_PKGS = ./internal/txn ./internal/chained ./generic ./server
+# ./internal/chained runs five times on top: its allocator-conflict test
+# compares the abort behaviour of two allocators under forced overlap, and
+# its predecessor passed single runs while failing under repetition
+# (ROADMAP item 0); five keeps that from reopening silently.
+PARALLEL_PKGS = ./internal/txn ./generic ./server
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 $(PARALLEL_PKGS)
+	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/chained
 
 # The repository benchmark's own tests (declared metric names match
 # BENCHMARK.json, recorder arithmetic, cuckoovet-clean harness). It is
@@ -62,12 +74,14 @@ bench-selftest:
 # alternating which side goes first (benchmark/README.md, "How to claim a
 # gain on a moved metric"): per metric both medians, both quartile
 # distances and the pairs this checkout won. About a minute per pair;
-# results/PAIR_*.txt are committed outputs of this target.
+# results/PAIR_*.txt are committed outputs of this target. TRACE=1 pairs
+# traced runs, for the per-layer metrics (no gain is claimed from those).
 WORKLOAD ?= wire-get-pipelined
 BASE ?= HEAD~1
 PAIRS ?= 10
+TRACE ?= 0
 bench-pair:
-	bash scripts/bench-pair.sh $(WORKLOAD) $(BASE) $(PAIRS)
+	bash scripts/bench-pair.sh $(WORKLOAD) $(BASE) $(PAIRS) $(TRACE)
 
 # Non-test, non-generated Go code lines per package (blank and
 # comment-only lines are not counted). ROADMAP item 4: the trend is a

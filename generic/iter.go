@@ -50,7 +50,7 @@ func (t *Table[K, V]) Clear() {
 		l := t.locks.IndexFor(b)
 		t.locks.Lock(l)
 		if n := clearBucket(st.live, b, t.assoc); n != 0 {
-			t.size.add(b, -n)
+			t.size.Add(b, -n)
 		}
 		t.locks.Unlock(l)
 	}

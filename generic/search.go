@@ -28,7 +28,7 @@ type bfsNode[K comparable] struct {
 //
 //cuckoo:coldpath BFS path discovery is the insert slow path (§4, Eq. 2); its queue is the cost of a full bucket pair
 func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K], bool) {
-	t.stats.searches.add(b1, 1)
+	t.probe.Searched(b1)
 	arr := st.live
 	assoc := int(t.assoc)
 	budget := t.cfg.MaxSearchSlots
@@ -129,6 +129,6 @@ func (t *Table[K, V]) displace(st *genState[K, V], src, dst pathEntry[K]) bool {
 	arr.vals[di] = arr.vals[si]
 	arr.occ[dst.bucket] |= 1 << uint(dst.slot)
 	t.clearSlot(arr, src.bucket, si)
-	t.stats.displacements.add(src.bucket, 1)
+	t.probe.Displaced(src.bucket)
 	return true
 }

@@ -1,59 +1,19 @@
 package generic
 
-import "sync/atomic"
+import "cuckoohash/internal/metrics"
 
 // PathLenBuckets is the width of the path-length histogram; BFS paths are
 // bounded around 5 for the default associativity and search budget (Eq. 2
 // of the paper), so 16 buckets cover them with room, and the last bucket
 // absorbs anything longer.
-const PathLenBuckets = 16
+const PathLenBuckets = metrics.PathLenBuckets
 
-// tableStats mirrors the specialized table's probe counters (principle P1:
-// per-shard padded slots, aggregated lazily at read time) so that the
-// service layer built on the generic table can see the same internal
-// signals the paper's evaluation inspects.
-type tableStats struct {
-	searches      shardedCounter
-	displacements shardedCounter
-	restarts      shardedCounter
-	maxPathLen    atomic.Uint64
-	pathLen       [8]pathLenShard
-}
-
-type pathLenShard struct {
-	counts [PathLenBuckets]atomic.Uint64
-	_      [64]byte
-}
-
-func (st *tableStats) observePath(bucket uint64, length uint64) {
-	for {
-		cur := st.maxPathLen.Load()
-		if length <= cur || st.maxPathLen.CompareAndSwap(cur, length) {
-			break
-		}
-	}
-	b := length
-	if b >= PathLenBuckets {
-		b = PathLenBuckets - 1
-	}
-	st.pathLen[bucket&7].counts[b].Add(1)
-}
-
-// Stats is a snapshot of a table's operational counters; the fields match
-// core.Stats so service-layer code can treat the two tables uniformly.
+// Stats is a snapshot of a table's operational counters. The embedded
+// probe counters (Searches, Displacements, PathRestarts, MaxPathLen,
+// PathLenHist) are the ones core.Stats carries, from the same type, so
+// service-layer code can treat the two tables uniformly.
 type Stats struct {
-	// Searches is the number of cuckoo-path searches (slow-path inserts).
-	Searches uint64
-	// Displacements is the number of item moves along cuckoo paths.
-	Displacements uint64
-	// PathRestarts counts inserts restarted because a concurrent writer
-	// invalidated the discovered path (Eq. 1 of the paper).
-	PathRestarts uint64
-	// MaxPathLen is the longest discovered cuckoo path, in displacements.
-	MaxPathLen uint64
-	// PathLenHist[i] counts path searches that found a path of exactly i
-	// displacements (the last bucket absorbs longer ones).
-	PathLenHist [PathLenBuckets]uint64
+	metrics.ProbeStats
 	// Grows counts automatic table expansions started (the live arrays
 	// doubled; draining the previous generation proceeds incrementally).
 	Grows uint64
@@ -67,19 +27,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the table's counters.
 func (t *Table[K, V]) Stats() Stats {
-	s := Stats{
-		Searches:         uint64(t.stats.searches.total()),
-		Displacements:    uint64(t.stats.displacements.total()),
-		PathRestarts:     uint64(t.stats.restarts.total()),
-		MaxPathLen:       t.stats.maxPathLen.Load(),
+	return Stats{
+		ProbeStats:       t.probe.Snapshot(),
 		Grows:            t.growCount.Load(),
 		MigratedBuckets:  t.migratedBuckets.Load(),
 		MigrationBacklog: backlog(t.loadState()),
 	}
-	for i := range t.stats.pathLen {
-		for b := range t.stats.pathLen[i].counts {
-			s.PathLenHist[b] += t.stats.pathLen[i].counts[b].Load()
-		}
-	}
-	return s
 }

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/spinlock"
 )
 
@@ -98,9 +99,9 @@ type Table[K comparable, V any] struct {
 	growMu sync.Mutex // serializes generation-set changes and full walks
 	state  atomic.Pointer[genState[K, V]]
 	epoch  atomic.Uint64 // bumped on every generation-set change
-	size   shardedCounter
+	size   metrics.ShardedCounter
 
-	stats           tableStats
+	probe           metrics.Probe
 	growCount       atomic.Uint64
 	migratedBuckets atomic.Uint64
 }
@@ -167,7 +168,7 @@ func (t *Table[K, V]) newArrays(buckets uint64) *tArrays[K, V] {
 }
 
 // Len returns the number of stored keys.
-func (t *Table[K, V]) Len() uint64 { return uint64(t.size.total()) }
+func (t *Table[K, V]) Len() uint64 { return uint64(t.size.Total()) }
 
 // Cap returns the live generation's slot count. During a migration the
 // table transiently holds the draining generations' arrays too, but new
@@ -323,11 +324,11 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
 				return ErrFull
 			}
 			if path, ok := t.search(st, b1, b2); ok {
-				t.stats.observePath(b1, uint64(len(path)-1))
+				t.probe.ObservePath(b1, uint64(len(path)-1))
 				res = t.execute(st, path, h, b1, b2, key, val, overwrite)
 				if res == putNoSpace || res == putStale {
 					// Path invalidated or generations swapped (Eq. 1); retry.
-					t.stats.restarts.add(b1, 1)
+					t.probe.Restarted(b1)
 					continue
 				}
 			} else if res = t.attempt(st, h, b1, b2, key, val, overwrite, -1); res == putNoSpace {
@@ -438,7 +439,7 @@ func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, key K, val V) {
 	arr.keys[i] = key
 	arr.vals[i] = val
 	arr.occ[b] |= 1 << uint(s)
-	t.size.add(b, 1)
+	t.size.Add(b, 1)
 }
 
 func (t *Table[K, V]) placeNoCount(arr *tArrays[K, V], b uint64, s int, key K, val V) {
@@ -485,7 +486,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 		for _, b := range [2]uint64{b1, b2} {
 			if i, ok := t.find(st.live, b, key); ok {
 				t.clearSlot(st.live, b, i)
-				t.size.add(b, -1)
+				t.size.Add(b, -1)
 				deleted = true
 				break
 			}
@@ -496,7 +497,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 				for _, b := range [2]uint64{ob1, ob2} {
 					if i, ok := t.find(g.arr, b, key); ok {
 						t.clearSlot(g.arr, b, i)
-						t.size.add(b, -1)
+						t.size.Add(b, -1)
 						deleted = true
 						break
 					}

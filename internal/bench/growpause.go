@@ -150,15 +150,9 @@ func GrowPause(sc Scale) *Report {
 		return lats, t.Stats().Grows
 	}
 
-	// The contended row only means something with real parallelism: on a
-	// single-CPU host a preempted stripe holder turns every spin-waiting
-	// goroutine into scheduler noise and the row measures the runtime,
-	// not the table.
 	thRows := []int{1}
-	if last := sc.Threads[len(sc.Threads)-1]; last > 1 && runtime.GOMAXPROCS(0) > 1 {
+	if last := sc.Threads[len(sc.Threads)-1]; last > 1 {
 		thRows = append(thRows, last)
-	} else {
-		r.AddNote("multi-thread row omitted: GOMAXPROCS=1 (spinlock convoying under forced preemption would measure the scheduler); the grow-under-load behaviour is covered by TestChaosGrowUnderLoad")
 	}
 	for _, th := range thRows {
 		stwLats, rebuilds := runSTW(th)

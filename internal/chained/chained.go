@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/spinlock"
 )
 
@@ -66,7 +67,7 @@ type Map struct {
 
 	mu      spinlock.Mutex // guards resize in Sync mode
 	heads   atomic.Pointer[headsArr]
-	size    shardedCounter
+	size    metrics.ShardedCounter
 	resizes atomic.Uint64
 }
 
@@ -105,7 +106,7 @@ func newHeads(n uint64) *headsArr {
 }
 
 // Len returns the entry count.
-func (m *Map) Len() uint64 { return uint64(m.size.total()) }
+func (m *Map) Len() uint64 { return uint64(m.size.Total()) }
 
 // Buckets returns the current bucket count.
 func (m *Map) Buckets() uint64 { return m.heads.Load().mask + 1 }
@@ -169,7 +170,7 @@ func (m *Map) Put(key, val uint64) {
 			}
 		}
 		ha.heads[b] = &node{key: key, val: val, next: ha.heads[b]}
-		m.size.add(b, 1)
+		m.size.Add(b, 1)
 		m.maybeGrowUnsync()
 		return
 	}
@@ -191,7 +192,7 @@ func (m *Map) Put(key, val uint64) {
 		}
 		ha.heads[b] = &node{key: key, val: val, next: ha.heads[b]}
 		m.locks.Unlock(l)
-		m.size.add(b, 1)
+		m.size.Add(b, 1)
 		m.maybeGrowSync()
 		return
 	}
@@ -204,7 +205,7 @@ func (m *Map) Delete(key uint64) bool {
 		ha := m.heads.Load()
 		b := h & ha.mask
 		if m.unlink(ha, b, key) {
-			m.size.add(b, -1)
+			m.size.Add(b, -1)
 			return true
 		}
 		return false
@@ -221,7 +222,7 @@ func (m *Map) Delete(key uint64) bool {
 		ok := m.unlink(ha, b, key)
 		m.locks.Unlock(l)
 		if ok {
-			m.size.add(b, -1)
+			m.size.Add(b, -1)
 		}
 		return ok
 	}

@@ -5,6 +5,7 @@ import (
 
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/htm"
+	"cuckoohash/internal/txarena"
 )
 
 // ErrArenaFull reports node-arena exhaustion in a TxMap.
@@ -22,13 +23,11 @@ var ErrArenaFull = errors.New("chained: node arena exhausted")
 // principle P3), eliminating almost all allocator conflicts; the ablation
 // benchmark compares the two.
 type TxMap struct {
+	txarena.Elided
 	nb       uint64
 	seed     uint64
-	policy   htm.Policy
-	region   *htm.Region
 	capacity uint64
 	chunked  bool
-	size     shardedCounter
 }
 
 // Arena layout (word addresses):
@@ -49,18 +48,16 @@ func NewTxMap(buckets, capacity uint64, seed uint64, policy htm.Policy, perThrea
 	if buckets < 2 || buckets&(buckets-1) != 0 || capacity == 0 {
 		return nil, ErrBadOptions
 	}
+	if buckets > txarena.MaxWords || capacity > txarena.MaxWords {
+		return nil, txarena.ErrTooLarge // the sum below would overflow
+	}
+	m := &TxMap{nb: buckets, seed: seed, capacity: capacity, chunked: perThreadChunks}
 	headerWords := uint64(8 * (txMaxThreads + 1))
-	words := headerWords + buckets + capacity*nodeWords
-	m := &TxMap{
-		nb:       buckets,
-		seed:     seed,
-		policy:   policy,
-		region:   htm.NewRegion(int(words), cfg),
-		capacity: capacity,
-		chunked:  perThreadChunks,
+	if err := m.Init(headerWords+buckets+capacity*nodeWords, policy, cfg); err != nil {
+		return nil, err
 	}
 	// The first node address; 0 stays reserved as the nil sentinel.
-	m.region.Words()[0] = uint64(m.nodeBase())
+	m.Region().Words()[0] = uint64(m.nodeBase())
 	return m, nil
 }
 
@@ -78,12 +75,6 @@ func (m *TxMap) nodeBase() uint32 { return m.headBase() + uint32(m.nb) }
 func (m *TxMap) arenaEnd() uint32 {
 	return m.nodeBase() + uint32(m.capacity)*nodeWords
 }
-
-// Region exposes transaction statistics.
-func (m *TxMap) Region() *htm.Region { return m.region }
-
-// Len returns the entry count.
-func (m *TxMap) Len() uint64 { return uint64(m.size.total()) }
 
 func (m *TxMap) headAddr(key uint64) uint32 {
 	return m.headBase() + uint32(hashfn.Uint64(key, m.seed)&(m.nb-1))
@@ -127,19 +118,10 @@ func (m *TxMap) alloc(tx *htm.Txn, thread int) (uint32, error) {
 // for per-thread allocation (ignored in shared-cursor mode).
 func (m *TxMap) Put(thread int, key, val uint64) error {
 	h := m.headAddr(key)
-	err := m.region.RunElided(m.policy, func(tx *htm.Txn) error {
-		steps := m.capacity
-		for n := uint32(tx.Load(h)); m.validNode(n); n = uint32(tx.Load(n + 2)) {
-			if tx.Load(n) == key {
-				tx.Store(n+1, val)
-				return errUpdatedInPlace
-			}
-			// A zombie transaction (stale read set, doomed to abort at
-			// commit) can observe a cyclic or garbage list; bound the walk
-			// so it reaches commit and aborts instead of spinning.
-			if steps--; steps == 0 {
-				break
-			}
+	_, err := m.Do(uint64(h), 1, func(tx *htm.Txn) error {
+		if n, ok := m.find(tx, h, key); ok {
+			tx.Store(n+1, val)
+			return txarena.ErrReplaced
 		}
 		n, err := m.alloc(tx, thread)
 		if err != nil {
@@ -151,40 +133,35 @@ func (m *TxMap) Put(thread int, key, val uint64) error {
 		tx.Store(h, uint64(n))
 		return nil
 	})
-	switch err {
-	case nil:
-		m.size.add(uint64(h), 1)
-		return nil
-	case errUpdatedInPlace:
-		return nil
-	default:
-		return err
-	}
+	return err
 }
 
-var errUpdatedInPlace = errors.New("chained: updated in place")
-
 // Get returns the value for key.
-func (m *TxMap) Get(key uint64) (uint64, bool) {
+func (m *TxMap) Get(key uint64) (val uint64, found bool) {
 	h := m.headAddr(key)
-	var val uint64
-	found := false
-	_ = m.region.RunElided(m.policy, func(tx *htm.Txn) error {
-		found = false
-		steps := m.capacity
-		for n := uint32(tx.Load(h)); m.validNode(n); n = uint32(tx.Load(n + 2)) {
-			if tx.Load(n) == key {
-				val = tx.Load(n + 1)
-				found = true
-				return nil
-			}
-			if steps--; steps == 0 {
-				break
-			}
+	found = m.Read(func(tx *htm.Txn) error {
+		n, ok := m.find(tx, h, key)
+		if !ok {
+			return txarena.ErrAbsent
 		}
+		val = tx.Load(n + 1)
 		return nil
 	})
 	return val, found
+}
+
+// find walks the chain at head address h for key's node.
+func (m *TxMap) find(tx *htm.Txn, h uint32, key uint64) (uint32, bool) {
+	// A zombie transaction (stale read set, doomed to abort at commit) can
+	// observe a cyclic or garbage list; bound the walk so it reaches commit
+	// and aborts instead of spinning.
+	steps := m.capacity
+	for n := uint32(tx.Load(h)); m.validNode(n) && steps > 0; n, steps = uint32(tx.Load(n+2)), steps-1 {
+		if tx.Load(n) == key {
+			return n, true
+		}
+	}
+	return 0, false
 }
 
 // validNode reports whether n is a plausible in-arena node address; zombie

@@ -47,6 +47,13 @@ func (t *Table) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 	}
 }
 
+// prefetchBucket warms the cache lines of bucket b with an early read (the
+// value is deliberately discarded), as the BFS does for its frontier.
+func prefetchBucket(arr *arrays, b uint64, assoc uint64) {
+	_ = arr.loadKey(b * assoc)
+	_ = arr.loadOcc(b)
+}
+
 // lookupHashed is Lookup with the hash precomputed.
 func (t *Table) lookupHashed(key, h uint64) (uint64, bool) {
 	var dst [1]uint64

@@ -15,7 +15,7 @@ func (t *Table) executePath(arr *arrays, path []pathEntry, b1, b2 uint64, key ui
 		if !t.displace(arr, path[i], path[i+1]) {
 			return attemptRetry
 		}
-		t.stats.displacements.add(path[i].bucket, 1)
+		t.probe.Displaced(path[i].bucket)
 	}
 	head := path[0]
 	other := b2

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/txarena"
 )
 
 // GrowIfFull grows the table only if it is still nearly full, so that
@@ -95,11 +96,11 @@ func (t *Table) rehashInto(old, next *arrays) bool {
 // single-threaded bulk load): no locks, no path validation.
 func (t *Table) placeDirect(arr *arrays, sc *searchScratch, key uint64, val []uint64) bool {
 	b1, b2 := hashfn.TwoBuckets(t.hash(key), arr.buckets)
-	if s, ok := freeSlot(arr.loadOcc(b1), int(t.assoc)); ok {
+	if s, ok := txarena.FreeSlot(arr.loadOcc(b1), int(t.assoc)); ok {
 		t.placeAt(arr, b1, s, key, val)
 		return true
 	}
-	if s, ok := freeSlot(arr.loadOcc(b2), int(t.assoc)); ok {
+	if s, ok := txarena.FreeSlot(arr.loadOcc(b2), int(t.assoc)); ok {
 		t.placeAt(arr, b2, s, key, val)
 		return true
 	}
@@ -173,7 +174,5 @@ func (t *Table) Clear() {
 	for b := uint64(0); b < arr.buckets; b++ {
 		arr.occ[b].Store(0)
 	}
-	for i := range t.size.shards {
-		t.size.shards[i].v.Store(0)
-	}
+	t.size.Reset()
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"sync"
+
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/metrics"
+	"cuckoohash/internal/txarena"
 )
 
 // pathEntry is one hop of a cuckoo path. For i < len(path)-1, the key
@@ -46,8 +50,8 @@ func (n bfsNode) decodePath(assoc uint64, slots []int) (root uint32) {
 type searchScratch struct {
 	nodes []bfsNode
 	path  []pathEntry
-	slots []int  // decoded slot sequence, maxPath entries
-	rng   uint64 // xorshift64 state for DFS victim selection
+	slots []int    // decoded slot sequence, maxPath entries
+	keys  []uint64 // the keys of the bucket being expanded, assoc entries
 }
 
 func newSearchScratch(maxSlots, assoc int) *searchScratch {
@@ -60,17 +64,8 @@ func newSearchScratch(maxSlots, assoc int) *searchScratch {
 		nodes: make([]bfsNode, 0, maxSlots+2),
 		path:  make([]pathEntry, 0, maxPath),
 		slots: make([]int, maxPath),
-		rng:   0x853C49E6748FEA9B,
+		keys:  make([]uint64, assoc),
 	}
-}
-
-func (sc *searchScratch) nextRand() uint64 {
-	x := sc.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	sc.rng = x
-	return x
 }
 
 // searchStatus is the outcome of a path search.
@@ -88,45 +83,81 @@ const (
 	searchStale
 )
 
-// search discovers a cuckoo path from buckets b1/b2 to an empty slot with
-// no locks held. The returned slice is backed by sc and valid until the
-// scratch is reused.
-func (t *Table) search(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	t.stats.searches.add(b1, 1)
-	if t.opts.Search == SearchDFS {
-		return t.searchDFS(arr, sc, b1, b2)
+// bucketReader is how a path search sees a table's buckets. The search
+// runs with no lock held and inside no transaction (§4.3.1), so the only
+// thing that differs between the concurrency-control backends is how a
+// word is read: *arrays reads its flat slices with atomic loads, *TxTable
+// reads its arena with untracked Region.LoadDirect. Either way a stale
+// observation only yields a path that fails validation during execution.
+// Lookups do not come through here; they keep their direct array access.
+type bucketReader interface {
+	numBuckets() uint64
+	loadOcc(b uint64) uint32
+	slotKey(b uint64, s int) uint64
+	// slotKeys reads every key of bucket b into dst (one per slot): BFS
+	// expands a full bucket with one call, not one per slot.
+	slotKeys(b uint64, dst []uint64)
+}
+
+// finder is the insert slow path both tables share: the configuration the
+// search reads, its pooled scratch and the probe counters it feeds. What
+// stays per table is slot storage and the lock or elision protocol that
+// executes a discovered path.
+type finder struct {
+	opts    Options
+	assoc   uint64
+	vw      uint64    // value words
+	scratch sync.Pool // *searchScratch
+	probe   metrics.Probe
+}
+
+func (f *finder) init(opts Options) {
+	f.opts = opts
+	f.assoc = uint64(opts.Assoc)
+	f.vw = uint64(opts.ValueWords)
+	f.scratch.New = func() any { return newSearchScratch(opts.MaxSearchSlots, opts.Assoc) }
+}
+
+func (f *finder) hash(key uint64) uint64 { return hashfn.Uint64(key, f.opts.Seed) }
+
+// search discovers a cuckoo path from buckets b1/b2 to an empty slot. The
+// returned slice is backed by sc and valid until the scratch is reused.
+func (f *finder) search(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
+	f.probe.Searched(b1)
+	if f.opts.Search == SearchDFS {
+		return f.searchDFS(r, sc, b1, b2)
 	}
-	return t.searchBFS(arr, sc, b1, b2)
+	return f.searchBFS(r, sc, b1, b2)
 }
 
 // searchBFS is the paper's breadth-first search (§4.3.2): every slot of the
 // frontier bucket extends its own candidate path, so the first empty slot
 // found is at minimum displacement depth, bounded by Eq. 2.
-//
-// All bucket reads here are unlocked and optimistic; a stale observation
-// simply produces a path that fails validation during execution (§4.3.1).
-func (t *Table) searchBFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
+func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
 	nodes := sc.nodes[:0]
 	nodes = append(nodes,
 		bfsNode{bucket: b1, pathcode: 0},
 		bfsNode{bucket: b2, pathcode: 1},
 	)
-	assoc := int(t.assoc)
-	budget := t.opts.MaxSearchSlots
+	assoc := int(f.assoc)
+	nb := r.numBuckets()
+	budget := f.opts.MaxSearchSlots
 	slotsExamined := 0
 
 	for qi := 0; qi < len(nodes) && slotsExamined < budget; qi++ {
-		if t.opts.Prefetch && qi+1 < len(nodes) {
+		if f.opts.Prefetch && qi+1 < len(nodes) {
 			// Emulated prefetch: touch the next frontier bucket so its
-			// lines are warm when we examine it (see DESIGN.md §2).
-			prefetchBucket(arr, nodes[qi+1].bucket, t.assoc)
+			// lines are warm when we examine it (see DESIGN.md §2). Go
+			// has no portable prefetch intrinsic; an early read has the
+			// same overlap effect (the values are deliberately discarded).
+			_ = r.slotKey(nodes[qi+1].bucket, 0)
 		}
 		n := nodes[qi]
-		occ := arr.loadOcc(n.bucket)
+		occ := r.loadOcc(n.bucket)
 		slotsExamined += assoc
-		if s, ok := freeSlot(occ, assoc); ok {
+		if s, ok := txarena.FreeSlot(occ, assoc); ok {
 			sc.nodes = nodes
-			if path, ok := t.buildPath(arr, sc, n, b1, b2, s); ok {
+			if path, ok := f.buildPath(r, sc, n, b1, b2, s); ok {
 				return path, searchFound
 			}
 			return nil, searchStale
@@ -136,12 +167,11 @@ func (t *Table) searchBFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]path
 		if len(nodes)+assoc > cap(nodes) {
 			continue
 		}
-		base := n.bucket * t.assoc
 		childCode := n.pathcode * uint32(assoc)
 		childDepth := n.depth + 1
-		for s := 0; s < assoc; s++ {
-			k := arr.loadKey(base + uint64(s))
-			alt := hashfn.AltBucket(t.hash(k), arr.buckets, n.bucket)
+		r.slotKeys(n.bucket, sc.keys)
+		for s, k := range sc.keys {
+			alt := hashfn.AltBucket(f.hash(k), nb, n.bucket)
 			nodes = append(nodes, bfsNode{
 				bucket:   alt,
 				pathcode: childCode + uint32(s),
@@ -158,18 +188,19 @@ func (t *Table) searchBFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]path
 // re-reading the key at each hop. The table may have changed since the node
 // was enqueued; a divergent walk just yields a path that fails validation
 // during execution, exactly like any other stale observation.
-func (t *Table) buildPath(arr *arrays, sc *searchScratch, n bfsNode, b1, b2 uint64, s int) ([]pathEntry, bool) {
-	root := n.decodePath(t.assoc, sc.slots)
+func (f *finder) buildPath(r bucketReader, sc *searchScratch, n bfsNode, b1, b2 uint64, s int) ([]pathEntry, bool) {
+	root := n.decodePath(f.assoc, sc.slots)
 	bucket := b1
 	if root == 1 {
 		bucket = b2
 	}
+	nb := r.numBuckets()
 	path := sc.path[:0]
 	for i := 0; i < int(n.depth); i++ {
 		slot := sc.slots[i]
-		k := arr.loadKey(bucket*t.assoc + uint64(slot))
+		k := r.slotKey(bucket, slot)
 		path = append(path, pathEntry{bucket: bucket, slot: slot, key: k})
-		bucket = hashfn.AltBucket(t.hash(k), arr.buckets, bucket)
+		bucket = hashfn.AltBucket(f.hash(k), nb, bucket)
 	}
 	// The walked chain must end at the bucket whose free slot we found; if
 	// a concurrent writer moved a key along the chain it may not. Report
@@ -188,17 +219,17 @@ func (t *Table) buildPath(arr *arrays, sc *searchScratch, n bfsNode, b1, b2 uint
 // paths (one per candidate bucket) are extended alternately by kicking a
 // random victim, completing when either reaches a bucket with an empty
 // slot. It is retained as the factor-analysis baseline (§4.3.2, Fig. 5).
-func (t *Table) searchDFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	assoc := int(t.assoc)
-	budget := t.opts.MaxSearchSlots
+func (f *finder) searchDFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
+	assoc := int(f.assoc)
+	nb := r.numBuckets()
+	budget := f.opts.MaxSearchSlots
 	maxLen := budget / (2 * assoc)
 	if maxLen < 1 {
 		maxLen = 1
 	}
 
-	// Two independent walks; entries stored interleaved in two halves of
-	// the scratch path buffer would complicate things, so keep two small
-	// local slices backed by the scratch array split in half.
+	// Two independent walks, each in its own half of the scratch path
+	// buffer.
 	buf := sc.path[:0]
 	if cap(buf) < 2*maxLen+2 {
 		buf = make([]pathEntry, 0, 2*maxLen+2)
@@ -207,6 +238,11 @@ func (t *Table) searchDFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]path
 	pathB := buf[maxLen+1 : maxLen+1 : 2*maxLen+2][:0] // second half
 	curA, curB := b1, b2
 	slotsExamined := 0
+	// Victims derive from the candidate pair, not from state carried
+	// between searches: a search is a function of the table and the key, so
+	// the same operations on two tables walk the same paths whichever
+	// pooled scratch each happens to draw.
+	rng := b1<<32 ^ b2
 
 	for slotsExamined < budget {
 		if len(pathA) > maxLen && len(pathB) > maxLen {
@@ -222,17 +258,18 @@ func (t *Table) searchDFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]path
 			if len(*path) > maxLen {
 				continue
 			}
-			occ := arr.loadOcc(cur)
+			occ := r.loadOcc(cur)
 			slotsExamined += assoc
-			if s, ok := freeSlot(occ, assoc); ok {
+			if s, ok := txarena.FreeSlot(occ, assoc); ok {
 				*path = append(*path, pathEntry{bucket: cur, slot: s})
 				return *path, searchFound
 			}
 			// Kick a random victim to its alternate bucket.
-			s := int(sc.nextRand() % uint64(assoc))
-			k := arr.loadKey(cur*t.assoc + uint64(s))
+			rng = hashfn.SplitMix64(rng)
+			s := int(rng % uint64(assoc))
+			k := r.slotKey(cur, s)
 			*path = append(*path, pathEntry{bucket: cur, slot: s, key: k})
-			next := hashfn.AltBucket(t.hash(k), arr.buckets, cur)
+			next := hashfn.AltBucket(f.hash(k), nb, cur)
 			if w == 0 {
 				curA = next
 			} else {
@@ -241,12 +278,4 @@ func (t *Table) searchDFS(arr *arrays, sc *searchScratch, b1, b2 uint64) ([]path
 		}
 	}
 	return nil, searchFull
-}
-
-// prefetchBucket warms the cache lines of bucket b. Go has no portable
-// prefetch intrinsic; an early read has the same overlap effect for the BFS
-// schedule (the value is deliberately discarded).
-func prefetchBucket(arr *arrays, b uint64, assoc uint64) {
-	_ = arr.loadKey(b * assoc)
-	_ = arr.loadOcc(b)
 }

@@ -3,153 +3,30 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"cuckoohash/internal/metrics"
 )
 
 func runtimeGosched() { runtime.Gosched() }
 
-// shardedCounter is a write-mostly counter sharded across padded cache
-// lines so that concurrent writers on different buckets never contend
-// (principle P1). Shard selection keys off the bucket index, which is
-// already in hand at every call site.
-type shardedCounter struct {
-	shards [64]paddedInt64
-}
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [120]byte
-}
-
-func (c *shardedCounter) add(bucket uint64, delta int64) {
-	c.shards[bucket&63].v.Add(delta)
-}
-
-func (c *shardedCounter) total() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
-
-func (c *shardedCounter) reset() {
-	for i := range c.shards {
-		c.shards[i].v.Store(0)
-	}
-}
-
-// tableStats aggregates the operational counters the evaluation inspects.
-type tableStats struct {
-	searches      shardedCounter // path searches started
-	displacements shardedCounter // successful item displacements
-	restarts      shardedCounter // inserts restarted due to invalid paths (Eq. 1)
-	maxPathLen    atomicMax      // longest cuckoo path discovered (Eq. 2)
-	pathLen       pathLenHist    // distribution of discovered path lengths
-}
-
-// PathLenBuckets is the width of the path-length histogram. Eq. 2 bounds
-// BFS paths at ~5 displacements for the paper's B=4..16 and M=2000, so 16
-// buckets cover BFS exactly; longer DFS walks clamp into the last bucket.
-const PathLenBuckets = 16
-
-// pathLenHist counts discovered cuckoo-path lengths. It is recorded once
-// per successful path search — already the insert slow path — so a modest
-// shard count suffices; each shard is cache-line padded like every other
-// probe counter (principle P1).
-type pathLenHist struct {
-	shards [8]pathLenShard
-}
-
-type pathLenShard struct {
-	counts [PathLenBuckets]atomic.Uint64
-	_      [64]byte
-}
-
-func (h *pathLenHist) observe(bucket uint64, length uint64) {
-	if length >= PathLenBuckets {
-		length = PathLenBuckets - 1
-	}
-	h.shards[bucket&7].counts[length].Add(1)
-}
-
-func (h *pathLenHist) snapshot() (out [PathLenBuckets]uint64) {
-	for i := range h.shards {
-		for b := range h.shards[i].counts {
-			out[b] += h.shards[i].counts[b].Load()
-		}
-	}
-	return out
-}
-
-func (h *pathLenHist) reset() {
-	for i := range h.shards {
-		for b := range h.shards[i].counts {
-			h.shards[i].counts[b].Store(0)
-		}
-	}
-}
-
-// atomicMax is a monotonic maximum; updated once per successful path
-// search, so a plain CAS loop is cheap enough.
-type atomicMax struct {
-	v atomic.Uint64
-}
-
-func (m *atomicMax) observe(x uint64) {
-	for {
-		cur := m.v.Load()
-		if x <= cur || m.v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
-// Stats is a snapshot of a table's operational counters.
+// Stats is a snapshot of a table's operational counters: the probe
+// counters every cuckoo engine in the module keeps (Searches,
+// Displacements, PathRestarts, MaxPathLen, PathLenHist) plus this
+// engine's own.
 type Stats struct {
-	// Searches is the number of cuckoo-path searches performed (slow-path
-	// inserts).
-	Searches uint64
-	// Displacements is the number of item moves executed along cuckoo
-	// paths.
-	Displacements uint64
-	// PathRestarts counts inserts whose discovered path was invalidated by
-	// a concurrent writer before execution completed; Eq. 1 predicts how
-	// rare this is.
-	PathRestarts uint64
-	// MaxPathLen is the longest cuckoo path (in displacements) any search
-	// discovered; Eq. 2 bounds it for BFS.
-	MaxPathLen uint64
-	// PathLenHist[i] counts successful path searches that discovered a
-	// path of exactly i displacements (the last bucket also absorbs any
-	// longer DFS walks). Its mass distribution is the empirical form of
-	// the Eq. 2 analysis.
-	PathLenHist [PathLenBuckets]uint64
+	metrics.ProbeStats
 	// Grows counts completed table expansions.
 	Grows uint64
 }
 
 // Stats returns a snapshot of the table's counters.
 func (t *Table) Stats() Stats {
-	return Stats{
-		Searches:      uint64(t.stats.searches.total()),
-		Displacements: uint64(t.stats.displacements.total()),
-		PathRestarts:  uint64(t.stats.restarts.total()),
-		MaxPathLen:    t.stats.maxPathLen.v.Load(),
-		PathLenHist:   t.stats.pathLen.snapshot(),
-		Grows:         t.growCount.Load(),
-	}
+	return Stats{ProbeStats: t.probe.Snapshot(), Grows: t.growCount.Load()}
 }
 
 // ResetStats zeroes the table's counters (not its contents).
-func (t *Table) ResetStats() {
-	t.stats.searches.reset()
-	t.stats.displacements.reset()
-	t.stats.restarts.reset()
-	t.stats.maxPathLen.v.Store(0)
-	t.stats.pathLen.reset()
-}
+func (t *Table) ResetStats() { t.probe.Reset() }
 
 // GrowEvent records one completed table expansion, for the grow-history
 // probe: expansions are rare but stall every writer, so operators want to

@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/spinlock"
+	"cuckoohash/internal/txarena"
 )
 
 // Table is the cuckoo+ hash table: fixed 8-byte keys, fixed-size values of
@@ -17,20 +19,14 @@ import (
 // keys are contiguous, matching the paper's "all the keys come first and
 // then the values" bucket layout that packs 8 keys into one cache line.
 type Table struct {
-	opts   Options
-	nb     uint64 // number of buckets
-	assoc  uint64
-	vw     uint64 // value words
-	seed   uint64
+	finder
 	stripe *spinlock.Stripe
 	global spinlock.Mutex // writer lock in LockGlobal mode
 	growMu sync.Mutex     // serializes Grow
 
-	arr     atomic.Pointer[arrays]
-	scratch sync.Pool // *searchScratch
+	arr atomic.Pointer[arrays]
 
-	size      shardedCounter
-	stats     tableStats
+	size      metrics.ShardedCounter
 	growCount atomic.Uint64
 	growEpoch atomic.Uint64 // bumped on every array swap (Grow)
 	growLog   growLog
@@ -39,6 +35,7 @@ type Table struct {
 // arrays is the swappable storage of a Table; Grow installs a new one.
 type arrays struct {
 	buckets uint64
+	assoc   uint64
 	keys    []uint64        // buckets*assoc
 	vals    []uint64        // buckets*assoc*vw
 	occ     []atomic.Uint32 // per-bucket occupancy bitmask
@@ -49,16 +46,9 @@ func NewTable(opts Options) (*Table, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		opts:   opts,
-		nb:     opts.Buckets,
-		assoc:  uint64(opts.Assoc),
-		vw:     uint64(opts.ValueWords),
-		seed:   opts.Seed,
-		stripe: spinlock.NewStripe(opts.Stripes),
-	}
+	t := &Table{stripe: spinlock.NewStripe(opts.Stripes)}
+	t.finder.init(opts)
 	t.arr.Store(t.newArrays(opts.Buckets))
-	t.scratch.New = func() any { return newSearchScratch(opts.MaxSearchSlots, opts.Assoc) }
 	return t, nil
 }
 
@@ -75,6 +65,7 @@ func MustNewTable(opts Options) *Table {
 func (t *Table) newArrays(buckets uint64) *arrays {
 	return &arrays{
 		buckets: buckets,
+		assoc:   t.assoc,
 		keys:    make([]uint64, buckets*t.assoc),
 		vals:    make([]uint64, buckets*t.assoc*t.vw),
 		occ:     make([]atomic.Uint32, buckets),
@@ -101,7 +92,7 @@ func (t *Table) Cap() uint64 { return t.arr.Load().buckets * t.assoc }
 // Len returns the number of stored keys. The value is a lazily aggregated
 // snapshot (principle P1): exact when no writers are active.
 func (t *Table) Len() uint64 {
-	return uint64(t.size.total())
+	return uint64(t.size.Total())
 }
 
 // LoadFactor returns Len/Cap.
@@ -115,8 +106,6 @@ func (t *Table) LoadFactor() float64 {
 // the evaluation uses to attribute throughput collapse to stripe convoys.
 func (t *Table) LockStats() spinlock.StripeStats { return t.stripe.Stats() }
 
-func (t *Table) hash(key uint64) uint64 { return hashfn.Uint64(key, t.seed) }
-
 // slot index helpers
 
 func (a *arrays) slotIdx(bucket uint64, slot int, assoc uint64) uint64 {
@@ -124,6 +113,16 @@ func (a *arrays) slotIdx(bucket uint64, slot int, assoc uint64) uint64 {
 }
 
 func (a *arrays) fullMask(assoc uint64) uint32 { return uint32(1)<<assoc - 1 }
+
+// With loadOcc below, the bucketReader the unlocked path search reads
+// through.
+func (a *arrays) numBuckets() uint64             { return a.buckets }
+func (a *arrays) slotKey(b uint64, s int) uint64 { return a.loadKey(b*a.assoc + uint64(s)) }
+func (a *arrays) slotKeys(b uint64, dst []uint64) {
+	for s := range dst {
+		dst[s] = a.loadKey(b*a.assoc + uint64(s))
+	}
+}
 
 func (a *arrays) loadKey(i uint64) uint64  { return atomic.LoadUint64(&a.keys[i]) }
 func (a *arrays) storeKey(i, k uint64)     { atomic.StoreUint64(&a.keys[i], k) }
@@ -337,7 +336,7 @@ func (t *Table) write(key uint64, val []uint64, mode writeMode) error {
 			// A concurrent writer invalidated the observation mid-search
 			// (Eq. 1, caught one phase earlier than usual): restart.
 			t.scratch.Put(sc)
-			t.stats.restarts.add(b1, 1)
+			t.probe.Restarted(b1)
 			continue
 		}
 		if st == searchFull {
@@ -357,8 +356,7 @@ func (t *Table) write(key uint64, val []uint64, mode writeMode) error {
 			}
 			return ErrFull
 		}
-		t.stats.maxPathLen.observe(uint64(len(path) - 1))
-		t.stats.pathLen.observe(b1, uint64(len(path)-1))
+		t.probe.ObservePath(b1, uint64(len(path)-1))
 		res := t.executePath(arr, path, b1, b2, key, val, mode)
 		t.scratch.Put(sc)
 		switch res {
@@ -370,7 +368,7 @@ func (t *Table) write(key uint64, val []uint64, mode writeMode) error {
 			return errAbsent
 		}
 		// Path invalidated by a concurrent writer (Eq. 1): restart.
-		t.stats.restarts.add(b1, 1)
+		t.probe.Restarted(b1)
 	}
 }
 
@@ -417,11 +415,11 @@ func (t *Table) attemptInPair(arr *arrays, b1, b2 uint64, key uint64, val []uint
 		t.insertAt(arr, b1, reqSlot, key, val)
 		return attemptInserted
 	}
-	if s, ok := freeSlot(arr.loadOcc(b1), int(t.assoc)); ok {
+	if s, ok := txarena.FreeSlot(arr.loadOcc(b1), int(t.assoc)); ok {
 		t.insertAt(arr, b1, s, key, val)
 		return attemptInserted
 	}
-	if s, ok := freeSlot(arr.loadOcc(b2), int(t.assoc)); ok {
+	if s, ok := txarena.FreeSlot(arr.loadOcc(b2), int(t.assoc)); ok {
 		t.insertAt(arr, b2, s, key, val)
 		return attemptInserted
 	}
@@ -450,16 +448,6 @@ func (t *Table) findLocked(arr *arrays, b uint64, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// freeSlot returns the index of a clear bit in occ below assoc.
-func freeSlot(occ uint32, assoc int) (int, bool) {
-	for s := 0; s < assoc; s++ {
-		if occ&(1<<uint(s)) == 0 {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // insertAt writes key/val into (b, s); caller holds b's stripe lock and has
 // verified the slot is free.
 func (t *Table) insertAt(arr *arrays, b uint64, s int, key uint64, val []uint64) {
@@ -467,7 +455,7 @@ func (t *Table) insertAt(arr *arrays, b uint64, s int, key uint64, val []uint64)
 	arr.storeKey(i, key)
 	arr.storeVal(i, t.vw, val)
 	arr.setOcc(b, s)
-	t.size.add(b, 1)
+	t.size.Add(b, 1)
 }
 
 // Delete removes key, reporting whether it was present.
@@ -484,11 +472,11 @@ func (t *Table) Delete(key uint64) bool {
 		deleted := false
 		if i, ok := t.findLocked(arr, b1, key); ok {
 			arr.clearOcc(b1, int(i-b1*t.assoc))
-			t.size.add(b1, -1)
+			t.size.Add(b1, -1)
 			deleted = true
 		} else if i, ok := t.findLocked(arr, b2, key); ok {
 			arr.clearOcc(b2, int(i-b2*t.assoc))
-			t.size.add(b2, -1)
+			t.size.Add(b2, -1)
 			deleted = true
 		}
 		t.unlockPair(l1, l2)

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"sync"
+	"errors"
 
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/htm"
+	"cuckoohash/internal/txarena"
 )
 
 // TxTable is cuckoo+ under coarse-grained locking with (emulated) hardware
@@ -18,25 +19,14 @@ import (
 // about a dozen cache lines — so transactions rarely conflict and almost
 // never overflow capacity; that is the entire point of §5.
 //
-// Arena layout: one bucket record per bucket, padded to a whole number of
-// 64-byte lines so buckets never share a conflict-detection line:
-//
-//	word 0:                occupancy bitmap
-//	words 1..assoc:        keys
-//	words 1+assoc..:       values (assoc*valueWords words)
-//	padding to line multiple
+// The search, its scratch and the probe counters are Table's (finder); the
+// bucket records, their transactional slot operations, the elided lookup
+// and delete and the size counter are the arena's (txarena.Buckets, shared
+// with memc3.TxTable). What is written here is what §5 adds: the insert
+// critical section as one transaction.
 type TxTable struct {
-	opts    Options
-	policy  htm.Policy
-	region  *htm.Region
-	nb      uint64
-	assoc   uint64
-	vw      uint64
-	seed    uint64
-	stride  uint64 // words per bucket record
-	scratch sync.Pool
-	size    shardedCounter
-	stats   tableStats
+	finder
+	txarena.Buckets
 }
 
 // NewTxTable creates a transactional cuckoo+ table with the given elision
@@ -46,34 +36,13 @@ func NewTxTable(opts Options, policy htm.Policy, cfg htm.Config) (*TxTable, erro
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	assoc := uint64(opts.Assoc)
-	vw := uint64(opts.ValueWords)
-	stride := (1 + assoc + assoc*vw + wordsPerLine - 1) / wordsPerLine * wordsPerLine
-	words := opts.Buckets * stride
-	if words > 1<<31 {
-		return nil, errArenaTooLarge
+	t := &TxTable{}
+	t.finder.init(opts)
+	if err := t.Buckets.Init(opts.Buckets, opts.Assoc, opts.ValueWords, policy, cfg); err != nil {
+		return nil, err
 	}
-	t := &TxTable{
-		opts:   opts,
-		policy: policy,
-		region: htm.NewRegion(int(words), cfg),
-		nb:     opts.Buckets,
-		assoc:  assoc,
-		vw:     vw,
-		seed:   opts.Seed,
-		stride: stride,
-	}
-	t.scratch.New = func() any { return newSearchScratch(opts.MaxSearchSlots, opts.Assoc) }
 	return t, nil
 }
-
-const wordsPerLine = 8
-
-var errArenaTooLarge = errorString("cuckoo: transactional arena exceeds 2^31 words")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
 
 // MustNewTxTable panics on configuration errors.
 func MustNewTxTable(opts Options, policy htm.Policy, cfg htm.Config) *TxTable {
@@ -84,42 +53,22 @@ func MustNewTxTable(opts Options, policy htm.Policy, cfg htm.Config) *TxTable {
 	return t
 }
 
-// Region exposes the table's transactional region (for abort-rate
-// statistics, §2.3's Intel-PCM-style reporting).
-func (t *TxTable) Region() *htm.Region { return t.region }
-
-// Len returns the number of stored keys.
-func (t *TxTable) Len() uint64 { return uint64(t.size.total()) }
-
-// Cap returns the number of slots.
-func (t *TxTable) Cap() uint64 { return t.nb * t.assoc }
-
-// LoadFactor returns Len/Cap.
-func (t *TxTable) LoadFactor() float64 { return float64(t.Len()) / float64(t.Cap()) }
-
 // Stats returns the table's operational counters.
-func (t *TxTable) Stats() Stats {
-	return Stats{
-		Searches:      uint64(t.stats.searches.total()),
-		Displacements: uint64(t.stats.displacements.total()),
-		PathRestarts:  uint64(t.stats.restarts.total()),
-		MaxPathLen:    t.stats.maxPathLen.v.Load(),
-		PathLenHist:   t.stats.pathLen.snapshot(),
+func (t *TxTable) Stats() Stats { return Stats{ProbeStats: t.probe.Snapshot()} }
+
+// The bucketReader the unlocked path search reads through: direct,
+// untracked loads of the arena.
+func (t *TxTable) numBuckets() uint64             { return t.NumBuckets() }
+func (t *TxTable) loadOcc(b uint64) uint32        { return t.Occ(b) }
+func (t *TxTable) slotKey(b uint64, s int) uint64 { return t.Key(b, s) }
+func (t *TxTable) slotKeys(b uint64, dst []uint64) {
+	for s := range dst {
+		dst[s] = t.Key(b, s)
 	}
 }
 
-func (t *TxTable) hash(key uint64) uint64 { return hashfn.Uint64(key, t.seed) }
-
-// Arena addressing.
-
-func (t *TxTable) occAddr(b uint64) uint32 { return uint32(b * t.stride) }
-
-func (t *TxTable) keyAddr(b uint64, s int) uint32 {
-	return uint32(b*t.stride + 1 + uint64(s))
-}
-
-func (t *TxTable) valAddr(b uint64, s int, w uint64) uint32 {
-	return uint32(b*t.stride + 1 + t.assoc + uint64(s)*t.vw + w)
+func (t *TxTable) twoBuckets(key uint64) (b1, b2 uint64) {
+	return hashfn.TwoBuckets(t.hash(key), t.NumBuckets())
 }
 
 // Lookup returns the first value word for key.
@@ -133,34 +82,8 @@ func (t *TxTable) Lookup(key uint64) (uint64, bool) {
 
 // LookupValue reads key's value inside one (read-only) elided transaction.
 func (t *TxTable) LookupValue(key uint64, dst []uint64) bool {
-	b1, b2 := hashfn.TwoBuckets(t.hash(key), t.nb)
-	found := false
-	_ = t.region.RunElided(t.policy, func(tx *htm.Txn) error {
-		found = t.txFind(tx, b1, key, dst) || t.txFind(tx, b2, key, dst)
-		return nil
-	})
-	return found
-}
-
-// txFind scans bucket b for key within tx, copying the value to dst on hit.
-func (t *TxTable) txFind(tx *htm.Txn, b uint64, key uint64, dst []uint64) bool {
-	occ := tx.Load(t.occAddr(b))
-	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-		if occ&1 == 0 {
-			continue
-		}
-		if tx.Load(t.keyAddr(b, s)) == key {
-			n := t.vw
-			if uint64(len(dst)) < n {
-				n = uint64(len(dst))
-			}
-			for w := uint64(0); w < n; w++ {
-				dst[w] = tx.Load(t.valAddr(b, s, w))
-			}
-			return true
-		}
-	}
-	return false
+	b1, b2 := t.twoBuckets(key)
+	return t.Find(b1, b2, key, dst)
 }
 
 // Insert adds key with a single-word value; ErrExists if present, ErrFull
@@ -181,123 +104,79 @@ func (t *TxTable) Upsert(key, val uint64) error {
 
 // Delete removes key, reporting whether it was present.
 func (t *TxTable) Delete(key uint64) bool {
-	b1, b2 := hashfn.TwoBuckets(t.hash(key), t.nb)
-	deleted := false
-	_ = t.region.RunElided(t.policy, func(tx *htm.Txn) error {
-		deleted = false // reset: the closure may re-run after an abort
-		for _, b := range [2]uint64{b1, b2} {
-			occ := tx.Load(t.occAddr(b))
-			for s := 0; s < int(t.assoc); s++ {
-				if occ&(1<<uint(s)) != 0 && tx.Load(t.keyAddr(b, s)) == key {
-					tx.Store(t.occAddr(b), occ&^(1<<uint(s)))
-					deleted = true
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	if deleted {
-		t.size.add(b1, -1)
-	}
-	return deleted
+	b1, b2 := t.twoBuckets(key)
+	return t.Remove(b1, b2, key)
 }
 
-var errPathInvalid = errorString("cuckoo: path invalidated")
+var (
+	errPathInvalid = errors.New("cuckoo: path invalidated")
+	errNoSpace     = errors.New("cuckoo: no space in pair")
+)
 
+// write is Table.write with each locked step replaced by one transaction:
+// the same peek, the same search through the same reader, the same order
+// of attempts — so the two tables make the same moves on the same input.
 func (t *TxTable) write(key uint64, val []uint64, mode writeMode) error {
 	if uint64(len(val)) > t.vw {
 		panic("cuckoo: value longer than ValueWords")
 	}
-	h := t.hash(key)
-	b1, b2 := hashfn.TwoBuckets(h, t.nb)
-	sc := t.scratch.Get().(*searchScratch)
-	defer t.scratch.Put(sc)
-	for {
-		// Phase 1 (outside the transaction, §4.3.1): find a cuckoo path if
-		// the candidate buckets look full.
-		var path []pathEntry
-		occ1 := t.region.LoadDirect(t.occAddr(b1))
-		occ2 := t.region.LoadDirect(t.occAddr(b2))
-		full := uint64(1)<<t.assoc - 1
-		if occ1&full == full && occ2&full == full {
-			var st searchStatus
-			path, st = t.searchTx(sc, b1, b2)
-			if st == searchStale {
-				t.stats.restarts.add(b1, 1)
-				continue
-			}
-			if st == searchFull {
-				// Confirm fullness transactionally before reporting: the
-				// key may already exist, or a slot may have been freed.
-				err := t.region.RunElided(t.policy, func(tx *htm.Txn) error {
-					return t.txAttempt(tx, b1, b2, key, val, mode, nil)
-				})
-				switch err {
-				case nil:
-					t.size.add(b1, 1)
-					return nil
-				case errUpdated:
-					return nil
-				case errNoSpace:
-					return ErrFull
-				default:
-					return err
-				}
-			}
-		}
-
-		if len(path) > 0 {
-			t.stats.maxPathLen.observe(uint64(len(path) - 1))
-			t.stats.pathLen.observe(b1, uint64(len(path)-1))
-		}
-
-		// Phase 2: one transaction validates the path, performs the
-		// displacements, re-checks for duplicates and inserts.
-		err := t.region.RunElided(t.policy, func(tx *htm.Txn) error {
+	b1, b2 := t.twoBuckets(key)
+	attempt := func(path []pathEntry) error {
+		_, err := t.Do(b1, 1, func(tx *htm.Txn) error {
 			return t.txAttempt(tx, b1, b2, key, val, mode, path)
 		})
-		switch err {
-		case nil:
-			if mode != modeUpdate {
-				t.size.add(b1, 1)
+		return err
+	}
+	sc := t.scratch.Get().(*searchScratch)
+	defer t.scratch.Put(sc)
+	full := uint32(1)<<t.assoc - 1
+	for {
+		// Peek (untracked) whether a candidate bucket has room; an
+		// overwrite needs none, so it looks for its key first either way.
+		if mode != modeInsert || t.Occ(b1)&full != full || t.Occ(b2)&full != full {
+			if err := attempt(nil); err != errNoSpace {
+				return err
 			}
-			return nil
-		case errUpdated:
-			return nil
-		case errPathInvalid, errNoSpace:
-			// Stale path or the free slot vanished: restart (Eq. 1).
-			t.stats.restarts.add(b1, 1)
+		}
+		// Phase 1 (outside the transaction, §4.3.1): find a cuckoo path.
+		path, st := t.search(t, sc, b1, b2)
+		if st == searchStale {
+			t.probe.Restarted(b1)
 			continue
-		default:
+		}
+		if st == searchFull {
+			// Confirm fullness transactionally before reporting: the key
+			// may already exist, or a slot may have been freed.
+			err := attempt(nil)
+			if err == errNoSpace {
+				return ErrFull
+			}
 			return err
 		}
+		t.probe.ObservePath(b1, uint64(len(path)-1))
+		// Phase 2: one transaction validates the path, performs the
+		// displacements, re-checks for duplicates and inserts.
+		err := attempt(path)
+		if err != errPathInvalid && err != errNoSpace {
+			return err
+		}
+		// Stale path or the free slot vanished: restart (Eq. 1).
+		t.probe.Restarted(b1)
 	}
 }
 
-var (
-	errNoSpace = errorString("cuckoo: no space in pair")
-	errUpdated = errorString("cuckoo: updated in place")
-)
-
 // txAttempt is the transactional critical section of an insert: duplicate
-// check, path validation + execution, slot claim.
+// check, path validation + execution, slot claim. It returns nil for a new
+// entry and txarena.ErrReplaced for an overwrite in place.
 func (t *TxTable) txAttempt(tx *htm.Txn, b1, b2 uint64, key uint64, val []uint64, mode writeMode, path []pathEntry) error {
 	// Duplicate check in both candidate buckets.
 	for _, b := range [2]uint64{b1, b2} {
-		occ := tx.Load(t.occAddr(b))
-		for s := 0; s < int(t.assoc); s++ {
-			if occ&(1<<uint(s)) != 0 && tx.Load(t.keyAddr(b, s)) == key {
-				switch mode {
-				case modeInsert:
-					return ErrExists
-				default:
-					for w := uint64(0); w < t.vw; w++ {
-						tx.Store(t.valAddr(b, s, w), valWord(val, w))
-					}
-					return errUpdated
-				}
+		if s := t.TxFind(tx, b, key); s >= 0 {
+			if mode == modeInsert {
+				return ErrExists
 			}
+			t.TxSetValue(tx, b, s, val)
+			return txarena.ErrReplaced
 		}
 	}
 	if mode == modeUpdate {
@@ -307,9 +186,8 @@ func (t *TxTable) txAttempt(tx *htm.Txn, b1, b2 uint64, key uint64, val []uint64
 	if len(path) == 0 {
 		// Direct insert into either candidate bucket.
 		for _, b := range [2]uint64{b1, b2} {
-			occ := tx.Load(t.occAddr(b))
-			if s, ok := freeSlot(uint32(occ), int(t.assoc)); ok {
-				t.txPlace(tx, b, s, key, val, occ)
+			if s, ok := t.TxFree(tx, b); ok {
+				t.TxPlace(tx, b, s, key, val)
 				return nil
 			}
 		}
@@ -319,170 +197,18 @@ func (t *TxTable) txAttempt(tx *htm.Txn, b1, b2 uint64, key uint64, val []uint64
 	// Validate and execute the displacements hole-backward.
 	for i := len(path) - 2; i >= 0; i-- {
 		src, dst := path[i], path[i+1]
-		srcOcc := tx.Load(t.occAddr(src.bucket))
-		dstOcc := tx.Load(t.occAddr(dst.bucket))
-		if srcOcc&(1<<uint(src.slot)) == 0 ||
-			tx.Load(t.keyAddr(src.bucket, src.slot)) != src.key ||
-			dstOcc&(1<<uint(dst.slot)) != 0 {
+		if t.TxOcc(tx, src.bucket)&(1<<uint(src.slot)) == 0 ||
+			t.TxKey(tx, src.bucket, src.slot) != src.key ||
+			t.TxOcc(tx, dst.bucket)&(1<<uint(dst.slot)) != 0 {
 			return errPathInvalid
 		}
-		tx.Store(t.keyAddr(dst.bucket, dst.slot), src.key)
-		for w := uint64(0); w < t.vw; w++ {
-			tx.Store(t.valAddr(dst.bucket, dst.slot, w), tx.Load(t.valAddr(src.bucket, src.slot, w)))
-		}
-		tx.Store(t.occAddr(dst.bucket), dstOcc|1<<uint(dst.slot))
-		tx.Store(t.occAddr(src.bucket), tx.Load(t.occAddr(src.bucket))&^(1<<uint(src.slot)))
-		t.stats.displacements.add(src.bucket, 1)
+		t.TxMove(tx, src.bucket, src.slot, dst.bucket, dst.slot)
+		t.probe.Displaced(src.bucket)
 	}
 	head := path[0]
-	occ := tx.Load(t.occAddr(head.bucket))
-	if occ&(1<<uint(head.slot)) != 0 {
+	if t.TxOcc(tx, head.bucket)&(1<<uint(head.slot)) != 0 {
 		return errPathInvalid
 	}
-	t.txPlace(tx, head.bucket, head.slot, key, val, occ)
+	t.TxPlace(tx, head.bucket, head.slot, key, val)
 	return nil
-}
-
-func (t *TxTable) txPlace(tx *htm.Txn, b uint64, s int, key uint64, val []uint64, occ uint64) {
-	tx.Store(t.keyAddr(b, s), key)
-	for w := uint64(0); w < t.vw; w++ {
-		tx.Store(t.valAddr(b, s, w), valWord(val, w))
-	}
-	tx.Store(t.occAddr(b), occ|1<<uint(s))
-}
-
-// valWord returns src[w], or 0 beyond the supplied payload (short payloads
-// are zero-extended to the table's value width).
-func valWord(src []uint64, w uint64) uint64 {
-	if w < uint64(len(src)) {
-		return src[w]
-	}
-	return 0
-}
-
-// searchTx is the unlocked BFS/DFS over the arena (direct, untracked
-// loads). A stale observation yields a path that fails transactional
-// validation, aborting nothing but this insert's attempt.
-func (t *TxTable) searchTx(sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	t.stats.searches.add(b1, 1)
-	if t.opts.Search == SearchDFS {
-		return t.searchTxDFS(sc, b1, b2)
-	}
-	return t.searchTxBFS(sc, b1, b2)
-}
-
-func (t *TxTable) searchTxBFS(sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	nodes := sc.nodes[:0]
-	nodes = append(nodes,
-		bfsNode{bucket: b1, pathcode: 0},
-		bfsNode{bucket: b2, pathcode: 1},
-	)
-	assoc := int(t.assoc)
-	budget := t.opts.MaxSearchSlots
-	slotsExamined := 0
-	for qi := 0; qi < len(nodes) && slotsExamined < budget; qi++ {
-		if t.opts.Prefetch && qi+1 < len(nodes) {
-			_ = t.region.LoadDirect(t.occAddr(nodes[qi+1].bucket))
-		}
-		n := nodes[qi]
-		occ := uint32(t.region.LoadDirect(t.occAddr(n.bucket)))
-		slotsExamined += assoc
-		if s, ok := freeSlot(occ, assoc); ok {
-			sc.nodes = nodes
-			if path, ok := t.buildTxPath(sc, n, b1, b2, s); ok {
-				return path, searchFound
-			}
-			return nil, searchStale
-		}
-		if len(nodes)+assoc > cap(nodes) {
-			continue
-		}
-		bucket := n.bucket
-		childCode := n.pathcode * uint32(assoc)
-		childDepth := n.depth + 1
-		for s := 0; s < assoc; s++ {
-			k := t.region.LoadDirect(t.keyAddr(bucket, s))
-			alt := hashfn.AltBucket(t.hash(k), t.nb, bucket)
-			nodes = append(nodes, bfsNode{
-				bucket:   alt,
-				pathcode: childCode + uint32(s),
-				depth:    childDepth,
-			})
-		}
-	}
-	sc.nodes = nodes
-	return nil, searchFull
-}
-
-// buildTxPath mirrors Table.buildPath: decode the pathcode and re-walk the
-// chain with direct arena reads.
-func (t *TxTable) buildTxPath(sc *searchScratch, n bfsNode, b1, b2 uint64, s int) ([]pathEntry, bool) {
-	root := n.decodePath(t.assoc, sc.slots)
-	bucket := b1
-	if root == 1 {
-		bucket = b2
-	}
-	path := sc.path[:0]
-	for i := 0; i < int(n.depth); i++ {
-		slot := sc.slots[i]
-		k := t.region.LoadDirect(t.keyAddr(bucket, slot))
-		path = append(path, pathEntry{bucket: bucket, slot: slot, key: k})
-		bucket = hashfn.AltBucket(t.hash(k), t.nb, bucket)
-	}
-	if bucket != n.bucket {
-		sc.path = path
-		return nil, false
-	}
-	path = append(path, pathEntry{bucket: bucket, slot: s})
-	sc.path = path
-	return path, true
-}
-
-func (t *TxTable) searchTxDFS(sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	assoc := int(t.assoc)
-	budget := t.opts.MaxSearchSlots
-	maxLen := budget / (2 * assoc)
-	if maxLen < 1 {
-		maxLen = 1
-	}
-	buf := sc.path[:0]
-	if cap(buf) < 2*maxLen+2 {
-		buf = make([]pathEntry, 0, 2*maxLen+2)
-	}
-	pathA := buf[0 : 0 : maxLen+1]
-	pathB := buf[maxLen+1 : maxLen+1 : 2*maxLen+2][:0]
-	curA, curB := b1, b2
-	slotsExamined := 0
-	for slotsExamined < budget {
-		if len(pathA) > maxLen && len(pathB) > maxLen {
-			return nil, searchFull
-		}
-		for w := 0; w < 2; w++ {
-			cur := curA
-			path := &pathA
-			if w == 1 {
-				cur = curB
-				path = &pathB
-			}
-			if len(*path) > maxLen {
-				continue
-			}
-			occ := uint32(t.region.LoadDirect(t.occAddr(cur)))
-			slotsExamined += assoc
-			if s, ok := freeSlot(occ, assoc); ok {
-				*path = append(*path, pathEntry{bucket: cur, slot: s})
-				return *path, searchFound
-			}
-			s := int(sc.nextRand() % uint64(assoc))
-			k := t.region.LoadDirect(t.keyAddr(cur, s))
-			*path = append(*path, pathEntry{bucket: cur, slot: s, key: k})
-			next := hashfn.AltBucket(t.hash(k), t.nb, cur)
-			if w == 0 {
-				curA = next
-			} else {
-				curB = next
-			}
-		}
-	}
-	return nil, searchFull
 }

@@ -21,6 +21,7 @@ import (
 
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/spinlock"
+	"cuckoohash/internal/txarena"
 )
 
 // Errors mirroring the core package.
@@ -66,35 +67,28 @@ func Defaults(slots uint64) Options {
 // goroutines may call Lookup concurrently with each other and with at most
 // the internal single writer; Insert/Delete serialize internally.
 type Table struct {
-	nb     uint64
-	assoc  uint64
-	vw     uint64
-	seed   uint64
-	budget int
+	walk
+	vw uint64
 
 	keys     []uint64
 	vals     []uint64
 	occ      []atomic.Uint32
 	versions *spinlock.Stripe
-	writer   spinlock.Mutex
-
-	size    atomic.Int64
-	scratch dfsScratch // guarded by writer
+	scratch  *dfsScratch // guarded by writer
 
 	// DisableGlobalSizeCounter avoids the shared size counter write on the
 	// insert path (principle P1); Len falls back to scanning occupancy.
 	// The Figure 2 experiments enable this, as the paper did.
 	disableSize bool
-}
 
-type dfsScratch struct {
-	path []entry
-	rng  uint64
-}
-
-type entry struct {
-	bucket uint64
-	slot   int
+	// The two words concurrent inserters fight over. The pad keeps them off
+	// the cache line of the read-only fields above, which every caller loads
+	// to hash its key before it queues for the lock: which side of a line
+	// boundary the lock word fell on was worth 15-20% of Figure 2's
+	// multi-thread rows.
+	_      [64]byte
+	writer spinlock.Mutex
+	size   atomic.Int64
 }
 
 func (o Options) validate() error {
@@ -122,17 +116,14 @@ func New(o Options) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		nb:       o.Buckets,
-		assoc:    uint64(o.Assoc),
+		walk:     newWalk(o),
 		vw:       uint64(o.ValueWords),
-		seed:     o.Seed,
-		budget:   o.MaxSearchSlots,
 		keys:     make([]uint64, o.Buckets*uint64(o.Assoc)),
 		vals:     make([]uint64, o.Buckets*uint64(o.Assoc)*uint64(o.ValueWords)),
 		occ:      make([]atomic.Uint32, o.Buckets),
 		versions: spinlock.NewStripe(o.Stripes),
 	}
-	t.scratch.path = make([]entry, 0, o.MaxSearchSlots/o.Assoc+2)
+	t.scratch = t.newScratch()
 	t.scratch.rng = 0x9E3779B97F4A7C15
 	return t, nil
 }
@@ -170,9 +161,11 @@ func (t *Table) LoadFactor() float64 {
 	return float64(n) / float64(t.Cap())
 }
 
-func (t *Table) hash(key uint64) uint64 { return hashfn.Uint64(key, t.seed) }
-
 func (t *Table) loadKey(i uint64) uint64 { return atomic.LoadUint64(&t.keys[i]) }
+
+// The bucketReader of the path search; the writer lock is held.
+func (t *Table) loadOcc(b uint64) uint32        { return t.occ[b].Load() }
+func (t *Table) slotKey(b uint64, s int) uint64 { return t.loadKey(b*t.assoc + uint64(s)) }
 
 // Lookup returns the first value word for key via the optimistic read
 // protocol.
@@ -258,15 +251,21 @@ func (t *Table) InsertValue(key uint64, val []uint64) error {
 		return nil
 	}
 	// SEARCH + EXECUTE, all inside the critical section.
-	path, ok := t.searchDFS(b1, b2)
-	if !ok {
-		return ErrFull
+	for {
+		path, ok := t.search(t, t.scratch, b1, b2)
+		if !ok {
+			return ErrFull
+		}
+		i := len(path) - 2
+		for ; i >= 0 && t.slotKey(path[i].bucket, path[i].slot) == path[i].key; i-- {
+			t.displace(path[i], path[i+1])
+		}
+		if i < 0 {
+			t.place(path[0].bucket, path[0].slot, key, val)
+			return nil
+		}
+		// The walk crossed itself (see walk.search): search again.
 	}
-	for i := len(path) - 2; i >= 0; i-- {
-		t.displace(path[i], path[i+1])
-	}
-	t.place(path[0].bucket, path[0].slot, key, val)
-	return nil
 }
 
 // findLocked scans bucket b for key under the writer lock; returns the slot
@@ -283,13 +282,7 @@ func (t *Table) findLocked(b uint64, key uint64) int {
 }
 
 func (t *Table) freeSlot(b uint64) (int, bool) {
-	occ := t.occ[b].Load()
-	for s := 0; s < int(t.assoc); s++ {
-		if occ&(1<<uint(s)) == 0 {
-			return s, true
-		}
-	}
-	return 0, false
+	return txarena.FreeSlot(t.occ[b].Load(), int(t.assoc))
 }
 
 // place writes (b,s) under the writer lock, bumping the bucket's version
@@ -329,66 +322,6 @@ func (t *Table) displace(src, dst entry) {
 	t.occ[dst.bucket].Store(t.occ[dst.bucket].Load() | 1<<uint(dst.slot))
 	t.occ[src.bucket].Store(t.occ[src.bucket].Load() &^ (1 << uint(src.slot)))
 	t.versions.UnlockPair(l1, l2)
-}
-
-// searchDFS is MemC3's two-way random-walk search, run under the writer
-// lock. The returned path ends at an entry whose slot is empty.
-func (t *Table) searchDFS(b1, b2 uint64) ([]entry, bool) {
-	assoc := int(t.assoc)
-	maxLen := t.budget / (2 * assoc)
-	if maxLen < 1 {
-		maxLen = 1
-	}
-	sc := &t.scratch
-	pathA := sc.path[:0]
-	var pathB []entry
-	if cap(pathA) >= 2*(maxLen+1) {
-		half := cap(pathA) / 2
-		pathB = pathA[half:half:cap(pathA)]
-		pathA = pathA[0:0:half]
-	} else {
-		pathB = make([]entry, 0, maxLen+1)
-	}
-	curA, curB := b1, b2
-	examined := 0
-	for examined < t.budget {
-		if len(pathA) > maxLen && len(pathB) > maxLen {
-			return nil, false
-		}
-		for w := 0; w < 2; w++ {
-			cur, path := curA, &pathA
-			if w == 1 {
-				cur, path = curB, &pathB
-			}
-			if len(*path) > maxLen {
-				continue
-			}
-			examined += assoc
-			if s, ok := t.freeSlot(cur); ok {
-				*path = append(*path, entry{bucket: cur, slot: s})
-				return *path, true
-			}
-			s := int(sc.nextRand() % uint64(assoc))
-			k := t.loadKey(cur*t.assoc + uint64(s))
-			*path = append(*path, entry{bucket: cur, slot: s})
-			next := hashfn.AltBucket(t.hash(k), t.nb, cur)
-			if w == 0 {
-				curA = next
-			} else {
-				curB = next
-			}
-		}
-	}
-	return nil, false
-}
-
-func (sc *dfsScratch) nextRand() uint64 {
-	x := sc.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	sc.rng = x
-	return x
 }
 
 // Delete removes key under the writer lock, reporting presence.

@@ -1,8 +1,11 @@
 package memc3
 
 import (
+	"sync"
+
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/htm"
+	"cuckoohash/internal/txarena"
 )
 
 // TxTable is the MemC3 cuckoo table under a coarse lock with (emulated) TSX
@@ -16,25 +19,13 @@ import (
 // and overflow the emulated L1 capacity, so the abort rate explodes and the
 // fallback lock serializes the writers, reproducing §2.3's observation that
 // lock elision alone cannot rescue an unoptimized data structure.
+//
+// The bucket records and their slot operations are txarena.Buckets, the
+// same arena core.TxTable runs on; the search is Table's (walk).
 type TxTable struct {
-	nb     uint64
-	assoc  uint64
-	vw     uint64
-	seed   uint64
-	budget int
-	stride uint64
-	policy htm.Policy
-	region *htm.Region
-	size   paddedSize
-}
-
-type paddedSize struct {
-	shards [64]paddedI64
-}
-
-type paddedI64 struct {
-	v atomicI64
-	_ [120]byte
+	walk
+	txarena.Buckets
+	searches sync.Pool // *txSearch
 }
 
 // NewTxTable creates the transactional MemC3 table.
@@ -42,19 +33,10 @@ func NewTxTable(o Options, policy htm.Policy, cfg htm.Config) (*TxTable, error) 
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	assoc := uint64(o.Assoc)
-	vw := uint64(o.ValueWords)
-	stride := (1 + assoc + assoc*vw + 7) / 8 * 8
-	words := o.Buckets * stride
-	t := &TxTable{
-		nb:     o.Buckets,
-		assoc:  assoc,
-		vw:     vw,
-		seed:   o.Seed,
-		budget: o.MaxSearchSlots,
-		stride: stride,
-		policy: policy,
-		region: htm.NewRegion(int(words), cfg),
+	t := &TxTable{walk: newWalk(o)}
+	t.searches.New = func() any { return &txSearch{t: t, sc: t.newScratch()} }
+	if err := t.Buckets.Init(o.Buckets, o.Assoc, o.ValueWords, policy, cfg); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -68,221 +50,71 @@ func MustNewTxTable(o Options, policy htm.Policy, cfg htm.Config) *TxTable {
 	return t
 }
 
-// Region exposes the transaction statistics.
-func (t *TxTable) Region() *htm.Region { return t.region }
-
-// Cap returns the slot count.
-func (t *TxTable) Cap() uint64 { return t.nb * t.assoc }
-
-// Len returns the key count.
-func (t *TxTable) Len() uint64 {
-	var n int64
-	for i := range t.size.shards {
-		n += t.size.shards[i].v.Load()
-	}
-	return uint64(n)
+// txSearch is what one insert's in-transaction path search needs, taken
+// from a pool before the transaction begins: an allocation inside it cannot
+// be rolled back on abort, and real HTM aborts on the allocator's page
+// faults. It is the search's bucketReader: every read is tracked by tx.
+type txSearch struct {
+	t  *TxTable
+	tx *htm.Txn
+	sc *dfsScratch
 }
 
-// LoadFactor returns Len/Cap.
-func (t *TxTable) LoadFactor() float64 { return float64(t.Len()) / float64(t.Cap()) }
-
-func (t *TxTable) hash(key uint64) uint64 { return hashfn.Uint64(key, t.seed) }
-
-func (t *TxTable) occAddr(b uint64) uint32 { return uint32(b * t.stride) }
-func (t *TxTable) keyAddr(b uint64, s int) uint32 {
-	return uint32(b*t.stride + 1 + uint64(s))
-}
-func (t *TxTable) valAddr(b uint64, s int, w uint64) uint32 {
-	return uint32(b*t.stride + 1 + t.assoc + uint64(s)*t.vw + w)
-}
+func (r *txSearch) loadOcc(b uint64) uint32        { return r.t.TxOcc(r.tx, b) }
+func (r *txSearch) slotKey(b uint64, s int) uint64 { return r.t.TxKey(r.tx, b, s) }
 
 // Lookup reads key in one read-only transaction.
 func (t *TxTable) Lookup(key uint64) (uint64, bool) {
 	b1, b2 := hashfn.TwoBuckets(t.hash(key), t.nb)
-	var val uint64
-	found := false
-	_ = t.region.RunElided(t.policy, func(tx *htm.Txn) error {
-		found = false
-		for _, b := range [2]uint64{b1, b2} {
-			occ := tx.Load(t.occAddr(b))
-			for s := 0; s < int(t.assoc); s++ {
-				if occ&(1<<uint(s)) != 0 && tx.Load(t.keyAddr(b, s)) == key {
-					val = tx.Load(t.valAddr(b, s, 0))
-					found = true
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	return val, found
-}
-
-// txScratch holds the DFS path buffers. They are allocated before the
-// transaction begins: an allocation inside the transaction body cannot be
-// rolled back on abort and real HTM aborts on the allocator's page faults
-// (cuckoovet:htmpure). The DFS itself still runs inside the transaction —
-// that unoptimized placement is the point of this baseline.
-type txScratch struct {
-	pathA, pathB []entry
-}
-
-// maxPathLen is the per-direction DFS depth bound implied by the budget.
-func (t *TxTable) maxPathLen() int {
-	maxLen := t.budget / (2 * int(t.assoc))
-	if maxLen < 1 {
-		maxLen = 1
-	}
-	return maxLen
+	var v [1]uint64
+	found := t.Find(b1, b2, key, v[:])
+	return v[0], found
 }
 
 // Insert runs the entire Algorithm 1 in a single elided transaction.
 func (t *TxTable) Insert(key, val uint64) error {
 	h := t.hash(key)
 	b1, b2 := hashfn.TwoBuckets(h, t.nb)
-	maxLen := t.maxPathLen()
-	sc := txScratch{
-		pathA: make([]entry, maxLen+1),
-		pathB: make([]entry, maxLen+1),
-	}
-	err := t.region.RunElided(t.policy, func(tx *htm.Txn) error {
+	rd := t.searches.Get().(*txSearch)
+	defer t.searches.Put(rd)
+	v := []uint64{val}
+	_, err := t.Do(b1, 1, func(tx *htm.Txn) error {
 		// Duplicate check.
-		for _, b := range [2]uint64{b1, b2} {
-			occ := tx.Load(t.occAddr(b))
-			for s := 0; s < int(t.assoc); s++ {
-				if occ&(1<<uint(s)) != 0 && tx.Load(t.keyAddr(b, s)) == key {
-					return ErrExists
-				}
-			}
+		if t.TxFind(tx, b1, key) >= 0 || t.TxFind(tx, b2, key) >= 0 {
+			return ErrExists
 		}
 		// Direct placement.
 		for _, b := range [2]uint64{b1, b2} {
-			occ := tx.Load(t.occAddr(b))
-			if s, ok := freeBit(occ, int(t.assoc)); ok {
-				t.txPlace(tx, b, s, key, val, occ)
+			if s, ok := t.TxFree(tx, b); ok {
+				t.TxPlace(tx, b, s, key, v)
 				return nil
 			}
 		}
 		// DFS search *inside* the transaction (the unoptimized design).
-		path, ok := t.txSearch(tx, &sc, h, b1, b2)
-		if !ok {
-			return ErrFull
+		// Victims derive from the key's hash: concurrent inserts share no
+		// generator state, and a re-run repeats the same walk.
+		rd.tx, rd.sc.rng = tx, h|1
+		for {
+			path, ok := t.search(rd, rd.sc, b1, b2)
+			if !ok {
+				return ErrFull
+			}
+			i := len(path) - 2
+			for ; i >= 0 && t.TxKey(tx, path[i].bucket, path[i].slot) == path[i].key; i-- {
+				t.TxMove(tx, path[i].bucket, path[i].slot, path[i+1].bucket, path[i+1].slot)
+			}
+			if i < 0 {
+				t.TxPlace(tx, path[0].bucket, path[0].slot, key, v)
+				return nil
+			}
+			// The walk crossed itself (see walk.search): search again.
 		}
-		for i := len(path) - 2; i >= 0; i-- {
-			t.txDisplace(tx, path[i], path[i+1])
-		}
-		occ := tx.Load(t.occAddr(path[0].bucket))
-		t.txPlace(tx, path[0].bucket, path[0].slot, key, val, occ)
-		return nil
 	})
-	if err == nil {
-		t.size.shards[b1&63].v.Add(1)
-	}
 	return err
 }
 
 // Delete removes key in one transaction.
 func (t *TxTable) Delete(key uint64) bool {
 	b1, b2 := hashfn.TwoBuckets(t.hash(key), t.nb)
-	deleted := false
-	_ = t.region.RunElided(t.policy, func(tx *htm.Txn) error {
-		deleted = false
-		for _, b := range [2]uint64{b1, b2} {
-			occ := tx.Load(t.occAddr(b))
-			for s := 0; s < int(t.assoc); s++ {
-				if occ&(1<<uint(s)) != 0 && tx.Load(t.keyAddr(b, s)) == key {
-					tx.Store(t.occAddr(b), occ&^(1<<uint(s)))
-					deleted = true
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	if deleted {
-		t.size.shards[b1&63].v.Add(-1)
-	}
-	return deleted
-}
-
-func (t *TxTable) txPlace(tx *htm.Txn, b uint64, s int, key, val uint64, occ uint64) {
-	tx.Store(t.keyAddr(b, s), key)
-	tx.Store(t.valAddr(b, s, 0), val)
-	for w := uint64(1); w < t.vw; w++ {
-		tx.Store(t.valAddr(b, s, w), 0)
-	}
-	tx.Store(t.occAddr(b), occ|1<<uint(s))
-}
-
-func (t *TxTable) txDisplace(tx *htm.Txn, src, dst entry) {
-	sOcc := tx.Load(t.occAddr(src.bucket))
-	dOcc := tx.Load(t.occAddr(dst.bucket))
-	tx.Store(t.keyAddr(dst.bucket, dst.slot), tx.Load(t.keyAddr(src.bucket, src.slot)))
-	for w := uint64(0); w < t.vw; w++ {
-		tx.Store(t.valAddr(dst.bucket, dst.slot, w), tx.Load(t.valAddr(src.bucket, src.slot, w)))
-	}
-	tx.Store(t.occAddr(dst.bucket), dOcc|1<<uint(dst.slot))
-	if src.bucket == dst.bucket {
-		sOcc = tx.Load(t.occAddr(src.bucket))
-	}
-	tx.Store(t.occAddr(src.bucket), sOcc&^(1<<uint(src.slot)))
-}
-
-// txSearch is the two-way DFS with every bucket read tracked by the
-// transaction. Randomness derives deterministically from the key's hash so
-// no shared generator state exists.
-func (t *TxTable) txSearch(tx *htm.Txn, sc *txScratch, h, b1, b2 uint64) ([]entry, bool) {
-	assoc := int(t.assoc)
-	maxLen := t.maxPathLen()
-	// Indexed writes into the pre-sized scratch, never append: the buffers
-	// must not grow while the transaction is live (cuckoovet:htmpure).
-	pathA, pathB := sc.pathA[:maxLen+1], sc.pathB[:maxLen+1]
-	nA, nB := 0, 0
-	curA, curB := b1, b2
-	rng := h | 1
-	examined := 0
-	for examined < t.budget {
-		if nA > maxLen && nB > maxLen {
-			return nil, false
-		}
-		for w := 0; w < 2; w++ {
-			cur, path, n := curA, pathA, &nA
-			if w == 1 {
-				cur, path, n = curB, pathB, &nB
-			}
-			if *n > maxLen {
-				continue
-			}
-			examined += assoc
-			occ := tx.Load(t.occAddr(cur))
-			if s, ok := freeBit(occ, assoc); ok {
-				path[*n] = entry{bucket: cur, slot: s}
-				*n++
-				return path[:*n], true
-			}
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			s := int(rng % uint64(assoc))
-			k := tx.Load(t.keyAddr(cur, s))
-			path[*n] = entry{bucket: cur, slot: s}
-			*n++
-			next := hashfn.AltBucket(t.hash(k), t.nb, cur)
-			if w == 0 {
-				curA = next
-			} else {
-				curB = next
-			}
-		}
-	}
-	return nil, false
-}
-
-func freeBit(occ uint64, assoc int) (int, bool) {
-	for s := 0; s < assoc; s++ {
-		if occ&(1<<uint(s)) == 0 {
-			return s, true
-		}
-	}
-	return 0, false
+	return t.Remove(b1, b2, key)
 }

@@ -1,10 +1,5 @@
 package memc3
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 func spinYield() { runtime.Gosched() }
-
-type atomicI64 = atomic.Int64

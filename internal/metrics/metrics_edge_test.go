@@ -73,6 +73,28 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		}
 	})
 
+	t.Run("path-length clamp", func(t *testing.T) {
+		// The probe's path-length histogram has PathLenBuckets exact
+		// buckets; anything longer (a DFS walk) lands in the last one,
+		// while MaxPathLen keeps the unclamped length.
+		var p Probe
+		for _, l := range []uint64{0, 1, 1, PathLenBuckets - 1, PathLenBuckets, 250, math.MaxUint64} {
+			p.ObservePath(l, l) // the bucket argument only picks a shard
+		}
+		s := p.Snapshot()
+		want := [PathLenBuckets]uint64{0: 1, 1: 2, PathLenBuckets - 1: 4}
+		if s.PathLenHist != want {
+			t.Errorf("PathLenHist = %v, want %v", s.PathLenHist, want)
+		}
+		if s.MaxPathLen != math.MaxUint64 {
+			t.Errorf("MaxPathLen = %d, want the unclamped maximum", s.MaxPathLen)
+		}
+		p.Reset()
+		if p.Snapshot() != (ProbeStats{}) {
+			t.Errorf("Snapshot after Reset = %+v, want zero", p.Snapshot())
+		}
+	})
+
 	t.Run("quantile ordering", func(t *testing.T) {
 		var h Histogram
 		for v := uint64(1); v < 1<<20; v = v*3 + 1 {
@@ -92,59 +114,78 @@ func TestHistogramQuantileEdges(t *testing.T) {
 // TestOpCounterConcurrentTotal reads Total while writers are still
 // adding (run under -race): every intermediate Total must be a value the
 // true count passed through — between 0 and the final sum — and
-// monotonically non-decreasing, since each padded slot only grows.
+// monotonically non-decreasing, since each padded slot only grows. Both
+// lazily aggregated counters are held to it: OpCounter (one slot per
+// thread) and ShardedCounter (64 shards picked by bucket, behind every
+// table's size and every probe count).
 func TestOpCounterConcurrentTotal(t *testing.T) {
 	const (
 		writers = 8
 		perW    = 200000
 	)
-	c := NewOpCounter(writers)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	op := NewOpCounter(writers)
+	var sh ShardedCounter
+	for _, c := range []struct {
+		name  string
+		add   func(w int)
+		total func() uint64
+		reset func()
+	}{
+		{"OpCounter", func(w int) { op.Add(w, 1) }, op.Total, op.Reset},
+		// Two writers to a shard (w and w+4, and 68 aliases 4): adds to
+		// one shard from several goroutines must not lose counts either.
+		{"ShardedCounter", func(w int) { sh.Add(uint64(w%4+w/4*64), 1) },
+			func() uint64 { return uint64(sh.Total()) }, sh.Reset},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
 
-	readerDone := make(chan error, 1)
-	go func() {
-		var prev uint64
-		for {
-			select {
-			case <-stop:
-				readerDone <- nil
-				return
-			default:
-			}
-			cur := c.Total()
-			if cur < prev {
-				readerDone <- errMonotone(prev, cur)
-				return
-			}
-			if cur > writers*perW {
-				readerDone <- errBound(cur)
-				return
-			}
-			prev = cur
-		}
-	}()
+			readerDone := make(chan error, 1)
+			go func() {
+				var prev uint64
+				for {
+					select {
+					case <-stop:
+						readerDone <- nil
+						return
+					default:
+					}
+					cur := c.total()
+					if cur < prev {
+						readerDone <- errMonotone(prev, cur)
+						return
+					}
+					if cur > writers*perW {
+						readerDone <- errBound(cur)
+						return
+					}
+					prev = cur
+				}
+			}()
 
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				c.Add(w, 1)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perW; i++ {
+						c.add(w)
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Total(); got != writers*perW {
-		t.Fatalf("final Total = %d, want %d", got, writers*perW)
-	}
-	c.Reset()
-	if got := c.Total(); got != 0 {
-		t.Fatalf("Total after Reset = %d, want 0", got)
+			wg.Wait()
+			close(stop)
+			if err := <-readerDone; err != nil {
+				t.Fatal(err)
+			}
+			if got := c.total(); got != writers*perW {
+				t.Fatalf("final Total = %d, want %d", got, writers*perW)
+			}
+			c.reset()
+			if got := c.total(); got != 0 {
+				t.Fatalf("Total after Reset = %d, want 0", got)
+			}
+		})
 	}
 }
 

@@ -125,7 +125,7 @@ func TestOracleRandomOps(t *testing.T) {
 }
 
 func TestTxMapBasicAndConcurrent(t *testing.T) {
-	m := NewTxMap(1<<14, 3, htm.PolicyTuned, htm.DefaultConfig())
+	m := MustNewTxMap(1<<14, 3, htm.PolicyTuned, htm.DefaultConfig())
 	const threads = 8
 	const per = 500 // stays below the 0.5-load cliff
 	var wg sync.WaitGroup

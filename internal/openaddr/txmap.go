@@ -3,6 +3,7 @@ package openaddr
 import (
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/htm"
+	"cuckoohash/internal/txarena"
 )
 
 // TxMap is the quadratic-probing table under a coarse lock with (emulated)
@@ -15,33 +16,36 @@ import (
 // probe chains near the 0.5 load ceiling drag many lines into the read set,
 // which is what makes this design collapse under concurrent elided writers.
 type TxMap struct {
-	seed   uint64
-	mask   uint64
-	policy htm.Policy
-	region *htm.Region
-	size   shardedCounter
+	txarena.Elided
+	seed uint64
+	mask uint64
 }
 
 // NewTxMap creates a transactional open-addressing table with at least
 // capacity slots.
-func NewTxMap(capacity uint64, seed uint64, policy htm.Policy, cfg htm.Config) *TxMap {
+func NewTxMap(capacity uint64, seed uint64, policy htm.Policy, cfg htm.Config) (*TxMap, error) {
+	if capacity > txarena.MaxWords {
+		return nil, txarena.ErrTooLarge // the doubling below would not end
+	}
 	size := uint64(16)
 	for size < capacity {
 		size <<= 1
 	}
-	return &TxMap{
-		seed:   seed,
-		mask:   size - 1,
-		policy: policy,
-		region: htm.NewRegion(int(3*size), cfg),
+	m := &TxMap{seed: seed, mask: size - 1}
+	if err := m.Init(3*size, policy, cfg); err != nil {
+		return nil, err
 	}
+	return m, nil
 }
 
-// Region exposes transaction statistics.
-func (m *TxMap) Region() *htm.Region { return m.region }
-
-// Len returns the live entry count.
-func (m *TxMap) Len() uint64 { return uint64(m.size.total()) }
+// MustNewTxMap panics on configuration errors.
+func MustNewTxMap(capacity uint64, seed uint64, policy htm.Policy, cfg htm.Config) *TxMap {
+	m, err := NewTxMap(capacity, seed, policy, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // Cap returns the slot count.
 func (m *TxMap) Cap() uint64 { return m.mask + 1 }
@@ -51,27 +55,23 @@ func (m *TxMap) keyAddr(i uint64) uint32   { return uint32(m.mask + 1 + i) }
 func (m *TxMap) valAddr(i uint64) uint32   { return uint32(2*(m.mask+1) + i) }
 
 // Get returns the value for key.
-func (m *TxMap) Get(key uint64) (uint64, bool) {
+func (m *TxMap) Get(key uint64) (val uint64, found bool) {
 	h := hashfn.Uint64(key, m.seed)
-	var val uint64
-	found := false
-	_ = m.region.RunElided(m.policy, func(tx *htm.Txn) error {
-		found = false
+	found = m.Read(func(tx *htm.Txn) error {
 		i := h & m.mask
 		for probe := uint64(1); probe <= m.mask+1; probe++ {
 			switch tx.Load(m.stateAddr(i)) {
 			case slotEmpty:
-				return nil
+				return txarena.ErrAbsent
 			case slotFull:
 				if tx.Load(m.keyAddr(i)) == key {
 					val = tx.Load(m.valAddr(i))
-					found = true
 					return nil
 				}
 			}
 			i = (i + probe) & m.mask
 		}
-		return nil
+		return txarena.ErrAbsent
 	})
 	return val, found
 }
@@ -79,9 +79,7 @@ func (m *TxMap) Get(key uint64) (uint64, bool) {
 // Put inserts or overwrites key; ErrFull when no slot is reachable.
 func (m *TxMap) Put(key, val uint64) error {
 	h := hashfn.Uint64(key, m.seed)
-	inserted := false
-	err := m.region.RunElided(m.policy, func(tx *htm.Txn) error {
-		inserted = false
+	_, err := m.Do(h, 1, func(tx *htm.Txn) error {
 		i := h & m.mask
 		for probe := uint64(1); probe <= m.mask+1; probe++ {
 			switch tx.Load(m.stateAddr(i)) {
@@ -89,48 +87,38 @@ func (m *TxMap) Put(key, val uint64) error {
 				tx.Store(m.keyAddr(i), key)
 				tx.Store(m.valAddr(i), val)
 				tx.Store(m.stateAddr(i), slotFull)
-				inserted = true
 				return nil
 			case slotFull:
 				if tx.Load(m.keyAddr(i)) == key {
 					tx.Store(m.valAddr(i), val)
-					return nil
+					return txarena.ErrReplaced
 				}
 			}
 			i = (i + probe) & m.mask
 		}
 		return ErrFull
 	})
-	if err == nil && inserted {
-		m.size.add(h, 1)
-	}
 	return err
 }
 
 // Delete removes key, leaving a tombstone.
 func (m *TxMap) Delete(key uint64) bool {
 	h := hashfn.Uint64(key, m.seed)
-	deleted := false
-	_ = m.region.RunElided(m.policy, func(tx *htm.Txn) error {
-		deleted = false
+	deleted, _ := m.Do(h, -1, func(tx *htm.Txn) error {
 		i := h & m.mask
 		for probe := uint64(1); probe <= m.mask+1; probe++ {
 			switch tx.Load(m.stateAddr(i)) {
 			case slotEmpty:
-				return nil
+				return txarena.ErrAbsent
 			case slotFull:
 				if tx.Load(m.keyAddr(i)) == key {
 					tx.Store(m.stateAddr(i), slotDeleted)
-					deleted = true
 					return nil
 				}
 			}
 			i = (i + probe) & m.mask
 		}
-		return nil
+		return txarena.ErrAbsent
 	})
-	if deleted {
-		m.size.add(h, -1)
-	}
 	return deleted
 }

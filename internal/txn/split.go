@@ -218,8 +218,8 @@ func (s *Store) noteContention(key string, class uint8) {
 // if it had crossed the contention threshold. Benchmarks and tests use
 // it to measure split-phase behaviour deterministically: organic
 // promotion depends on TryLock collisions, which are scheduler-timing
-// dependent (and rare under GOMAXPROCS=1). Returns false when splitting
-// is disabled or the key is already hot.
+// dependent. Returns false when splitting is disabled or the key is
+// already hot.
 func (s *Store) Promote(key string) bool {
 	if s.cfg.PromoteAfter < 0 {
 		return false

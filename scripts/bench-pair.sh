@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired runs of the repository benchmark: this checkout against BASE.
 #
-#   bash scripts/bench-pair.sh WORKLOAD BASE PAIRS      (or: make bench-pair)
+#   bash scripts/bench-pair.sh WORKLOAD BASE PAIRS [TRACE]   (or: make bench-pair)
 #
 # benchmark/README.md, "How to claim a gain on a moved metric": run pairs
 # of untraced runs, alternate which side goes first, and claim only what
@@ -9,11 +9,15 @@
 # quartiles. BASE is exported with git archive into .bench_build/ (ignored
 # by git), so both sides build from committed or working-tree source with
 # the benchmark's own run.sh. Prints, per metric, both medians, both
-# quartile distances and the pairs this checkout won.
+# quartile distances and the pairs this checkout won. TRACE=1 pairs traced
+# runs instead, whose result line carries the per-layer metrics too (those
+# that are zero in every run, because the workload has no such layer, are
+# left out); gains are still claimed on untraced pairs only.
 set -euo pipefail
 workload="${1:?usage: bench-pair.sh WORKLOAD BASE PAIRS}"
 base="${2:?usage: bench-pair.sh WORKLOAD BASE PAIRS}"
 pairs="${3:?usage: bench-pair.sh WORKLOAD BASE PAIRS}"
+trace="${4:-0}"
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -30,7 +34,7 @@ mkdir -p "$out"
 # result line and the candidates line before it, and fails on a failed op.
 one() {
 	local log="$out/$1-$3.log"
-	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 15 --trace 0) >"$log" 2>&1 ||
+	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 15 --trace "$trace") >"$log" 2>&1 ||
 		{ tail -5 "$log" >&2; exit 1; }
 	tail -1 "$log" | grep -q '"failed":0,' || { echo "$1 run $3: failed operations" >&2; tail -1 "$log" >&2; exit 1; }
 	tail -2 "$log" | grep -o '"[a-z0-9_.]*":{"value":[^,]*' |
@@ -45,7 +49,7 @@ for n in $(seq 1 "$pairs"); do
 	done
 done
 
-echo "bench-pair  workload $workload  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  pairs $pairs  seed 1  seconds 15  trace 0"
+echo "bench-pair  workload $workload  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  pairs $pairs  seed 1  seconds 15  trace $trace"
 grep -m1 '^host ' "$out/head-1.log"
 # "better" per metric, from BENCHMARK.json (one metric per line there).
 sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' BENCHMARK.json >"$out/better.txt"
@@ -62,7 +66,7 @@ done | awk -v pairs="$pairs" '
 	NR == FNR { better[$1] = $2; next }
 	{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 } }
 	END {
-		printf "%-22s %-7s %12s %10s %12s %10s %9s\n", "metric", "better", "base median", "base iqr", "head median", "head iqr", "head won"
+		printf "%-30s %-7s %12s %10s %12s %10s %9s\n", "metric", "better", "base median", "base iqr", "head median", "head iqr", "head won"
 		for (k = 1; k <= nm; k++) {
 			m = order[k]; won = 0
 			for (n = 1; n <= pairs; n++) {
@@ -70,6 +74,7 @@ done | awk -v pairs="$pairs" '
 				if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) won++
 			}
 			summarize("base", m, b); summarize("head", m, h)
-			printf "%-22s %-7s %12.6g %10.4g %12.6g %10.4g %6d/%d\n", m, better[m], b["med"], b["iqr"], h["med"], h["iqr"], won, pairs
+			if (b["med"] == 0 && h["med"] == 0 && b["iqr"] == 0 && h["iqr"] == 0) continue
+			printf "%-30s %-7s %12.6g %10.4g %12.6g %10.4g %6d/%d\n", m, better[m], b["med"], b["iqr"], h["med"], h["iqr"], won, pairs
 		}
 	}' "$out/better.txt" -
