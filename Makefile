@@ -53,11 +53,13 @@ test:
 # double-folded split slot): on a 2-CPU host the default run never
 # reaches the interleavings the paper is about. -count=1 because a
 # cached pass proves nothing about a scheduler-dependent bug.
+# ./client rides along for its pool, breaker, hot cache and version
+# memory: shared state many goroutines reach, ~2 s per pass.
 # ./internal/chained runs five times on top: its allocator-conflict test
 # compares the abort behaviour of two allocators under forced overlap, and
 # its predecessor passed single runs while failing under repetition
 # (ROADMAP item 0); five keeps that from reopening silently.
-PARALLEL_PKGS = ./internal/txn ./generic ./server
+PARALLEL_PKGS = ./internal/txn ./generic ./server ./client
 
 race:
 	$(GO) test -race ./...

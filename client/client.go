@@ -369,8 +369,15 @@ func cutUint(s string, base int) (uint64, string, error) {
 	return n, rest, err
 }
 
-// one flushes a single queued request and returns its reply.
-func (c *Conn) one() (Reply, error) {
+// roundTrip completes a one-shot verb: queued is the result of its
+// Queue* call, the reply is the single one Flush reads back, and a
+// server-side ERR is folded into the returned error (the Reply then holds
+// nothing else). Every one-shot method is a Queue* call, this, and a
+// projection of the Reply's fields.
+func (c *Conn) roundTrip(queued error) (Reply, error) {
+	if queued != nil {
+		return Reply{}, queued
+	}
 	reps, err := c.Flush()
 	if err != nil {
 		return Reply{}, err
@@ -378,68 +385,38 @@ func (c *Conn) one() (Reply, error) {
 	if len(reps) != 1 {
 		return Reply{}, fmt.Errorf("client: expected 1 reply, got %d", len(reps))
 	}
-	return reps[0], nil
+	return reps[0], reps[0].Err
 }
 
 // Get fetches key.
 func (c *Conn) Get(key string) (string, bool, error) {
-	if err := c.QueueGet(key); err != nil {
-		return "", false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return "", false, err
-	}
-	return rep.Value, rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueGet(key))
+	return rep.Value, rep.Found, err
 }
 
 // Set stores key=val with an optional TTL (0 = no expiry).
 func (c *Conn) Set(key, val string, ttl time.Duration) error {
-	if err := c.QueueSet(key, val, ttl); err != nil {
-		return err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return err
-	}
-	return rep.Err
+	_, err := c.roundTrip(c.QueueSet(key, val, ttl))
+	return err
 }
 
 // Del removes key, reporting whether it was present.
 func (c *Conn) Del(key string) (bool, error) {
-	if err := c.QueueDel(key); err != nil {
-		return false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return false, err
-	}
-	return rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueDel(key))
+	return rep.Found, err
 }
 
 // GetV fetches key with its replication version word.
 func (c *Conn) GetV(key string) (val string, ver uint64, found bool, err error) {
-	if err := c.QueueGetV(key); err != nil {
-		return "", 0, false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return "", 0, false, err
-	}
-	return rep.Value, rep.Ver, rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueGetV(key))
+	return rep.Value, rep.Ver, rep.Found, err
 }
 
 // SetV stores key=val (ttl 0 = no expiry) and returns the version word
 // the server stored with this very write (never 0).
 func (c *Conn) SetV(key, val string, ttl time.Duration) (uint64, error) {
-	if err := c.QueueSetV(key, val, ttl); err != nil {
-		return 0, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return 0, err
-	}
-	return rep.Ver, rep.Err
+	rep, err := c.roundTrip(c.QueueSetV(key, val, ttl))
+	return rep.Ver, err
 }
 
 // Lease runs one round of the miss-lease protocol for key. Inspect the
@@ -448,80 +425,115 @@ func (c *Conn) SetV(key, val string, ttl time.Duration) (uint64, error) {
 // the server offered an expired copy, and otherwise Wait is the retry
 // hint. Pool.GetOrFill drives the whole loop.
 func (c *Conn) Lease(key string) (Reply, error) {
-	if err := c.QueueLease(key); err != nil {
-		return Reply{}, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return Reply{}, err
-	}
-	return rep, rep.Err
+	return c.roundTrip(c.QueueLease(key))
 }
 
 // SetLease publishes a lease fill. filled reports whether the server
 // accepted it; a false return means the token lost to a newer write or
 // expiry and nothing was stored.
 func (c *Conn) SetLease(key string, token uint64, val string, ttl time.Duration) (ver uint64, filled bool, err error) {
-	if err := c.QueueSetLease(key, token, val, ttl); err != nil {
-		return 0, false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return 0, false, err
-	}
-	return rep.Ver, rep.Found, rep.Err
+	rep, err := c.roundTrip(c.QueueSetLease(key, token, val, ttl))
+	return rep.Ver, rep.Found, err
 }
 
 // TTL returns key's remaining lifetime (-1 if persistent).
 func (c *Conn) TTL(key string) (time.Duration, bool, error) {
-	if err := c.QueueTTL(key); err != nil {
-		return 0, false, err
+	rep, err := c.roundTrip(c.QueueTTL(key))
+	return rep.TTL, rep.Found, err
+}
+
+// exchange is the one out-of-pipeline request/reply step, behind every
+// verb whose reply is not one line per queued request (STATS, CLUSTER,
+// HOTKEYS, MIGRATE, MULTI…EXEC). It refuses a closed, broken or non-empty
+// pipeline, arms one deadline for the whole exchange (ioTimeout, raised to
+// floor for verbs that legitimately outlive a single GET), sends what
+// write buffered and lets read consume the reply. A transport failure on
+// either side breaks the Conn; what read makes of the lines is its own.
+func (c *Conn) exchange(verb string, floor time.Duration, write func(), read func() error) error {
+	switch {
+	case c.closed:
+		return ErrClosed
+	case c.broken != nil:
+		return c.broken
+	case len(c.pending) > 0:
+		return fmt.Errorf("client: %s with requests still queued", verb)
 	}
-	rep, err := c.one()
+	if c.ioTimeout > 0 {
+		c.nc.SetDeadline(time.Now().Add(max(c.ioTimeout, floor)))
+		defer c.nc.SetDeadline(time.Time{})
+	}
+	write()
+	if err := c.w.Flush(); err != nil {
+		return c.fail(err)
+	}
+	return read()
+}
+
+// readLine reads one reply line of an exchange without interpreting it;
+// an error is a transport failure and has already broken the Conn.
+func (c *Conn) readLine() (string, error) {
+	line, err := c.r.ReadString('\n')
 	if err != nil {
-		return 0, false, err
+		return "", c.fail(err)
 	}
-	return rep.TTL, rep.Found, rep.Err
+	return strings.TrimRight(line, "\r\n"), nil
+}
+
+// unexpected is the error for a reply line an exchange has no other
+// reading of. The server's ERR is a *ServerError and leaves the Conn
+// usable — which is how "ERR busy" on a shed connection stays a busy
+// rejection whatever verb met it; anything else is a protocol fault that
+// breaks the Conn, as it does in Flush.
+func (c *Conn) unexpected(line string) error {
+	if msg, ok := strings.CutPrefix(line, "ERR "); ok {
+		return &ServerError{Msg: msg}
+	}
+	return c.fail(fmt.Errorf("client: unexpected reply %q", line))
+}
+
+// block runs the exchange whose reply is an END-terminated list of
+// "<tag> <a> <b…>" lines (STATS, CLUSTER, HOTKEYS), handing each line's
+// two fields to each.
+func (c *Conn) block(req, tag string, traced bool, each func(a, b string) error) error {
+	return c.exchange(req, 0, func() {
+		if traced {
+			c.writeTrace()
+		}
+		c.w.WriteString(req)
+		c.w.WriteByte('\n')
+	}, func() error {
+		for {
+			line, err := c.readLine()
+			if err != nil {
+				return err
+			}
+			if line == "END" {
+				return nil
+			}
+			rest, tagged := strings.CutPrefix(line, tag)
+			a, b, ok := strings.Cut(rest, " ")
+			if !tagged || !ok || each(a, b) != nil {
+				return c.unexpected(line)
+			}
+		}
+	})
+}
+
+// info runs a block exchange whose lines are name/value pairs.
+func (c *Conn) info(req, tag string) (map[string]string, error) {
+	out := make(map[string]string)
+	err := c.block(req, tag, false, func(name, val string) error {
+		out[name] = val
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Stats fetches the server's STATS map.
-func (c *Conn) Stats() (map[string]string, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: Stats with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	if _, err := c.w.WriteString("STATS\n"); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	out := make(map[string]string)
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "END" {
-			return out, nil
-		}
-		name, val, ok := strings.Cut(strings.TrimPrefix(line, "STAT "), " ")
-		if !ok || !strings.HasPrefix(line, "STAT ") {
-			return nil, fmt.Errorf("client: malformed STATS line %q", line)
-		}
-		out[name] = val
-	}
-}
+func (c *Conn) Stats() (map[string]string, error) { return c.info("STATS", "STAT ") }
 
 // Health-check failure reasons, indexed into Pool's per-reason counters
 // and exported as cuckood_client_health_check_failures_total{reason}.
@@ -851,14 +863,19 @@ func (p *Pool) Close() {
 	}
 }
 
-// do runs one pooled operation with the pool's retry policy. canRetry
-// gates retries entirely (non-idempotent ops pass false unless opted in);
-// each retry consumes budget and sleeps a full-jitter backoff first.
-func (p *Pool) do(canRetry bool, fn func(c *Conn) error) error {
+// call is the one pooled operation: checkout, the retry policy, the
+// trace ID that every request fn sends carries ("" = untraced) and release
+// all live here, so each pooled verb is an fn and a projection of its
+// result. canRetry gates retries entirely (non-idempotent ops pass false
+// unless opted in); each retry consumes budget and sleeps a full-jitter
+// backoff first, and all attempts share the trace ID, so the server-side
+// flight records of a retried request correlate.
+func call[T any](p *Pool, canRetry bool, trace string, fn func(c *Conn) (T, error)) (T, error) {
 	attempts := 1
 	if canRetry && p.opt.MaxRetries > 0 {
 		attempts += p.opt.MaxRetries
 	}
+	var v T
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
@@ -874,79 +891,74 @@ func (p *Pool) do(canRetry bool, fn func(c *Conn) error) error {
 			if errors.Is(err, ErrClosed) || errors.Is(err, ErrCircuitOpen) {
 				// Terminal for this op: the pool is gone, or the breaker
 				// wants silence — backing off here would defeat its point.
-				return err
+				return v, err
 			}
 			lastErr = err
 			continue
 		}
-		err = fn(c)
+		if err := c.SetTrace(trace); err != nil {
+			p.Put(c)
+			return v, err
+		}
+		v, err = fn(c)
+		c.trace = ""
 		p.release(c, err)
 		if err == nil {
 			if p.budget != nil {
 				p.budget.success()
 			}
-			return nil
+			return v, nil
 		}
 		lastErr = err
 		if !retryable(err) {
-			return err
+			return v, err
 		}
 	}
-	return lastErr
+	return v, lastErr
+}
+
+// oneShot is call for the verbs that are one queued request and its Reply.
+func (p *Pool) oneShot(canRetry bool, trace string, queue func(c *Conn) error) (Reply, error) {
+	return call(p, canRetry, trace, func(c *Conn) (Reply, error) { return c.roundTrip(queue(c)) })
 }
 
 // Set is a pooled one-shot SET. It is retried only when Options.RetrySets
 // opted SETs into the retry policy.
 func (p *Pool) Set(key, val string, ttl time.Duration) error {
-	return p.do(p.opt.RetrySets, func(c *Conn) error {
-		return c.Set(key, val, ttl)
-	})
+	return p.SetTraced(key, val, ttl, "")
 }
 
 // Get1 is a pooled one-shot GET (named to avoid clashing with pool
 // checkout).
-func (p *Pool) Get1(key string) (string, bool, error) {
-	var v string
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		v, ok, err = c.Get(key)
-		return err
-	})
-	return v, ok, err
-}
+func (p *Pool) Get1(key string) (string, bool, error) { return p.GetTraced(key, "") }
 
 // Del is a pooled one-shot DEL.
 func (p *Pool) Del(key string) (bool, error) {
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		ok, err = c.Del(key)
-		return err
-	})
-	return ok, err
+	rep, err := p.oneShot(true, "", func(c *Conn) error { return c.QueueDel(key) })
+	return rep.Found, err
 }
 
 // GetV1 is a pooled one-shot GETV.
 func (p *Pool) GetV1(key string) (val string, ver uint64, found bool, err error) {
-	err = p.do(true, func(c *Conn) error {
-		var cerr error
-		val, ver, found, cerr = c.GetV(key)
-		return cerr
-	})
-	return val, ver, found, err
+	return p.getV(key, "")
+}
+
+// getV is GetV1 under a trace ID: the one read a Cluster issues.
+func (p *Pool) getV(key, trace string) (val string, ver uint64, found bool, err error) {
+	rep, err := p.oneShot(true, trace, func(c *Conn) error { return c.QueueGetV(key) })
+	return rep.Value, rep.Ver, rep.Found, err
 }
 
 // SetV1 is a pooled one-shot SETV, returning the write's version word.
 // Like Set, it is retried only when Options.RetrySets is set.
 func (p *Pool) SetV1(key, val string, ttl time.Duration) (uint64, error) {
-	var ver uint64
-	err := p.do(p.opt.RetrySets, func(c *Conn) error {
-		var cerr error
-		ver, cerr = c.SetV(key, val, ttl)
-		return cerr
-	})
-	return ver, err
+	return p.setV(key, val, ttl, "")
+}
+
+// setV is SetV1 under a trace ID: the one write a Cluster issues.
+func (p *Pool) setV(key, val string, ttl time.Duration, trace string) (uint64, error) {
+	rep, err := p.oneShot(p.opt.RetrySets, trace, func(c *Conn) error { return c.QueueSetV(key, val, ttl) })
+	return rep.Ver, err
 }
 
 // Lease defaults for GetOrFill: the back-off used when the server
@@ -973,12 +985,7 @@ var ErrLeaseWait = errors.New("client: lease wait exhausted")
 // publish loses to a concurrent fresher write.
 func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill func() (string, error)) (string, error) {
 	for round := 0; round < leaseMaxRounds; round++ {
-		var rep Reply
-		err := p.do(true, func(c *Conn) error {
-			var cerr error
-			rep, cerr = c.Lease(key)
-			return cerr
-		})
+		rep, err := p.oneShot(true, "", func(c *Conn) error { return c.QueueLease(key) })
 		if err != nil {
 			return "", err
 		}
@@ -992,10 +999,7 @@ func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill f
 				// back to re-acquiring after the TTL.
 				return "", err
 			}
-			p.do(false, func(c *Conn) error {
-				_, _, cerr := c.SetLease(key, rep.Lease, val, ttl)
-				return cerr
-			})
+			p.oneShot(false, "", func(c *Conn) error { return c.QueueSetLease(key, rep.Lease, val, ttl) })
 			// A rejected fill means a fresher write already landed; the
 			// freshly computed value is still correct to serve here.
 			p.leaseFills.Add(1)
@@ -1017,14 +1021,8 @@ func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill f
 
 // TTL1 is a pooled one-shot TTL query.
 func (p *Pool) TTL1(key string) (time.Duration, bool, error) {
-	var d time.Duration
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		d, ok, err = c.TTL(key)
-		return err
-	})
-	return d, ok, err
+	rep, err := p.oneShot(true, "", func(c *Conn) error { return c.QueueTTL(key) })
+	return rep.TTL, rep.Found, err
 }
 
 // Collect implements obs.Collector so applications embedding the client

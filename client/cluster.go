@@ -32,43 +32,7 @@ const clientMigrateTimeout = 30 * time.Second
 
 // ClusterInfo fetches the node's CLUSTER map (load figures and migration
 // counters; see docs/PROTOCOL.md).
-func (c *Conn) ClusterInfo() (map[string]string, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: ClusterInfo with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	if _, err := c.w.WriteString("CLUSTER\n"); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	out := make(map[string]string)
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "END" {
-			return out, nil
-		}
-		name, val, ok := strings.Cut(strings.TrimPrefix(line, "CLUSTER "), " ")
-		if !ok || !strings.HasPrefix(line, "CLUSTER ") {
-			return nil, fmt.Errorf("client: malformed CLUSTER line %q", line)
-		}
-		out[name] = val
-	}
-}
+func (c *Conn) ClusterInfo() (map[string]string, error) { return c.info("CLUSTER", "CLUSTER ") }
 
 // Migrate asks the connected node to move up to max keys (0 = unlimited)
 // matching mode ("home" or "shed") to dest, under the given ring
@@ -76,40 +40,23 @@ func (c *Conn) ClusterInfo() (map[string]string, error) {
 // exchange gets a deadline of at least clientMigrateTimeout because the
 // server transfers the selected keys synchronously before answering.
 func (c *Conn) Migrate(mode, dest, self string, seed uint64, max int, ring string) (int, error) {
-	if c.closed {
-		return 0, ErrClosed
-	}
-	if c.broken != nil {
-		return 0, c.broken
-	}
-	if len(c.pending) > 0 {
-		return 0, errors.New("client: Migrate with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		d := c.ioTimeout
-		if d < clientMigrateTimeout {
-			d = clientMigrateTimeout
+	moved := 0
+	err := c.exchange("MIGRATE", clientMigrateTimeout, func() {
+		c.writeTrace()
+		fmt.Fprintf(c.w, "MIGRATE %s %s %s %d %d %s\n", mode, dest, self, seed, max, ring)
+	}, func() error {
+		line, err := c.readLine()
+		if err != nil {
+			return err
 		}
-		c.nc.SetDeadline(time.Now().Add(d))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	c.writeTrace()
-	fmt.Fprintf(c.w, "MIGRATE %s %s %s %d %d %s\n", mode, dest, self, seed, max, ring)
-	if err := c.w.Flush(); err != nil {
-		return 0, c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return 0, c.fail(err)
-	}
-	line = strings.TrimRight(line, "\r\n")
-	if rest, ok := strings.CutPrefix(line, "MIGRATED "); ok {
-		return strconv.Atoi(rest)
-	}
-	if rest, ok := strings.CutPrefix(line, "ERR "); ok {
-		return 0, &ServerError{Msg: rest}
-	}
-	return 0, fmt.Errorf("client: unexpected MIGRATE reply %q", line)
+		rest, ok := strings.CutPrefix(line, "MIGRATED ")
+		if !ok {
+			return c.unexpected(line)
+		}
+		moved, err = strconv.Atoi(rest)
+		return err
+	})
+	return moved, err
 }
 
 // ClusterOptions configures a Cluster. Every zero value selects a usable
@@ -256,43 +203,52 @@ func (cl *Cluster) candidates(key string) (*clusterNode, *clusterNode) {
 // the node-level analogue of a cuckoo insert placing an item in its
 // second bucket. See SetWhere for which node acked.
 func (cl *Cluster) Set(key, val string, ttl time.Duration) error {
-	_, err := cl.SetWhere(key, val, ttl)
+	_, err := cl.write(key, val, ttl, "")
 	return err
 }
 
 // SetWhere is Set, also reporting the address of the node that
 // acknowledged the write (chaos tests audit acked writes per node).
-// Writes go out as SETV so the acked version word lands in the version
-// memory: any replica copy this client later reads must be at least
-// this fresh (client/replica.go), and any locally cached hot value is
-// invalidated immediately.
 func (cl *Cluster) SetWhere(key, val string, ttl time.Duration) (string, error) {
+	return cl.write(key, val, ttl, "")
+}
+
+// write is the one routed write, behind Set, SetWhere and SetTraced
+// (trace "" = untraced). Any locally cached hot value is invalidated
+// first; the write goes out as SETV so the acked version word lands in the
+// version memory — any replica copy this client later reads must be at
+// least this fresh (client/replica.go). It returns the address of the
+// node that acknowledged.
+func (cl *Cluster) write(key, val string, ttl time.Duration, trace string) (string, error) {
 	if cl.hot != nil {
 		cl.hot.invalidate(key)
 	}
-	pri, alt := cl.candidates(key)
-	first, second := pri, alt
-	if pri != alt && cl.spillWanted(pri, alt) {
-		first, second = alt, pri
-		alt.spills.Add(1)
+	first, second := cl.candidates(key)
+	spill := first != second && cl.spillWanted(first, second)
+	if spill {
+		first, second = second, first
 	}
-	ver, err := first.pool.SetV1(key, val, ttl)
-	if err == nil {
-		cl.verMem.observe(key, ver)
-		return first.addr, nil
+	var firstErr error
+	for i, n := range [2]*clusterNode{first, second} {
+		if i == 1 && n == first {
+			break
+		}
+		// Any failure justifies the second choice: transport errors and
+		// open breakers obviously, and server-side errors too — a busy or
+		// full first choice says nothing about the other node's capacity.
+		if i == 1 || spill {
+			n.spills.Add(1)
+		}
+		ver, err := n.pool.setV(key, val, ttl, trace)
+		if err == nil {
+			cl.verMem.observe(key, ver)
+			return n.addr, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	if second == first {
-		return "", err
-	}
-	// Any failure justifies the second choice: transport errors and open
-	// breakers obviously, and server-side errors too — a busy or full
-	// first choice says nothing about the other node's capacity.
-	second.spills.Add(1)
-	if ver2, err2 := second.pool.SetV1(key, val, ttl); err2 == nil {
-		cl.verMem.observe(key, ver2)
-		return second.addr, nil
-	}
-	return "", err
+	return "", firstErr
 }
 
 // spillWanted reports whether a write to pri should go to alt instead,
@@ -301,18 +257,6 @@ func (cl *Cluster) SetWhere(key, val string, ttl time.Duration) (string, error) 
 func (cl *Cluster) spillWanted(pri, alt *clusterNode) bool {
 	pl := pri.load()
 	return pl >= cl.opt.SpillWatermark && alt.load() < pl
-}
-
-// retriableOnAlternate reports whether a write failure on one candidate
-// justifies trying the other: transport failures, open breakers, and
-// server-side overload or capacity errors do; anything else (a malformed
-// key, say) would just fail again.
-func retriableOnAlternate(err error) bool {
-	var se *ServerError
-	if errors.As(err, &se) {
-		return true // busy, table full: the alternate has its own capacity
-	}
-	return true
 }
 
 // Get fetches key, reading the primary first and falling through to the
@@ -324,46 +268,47 @@ func retriableOnAlternate(err error) bool {
 // older than a write (or read) this client already observed. Hot keys
 // (per the servers' HOTKEYS ranking) are additionally served from the
 // local hot cache and spread across both candidates.
-func (cl *Cluster) Get(key string) (string, bool, error) {
+func (cl *Cluster) Get(key string) (string, bool, error) { return cl.read(key, "") }
+
+// read is the one routed read, behind Get and GetTraced (trace "" =
+// untraced): hot cache, then the candidates in order, every value on
+// either path passing admitRead before it is returned.
+func (cl *Cluster) read(key, trace string) (string, bool, error) {
 	if cl.hot != nil {
 		if v, ver, ok := cl.hot.get(key, time.Now()); ok && cl.admitRead(key, ver) {
 			return v, true, nil
 		}
 	}
-	pri, alt := cl.candidates(key)
-	first, second := pri, alt
-	if cl.hot != nil && pri != alt && cl.hot.isHot(key) {
+	first, second := cl.candidates(key)
+	if cl.hot != nil && first != second && cl.hot.isHot(key) && cl.altSpread.Add(1)&1 == 1 {
 		// Read spreading: a hot key's copies live on both candidates,
 		// so alternate the node a cache miss lands on.
-		if cl.altSpread.Add(1)&1 == 1 {
-			first, second = alt, pri
+		first, second = second, first
+	}
+	var firstErr error
+	for i, n := range [2]*clusterNode{first, second} {
+		if i == 1 {
+			if n == first {
+				break
+			}
+			n.altReads.Add(1)
+		}
+		v, ver, ok, err := n.pool.getV(key, trace)
+		if ok && err == nil && cl.admitRead(key, ver) {
+			if i == 1 {
+				n.altHits.Add(1)
+			}
+			cl.noteRead(key, v, ver)
+			return v, true, nil
+		}
+		// Prefer reporting the first node's error if both paths failed. A
+		// hit rejected by the version floor reports a miss: serving
+		// nothing beats serving a value older than one already seen.
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	v, ver, ok, err := first.pool.GetV1(key)
-	if ok && err == nil && cl.admitRead(key, ver) {
-		cl.noteRead(key, v, ver)
-		return v, true, nil
-	}
-	if second == first {
-		return v, ok, err
-	}
-	second.altReads.Add(1)
-	v2, ver2, ok2, err2 := second.pool.GetV1(key)
-	if ok2 && err2 == nil && cl.admitRead(key, ver2) {
-		second.altHits.Add(1)
-		cl.noteRead(key, v2, ver2)
-		return v2, true, nil
-	}
-	// Prefer reporting the first node's error if both paths failed.
-	if err != nil {
-		return "", false, err
-	}
-	if err2 != nil {
-		return "", false, err2
-	}
-	// A hit rejected by the version floor reports a miss: serving
-	// nothing beats serving a value older than one already seen.
-	return "", false, nil
+	return "", false, firstErr
 }
 
 // Del removes key from both candidate nodes (a key can live on either
@@ -458,48 +403,39 @@ type NodeStatus struct {
 func (cl *Cluster) Probe() error {
 	var firstErr error
 	for _, n := range cl.nodes {
-		if err := cl.probeNode(n); err != nil && firstErr == nil {
-			firstErr = err
+		if _, err := cl.probeNode(n); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("probe %s: %w", n.addr, err)
 		}
 	}
 	return firstErr
 }
 
-func (cl *Cluster) probeNode(n *clusterNode) error {
-	info, err := cl.clusterInfo(n)
+// probeNode runs one CLUSTER exchange through n's pool and refreshes the
+// client-side view of n's load from it.
+func (cl *Cluster) probeNode(n *clusterNode) (map[string]string, error) {
+	info, err := call(n.pool, false, "", (*Conn).ClusterInfo)
 	if err != nil {
 		n.probeFails.Add(1)
-		return fmt.Errorf("probe %s: %w", n.addr, err)
-	}
-	entries, _ := strconv.ParseUint(info["entries"], 10, 64)
-	capacity, _ := strconv.ParseUint(info["capacity"], 10, 64)
-	load, _ := strconv.ParseFloat(info["load"], 64)
-	n.entries.Store(entries)
-	n.capacity.Store(capacity)
-	n.loadBits.Store(math.Float64bits(load))
-	return nil
-}
-
-// clusterInfo runs one CLUSTER exchange through n's pool.
-func (cl *Cluster) clusterInfo(n *clusterNode) (map[string]string, error) {
-	c, err := n.pool.Get()
-	if err != nil {
 		return nil, err
 	}
-	info, err := c.ClusterInfo()
-	n.pool.release(c, err)
-	return info, err
+	n.entries.Store(infoUint(info, "entries"))
+	n.capacity.Store(infoUint(info, "capacity"))
+	load, _ := strconv.ParseFloat(info["load"], 64)
+	n.loadBits.Store(math.Float64bits(load))
+	return info, nil
+}
+
+// infoUint reads one numeric CLUSTER field, 0 when absent or malformed.
+func infoUint(info map[string]string, name string) uint64 {
+	v, _ := strconv.ParseUint(info[name], 10, 64)
+	return v
 }
 
 // migrate runs one MIGRATE exchange on src's pool against the given ring.
 func (cl *Cluster) migrate(src *clusterNode, mode, dest string, max int, ring *cluster.Ring) (int, error) {
-	c, err := src.pool.Get()
-	if err != nil {
-		return 0, err
-	}
-	n, err := c.Migrate(mode, dest, src.addr, ring.Seed(), max, ring.CSV())
-	src.pool.release(c, err)
-	return n, err
+	return call(src.pool, false, "", func(c *Conn) (int, error) {
+		return c.Migrate(mode, dest, src.addr, ring.Seed(), max, ring.CSV())
+	})
 }
 
 // Status probes every node and returns the merged per-node view.
@@ -507,21 +443,17 @@ func (cl *Cluster) Status() []NodeStatus {
 	out := make([]NodeStatus, 0, len(cl.nodes))
 	for _, n := range cl.nodes {
 		st := NodeStatus{Addr: n.addr}
-		info, err := cl.clusterInfo(n)
+		info, err := cl.probeNode(n)
 		if err != nil {
-			n.probeFails.Add(1)
 			st.Err = err
 		} else {
-			st.Entries, _ = strconv.ParseUint(info["entries"], 10, 64)
-			st.Capacity, _ = strconv.ParseUint(info["capacity"], 10, 64)
+			st.Entries = infoUint(info, "entries")
+			st.Capacity = infoUint(info, "capacity")
 			st.Load, _ = strconv.ParseFloat(info["load"], 64)
-			st.MigratedIn, _ = strconv.ParseUint(info["migrated_in"], 10, 64)
-			st.MigratedOut, _ = strconv.ParseUint(info["migrated_out"], 10, 64)
-			st.Handoffs, _ = strconv.ParseUint(info["handoffs"], 10, 64)
-			st.MigrateFails, _ = strconv.ParseUint(info["migrate_failures"], 10, 64)
-			n.entries.Store(st.Entries)
-			n.capacity.Store(st.Capacity)
-			n.loadBits.Store(math.Float64bits(st.Load))
+			st.MigratedIn = infoUint(info, "migrated_in")
+			st.MigratedOut = infoUint(info, "migrated_out")
+			st.Handoffs = infoUint(info, "handoffs")
+			st.MigrateFails = infoUint(info, "migrate_failures")
 		}
 		st.ClientSpills = n.spills.Load()
 		st.ClientAltHits = n.altHits.Load()

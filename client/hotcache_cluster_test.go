@@ -49,21 +49,35 @@ func TestClusterHotCacheServesAndInvalidates(t *testing.T) {
 	t.Cleanup(cl.Close)
 
 	const key = "blazing"
-	if err := cl.Set(key, "v1", 0); err != nil {
-		t.Fatal(err)
-	}
 	// Inject hot membership (in production the HOTKEYS poller does this).
 	cl.hot.setHotSet([]HotKey{{Key: key, Count: 99}})
 
-	// First read comes from the servers and fills the local copy.
-	if v, ok, err := cl.Get(key); err != nil || !ok || v != "v1" {
-		t.Fatalf("fill read = %q/%v/%v", v, ok, err)
+	// Every write, traced or not, drops the local copy, and the next read
+	// comes from the servers and fills it again.
+	writes := []struct {
+		val string
+		set func(val string) error
+	}{
+		{"v0", func(val string) error { return cl.Set(key, val, 0) }},
+		{"v1", func(val string) error { return cl.SetTraced(key, val, 0, NewTraceID()) }},
 	}
-	// With both servers gone, the hot cache alone serves the key.
+	for _, w := range writes {
+		if err := w.set(w.val); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, err := cl.Get(key); err != nil || !ok || v != w.val {
+			t.Fatalf("fill read after writing %s = %q/%v/%v", w.val, v, ok, err)
+		}
+	}
+	// With both servers gone, the hot cache alone serves the key, to a
+	// traced read as well.
 	a.Close()
 	b.Close()
 	if v, ok, err := cl.Get(key); err != nil || !ok || v != "v1" {
 		t.Fatalf("cached read = %q/%v/%v, want v1 from the local copy", v, ok, err)
+	}
+	if v, ok, err := cl.GetTraced(key, NewTraceID()); err != nil || !ok || v != "v1" {
+		t.Fatalf("cached traced read = %q/%v/%v, want v1 from the local copy", v, ok, err)
 	}
 	if cl.hot.hits.Load() == 0 {
 		t.Fatal("hot cache served without counting a hit")

@@ -10,7 +10,9 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"cuckoohash/client"
 	"cuckoohash/internal/cluster"
 )
 
@@ -38,6 +40,22 @@ func replInject(t *testing.T, addr, line string) string {
 // holding an older version than a write this client already observed
 // must never shadow it, even across a primary kill and fallthrough.
 func TestClusterMonotonicReads(t *testing.T) {
+	// A traced operation is the same path with an ID: the floor binds it
+	// exactly as it binds the plain one.
+	id := client.NewTraceID()
+	t.Run("plain", func(t *testing.T) {
+		testMonotonicReads(t, (*client.Cluster).Set, (*client.Cluster).Get)
+	})
+	t.Run("traced", func(t *testing.T) {
+		testMonotonicReads(t,
+			func(cl *client.Cluster, k, v string, ttl time.Duration) error { return cl.SetTraced(k, v, ttl, id) },
+			func(cl *client.Cluster, k string) (string, bool, error) { return cl.GetTraced(k, id) })
+	})
+}
+
+func testMonotonicReads(t *testing.T,
+	set func(cl *client.Cluster, key, val string, ttl time.Duration) error,
+	get func(cl *client.Cluster, key string) (string, bool, error)) {
 	const seed = 21
 	servers, addrs := startNodes(t, 2)
 	ring, err := cluster.New(addrs, seed)
@@ -66,16 +84,16 @@ func TestClusterMonotonicReads(t *testing.T) {
 	cl := newTestCluster(t, addrs, seed)
 	// The client writes through the primary; the SETV ack version (an
 	// HLC word far above 5) becomes this client's floor for the key.
-	if err := cl.Set(key, "fresh", 0); err != nil {
+	if err := set(cl, key, "fresh", 0); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := cl.Get(key); err != nil || !ok || v != "fresh" {
+	if v, ok, err := get(cl, key); err != nil || !ok || v != "fresh" {
 		t.Fatalf("pre-kill Get = %q/%v/%v", v, ok, err)
 	}
 
 	// Kill the primary. The only live copy is the laggard on node 1.
 	servers[0].Close()
-	v, ok, _ := cl.Get(key)
+	v, ok, _ := get(cl, key)
 	if ok || v == "laggard" {
 		t.Fatalf("fallthrough served the stale replica copy: %q/%v", v, ok)
 	}
@@ -87,7 +105,7 @@ func TestClusterMonotonicReads(t *testing.T) {
 	// Sanity 2: a fresh client with no version memory accepts it — the
 	// floor, not the routing, is what rejected the read above.
 	cl2 := newTestCluster(t, addrs, seed)
-	if v, ok, err := cl2.Get(key); err != nil || !ok || v != "laggard" {
+	if v, ok, err := get(cl2, key); err != nil || !ok || v != "laggard" {
 		t.Fatalf("fresh client Get = %q/%v/%v, want the replica copy", v, ok, err)
 	}
 }

@@ -516,3 +516,63 @@ func TestConnIOTimeout(t *testing.T) {
 		t.Fatal("timeout did not break the conn")
 	}
 }
+
+// TestShedConnReportsBusy: a connection the server sheds at accept time
+// (MaxConns reached) answers whatever arrives first with "ERR busy". The
+// multi-line admin verbs must classify that like Get does — a retryable
+// *ServerError, counted by the pool — so a load probe of a saturated node
+// reads as "busy", not as a protocol fault.
+func TestShedConnReportsBusy(t *testing.T) {
+	s, err := server.New(server.Config{Addr: "127.0.0.1:0", SweepInterval: -1, MaxConns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	t.Cleanup(func() { s.Close() })
+	addr := s.Addr().String()
+
+	// The one admitted connection; a round trip proves it is registered.
+	held, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if err := held.Set("k", "v", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	verbs := []struct {
+		name string
+		call func(c *Conn) error
+	}{
+		{"Get", func(c *Conn) error { _, _, err := c.Get("k"); return err }},
+		{"Stats", func(c *Conn) error { _, err := c.Stats(); return err }},
+		{"ClusterInfo", func(c *Conn) error { _, err := c.ClusterInfo(); return err }},
+		{"HotKeys", func(c *Conn) error { _, err := c.HotKeys(0); return err }},
+	}
+	for _, v := range verbs {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.call(c); !IsBusy(err) {
+			t.Errorf("%s on a shed connection = %v; want IsBusy", v.name, err)
+		}
+		c.Close()
+	}
+
+	cl, err := NewCluster([]string{addr}, ClusterOptions{Pool: Options{Size: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Probe(); !IsBusy(err) {
+		t.Errorf("Probe of a saturated node = %v; want IsBusy", err)
+	}
+	if got := cl.nodes[0].pool.Stats().BusyRejections; got != 1 {
+		t.Errorf("BusyRejections = %d after one shed probe, want 1", got)
+	}
+}

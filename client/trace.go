@@ -9,7 +9,6 @@ package client
 // touches.
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -82,143 +81,53 @@ type HotKey struct {
 // server default of 10). Like Stats, it needs an empty pipeline: the
 // multi-line reply cannot interleave with pending request replies.
 func (c *Conn) HotKeys(n int) ([]HotKey, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: HotKeys with requests still queued")
-	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	c.writeTrace()
+	req := "HOTKEYS"
 	if n > 0 {
-		c.w.WriteString("HOTKEYS ")
-		c.w.WriteString(strconv.Itoa(n))
-		c.w.WriteByte('\n')
-	} else {
-		c.w.WriteString("HOTKEYS\n")
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
+		req += " " + strconv.Itoa(n)
 	}
 	var out []HotKey
-	for {
-		line, err := c.readRawLine()
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		if line == "END" {
-			return out, nil
-		}
-		if msg, ok := strings.CutPrefix(line, "ERR "); ok {
-			return nil, &ServerError{Msg: msg}
-		}
-		rest, ok := strings.CutPrefix(line, "HOTKEY ")
-		if !ok {
-			return nil, c.fail(fmt.Errorf("client: malformed HOTKEYS line %q", line))
-		}
-		countStr, key, ok := strings.Cut(rest, " ")
-		if !ok {
-			return nil, c.fail(fmt.Errorf("client: malformed HOTKEYS line %q", line))
-		}
-		count, perr := strconv.ParseUint(countStr, 10, 64)
-		if perr != nil {
-			return nil, c.fail(fmt.Errorf("client: malformed HOTKEYS line %q", line))
-		}
-		out = append(out, HotKey{Key: key, Count: count})
+	err := c.block(req, "HOTKEY ", true, func(count, key string) error {
+		n, err := strconv.ParseUint(count, 10, 64)
+		out = append(out, HotKey{Key: key, Count: n})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // GetTraced is Get1 with a trace ID: every attempt — including retries
 // after transport failures — carries the same ID, so the server-side
 // flight records of a retried request correlate.
 func (p *Pool) GetTraced(key, trace string) (string, bool, error) {
-	var v string
-	var ok bool
-	err := p.do(true, func(c *Conn) error {
-		if err := c.SetTrace(trace); err != nil {
-			return err
-		}
-		defer c.SetTrace("")
-		var err error
-		v, ok, err = c.Get(key)
-		return err
-	})
-	return v, ok, err
+	rep, err := p.oneShot(true, trace, func(c *Conn) error { return c.QueueGet(key) })
+	return rep.Value, rep.Found, err
 }
 
 // SetTraced is Set with a trace ID (same retry policy: only when
 // Options.RetrySets opted SETs in). All attempts share the ID.
 func (p *Pool) SetTraced(key, val string, ttl time.Duration, trace string) error {
-	return p.do(p.opt.RetrySets, func(c *Conn) error {
-		if err := c.SetTrace(trace); err != nil {
-			return err
-		}
-		defer c.SetTrace("")
-		return c.Set(key, val, ttl)
-	})
+	_, err := p.oneShot(p.opt.RetrySets, trace, func(c *Conn) error { return c.QueueSet(key, val, ttl) })
+	return err
 }
 
 // HotKeys is the pooled one-shot form of Conn.HotKeys.
 func (p *Pool) HotKeys(n int) ([]HotKey, error) {
-	var out []HotKey
-	err := p.do(true, func(c *Conn) error {
-		var err error
-		out, err = c.HotKeys(n)
-		return err
-	})
-	return out, err
+	return call(p, true, "", func(c *Conn) ([]HotKey, error) { return c.HotKeys(n) })
 }
 
-// GetTraced is Cluster.Get with a trace ID: the primary read and any
-// alternate fallthrough carry the same ID, so a cross-node read shows up
-// as one trace on both nodes' recorders.
+// GetTraced is Cluster.Get with a trace ID: the same routed read, every
+// node it touches seeing the one ID, so a cross-node read shows up as one
+// trace on both nodes' recorders.
 func (cl *Cluster) GetTraced(key, trace string) (string, bool, error) {
-	pri, alt := cl.candidates(key)
-	v, ok, err := pri.pool.GetTraced(key, trace)
-	if ok && err == nil {
-		return v, true, nil
-	}
-	if alt == pri {
-		return v, ok, err
-	}
-	alt.altReads.Add(1)
-	v2, ok2, err2 := alt.pool.GetTraced(key, trace)
-	if ok2 && err2 == nil {
-		alt.altHits.Add(1)
-		return v2, true, nil
-	}
-	if err != nil {
-		return "", false, err
-	}
-	return v2, ok2, err2
+	return cl.read(key, trace)
 }
 
 // SetTraced is Cluster.Set with a trace ID carried across the spill to
-// the alternate node, mirroring SetWhere's routing.
+// the alternate node: the same routed write.
 func (cl *Cluster) SetTraced(key, val string, ttl time.Duration, trace string) error {
-	pri, alt := cl.candidates(key)
-	first, second := pri, alt
-	if pri != alt && cl.spillWanted(pri, alt) {
-		first, second = alt, pri
-		alt.spills.Add(1)
-	}
-	err := first.pool.SetTraced(key, val, ttl, trace)
-	if err == nil {
-		return nil
-	}
-	if second == first {
-		return err
-	}
-	second.spills.Add(1)
-	if err2 := second.pool.SetTraced(key, val, ttl, trace); err2 == nil {
-		return nil
-	}
+	_, err := cl.write(key, val, ttl, trace)
 	return err
 }
 

@@ -5,7 +5,7 @@ package client
 //
 // None of these are idempotent — a retried INCR double-counts, a retried
 // CAS or EXEC can observe (and clobber) its own first attempt's effects —
-// so every pooled one-shot here passes canRetry=false to Pool.do and a
+// so every pooled one-shot here passes canRetry=false to call and a
 // transport failure surfaces to the caller instead of being retried. This
 // holds even when Options.RetrySets opted SETs into retries: RetrySets
 // covers last-writer-wins SETs only, never the read-modify-write verbs.
@@ -47,46 +47,26 @@ func (c *Conn) QueueCAS(key, old, newVal string) error {
 
 // Incr adds delta to key's integer value (negative deltas subtract).
 func (c *Conn) Incr(key string, delta int64) error {
-	if err := c.QueueIncr(key, delta); err != nil {
-		return err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return err
-	}
-	return rep.Err
+	_, err := c.roundTrip(c.QueueIncr(key, delta))
+	return err
 }
 
 // MaxUpdate raises key's integer value to val if it is currently lower.
 func (c *Conn) MaxUpdate(key string, val int64) error {
-	if err := c.QueueMaxUpdate(key, val); err != nil {
-		return err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return err
-	}
-	return rep.Err
+	_, err := c.roundTrip(c.QueueMaxUpdate(key, val))
+	return err
 }
 
 // CAS stores newVal only if key currently holds old. It returns
 // (stored, found): (true, true) on success, (false, true) on a value
 // conflict, (false, false) when the key does not exist.
 func (c *Conn) CAS(key, old, newVal string) (stored, found bool, err error) {
-	if err := c.QueueCAS(key, old, newVal); err != nil {
-		return false, false, err
-	}
-	rep, err := c.one()
-	if err != nil {
-		return false, false, err
-	}
-	if rep.Err != nil {
-		return false, false, rep.Err
-	}
-	if rep.Conflict {
-		return false, true, nil
-	}
-	return rep.Found, rep.Found, nil
+	return casResult(c.roundTrip(c.QueueCAS(key, old, newVal)))
+}
+
+// casResult projects a CAS reply onto (stored, found).
+func casResult(rep Reply, err error) (stored, found bool, _ error) {
+	return rep.Found, rep.Found || rep.Conflict, err
 }
 
 // Txn accumulates operations client-side for one MULTI…EXEC exchange.
@@ -194,151 +174,91 @@ func (t *Txn) CAS(key, old, newVal string) *Txn {
 // sequence, so a transport failure mid-exchange breaks the Conn exactly
 // like a failed Flush would.
 func (c *Conn) ExecTxn(t *Txn) ([]Reply, error) {
-	if t.err != nil {
+	if t.err != nil || len(t.lines) == 0 {
 		return nil, t.err
 	}
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		return nil, c.broken
-	}
-	if len(c.pending) > 0 {
-		return nil, errors.New("client: ExecTxn with requests still queued")
-	}
-	if len(t.lines) == 0 {
-		return nil, nil
-	}
-	if c.ioTimeout > 0 {
-		c.nc.SetDeadline(time.Now().Add(c.ioTimeout))
-		defer c.nc.SetDeadline(time.Time{})
-	}
-	c.w.WriteString("MULTI\n")
-	for _, line := range t.lines {
-		c.w.WriteString(line)
-		c.w.WriteByte('\n')
-	}
-	// The trace rides on the EXEC line: that is the request whose span
-	// covers the transaction's OCC retries and commit.
-	c.writeTrace()
-	c.w.WriteString("EXEC\n")
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-
-	// Reply sequence: MULTI ack, one line per queued op, then either an
-	// "EXEC <n>" header followed by n results or an ERR for the whole
-	// transaction. Queue-time rejections surface per line; the count is
-	// fixed either way, so the stream stays in sync.
-	line, err := c.readRawLine()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	if line != "OK" {
-		return nil, c.txnRefused(line, len(t.lines))
-	}
-	var queueErr error
-	for i := 0; i < len(t.lines); i++ {
-		line, err = c.readRawLine()
+	var replies []Reply
+	err := c.exchange("MULTI", 0, func() {
+		c.w.WriteString("MULTI\n")
+		for _, line := range t.lines {
+			c.w.WriteString(line)
+			c.w.WriteByte('\n')
+		}
+		// The trace rides on the EXEC line: that is the request whose span
+		// covers the transaction's OCC retries and commit.
+		c.writeTrace()
+		c.w.WriteString("EXEC\n")
+	}, func() error {
+		// Reply sequence: MULTI ack, one line per queued op, then either an
+		// "EXEC <n>" header followed by n results or an ERR for the whole
+		// transaction. A refused MULTI or a queue-time rejection surfaces on
+		// its own line; the count is fixed either way, so all of them are
+		// read before any is reported and the stream stays in sync.
+		var refused, queueErr error
+		for i := 0; i <= len(t.lines); i++ {
+			line, err := c.readLine()
+			if err != nil {
+				return err
+			}
+			switch {
+			case i == 0 && line != "OK":
+				refused = c.unexpected(line)
+			case i > 0 && line != "QUEUED" && queueErr == nil:
+				queueErr = c.unexpected(line)
+			}
+		}
+		line, err := c.readLine()
 		if err != nil {
-			return nil, c.fail(err)
+			return err
 		}
-		if line != "QUEUED" && queueErr == nil {
-			queueErr = txnLineErr(line)
+		count, ok := strings.CutPrefix(line, "EXEC ")
+		switch {
+		case refused != nil:
+			return refused
+		case !ok && queueErr != nil:
+			return fmt.Errorf("%w: %w", ErrTxnAborted, queueErr)
+		case !ok:
+			return c.unexpected(line)
 		}
-	}
-	line, err = c.readRawLine()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	count, ok := strings.CutPrefix(line, "EXEC ")
-	if !ok {
-		if queueErr != nil {
-			return nil, fmt.Errorf("%w: %w", ErrTxnAborted, queueErr)
+		if n, err := strconv.Atoi(count); err != nil || n != len(t.lines) {
+			return c.fail(fmt.Errorf("client: bad EXEC header %q for %d ops", line, len(t.lines)))
 		}
-		return nil, txnLineErr(line)
-	}
-	n, err := strconv.Atoi(count)
-	if err != nil || n != len(t.lines) {
-		return nil, c.fail(fmt.Errorf("client: bad EXEC header %q for %d ops", line, len(t.lines)))
-	}
-	replies := make([]Reply, 0, n)
-	for i := 0; i < n; i++ {
-		rep, err := c.readReply(t.codes[i])
-		if err != nil {
-			return nil, c.fail(err)
+		out := make([]Reply, len(t.codes))
+		for i, code := range t.codes {
+			if out[i], err = c.readReply(code); err != nil {
+				return c.fail(err)
+			}
 		}
-		replies = append(replies, rep)
-	}
-	return replies, nil
-}
-
-// txnRefused drains the deterministic remainder of a transaction exchange
-// whose MULTI was refused (n queue replies plus the EXEC reply), keeping
-// the stream in sync, and returns the refusal.
-func (c *Conn) txnRefused(multiLine string, n int) error {
-	for i := 0; i < n+1; i++ {
-		if _, err := c.readRawLine(); err != nil {
-			return c.fail(err)
-		}
-	}
-	return txnLineErr(multiLine)
-}
-
-// txnLineErr converts an unexpected transaction reply line to an error.
-func txnLineErr(line string) error {
-	if msg, ok := strings.CutPrefix(line, "ERR "); ok {
-		return &ServerError{Msg: msg}
-	}
-	return fmt.Errorf("client: unexpected transaction reply %q", line)
-}
-
-// readRawLine reads one reply line without interpreting it.
-func (c *Conn) readRawLine() (string, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
+		replies = out
+		return nil
+	})
+	return replies, err
 }
 
 // Incr is a pooled one-shot INCR/DECR. Never retried: a lost ack leaves
 // the increment's fate unknown, and re-running it would double-count.
 func (p *Pool) Incr(key string, delta int64) error {
-	return p.do(false, func(c *Conn) error {
-		return c.Incr(key, delta)
-	})
+	_, err := p.oneShot(false, "", func(c *Conn) error { return c.QueueIncr(key, delta) })
+	return err
 }
 
 // MaxUpdate is a pooled one-shot MAXUPDATE. Never retried (same
 // non-idempotence rule as Incr; a raced retry can resurrect a lower max
 // observed by other readers in between).
 func (p *Pool) MaxUpdate(key string, val int64) error {
-	return p.do(false, func(c *Conn) error {
-		return c.MaxUpdate(key, val)
-	})
+	_, err := p.oneShot(false, "", func(c *Conn) error { return c.QueueMaxUpdate(key, val) })
+	return err
 }
 
 // CAS is a pooled one-shot compare-and-set. Never retried: after a lost
 // ack the first attempt may have committed, and retrying would report a
 // spurious conflict — or worse, succeed against its own write.
 func (p *Pool) CAS(key, old, newVal string) (stored, found bool, err error) {
-	err = p.do(false, func(c *Conn) error {
-		var cerr error
-		stored, found, cerr = c.CAS(key, old, newVal)
-		return cerr
-	})
-	return stored, found, err
+	return casResult(p.oneShot(false, "", func(c *Conn) error { return c.QueueCAS(key, old, newVal) }))
 }
 
 // ExecTxn runs t through a pooled connection, exactly once (MULTI…EXEC is
 // the least idempotent exchange the protocol has).
 func (p *Pool) ExecTxn(t *Txn) ([]Reply, error) {
-	var replies []Reply
-	err := p.do(false, func(c *Conn) error {
-		var cerr error
-		replies, cerr = c.ExecTxn(t)
-		return cerr
-	})
-	return replies, err
+	return call(p, false, "", func(c *Conn) ([]Reply, error) { return c.ExecTxn(t) })
 }
