@@ -273,7 +273,7 @@ func TestChaosGrowUnderLoad(t *testing.T) {
 
 	// Every shard must have resized at least twice under load — otherwise
 	// the test exercised a static table and proved nothing about grows.
-	tab, _ := s.cache.tableTotals()
+	tab := s.cache.tableTotals().tab
 	for i, sh := range s.cache.shards {
 		if g := sh.table.Stats().Grows; g < 2 {
 			t.Errorf("shard %d grew %d times, want >= 2 (workload did not exercise incremental resize)", i, g)
@@ -287,7 +287,7 @@ func TestChaosGrowUnderLoad(t *testing.T) {
 	waitUntil(t, 10*time.Second, func() bool {
 		return s.cache.growingShards() == 0
 	})
-	if tab, _ := s.cache.tableTotals(); tab.MigrationBacklog != 0 {
+	if tab := s.cache.tableTotals().tab; tab.MigrationBacklog != 0 {
 		t.Errorf("migration backlog = %d buckets after drain, want 0", tab.MigrationBacklog)
 	}
 	if tab.MigratedBuckets == 0 {

@@ -49,30 +49,16 @@ type migrateRec struct {
 }
 
 // clusterInfo renders the node's cluster-relevant figures as CLUSTER
-// response lines: identity, load, and migration counters. Load is what
-// the client's spill watermark and cuckooctl's rebalance compare.
+// response lines: its address, then the counter-table rows that carry a
+// CLUSTER name — load (what the client's spill watermark and cuckooctl's
+// rebalance compare) and the migration counters.
 func (s *Server) clusterInfo() []Stat {
-	st := s.cache.stats
-	entries := s.cache.Len()
-	capacity := s.cache.Cap()
-	load := 0.0
-	if capacity > 0 {
-		load = float64(entries) / float64(capacity)
-	}
 	addr := s.cfg.Addr
 	if s.ln != nil {
 		addr = s.ln.Addr().String()
 	}
-	return []Stat{
-		{"addr", addr},
-		{"entries", fmt.Sprint(entries)},
-		{"capacity", fmt.Sprint(capacity)},
-		{"load", fmt.Sprintf("%.6f", load)},
-		{"migrated_in", fmt.Sprint(st.migratedIn.Load())},
-		{"migrated_out", fmt.Sprint(st.migratedOut.Load())},
-		{"handoffs", fmt.Sprint(st.handoffs.Load())},
-		{"migrate_failures", fmt.Sprint(st.migrateFails.Load())},
-	}
+	r := &reading{c: s.cache, st: s.cache.stats}
+	return append([]Stat{{"addr", addr}}, r.render(func(row *counter) string { return row.cluster })...)
 }
 
 // Migrate moves up to max keys (0 = unlimited) matching the mode's
@@ -100,17 +86,8 @@ func (s *Server) Migrate(a *migrateArgs, trace []byte) (int, error) {
 		return 0, nil
 	}
 
-	var buf bytes.Buffer
-	enc := newSnapEncoder(&buf)
-	for _, rc := range recs {
-		enc.add(rc.key, rc.e)
-	}
-	if err := enc.finish(); err != nil {
-		return 0, err
-	}
-
 	start := time.Now()
-	loaded, err := sendHandoff(a.dest, buf.Bytes(), trace)
+	loaded, err := sendHandoff(a.dest, recs, trace)
 	if err != nil {
 		s.cache.stats.migrateFails.Add(1)
 		s.log.Warn("migrate failed", "dest", a.dest, "keys", len(recs),
@@ -200,11 +177,21 @@ func (c *Cache) removeIfUnchanged(key string, want entry) bool {
 	return removed
 }
 
-// sendHandoff dials dest, pushes one HANDOFF frame (length-prefixed
-// snapshot payload), and returns the count the peer reports applying.
-// A non-nil trace is forwarded as the request's TRACE prefix so the
-// receiving node's slow-op logs and flight records carry the same ID.
-func sendHandoff(dest string, payload []byte, trace []byte) (int, error) {
+// sendHandoff encodes recs in the snapshot wire format, dials dest,
+// pushes them as one HANDOFF frame (length-prefixed payload), and returns
+// the count the peer reports applying: the outbound half of both MIGRATE
+// and replication catch-up. A non-nil trace is forwarded as the request's
+// TRACE prefix so the receiving node's slow-op logs and flight records
+// carry the same ID.
+func sendHandoff(dest string, recs []migrateRec, trace []byte) (int, error) {
+	var payload bytes.Buffer
+	enc := newSnapEncoder(&payload)
+	for _, rc := range recs {
+		enc.add(rc.key, rc.e)
+	}
+	if err := enc.finish(); err != nil {
+		return 0, err
+	}
 	nc, err := net.DialTimeout("tcp", dest, migrateIOTimeout)
 	if err != nil {
 		return 0, err
@@ -219,9 +206,9 @@ func sendHandoff(dest string, payload []byte, trace []byte) (int, error) {
 		w.WriteByte(' ')
 	}
 	w.WriteString("HANDOFF ")
-	w.WriteString(strconv.Itoa(len(payload)))
+	w.WriteString(strconv.Itoa(payload.Len()))
 	w.WriteByte('\n')
-	w.Write(payload)
+	w.Write(payload.Bytes())
 	if err := w.Flush(); err != nil {
 		return 0, err
 	}

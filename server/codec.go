@@ -61,62 +61,125 @@ const (
 	opBad opCode = 0xff
 )
 
-// String names the op for structured logs.
-func (o opCode) String() string {
-	switch o {
-	case opGet:
-		return "GET"
-	case opSet:
-		return "SET"
-	case opSetEx:
-		return "SETEX"
-	case opDel:
-		return "DEL"
-	case opTTL:
-		return "TTL"
-	case opStats:
-		return "STATS"
-	case opQuit:
-		return "QUIT"
-	case opCluster:
-		return "CLUSTER"
-	case opMigrate:
-		return "MIGRATE"
-	case opHandoff:
-		return "HANDOFF"
-	case opIncr:
-		return "INCR"
-	case opDecr:
-		return "DECR"
-	case opAdd:
-		return "ADD"
-	case opMaxUpdate:
-		return "MAXUPDATE"
-	case opCAS:
-		return "CAS"
-	case opMulti:
-		return "MULTI"
-	case opExec:
-		return "EXEC"
-	case opDiscard:
-		return "DISCARD"
-	case opHotKeys:
-		return "HOTKEYS"
-	case opGetV:
-		return "GETV"
-	case opSetV:
-		return "SETV"
-	case opLease:
-		return "LEASE"
-	case opSetLease:
-		return "SETL"
-	case opReplSet:
-		return "REPLSET"
-	case opReplDel:
-		return "REPLDEL"
-	}
-	return "INVALID"
+// parseShape is how a verb's operands are framed on its request line.
+type parseShape uint8
+
+const (
+	shapeBare    parseShape = iota // no operands; any is an error
+	shapeIgnored                   // operands are not looked at (QUIT)
+	shapeKey                       // <key>
+	shapeStore                     // <key> <numeric word>... <value: the rest of the line>
+	shapeCounter                   // <key> [delta]
+	// Verbs with a frame of their own.
+	shapeCAS
+	shapeHotKeys
+	shapeHandoff
+	shapeMigrate
+	shapeReplDel
+)
+
+// stageClass is a verb's row in the stage-latency table: verbs on the
+// same code path share a class, because they share a stage profile.
+type stageClass uint8
+
+const (
+	stGet stageClass = iota
+	stSet
+	stDel
+	stTTL
+	stStats
+	stCluster
+	stMigrate
+	stHandoff
+	stIncr
+	stMaxUpdate
+	stCAS
+	stExec
+	stHotKeys
+	stLease // the fill-lease protocol: LEASE and its SETL fill
+	stRepl  // inbound replication
+	stOther // QUIT, MULTI bookkeeping and bad lines
+)
+
+// verb is one row of the verb table: everything the server knows about a
+// wire verb apart from what executing it does.
+type verb struct {
+	name  string
+	shape parseShape
+	// words is how many numeric words the frame requires: between key and
+	// value for shapeStore, after the key for shapeCounter (whose delta
+	// otherwise defaults to 1).
+	words uint8
+	stage stageClass
+	// exempt verbs run even with -max-inflight saturated: they touch no
+	// table (STATS, CLUSTER and HOTKEYS are how an operator looks at an
+	// overloaded node, QUIT is how a drain ends) or only this connection's
+	// MULTI state.
+	exempt bool
+	// queue is the txn.OpKind the verb queues as inside MULTI, plus one;
+	// zero means the verb has no transactional meaning and poisons the
+	// transaction.
+	queue txn.OpKind
 }
+
+// verbs is the verb table, indexed by opCode: the one place a verb's wire
+// name, operand frame, stage class, in-flight exemption and MULTI kind
+// are declared. The parser matches names in row order, so GET and SET
+// lead.
+var verbs = [...]verb{
+	opGet:       {name: "GET", shape: shapeKey, stage: stGet, queue: 1 + txn.OpGet},
+	opSet:       {name: "SET", shape: shapeStore, stage: stSet, queue: 1 + txn.OpSet},
+	opSetEx:     {name: "SETEX", shape: shapeStore, words: 1, stage: stSet, queue: 1 + txn.OpSet},
+	opDel:       {name: "DEL", shape: shapeKey, stage: stDel, queue: 1 + txn.OpDel},
+	opTTL:       {name: "TTL", shape: shapeKey, stage: stTTL},
+	opStats:     {name: "STATS", shape: shapeBare, stage: stStats, exempt: true},
+	opQuit:      {name: "QUIT", shape: shapeIgnored, stage: stOther, exempt: true},
+	opCluster:   {name: "CLUSTER", shape: shapeBare, stage: stCluster, exempt: true},
+	opMigrate:   {name: "MIGRATE", shape: shapeMigrate, stage: stMigrate},
+	opHandoff:   {name: "HANDOFF", shape: shapeHandoff, stage: stHandoff},
+	opIncr:      {name: "INCR", shape: shapeCounter, stage: stIncr, queue: 1 + txn.OpIncr},
+	opDecr:      {name: "DECR", shape: shapeCounter, stage: stIncr, queue: 1 + txn.OpIncr},
+	opAdd:       {name: "ADD", shape: shapeCounter, words: 1, stage: stIncr, queue: 1 + txn.OpIncr},
+	opMaxUpdate: {name: "MAXUPDATE", shape: shapeCounter, words: 1, stage: stMaxUpdate, queue: 1 + txn.OpMax},
+	opCAS:       {name: "CAS", shape: shapeCAS, stage: stCAS, queue: 1 + txn.OpCAS},
+	opMulti:     {name: "MULTI", shape: shapeBare, stage: stOther, exempt: true},
+	opExec:      {name: "EXEC", shape: shapeBare, stage: stExec},
+	opDiscard:   {name: "DISCARD", shape: shapeBare, stage: stOther, exempt: true},
+	opHotKeys:   {name: "HOTKEYS", shape: shapeHotKeys, stage: stHotKeys, exempt: true},
+	opGetV:      {name: "GETV", shape: shapeKey, stage: stGet},
+	opSetV:      {name: "SETV", shape: shapeStore, words: 1, stage: stSet},
+	opLease:     {name: "LEASE", shape: shapeKey, stage: stLease},
+	opSetLease:  {name: "SETL", shape: shapeStore, words: 2, stage: stLease},
+	opReplSet:   {name: "REPLSET", shape: shapeStore, words: 2, stage: stRepl},
+	opReplDel:   {name: "REPLDEL", shape: shapeReplDel, stage: stRepl},
+}
+
+// notAVerb is the row of every opCode outside the table (opBad).
+var notAVerb = verb{name: "INVALID", stage: stOther}
+
+// row returns op's verb-table row.
+func (o opCode) row() *verb {
+	if int(o) < len(verbs) {
+		return &verbs[o]
+	}
+	return &notAVerb
+}
+
+// String names the op for structured logs.
+func (o opCode) String() string { return o.row().name }
+
+// stageVerbs labels the stage-latency table's rows, indexed by
+// stageClass: a class is named after the first verb declared in it.
+var stageVerbs = func() []string {
+	labels := make([]string, stOther+1)
+	labels[stRepl], labels[stOther] = "REPL", "other"
+	for i := range verbs {
+		if c := verbs[i].stage; labels[c] == "" {
+			labels[c] = verbs[i].name
+		}
+	}
+	return labels
+}()
 
 // request is one parsed protocol line. key and val alias the connection's
 // read buffer and are only valid until the next read; handlers that store
@@ -227,72 +290,38 @@ func parseRequest1(line []byte, allowTrace bool) (request, error) {
 		req.trace = id
 		return req, nil
 	}
-	switch {
-	case asciiEqualFold(cmd, "GET"):
-		return parseKeyOnly(opGet, rest)
-	case asciiEqualFold(cmd, "DEL"):
-		return parseKeyOnly(opDel, rest)
-	case asciiEqualFold(cmd, "TTL"):
-		return parseKeyOnly(opTTL, rest)
-	case asciiEqualFold(cmd, "SET"):
-		return parseStore(opSet, rest)
-	case asciiEqualFold(cmd, "SETEX"):
-		return parseStore(opSetEx, rest)
-	case asciiEqualFold(cmd, "STATS"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
+	for i := range verbs {
+		v := &verbs[i]
+		if !asciiEqualFold(cmd, v.name) {
+			continue
 		}
-		return request{op: opStats}, nil
-	case asciiEqualFold(cmd, "QUIT"):
-		return request{op: opQuit}, nil
-	case asciiEqualFold(cmd, "CLUSTER"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
+		// The row's shape says how the rest of the line is framed.
+		op := opCode(i)
+		switch v.shape {
+		case shapeBare:
+			if len(rest) != 0 {
+				return request{}, errBadArgs
+			}
+			return request{op: op}, nil
+		case shapeIgnored:
+			return request{op: op}, nil
+		case shapeKey:
+			return parseKeyOnly(op, rest)
+		case shapeStore:
+			return parseStore(op, rest, int(v.words))
+		case shapeCounter:
+			return parseCounter(op, rest, v.words != 0)
+		case shapeCAS:
+			return parseCAS(rest)
+		case shapeHotKeys:
+			return parseHotKeys(rest)
+		case shapeHandoff:
+			return parseHandoff(rest)
+		case shapeMigrate:
+			return parseMigrate(rest)
+		case shapeReplDel:
+			return parseReplDel(rest)
 		}
-		return request{op: opCluster}, nil
-	case asciiEqualFold(cmd, "HANDOFF"):
-		return parseHandoff(rest)
-	case asciiEqualFold(cmd, "MIGRATE"):
-		return parseMigrate(rest)
-	case asciiEqualFold(cmd, "INCR"):
-		return parseCounter(opIncr, rest, false)
-	case asciiEqualFold(cmd, "DECR"):
-		return parseCounter(opDecr, rest, false)
-	case asciiEqualFold(cmd, "ADD"):
-		return parseCounter(opAdd, rest, true)
-	case asciiEqualFold(cmd, "MAXUPDATE"):
-		return parseCounter(opMaxUpdate, rest, true)
-	case asciiEqualFold(cmd, "CAS"):
-		return parseCAS(rest)
-	case asciiEqualFold(cmd, "MULTI"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opMulti}, nil
-	case asciiEqualFold(cmd, "EXEC"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opExec}, nil
-	case asciiEqualFold(cmd, "DISCARD"):
-		if len(rest) != 0 {
-			return request{}, errBadArgs
-		}
-		return request{op: opDiscard}, nil
-	case asciiEqualFold(cmd, "HOTKEYS"):
-		return parseHotKeys(rest)
-	case asciiEqualFold(cmd, "GETV"):
-		return parseKeyOnly(opGetV, rest)
-	case asciiEqualFold(cmd, "SETV"):
-		return parseStore(opSetV, rest)
-	case asciiEqualFold(cmd, "LEASE"):
-		return parseKeyOnly(opLease, rest)
-	case asciiEqualFold(cmd, "SETL"):
-		return parseStore(opSetLease, rest)
-	case asciiEqualFold(cmd, "REPLSET"):
-		return parseStore(opReplSet, rest)
-	case asciiEqualFold(cmd, "REPLDEL"):
-		return parseReplDel(rest)
 	}
 	return request{}, errUnknownCmd
 }
@@ -310,14 +339,7 @@ func parseRequest1(line []byte, allowTrace bool) (request, error) {
 // version-aware clients; REPLSET's expiry is absolute unix nanoseconds
 // so TTLs survive the hop without clock math. The token and version
 // ride in req.ver, REPLSET's expiry in req.delta.
-func parseStore(op opCode, rest []byte) (request, error) {
-	nWords := 0
-	switch op {
-	case opSetEx, opSetV:
-		nWords = 1
-	case opSetLease, opReplSet:
-		nWords = 2
-	}
+func parseStore(op opCode, rest []byte, nWords int) (request, error) {
 	var words [2][]byte
 	key, rest := nextToken(rest)
 	ok := len(key) != 0
@@ -612,20 +634,11 @@ func writeErr(w *bufio.Writer, err error) {
 	w.WriteByte('\n')
 }
 
-func writeStats(w *bufio.Writer, lines []Stat) {
+// writeBlock renders the END-terminated name/value replies: one
+// "<tag><name> <value>" line per Stat (STATS, CLUSTER).
+func writeBlock(w *bufio.Writer, tag string, lines []Stat) {
 	for _, s := range lines {
-		w.WriteString("STAT ")
-		w.WriteString(s.Name)
-		w.WriteByte(' ')
-		w.WriteString(s.Value)
-		w.WriteByte('\n')
-	}
-	w.WriteString("END\n")
-}
-
-func writeCluster(w *bufio.Writer, lines []Stat) {
-	for _, s := range lines {
-		w.WriteString("CLUSTER ")
+		w.WriteString(tag)
 		w.WriteString(s.Name)
 		w.WriteByte(' ')
 		w.WriteString(s.Value)

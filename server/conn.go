@@ -187,7 +187,7 @@ func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, c
 			cs.span.Finish(durNs)
 			if sample {
 				st.recordLatency(cs.latShard, uint64(durNs))
-				st.stages.RecordSpan(verbClassOf(req.op), cs.latShard, &cs.span)
+				st.stages.RecordSpan(int(req.op.row().stage), cs.latShard, &cs.span)
 				if len(req.key) > 0 {
 					st.touchHot(cs.latShard, req.key)
 				}
@@ -269,17 +269,10 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 		s.queueTxnOp(w, cs, req)
 		return req, false
 	}
-	// In-flight limit: cache-touching ops past MaxInflight fail fast with
-	// "ERR busy" (retryable; the request did not execute) instead of
-	// queueing behind a saturated table. STATS stays exempt so operators
-	// can always observe an overloaded server, QUIT so drains always
-	// work, and CLUSTER so rebalance decisions can be made while the
-	// node is overloaded — which is exactly when they matter.
-	// HOTKEYS is exempt like STATS: it only folds the sketches, never
-	// touches the cache, and is most useful exactly when the server is
-	// overloaded by a hot key.
-	if s.inflight != nil && req.op != opStats && req.op != opQuit && req.op != opCluster &&
-		req.op != opMulti && req.op != opDiscard && req.op != opHotKeys {
+	// In-flight limit: past MaxInflight a request fails fast with "ERR
+	// busy" (retryable; it did not execute) instead of queueing behind a
+	// saturated table — unless its verb-table row marks it exempt.
+	if s.inflight != nil && !req.op.row().exempt {
 		t0 = cs.span.Begin()
 		select {
 		case s.inflight <- struct{}{}:
@@ -310,9 +303,9 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			writeMiss(w)
 		}
 	case opStats:
-		writeStats(w, s.cache.Snapshot(s.cache.stats))
+		writeBlock(w, "STAT ", s.cache.Snapshot(s.cache.stats))
 	case opCluster:
-		writeCluster(w, s.clusterInfo())
+		writeBlock(w, "CLUSTER ", s.clusterInfo())
 	case opHotKeys:
 		writeHotKeys(w, s.cache.stats.HotKeys(int(req.delta)))
 	case opReplSet, opReplDel:
@@ -332,7 +325,6 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 			s.replyErr(w, cs, err)
 		case applied:
 			s.cache.stats.replApplied.Add(1)
-			s.cache.leaseInvalidate(key)
 			writeOK(w)
 		default:
 			s.cache.stats.replStale.Add(1)
@@ -547,29 +539,19 @@ func (s *Server) queueTxnOp(w *bufio.Writer, cs *connState, req request) {
 		s.replyErr(w, cs, errTxnTooLong)
 		return
 	}
-	op := txn.Op{Key: string(req.key)}
-	switch req.op {
-	case opGet:
-		op.Kind = txn.OpGet
-	case opSet:
-		op.Kind, op.Val = txn.OpSet, string(req.val)
-	case opSetEx:
-		op.Kind, op.Val = txn.OpSet, string(req.val)
-		op.ExpireAt = time.Now().Add(req.ttl).UnixNano()
-	case opDel:
-		op.Kind = txn.OpDel
-	case opIncr, opDecr, opAdd:
-		op.Kind, op.Delta = txn.OpIncr, req.delta
-	case opMaxUpdate:
-		op.Kind, op.Delta = txn.OpMax, req.delta
-	case opCAS:
-		op.Kind, op.Old, op.Val = txn.OpCAS, string(req.old), string(req.val)
-	default:
+	kind := req.op.row().queue
+	if kind == 0 {
 		// Admin and bulk verbs (STATS, CLUSTER, MIGRATE, HANDOFF, MULTI)
 		// have no transactional meaning; reject and poison.
 		cs.txnBad = true
 		s.replyErr(w, cs, errNotInTxn)
 		return
+	}
+	// The operands a verb does not carry parsed as zero, so one copy-out
+	// fits every queueable verb.
+	op := txn.Op{Kind: kind - 1, Key: string(req.key), Val: string(req.val), Old: string(req.old), Delta: req.delta}
+	if req.ttl > 0 {
+		op.ExpireAt = time.Now().Add(req.ttl).UnixNano()
 	}
 	cs.txnOps = append(cs.txnOps, op)
 	writeQueued(w)

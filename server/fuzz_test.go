@@ -107,6 +107,11 @@ func FuzzParseCommand(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	// One canonical line per verb the codec knows, so a new verb is in the
+	// corpus the moment it is declared.
+	for _, op := range allOps() {
+		f.Add([]byte(canonLine(op.String())))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if bytes.ContainsAny(line, "\r\n") {
 			// readLine strips line terminators before parseRequest ever

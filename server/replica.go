@@ -18,7 +18,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -110,14 +109,20 @@ func (c *Cache) replEnqueue(ent replica.Entry) {
 // so local writes issued afterwards order above everything applied.
 // The bool reports whether the entry was stored (false = stale-dropped).
 //
-// Shared by the REPLSET verb, snapshot restore, and HANDOFF bulk loads:
-// all three are "replica" writes in the sense that they carry an origin
-// version that must be preserved, not reassigned.
+// Shared by the REPLSET verb, snapshot restore, and HANDOFF bulk loads
+// (MIGRATE and replication catch-up): all are "replica" writes in the
+// sense that they carry an origin version that must be preserved, not
+// reassigned. An applied one supersedes whatever a filler read before it,
+// so — like every local write (Cache.wrote) — it kills the key's
+// outstanding fill lease, here, for all of those callers at once.
 func (c *Cache) applyReplicaSet(key string, e entry, sp *obs.Span) (bool, error) {
 	c.observeVersion(e.ver)
 	_, err := c.put(c.shardFor(key), key, e, true, sp)
 	if err == errStaleReplica {
 		return false, nil
+	}
+	if err == nil {
+		c.leaseInvalidate(key)
 	}
 	return err == nil, err
 }
@@ -138,6 +143,9 @@ func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 			sh.table.Delete(key)
 		}
 	})
+	if applied {
+		c.leaseInvalidate(key)
+	}
 	return applied
 }
 
@@ -184,19 +192,7 @@ func (s *Server) EnableReplication(nodes []string, seed uint64, self string) err
 // ReplQueueDepth returns the total number of mutations buffered across
 // all peer mirror logs — 0 means every acknowledged write has been
 // handed to the transport. Tests use it to wait for mirror quiesce.
-func (s *Server) ReplQueueDepth() int {
-	r := s.cache.repl
-	if r == nil {
-		return 0
-	}
-	depth := 0
-	for _, p := range r.peers {
-		if p != nil {
-			depth += p.log.Len()
-		}
-	}
-	return depth
-}
+func (s *Server) ReplQueueDepth() int { return s.cache.replLogTotals().Depth }
 
 // mirrorWorker is the drain loop for one peer: wait for work, settle
 // any owed bulk catch-up, then stream batches of REPLSET/REPLDEL lines
@@ -272,15 +268,7 @@ func (s *Server) replCatchup(p *replPeer) error {
 		s.cache.stats.replCatchups.Add(1)
 		return nil
 	}
-	var buf bytes.Buffer
-	enc := newSnapEncoder(&buf)
-	for _, rc := range recs {
-		enc.add(rc.key, rc.e)
-	}
-	if err := enc.finish(); err != nil {
-		return err
-	}
-	loaded, err := sendHandoff(p.addr, buf.Bytes(), nil)
+	loaded, err := sendHandoff(p.addr, recs, nil)
 	if err != nil {
 		return err
 	}

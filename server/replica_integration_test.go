@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -251,33 +252,72 @@ func TestLeaseInvalidatedByEveryWrite(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
+		setup  []string // request lines run before the lease is granted
 		writes []string // request lines; the last reply must not be ERR
-		want   string   // GET reply once the stale fill has been refused
+		// handoff, when set, is the write instead: a HANDOFF frame carrying
+		// the key with this value at a fresh version, as a bulk catch-up or
+		// a MIGRATE from the key's other node would send it.
+		handoff string
+		want    string // GET reply once the stale fill has been refused
 	}{
-		{"INCR", []string{"INCR %s 5"}, "VALUE 5"},
-		{"DECR", []string{"DECR %s 2"}, "VALUE -2"},
-		{"ADD", []string{"ADD %s 7"}, "VALUE 7"},
-		{"MAXUPDATE", []string{"MAXUPDATE %s 9"}, "VALUE 9"},
-		{"MULTI-SET-EXEC", []string{"MULTI", "SET %s committed", "EXEC"}, "VALUE committed"},
-		{"MULTI-INCR-EXEC", []string{"MULTI", "INCR %s 3", "EXEC"}, "VALUE 3"},
+		{name: "SET", writes: []string{"SET %s fresh"}, want: "VALUE fresh"},
+		{name: "DEL", setup: []string{"SET %s a"}, writes: []string{"DEL %s"}, want: "MISS"},
+		{name: "CAS", setup: []string{"SET %s a"}, writes: []string{"CAS %s a b"}, want: "VALUE b"},
+		{name: "INCR", writes: []string{"INCR %s 5"}, want: "VALUE 5"},
+		{name: "DECR", writes: []string{"DECR %s 2"}, want: "VALUE -2"},
+		{name: "ADD", writes: []string{"ADD %s 7"}, want: "VALUE 7"},
+		{name: "MAXUPDATE", writes: []string{"MAXUPDATE %s 9"}, want: "VALUE 9"},
+		{name: "MULTI-SET-EXEC", writes: []string{"MULTI", "SET %s committed", "EXEC"}, want: "VALUE committed"},
+		{name: "MULTI-INCR-EXEC", writes: []string{"MULTI", "INCR %s 3", "EXEC"}, want: "VALUE 3"},
+		{name: "REPLSET", writes: []string{"REPLSET %s %v 0 mirrored"}, want: "VALUE mirrored"},
+		{name: "REPLDEL", setup: []string{"SET %s a"}, writes: []string{"REPLDEL %s %v"}, want: "MISS"},
+		{name: "HANDOFF", handoff: "handed-off", want: "VALUE handed-off"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			key := "lease-" + tc.name
-			var token string
-			var ttlMS int64
-			if _, err := fmt.Sscanf(filler.roundTrip("LEASE "+key), "LEASE %s %d", &token, &ttlMS); err != nil {
-				t.Fatalf("LEASE on a missing key was not granted: %v", err)
+			run := func(lines []string) {
+				// %v is a version newer than anything this node has issued.
+				ver := fmt.Sprint(time.Now().Add(time.Second).UnixNano())
+				for _, line := range lines {
+					line = strings.NewReplacer("%s", key, "%v", ver).Replace(line)
+					rep := writer.roundTrip(line)
+					if strings.HasPrefix(rep, "EXEC ") {
+						rep = writer.readLine() // the one queued op's result
+					}
+					if rep != "OK" && rep != "QUEUED" {
+						t.Fatalf("%q replied %q", line, rep)
+					}
+				}
 			}
-			for _, line := range tc.writes {
-				if strings.Contains(line, "%s") {
-					line = fmt.Sprintf(line, key)
+			run(tc.setup)
+			// A missing key's lease is granted over the wire; a live key
+			// answers LEASE with its value, so there the grant is taken from
+			// the lease table directly (a filler whose LEASE raced the setup
+			// write holds exactly this token).
+			var token string
+			if len(tc.setup) == 0 {
+				var ttlMS int64
+				if _, err := fmt.Sscanf(filler.roundTrip("LEASE "+key), "LEASE %s %d", &token, &ttlMS); err != nil {
+					t.Fatalf("LEASE on a missing key was not granted: %v", err)
 				}
-				rep := writer.roundTrip(line)
-				if strings.HasPrefix(rep, "EXEC ") {
-					rep = writer.readLine() // the one queued op's result
+			} else {
+				tok, granted, _ := s.cache.leases.Acquire(key, time.Now().UnixNano())
+				if !granted {
+					t.Fatal("lease table refused the first grant")
 				}
-				if rep != "OK" && rep != "QUEUED" {
-					t.Fatalf("%q replied %q", line, rep)
+				token = fmt.Sprintf("%x", tok)
+			}
+			run(tc.writes)
+			if tc.handoff != "" {
+				var buf bytes.Buffer
+				enc := newSnapEncoder(&buf)
+				enc.add(key, entry{val: tc.handoff, ver: uint64(time.Now().UnixNano())})
+				if err := enc.finish(); err != nil {
+					t.Fatal(err)
+				}
+				writer.send(fmt.Sprintf("HANDOFF %d\n%s", buf.Len(), buf.Bytes()))
+				if rep := writer.readLine(); rep != "HANDOFF 1" {
+					t.Fatalf("HANDOFF replied %q", rep)
 				}
 			}
 			if rep := filler.roundTrip("SETL " + key + " " + token + " 0 old"); rep != "MISS" {

@@ -49,7 +49,8 @@ type Config struct {
 	// unbounded goroutine and fd growth. Zero means unlimited.
 	MaxConns int
 	// MaxInflight bounds requests executing against the cache at once
-	// (STATS and QUIT are exempt); excess requests fail fast with
+	// (the verbs that touch no table are exempt: STATS, QUIT, CLUSTER,
+	// HOTKEYS, MULTI, DISCARD); excess requests fail fast with
 	// "ERR busy" rather than queueing behind a saturated table. Zero
 	// means unlimited.
 	MaxInflight int

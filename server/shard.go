@@ -400,7 +400,7 @@ func (c *Cache) Set(key, val string, ttl time.Duration) error {
 func (c *Cache) set(key, val string, ttl time.Duration, sp *obs.Span) (uint64, error) {
 	if f := c.failOp; f != nil {
 		//lint:allow cuckoovet:allocfree fault-injection hook: nil in production, installed only by tests
-		if err := f("SET", key); err != nil {
+		if err := f(opSet.String(), key); err != nil {
 			return 0, err
 		}
 	}
@@ -487,7 +487,7 @@ func (c *Cache) leaseInvalidate(key string) {
 // new count is intentionally not returned — see txn.Store.Incr.
 func (c *Cache) Incr(key string, delta int64, hint uint64, sp *obs.Span) error {
 	if f := c.failOp; f != nil {
-		if err := f("INCR", key); err != nil {
+		if err := f(opIncr.String(), key); err != nil {
 			return err
 		}
 	}

@@ -2,12 +2,15 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"cuckoohash/generic"
 	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/obs"
+	"cuckoohash/internal/replica"
 	"cuckoohash/internal/spinlock"
+	"cuckoohash/internal/txn"
 )
 
 // latencySampleMask samples one request latency out of every 16 per
@@ -104,56 +107,6 @@ const hotSketches = 8
 // distribution.
 const hotSketchK = 48
 
-// stageVerbs are the verb labels of the stage-latency table, indexed by
-// verbClassOf. "other" absorbs QUIT/MULTI bookkeeping and bad lines.
-var stageVerbs = []string{
-	"GET", "SET", "DEL", "TTL", "STATS", "CLUSTER", "MIGRATE",
-	"HANDOFF", "INCR", "MAXUPDATE", "CAS", "EXEC", "HOTKEYS",
-	"LEASE", "REPL", "other",
-}
-
-// verbClassOf maps an opCode to its stageVerbs index. SETEX folds into
-// SET, DECR/ADD into INCR: same code path, same stage profile. The
-// versioned variants fold into their plain classes (GETV→GET, SETV→SET);
-// the lease protocol (LEASE + its SETL fill) and inbound replication
-// (REPLSET/REPLDEL) each get their own class — their stage profiles are
-// what the new repl/lease span stages exist to expose.
-func verbClassOf(op opCode) int {
-	switch op {
-	case opGet, opGetV:
-		return 0
-	case opSet, opSetEx, opSetV:
-		return 1
-	case opDel:
-		return 2
-	case opTTL:
-		return 3
-	case opStats:
-		return 4
-	case opCluster:
-		return 5
-	case opMigrate:
-		return 6
-	case opHandoff:
-		return 7
-	case opIncr, opDecr, opAdd:
-		return 8
-	case opMaxUpdate:
-		return 9
-	case opCAS:
-		return 10
-	case opExec:
-		return 11
-	case opHotKeys:
-		return 12
-	case opLease, opSetLease:
-		return 13
-	case opReplSet, opReplDel:
-		return 14
-	}
-	return len(stageVerbs) - 1
-}
-
 func newStats(shards int) *stats {
 	st := &stats{
 		gets:       metrics.NewOpCounter(shards),
@@ -213,12 +166,18 @@ type Stat struct {
 	Value string
 }
 
-// tableTotals aggregates the per-shard cuckoo tables' internal probe
-// counters and stripe-lock statistics. MaxPathLen takes the max across
-// shards; everything else sums.
-func (c *Cache) tableTotals() (generic.Stats, spinlock.StripeStats) {
-	var tab generic.Stats
-	var lock spinlock.StripeStats
+// tableTotals is the per-shard cuckoo tables' internal probe counters and
+// stripe-lock statistics, aggregated.
+type tableTotals struct {
+	tab  generic.Stats
+	lock spinlock.StripeStats
+}
+
+// tableTotals aggregates across shards: MaxPathLen takes the max,
+// everything else sums.
+func (c *Cache) tableTotals() tableTotals {
+	var tt tableTotals
+	tab, lock := &tt.tab, &tt.lock
 	for _, s := range c.shards {
 		ts := s.table.Stats()
 		tab.Searches += ts.Searches
@@ -238,25 +197,23 @@ func (c *Cache) tableTotals() (generic.Stats, spinlock.StripeStats) {
 		lock.Contended += ls.Contended
 		lock.Yields += ls.Yields
 	}
-	return tab, lock
+	return tt
 }
 
 // replLogTotals aggregates the peer mirror logs: buffered depth and
 // entries dropped to overflow. Both are zero when replication is off.
-func (c *Cache) replLogTotals() (depth int, dropped uint64) {
-	r := c.repl
-	if r == nil {
-		return 0, 0
-	}
-	for _, p := range r.peers {
-		if p == nil {
-			continue
+func (c *Cache) replLogTotals() replica.LogStats {
+	var tot replica.LogStats
+	if r := c.repl; r != nil {
+		for _, p := range r.peers {
+			if p != nil {
+				s := p.log.Stats()
+				tot.Depth += s.Depth
+				tot.Dropped += s.Dropped
+			}
 		}
-		s := p.log.Stats()
-		depth += s.Depth
-		dropped += s.Dropped
 	}
-	return depth, dropped
+	return tot
 }
 
 // growingShards counts shards with an incremental resize in flight.
@@ -270,96 +227,191 @@ func (c *Cache) growingShards() int {
 	return n
 }
 
+// once caches one aggregate for the life of a reading.
+type once[T any] struct{ v *T }
+
+func (o *once[T]) get(read func() T) *T {
+	if o.v == nil {
+		v := read()
+		o.v = &v
+	}
+	return o.v
+}
+
+// reading is one pass over the counter table: the cache being read, and
+// the aggregates several rows share, each computed at most once and only
+// if a row asks for it — CLUSTER's rows ask for none, so an overloaded
+// node answers CLUSTER from a handful of atomic loads.
+type reading struct {
+	c    *Cache
+	st   *stats
+	lat  once[metrics.Histogram]
+	tab  once[tableTotals]
+	tx   once[txn.Stats]
+	repl once[replica.LogStats]
+}
+
+func (r *reading) latency() *metrics.Histogram { return r.lat.get(r.st.lat.Snapshot) }
+func (r *reading) table() *tableTotals         { return r.tab.get(r.c.tableTotals) }
+func (r *reading) txn() *txn.Stats             { return r.tx.get(r.c.txn.StatsSnapshot) }
+func (r *reading) replLog() *replica.LogStats  { return r.repl.get(r.c.replLogTotals) }
+
+// slot places a counter row in the /metrics exposition, whose family
+// order is not the STATS line order the table is written in: Collect
+// emits the slots in this order, a slot's rows in table order, and after
+// some slots the series that are code rather than rows.
+type slot uint8
+
+const (
+	atOps         slot = iota // request, expiry and sweep counters
+	atConns                   // connections
+	atRobust                  // overload and fault recovery (docs/ROBUSTNESS.md)
+	atCluster                 // MIGRATE/HANDOFF traffic (docs/CLUSTER.md)
+	atSize                    // then: per-shard entries, the request-latency histogram
+	atTable                   // cuckoo-path searches (the paper's Eq. 1 and Eq. 2 signals)
+	atTableMax                // the longest path: before table_grows in STATS, after it here
+	atGrow                    // incremental resize; then: the path-length histogram
+	atLock                    // stripe locks
+	atTxn                     // then: the retry histogram, the cuckootrace series
+	atRepl                    // the outbound mirror stream (docs/REPLICATION.md)
+	atReplDropped             // its overflow drops: after the inbound pair in STATS, before it here
+	atReplIn                  // inbound application, queue depth and lag
+	atLease                   // the miss-lease protocol
+	numSlots
+)
+
+// counter is one row of the counter table: a number cuckood reports, and
+// every name it is reported under.
+type counter struct {
+	stat    string // STATS line name; "" = not a STATS line
+	cluster string // CLUSTER line name; "" = not a CLUSTER line
+	// prom is the /metrics family and help its text; a row with a label
+	// but no family is one more sample of the family of the row above. A
+	// row with neither is not exported.
+	prom, help string
+	kind       obs.Kind // counter unless said otherwise
+	label      []string // one /metrics label pair, or none
+	at         slot
+	// unit is how many of the STATS line's units make one of the /metrics
+	// family's (1e9: nanoseconds there, seconds here); 0 = the same unit.
+	unit float64
+	// digits is how many decimals the STATS and CLUSTER rendering keeps:
+	// 0 for counts, more for the ratios.
+	digits int
+	read   func(r *reading) float64
+}
+
+// ratio is num/den, and 0 while den is.
+func ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// counters is the counter table, in STATS line order: the one place a
+// counter's STATS, CLUSTER and /metrics names, help text, kind and unit
+// are declared. Cache.Snapshot (STATS, expvar), Server.clusterInfo
+// (CLUSTER) and Server.Collect (/metrics) all walk it; the hot path never
+// does — it increments the typed stats fields the read closures name.
+var counters = []counter{
+	{stat: "entries", cluster: "entries", prom: "cuckood_entries", help: "Stored entries across all shards.", kind: obs.KindGauge, at: atSize, read: func(r *reading) float64 { return float64(r.c.Len()) }},
+	{stat: "capacity", cluster: "capacity", prom: "cuckood_capacity_slots", help: "Total slot capacity across all shards.", kind: obs.KindGauge, at: atSize, read: func(r *reading) float64 { return float64(r.c.Cap()) }},
+	{cluster: "load", digits: 6, read: func(r *reading) float64 { return ratio(r.c.Len(), r.c.Cap()) }},
+	{stat: "shards", read: func(r *reading) float64 { return float64(len(r.c.shards)) }},
+	{stat: "gets", prom: "cuckood_gets_total", help: "GET requests served.", at: atOps, read: func(r *reading) float64 { return float64(r.st.gets.Total()) }},
+	{stat: "hits", prom: "cuckood_hits_total", help: "GET requests that found a live entry.", at: atOps, read: func(r *reading) float64 { return float64(r.st.hits.Total()) }},
+	{stat: "misses", prom: "cuckood_misses_total", help: "GET requests that missed.", at: atOps, read: func(r *reading) float64 { return float64(r.st.misses.Total()) }},
+	{stat: "hit_ratio", digits: 4, read: func(r *reading) float64 { return ratio(r.st.hits.Total(), r.st.gets.Total()) }},
+	{stat: "sets", prom: "cuckood_sets_total", help: "SET/SETEX requests stored.", at: atOps, read: func(r *reading) float64 { return float64(r.st.sets.Total()) }},
+	{stat: "dels", prom: "cuckood_dels_total", help: "DEL requests served.", at: atOps, read: func(r *reading) float64 { return float64(r.st.dels.Total()) }},
+	{stat: "incrs", prom: "cuckood_incrs_total", help: "INCR/DECR/ADD/MAXUPDATE requests applied.", at: atOps, read: func(r *reading) float64 { return float64(r.st.incrs.Total()) }},
+	{stat: "cas_ops", prom: "cuckood_cas_total", help: "CAS requests attempted (conflicts are cuckood_txn_cas_conflicts_total).", at: atOps, read: func(r *reading) float64 { return float64(r.st.cass.Total()) }},
+	{stat: "expired", prom: "cuckood_expired_total", help: "Entries removed because their TTL passed.", at: atOps, read: func(r *reading) float64 { return float64(r.st.expired.Total()) }},
+	{stat: "evictions", prom: "cuckood_evictions_total", help: "Entries evicted to make room on a full shard.", at: atOps, read: func(r *reading) float64 { return float64(r.st.evictions.Total()) }},
+	{stat: "conns_active", prom: "cuckood_connections_active", help: "Currently open client connections.", kind: obs.KindGauge, at: atConns, read: func(r *reading) float64 { return float64(r.st.connsActive.Load()) }},
+	{stat: "conns_total", prom: "cuckood_connections_total", help: "Client connections accepted since start.", at: atConns, read: func(r *reading) float64 { return float64(r.st.connsTotal.Load()) }},
+	{stat: "lat_samples", read: func(r *reading) float64 { return float64(r.latency().Count()) }},
+	{stat: "lat_mean_ns", read: func(r *reading) float64 { return r.latency().Mean() }},
+	{stat: "lat_p50_ns", read: func(r *reading) float64 { return float64(r.latency().Quantile(0.50)) }},
+	{stat: "lat_p99_ns", read: func(r *reading) float64 { return float64(r.latency().Quantile(0.99)) }},
+	{stat: "lat_p999_ns", read: func(r *reading) float64 { return float64(r.latency().Quantile(0.999)) }},
+	{stat: "slow_ops", prom: "cuckood_slow_requests_total", help: "Requests at or over the slow-op threshold.", at: atOps, read: func(r *reading) float64 { return float64(r.st.slowOps.Load()) }},
+	{stat: "hot_keys_tracked", read: func(r *reading) float64 { return float64(len(r.st.HotKeys(hotSketches * hotSketchK))) }},
+	{stat: "sweeps", prom: "cuckood_ttl_sweeps_total", help: "Completed TTL sweeper passes.", at: atOps, read: func(r *reading) float64 { return float64(r.st.sweeps.Load()) }},
+	{stat: "accept_retries", prom: "cuckood_accept_retries_total", help: "Temporary accept errors retried with backoff.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.acceptRetries.Load()) }},
+	{stat: "conns_shed", prom: "cuckood_connections_shed_total", help: "Connections refused at accept because of -max-conns.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.connsShed.Load()) }},
+	{stat: "busy_rejected", prom: "cuckood_busy_rejections_total", help: "Requests fast-failed with ERR busy because of -max-inflight.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.busyRejected.Load()) }},
+	{stat: "idle_closed", prom: "cuckood_idle_closes_total", help: "Connections closed by the idle timeout.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.idleClosed.Load()) }},
+	{stat: "io_timeouts", prom: "cuckood_io_timeouts_total", help: "Connections closed because a response flush timed out.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.ioTimeouts.Load()) }},
+	{stat: "snapshot_saves", prom: "cuckood_snapshot_saves_total", help: "Cache snapshots written on drain.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.snapSaves.Load()) }},
+	{stat: "snapshot_loads", prom: "cuckood_snapshot_loads_total", help: "Cache snapshots restored at startup.", at: atRobust, read: func(r *reading) float64 { return float64(r.st.snapLoads.Load()) }},
+	{stat: "snapshot_last_save_ns", prom: "cuckood_snapshot_last_save_seconds", help: "Duration of the most recent snapshot save.", kind: obs.KindGauge, at: atRobust, unit: 1e9, read: func(r *reading) float64 { return float64(r.st.snapSaveNs.Load()) }},
+	{stat: "snapshot_last_load_ns", prom: "cuckood_snapshot_last_load_seconds", help: "Duration of the most recent snapshot load.", kind: obs.KindGauge, at: atRobust, unit: 1e9, read: func(r *reading) float64 { return float64(r.st.snapLoadNs.Load()) }},
+	{stat: "cluster_migrated_in", cluster: "migrated_in", prom: "cuckood_cluster_migrated_keys_total", help: "Keys moved between nodes by MIGRATE/HANDOFF, by direction.", label: []string{"direction", "in"}, at: atCluster, read: func(r *reading) float64 { return float64(r.st.migratedIn.Load()) }},
+	{stat: "cluster_migrated_out", cluster: "migrated_out", label: []string{"direction", "out"}, at: atCluster, read: func(r *reading) float64 { return float64(r.st.migratedOut.Load()) }},
+	{stat: "cluster_handoffs", cluster: "handoffs", prom: "cuckood_cluster_handoffs_total", help: "Inbound bulk key transfers applied.", at: atCluster, read: func(r *reading) float64 { return float64(r.st.handoffs.Load()) }},
+	{stat: "cluster_handoff_rejects", prom: "cuckood_cluster_handoff_rejects_total", help: "Inbound bulk key transfers rejected as invalid.", at: atCluster, read: func(r *reading) float64 { return float64(r.st.handoffRejects.Load()) }},
+	{stat: "cluster_migrate_failures", cluster: "migrate_failures", prom: "cuckood_cluster_migrate_failures_total", help: "Outbound migrations that failed before any key was removed.", at: atCluster, read: func(r *reading) float64 { return float64(r.st.migrateFails.Load()) }},
+	{stat: "repl_enqueued", prom: "cuckood_repl_enqueued_total", help: "Writes enqueued for mirroring to the alternate node.", at: atRepl, read: func(r *reading) float64 { return float64(r.st.replEnqueued.Load()) }},
+	{stat: "repl_mirrored", prom: "cuckood_repl_mirrored_total", help: "Mirror log entries delivered to the alternate node.", at: atRepl, read: func(r *reading) float64 { return float64(r.st.replMirrored.Load()) }},
+	{stat: "repl_batches", prom: "cuckood_repl_batches_total", help: "Mirror batches flushed to the alternate node.", at: atRepl, read: func(r *reading) float64 { return float64(r.st.replBatches.Load()) }},
+	{stat: "repl_send_failures", prom: "cuckood_repl_send_failures_total", help: "Mirror sends that failed and latched a bulk catch-up.", at: atRepl, read: func(r *reading) float64 { return float64(r.st.replSendFails.Load()) }},
+	{stat: "repl_catchups", prom: "cuckood_repl_catchups_total", help: "Snapshot-format bulk catch-ups shipped after overflow or send failure.", at: atRepl, read: func(r *reading) float64 { return float64(r.st.replCatchups.Load()) }},
+	{stat: "repl_applied", prom: "cuckood_repl_applied_total", help: "Inbound replicated writes applied, by result.", label: []string{"result", "applied"}, at: atReplIn, read: func(r *reading) float64 { return float64(r.st.replApplied.Load()) }},
+	{stat: "repl_stale_rejected", label: []string{"result", "stale_dropped"}, at: atReplIn, read: func(r *reading) float64 { return float64(r.st.replStale.Load()) }},
+	{stat: "repl_dropped", prom: "cuckood_repl_dropped_total", help: "Mirror log entries overwritten by drop-oldest overflow (repaired by catch-up).", at: atReplDropped, read: func(r *reading) float64 { return float64(r.replLog().Dropped) }},
+	{stat: "repl_queue_depth", prom: "cuckood_repl_queue_depth", help: "Mutations buffered in the mirror logs awaiting delivery.", kind: obs.KindGauge, at: atReplIn, read: func(r *reading) float64 { return float64(r.replLog().Depth) }},
+	{stat: "repl_lag_ns", prom: "cuckood_repl_lag_seconds", help: "Age of the oldest undelivered mirror entry at the last flush (0 when drained).", kind: obs.KindGauge, at: atReplIn, unit: 1e9, read: func(r *reading) float64 { return float64(r.st.replLagNs.Load()) }},
+	{stat: "lease_grants", prom: "cuckood_lease_grants_total", help: "Fill leases granted to the first client missing a key.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseGrants.Load()) }},
+	{stat: "lease_waits", prom: "cuckood_lease_waits_total", help: "LEASE requests told to wait for an in-flight fill.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseWaits.Load()) }},
+	{stat: "lease_stale_serves", prom: "cuckood_lease_stale_serves_total", help: "LEASE requests served an expired copy while a fill was in flight.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseStaleServes.Load()) }},
+	{stat: "lease_fills", prom: "cuckood_lease_fills_total", help: "SETL fills accepted from lease winners.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseFills.Load()) }},
+	{stat: "lease_rejects", prom: "cuckood_lease_rejects_total", help: "SETL fills rejected because the lease was invalidated or expired.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseRejects.Load()) }},
+	{prom: "cuckood_lease_active", help: "Outstanding fill leases.", kind: obs.KindGauge, at: atLease, read: func(r *reading) float64 { return float64(r.c.leases.Active()) }},
+	{stat: "txn_commits", prom: "cuckood_txn_commits_total", help: "EXEC transactions committed (optimistic or pessimistic).", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Commits) }},
+	{stat: "txn_aborts", prom: "cuckood_txn_aborts_total", help: "Optimistic EXEC attempts aborted by stripe-version validation.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Aborts) }},
+	{stat: "txn_epoch_aborts", prom: "cuckood_txn_epoch_aborts_total", help: "Optimistic EXEC attempts aborted because a shard's migration epoch moved under a read-set entry.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().EpochAborts) }},
+	{stat: "txn_fallbacks", prom: "cuckood_txn_fallbacks_total", help: "EXEC transactions that exhausted optimistic retries and committed via the stripe-ordered pessimistic path.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Fallbacks) }},
+	{stat: "txn_cas_conflicts", prom: "cuckood_txn_cas_conflicts_total", help: "CAS operations rejected because the current value differed.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().CASConflicts) }},
+	{stat: "txn_split_ops", prom: "cuckood_txn_split_ops_total", help: "Commutative updates absorbed by per-shard split counters instead of the key's stripe.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().SplitOps) }},
+	{stat: "txn_split_reconciles", prom: "cuckood_txn_split_reconciles_total", help: "Hot-key delta reconciliations folded into the table.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Reconciles) }},
+	{stat: "txn_split_promotions", prom: "cuckood_txn_split_promotions_total", help: "Keys promoted to split-counter mode after stripe contention.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Promotions) }},
+	{stat: "txn_split_demotions", prom: "cuckood_txn_split_demotions_total", help: "Hot keys demoted back to the direct path after going idle.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Demotions) }},
+	{stat: "txn_hot_keys", prom: "cuckood_txn_hot_keys", help: "Keys currently in split-counter mode.", kind: obs.KindGauge, at: atTxn, read: func(r *reading) float64 { return float64(r.txn().HotKeys) }},
+	{stat: "table_searches", prom: "cuckoo_table_searches_total", help: "BFS cuckoo-path searches (slow-path inserts).", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.Searches) }},
+	{stat: "table_displacements", prom: "cuckoo_table_displacements_total", help: "Item moves along cuckoo paths.", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.Displacements) }},
+	{stat: "table_path_restarts", prom: "cuckoo_table_path_restarts_total", help: "Inserts restarted because a concurrent writer invalidated the path (Eq. 1).", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.PathRestarts) }},
+	{stat: "table_max_path_len", prom: "cuckoo_table_max_path_length", help: "Longest discovered cuckoo path, in displacements.", kind: obs.KindGauge, at: atTableMax, read: func(r *reading) float64 { return float64(r.table().tab.MaxPathLen) }},
+	{stat: "table_grows", prom: "cuckoo_table_grows_total", help: "Automatic table expansions started (each drains incrementally).", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.Grows) }},
+	{stat: "grow_migrated_buckets", prom: "cuckood_grow_migrated_buckets_total", help: "Old-generation buckets drained by the incremental-resize migrator.", at: atGrow, read: func(r *reading) float64 { return float64(r.table().tab.MigratedBuckets) }},
+	{stat: "grow_backlog_buckets", prom: "cuckood_grow_backlog_buckets", help: "Old-generation buckets still awaiting migration across all shards.", kind: obs.KindGauge, at: atGrow, read: func(r *reading) float64 { return float64(r.table().tab.MigrationBacklog) }},
+	{stat: "grow_in_progress", prom: "cuckood_grow_in_progress", help: "Shards with an incremental resize in flight.", kind: obs.KindGauge, at: atGrow, read: func(r *reading) float64 { return float64(r.c.growingShards()) }},
+	{stat: "lock_acquisitions", prom: "cuckoo_lock_acquisitions_total", help: "Stripe-lock acquisitions across all shards.", at: atLock, read: func(r *reading) float64 { return float64(r.table().lock.Acquisitions) }},
+	{stat: "lock_contended", prom: "cuckoo_lock_contended_total", help: "Stripe-lock acquisitions that found the lock held.", at: atLock, read: func(r *reading) float64 { return float64(r.table().lock.Contended) }},
+	{stat: "lock_yields", prom: "cuckoo_lock_yields_total", help: "Scheduler yields while spinning on a stripe lock.", at: atLock, read: func(r *reading) float64 { return float64(r.table().lock.Yields) }},
+}
+
+// render reads every row that nameOf names and formats it as a Stat.
+func (r *reading) render(nameOf func(*counter) string) []Stat {
+	out := make([]Stat, 0, len(counters))
+	for i := range counters {
+		row := &counters[i]
+		if name := nameOf(row); name != "" {
+			out = append(out, Stat{name, strconv.FormatFloat(row.read(r), 'f', row.digits, 64)})
+		}
+	}
+	return out
+}
+
 // Snapshot renders every counter, the hit ratio, the sampled latency
 // quantiles, and the cuckoo tables' internal probe counters as STATS
-// lines. It is called off the hot path, so the lazy aggregation of the
-// per-shard counters happens here, not per request.
+// lines, then each shard's entry count. It is called off the hot path,
+// so the lazy aggregation of the per-shard counters happens here, not per
+// request.
 func (c *Cache) Snapshot(st *stats) []Stat {
-	gets, hits, misses := st.gets.Total(), st.hits.Total(), st.misses.Total()
-	ratio := 0.0
-	if gets > 0 {
-		ratio = float64(hits) / float64(gets)
-	}
-	lat := st.lat.Snapshot() // lock-free merge of the per-connection shards
-	tab, lock := c.tableTotals()
-	tx := c.txn.StatsSnapshot()
-	replDepth, replDropped := c.replLogTotals()
-
-	out := []Stat{
-		{"entries", fmt.Sprint(c.Len())},
-		{"capacity", fmt.Sprint(c.Cap())},
-		{"shards", fmt.Sprint(len(c.shards))},
-		{"gets", fmt.Sprint(gets)},
-		{"hits", fmt.Sprint(hits)},
-		{"misses", fmt.Sprint(misses)},
-		{"hit_ratio", fmt.Sprintf("%.4f", ratio)},
-		{"sets", fmt.Sprint(st.sets.Total())},
-		{"dels", fmt.Sprint(st.dels.Total())},
-		{"incrs", fmt.Sprint(st.incrs.Total())},
-		{"cas_ops", fmt.Sprint(st.cass.Total())},
-		{"expired", fmt.Sprint(st.expired.Total())},
-		{"evictions", fmt.Sprint(st.evictions.Total())},
-		{"conns_active", fmt.Sprint(st.connsActive.Load())},
-		{"conns_total", fmt.Sprint(st.connsTotal.Load())},
-		{"lat_samples", fmt.Sprint(lat.Count())},
-		{"lat_mean_ns", fmt.Sprintf("%.0f", lat.Mean())},
-		{"lat_p50_ns", fmt.Sprint(lat.Quantile(0.50))},
-		{"lat_p99_ns", fmt.Sprint(lat.Quantile(0.99))},
-		{"lat_p999_ns", fmt.Sprint(lat.Quantile(0.999))},
-		{"slow_ops", fmt.Sprint(st.slowOps.Load())},
-		{"hot_keys_tracked", fmt.Sprint(len(st.HotKeys(hotSketches * hotSketchK)))},
-		{"sweeps", fmt.Sprint(st.sweeps.Load())},
-		{"accept_retries", fmt.Sprint(st.acceptRetries.Load())},
-		{"conns_shed", fmt.Sprint(st.connsShed.Load())},
-		{"busy_rejected", fmt.Sprint(st.busyRejected.Load())},
-		{"idle_closed", fmt.Sprint(st.idleClosed.Load())},
-		{"io_timeouts", fmt.Sprint(st.ioTimeouts.Load())},
-		{"snapshot_saves", fmt.Sprint(st.snapSaves.Load())},
-		{"snapshot_loads", fmt.Sprint(st.snapLoads.Load())},
-		{"snapshot_last_save_ns", fmt.Sprint(st.snapSaveNs.Load())},
-		{"snapshot_last_load_ns", fmt.Sprint(st.snapLoadNs.Load())},
-		{"cluster_migrated_in", fmt.Sprint(st.migratedIn.Load())},
-		{"cluster_migrated_out", fmt.Sprint(st.migratedOut.Load())},
-		{"cluster_handoffs", fmt.Sprint(st.handoffs.Load())},
-		{"cluster_handoff_rejects", fmt.Sprint(st.handoffRejects.Load())},
-		{"cluster_migrate_failures", fmt.Sprint(st.migrateFails.Load())},
-		{"repl_enqueued", fmt.Sprint(st.replEnqueued.Load())},
-		{"repl_mirrored", fmt.Sprint(st.replMirrored.Load())},
-		{"repl_batches", fmt.Sprint(st.replBatches.Load())},
-		{"repl_send_failures", fmt.Sprint(st.replSendFails.Load())},
-		{"repl_catchups", fmt.Sprint(st.replCatchups.Load())},
-		{"repl_applied", fmt.Sprint(st.replApplied.Load())},
-		{"repl_stale_rejected", fmt.Sprint(st.replStale.Load())},
-		{"repl_dropped", fmt.Sprint(replDropped)},
-		{"repl_queue_depth", fmt.Sprint(replDepth)},
-		{"repl_lag_ns", fmt.Sprint(st.replLagNs.Load())},
-		{"lease_grants", fmt.Sprint(st.leaseGrants.Load())},
-		{"lease_waits", fmt.Sprint(st.leaseWaits.Load())},
-		{"lease_stale_serves", fmt.Sprint(st.leaseStaleServes.Load())},
-		{"lease_fills", fmt.Sprint(st.leaseFills.Load())},
-		{"lease_rejects", fmt.Sprint(st.leaseRejects.Load())},
-		{"txn_commits", fmt.Sprint(tx.Commits)},
-		{"txn_aborts", fmt.Sprint(tx.Aborts)},
-		{"txn_epoch_aborts", fmt.Sprint(tx.EpochAborts)},
-		{"txn_fallbacks", fmt.Sprint(tx.Fallbacks)},
-		{"txn_cas_conflicts", fmt.Sprint(tx.CASConflicts)},
-		{"txn_split_ops", fmt.Sprint(tx.SplitOps)},
-		{"txn_split_reconciles", fmt.Sprint(tx.Reconciles)},
-		{"txn_split_promotions", fmt.Sprint(tx.Promotions)},
-		{"txn_split_demotions", fmt.Sprint(tx.Demotions)},
-		{"txn_hot_keys", fmt.Sprint(tx.HotKeys)},
-		{"table_searches", fmt.Sprint(tab.Searches)},
-		{"table_displacements", fmt.Sprint(tab.Displacements)},
-		{"table_path_restarts", fmt.Sprint(tab.PathRestarts)},
-		{"table_max_path_len", fmt.Sprint(tab.MaxPathLen)},
-		{"table_grows", fmt.Sprint(tab.Grows)},
-		{"grow_migrated_buckets", fmt.Sprint(tab.MigratedBuckets)},
-		{"grow_backlog_buckets", fmt.Sprint(tab.MigrationBacklog)},
-		{"grow_in_progress", fmt.Sprint(c.growingShards())},
-		{"lock_acquisitions", fmt.Sprint(lock.Acquisitions)},
-		{"lock_contended", fmt.Sprint(lock.Contended)},
-		{"lock_yields", fmt.Sprint(lock.Yields)},
-	}
+	r := &reading{c: c, st: st}
+	out := r.render(func(row *counter) string { return row.stat })
 	for i, s := range c.shards {
 		out = append(out, Stat{
 			fmt.Sprintf("shard%d_entries", i),
