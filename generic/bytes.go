@@ -7,20 +7,18 @@ import "hash/maphash"
 // server's GET path aliases the connection read buffer). Correctness
 // rests on two compiler/runtime guarantees:
 //
-//   - maphash.Bytes(seed, b) == maphash.Comparable(seed, string(b)) for
-//     every non-empty b (TestBytesHashEquivalence guards this; the two
-//     differ for the empty string, which is why the empty key falls back
-//     to Get — a zero-length conversion is allocation-free anyway).
-//   - arr.keys[i] == string(key) compiles to a pointer/length compare
+//   - maphash.Bytes(seed, b) == maphash.String(seed, string(b)) for every
+//     b, which is how Table.hash hashes a string key
+//     (TestBytesHashEquivalence guards this at every length that matters:
+//     empty, and on both sides of maphash's 128-byte block).
+//   - a slot's key == string(key) compiles to a pointer/length compare
 //     plus memcmp with no allocation (a recognized free-conversion
 //     position, like map indexing).
 //
 //cuckoo:hotpath the server GET path: one probe, zero allocations
 func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
-	if len(key) == 0 {
-		return t.Get("")
-	}
 	h := maphash.Bytes(t.seed, key)
+	tag := tagOf(h)
 	var lockBuf [8]uint64
 	for {
 		st := t.loadState()
@@ -32,7 +30,7 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 		for _, g := range st.olds {
 			ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 			for _, b := range [2]uint64{ob1, ob2} {
-				if i, ok := findBytes(g.arr, b, t.assoc, key); ok {
+				if i, ok := findBytes(t, g.arr, b, key, tag); ok {
 					v := g.arr.vals[i]
 					t.locks.UnlockOrdered(locked)
 					return v, true
@@ -41,7 +39,7 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 		}
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := findBytes(st.live, b, t.assoc, key); ok {
+			if i, ok := findBytes(t, st.live, b, key, tag); ok {
 				v := st.live.vals[i]
 				t.locks.UnlockOrdered(locked)
 				return v, true
@@ -54,12 +52,11 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 }
 
 // findBytes is find with a byte-slice probe; caller holds b's stripe.
-func findBytes[V any](arr *tArrays[string, V], b, assoc uint64, key []byte) (uint64, bool) {
+func findBytes[V any](t *Table[string, V], arr *tArrays[string, V], b uint64, key []byte, tag uint8) (uint64, bool) {
 	occ := arr.occ[b]
-	base := b * assoc
-	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-		if occ&1 != 0 && arr.keys[base+uint64(s)] == string(key) {
-			return base + uint64(s), true
+	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
+		if occ&1 != 0 && arr.tags[i] == tag && t.keyAt(arr, i) == string(key) {
+			return i, true
 		}
 	}
 	return 0, false

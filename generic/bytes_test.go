@@ -4,28 +4,44 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// TestBytesHashEquivalence guards the identity GetBytes is built on:
-// for every non-empty string s, maphash.Comparable(seed, s) equals
-// maphash.Bytes(seed, []byte(s)) (and maphash.String(seed, s)). The
-// empty string is the documented exception — Comparable mixes in type
-// identity that the byte hash of zero bytes does not — which is why
-// GetBytes routes the empty key through Get instead.
+// TestBytesHashEquivalence guards the identity GetBytes is built on: a
+// string-keyed table hashes key s exactly as maphash.Bytes hashes its
+// bytes, at every length — the empty key, short keys, and keys past
+// maphash's 128-byte block, where Bytes and String hash block by block
+// and maphash.Comparable, which Table.hash used to call for every key
+// type, does not: a 129-byte key written through Upsert was invisible to
+// GetBytes (a cuckood SET acknowledged, every GET of it a MISS).
 func TestBytesHashEquivalence(t *testing.T) {
-	seed := maphash.MakeSeed()
+	tab := MustNew[string, int](Config{})
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		n := 1 + rng.Intn(64)
+	for i := 0; i < 4000; i++ {
+		n := i % 700 // 0 … 699: five blocks and change
 		b := make([]byte, n)
 		rng.Read(b)
-		s := string(b)
-		if maphash.Comparable(seed, s) != maphash.Bytes(seed, b) {
-			t.Fatalf("Comparable != Bytes for %q", s)
+		if tab.hash(string(b)) != maphash.Bytes(tab.seed, b) {
+			t.Fatalf("a %d-byte string key does not hash as its bytes do", n)
 		}
-		if maphash.String(seed, s) != maphash.Bytes(seed, b) {
-			t.Fatalf("String != Bytes for %q", s)
+	}
+}
+
+// TestGetBytesLongKeys is the end-to-end form: keys on both sides of the
+// 128-byte block, written as strings, are found by their bytes.
+func TestGetBytesLongKeys(t *testing.T) {
+	tab := MustNew[string, int](Config{InitialCapacity: 64})
+	for _, n := range []int{1, 127, 128, 129, 200, 250, 256, 257, 1000} {
+		k := strings.Repeat("k", n)
+		if err := tab.Insert(k, n); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := GetBytes(tab, []byte(k)); !ok || v != n {
+			t.Errorf("GetBytes of a %d-byte key = %d, %v; want %d, true", n, v, ok, n)
+		}
+		if v, ok := tab.Get(k); !ok || v != n {
+			t.Errorf("Get of a %d-byte key = %d, %v; want %d, true", n, v, ok, n)
 		}
 	}
 }
@@ -50,8 +66,8 @@ func TestGetBytes(t *testing.T) {
 	}
 }
 
-// TestGetBytesEmptyKey covers the maphash fallback: the empty key must
-// behave identically through both entry points.
+// TestGetBytesEmptyKey: the empty key behaves identically through both
+// entry points.
 func TestGetBytesEmptyKey(t *testing.T) {
 	tab := MustNew[string, int](Config{})
 	if _, ok := GetBytes(tab, nil); ok {

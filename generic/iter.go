@@ -49,7 +49,7 @@ func (t *Table[K, V]) Clear() {
 	for b := uint64(0); b < st.live.buckets; b++ {
 		l := t.locks.IndexFor(b)
 		t.locks.Lock(l)
-		if n := clearBucket(st.live, b, t.assoc); n != 0 {
+		if n := t.clearBucket(st.live, b); n != 0 {
 			t.size.Add(b, -n)
 		}
 		t.locks.Unlock(l)
@@ -58,20 +58,14 @@ func (t *Table[K, V]) Clear() {
 
 // clearBucket empties bucket b and returns how many entries it held;
 // caller holds the bucket's stripe.
-func clearBucket[K comparable, V any](arr *tArrays[K, V], b, assoc uint64) int64 {
-	var zeroK K
-	var zeroV V
+func (t *Table[K, V]) clearBucket(arr *tArrays[K, V], b uint64) int64 {
 	var n int64
 	occ := arr.occ[b]
-	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-		if occ&1 == 0 {
-			continue
+	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
+		if occ&1 != 0 {
+			t.clearSlot(arr, b, i)
+			n++
 		}
-		i := b*assoc + uint64(s)
-		arr.keys[i] = zeroK // release references for the GC
-		arr.vals[i] = zeroV
-		n++
 	}
-	arr.occ[b] = 0
 	return n
 }

@@ -288,7 +288,7 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 		var slot uint64
 		if occ != 0 {
 			slot = uint64(firstSlot(occ))
-			key = g.arr.keys[b*t.assoc+slot]
+			key = t.keyAt(g.arr, b*t.assoc+slot)
 		}
 		t.locks.Unlock(li)
 
@@ -358,14 +358,13 @@ func (t *Table[K, V]) moveOldSlot(st *genState[K, V], g *oldGen[K, V], ob, s uin
 		return true
 	}
 	i := ob*t.assoc + s
-	if g.arr.occ[ob]&(1<<uint(s)) == 0 || g.arr.keys[i] != key {
+	if g.arr.occ[ob]&(1<<uint(s)) == 0 || t.keyAt(g.arr, i) != key {
 		return true // a writer or another migrator already handled it
 	}
 	live := st.live
 	for _, nb := range [2]uint64{nb1, nb2} {
 		if fs, ok := freeSlot(live.occ[nb], int(t.assoc)); ok {
-			t.placeNoCount(live, nb, fs, key, g.arr.vals[i])
-			t.clearSlot(g.arr, ob, i)
+			t.moveSlot(live, nb, fs, g.arr, ob, i)
 			return true
 		}
 	}

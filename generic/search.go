@@ -50,15 +50,16 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K],
 			t.locks.Unlock(l)
 			return nil, false
 		}
-		occ := arr.occ[bucket]
-		base := bucket * t.assoc
-		for s := 0; s < assoc; s++ {
-			keys[s] = arr.keys[base+uint64(s)]
+		free, ok := freeSlot(arr.occ[bucket], assoc)
+		if !ok { // full: its keys are the next frontier
+			for s := range keys {
+				keys[s] = t.keyAt(arr, bucket*t.assoc+uint64(s))
+			}
 		}
 		t.locks.Unlock(l)
 
-		if s, ok := freeSlot(occ, assoc); ok {
-			return t.buildPath(nodes, qi, s), true
+		if ok {
+			return t.buildPath(nodes, qi, free), true
 		}
 		if len(nodes)+assoc > budget+2 {
 			continue
@@ -118,17 +119,13 @@ func (t *Table[K, V]) displace(st *genState[K, V], src, dst pathEntry[K]) bool {
 	}
 	arr := st.live
 	si := src.bucket*t.assoc + uint64(src.slot)
-	if arr.occ[src.bucket]&(1<<uint(src.slot)) == 0 || arr.keys[si] != src.key {
+	if arr.occ[src.bucket]&(1<<uint(src.slot)) == 0 || t.keyAt(arr, si) != src.key {
 		return false
 	}
 	if arr.occ[dst.bucket]&(1<<uint(dst.slot)) != 0 {
 		return false
 	}
-	di := dst.bucket*t.assoc + uint64(dst.slot)
-	arr.keys[di] = arr.keys[si]
-	arr.vals[di] = arr.vals[si]
-	arr.occ[dst.bucket] |= 1 << uint(dst.slot)
-	t.clearSlot(arr, src.bucket, si)
+	t.moveSlot(arr, dst.bucket, dst.slot, arr, src.bucket, si)
 	t.probe.Displaced(src.bucket)
 	return true
 }

@@ -48,7 +48,10 @@ type Config struct {
 	MaxCapacity uint64
 	// Associativity is the bucket width (default 4, libcuckoo's default).
 	Associativity int
-	// LockStripes is the striped-lock table size (default 4096).
+	// LockStripes is the striped-lock table size (default 4096). A bucket
+	// maps to stripe bucket&(stripes-1), so stripes past the bucket count
+	// can never be taken: with MaxCapacity set, the table allocates no
+	// more stripes than it will have buckets at that capacity.
 	LockStripes int
 	// MaxSearchSlots is the insert search budget (default 2000).
 	MaxSearchSlots int
@@ -92,9 +95,12 @@ func (c *Config) setDefaults() {
 // Table is a concurrent cuckoo hash table mapping K to V. All methods are
 // safe for concurrent use.
 type Table[K comparable, V any] struct {
-	cfg    Config
-	seed   maphash.Seed
-	assoc  uint64
+	cfg   Config
+	seed  maphash.Seed
+	assoc uint64
+	// keyOf is non-nil in a keyed table (NewKeyed): the value carries its
+	// key, so the arrays store no keys and a slot's key is keyOf(value).
+	keyOf  func(V) K
 	locks  *spinlock.Stripe
 	growMu sync.Mutex // serializes generation-set changes and full walks
 	state  atomic.Pointer[genState[K, V]]
@@ -108,9 +114,14 @@ type Table[K comparable, V any] struct {
 
 type tArrays[K comparable, V any] struct {
 	buckets uint64
-	keys    []K
+	keys    []K // nil in a keyed table
 	vals    []V
-	occ     []uint32 // guarded by the bucket's lock stripe
+	// tags holds one byte of each occupied slot's key hash (tagOf), MemC3's
+	// partial-key tag: a probe compares it before it compares — in a keyed
+	// table, before it dereferences — any key, and a slot that moves
+	// (displace, migration) carries its tag along.
+	tags []uint8
+	occ  []uint32 // guarded by the bucket's lock stripe
 
 	// fullAt is the search mark: the table's Len when a path search in
 	// these arrays last ran out of budget, 0 when none has (or since
@@ -120,8 +131,26 @@ type tArrays[K comparable, V any] struct {
 	fullAt atomic.Uint64
 }
 
-// New creates a Table.
+// New creates a Table that stores each key beside its value.
 func New[K comparable, V any](cfg Config) (*Table[K, V], error) {
+	return newTable[K, V](cfg, nil)
+}
+
+// NewKeyed creates a Table whose values carry their keys: keyOf extracts
+// the key from a stored value, the table keeps no key array, and a slot
+// costs one V plus its tag byte. It is the MemC3 layout — a partial-key
+// tag and one reference per slot to an item that holds its own key — for
+// callers whose V is such a reference. Every method behaves as on a plain
+// table; the key passed to Insert and Upsert must equal keyOf(val), and
+// keyOf must be cheap, pure and safe to call under a bucket's stripe.
+func NewKeyed[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], error) {
+	if keyOf == nil {
+		return nil, errors.New("generic: NewKeyed needs a keyOf function")
+	}
+	return newTable(cfg, keyOf)
+}
+
+func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], error) {
 	cfg.setDefaults()
 	if cfg.Associativity < 1 || cfg.Associativity > 32 {
 		return nil, errors.New("generic: Associativity must be in [1,32]")
@@ -135,15 +164,30 @@ func New[K comparable, V any](cfg Config) (*Table[K, V], error) {
 	if cfg.MaxCapacity != 0 && cfg.MaxCapacity < cfg.InitialCapacity {
 		return nil, errors.New("generic: MaxCapacity below InitialCapacity")
 	}
+	assoc := uint64(cfg.Associativity)
+	buckets := uint64(2)
+	for buckets*assoc < cfg.InitialCapacity {
+		buckets <<= 1
+	}
+	stripes := cfg.LockStripes
+	if cfg.MaxCapacity != 0 {
+		// Put-driven growth stops at the last doubling that fits
+		// MaxCapacity; IndexFor never reaches a stripe past that bucket
+		// count. (A forced drain-escalation grow may exceed it for a while;
+		// buckets then share stripes, as in any table larger than its
+		// stripe table.)
+		maxBuckets := buckets
+		for maxBuckets*2*assoc <= cfg.MaxCapacity {
+			maxBuckets <<= 1
+		}
+		stripes = int(min(uint64(stripes), maxBuckets))
+	}
 	t := &Table[K, V]{
 		cfg:   cfg,
 		seed:  maphash.MakeSeed(),
-		assoc: uint64(cfg.Associativity),
-		locks: spinlock.NewStripe(cfg.LockStripes),
-	}
-	buckets := uint64(2)
-	for buckets*t.assoc < cfg.InitialCapacity {
-		buckets <<= 1
+		assoc: assoc,
+		keyOf: keyOf,
+		locks: spinlock.NewStripe(stripes),
 	}
 	t.state.Store(&genState[K, V]{live: t.newArrays(buckets)})
 	return t, nil
@@ -159,13 +203,32 @@ func MustNew[K comparable, V any](cfg Config) *Table[K, V] {
 }
 
 func (t *Table[K, V]) newArrays(buckets uint64) *tArrays[K, V] {
-	return &tArrays[K, V]{
+	arr := &tArrays[K, V]{
 		buckets: buckets,
-		keys:    make([]K, buckets*t.assoc),
 		vals:    make([]V, buckets*t.assoc),
+		tags:    make([]uint8, buckets*t.assoc),
 		occ:     make([]uint32, buckets),
 	}
+	if t.keyOf == nil {
+		arr.keys = make([]K, buckets*t.assoc)
+	}
+	return arr
 }
+
+// keyAt returns the key of occupied slot i: the stored one, or in a keyed
+// table the one its value carries. Caller holds the slot's stripe.
+func (t *Table[K, V]) keyAt(arr *tArrays[K, V], i uint64) K {
+	if t.keyOf != nil {
+		return t.keyOf(arr.vals[i])
+	}
+	return arr.keys[i]
+}
+
+// tagOf is the slot tag of a key with hash h: bits 24-31, which neither
+// bucket index reads in a table of up to 2^24 buckets (twoBuckets takes
+// the first from the low bits and the second from the high word), so two
+// keys that share a bucket still differ in their tags 255 times in 256.
+func tagOf(h uint64) uint8 { return uint8(h >> 24) }
 
 // Len returns the number of stored keys.
 func (t *Table[K, V]) Len() uint64 { return uint64(t.size.Total()) }
@@ -181,7 +244,15 @@ func (t *Table[K, V]) LoadFactor() float64 { return float64(t.Len()) / float64(t
 // LockStats returns the stripe table's lock-contention counters.
 func (t *Table[K, V]) LockStats() spinlock.StripeStats { return t.locks.Stats() }
 
+// hash hashes key. A string key hashes as its bytes do — GetBytes probes
+// with maphash.Bytes — at every length: maphash.Comparable agrees with
+// Bytes only up to 128 bytes (past that Bytes and String hash in blocks,
+// Comparable does not), which used to make a longer key written through
+// Upsert invisible to GetBytes.
 func (t *Table[K, V]) hash(key K) uint64 {
+	if s, ok := any(key).(string); ok {
+		return maphash.String(t.seed, s)
+	}
 	return maphash.Comparable(t.seed, key)
 }
 
@@ -235,6 +306,7 @@ func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []
 //cuckoo:hotpath the table read path (§7 locked reads)
 func (t *Table[K, V]) Get(key K) (V, bool) {
 	h := t.hash(key)
+	tag := tagOf(h)
 	var lockBuf [8]uint64
 	for {
 		st := t.loadState()
@@ -246,7 +318,7 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 		for _, g := range st.olds {
 			ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 			for _, b := range [2]uint64{ob1, ob2} {
-				if i, ok := t.find(g.arr, b, key); ok {
+				if i, ok := t.find(g.arr, b, key, tag); ok {
 					v := g.arr.vals[i]
 					t.locks.UnlockOrdered(locked)
 					return v, true
@@ -255,7 +327,7 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 		}
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := t.find(st.live, b, key); ok {
+			if i, ok := t.find(st.live, b, key, tag); ok {
 				v := st.live.vals[i]
 				t.locks.UnlockOrdered(locked)
 				return v, true
@@ -267,13 +339,13 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 	}
 }
 
-// find scans bucket b for key; caller holds its stripe.
-func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K) (uint64, bool) {
+// find scans bucket b for key, whose tag is tag; caller holds its stripe.
+// Only a slot whose tag matches has its key looked at.
+func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K, tag uint8) (uint64, bool) {
 	occ := arr.occ[b]
-	base := b * t.assoc
-	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-		if occ&1 != 0 && arr.keys[base+uint64(s)] == key {
-			return base + uint64(s), true
+	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
+		if occ&1 != 0 && arr.tags[i] == tag && t.keyAt(arr, i) == key {
+			return i, true
 		}
 	}
 	return 0, false
@@ -374,8 +446,9 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 		return putStale
 	}
 	live := st.live
+	tag := tagOf(h)
 	for _, b := range [2]uint64{b1, b2} {
-		if i, ok := t.find(live, b, key); ok {
+		if i, ok := t.find(live, b, key, tag); ok {
 			if !overwrite {
 				return putExists
 			}
@@ -386,7 +459,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 	for _, g := range st.olds {
 		ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 		for _, ob := range [2]uint64{ob1, ob2} {
-			i, ok := t.find(g.arr, ob, key)
+			i, ok := t.find(g.arr, ob, key, tag)
 			if !ok {
 				continue
 			}
@@ -395,7 +468,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 			}
 			// Fold the entry forward into a live slot.
 			if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
-				t.placeNoCount(live, s.bucket, s.slot, key, val)
+				t.place(live, s.bucket, s.slot, key, val, tag)
 				t.clearSlot(g.arr, ob, i)
 				return putDone
 			}
@@ -403,7 +476,8 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 		}
 	}
 	if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
-		t.place(live, s.bucket, s.slot, key, val)
+		t.place(live, s.bucket, s.slot, key, val, tag)
+		t.size.Add(s.bucket, 1)
 		return putDone
 	}
 	return putNoSpace
@@ -434,27 +508,40 @@ func (t *Table[K, V]) liveSlotFor(live *tArrays[K, V], b1, b2 uint64, reqSlot in
 	return liveTarget{}, false
 }
 
-func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, key K, val V) {
+// place fills free slot s of bucket b; caller holds the bucket's stripe
+// and accounts for size itself.
+func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, key K, val V, tag uint8) {
 	i := b*t.assoc + uint64(s)
-	arr.keys[i] = key
+	if arr.keys != nil {
+		arr.keys[i] = key
+	}
 	arr.vals[i] = val
+	arr.tags[i] = tag
 	arr.occ[b] |= 1 << uint(s)
-	t.size.Add(b, 1)
 }
 
-func (t *Table[K, V]) placeNoCount(arr *tArrays[K, V], b uint64, s int, key K, val V) {
-	i := b*t.assoc + uint64(s)
-	arr.keys[i] = key
-	arr.vals[i] = val
-	arr.occ[b] |= 1 << uint(s)
+// moveSlot relocates the entry in slot si of src's bucket sb into free slot
+// ds of dst's bucket db, tag and all: a displacement within the live
+// arrays, or a migration out of a draining generation (a key's tag depends
+// on its hash alone, so it holds in every generation). Caller holds both
+// stripes; the table's size is unchanged.
+func (t *Table[K, V]) moveSlot(dst *tArrays[K, V], db uint64, ds int, src *tArrays[K, V], sb, si uint64) {
+	var key K
+	if src.keys != nil {
+		key = src.keys[si]
+	}
+	t.place(dst, db, ds, key, src.vals[si], src.tags[si])
+	t.clearSlot(src, sb, si)
 }
 
 // clearSlot empties slot i of bucket b, releasing references for the
 // GC; caller holds the bucket's stripe and accounts for size itself.
 func (t *Table[K, V]) clearSlot(arr *tArrays[K, V], b, i uint64) {
-	var zeroK K
+	if arr.keys != nil {
+		var zeroK K
+		arr.keys[i] = zeroK
+	}
 	var zeroV V
-	arr.keys[i] = zeroK
 	arr.vals[i] = zeroV
 	arr.occ[b] &^= 1 << uint(i-b*t.assoc)
 }
@@ -473,6 +560,7 @@ func freeSlot(occ uint32, assoc int) (int, bool) {
 // same write migration itself performs.
 func (t *Table[K, V]) Delete(key K) bool {
 	h := t.hash(key)
+	tag := tagOf(h)
 	var lockBuf [8]uint64
 	for {
 		st := t.loadState()
@@ -484,7 +572,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 		deleted := false
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := t.find(st.live, b, key); ok {
+			if i, ok := t.find(st.live, b, key, tag); ok {
 				t.clearSlot(st.live, b, i)
 				t.size.Add(b, -1)
 				deleted = true
@@ -495,7 +583,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 			for _, g := range st.olds {
 				ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 				for _, b := range [2]uint64{ob1, ob2} {
-					if i, ok := t.find(g.arr, b, key); ok {
+					if i, ok := t.find(g.arr, b, key, tag); ok {
 						t.clearSlot(g.arr, b, i)
 						t.size.Add(b, -1)
 						deleted = true
@@ -524,6 +612,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 // the buckets' stripes: it must only compare, and not call into t.
 func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool) {
 	h := t.hash(key)
+	tag := tagOf(h)
 	for {
 		st := t.loadState()
 		live := st.live
@@ -537,7 +626,7 @@ func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool)
 		for _, b := range [2]uint64{b1, b2} {
 			occ := live.occ[b]
 			for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
-				if occ&1 == 0 || live.keys[i] == key {
+				if occ&1 == 0 || live.tags[i] == tag && t.keyAt(live, i) == key {
 					continue
 				}
 				if !ok || older(live.vals[i], live.vals[best]) {
@@ -546,7 +635,7 @@ func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool)
 			}
 		}
 		if ok {
-			victim = live.keys[best]
+			victim = t.keyAt(live, best)
 		}
 		t.locks.UnlockPair(l1, l2)
 		return victim, ok
@@ -571,7 +660,7 @@ func (t *Table[K, V]) Range(fn func(key K, val V) bool) {
 	for b := uint64(0); b < st.live.buckets; b++ {
 		l := t.locks.IndexFor(b)
 		t.locks.Lock(l)
-		keys, vals = copyBucket(st.live, b, t.assoc, keys[:0], vals[:0])
+		keys, vals = t.copyBucket(st.live, b, keys[:0], vals[:0])
 		t.locks.Unlock(l)
 		for i := range keys {
 			if !fn(keys[i], vals[i]) {
@@ -583,15 +672,14 @@ func (t *Table[K, V]) Range(fn func(key K, val V) bool) {
 
 // copyBucket appends bucket b's occupied entries to keys/vals; caller
 // holds the bucket's stripe.
-func copyBucket[K comparable, V any](arr *tArrays[K, V], b, assoc uint64, keys []K, vals []V) ([]K, []V) {
+func (t *Table[K, V]) copyBucket(arr *tArrays[K, V], b uint64, keys []K, vals []V) ([]K, []V) {
 	occ := arr.occ[b]
-	base := b * assoc
-	for s := 0; occ != 0; s, occ = s+1, occ>>1 {
+	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
 		if occ&1 == 0 {
 			continue
 		}
-		keys = append(keys, arr.keys[base+uint64(s)])
-		vals = append(vals, arr.vals[base+uint64(s)])
+		keys = append(keys, t.keyAt(arr, i))
+		vals = append(vals, arr.vals[i])
 	}
 	return keys, vals
 }

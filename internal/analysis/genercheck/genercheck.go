@@ -20,7 +20,8 @@
 //
 //   - R1: if the function obtains a generation state (calls a method
 //     named loadState) and indexes a bucket array (a field named keys,
-//     vals or occ), every such access must be positionally preceded by a
+//     vals, tags or occ) or reads a slot's key through the keyAt
+//     accessor, every such access must be positionally preceded by a
 //     stateValid call — the re-check that pins the generation set for
 //     the critical section.
 //   - R2: no bucket-array access may positionally follow a markMigrated
@@ -49,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 
 // genArrayFields are the bucket-array field names of the table's
 // generation arrays; indexing one of these is what the rules guard.
-var genArrayFields = map[string]bool{"keys": true, "vals": true, "occ": true}
+var genArrayFields = map[string]bool{"keys": true, "vals": true, "tags": true, "occ": true}
 
 const (
 	evLoad = iota
@@ -94,6 +95,8 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				events = append(events, event{x.Pos(), evValidate, "stateValid"})
 			case "markMigrated":
 				events = append(events, event{x.Pos(), evMark, "markMigrated"})
+			case "keyAt":
+				events = append(events, event{x.Pos(), evAccess, "keyAt"})
 			}
 		case *ast.IndexExpr:
 			if f := checkutil.FieldOf(pass.TypesInfo, x.X); f != nil && genArrayFields[f.Name()] {

@@ -9,6 +9,7 @@ package generchecktest
 type arrays struct {
 	keys []uint64
 	vals []uint64
+	tags []uint8
 	occ  []uint32
 }
 
@@ -28,6 +29,11 @@ type table struct {
 
 func (t *table) loadState() *state         { return t.cur }
 func (t *table) stateValid(st *state) bool { return t.cur == st }
+
+// keyAt is the slot-key accessor: in a keyed table the key comes out of
+// the value, so a read through it is as much a generation-array access as
+// indexing keys.
+func (t *table) keyAt(a *arrays, i uint64) uint64 { return a.keys[i] }
 
 func (g *gen) markMigrated(b uint64) bool {
 	w := &g.marks[b>>5]
@@ -77,6 +83,20 @@ func badValidateTooLate(t *table, b uint64) uint64 {
 func badUnvalidatedWrite(t *table, b uint64) {
 	st := t.loadState()
 	st.live.occ[b] = 0 // want `generation array "occ" accessed without a preceding stateValid`
+}
+
+func badUnvalidatedTagAndKey(t *table, b uint64, tag uint8) bool {
+	st := t.loadState()
+	return st.live.tags[b] == tag && // want `generation array "tags" accessed without a preceding stateValid`
+		t.keyAt(st.live, b) == 7 // want `generation array "keyAt" accessed without a preceding stateValid`
+}
+
+func goodValidatedTagAndKey(t *table, b uint64, tag uint8) bool {
+	st := t.loadState()
+	if !t.stateValid(st) {
+		return false
+	}
+	return st.live.tags[b] == tag && t.keyAt(st.live, b) == 7
 }
 
 // goodHelperNoLoad never loads the state itself: the arrays were handed

@@ -93,7 +93,7 @@ func HotAlloc(sc Scale) *Report {
 		{"GET hit, string([]byte) per op (legacy)", func(i uint64) {
 			c.Get(string(byteKeys[i%universe]))
 		}},
-		{"SET overwrite, owned strings", func(i uint64) {
+		{"SET overwrite, string key and value", func(i uint64) {
 			if err := c.Set(keys[i%universe], "value-x", 0); err != nil {
 				panic("hotalloc: " + err.Error())
 			}
@@ -105,6 +105,7 @@ func HotAlloc(sc Scale) *Report {
 	}
 
 	r.AddNote("acceptance: byte-key GET (the path every network request takes) is 0 allocs/op, hit and miss; the string-key rows share its lookup, so the per-op string([]byte) conversion that used to escape (1 alloc/op) stays on the stack for keys up to 32 bytes")
+	r.AddNote("a SET is 1 alloc/op: the item, one object holding version, expiry, key and value, which is all a shard slot refers to (a SET off the wire is the same 1; it was 2, a key copy and a value copy, when this row read 0 only because the cache kept the caller's own two strings)")
 	r.AddNote("statically verified: cuckoovet's allocfree analyzer proves the //cuckoo:hotpath roots allocation-free over the whole call graph (docs/ANALYSIS.md)")
 	r.AddNote("server/hotalloc_test.go asserts the same bound over the full wire round trip (parse + dispatch + reply) with testing.AllocsPerRun")
 	return r

@@ -4,9 +4,10 @@ import "sync/atomic"
 
 // ShardedCounter is a write-mostly signed counter spread over 64 padded
 // cache lines so that concurrent writers on different buckets never
-// contend (principle P1). Every table in the module keeps its size in one,
-// and Probe keeps its event counts in three. Callers pick the shard from a
-// value already in hand — a bucket index or a hash.
+// contend (principle P1). Every table in the module keeps its size in one
+// (it is on every insert; Probe's slow-path event counts use the narrower
+// slowCounter). Callers pick the shard from a value already in hand — a
+// bucket index or a hash.
 type ShardedCounter struct {
 	shards [64]paddedInt64
 }
@@ -23,20 +24,37 @@ func (c *ShardedCounter) Add(shard uint64, delta int64) {
 
 // Total sums the shards: exact when no writer is active, a momentary view
 // otherwise.
-func (c *ShardedCounter) Total() int64 {
+func (c *ShardedCounter) Total() int64 { return totalOf(c.shards[:]) }
+
+// Reset zeroes every shard.
+func (c *ShardedCounter) Reset() { resetAll(c.shards[:]) }
+
+func totalOf(shards []paddedInt64) int64 {
 	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
+	for i := range shards {
+		t += shards[i].v.Load()
 	}
 	return t
 }
 
-// Reset zeroes every shard.
-func (c *ShardedCounter) Reset() {
-	for i := range c.shards {
-		c.shards[i].v.Store(0)
+func resetAll(shards []paddedInt64) {
+	for i := range shards {
+		shards[i].v.Store(0)
 	}
 }
+
+// slowCounter is ShardedCounter sized for the insert slow path: a search, a
+// displacement or a restart is bumped from inside a path search that costs
+// microseconds and takes bucket locks, so eight padded shards (1 KB, as
+// pathLen has) keep writers apart where sixty-four (8 KB) only cost
+// memory — three of them per table, times every shard of a cache.
+type slowCounter struct {
+	shards [8]paddedInt64
+}
+
+func (c *slowCounter) add(shard uint64) { c.shards[shard&7].v.Add(1) }
+func (c *slowCounter) total() uint64    { return uint64(totalOf(c.shards[:])) }
+func (c *slowCounter) reset()           { resetAll(c.shards[:]) }
 
 // PathLenBuckets is the width of the path-length histogram. Eq. 2 bounds
 // BFS paths at ~5 displacements for the paper's B=4..16 and M=2000, so 16
@@ -48,9 +66,9 @@ const PathLenBuckets = 16
 // lengths (Eq. 2). Both engines (internal/core and generic) embed one, so
 // the evaluation and the service layer read the same signals from either.
 type Probe struct {
-	searches      ShardedCounter
-	displacements ShardedCounter
-	restarts      ShardedCounter
+	searches      slowCounter
+	displacements slowCounter
+	restarts      slowCounter
 	maxPathLen    atomic.Uint64
 	// Path lengths are recorded once per successful search, so a modest
 	// shard count suffices.
@@ -63,13 +81,13 @@ type pathLenShard struct {
 }
 
 // Searched counts one path search started from bucket.
-func (p *Probe) Searched(bucket uint64) { p.searches.Add(bucket, 1) }
+func (p *Probe) Searched(bucket uint64) { p.searches.add(bucket) }
 
 // Displaced counts one item moved along a cuckoo path out of bucket.
-func (p *Probe) Displaced(bucket uint64) { p.displacements.Add(bucket, 1) }
+func (p *Probe) Displaced(bucket uint64) { p.displacements.add(bucket) }
 
 // Restarted counts one insert restarted because its path went stale.
-func (p *Probe) Restarted(bucket uint64) { p.restarts.Add(bucket, 1) }
+func (p *Probe) Restarted(bucket uint64) { p.restarts.add(bucket) }
 
 // ObservePath records a discovered path of length displacements.
 func (p *Probe) ObservePath(bucket, length uint64) {
@@ -111,9 +129,9 @@ type ProbeStats struct {
 // Snapshot aggregates the shards.
 func (p *Probe) Snapshot() ProbeStats {
 	s := ProbeStats{
-		Searches:      uint64(p.searches.Total()),
-		Displacements: uint64(p.displacements.Total()),
-		PathRestarts:  uint64(p.restarts.Total()),
+		Searches:      p.searches.total(),
+		Displacements: p.displacements.total(),
+		PathRestarts:  p.restarts.total(),
 		MaxPathLen:    p.maxPathLen.Load(),
 	}
 	for i := range p.pathLen {
@@ -126,9 +144,9 @@ func (p *Probe) Snapshot() ProbeStats {
 
 // Reset zeroes every counter.
 func (p *Probe) Reset() {
-	p.searches.Reset()
-	p.displacements.Reset()
-	p.restarts.Reset()
+	p.searches.reset()
+	p.displacements.reset()
+	p.restarts.reset()
 	p.maxPathLen.Store(0)
 	for i := range p.pathLen {
 		for b := range p.pathLen[i].counts {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -89,6 +90,10 @@ func (t *LeaseTable) Acquire(key string, now int64) (token uint64, granted bool,
 	} else if ok {
 		// Expired lease (filler crashed or timed out): reclaim it.
 		t.active.Add(-1)
+	} else {
+		// The table outlives the request: a new entry keeps a copy of the
+		// key, never a substring of something larger that it would pin.
+		key = strings.Clone(key)
 	}
 	tok := t.nextToken(now)
 	sh.m[key] = leaseState{token: tok, expiresAt: now + t.ttl}

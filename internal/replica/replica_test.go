@@ -1,6 +1,9 @@
 package replica
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -158,5 +161,35 @@ func TestLeaseInvalidateOnWrite(t *testing.T) {
 	}
 	if lt.Invalidate("k") {
 		t.Fatal("second invalidate reported a lease")
+	}
+}
+
+// TestAcquireKeepsACopy: the lease table outlives the request that asked
+// for the lease, so it must keep its own copy of the key — handed a
+// substring of something larger (a stored record, a read buffer's string)
+// it would keep all of it alive for the lease's lifetime. 64 leases on
+// 64-byte substrings of 64 KB strings: the table may hold kilobytes, not
+// the four megabytes they were cut from.
+func TestAcquireKeepsACopy(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	tbl := NewLeaseTable(0)
+	base := liveHeap()
+	for i := 0; i < 64; i++ {
+		big := strings.Repeat(string(rune('a'+i%26)), 64<<10) + fmt.Sprint(i)
+		if _, granted, _ := tbl.Acquire(big[len(big)-64:], 1); !granted {
+			t.Fatalf("lease %d not granted", i)
+		}
+	}
+	if grown := int64(liveHeap()) - int64(base); grown > 1<<20 {
+		t.Errorf("64 leases keep %d bytes alive: the table holds its callers' strings, not copies", grown)
+	}
+	if tbl.Active() != 64 {
+		t.Fatalf("%d leases active, want 64", tbl.Active())
 	}
 }

@@ -221,7 +221,9 @@ func (s *Stripe) Validate(i uint64, version uint64) bool {
 }
 
 // Version returns the current version counter of stripe i, ignoring the
-// lock bit. It is intended for tests and statistics.
+// lock bit: the number of critical sections the stripe has completed. To
+// the stripe's holder it is stable, and two holds that read consecutive
+// values had nobody between them; to anyone else it is a statistic.
 func (s *Stripe) Version(i uint64) uint64 {
 	return s.words[i].Load() & versionMask
 }

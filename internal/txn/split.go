@@ -2,6 +2,7 @@ package txn
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +20,9 @@ const (
 
 // hotEntry is one promoted key's state in the copy-on-write hot set.
 type hotEntry struct {
+	// key is the hot set's own copy of the key (insertHotLocked): what a
+	// byte-keyed probe hands on, so a hot hit converts nothing.
+	key   string
 	class uint8
 	// idleTicks counts consecutive phase ticks that folded no deltas;
 	// two idle ticks demote the key back to direct stripe updates.
@@ -96,6 +100,18 @@ func (t *splitTable) lookup(key string) (hotEntry, bool) {
 		return hotEntry{}, false
 	}
 	e, ok := (*m)[key]
+	return e, ok
+}
+
+// lookupBytes is lookup for a key still in byte-slice form: the probe is
+// the compiler's free map[string(b)] lookup, and a hit carries the key as
+// a string the caller may keep.
+func (t *splitTable) lookupBytes(key []byte) (hotEntry, bool) {
+	m := t.hot.Load()
+	if m == nil {
+		return hotEntry{}, false
+	}
+	e, ok := (*m)[string(key)]
 	return e, ok
 }
 
@@ -244,6 +260,10 @@ func (t *splitTable) insertHotLocked(key string, class uint8) bool {
 			return false
 		}
 	}
+	// The hot set and the shard maps outlive the request that promoted the
+	// key: they keep a copy, never a substring of something larger (a
+	// stored item, a read buffer's string) that they would pin.
+	key = strings.Clone(key)
 	slots := make([]*delta, len(t.shards))
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -265,7 +285,7 @@ func (t *splitTable) insertHotLocked(key string, class uint8) bool {
 			next[k] = v
 		}
 	}
-	next[key] = hotEntry{class: class, slots: slots}
+	next[key] = hotEntry{key: key, class: class, slots: slots}
 	t.hot.Store(&next)
 	t.hotCount.Add(1)
 	return true

@@ -148,6 +148,39 @@ func (s *Store) WithLock(key string, rec *obs.Span, fn func()) {
 	s.locks.Unlock(i)
 }
 
+// NoHold is the hold number of a WithLockBytes critical section that began
+// by folding the key's pending split deltas into the store: it wrote the
+// key before fn ran, so it continues no earlier hold.
+const NoHold = ^uint64(0)
+
+// WithLockBytes is WithLock for a key still in byte-slice form (the
+// server's SET path aliases its read buffer): same stripe — maphash.Bytes
+// agrees with maphash.String on the same bytes — and the same fold of
+// pending split deltas; the hot set is probed with the free
+// map[string(b)] lookup and hands back its own copy of a hot key, so no
+// key is ever converted.
+//
+// fn receives the hold's number: how many critical sections the stripe had
+// completed when this one began. Two holds numbered n and n+1 had the
+// stripe to themselves in between — no key mapped to it was written — so a
+// caller sent away between them to make room (the server's evict-and-retry)
+// may store in the second what it built, versioned, in the first.
+//
+//cuckoo:hotpath the wire SET's critical section; converts nothing
+func (s *Store) WithLockBytes(key []byte, rec *obs.Span, fn func(hold uint64)) {
+	i := s.locks.IndexFor(maphash.Bytes(s.seed, key))
+	t0 := rec.Begin()
+	s.locks.Lock(i)
+	rec.End(obs.StageLock, t0)
+	hold := s.locks.Version(i)
+	if e, ok := s.split.lookupBytes(key); ok {
+		s.foldLocked(e.key)
+		hold = NoHold
+	}
+	fn(hold)
+	s.locks.Unlock(i)
+}
+
 // Set writes key=val with the given absolute expiry under the key's
 // stripe, reconciling pending deltas first (they serialize before the
 // overwrite). It returns the backing store's error unchanged so callers
@@ -291,19 +324,12 @@ func (s *Store) ReconcileKey(key string) {
 
 // ReconcileKeyBytes is ReconcileKey for a key still in byte-slice form
 // (the server's GET path aliases its read buffer). The hot-set probe
-// uses the compiler's free map[string(b)] lookup, so the common states —
-// no hot keys at all, or a cold key — convert nothing; only a key that
-// is actually hot pays the string copy, and its fold dwarfs that cost.
+// uses the compiler's free map[string(b)] lookup and a hot hit carries
+// the set's own copy of the key, so nothing is converted in any state.
 //
-//cuckoo:hotpath GET-path split-counter fold gate; cold keys allocate nothing
+//cuckoo:hotpath GET-path split-counter fold gate; allocates nothing
 func (s *Store) ReconcileKeyBytes(key []byte) {
-	m := s.split.hot.Load()
-	if m == nil {
-		return
+	if e, ok := s.split.lookupBytes(key); ok {
+		s.ReconcileKey(e.key)
 	}
-	if _, ok := (*m)[string(key)]; !ok {
-		return
-	}
-	//lint:allow cuckoovet:allocfree only a promoted hot key reaches this copy; the fold it gates is far more expensive
-	s.ReconcileKey(string(key))
 }

@@ -40,14 +40,6 @@ var (
 	errMigrateSelf = errors.New("migrate destination equals self")
 )
 
-// migrateRec is one key selected for migration, pinned with the entry
-// value observed at selection time so the post-transfer delete can skip
-// keys a concurrent SET refreshed in the meantime.
-type migrateRec struct {
-	key string
-	e   entry
-}
-
 // clusterInfo renders the node's cluster-relevant figures as CLUSTER
 // response lines: its address, then the counter-table rows that carry a
 // CLUSTER name — load (what the client's spill watermark and cuckooctl's
@@ -102,8 +94,8 @@ func (s *Server) Migrate(a *migrateArgs, trace []byte) (int, error) {
 	// value expires or is rewritten. Cache-grade semantics, same contract
 	// as expireKey's residual race.
 	moved := 0
-	for _, rc := range recs {
-		if s.cache.removeIfUnchanged(rc.key, rc.e) {
+	for _, it := range recs {
+		if s.cache.removeIfUnchanged(it) {
 			moved++
 		}
 	}
@@ -130,16 +122,18 @@ func (s *Server) Migrate(a *migrateArgs, trace []byte) (int, error) {
 //	      load-balancing displacement between a key's two choices.
 //
 // Expired entries are skipped: migration carries no obligation to
-// resurrect dead data (same rule as SaveSnapshot).
-func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, max int) []migrateRec {
-	var recs []migrateRec
+// resurrect dead data (same rule as SaveSnapshot). Each selected key is
+// returned as the item observed at selection time, so the post-transfer
+// delete can skip keys a concurrent SET refreshed in the meantime.
+func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, max int) []item {
+	var recs []item
 	now := time.Now().UnixNano()
 	for _, sh := range c.shards {
 		// Items snapshots the shard under its lock and releases it before
 		// we filter, so selection never holds a table lock across the
 		// whole keyspace walk.
-		for key, e := range sh.table.Items() {
-			if e.expired(now) {
+		for key, it := range sh.table.Items() {
+			if it.expired(now) {
 				continue
 			}
 			selfIsHome := ring.IsCandidate(key, self)
@@ -152,7 +146,7 @@ func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, ma
 			if !ring.IsCandidate(key, dest) {
 				continue
 			}
-			recs = append(recs, migrateRec{key: key, e: e})
+			recs = append(recs, it)
 			if max > 0 && len(recs) >= max {
 				return recs
 			}
@@ -161,12 +155,14 @@ func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, ma
 	return recs
 }
 
-// removeIfUnchanged deletes key only if its entry still equals the one
-// observed at migration-selection time, so a concurrent SET that landed
-// in between survives. The check and delete run under the key's txn
+// removeIfUnchanged deletes want's key only if its item still equals the
+// one observed at migration-selection time (an item carries its version,
+// so equal means the same write), so a concurrent SET that landed in
+// between survives. The check and delete run under the key's txn
 // stripe, which both closes the check-then-delete window against
 // concurrent SETs and bumps the version for transactional readers.
-func (c *Cache) removeIfUnchanged(key string, want entry) bool {
+func (c *Cache) removeIfUnchanged(want item) bool {
+	key := want.key()
 	sh := c.shards[c.shardFor(key)]
 	removed := false
 	c.txn.WithLock(key, nil, func() {
@@ -183,11 +179,11 @@ func (c *Cache) removeIfUnchanged(key string, want entry) bool {
 // and replication catch-up. A non-nil trace is forwarded as the request's
 // TRACE prefix so the receiving node's slow-op logs and flight records
 // carry the same ID.
-func sendHandoff(dest string, recs []migrateRec, trace []byte) (int, error) {
+func sendHandoff(dest string, recs []item, trace []byte) (int, error) {
 	var payload bytes.Buffer
 	enc := newSnapEncoder(&payload)
-	for _, rc := range recs {
-		enc.add(rc.key, rc.e)
+	for _, it := range recs {
+		enc.add(it)
 	}
 	if err := enc.finish(); err != nil {
 		return 0, err

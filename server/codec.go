@@ -598,19 +598,19 @@ const (
 	tagStale  = "STALE "  // LEASE: an expired copy served while a fill is in flight
 )
 
-// writeValue renders the VALUE-shaped replies from one entry: "VALUE
-// <val>", or "<tag><ver> <val>" for the versioned tags. The version word
-// precedes the value because values may contain spaces — parsers split
-// twice and take the rest, like HOTKEY lines.
+// writeValue renders the VALUE-shaped replies: "VALUE <val>", or
+// "<tag><ver> <val>" for the versioned tags (tagValue ignores ver). The
+// version word precedes the value because values may contain spaces —
+// parsers split twice and take the rest, like HOTKEY lines.
 //
 //cuckoo:hotpath the read path's reply writer
-func writeValue(w *bufio.Writer, tag string, e entry) {
+func writeValue(w *bufio.Writer, tag string, ver uint64, val string) {
 	w.WriteString(tag)
 	if tag != tagValue {
-		writeUint(w, e.ver, 10)
+		writeUint(w, ver, 10)
 		w.WriteByte(' ')
 	}
-	w.WriteString(e.val)
+	w.WriteString(val)
 	w.WriteByte('\n')
 }
 
@@ -666,7 +666,7 @@ func writeExecResults(w *bufio.Writer, results []txn.Result) {
 		case txn.StatusOK:
 			writeOK(w)
 		case txn.StatusValue:
-			writeValue(w, tagValue, entry{val: results[i].Value})
+			writeValue(w, tagValue, 0, results[i].Value)
 		case txn.StatusMiss:
 			writeMiss(w)
 		case txn.StatusConflict:

@@ -18,14 +18,14 @@ func TestReplReplyWireFormat(t *testing.T) {
 		emit  func(w *bufio.Writer)
 		wants string
 	}{
-		{"valuev", func(w *bufio.Writer) { writeValue(w, tagValueV, entry{ver: 42, val: "hello world"}) }, "VALUEV 42 hello world\n"},
-		{"valuev-empty", func(w *bufio.Writer) { writeValue(w, tagValueV, entry{ver: 7}) }, "VALUEV 7 \n"},
-		{"valuev-maxver", func(w *bufio.Writer) { writeValue(w, tagValueV, entry{ver: ^uint64(0), val: "v"}) }, "VALUEV 18446744073709551615 v\n"},
+		{"valuev", func(w *bufio.Writer) { writeValue(w, tagValueV, 42, "hello world") }, "VALUEV 42 hello world\n"},
+		{"valuev-empty", func(w *bufio.Writer) { writeValue(w, tagValueV, 7, "") }, "VALUEV 7 \n"},
+		{"valuev-maxver", func(w *bufio.Writer) { writeValue(w, tagValueV, ^uint64(0), "v") }, "VALUEV 18446744073709551615 v\n"},
 		{"ver", func(w *bufio.Writer) { writeCount(w, "VER ", 9) }, "VER 9\n"},
 		{"lease", func(w *bufio.Writer) { writeLease(w, 0xdeadbeef, 2000) }, "LEASE deadbeef 2000\n"},
 		{"lease-maxtoken", func(w *bufio.Writer) { writeLease(w, ^uint64(0), 1) }, "LEASE ffffffffffffffff 1\n"},
 		{"wait", func(w *bufio.Writer) { writeCount(w, "WAIT ", 20) }, "WAIT 20\n"},
-		{"stale-value", func(w *bufio.Writer) { writeValue(w, tagStale, entry{ver: 5, val: "old value"}) }, "STALE 5 old value\n"},
+		{"stale-value", func(w *bufio.Writer) { writeValue(w, tagStale, 5, "old value") }, "STALE 5 old value\n"},
 		{"stale-bare", writeStale, "STALE\n"},
 	}
 	for _, tc := range cases {
@@ -54,14 +54,14 @@ func TestThreeFamilyTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := func(key string, e entry) {
-		if ok, err := c.applyReplicaSet(key, e, nil); !ok || err != nil {
+	seed := func(key, val string, expireAt int64, ver uint64) {
+		if ok, err := c.applyReplicaSet([]byte(key), []byte(val), expireAt, ver, nil); !ok || err != nil {
 			t.Fatalf("seeding %s: applied=%v err=%v", key, ok, err)
 		}
 	}
-	seed("live", entry{val: "v", ver: 7})
+	seed("live", "v", 0, 7)
 	for _, k := range []string{"expG", "expV", "expL"} {
-		seed(k, entry{val: "old", expireAt: 1, ver: 5}) // expired since 1970
+		seed(k, "old", 1, 5) // expired since 1970
 	}
 	// Leases already out on the two LEASE targets, so their replies are
 	// the deterministic follower forms rather than a fresh random token.

@@ -309,15 +309,13 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 	case opHotKeys:
 		writeHotKeys(w, s.cache.stats.HotKeys(int(req.delta)))
 	case opReplSet, opReplDel:
-		key := string(req.key)
 		var applied bool
 		var err error
 		t0 := cs.span.Begin()
 		if req.op == opReplSet {
-			applied, err = s.cache.applyReplicaSet(key,
-				entry{val: string(req.val), expireAt: req.delta, ver: req.ver}, &cs.span)
+			applied, err = s.cache.applyReplicaSet(req.key, req.val, req.delta, req.ver, &cs.span)
 		} else {
-			applied = s.cache.applyReplicaDel(key, req.ver, &cs.span)
+			applied = s.cache.applyReplicaDel(string(req.key), req.ver, &cs.span)
 		}
 		cs.span.End(obs.StageRepl, t0)
 		switch {
@@ -403,40 +401,40 @@ func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs 
 // drop what they do not reply — and the split from serveRequest exists
 // so the allocation proof has a root covering exactly the per-request
 // steady state: a read hit or miss runs from read buffer to reply writer
-// without touching the allocator, and a SET allocates exactly the two
-// copies it stores.
+// without touching the allocator, and a SET allocates exactly the one
+// item it stores.
 //
 //cuckoo:hotpath dispatch for the read and SET families; a read hit or miss is proven allocation-free end to end
 func (s *Server) dispatchFast(req request, w *bufio.Writer, cs *connState) bool {
 	switch req.op {
 	case opGet, opGetV:
-		e, ok := s.cache.get(req.key, &cs.span)
+		it, ok := s.cache.get(req.key, &cs.span)
 		switch {
 		case !ok:
 			writeMiss(w)
 		case req.op == opGet:
-			writeValue(w, tagValue, e)
+			writeValue(w, tagValue, 0, it.val())
 		default:
-			writeValue(w, tagValueV, e)
+			writeValue(w, tagValueV, it.ver(), it.val())
 		}
 	case opLease:
 		// A live hit short-circuits to VALUEV (the common case once the
 		// key is filled); anything else enters the fill-lease protocol.
-		e, si, state := s.cache.lookup(req.key, &cs.span)
+		it, si, state := s.cache.lookup(req.key, &cs.span)
 		s.cache.countGet(si, state == probeLive)
 		if state == probeLive {
-			writeValue(w, tagValueV, e)
+			writeValue(w, tagValueV, it.ver(), it.val())
 		} else {
-			s.leaseMiss(req, w, cs, e, state == probeStale)
+			s.leaseMiss(req, w, cs, it, state == probeStale)
 		}
 	case opSet, opSetEx, opSetV, opSetLease:
-		//lint:allow cuckoovet:allocfree SET's two inherent copies: the stored key and value must outlive the connection read buffer
-		key, val := string(req.key), string(req.val)
-		if req.op == opSetLease && !s.redeemLease(key, req.ver, cs) {
+		if req.op == opSetLease && !s.redeemLease(req.key, req.ver, cs) {
 			writeMiss(w)
 			break
 		}
-		ver, err := s.cache.set(key, val, req.ttl, &cs.span)
+		// key and val still alias the read buffer; the item set builds is
+		// the one copy.
+		ver, err := s.cache.set(req.key, req.val, req.ttl, &cs.span)
 		switch {
 		case err != nil:
 			s.replyErr(w, cs, err)
@@ -464,7 +462,7 @@ func (s *Server) dispatchFast(req request, w *bufio.Writer, cs *connState) bool 
 // bounds the stale window), or told to WAIT.
 //
 //cuckoo:coldpath a lease round runs once per missing key per client, never on a hit
-func (s *Server) leaseMiss(req request, w *bufio.Writer, cs *connState, stale entry, haveStale bool) {
+func (s *Server) leaseMiss(req request, w *bufio.Writer, cs *connState, stale item, haveStale bool) {
 	st := s.cache.stats
 	t0 := cs.span.Begin()
 	token, granted, waitMS := s.cache.leases.Acquire(string(req.key), time.Now().UnixNano())
@@ -475,7 +473,7 @@ func (s *Server) leaseMiss(req request, w *bufio.Writer, cs *connState, stale en
 		writeLease(w, token, s.cache.leases.TTLMillis())
 	case haveStale:
 		st.leaseStaleServes.Add(1)
-		writeValue(w, tagStale, stale)
+		writeValue(w, tagStale, stale.ver(), stale.val())
 	default:
 		st.leaseWaits.Add(1)
 		writeCount(w, "WAIT ", uint64(waitMS))
@@ -488,9 +486,11 @@ func (s *Server) leaseMiss(req request, w *bufio.Writer, cs *connState, stale en
 // filler can never resurrect data a newer write superseded. An accepted
 // fill then stores through the one SET path — versioned, mirrored,
 // evicting.
-func (s *Server) redeemLease(key string, token uint64, cs *connState) bool {
+//
+//cuckoo:coldpath a lease is redeemed once per miss storm, by the one client that won the fill
+func (s *Server) redeemLease(key []byte, token uint64, cs *connState) bool {
 	t0 := cs.span.Begin()
-	ok := s.cache.leases.ValidateRelease(key, token, time.Now().UnixNano())
+	ok := s.cache.leases.ValidateRelease(string(key), token, time.Now().UnixNano())
 	cs.span.End(obs.StageLease, t0)
 	if !ok {
 		s.cache.stats.leaseRejects.Add(1)

@@ -12,10 +12,10 @@ import (
 
 func TestEvictionOrder(t *testing.T) {
 	const now = 1000
-	live := func(ver uint64) entry { return entry{ver: ver} }
-	dead := func(ver uint64) entry { return entry{ver: ver, expireAt: now - 1} }
+	live := func(ver uint64) item { return newItemString(ver, 0, "k", "v") }
+	dead := func(ver uint64) item { return newItemString(ver, now-1, "k", "v") }
 	cases := []struct {
-		a, b entry
+		a, b item
 		want bool
 		why  string
 	}{
@@ -24,12 +24,12 @@ func TestEvictionOrder(t *testing.T) {
 		{dead(9), live(1), true, "an expired entry goes before any live one"},
 		{live(1), dead(9), false, "a live entry never goes before an expired one"},
 		{dead(1), dead(2), true, "among expired entries the earlier write goes first"},
-		{entry{ver: 1, expireAt: now + 1}, live(2), true, "a TTL that has not passed does not count"},
+		{newItemString(1, now+1, "k", "v"), live(2), true, "a TTL that has not passed does not count"},
 		{live(0), live(1), true, "a pre-replication record (ver 0) is the oldest of all"},
 	}
 	for _, c := range cases {
 		if got := c.a.olderThan(c.b, now); got != c.want {
-			t.Errorf("%+v olderThan %+v = %v: %s", c.a, c.b, got, c.why)
+			t.Errorf("%q olderThan %q = %v: %s", c.a, c.b, got, c.why)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestEvictionPrefersExpired(t *testing.T) {
 func TestEvictionPicksOldestNeighbour(t *testing.T) {
 	c := fullCache(t, 256, 0)
 	tab := c.shards[0].table
-	byVer := func(a, b entry) bool { return a.ver < b.ver }
+	byVer := func(a, b item) bool { return a.ver() < b.ver() }
 	checked := 0
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("new%d", i)
@@ -94,14 +94,14 @@ func TestEvictionPicksOldestNeighbour(t *testing.T) {
 		if _, ok := after[key]; !ok {
 			t.Fatalf("%s is not resident after its own SET", key)
 		}
-		var victim entry
+		var victim item
 		for k, e := range before {
 			if _, ok := after[k]; !ok {
 				victim = e
 			}
 		}
-		if next, ok := tab.Oldest(key, byVer); ok && after[next].ver < victim.ver {
-			t.Fatalf("SET %s evicted ver %d and left the older ver %d beside it", key, victim.ver, after[next].ver)
+		if next, ok := tab.Oldest(key, byVer); ok && after[next].ver() < victim.ver() {
+			t.Fatalf("SET %s evicted ver %d and left the older ver %d beside it", key, victim.ver(), after[next].ver())
 		}
 		checked++
 	}
@@ -223,5 +223,78 @@ func TestEvictionStorm(t *testing.T) {
 	wg.Wait()
 	if got, want := c.Stats().Evictions(), sets.Load()-c.Len(); got != want {
 		t.Fatalf("evictions = %d, want %d new-key inserts - %d resident = %d", got, sets.Load(), c.Len(), want)
+	}
+}
+
+// TestEvictingSetBuildsOneItem: a SET sent away to evict stores, on its
+// retry, the item it built the first time — one allocation and one version
+// per SET, not one per attempt. Versions are counted on a clock parked in
+// the future, where it counts by one. (The retry does rebuild when somebody
+// held the key's stripe in between, and the eviction itself is such a
+// somebody when the victim shares the stripe: one key in 1 024.)
+func TestEvictingSetBuildsOneItem(t *testing.T) {
+	c := fullCache(t, 256, 0)
+	const base, sets = uint64(1) << 62, 400
+	c.verClock.Store(base)
+	evicted := c.Stats().Evictions()
+	for i := 0; i < sets; i++ {
+		if err := c.Set(fmt.Sprintf("fresh%d", i), "v", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evicted = c.Stats().Evictions() - evicted
+	if evicted < sets/2 {
+		t.Fatalf("only %d of %d SETs evicted", evicted, sets)
+	}
+	if issued := c.verClock.Load() - base; issued > sets+evicted/10 {
+		t.Errorf("%d versions issued for %d SETs, %d of them evicting: the retry rebuilt its item", issued, sets, evicted)
+	}
+}
+
+// TestEvictRetryKeepsVersionsMonotonic: writers race on a key universe a
+// little over twice a full shard, so nearly every SET evicts and the same
+// key is regularly written by two of them at once — the case in which a
+// retry must not store the item (and version) it built before another
+// writer's newer one landed. A reader follows every key: whenever a key is
+// present its version is never lower than the last one seen for it.
+func TestEvictRetryKeepsVersionsMonotonic(t *testing.T) {
+	c := fullCache(t, 256, 0)
+	const universe, writers, perWriter = 600, 4, 15000
+	keys := make([][]byte, universe)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("racing-key-%03d", i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rnd := workload.NewRand(uint64(w + 1))
+			for i := 0; i < perWriter; i++ {
+				if _, err := c.set(keys[rnd.Intn(universe)], []byte("v"), 0, nil); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	last := make([]uint64, universe)
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false // one more pass over the settled table
+		default:
+		}
+		for i, k := range keys {
+			if it, ok := c.get(k, nil); ok {
+				if v := it.ver(); v < last[i] {
+					t.Fatalf("%s went from version %d back to %d", k, last[i], v)
+				} else {
+					last[i] = v
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,163 @@
+package server
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"cuckoohash/internal/cluster"
+	"cuckoohash/internal/replica"
+)
+
+// liveHeapBytes is the heap still reachable after two collections (the
+// second frees what the first one's sweep finalised).
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestBytesPerItem pins the shard layout — a tag byte and one reference per
+// slot, one allocation per item — by what a resident item costs in live
+// heap, everything a Cache allocates included: 8 shards x 65 536 slots and
+// 200 000 items through Cache.Set, the repository benchmark's prefill
+// (shards stop doubling at 32 768 slots, 76 % full). What an item costs
+// there is 1.31 slots of 17 bytes (22.3), its size class, 1.3 B of
+// occupancy words and 6 B of per-cache fixtures (stripes, size and stats
+// counters, histograms) — 92.6 B for the benchmark's 16-byte key and
+// 32-byte value, a 57-byte item in the 64-byte class. The layout before
+// this one (a 16-byte key header + 32-byte entry per slot, two heap objects
+// per item) reads 118.3 B here. Three shapes, so the bound is not fitted to
+// one size class: that one, the same with a TTL (eight more header bytes:
+// the 80-byte class), and a 200-byte value (a 225-byte item in the 240-byte
+// class). Each bound is the measured figure plus about 2.5 B.
+func TestBytesPerItem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the layout's")
+	}
+	const items = 200_000
+	for _, tc := range []struct {
+		name   string
+		vlen   int
+		ttl    time.Duration
+		maxPer float64
+	}{
+		{"16B key, 32B value", 32, 0, 95},
+		{"16B key, 32B value, TTL", 32, time.Hour, 111},
+		{"16B key, 200B value", 200, 0, 200 + 71},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			val := strings.Repeat("v", tc.vlen)
+			base := liveHeapBytes()
+			c, err := NewCache(8, 65536)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range items {
+				// A value of the item's own, as a SET off the wire has.
+				if err := c.Set(fmt.Sprintf("key-%012d", i), strings.Clone(val), tc.ttl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for c.growing() {
+				time.Sleep(time.Millisecond)
+			}
+			heap := liveHeapBytes()
+			per := float64(heap-base) / float64(c.Len())
+			t.Logf("%d items in %d slots: %.1f B/item", c.Len(), c.Cap(), per)
+			if c.Len() != items {
+				t.Fatalf("Len = %d, want %d", c.Len(), items)
+			}
+			if per > tc.maxPer {
+				t.Errorf("%.1f B of live heap per item, want <= %.0f", per, tc.maxPer)
+			}
+			runtime.KeepAlive(c)
+		})
+	}
+}
+
+// growing reports whether any shard still has a resize in flight.
+func (c *Cache) growing() bool {
+	for _, s := range c.shards {
+		if s.table.Growing() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHoldersDoNotPinReplacedItems: a stored key or value is a substring of
+// its item, so whatever keeps one past the request keeps the whole item
+// alive — after the item has been replaced, for nothing. The holders that
+// outlive a request (the txn hot set, the hot-key sketches, the mirror log)
+// are handed exactly that here: 32 keys, each as its 16 KB item has it.
+// Then the keys are overwritten 10 000 times. Had a holder kept what it was
+// given, the 32 replaced items — half a megabyte — would still be live;
+// the bound is a quarter of that. (The lease table keeps a copy too — its
+// own package's TestAcquireKeepsACopy — but every write invalidates the
+// key's lease, so through a Cache it can never be seen holding a replaced
+// item.)
+func TestHoldersDoNotPinReplacedItems(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under the race detector is not the program's")
+	}
+	c, err := NewCache(1, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := cluster.New([]string{"self:1", "peer:2"}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := &replPeer{addr: "peer:2", log: replica.NewLog(4), wake: make(chan struct{}, 1)}
+	c.repl = &replState{ring: ring, self: "self:1", selfIdx: 0, peers: []*replPeer{nil, peer}}
+
+	const keys, itemSize = 32, 16 << 10
+	key := func(i int) string { return fmt.Sprintf("overwritten-key-%02d", i%keys) }
+	value := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), itemSize) }
+	for i := range keys {
+		if err := c.Set(key(i), value(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		it, ok := c.shards[0].table.Get(key(i))
+		if !ok || len(it) < itemSize {
+			t.Fatalf("stored item: %d bytes, present %v", len(it), ok)
+		}
+		if !c.txn.Promote(it.key()) {
+			t.Fatalf("Promote refused %s", key(i))
+		}
+		c.stats.touchHot(uint64(i), []byte(it.key()))
+	}
+
+	base := liveHeapBytes()
+	for i := range 10_000 {
+		if err := c.Set(key(i), value(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The mirror log (4 entries, nobody draining) holds the last four
+	// writes: copies, none of them the table's item.
+	held := peer.log.Drain(nil, 8)
+	if len(held) != 4 {
+		t.Fatalf("mirror log held %d entries, want its capacity of 4", len(held))
+	}
+	for _, ent := range held {
+		cur, _ := c.shards[0].table.Get(ent.Key)
+		if len(ent.Val) != itemSize || ent.Val != cur.val() {
+			t.Fatalf("mirror entry for %q: a %d-byte value that is not the stored one", ent.Key, len(ent.Val))
+		}
+		if unsafe.StringData(ent.Val) == unsafe.StringData(cur.val()) {
+			t.Fatalf("the mirror log entry for %q aliases the table's item", ent.Key)
+		}
+	}
+	held = nil
+	if grown := int64(liveHeapBytes()) - int64(base); grown > keys*itemSize/4 {
+		t.Errorf("live heap grew by %d bytes over 10 000 overwrites of %d keys: replaced %d-byte items are still held", grown, keys, itemSize)
+	}
+	runtime.KeepAlive(c)
+}

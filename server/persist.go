@@ -90,13 +90,14 @@ func (e *snapEncoder) putU64(v uint64) {
 }
 
 // add appends one record.
-func (e *snapEncoder) add(key string, ent entry) {
+func (e *snapEncoder) add(it item) {
+	key, val := it.key(), it.val()
 	e.putU32(uint32(len(key)))
 	e.bw.WriteString(key)
-	e.putU32(uint32(len(ent.val)))
-	e.bw.WriteString(ent.val)
-	e.putU64(uint64(ent.expireAt))
-	e.putU64(ent.ver)
+	e.putU32(uint32(len(val)))
+	e.bw.WriteString(val)
+	e.putU64(uint64(it.expireAt()))
+	e.putU64(it.ver())
 	e.count++
 }
 
@@ -120,11 +121,11 @@ func (c *Cache) SaveSnapshot(w io.Writer) error {
 	enc := newSnapEncoder(w)
 	now := time.Now().UnixNano()
 	for _, sh := range c.shards {
-		for key, e := range sh.table.All() {
-			if e.expired(now) {
+		for _, it := range sh.table.All() {
+			if it.expired(now) {
 				continue
 			}
-			enc.add(key, e)
+			enc.add(it)
 		}
 	}
 	return enc.finish()
@@ -140,7 +141,7 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 
 	type record struct {
-		key, val string
+		key, val []byte
 		expireAt int64
 		ver      uint64
 	}
@@ -202,15 +203,14 @@ func (c *Cache) LoadSnapshot(r io.Reader) (int, error) {
 	now := time.Now().UnixNano()
 	loaded := 0
 	for _, rec := range recs {
-		e := entry{val: rec.val, expireAt: rec.expireAt, ver: rec.ver}
-		if e.expired(now) {
+		if rec.expireAt != 0 && now >= rec.expireAt {
 			continue
 		}
 		// Version-preserving, last-writer-wins apply: a record older than
 		// the copy already stored (a catch-up replaying history the mirror
 		// stream has since overtaken) is dropped, and applied records keep
 		// their origin version so replicas stay comparable.
-		applied, err := c.applyReplicaSet(rec.key, e, nil)
+		applied, err := c.applyReplicaSet(rec.key, rec.val, rec.expireAt, rec.ver, nil)
 		if err != nil {
 			// A shard smaller than the snapshot's origin can fill up; the
 			// remaining records are dropped silently — a cache restore is
@@ -242,16 +242,16 @@ func readSnapU64(r io.Reader, crc hash.Hash64) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-func readSnapStr(r io.Reader, crc hash.Hash64, n uint32) (string, error) {
+func readSnapStr(r io.Reader, crc hash.Hash64, n uint32) ([]byte, error) {
 	if n > maxSnapshotStr {
-		return "", fmt.Errorf("%w: implausible string length %d", ErrBadSnapshot, n)
+		return nil, fmt.Errorf("%w: implausible string length %d", ErrBadSnapshot, n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: truncated string", ErrBadSnapshot)
+		return nil, fmt.Errorf("%w: truncated string", ErrBadSnapshot)
 	}
 	crc.Write(buf)
-	return string(buf), nil
+	return buf, nil
 }
 
 // saveSnapshot atomically persists the cache to cfg.SnapshotPath: write to

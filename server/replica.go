@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"cuckoohash/internal/cluster"
@@ -79,21 +80,30 @@ func (r *replState) peerFor(key string) *replPeer {
 	}
 }
 
-// replEnqueue mirrors one mutation — a stored entry, or a client-visible
-// delete as a versioned tombstone (ent.Del) — to the key's alternate
-// node. Called from Cache.store / Cache.remove with the key's stripe
-// held: the log append spins (never parks) and the wake-up send is
-// non-blocking.
-func (c *Cache) replEnqueue(ent replica.Entry) {
+// replEnqueue mirrors one mutation of key to the key's alternate node:
+// the item just stored, or — it == "" — a client-visible delete, as a
+// versioned tombstone. Called from Cache.store / Cache.remove with the
+// key's stripe held: the log append spins (never parks) and the wake-up
+// send is non-blocking. The log entry outlives the request, until the
+// mirror worker drains it or the ring drops it, so a stored item is
+// copied for it: the log never keeps a since-replaced item alive.
+func (c *Cache) replEnqueue(key string, it item) {
 	r := c.repl
 	if r == nil {
 		return
 	}
-	p := r.peerFor(ent.Key)
+	p := r.peerFor(key)
 	if p == nil {
 		return
 	}
-	ent.EnqueuedAt = time.Now().UnixNano()
+	ent := replica.Entry{EnqueuedAt: time.Now().UnixNano()}
+	if it == "" {
+		ent.Key, ent.Ver, ent.Del = key, c.nextVersion(), true
+	} else {
+		//lint:allow cuckoovet:allocfree the mirror log's own copy of the record, made only when replication is on and the key has a peer
+		own := item(strings.Clone(string(it)))
+		ent.Key, ent.Val, ent.ExpireAt, ent.Ver = own.key(), own.val(), own.expireAt(), own.ver()
+	}
 	p.log.Append(ent)
 	c.stats.replEnqueued.Add(1)
 	select { //lint:allow cuckoovet:blockcheck wake-up is a non-blocking send (default arm): it never parks the goroutine
@@ -115,14 +125,14 @@ func (c *Cache) replEnqueue(ent replica.Entry) {
 // reassigned. An applied one supersedes whatever a filler read before it,
 // so — like every local write (Cache.wrote) — it kills the key's
 // outstanding fill lease, here, for all of those callers at once.
-func (c *Cache) applyReplicaSet(key string, e entry, sp *obs.Span) (bool, error) {
-	c.observeVersion(e.ver)
-	_, err := c.put(c.shardFor(key), key, e, true, sp)
+func (c *Cache) applyReplicaSet(key, val []byte, expireAt int64, ver uint64, sp *obs.Span) (bool, error) {
+	c.observeVersion(ver)
+	it, err := c.put(c.shardForBytes(key), key, val, expireAt, ver, true, sp)
 	if err == errStaleReplica {
 		return false, nil
 	}
 	if err == nil {
-		c.leaseInvalidate(key)
+		c.leaseInvalidate(it.key())
 	}
 	return err == nil, err
 }
@@ -136,7 +146,7 @@ func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 	applied := true
 	c.txn.WithLock(key, sp, func() {
 		if cur, ok := sh.table.Get(key); ok {
-			if cur.ver > ver {
+			if cur.ver() > ver {
 				applied = false
 				return
 			}

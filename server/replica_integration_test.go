@@ -311,7 +311,7 @@ func TestLeaseInvalidatedByEveryWrite(t *testing.T) {
 			if tc.handoff != "" {
 				var buf bytes.Buffer
 				enc := newSnapEncoder(&buf)
-				enc.add(key, entry{val: tc.handoff, ver: uint64(time.Now().UnixNano())})
+				enc.add(newItemString(uint64(time.Now().UnixNano()), 0, key, tc.handoff))
 				if err := enc.finish(); err != nil {
 					t.Fatal(err)
 				}

@@ -58,32 +58,6 @@ const growInitialDivisor = 8
 // table's background sweeper handles the idle-shard case.
 const migrateBatchPerOp = 2
 
-// entry is the stored value plus its absolute expiry time and the
-// version word that orders it against replicated copies of the same
-// key. Versions come from the cache's hybrid clock (nextVersion): they
-// are unique and monotonic per node, and wall-clock-comparable across
-// nodes, so replica application can be last-writer-wins (docs/
-// REPLICATION.md). ver 0 marks a pre-replication record (legacy v1
-// snapshots) and loses to every real version.
-type entry struct {
-	val      string
-	expireAt int64 // unix nanoseconds; 0 = never expires
-	ver      uint64
-}
-
-func (e entry) expired(now int64) bool {
-	return e.expireAt != 0 && now >= e.expireAt
-}
-
-// olderThan is the eviction order: an expired entry goes before a live
-// one, and otherwise the earlier write goes first.
-func (e entry) olderThan(o entry, now int64) bool {
-	if ex, ox := e.expired(now), o.expired(now); ex != ox {
-		return ex
-	}
-	return e.ver < o.ver
-}
-
 // Cache is the sharded store behind the daemon. Keys are hashed to one of
 // N independent cuckoo tables, so a Grow or stripe-lock convoy in one
 // shard never stalls traffic to the others. All methods are safe for
@@ -132,11 +106,13 @@ type Cache struct {
 	txn *txn.Store
 }
 
-// shard is one cuckoo table. It keeps no eviction order of its own: every
-// entry carries its write version, and a full shard asks the table which
-// of the inserting key's bucket neighbours is oldest (evictFor).
+// shard is one cuckoo table of items (item.go): a slot is a tag byte and
+// one reference, and the item it points to carries the key. The shard
+// keeps no eviction order of its own: every item carries its write
+// version, and a full shard asks the table which of the inserting key's
+// bucket neighbours is oldest (evictFor).
 type shard struct {
-	table *generic.Table[string, entry]
+	table *generic.Table[string, item]
 }
 
 // NewCache creates a cache with the given shard count (rounded up to a
@@ -168,7 +144,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		initial = slotsPerShard
 	}
 	for i := range c.shards {
-		t, err := generic.New[string, entry](generic.Config{
+		t, err := generic.NewKeyed(generic.Config{
 			InitialCapacity: initial,
 			MaxCapacity:     slotsPerShard,
 			// The server drives migration itself (driveMigration) so the
@@ -176,7 +152,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 			// the table's background sweeper stays on for idle shards.
 			MigrateBatch: -1,
 			OnGrowEvent:  c.growEventFunc(i),
-		})
+		}, item.key)
 		if err != nil {
 			return nil, err
 		}
@@ -269,11 +245,11 @@ func (c *Cache) observeVersion(v uint64) {
 type cacheKV struct{ c *Cache }
 
 func (k cacheKV) Load(key string) (string, bool) {
-	e, ok := k.c.shards[k.c.shardFor(key)].table.Get(key)
-	if !ok || e.expired(time.Now().UnixNano()) {
+	it, ok := k.c.shards[k.c.shardFor(key)].table.Get(key)
+	if !ok || it.expiredNow() {
 		return "", false
 	}
-	return e.val, true
+	return it.val(), true
 }
 
 func (k cacheKV) Store(key, val string, expireAt int64, keepTTL bool) error {
@@ -282,45 +258,40 @@ func (k cacheKV) Store(key, val string, expireAt int64, keepTTL bool) error {
 		// Counter updates inherit the entry's current expiry; a fresh
 		// counter never expires until a SETEX says otherwise.
 		expireAt = 0
-		if cur, ok := sh.table.Get(key); ok && !cur.expired(time.Now().UnixNano()) {
-			expireAt = cur.expireAt
+		if cur, ok := sh.table.Get(key); ok && !cur.expiredNow() {
+			expireAt = cur.expireAt()
 		}
 	}
-	_, err := k.c.store(sh, key, entry{val: val, expireAt: expireAt}, false)
-	return err
+	return k.c.store(sh, newItemString(k.c.nextVersion(), expireAt, key, val), false)
 }
 
 func (k cacheKV) Delete(key string) bool {
 	return k.c.remove(k.c.shards[k.c.shardFor(key)], key)
 }
 
-// store is the one table write. Every entry that lands in a shard — a
+// store is the one table write. Every item that lands in a shard — a
 // client SET, a counter fold, a CAS swap, a transaction commit, a
 // mirrored, restored or handed-off record — is put here with the key's
-// stripe held, in a single probe. This is also the only site that
-// versions an entry: a local write is issued the next version and
-// mirrored to the key's alternate node; a write from a peer keeps its
-// origin version and is never re-mirrored (that is what stops a mirrored
-// write bouncing between the pair). Because every local store runs here
-// under the stripe, per-key versions are monotonic and the mirror log
-// sees writes in stripe order. The version is also the entry's age when
-// a full shard picks a victim (evictFor).
-// It returns the version now stored, so a versioned ack (SETV/SETL)
-// reports its own write and nobody else's.
-func (c *Cache) store(sh *shard, key string, e entry, fromPeer bool) (uint64, error) {
-	if !fromPeer {
-		e.ver = c.nextVersion()
-	}
-	if err := sh.table.Upsert(key, e); err != nil {
+// stripe held, in a single probe. Its two callers build the item under
+// that stripe and so decide its version: a local write is issued the next
+// one (nextVersion) and is mirrored to the key's alternate node here; a
+// write from a peer keeps its origin version and is never re-mirrored
+// (that is what stops a mirrored write bouncing between the pair).
+// Because every local item is versioned and stored under the stripe,
+// per-key versions are monotonic and the mirror log sees writes in stripe
+// order. The version is also the item's age when a full shard picks a
+// victim (evictFor).
+func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
+	if err := sh.table.Upsert(it.key(), it); err != nil {
 		// ErrFull: the caller must evict outside the stripe and retry —
 		// deleting victims here would mutate other keys' entries without
 		// bumping their stripe versions.
-		return 0, errShardFull
+		return errShardFull
 	}
 	if !fromPeer {
-		c.replEnqueue(replica.Entry{Key: key, Val: e.val, ExpireAt: e.expireAt, Ver: e.ver})
+		c.replEnqueue(it.key(), it)
 	}
-	return e.ver, nil
+	return nil
 }
 
 // remove deletes key's entry on behalf of a client (DEL, a committed
@@ -331,7 +302,7 @@ func (c *Cache) store(sh *shard, key string, e entry, fromPeer bool) (uint64, er
 func (c *Cache) remove(sh *shard, key string) bool {
 	ok := sh.table.Delete(key)
 	if ok {
-		c.replEnqueue(replica.Entry{Key: key, Ver: c.nextVersion(), Del: true})
+		c.replEnqueue(key, "")
 	}
 	return ok
 }
@@ -386,58 +357,73 @@ func (c *Cache) SetFailpoint(f func(op, key string) error) { c.failOp = f }
 // Set stores key=val with the given TTL (0 = no expiry). When the shard
 // is full it evicts an entry from one of key's two buckets; if concurrent
 // inserts take the freed slot maxEvictTries times over it returns
-// ErrServerFull.
+// ErrServerFull. The cache keeps its own copy of both strings.
 func (c *Cache) Set(key, val string, ttl time.Duration) error {
-	_, err := c.set(key, val, ttl, nil)
+	_, err := c.set([]byte(key), []byte(val), ttl, nil)
 	return err
 }
 
 // set is the one client write behind SET, SETEX, SETV, SETL and Set; the
-// verbs differ only in what they reply. It returns the version the write
-// stored. sp (nil-safe) receives the stage attribution.
+// verbs differ only in what they reply. key and val may alias the
+// connection read buffer: the item built from them is the only copy kept.
+// It returns the version the write stored. sp (nil-safe) receives the
+// stage attribution.
 //
-//cuckoo:hotpath the SET path allocates exactly what it stores
-func (c *Cache) set(key, val string, ttl time.Duration, sp *obs.Span) (uint64, error) {
+//cuckoo:hotpath the SET path allocates exactly the item it stores
+func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, error) {
 	if f := c.failOp; f != nil {
 		//lint:allow cuckoovet:allocfree fault-injection hook: nil in production, installed only by tests
-		if err := f(opSet.String(), key); err != nil {
+		if err := f(opSet.String(), string(key)); err != nil {
 			return 0, err
 		}
 	}
-	e := entry{val: val}
+	var expireAt int64
 	if ttl > 0 {
-		e.expireAt = time.Now().Add(ttl).UnixNano()
+		expireAt = time.Now().Add(ttl).UnixNano()
 	}
-	si := c.shardFor(key)
-	ver, err := c.put(si, key, e, false, sp)
-	if err == nil {
-		c.stats.sets.Add(si, 1)
-		c.wrote(si, key, sp)
+	si := c.shardForBytes(key)
+	it, err := c.put(si, key, val, expireAt, 0, false, sp)
+	if err != nil {
+		return 0, err
 	}
-	return ver, err
+	c.stats.sets.Add(si, 1)
+	c.wrote(si, it.key(), sp)
+	return it.ver(), nil
 }
 
-// put stores e under key's stripe with eviction on a full shard, and
-// returns the version stored. A put from a peer (REPLSET, snapshot
-// restore, HANDOFF load) is last-writer-wins: unless e.ver is newer than
-// the local copy it stores nothing and reports errStaleReplica.
-func (c *Cache) put(si int, key string, e entry, fromPeer bool, sp *obs.Span) (ver uint64, err error) {
+// put builds the item for key=val under key's stripe and stores it, with
+// eviction on a full shard; it returns the item stored. A local write is
+// issued its version there. A put from a peer (REPLSET, snapshot restore,
+// HANDOFF load) carries its origin version ver and is last-writer-wins:
+// unless ver is newer than the local copy's it stores nothing and reports
+// errStaleReplica. The item is built once: an attempt sent away to evict
+// comes back with the item it built, which is still key's newest write if
+// nobody held the stripe in between (txn.Store.WithLockBytes).
+func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPeer bool, sp *obs.Span) (it item, err error) {
 	sh := c.shards[si]
+	builtIn := txn.NoHold // the stripe hold it was built in
 	err = c.evicting(si, key, sp, func() (serr error) {
-		c.txn.WithLock(key, sp, func() {
+		c.txn.WithLockBytes(key, sp, func(hold uint64) {
 			if fromPeer {
-				if cur, ok := sh.table.Get(key); ok && cur.ver >= e.ver {
+				if cur, ok := generic.GetBytes(sh.table, key); ok && cur.ver() >= ver {
 					serr = errStaleReplica // the local copy is newer, or this is a redelivery
 					return
 				}
 			}
 			t0 := sp.Begin()
-			ver, serr = c.store(sh, key, e, fromPeer)
+			if it == "" || hold != builtIn+1 {
+				if !fromPeer {
+					ver = c.nextVersion()
+				}
+				it = newItem(ver, expireAt, key, val)
+			}
+			builtIn = hold
+			serr = c.store(sh, it, fromPeer)
 			sp.End(obs.StageProbe, t0)
 		})
 		return serr
 	})
-	return ver, err
+	return it, err
 }
 
 // evicting is the one evict-and-retry loop: run attempt (which stores
@@ -446,7 +432,7 @@ func (c *Cache) put(si int, key string, e entry, fromPeer bool, sp *obs.Span) (v
 // freed is one the retry's first probe sees, so one eviction admits one
 // key and further rounds only make up for a slot lost to a concurrent
 // insert.
-func (c *Cache) evicting(si int, key string, sp *obs.Span, attempt func() error) error {
+func (c *Cache) evicting(si int, key []byte, sp *obs.Span, attempt func() error) error {
 	for tries := 0; ; tries++ {
 		err := attempt()
 		if !errors.Is(err, errShardFull) {
@@ -502,7 +488,7 @@ func (c *Cache) MaxUpdate(key string, n int64, hint uint64, sp *obs.Span) error 
 // commute is the shared tail of the counter verbs.
 func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
 	si := c.shardFor(key)
-	err := c.evicting(si, key, sp, apply)
+	err := c.evicting(si, []byte(key), sp, apply)
 	if err == nil {
 		c.stats.incrs.Add(si, 1)
 		c.wrote(si, key, sp)
@@ -557,15 +543,15 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 			continue
 		}
 		op := &ops[i]
-		si := c.shardFor(op.Key)
+		si, key := c.shardFor(op.Key), []byte(op.Key)
 		var err error
 		switch op.Kind {
 		case txn.OpSet:
-			_, err = c.put(si, op.Key, entry{val: op.Val, expireAt: op.ExpireAt}, false, nil)
+			_, err = c.put(si, key, []byte(op.Val), op.ExpireAt, 0, false, nil)
 		case txn.OpIncr:
-			err = c.evicting(si, op.Key, nil, func() error { return c.txn.Incr(op.Key, op.Delta, 0, nil) })
+			err = c.evicting(si, key, nil, func() error { return c.txn.Incr(op.Key, op.Delta, 0, nil) })
 		case txn.OpMax:
-			err = c.evicting(si, op.Key, nil, func() error { return c.txn.MaxUpdate(op.Key, op.Delta, 0, nil) })
+			err = c.evicting(si, key, nil, func() error { return c.txn.MaxUpdate(op.Key, op.Delta, 0, nil) })
 		default:
 			continue
 		}
@@ -587,10 +573,10 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 // the victim's version bump is honest and no two stripes are ever held.
 //
 //cuckoo:coldpath eviction runs only when a shard is full; the documented admission slow path
-func (c *Cache) evictFor(si int, key string) {
+func (c *Cache) evictFor(si int, key []byte) {
 	s := c.shards[si]
 	now := time.Now().UnixNano()
-	victim, ok := s.table.Oldest(key, func(a, b entry) bool { return a.olderThan(b, now) })
+	victim, ok := s.table.Oldest(string(key), func(a, b item) bool { return a.olderThan(b, now) })
 	if !ok {
 		return
 	}
@@ -621,19 +607,19 @@ const (
 // caller's decision: GET, GETV and TTL expire it lazily (so a key never
 // outlives its TTL from a client's point of view even if the sweeper has
 // not run yet), LEASE serves it.
-func (c *Cache) lookup(key []byte, sp *obs.Span) (e entry, si int, state int) {
+func (c *Cache) lookup(key []byte, sp *obs.Span) (it item, si int, state int) {
 	c.txn.ReconcileKeyBytes(key)
 	si = c.shardForBytes(key)
 	t0 := sp.Begin()
-	e, ok := generic.GetBytes(c.shards[si].table, key)
+	it, ok := generic.GetBytes(c.shards[si].table, key)
 	sp.End(obs.StageProbe, t0)
 	switch {
 	case !ok:
-		return entry{}, si, probeAbsent
-	case e.expired(time.Now().UnixNano()):
-		return e, si, probeStale
+		return "", si, probeAbsent
+	case it.expiredNow():
+		return it, si, probeStale
 	}
-	return e, si, probeLive
+	return it, si, probeLive
 }
 
 // countGet books one read against shard si's hit/miss counters.
@@ -646,19 +632,19 @@ func (c *Cache) countGet(si int, hit bool) {
 	}
 }
 
-// get is GET and GETV: the live entry, or a miss. The verbs differ only
-// in which fields of the entry they reply with.
-func (c *Cache) get(key []byte, sp *obs.Span) (entry, bool) {
-	e, si, state := c.lookup(key, sp)
+// get is GET and GETV: the live item, or a miss. The verbs differ only
+// in which fields of the item they reply with.
+func (c *Cache) get(key []byte, sp *obs.Span) (item, bool) {
+	it, si, state := c.lookup(key, sp)
 	c.countGet(si, state == probeLive)
 	if state == probeLive {
-		return e, true
+		return it, true
 	}
 	if state == probeStale {
 		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
 		c.expireKey(si, string(key))
 	}
-	return entry{}, false
+	return "", false
 }
 
 // GetBytesTraced returns the live value for a key still aliasing the
@@ -666,8 +652,11 @@ func (c *Cache) get(key []byte, sp *obs.Span) (entry, bool) {
 //
 //cuckoo:hotpath the byte-key GET in-process callers share with the wire; BENCH_hotalloc asserts 0 allocs/op
 func (c *Cache) GetBytesTraced(key []byte, sp *obs.Span) (string, bool) {
-	e, ok := c.get(key, sp)
-	return e.val, ok
+	it, ok := c.get(key, sp)
+	if !ok {
+		return "", false
+	}
+	return it.val(), true
 }
 
 // Get returns the live value for key.
@@ -679,14 +668,15 @@ func (c *Cache) Get(key string) (string, bool) {
 // expiring entry, (0, true) for a persistent one, (0, false) for a miss.
 // It is a metadata peek, not a get: hit/miss counters are untouched.
 func (c *Cache) TTL(key string) (time.Duration, bool) {
-	e, si, state := c.lookup([]byte(key), nil)
-	switch {
-	case state == probeAbsent:
+	it, si, state := c.lookup([]byte(key), nil)
+	if state == probeAbsent {
 		return 0, false
-	case e.expireAt == 0:
+	}
+	exp := it.expireAt()
+	if exp == 0 {
 		return 0, true
 	}
-	d := time.Duration(e.expireAt - time.Now().UnixNano())
+	d := time.Duration(exp - time.Now().UnixNano())
 	if d <= 0 {
 		c.expireKey(si, key)
 		return 0, false
@@ -705,7 +695,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 		e, found := s.table.Get(key)
 		switch {
 		case !found:
-		case e.expired(time.Now().UnixNano()):
+		case e.expiredNow():
 			// An expired-but-unswept entry must look deleted-as-miss,
 			// not OK.
 			if s.table.Delete(key) {
@@ -731,7 +721,7 @@ func (c *Cache) expireKey(si int, key string) bool {
 	s := c.shards[si]
 	removed := false
 	c.txn.WithLock(key, nil, func() {
-		if e, ok := s.table.Get(key); ok && e.expired(time.Now().UnixNano()) {
+		if e, ok := s.table.Get(key); ok && e.expiredNow() {
 			removed = s.table.Delete(key)
 		}
 	})

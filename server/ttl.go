@@ -23,8 +23,8 @@ func (c *Cache) Sweep() uint64 {
 	victims := make([]string, 0, 64)
 	for si, s := range c.shards {
 		victims = victims[:0]
-		s.table.Range(func(key string, e entry) bool {
-			if e.expired(now) {
+		s.table.Range(func(key string, it item) bool {
+			if it.expired(now) {
 				victims = append(victims, key)
 			}
 			return len(victims) < sweepBatch
