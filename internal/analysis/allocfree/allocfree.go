@@ -86,13 +86,6 @@ var cleanFuncs = map[string]bool{
 	// builds a new string on every call past the small-int cache.
 	"strconv.ParseInt":  true,
 	"strconv.ParseUint": true,
-	// A strings.Builder write appends into the capacity its Grow reserved
-	// and String hands that buffer over; Grow — the allocation — is
-	// deliberately absent, so a hot path that builds a string answers for
-	// it at the Grow call.
-	"(*strings.Builder).Write":       true,
-	"(*strings.Builder).WriteString": true,
-	"(*strings.Builder).String":      true,
 	"(*bufio.Writer).Write":       true,
 	"(*bufio.Writer).WriteString": true,
 	"(*bufio.Writer).WriteByte":   true,

@@ -27,10 +27,18 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // BuiltinName returns the name of the built-in function called by call
-// ("make", "panic", ...) or "".
+// ("make", "panic", ...) or "". Package unsafe's functions (String,
+// StringData, Slice, SliceData, Add, Sizeof, ...) are built-ins too, named
+// without the qualifier: the compiler expands each in place, so like len
+// or copy they are neither call edges nor allocations.
 func BuiltinName(info *types.Info, call *ast.CallExpr) string {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel // unsafe.String
+	default:
 		return ""
 	}
 	if b, ok := info.Uses[id].(*types.Builtin); ok {

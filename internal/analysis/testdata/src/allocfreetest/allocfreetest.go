@@ -8,6 +8,7 @@ package allocfreetest
 import (
 	"strconv"
 	"sync/atomic"
+	"unsafe"
 )
 
 var sink func()
@@ -145,4 +146,24 @@ func badGeneric(bi *box[uint64], bs *box[string]) {
 func goodClean(t *table, key []byte) uint64 {
 	t.hits.Add(1)
 	return t.idx[string(key)]
+}
+
+// record is a pointer-sized reference to a length-prefixed byte record.
+type record struct{ p *byte }
+
+func (r record) bytes() string { return unsafe.String(r.p, int(*r.p)+1) }
+
+//cuckoo:hotpath package unsafe's functions are built-ins the compiler expands in place: no call edge, no allocation
+func goodUnsafeBuiltins(r record, buf []byte) (string, int) {
+	s := r.bytes()
+	next := (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(s)), len(s)))
+	view := unsafe.Slice(unsafe.SliceData(buf), len(buf))
+	return s, len(view) + int(unsafe.Sizeof(r)) + int(*next)
+}
+
+//cuckoo:hotpath an allocation beside an unsafe built-in is still reported
+func badUnsafeStillAllocates(key []byte) record {
+	b := make([]byte, len(key)+1) // want `allocation \(make\) \(make\) reachable from //cuckoo:hotpath root allocfreetest\.badUnsafeStillAllocates`
+	b[0] = byte(copy(b[1:], key))
+	return record{unsafe.SliceData(b)}
 }

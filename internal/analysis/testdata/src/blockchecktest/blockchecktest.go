@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"htmlib"
 	"stripelib"
@@ -106,6 +107,26 @@ func goodSpinIsShort(t *table, i uint64) uint64 {
 	v := t.locks.Snapshot(i)
 	t.locks.Unlock(i)
 	return v
+}
+
+// recordBytes reads a length-prefixed record through its pointer.
+func recordBytes(p *byte) string { return unsafe.String(p, int(*p)+1) }
+
+// Package unsafe's functions are built-ins, not calls: nothing to resolve,
+// nothing that can park.
+func goodUnsafeInSpin(t *table, i uint64, p *byte) int {
+	t.locks.Lock(i)
+	n := len(recordBytes(p)) + int(unsafe.Sizeof(i))
+	t.locks.Unlock(i)
+	return n
+}
+
+func badSleepBesideUnsafe(t *table, i uint64, p *byte) int {
+	t.locks.Lock(i)
+	n := len(recordBytes(p))
+	time.Sleep(1) // want `blocking time call time\.Sleep reachable inside spinlock critical section on t\.locks`
+	t.locks.Unlock(i)
+	return n
 }
 
 func goodBlockAfterRelease(t *table, i uint64) {

@@ -155,10 +155,11 @@ func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, ma
 	return recs
 }
 
-// removeIfUnchanged deletes want's key only if its item still equals the
-// one observed at migration-selection time (an item carries its version,
-// so equal means the same write), so a concurrent SET that landed in
-// between survives. The check and delete run under the key's txn
+// removeIfUnchanged deletes want's key only if its slot still holds the
+// item observed at migration-selection time (items compare by identity,
+// and an item is never modified, so equal means the same write), so a
+// concurrent SET that landed in between — even of the same bytes —
+// survives. The check and delete run under the key's txn
 // stripe, which both closes the check-then-delete window against
 // concurrent SETs and bumps the version for transactional readers.
 func (c *Cache) removeIfUnchanged(want item) bool {

@@ -323,3 +323,49 @@ func TestMigrateSkipsExpired(t *testing.T) {
 		t.Errorf("live key missing on dest: %q", got)
 	}
 }
+
+// TestMigrateKeepsRefreshedKey: a SET that lands between a migration's
+// selection and its post-transfer delete survives the delete even when it
+// wrote the same key and the same value bytes — "unchanged" means the same
+// write, not equal contents — while a key nobody touched is removed.
+func TestMigrateKeepsRefreshedKey(t *testing.T) {
+	c, err := NewCache(2, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	key := func(i int) string { return fmt.Sprintf("mk%d", i) }
+	for i := range n {
+		if err := c.Set(key(i), "same-bytes", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A drain ring: self is absent, so home mode selects every key.
+	ring, err := cluster.New([]string{"dest:1"}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := c.selectForMigrate(ring, "home", "dest:1", "self:0", 0)
+	if len(recs) != n {
+		t.Fatalf("selected %d records, want %d", len(recs), n)
+	}
+	refreshed := make(map[string]bool)
+	for i := 0; i < n; i += 2 {
+		if err := c.Set(key(i), "same-bytes", 0); err != nil {
+			t.Fatal(err)
+		}
+		refreshed[key(i)] = true
+	}
+	for _, it := range recs {
+		k := it.key()
+		if removed := c.removeIfUnchanged(it); removed == refreshed[k] {
+			t.Errorf("%s (refreshed %v): removeIfUnchanged = %v", k, refreshed[k], removed)
+		}
+		if v, ok := c.Get(k); ok != refreshed[k] || (ok && v != "same-bytes") {
+			t.Errorf("%s (refreshed %v) after the migration's delete: %q, present %v", k, refreshed[k], v, ok)
+		}
+	}
+	if got := c.Len(); got != n/2 {
+		t.Errorf("%d keys left, want the %d refreshed ones", got, n/2)
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"cuckoohash/internal/cluster"
@@ -81,7 +80,7 @@ func (r *replState) peerFor(key string) *replPeer {
 }
 
 // replEnqueue mirrors one mutation of key to the key's alternate node:
-// the item just stored, or — it == "" — a client-visible delete, as a
+// the item just stored, or — the zero item — a client-visible delete, as a
 // versioned tombstone. Called from Cache.store / Cache.remove with the
 // key's stripe held: the log append spins (never parks) and the wake-up
 // send is non-blocking. The log entry outlives the request, until the
@@ -97,11 +96,12 @@ func (c *Cache) replEnqueue(key string, it item) {
 		return
 	}
 	ent := replica.Entry{EnqueuedAt: time.Now().UnixNano()}
-	if it == "" {
+	if it.isZero() {
 		ent.Key, ent.Ver, ent.Del = key, c.nextVersion(), true
 	} else {
-		//lint:allow cuckoovet:allocfree the mirror log's own copy of the record, made only when replication is on and the key has a peer
-		own := item(strings.Clone(string(it)))
+		// The log's own copy: one more item, made only when replication
+		// is on and the key has a peer.
+		own := newItemString(it.ver(), it.expireAt(), it.key(), it.val())
 		ent.Key, ent.Val, ent.ExpireAt, ent.Ver = own.key(), own.val(), own.expireAt(), own.ver()
 	}
 	p.log.Append(ent)

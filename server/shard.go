@@ -302,7 +302,7 @@ func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
 func (c *Cache) remove(sh *shard, key string) bool {
 	ok := sh.table.Delete(key)
 	if ok {
-		c.replEnqueue(key, "")
+		c.replEnqueue(key, item{})
 	}
 	return ok
 }
@@ -411,7 +411,7 @@ func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPee
 				}
 			}
 			t0 := sp.Begin()
-			if it == "" || hold != builtIn+1 {
+			if it.isZero() || hold != builtIn+1 {
 				if !fromPeer {
 					ver = c.nextVersion()
 				}
@@ -615,7 +615,7 @@ func (c *Cache) lookup(key []byte, sp *obs.Span) (it item, si int, state int) {
 	sp.End(obs.StageProbe, t0)
 	switch {
 	case !ok:
-		return "", si, probeAbsent
+		return item{}, si, probeAbsent
 	case it.expiredNow():
 		return it, si, probeStale
 	}
@@ -644,7 +644,7 @@ func (c *Cache) get(key []byte, sp *obs.Span) (item, bool) {
 		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
 		c.expireKey(si, string(key))
 	}
-	return "", false
+	return item{}, false
 }
 
 // GetBytesTraced returns the live value for a key still aliasing the
