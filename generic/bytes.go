@@ -53,9 +53,8 @@ func GetBytes[V any](t *Table[string, V], key []byte) (V, bool) {
 
 // findBytes is find with a byte-slice probe; caller holds b's stripe.
 func findBytes[V any](t *Table[string, V], arr *tArrays[string, V], b uint64, key []byte, tag uint8) (uint64, bool) {
-	occ := arr.occ[b]
-	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
-		if occ&1 != 0 && arr.tags[i] == tag && t.keyAt(arr, i) == string(key) {
+	for s, slotTag := range t.bucketTags(arr, b) {
+		if i := b*t.assoc + uint64(s); slotTag == tag && t.keyAt(arr, i) == string(key) {
 			return i, true
 		}
 	}

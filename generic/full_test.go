@@ -32,13 +32,25 @@ func fillToFull(t *testing.T, tab *Table[int, int], next int) int {
 	}
 }
 
+// occupied reports whether slot i of arr holds an entry: the one place the
+// tests read the arrays' occupancy. Single-goroutine tests only: it reads
+// without the stripes.
+func occupied[K comparable, V any](arr *tArrays[K, V], i uint64) bool {
+	return arr.tags[i] != 0
+}
+
 // pairFull reports whether both of key's live candidate buckets are full.
-// Single-goroutine tests only: it reads occ without the stripes.
 func pairFull[K comparable, V any](tab *Table[K, V], key K) bool {
 	live := tab.loadState().live
 	b1, b2 := tab.twoBuckets(tab.hash(key), live.buckets)
-	full := uint32(1)<<tab.assoc - 1
-	return live.occ[b1] == full && live.occ[b2] == full
+	for _, b := range [2]uint64{b1, b2} {
+		for s := uint64(0); s < tab.assoc; s++ {
+			if !occupied(live, b*tab.assoc+s) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // nextFullPair returns the first key at or after next that is absent
@@ -99,6 +111,7 @@ func TestSearchMark(t *testing.T) {
 	if got := tab.Stats().Searches; got != searches+1 {
 		t.Fatalf("Searches = %d after a full-pair insert below the mark, want %d", got, searches+1)
 	}
+	checkSlots(t, tab)
 }
 
 // TestSearchMarkForgotten: Clear and a grow both forget the mark, so the
@@ -152,7 +165,7 @@ func TestOldest(t *testing.T) {
 		want, found := 0, false
 		for _, b := range [2]uint64{b1, b2} {
 			for s := uint64(0); s < tab.assoc; s++ {
-				if live.occ[b]&(1<<s) == 0 {
+				if !occupied(live, b*tab.assoc+s) {
 					continue
 				}
 				if v := live.vals[b*tab.assoc+s]; !found || v < want {

@@ -60,10 +60,9 @@ func (t *Table[K, V]) Clear() {
 // caller holds the bucket's stripe.
 func (t *Table[K, V]) clearBucket(arr *tArrays[K, V], b uint64) int64 {
 	var n int64
-	occ := arr.occ[b]
-	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
-		if occ&1 != 0 {
-			t.clearSlot(arr, b, i)
+	for s, tag := range t.bucketTags(arr, b) {
+		if tag != 0 {
+			t.clearSlot(arr, b*t.assoc+uint64(s))
 			n++
 		}
 	}

@@ -283,16 +283,14 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 			t.locks.Unlock(li)
 			continue
 		}
-		occ := g.arr.occ[b]
+		slot, occupied := usedSlot(t.bucketTags(g.arr, b))
 		var key K
-		var slot uint64
-		if occ != 0 {
-			slot = uint64(firstSlot(occ))
+		if occupied {
 			key = t.keyAt(g.arr, b*t.assoc+slot)
 		}
 		t.locks.Unlock(li)
 
-		if occ == 0 {
+		if !occupied {
 			// Nothing is ever added to an old generation, so emptiness
 			// is stable and the mark can be set outside the stripe.
 			if g.markMigrated(b) {
@@ -333,14 +331,15 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 	}
 }
 
-// firstSlot returns the index of the lowest set bit of occ (occ != 0).
-func firstSlot(occ uint32) int {
-	s := 0
-	for occ&1 == 0 {
-		occ >>= 1
-		s++
+// usedSlot returns the first occupied slot of the bucket whose tags these
+// are.
+func usedSlot(tags []uint8) (uint64, bool) {
+	for s, tag := range tags {
+		if tag != 0 {
+			return uint64(s), true
+		}
 	}
-	return s
+	return 0, false
 }
 
 // moveOldSlot moves one key from old-generation bucket ob (slot s) into
@@ -358,13 +357,13 @@ func (t *Table[K, V]) moveOldSlot(st *genState[K, V], g *oldGen[K, V], ob, s uin
 		return true
 	}
 	i := ob*t.assoc + s
-	if g.arr.occ[ob]&(1<<uint(s)) == 0 || t.keyAt(g.arr, i) != key {
+	if g.arr.tags[i] == 0 || t.keyAt(g.arr, i) != key {
 		return true // a writer or another migrator already handled it
 	}
 	live := st.live
 	for _, nb := range [2]uint64{nb1, nb2} {
-		if fs, ok := freeSlot(live.occ[nb], int(t.assoc)); ok {
-			t.moveSlot(live, nb, fs, g.arr, ob, i)
+		if fs, ok := freeSlot(t.bucketTags(live, nb)); ok {
+			t.moveSlot(live, nb, fs, g.arr, i)
 			return true
 		}
 	}

@@ -275,6 +275,7 @@ func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
 			t.Fatalf("final Get(%d) = %v, %v", k, v, ok)
 		}
 	}
+	checkSlots(t, tab)
 }
 
 func TestChainedGrowUnderSustainedInserts(t *testing.T) {
@@ -298,4 +299,8 @@ func TestChainedGrowUnderSustainedInserts(t *testing.T) {
 			t.Fatalf("Get(key-%d) = %v, %v", i, v, ok)
 		}
 	}
+	for tab.Growing() {
+		tab.MigrateBatch(64)
+	}
+	checkSlots(t, tab)
 }

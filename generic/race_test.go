@@ -51,6 +51,10 @@ func TestInsertIfAbsentAtomicity(t *testing.T) {
 			}
 		}
 	}
+	for tab.Growing() {
+		tab.MigrateBatch(64)
+	}
+	checkSlots(t, tab)
 }
 
 // TestGetWhileGrowing hammers reads across automatic resizes.
@@ -89,4 +93,8 @@ func TestGetWhileGrowing(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
+	for tab.Growing() {
+		tab.MigrateBatch(64)
+	}
+	checkSlots(t, tab)
 }

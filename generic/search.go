@@ -50,7 +50,7 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K],
 			t.locks.Unlock(l)
 			return nil, false
 		}
-		free, ok := freeSlot(arr.occ[bucket], assoc)
+		free, ok := freeSlot(t.bucketTags(arr, bucket))
 		if !ok { // full: its keys are the next frontier
 			for s := range keys {
 				keys[s] = t.keyAt(arr, bucket*t.assoc+uint64(s))
@@ -119,13 +119,13 @@ func (t *Table[K, V]) displace(st *genState[K, V], src, dst pathEntry[K]) bool {
 	}
 	arr := st.live
 	si := src.bucket*t.assoc + uint64(src.slot)
-	if arr.occ[src.bucket]&(1<<uint(src.slot)) == 0 || t.keyAt(arr, si) != src.key {
+	if arr.tags[si] == 0 || t.keyAt(arr, si) != src.key {
 		return false
 	}
-	if arr.occ[dst.bucket]&(1<<uint(dst.slot)) != 0 {
+	if arr.tags[dst.bucket*t.assoc+uint64(dst.slot)] != 0 {
 		return false
 	}
-	t.moveSlot(arr, dst.bucket, dst.slot, arr, src.bucket, si)
+	t.moveSlot(arr, dst.bucket, dst.slot, arr, si)
 	t.probe.Displaced(src.bucket)
 	return true
 }

@@ -116,12 +116,13 @@ type tArrays[K comparable, V any] struct {
 	buckets uint64
 	keys    []K // nil in a keyed table
 	vals    []V
-	// tags holds one byte of each occupied slot's key hash (tagOf), MemC3's
-	// partial-key tag: a probe compares it before it compares — in a keyed
-	// table, before it dereferences — any key, and a slot that moves
-	// (displace, migration) carries its tag along.
+	// tags holds one byte per slot, guarded by the bucket's lock stripe: 0
+	// for an empty slot, otherwise a byte of its key's hash (tagOf, never
+	// 0) — MemC3's partial-key tag, which is also the bucket's occupancy. A
+	// probe compares it before it compares — in a keyed table, before it
+	// dereferences — any key, and a slot that moves (displace, migration)
+	// carries its tag along.
 	tags []uint8
-	occ  []uint32 // guarded by the bucket's lock stripe
 
 	// fullAt is the search mark: the table's Len when a path search in
 	// these arrays last ran out of budget, 0 when none has (or since
@@ -207,7 +208,6 @@ func (t *Table[K, V]) newArrays(buckets uint64) *tArrays[K, V] {
 		buckets: buckets,
 		vals:    make([]V, buckets*t.assoc),
 		tags:    make([]uint8, buckets*t.assoc),
-		occ:     make([]uint32, buckets),
 	}
 	if t.keyOf == nil {
 		arr.keys = make([]K, buckets*t.assoc)
@@ -224,11 +224,23 @@ func (t *Table[K, V]) keyAt(arr *tArrays[K, V], i uint64) K {
 	return arr.keys[i]
 }
 
+// bucketTags returns bucket b's tag bytes, one per slot. Caller holds the
+// bucket's stripe.
+func (t *Table[K, V]) bucketTags(arr *tArrays[K, V], b uint64) []uint8 {
+	return arr.tags[b*t.assoc : (b+1)*t.assoc]
+}
+
 // tagOf is the slot tag of a key with hash h: bits 24-31, which neither
 // bucket index reads in a table of up to 2^24 buckets (twoBuckets takes
 // the first from the low bits and the second from the high word), so two
-// keys that share a bucket still differ in their tags 255 times in 256.
-func tagOf(h uint64) uint8 { return uint8(h >> 24) }
+// keys that share a bucket still differ in their tags 254 times in 255.
+// It is never 0, the tag of an empty slot: a hash whose byte is 0 takes 1.
+func tagOf(h uint64) uint8 {
+	if tag := uint8(h >> 24); tag != 0 {
+		return tag
+	}
+	return 1
+}
 
 // Len returns the number of stored keys.
 func (t *Table[K, V]) Len() uint64 { return uint64(t.size.Total()) }
@@ -340,11 +352,11 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 }
 
 // find scans bucket b for key, whose tag is tag; caller holds its stripe.
-// Only a slot whose tag matches has its key looked at.
+// Only a slot whose tag matches — an occupied one, tag being nonzero — has
+// its key looked at.
 func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K, tag uint8) (uint64, bool) {
-	occ := arr.occ[b]
-	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
-		if occ&1 != 0 && arr.tags[i] == tag && t.keyAt(arr, i) == key {
+	for s, slotTag := range t.bucketTags(arr, b) {
+		if i := b*t.assoc + uint64(s); slotTag == tag && t.keyAt(arr, i) == key {
 			return i, true
 		}
 	}
@@ -469,7 +481,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 			// Fold the entry forward into a live slot.
 			if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
 				t.place(live, s.bucket, s.slot, key, val, tag)
-				t.clearSlot(g.arr, ob, i)
+				t.clearSlot(g.arr, i)
 				return putDone
 			}
 			return putNoSpace
@@ -495,13 +507,13 @@ type liveTarget struct {
 // stripes.
 func (t *Table[K, V]) liveSlotFor(live *tArrays[K, V], b1, b2 uint64, reqSlot int) (liveTarget, bool) {
 	if reqSlot >= 0 {
-		if live.occ[b1]&(1<<uint(reqSlot)) != 0 {
+		if live.tags[b1*t.assoc+uint64(reqSlot)] != 0 {
 			return liveTarget{}, false
 		}
 		return liveTarget{bucket: b1, slot: reqSlot}, true
 	}
 	for _, b := range [2]uint64{b1, b2} {
-		if s, ok := freeSlot(live.occ[b], int(t.assoc)); ok {
+		if s, ok := freeSlot(t.bucketTags(live, b)); ok {
 			return liveTarget{bucket: b, slot: s}, true
 		}
 	}
@@ -517,38 +529,38 @@ func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, key K, val V, t
 	}
 	arr.vals[i] = val
 	arr.tags[i] = tag
-	arr.occ[b] |= 1 << uint(s)
 }
 
-// moveSlot relocates the entry in slot si of src's bucket sb into free slot
-// ds of dst's bucket db, tag and all: a displacement within the live
+// moveSlot relocates the entry in slot si of src into free slot ds of dst's
+// bucket db, tag and all: a displacement within the live
 // arrays, or a migration out of a draining generation (a key's tag depends
 // on its hash alone, so it holds in every generation). Caller holds both
 // stripes; the table's size is unchanged.
-func (t *Table[K, V]) moveSlot(dst *tArrays[K, V], db uint64, ds int, src *tArrays[K, V], sb, si uint64) {
+func (t *Table[K, V]) moveSlot(dst *tArrays[K, V], db uint64, ds int, src *tArrays[K, V], si uint64) {
 	var key K
 	if src.keys != nil {
 		key = src.keys[si]
 	}
 	t.place(dst, db, ds, key, src.vals[si], src.tags[si])
-	t.clearSlot(src, sb, si)
+	t.clearSlot(src, si)
 }
 
-// clearSlot empties slot i of bucket b, releasing references for the
-// GC; caller holds the bucket's stripe and accounts for size itself.
-func (t *Table[K, V]) clearSlot(arr *tArrays[K, V], b, i uint64) {
+// clearSlot empties slot i, releasing references for the GC; caller holds
+// its bucket's stripe and accounts for size itself.
+func (t *Table[K, V]) clearSlot(arr *tArrays[K, V], i uint64) {
 	if arr.keys != nil {
 		var zeroK K
 		arr.keys[i] = zeroK
 	}
 	var zeroV V
 	arr.vals[i] = zeroV
-	arr.occ[b] &^= 1 << uint(i-b*t.assoc)
+	arr.tags[i] = 0
 }
 
-func freeSlot(occ uint32, assoc int) (int, bool) {
-	for s := 0; s < assoc; s++ {
-		if occ&(1<<uint(s)) == 0 {
+// freeSlot returns the first empty slot of the bucket whose tags these are.
+func freeSlot(tags []uint8) (int, bool) {
+	for s, tag := range tags {
+		if tag == 0 {
 			return s, true
 		}
 	}
@@ -573,7 +585,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 		b1, b2 := t.twoBuckets(h, st.live.buckets)
 		for _, b := range [2]uint64{b1, b2} {
 			if i, ok := t.find(st.live, b, key, tag); ok {
-				t.clearSlot(st.live, b, i)
+				t.clearSlot(st.live, i)
 				t.size.Add(b, -1)
 				deleted = true
 				break
@@ -584,7 +596,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 				ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
 				for _, b := range [2]uint64{ob1, ob2} {
 					if i, ok := t.find(g.arr, b, key, tag); ok {
-						t.clearSlot(g.arr, b, i)
+						t.clearSlot(g.arr, i)
 						t.size.Add(b, -1)
 						deleted = true
 						break
@@ -624,9 +636,9 @@ func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool)
 		}
 		var best uint64
 		for _, b := range [2]uint64{b1, b2} {
-			occ := live.occ[b]
-			for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
-				if occ&1 == 0 || live.tags[i] == tag && t.keyAt(live, i) == key {
+			for s, slotTag := range t.bucketTags(live, b) {
+				i := b*t.assoc + uint64(s)
+				if slotTag == 0 || slotTag == tag && t.keyAt(live, i) == key {
 					continue
 				}
 				if !ok || older(live.vals[i], live.vals[best]) {
@@ -673,13 +685,11 @@ func (t *Table[K, V]) Range(fn func(key K, val V) bool) {
 // copyBucket appends bucket b's occupied entries to keys/vals; caller
 // holds the bucket's stripe.
 func (t *Table[K, V]) copyBucket(arr *tArrays[K, V], b uint64, keys []K, vals []V) ([]K, []V) {
-	occ := arr.occ[b]
-	for i := b * t.assoc; occ != 0; i, occ = i+1, occ>>1 {
-		if occ&1 == 0 {
-			continue
+	for s, tag := range t.bucketTags(arr, b) {
+		if i := b*t.assoc + uint64(s); tag != 0 {
+			keys = append(keys, t.keyAt(arr, i))
+			vals = append(vals, arr.vals[i])
 		}
-		keys = append(keys, t.keyAt(arr, i))
-		vals = append(vals, arr.vals[i])
 	}
 	return keys, vals
 }

@@ -150,6 +150,10 @@ func TestConcurrentMixedGeneric(t *testing.T) {
 	if got := tab.Len(); got != want {
 		t.Fatalf("Len = %d want %d", got, want)
 	}
+	for tab.Growing() {
+		tab.MigrateBatch(64)
+	}
+	checkSlots(t, tab)
 }
 
 func TestConcurrentInsertWithAutoGrow(t *testing.T) {
@@ -185,6 +189,10 @@ func TestConcurrentInsertWithAutoGrow(t *testing.T) {
 			}
 		}
 	}
+	for tab.Growing() {
+		tab.MigrateBatch(64)
+	}
+	checkSlots(t, tab)
 }
 
 func TestRangeGeneric(t *testing.T) {

@@ -19,11 +19,11 @@
 // Per function body:
 //
 //   - R1: if the function obtains a generation state (calls a method
-//     named loadState) and indexes a bucket array (a field named keys,
-//     vals, tags or occ) or reads a slot's key through the keyAt
-//     accessor, every such access must be positionally preceded by a
-//     stateValid call — the re-check that pins the generation set for
-//     the critical section.
+//     named loadState) and indexes or slices a bucket array (a field
+//     named keys, vals or tags), reads a slot's key through the keyAt
+//     accessor or a bucket's tags through bucketTags, every such access
+//     must be positionally preceded by a stateValid call — the re-check
+//     that pins the generation set for the critical section.
 //   - R2: no bucket-array access may positionally follow a markMigrated
 //     call: once a bucket is marked, its generation must never be
 //     touched again from that code path.
@@ -50,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 
 // genArrayFields are the bucket-array field names of the table's
 // generation arrays; indexing one of these is what the rules guard.
-var genArrayFields = map[string]bool{"keys": true, "vals": true, "tags": true, "occ": true}
+var genArrayFields = map[string]bool{"keys": true, "vals": true, "tags": true}
 
 const (
 	evLoad = iota
@@ -82,6 +82,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // separate body, walked on its own
 		}
+		var indexed ast.Expr // the operand of an index or slice expression
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			fn := checkutil.Callee(pass.TypesInfo, x)
@@ -95,12 +96,17 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				events = append(events, event{x.Pos(), evValidate, "stateValid"})
 			case "markMigrated":
 				events = append(events, event{x.Pos(), evMark, "markMigrated"})
-			case "keyAt":
-				events = append(events, event{x.Pos(), evAccess, "keyAt"})
+			case "keyAt", "bucketTags":
+				events = append(events, event{x.Pos(), evAccess, fn.Name()})
 			}
 		case *ast.IndexExpr:
-			if f := checkutil.FieldOf(pass.TypesInfo, x.X); f != nil && genArrayFields[f.Name()] {
-				events = append(events, event{x.Pos(), evAccess, f.Name()})
+			indexed = x.X
+		case *ast.SliceExpr:
+			indexed = x.X
+		}
+		if indexed != nil {
+			if f := checkutil.FieldOf(pass.TypesInfo, indexed); f != nil && genArrayFields[f.Name()] {
+				events = append(events, event{n.Pos(), evAccess, f.Name()})
 			}
 		}
 		return true

@@ -9,8 +9,7 @@ package generchecktest
 type arrays struct {
 	keys []uint64
 	vals []uint64
-	tags []uint8
-	occ  []uint32
+	tags []uint8 // 0 = empty slot
 }
 
 type state struct {
@@ -34,6 +33,10 @@ func (t *table) stateValid(st *state) bool { return t.cur == st }
 // the value, so a read through it is as much a generation-array access as
 // indexing keys.
 func (t *table) keyAt(a *arrays, i uint64) uint64 { return a.keys[i] }
+
+// bucketTags is the bucket accessor: a bucket's tag bytes, which are also
+// its occupancy.
+func (t *table) bucketTags(a *arrays, b uint64) []uint8 { return a.tags[b*4 : b*4+4] }
 
 func (g *gen) markMigrated(b uint64) bool {
 	w := &g.marks[b>>5]
@@ -59,7 +62,7 @@ func goodValidatedOldThenLive(t *table, b uint64) uint64 {
 		return 0
 	}
 	for _, g := range st.olds {
-		if g.arr.occ[b] != 0 {
+		if g.arr.tags[b] != 0 {
 			return g.arr.vals[b]
 		}
 	}
@@ -82,13 +85,24 @@ func badValidateTooLate(t *table, b uint64) uint64 {
 
 func badUnvalidatedWrite(t *table, b uint64) {
 	st := t.loadState()
-	st.live.occ[b] = 0 // want `generation array "occ" accessed without a preceding stateValid`
+	st.live.tags[b] = 0 // want `generation array "tags" accessed without a preceding stateValid`
 }
 
 func badUnvalidatedTagAndKey(t *table, b uint64, tag uint8) bool {
 	st := t.loadState()
 	return st.live.tags[b] == tag && // want `generation array "tags" accessed without a preceding stateValid`
 		t.keyAt(st.live, b) == 7 // want `generation array "keyAt" accessed without a preceding stateValid`
+}
+
+func badUnvalidatedBucket(t *table, b uint64) int {
+	st := t.loadState()
+	n := len(st.live.tags[b*4 : b*4+4]) // want `generation array "tags" accessed without a preceding stateValid`
+	for _, tag := range t.bucketTags(st.live, b) { // want `generation array "bucketTags" accessed without a preceding stateValid`
+		if tag != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func goodValidatedTagAndKey(t *table, b uint64, tag uint8) bool {
@@ -111,7 +125,7 @@ func goodMarkAfterAccess(t *table, g *gen, b uint64) {
 	if !t.stateValid(st) {
 		return
 	}
-	if g.arr.occ[b] == 0 {
+	if g.arr.tags[b] == 0 {
 		g.markMigrated(b)
 	}
 }
@@ -122,7 +136,7 @@ func badAccessAfterMark(t *table, g *gen, b uint64) {
 		return
 	}
 	if g.markMigrated(b) {
-		g.arr.occ[b] = 0 // want `generation array "occ" accessed after markMigrated`
+		g.arr.tags[b] = 0 // want `generation array "tags" accessed after markMigrated`
 	}
 }
 
