@@ -7,12 +7,18 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build vet vet386 lint cuckoovet test race bench bench-selftest bench-pair bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
+.PHONY: check build fmt vet vet386 lint cuckoovet test race bench bench-selftest bench-pair bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
 
-check: build vet vet386 lint race bench-selftest
+check: build fmt vet vet386 lint race bench-selftest
 
 build:
 	$(GO) build ./...
+
+# Fails, naming the files, when gofmt would change anything the module
+# owns (.bench_build/ holds exported copies of other commits).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -200,7 +200,7 @@ func TestOldest(t *testing.T) {
 }
 
 // TestSearchAllocatesOnDemand: a search that ends one hop from the key's
-// own buckets must not pay for the whole MaxSearchSlots queue (64 KB for
+// own buckets must not pay for the whole maxSearchSlots queue (64 KB for
 // string keys).
 func TestSearchAllocatesOnDemand(t *testing.T) {
 	tab, err := New[string, int](Config{InitialCapacity: 4096, DisableAutoGrow: true})

@@ -4,13 +4,13 @@ package generic
 // it allocates the doubled bucket array alongside the old one, publishes
 // both behind a single generation-state pointer, and drains the old
 // buckets a bounded batch at a time — per mutating operation and from an
-// optional background sweeper — while readers consult old-then-new under
-// the existing stripe discipline. The scheme follows the page-by-page
-// rehash of "Cuckoo Hashing with Pages" (arXiv:1104.5111) and the
-// two-table read discipline of "Lock-Free Hopscotch Hashing"
-// (arXiv:1911.03028): a version (epoch) word tells concurrent operations
-// that the generation set changed, and per-bucket migrated marks make
-// the old generation write-once-drained.
+// optional background sweeper — while every operation on a key holds that
+// key's stripes in all published generations (pin) and probes them all
+// (locate). The scheme follows the page-by-page rehash of "Cuckoo Hashing
+// with Pages" (arXiv:1104.5111) and the two-table read discipline of
+// "Lock-Free Hopscotch Hashing" (arXiv:1911.03028): a version (epoch) word
+// tells concurrent operations that the generation set changed, and
+// per-bucket migrated marks make the old generation write-once-drained.
 //
 // Invariants (machine-checked by the cuckoovet genercheck analyzer):
 //
@@ -21,7 +21,9 @@ package generic
 //   - A key lives in exactly one slot of one generation. Movers (the
 //     migrator, and writers folding an old entry forward) hold the old
 //     bucket's stripe and both live candidates' stripes, so the
-//     single-copy invariant is preserved across the move.
+//     single-copy invariant is preserved across the move — and so the
+//     order in which locate walks the generations cannot change what any
+//     operation finds.
 //   - New values land only in the live generation. The only writes an
 //     old generation ever sees are slot clears; once a bucket's
 //     migrated mark is set it is empty forever, so nothing is written
@@ -203,6 +205,7 @@ func (t *Table[K, V]) growLocked(force bool) bool {
 // migrateStep is the bounded per-mutating-operation migration quantum:
 // one atomic load when no migration is in flight, at most
 // Config.MigrateBatch bucket drains when one is.
+//
 //cuckoo:coldpath drain work only exists while a resize is in flight; amortized over writes and bounded per op
 func (t *Table[K, V]) migrateStep() {
 	if t.cfg.MigrateBatch <= 0 || !t.Growing() {
@@ -309,11 +312,7 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 		// Neither live candidate has room: open a slot with a BFS
 		// displacement path, exactly like a slow-path insert.
 		if path, ok := t.search(st, nb1, nb2); ok {
-			for i := len(path) - 2; i >= 0; i-- {
-				if !t.displace(st, path[i], path[i+1]) {
-					break
-				}
-			}
+			t.shift(st, path) // whether or not it got there, look again
 			continue
 		}
 		// The live arrays are too full to absorb the old keys: escalate
@@ -360,14 +359,11 @@ func (t *Table[K, V]) moveOldSlot(st *genState[K, V], g *oldGen[K, V], ob, s uin
 	if g.arr.tags[i] == 0 || t.keyAt(g.arr, i) != key {
 		return true // a writer or another migrator already handled it
 	}
-	live := st.live
-	for _, nb := range [2]uint64{nb1, nb2} {
-		if fs, ok := freeSlot(t.bucketTags(live, nb)); ok {
-			t.moveSlot(live, nb, fs, g.arr, i)
-			return true
-		}
+	dst, ok := t.liveSlotFor(st.live, nb1, nb2, -1)
+	if ok {
+		t.moveSlot(st.live, dst.bucket, dst.slot, g.arr, i)
 	}
-	return false
+	return ok
 }
 
 // finishGen retires a fully drained old generation, publishing a state

@@ -21,25 +21,29 @@ type bfsNode[K comparable] struct {
 	slotInPar int8
 }
 
+// maxSearchSlots is the insert search budget M: how many slots one search
+// may examine before it reports the table full (2000, MemC3's and the
+// paper's value; Associativity <= 32 keeps one bucket pair well inside it).
+const maxSearchSlots = 2000
+
 // search runs BFS from b1/b2 to an empty live slot. The queue starts
 // with room for the roots, their children and their grandchildren — all
 // a search that ends one hop away can enqueue — and grows on demand to
-// at most the roots plus MaxSearchSlots nodes.
+// at most the roots plus maxSearchSlots nodes.
 //
 //cuckoo:coldpath BFS path discovery is the insert slow path (§4, Eq. 2); its queue is the cost of a full bucket pair
 func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K], bool) {
 	t.probe.Searched(b1)
 	arr := st.live
 	assoc := int(t.assoc)
-	budget := t.cfg.MaxSearchSlots
-	nodes := make([]bfsNode[K], 0, min(2+2*assoc*(1+assoc), budget+2))
+	nodes := make([]bfsNode[K], 0, min(2+2*assoc*(1+assoc), maxSearchSlots+2))
 	nodes = append(nodes,
 		bfsNode[K]{bucket: b1, parent: -1},
 		bfsNode[K]{bucket: b2, parent: -1},
 	)
 	keys := make([]K, assoc)
 	slotsExamined := 0
-	for qi := 0; qi < len(nodes) && slotsExamined < budget; qi++ {
+	for qi := 0; qi < len(nodes) && slotsExamined < maxSearchSlots; qi++ {
 		bucket := nodes[qi].bucket // a copy: the appends below may move nodes
 		slotsExamined += assoc
 
@@ -61,7 +65,7 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry[K],
 		if ok {
 			return t.buildPath(nodes, qi, free), true
 		}
-		if len(nodes)+assoc > budget+2 {
+		if len(nodes)+assoc > maxSearchSlots+2 {
 			continue
 		}
 		for s := 0; s < assoc; s++ {
@@ -94,14 +98,27 @@ func (t *Table[K, V]) buildPath(nodes []bfsNode[K], qi, s int) []pathEntry[K] {
 	return path
 }
 
+// shift moves every key on path one hop toward the free slot at its end,
+// the last hop first (§4.2): each displace writes a key into a slot the
+// previous one just vacated, so the hole travels back to path[0] while no
+// key is ever out of the table, and a hop that fails validation leaves a
+// valid table with the hole wherever it had got to. It reports whether
+// path[0]'s slot is now free.
+func (t *Table[K, V]) shift(st *genState[K, V], path []pathEntry[K]) bool {
+	for i := len(path) - 2; i >= 0; i-- {
+		if !t.displace(st, path[i], path[i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
 // execute performs the validated displacements and the final insert,
 // returning the locked attempt's outcome (putNoSpace and putStale both mean
 // "retry the whole insert").
 func (t *Table[K, V]) execute(st *genState[K, V], path []pathEntry[K], h, b1, b2 uint64, key K, val V, overwrite bool) putResult {
-	for i := len(path) - 2; i >= 0; i-- {
-		if !t.displace(st, path[i], path[i+1]) {
-			return putNoSpace
-		}
+	if !t.shift(st, path) {
+		return putNoSpace
 	}
 	head := path[0]
 	other := b2

@@ -6,14 +6,22 @@
 // that it uses locks for reads as well as writes, so that pointer-valued
 // items can be safely dereferenced, at the cost of a 5-20% slowdown."
 //
-// The write path is the same BFS + lock-after-discovery algorithm as the
-// specialized cuckoohash.Map; reads take the (very short) bucket-pair lock
-// instead of running optimistically, because values of arbitrary type
-// cannot be copied tear-free without it. Resizing is incremental: a grow
-// publishes a doubled live generation next to the old one and drains it a
-// bounded batch of buckets at a time (migrate.go), so no operation ever
-// pauses for a full-table rehash and nothing outside tests takes the
-// whole stripe table.
+// A key's critical section has one owner. pin takes the stripes of the
+// key's candidate buckets in every generation and retries until the
+// generation set it locked under is still the published one; locate is the
+// one probe — generations × two buckets × tag bytes, a key looked at only
+// behind a matching tag. Get and GetBytes are pin → locate → copy the
+// value out, Delete is pin → locate → clearSlot, and a put (attempt) is
+// validate → locate → overwrite in place, fold forward or place; reads
+// take the (very short) lock instead of running optimistically because
+// values of arbitrary type cannot be copied tear-free without it. When
+// both candidate buckets are full the write path is the same BFS +
+// lock-after-discovery algorithm as the specialized cuckoohash.Map
+// (search.go; shift moves the discovered path's keys, last hop first).
+// Resizing is incremental: a grow publishes a doubled live generation next
+// to the old one and drains it a bounded batch of buckets at a time
+// (migrate.go), so no operation ever pauses for a full-table rehash and
+// nothing outside tests takes the whole stripe table.
 package generic
 
 import (
@@ -53,8 +61,6 @@ type Config struct {
 	// can never be taken: with MaxCapacity set, the table allocates no
 	// more stripes than it will have buckets at that capacity.
 	LockStripes int
-	// MaxSearchSlots is the insert search budget (default 2000).
-	MaxSearchSlots int
 	// DisableAutoGrow turns off resize-on-full; Insert then returns
 	// ErrFull like the fixed-size tables.
 	DisableAutoGrow bool
@@ -83,9 +89,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.LockStripes == 0 {
 		c.LockStripes = 4096
-	}
-	if c.MaxSearchSlots == 0 {
-		c.MaxSearchSlots = 2000
 	}
 	if c.MigrateBatch == 0 {
 		c.MigrateBatch = 2
@@ -158,9 +161,6 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 	}
 	if cfg.LockStripes&(cfg.LockStripes-1) != 0 {
 		return nil, errors.New("generic: LockStripes must be a power of two")
-	}
-	if cfg.MaxSearchSlots < 2*cfg.Associativity {
-		return nil, errors.New("generic: MaxSearchSlots too small")
 	}
 	if cfg.MaxCapacity != 0 && cfg.MaxCapacity < cfg.InitialCapacity {
 		return nil, errors.New("generic: MaxCapacity below InitialCapacity")
@@ -309,58 +309,78 @@ func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []
 	return t.locks.LockOrdered(buf)
 }
 
-// Get returns the value for key. The candidate buckets' locks are held
-// just long enough to copy the value out (§7: locked reads make
-// pointer-valued items safe to hand to the caller). While a migration is
-// in flight the old generations are consulted first — a key lives in
-// exactly one generation at a time.
-//
-//cuckoo:hotpath the table read path (§7 locked reads)
-func (t *Table[K, V]) Get(key K) (V, bool) {
-	h := t.hash(key)
-	tag := tagOf(h)
-	var lockBuf [8]uint64
+// pin opens key hash h's critical section: it loads the generation set and
+// takes the stripes of h's candidate buckets in every generation of it,
+// again until the set it locked under is still the published one (Eq. 1's
+// validate, under the locks). Until the caller hands the returned stripes
+// to UnlockOrdered, no generation can be published or retired and no slot
+// the key could occupy can change. buf is caller scratch, as in
+// lockAllGens.
+func (t *Table[K, V]) pin(h uint64, buf []uint64) (*genState[K, V], []uint64) {
 	for {
 		st := t.loadState()
-		locked := t.lockAllGens(st, h, lockBuf[:0])
-		if !t.stateValid(st) {
-			t.locks.UnlockOrdered(locked)
-			continue
-		}
-		for _, g := range st.olds {
-			ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
-			for _, b := range [2]uint64{ob1, ob2} {
-				if i, ok := t.find(g.arr, b, key, tag); ok {
-					v := g.arr.vals[i]
-					t.locks.UnlockOrdered(locked)
-					return v, true
-				}
-			}
-		}
-		b1, b2 := t.twoBuckets(h, st.live.buckets)
-		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := t.find(st.live, b, key, tag); ok {
-				v := st.live.vals[i]
-				t.locks.UnlockOrdered(locked)
-				return v, true
-			}
+		locked := t.lockAllGens(st, h, buf)
+		if t.stateValid(st) {
+			return st, locked
 		}
 		t.locks.UnlockOrdered(locked)
-		var zero V
-		return zero, false
 	}
 }
 
-// find scans bucket b for key, whose tag is tag; caller holds its stripe.
-// Only a slot whose tag matches — an occupied one, tag being nonzero — has
-// its key looked at.
-func (t *Table[K, V]) find(arr *tArrays[K, V], b uint64, key K, tag uint8) (uint64, bool) {
-	for s, slotTag := range t.bucketTags(arr, b) {
-		if i := b*t.assoc + uint64(s); slotTag == tag && t.keyAt(arr, i) == key {
-			return i, true
+// locate is the one probe: it returns the arrays, bucket and slot index
+// holding the key with hash h that match accepts. It walks the draining
+// generations, oldest first, then the live one — every operation in the
+// same order. Under the caller's stripes any order finds the same slot: a
+// key lives in exactly one slot of one generation (migrate.go). This one
+// is the direction keys move, so a reader that stops taking the stripes
+// (Eq. 1) can keep it: a key that leaves a generation behind the probe is
+// already in the one ahead. Only a slot whose tag matches — an occupied
+// one, tags being nonzero — has its key looked at, so match runs at most
+// once per tag match. Caller holds the stripes of h's candidate buckets in
+// every generation of st.
+func (t *Table[K, V]) locate(st *genState[K, V], h uint64, match func(K) bool) (arr *tArrays[K, V], bucket, index uint64, ok bool) {
+	tag := tagOf(h)
+	for g := 0; g <= len(st.olds); g++ {
+		arr = st.live
+		if g < len(st.olds) {
+			arr = st.olds[g].arr
+		}
+		b1, b2 := t.twoBuckets(h, arr.buckets)
+		for _, b := range [2]uint64{b1, b2} {
+			for s, slotTag := range t.bucketTags(arr, b) {
+				if slotTag != tag {
+					continue
+				}
+				if i := b*t.assoc + uint64(s); match(t.keyAt(arr, i)) {
+					return arr, b, i, true
+				}
+			}
 		}
 	}
-	return 0, false
+	return nil, 0, 0, false
+}
+
+// Get returns the value for key. The candidate buckets' locks are held
+// just long enough to copy the value out (§7: locked reads make
+// pointer-valued items safe to hand to the caller).
+//
+//cuckoo:hotpath the table read path (§7 locked reads)
+func (t *Table[K, V]) Get(key K) (V, bool) {
+	return t.get(t.hash(key), func(k K) bool { return k == key })
+}
+
+// get is the read behind Get and GetBytes, which differ only in the hash
+// they pass and the comparison they close over.
+func (t *Table[K, V]) get(h uint64, match func(K) bool) (v V, ok bool) {
+	var lockBuf [8]uint64
+	st, locked := t.pin(h, lockBuf[:0])
+	if arr, _, i, found := t.locate(st, h, match); found {
+		// linearization point: the value is read while the pin keeps every
+		// writer of the key out of all its candidate buckets.
+		v, ok = arr.vals[i], true
+	}
+	t.locks.UnlockOrdered(locked)
+	return v, ok
 }
 
 // Insert adds key, returning ErrExists if present. With auto-grow enabled
@@ -449,7 +469,9 @@ const (
 // place; a key found in a draining generation is folded forward — the
 // new value lands in a live slot and the old slot is cleared — so
 // writers always land in the live generation. reqSlot >= 0 pins the
-// insert to that slot of b1 (the head of a discovered cuckoo path).
+// insert to that slot of b1 (the head of a discovered cuckoo path). A
+// republished generation set is putStale, not a retry here: the caller's
+// buckets and path were computed against st.
 func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V, overwrite bool, reqSlot int) putResult {
 	var lockBuf [8]uint64
 	locked := t.lockAllGens(st, h, lockBuf[:0])
@@ -458,41 +480,30 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 		return putStale
 	}
 	live := st.live
-	tag := tagOf(h)
-	for _, b := range [2]uint64{b1, b2} {
-		if i, ok := t.find(live, b, key, tag); ok {
-			if !overwrite {
-				return putExists
-			}
-			live.vals[i] = val
-			return putDone
-		}
+	arr, _, i, found := t.locate(st, h, func(k K) bool { return k == key })
+	if found && !overwrite {
+		return putExists
 	}
-	for _, g := range st.olds {
-		ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
-		for _, ob := range [2]uint64{ob1, ob2} {
-			i, ok := t.find(g.arr, ob, key, tag)
-			if !ok {
-				continue
-			}
-			if !overwrite {
-				return putExists
-			}
-			// Fold the entry forward into a live slot.
-			if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
-				t.place(live, s.bucket, s.slot, key, val, tag)
-				t.clearSlot(g.arr, i)
-				return putDone
-			}
-			return putNoSpace
-		}
-	}
-	if s, ok := t.liveSlotFor(live, b1, b2, reqSlot); ok {
-		t.place(live, s.bucket, s.slot, key, val, tag)
-		t.size.Add(s.bucket, 1)
+	if found && arr == live {
+		live.vals[i] = val // linearization point of an overwrite
 		return putDone
 	}
-	return putNoSpace
+	s, ok := t.liveSlotFor(live, b1, b2, reqSlot)
+	if !ok {
+		return putNoSpace
+	}
+	// linearization point of an insert, and of a fold-forward: the key is
+	// placed at its destination before its old-generation slot is cleared
+	// (§4.2's rule for a moving key), so the order already holds when a
+	// reader stops taking these stripes and could otherwise see the key in
+	// neither generation.
+	t.place(live, s.bucket, s.slot, key, val, tagOf(h))
+	if found {
+		t.clearSlot(arr, i)
+	} else {
+		t.size.Add(s.bucket, 1)
+	}
+	return putDone
 }
 
 // liveTarget names a (bucket, slot) destination in the live arrays.
@@ -572,47 +583,18 @@ func freeSlot(tags []uint8) (int, bool) {
 // same write migration itself performs.
 func (t *Table[K, V]) Delete(key K) bool {
 	h := t.hash(key)
-	tag := tagOf(h)
 	var lockBuf [8]uint64
-	for {
-		st := t.loadState()
-		locked := t.lockAllGens(st, h, lockBuf[:0])
-		if !t.stateValid(st) {
-			t.locks.UnlockOrdered(locked)
-			continue
-		}
-		deleted := false
-		b1, b2 := t.twoBuckets(h, st.live.buckets)
-		for _, b := range [2]uint64{b1, b2} {
-			if i, ok := t.find(st.live, b, key, tag); ok {
-				t.clearSlot(st.live, i)
-				t.size.Add(b, -1)
-				deleted = true
-				break
-			}
-		}
-		if !deleted {
-			for _, g := range st.olds {
-				ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
-				for _, b := range [2]uint64{ob1, ob2} {
-					if i, ok := t.find(g.arr, b, key, tag); ok {
-						t.clearSlot(g.arr, i)
-						t.size.Add(b, -1)
-						deleted = true
-						break
-					}
-				}
-				if deleted {
-					break
-				}
-			}
-		}
-		t.locks.UnlockOrdered(locked)
-		if deleted {
-			t.migrateStep()
-		}
-		return deleted
+	st, locked := t.pin(h, lockBuf[:0])
+	arr, b, i, found := t.locate(st, h, func(k K) bool { return k == key })
+	if found {
+		t.clearSlot(arr, i) // linearization point
+		t.size.Add(b, -1)
 	}
+	t.locks.UnlockOrdered(locked)
+	if found {
+		t.migrateStep()
+	}
+	return found
 }
 
 // Oldest returns the key that older ranks first among the entries in the

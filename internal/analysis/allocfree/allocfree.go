@@ -61,44 +61,44 @@ var Analyzer = &analysis.Analyzer{
 // keyed by types.Func.FullName. Everything unlisted outside the module
 // is conservatively may-allocate.
 var cleanFuncs = map[string]bool{
-	"time.Now":              true,
-	"(time.Time).UnixNano":  true,
-	"(time.Time).Unix":      true,
-	"(time.Time).Add":       true,
-	"(time.Time).Sub":       true,
-	"(time.Time).Before":    true,
-	"(time.Time).After":     true,
-	"(time.Time).IsZero":    true,
-	"(time.Time).Equal":     true,
+	"time.Now":                    true,
+	"(time.Time).UnixNano":        true,
+	"(time.Time).Unix":            true,
+	"(time.Time).Add":             true,
+	"(time.Time).Sub":             true,
+	"(time.Time).Before":          true,
+	"(time.Time).After":           true,
+	"(time.Time).IsZero":          true,
+	"(time.Time).Equal":           true,
 	"(time.Duration).Nanoseconds": true,
 	"(time.Duration).Seconds":     true,
-	"runtime.Gosched":       true,
-	"runtime.KeepAlive":     true,
-	"hash/maphash.String":     true,
-	"hash/maphash.Bytes":      true,
-	"hash/maphash.Comparable": true,
-	"hash/maphash.MakeSeed":   true,
-	"errors.Is":             true,
-	"bytes.IndexByte":       true,
+	"runtime.Gosched":             true,
+	"runtime.KeepAlive":           true,
+	"hash/maphash.String":         true,
+	"hash/maphash.Bytes":          true,
+	"hash/maphash.Comparable":     true,
+	"hash/maphash.MakeSeed":       true,
+	"errors.Is":                   true,
+	"bytes.IndexByte":             true,
 	// ParseInt/ParseUint allocate only the *NumError on malformed input;
 	// the success path — the one a proof about steady-state traffic is
 	// about — is allocation-free. FormatInt is deliberately absent: it
 	// builds a new string on every call past the small-int cache.
-	"strconv.ParseInt":  true,
-	"strconv.ParseUint": true,
+	"strconv.ParseInt":            true,
+	"strconv.ParseUint":           true,
 	"(*bufio.Writer).Write":       true,
 	"(*bufio.Writer).WriteString": true,
 	"(*bufio.Writer).WriteByte":   true,
 	"(*bufio.Writer).Available":   true,
 	"(*bufio.Writer).Buffered":    true,
 	"(*bufio.Writer).Flush":       true,
-	"(*sync.Mutex).Lock":     true,
-	"(*sync.Mutex).Unlock":   true,
-	"(*sync.Mutex).TryLock":  true,
-	"(*sync.RWMutex).Lock":    true,
-	"(*sync.RWMutex).Unlock":  true,
-	"(*sync.RWMutex).RLock":   true,
-	"(*sync.RWMutex).RUnlock": true,
+	"(*sync.Mutex).Lock":          true,
+	"(*sync.Mutex).Unlock":        true,
+	"(*sync.Mutex).TryLock":       true,
+	"(*sync.RWMutex).Lock":        true,
+	"(*sync.RWMutex).Unlock":      true,
+	"(*sync.RWMutex).RLock":       true,
+	"(*sync.RWMutex).RUnlock":     true,
 }
 
 // cleanPkgs are whole packages whose functions and methods never

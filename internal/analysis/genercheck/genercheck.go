@@ -19,18 +19,23 @@
 // Per function body:
 //
 //   - R1: if the function obtains a generation state (calls a method
-//     named loadState) and indexes or slices a bucket array (a field
-//     named keys, vals or tags), reads a slot's key through the keyAt
-//     accessor or a bucket's tags through bucketTags, every such access
-//     must be positionally preceded by a stateValid call — the re-check
-//     that pins the generation set for the critical section.
+//     named loadState, or pin) and indexes or slices a bucket array (a
+//     field named keys, vals or tags), reads a slot's key through the
+//     keyAt accessor or a bucket's tags through bucketTags, or hands the
+//     state to the probe (a method named locate, which reads all three on
+//     its caller's behalf), every such access must be positionally
+//     preceded by a stateValid call — the re-check that pins the
+//     generation set for the critical section — or by pin, which is the
+//     load and the re-check in one.
 //   - R2: no bucket-array access may positionally follow a markMigrated
 //     call: once a bucket is marked, its generation must never be
 //     touched again from that code path.
 //
-// Helpers that receive arrays as parameters and never call loadState are
-// exempt from R1 — validation is their caller's obligation (that is why
-// Range and Clear copy buckets through free functions).
+// Helpers that receive arrays (or, like locate, the state) as parameters
+// and never call loadState are exempt from R1 — validation is their
+// caller's obligation (that is why Range and Clear copy buckets through
+// free functions), and counting the call to locate as an access is what
+// carries the obligation across that seam.
 package genercheck
 
 import (
@@ -94,9 +99,11 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				events = append(events, event{x.Pos(), evLoad, "loadState"})
 			case "stateValid":
 				events = append(events, event{x.Pos(), evValidate, "stateValid"})
+			case "pin":
+				events = append(events, event{x.Pos(), evLoad, "pin"}, event{x.Pos(), evValidate, "pin"})
 			case "markMigrated":
 				events = append(events, event{x.Pos(), evMark, "markMigrated"})
-			case "keyAt", "bucketTags":
+			case "keyAt", "bucketTags", "locate":
 				events = append(events, event{x.Pos(), evAccess, fn.Name()})
 			}
 		case *ast.IndexExpr:

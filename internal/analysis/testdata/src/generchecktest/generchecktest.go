@@ -38,6 +38,24 @@ func (t *table) keyAt(a *arrays, i uint64) uint64 { return a.keys[i] }
 // its occupancy.
 func (t *table) bucketTags(a *arrays, b uint64) []uint8 { return a.tags[b*4 : b*4+4] }
 
+// pin is the load and the re-check in one: it returns only a state that
+// was still published once the key's stripes were held.
+func (t *table) pin(h uint64) *state {
+	for {
+		st := t.loadState()
+		if t.stateValid(st) {
+			return st
+		}
+	}
+}
+
+// locate is the probe: handed the state, it reads tags, keys and values on
+// its caller's behalf, so the call is the access R1 looks for.
+func (t *table) locate(st *state, h uint64) (uint64, bool) {
+	i := h % uint64(len(st.live.tags))
+	return i, st.live.tags[i] != 0 && t.keyAt(st.live, i) == h
+}
+
 func (g *gen) markMigrated(b uint64) bool {
 	w := &g.marks[b>>5]
 	bit := uint32(1) << (b & 31)
@@ -96,7 +114,7 @@ func badUnvalidatedTagAndKey(t *table, b uint64, tag uint8) bool {
 
 func badUnvalidatedBucket(t *table, b uint64) int {
 	st := t.loadState()
-	n := len(st.live.tags[b*4 : b*4+4]) // want `generation array "tags" accessed without a preceding stateValid`
+	n := len(st.live.tags[b*4 : b*4+4])            // want `generation array "tags" accessed without a preceding stateValid`
 	for _, tag := range t.bucketTags(st.live, b) { // want `generation array "bucketTags" accessed without a preceding stateValid`
 		if tag != 0 {
 			n++
@@ -111,6 +129,20 @@ func goodValidatedTagAndKey(t *table, b uint64, tag uint8) bool {
 		return false
 	}
 	return st.live.tags[b] == tag && t.keyAt(st.live, b) == 7
+}
+
+func goodPinnedLocate(t *table, h uint64) uint64 {
+	st := t.pin(h)
+	if i, ok := t.locate(st, h); ok {
+		return st.live.vals[i]
+	}
+	return 0
+}
+
+func badUnvalidatedLocate(t *table, h uint64) bool {
+	st := t.loadState()
+	_, ok := t.locate(st, h) // want `generation array "locate" accessed without a preceding stateValid`
+	return ok
 }
 
 // goodHelperNoLoad never loads the state itself: the arrays were handed

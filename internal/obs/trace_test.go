@@ -158,8 +158,8 @@ func TestStageTableCollectSkipsEmptyCells(t *testing.T) {
 
 func TestSlowTracesRingAndDedupe(t *testing.T) {
 	var st SlowTraces
-	st.Note(nil, "GET", 1)          // ignored: no ID
-	st.Note([]byte{}, "GET", 1)     // ignored: empty ID
+	st.Note(nil, "GET", 1)      // ignored: no ID
+	st.Note([]byte{}, "GET", 1) // ignored: empty ID
 	st.Note([]byte("a"), "GET", 0.5)
 	st.Note([]byte("a"), "GET", 0.7) // duplicate ID: Collect keeps one
 	st.Note([]byte("b"), "SET", 0.9)

@@ -70,7 +70,7 @@ func encodeHandoff(t *testing.T, kv map[string]string) []byte {
 	var buf bytes.Buffer
 	enc := newSnapEncoder(&buf)
 	for k, v := range kv {
-		enc.add(newItemString(0, 0, k, v))
+		enc.add(newItem(0, 0, k, v))
 	}
 	if err := enc.finish(); err != nil {
 		t.Fatal(err)

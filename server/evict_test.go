@@ -12,8 +12,8 @@ import (
 
 func TestEvictionOrder(t *testing.T) {
 	const now = 1000
-	live := func(ver uint64) item { return newItemString(ver, 0, "k", "v") }
-	dead := func(ver uint64) item { return newItemString(ver, now-1, "k", "v") }
+	live := func(ver uint64) item { return newItem(ver, 0, "k", "v") }
+	dead := func(ver uint64) item { return newItem(ver, now-1, "k", "v") }
 	cases := []struct {
 		a, b item
 		want bool
@@ -24,7 +24,7 @@ func TestEvictionOrder(t *testing.T) {
 		{dead(9), live(1), true, "an expired entry goes before any live one"},
 		{live(1), dead(9), false, "a live entry never goes before an expired one"},
 		{dead(1), dead(2), true, "among expired entries the earlier write goes first"},
-		{newItemString(1, now+1, "k", "v"), live(2), true, "a TTL that has not passed does not count"},
+		{newItem(1, now+1, "k", "v"), live(2), true, "a TTL that has not passed does not count"},
 		{live(0), live(1), true, "a pre-replication record (ver 0) is the oldest of all"},
 	}
 	for _, c := range cases {

@@ -87,11 +87,12 @@ func uvarint(s string, n int) (uint64, int) {
 	}
 }
 
-// beginItem makes the item's one allocation and writes the header; the
-// caller copies the key, then the value, in at the offset returned.
-func beginItem(ver uint64, expireAt int64, klen, vlen int) ([]byte, int) {
-	meta := uint64(klen) << 1
-	size := uvarintLen(meta) + klen + vlen
+// newItem builds the record for a write in its one allocation. The key and
+// value are copied, so they may still alias a connection read buffer
+// ([]byte, the wire path) or be strings the transaction layer holds.
+func newItem[S interface{ ~string | ~[]byte }](ver uint64, expireAt int64, key, val S) item {
+	meta := uint64(len(key)) << 1
+	size := uvarintLen(meta) + len(key) + len(val)
 	if expireAt != 0 {
 		meta |= 1
 		size += 8
@@ -105,21 +106,6 @@ func beginItem(ver uint64, expireAt int64, klen, vlen int) ([]byte, int) {
 		putLE64(b[n:], uint64(expireAt))
 		n += 8
 	}
-	return b, n
-}
-
-// newItem builds the record for a write whose key and value may still
-// alias a connection read buffer.
-func newItem(ver uint64, expireAt int64, key, val []byte) item {
-	b, n := beginItem(ver, expireAt, len(key), len(val))
-	n += copy(b[n:], key)
-	copy(b[n:], val)
-	return item{unsafe.SliceData(b)}
-}
-
-// newItemString is newItem for the transaction layer, which holds strings.
-func newItemString(ver uint64, expireAt int64, key, val string) item {
-	b, n := beginItem(ver, expireAt, len(key), len(val))
 	n += copy(b[n:], key)
 	copy(b[n:], val)
 	return item{unsafe.SliceData(b)}

@@ -29,8 +29,8 @@ func TestItemRoundTrip(t *testing.T) {
 				key, val := strings.Repeat("k", klen), strings.Repeat("v", vlen)
 				ver := uint64(klen)<<32 | 0xfeed
 				it := newItem(ver, exp, []byte(key), []byte(val))
-				if s := newItemString(ver, exp, key, val); s.String() != it.String() {
-					t.Fatalf("klen %d exp %d: the two builders disagree", klen, exp)
+				if s := newItem(ver, exp, key, val); s.String() != it.String() {
+					t.Fatalf("klen %d exp %d: the string and the byte instantiation disagree", klen, exp)
 				}
 				if it.ver() != ver || it.expireAt() != exp || it.key() != key || it.val() != val {
 					t.Fatalf("klen %d vlen %d exp %d: read back ver %x exp %d key %d bytes val %d bytes",
@@ -55,16 +55,16 @@ func TestItemRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if n := len(newItem(1, 0, nil, nil).String()); n != itemMinLen {
+	if n := len(newItem[[]byte](1, 0, nil, nil).String()); n != itemMinLen {
 		t.Errorf("an empty key and value make a %d-byte item, want itemMinLen = %d", n, itemMinLen)
 	}
-	if s := (item{}).String(); s != "" || !(item{}).isZero() || newItem(1, 0, nil, nil).isZero() {
-		t.Errorf("the zero item: String %q, isZero %v; a stored empty record: isZero %v", s, (item{}).isZero(), newItem(1, 0, nil, nil).isZero())
+	if s := (item{}).String(); s != "" || !(item{}).isZero() || newItem[[]byte](1, 0, nil, nil).isZero() {
+		t.Errorf("the zero item: String %q, isZero %v; a stored empty record: isZero %v", s, (item{}).isZero(), newItem[[]byte](1, 0, nil, nil).isZero())
 	}
 	// The benchmark's record, and why the expiry is optional: 58 bytes fit
 	// the 64-byte size class, 66 would not (they fit the 80-byte one).
 	for exp, want := range map[int64]int{0: 58, 1: 66} {
-		if n := len(newItemString(1, exp, strings.Repeat("k", 16), strings.Repeat("v", 32)).String()); n != want {
+		if n := len(newItem(1, exp, strings.Repeat("k", 16), strings.Repeat("v", 32)).String()); n != want {
 			t.Errorf("a 16-byte key and 32-byte value, expiry %d, make a %d-byte item, want %d", exp, n, want)
 		}
 	}

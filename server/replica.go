@@ -101,7 +101,7 @@ func (c *Cache) replEnqueue(key string, it item) {
 	} else {
 		// The log's own copy: one more item, made only when replication
 		// is on and the key has a peer.
-		own := newItemString(it.ver(), it.expireAt(), it.key(), it.val())
+		own := newItem(it.ver(), it.expireAt(), it.key(), it.val())
 		ent.Key, ent.Val, ent.ExpireAt, ent.Ver = own.key(), own.val(), own.expireAt(), own.ver()
 	}
 	p.log.Append(ent)

@@ -311,7 +311,7 @@ func TestLeaseInvalidatedByEveryWrite(t *testing.T) {
 			if tc.handoff != "" {
 				var buf bytes.Buffer
 				enc := newSnapEncoder(&buf)
-				enc.add(newItemString(uint64(time.Now().UnixNano()), 0, key, tc.handoff))
+				enc.add(newItem(uint64(time.Now().UnixNano()), 0, key, tc.handoff))
 				if err := enc.finish(); err != nil {
 					t.Fatal(err)
 				}

@@ -262,7 +262,7 @@ func (k cacheKV) Store(key, val string, expireAt int64, keepTTL bool) error {
 			expireAt = cur.expireAt()
 		}
 	}
-	return k.c.store(sh, newItemString(k.c.nextVersion(), expireAt, key, val), false)
+	return k.c.store(sh, newItem(k.c.nextVersion(), expireAt, key, val), false)
 }
 
 func (k cacheKV) Delete(key string) bool {
