@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build fmt vet vet386 lint cuckoovet test race bench bench-selftest bench-pair bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
+.PHONY: check build fmt vet vet386 lint cuckoovet test race bench bench-selftest bench-pair bench-rung bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
 
 check: build fmt vet vet386 lint race bench-selftest
 
@@ -90,6 +90,18 @@ PAIRS ?= 10
 TRACE ?= 0
 bench-pair:
 	bash scripts/bench-pair.sh $(WORKLOAD) $(BASE) $(PAIRS) $(TRACE)
+
+# Paired runs of generic's go test -bench rung (generic/bench_test.go),
+# this checkout against BASE, for what bench-pair's ladder cannot resolve:
+# both test binaries built once, run alternately at -test.cpu CPU for a
+# fixed iteration count, with BASE against itself as the noise floor
+# (scripts/bench-rung.sh). RUNG is a -bench regexp.
+RUNG ?= .
+ROUNDS ?= 12
+BENCHTIME ?= 2000000x
+CPU ?= 1
+bench-rung:
+	bash scripts/bench-rung.sh '$(RUNG)' $(BASE) $(ROUNDS) $(BENCHTIME) $(CPU)
 
 # Non-test, non-generated Go code lines per package (blank and
 # comment-only lines are not counted). ROADMAP item 4: the trend is a

@@ -1,8 +1,11 @@
 package generic
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 )
 
 // The go test -bench rung for the table's own operations (ROADMAP item
@@ -13,6 +16,10 @@ import (
 //
 //	go test -c -o /tmp/head.test ./generic
 //	/tmp/head.test -test.run '^$' -test.bench . -test.cpu 1 -test.benchtime 2000000x
+//
+// make bench-rung RUNG=<regexp> BASE=<rev> is that procedure as a target
+// (scripts/bench-rung.sh): it copies this file over BASE's, so what it
+// uses of the package must exist on both sides.
 //
 // The table is a cuckood shard's shape at the repository benchmark's
 // prefill: 131 072 slots holding 100 000 sixteen-byte keys (load 0.76),
@@ -31,6 +38,12 @@ var benchConstructions = []struct {
 		return NewKeyed(c, func(r *rec) string { return r.key })
 	}},
 	{"plain", func(c Config) (*Table[string, *rec], error) { return New[string, *rec](c) }},
+	// The paper's bucket width beside the default 4: twice the tags a probe
+	// compares, for the choice of a shard's Associativity (DESIGN.md §8).
+	{"keyed8", func(c Config) (*Table[string, *rec], error) {
+		c.Associativity = 8
+		return NewKeyed(c, func(r *rec) string { return r.key })
+	}},
 }
 
 // benchKeySet returns n sixteen-byte keys under prefix (three bytes), as
@@ -129,4 +142,105 @@ func BenchmarkDeleteUpsert(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fillToRefusal inserts keys into a fresh fixed-size keyed table of that
+// many slots until the first ErrFull — every full bucket pair on the way is
+// a path search, so this is the insert slow path's rung — and returns the
+// inserts that landed, the time they took, the load factor reached and how
+// often the table asked a value for its key.
+func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []*rec) (inserts int, took time.Duration, load float64, keyOfs int) {
+	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: assoc,
+		DisableAutoGrow: true, DisableBackgroundSweep: true},
+		func(r *rec) string { keyOfs++; return r.key })
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := time.Now()
+	for i, k := range keys {
+		if err := tab.Insert(k, vals[i]); err != nil {
+			if !errors.Is(err, ErrFull) {
+				b.Fatal(err)
+			}
+			return i, time.Since(start), tab.LoadFactor(), keyOfs
+		}
+	}
+	b.Fatalf("%d keys never filled %d slots", len(keys), slots)
+	return
+}
+
+// BenchmarkFillToRefusal fills keyed tables of a shard's size and of a
+// DRAM-resident size to their first refusal, whole fills until b.N inserts
+// have been made (at least one), and reports per insert the time and the
+// keyOf calls, and the load at refusal. b.N only says when to stop, so
+// ns/op is suppressed.
+func BenchmarkFillToRefusal(b *testing.B) {
+	for _, slots := range []uint64{2048, 1 << 20} {
+		keys, _ := benchKeySet("fil", int(slots))
+		vals := make([]*rec, len(keys))
+		for i, k := range keys {
+			vals[i] = &rec{key: k, n: i}
+		}
+		for _, assoc := range []int{4, 8} {
+			b.Run(fmt.Sprintf("B%d/slots%d", assoc, slots), func(b *testing.B) {
+				var inserts, keyOfs, fills int
+				var took time.Duration
+				var loads float64
+				for inserts < b.N {
+					n, d, load, calls := fillToRefusal(b, assoc, slots, keys, vals)
+					inserts, took, loads, keyOfs, fills = inserts+n, took+d, loads+load, keyOfs+calls, fills+1
+				}
+				b.ReportMetric(0, "ns/op")
+				b.ReportMetric(float64(took.Nanoseconds())/float64(inserts), "ns/insert")
+				b.ReportMetric(loads/float64(fills), "load")
+				b.ReportMetric(float64(keyOfs)/float64(inserts), "keyOf/insert")
+			})
+		}
+	}
+}
+
+// BenchmarkInsertDeletePair is two goroutines on one shard-sized keyed table
+// (2 048 slots, half full), each inserting and deleting keys of its own:
+// every operation takes the table's stripes and moves its size counter, so
+// it is where a table's counters and lock probes would show if they were
+// too narrow to keep two writers apart. Only meaningful at -cpu 2 or more
+// (make bench-rung CPU=2).
+func BenchmarkInsertDeletePair(b *testing.B) {
+	const slots, writers, own = 2048, 2, 256
+	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, DisableAutoGrow: true, DisableBackgroundSweep: true},
+		func(r *rec) string { return r.key })
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys, _ := benchKeySet("par", slots/2+writers*own)
+	vals := make([]*rec, len(keys))
+	for i, k := range keys {
+		vals[i] = &rec{key: k, n: i}
+	}
+	for i := 0; i < slots/2; i++ {
+		if err := tab.Insert(keys[i], vals[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mine := slots/2 + w*own
+			for i := 0; i < b.N/writers; i++ {
+				k := mine + i%own
+				if err := tab.Insert(keys[k], vals[k]); err != nil {
+					b.Error(err)
+					return
+				}
+				if !tab.Delete(keys[k]) {
+					b.Errorf("Delete(%s) = false", keys[k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -52,13 +52,16 @@ func TestNewKeyedNeedsKeyOf(t *testing.T) {
 	}
 }
 
-// checkSlots walks every slot of every generation and requires the one
-// invariant the arrays keep: a slot's tag is nonzero exactly when the slot
-// holds an entry, and then it is the tag of that entry's key. The witnesses
-// that do not go through the tags: the table's own count of its entries
-// (as many nonzero tags as Len), no key in two slots, and a zero key and
-// value in every slot whose tag is zero. Single-goroutine use only, on a
-// table no sweeper is still draining.
+// checkSlots walks every slot of every generation and requires the two
+// invariants the arrays keep. A slot's tag is nonzero exactly when the slot
+// holds an entry, and then it is the tag of that entry's key. And an entry
+// sits in one of its key's two buckets in that generation — the hash's low
+// bits, or the bucket the tag names from there — which is what lets a
+// displacement move it on its tag alone. The witnesses that do not go
+// through the tags: the table's own count of its entries (as many nonzero
+// tags as Len), no key in two slots, and a zero key and value in every slot
+// whose tag is zero. Single-goroutine use only, on a table no sweeper is
+// still draining.
 func checkSlots[K comparable, V any](t testing.TB, tab *Table[K, V]) {
 	t.Helper()
 	for _, fault := range slotFaults(tab) {
@@ -83,8 +86,13 @@ func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
 				continue
 			}
 			k := tab.keyAt(arr, i)
-			if want := tagOf(tab.hash(k)); arr.tags[i] != want {
+			h := tab.hash(k)
+			if want := tagOf(h); arr.tags[i] != want {
 				faults = append(faults, fmt.Sprintf("generation %d slot %d: tag %#x, its key's is %#x", gen, i, arr.tags[i], want))
+			}
+			mask := arr.buckets - 1
+			if b, b1 := i/tab.assoc, h&mask; b != b1 && b != altOf(b1, tagOf(h), mask) {
+				faults = append(faults, fmt.Sprintf("generation %d slot %d: %v sits in bucket %d, its two are %d and %d", gen, i, k, b, b1, altOf(b1, tagOf(h), mask)))
 			}
 			if seen[k] {
 				faults = append(faults, fmt.Sprintf("generation %d slot %d: a second copy of %v", gen, i, k))
@@ -99,8 +107,9 @@ func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
 }
 
 // TestCheckSlotsSeesFaults is checkSlots's own mutation check: an entry
-// whose tag reads empty, an empty slot whose tag reads occupied and a wrong
-// tag each turn it red.
+// whose tag reads empty, an empty slot whose tag reads occupied, a wrong
+// tag and an entry in a bucket that is neither of its key's two each turn
+// it red.
 func TestCheckSlotsSeesFaults(t *testing.T) {
 	eachConstruction(t, Config{InitialCapacity: 256, DisableBackgroundSweep: true}, func(t *testing.T, tab *Table[string, rec]) {
 		for i := range 100 {
@@ -137,6 +146,19 @@ func TestCheckSlotsSeesFaults(t *testing.T) {
 			}
 			live.tags[m.slot] = was
 		}
+
+		// A key in a third bucket, tag and all: only the placement check can
+		// see it.
+		b1, b2 := tab.twoBuckets(tab.hash(tab.keyAt(live, used)), live.buckets)
+		third := uint64(0)
+		for third == b1 || third == b2 || tab.bucketTags(live, third)[0] != 0 {
+			third++
+		}
+		tab.moveSlot(live, third, 0, live, used)
+		if faults := slotFaults(tab); len(faults) != 1 {
+			t.Errorf("an entry in a third bucket: checkSlots reports %v", faults)
+		}
+		tab.moveSlot(live, used/tab.assoc, int(used%tab.assoc), live, third*tab.assoc)
 		checkSlots(t, tab)
 	})
 }
@@ -534,13 +556,6 @@ func TestConcurrentKeyed(t *testing.T) {
 // heap, so an array added beside vals and tags shows.
 func TestKeyedSlotBytes(t *testing.T) {
 	const slots = 1 << 18
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	base := liveHeap()
 	tab, err := NewKeyed(Config{InitialCapacity: slots, DisableBackgroundSweep: true}, func(r *rec) string { return r.key })
 	if err != nil {
@@ -552,4 +567,13 @@ func TestKeyedSlotBytes(t *testing.T) {
 		t.Errorf("%d slots at %.2f B each, want %d at <= 9.5", tab.Cap(), per, slots)
 	}
 	runtime.KeepAlive(tab)
+}
+
+// liveHeap returns the bytes of heap still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

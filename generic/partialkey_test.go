@@ -1,0 +1,290 @@
+package generic
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// shardAssoc is the bucket width cuckood's shards run (server/shard.go,
+// DESIGN.md §8): the per-table and per-slot memory pins are taken at it.
+const shardAssoc = 8
+
+// TestAltIsInvolution: for every tag and every table size, the bucket a tag
+// names is another bucket of the table, and naming it again leads back —
+// which is what lets a slot's occupant move on its tag alone, from either
+// of its two buckets, without knowing which one it is in.
+func TestAltIsInvolution(t *testing.T) {
+	for buckets := uint64(2); buckets <= 1<<20; buckets <<= 1 {
+		mask := buckets - 1
+		// Every bucket of a small table; the corners and a stride of a large one.
+		step := max(1, buckets/1024-1)
+		for tag := 1; tag <= 255; tag++ {
+			for b := uint64(0); b < buckets; b += step {
+				alt := altOf(b, uint8(tag), mask)
+				if alt == b || alt >= buckets || altOf(alt, uint8(tag), mask) != b {
+					t.Fatalf("%d buckets, tag %d: altOf(%d) = %d, and back %d", buckets, tag, b, alt, altOf(alt, uint8(tag), mask))
+				}
+			}
+			if alt := altOf(mask, uint8(tag), mask); alt == mask || alt >= buckets || altOf(alt, uint8(tag), mask) != mask {
+				t.Fatalf("%d buckets, tag %d: altOf(last) = %d", buckets, tag, alt)
+			}
+		}
+	}
+}
+
+// TestInsertPathReadsNoItem fills a keyed table to its first refusal and
+// counts how often the table asked a value for its key. Between "both
+// buckets full" and "a slot is free" everything runs on tag bytes, so what
+// is left is locate's key compare behind a false tag match — a few per
+// hundred inserts, where deriving the alternate bucket from the key cost six
+// to twelve per insert — and the restricted second choice gives up no load.
+func TestInsertPathReadsNoItem(t *testing.T) {
+	for _, tc := range []struct {
+		assoc   int
+		minLoad float64
+	}{{4, 0.95}, {8, 0.97}} {
+		t.Run(fmt.Sprintf("B%d", tc.assoc), func(t *testing.T) {
+			const slots = 1 << 16
+			keyOfs := 0
+			tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: tc.assoc,
+				DisableAutoGrow: true, DisableBackgroundSweep: true},
+				func(r *rec) string { keyOfs++; return r.key })
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserts := 0
+			for ; ; inserts++ {
+				k := fmt.Sprintf("fill-%d", inserts)
+				if err := tab.Insert(k, &rec{key: k, n: inserts}); err != nil {
+					if !errors.Is(err, ErrFull) {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			perInsert := float64(keyOfs) / float64(inserts)
+			t.Logf("%d inserts to load %.4f, %d displacements, %.4f keyOf calls per insert",
+				inserts, tab.LoadFactor(), tab.Stats().Displacements, perInsert)
+			if perInsert >= 0.1 {
+				t.Errorf("%.2f keyOf calls per insert, want < 0.1: the insert path reads items", perInsert)
+			}
+			if got := tab.LoadFactor(); got < tc.minLoad {
+				t.Errorf("first refusal at load %.4f, want >= %.2f", got, tc.minLoad)
+			}
+			if tab.Stats().Displacements == 0 {
+				t.Error("the fill displaced nothing")
+			}
+			checkSlots(t, tab)
+		})
+	}
+}
+
+// sameBucket returns keys whose first bucket is the same, in a table of that
+// many buckets: two that share their tag, and a third with another tag.
+func sameBucket(t *testing.T, tab *Table[string, rec], buckets uint64) (a, twin, stranger string) {
+	t.Helper()
+	type class struct {
+		b1  uint64
+		tag uint8
+	}
+	first := map[class]string{}
+	byBucket := map[uint64]string{}
+	for i := 0; i < 1_000_000; i++ {
+		k := fmt.Sprintf("d%d", i)
+		h := tab.hash(k)
+		c := class{h & (buckets - 1), tagOf(h)}
+		if prev, ok := first[c]; ok {
+			if other, ok := byBucket[c.b1]; ok && tagOf(tab.hash(other)) != c.tag {
+				return prev, k, other
+			}
+		} else {
+			first[c] = k
+		}
+		if _, ok := byBucket[c.b1]; !ok || tagOf(tab.hash(byBucket[c.b1])) == c.tag {
+			byBucket[c.b1] = k
+		}
+	}
+	t.Fatal("no two keys share a bucket and a tag")
+	return
+}
+
+// TestDisplaceMovesSameTagOccupant changes a path slot's occupant between
+// search and shift. A key with the same tag in that bucket has the same
+// other bucket, so the hop is as valid for it as for the key the search saw:
+// it lands, and nothing is lost or misplaced. A key with another tag is not
+// the path's to move: the hop is refused and the table is left as it was.
+func TestDisplaceMovesSameTagOccupant(t *testing.T) {
+	cfg := Config{InitialCapacity: 256, MaxCapacity: 256, DisableBackgroundSweep: true}
+	for _, tc := range []struct {
+		name  string
+		moves bool
+	}{{"same-tag", true}, {"other-tag", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
+				st := tab.loadState()
+				live := st.live
+				a, twin, stranger := sameBucket(t, tab, live.buckets)
+				newcomer := twin
+				if !tc.moves {
+					newcomer = stranger
+				}
+				match := func(key string) func(string) bool { return func(k string) bool { return k == key } }
+
+				// The search's view: a sits in its first bucket, and the one-hop
+				// path moves it to the bucket its tag names.
+				if err := tab.Insert(a, rec{key: a, n: 1}); err != nil {
+					t.Fatal(err)
+				}
+				_, b, i, ok := tab.locate(st, tab.hash(a), match(a))
+				if !ok || b != tab.hash(a)&(live.buckets-1) {
+					t.Fatalf("%s is not in its first bucket", a)
+				}
+				tag := live.tags[i]
+				path := []pathEntry{
+					{bucket: b, slot: int(i % tab.assoc), tag: tag},
+					{bucket: altOf(b, tag, live.buckets-1), slot: 0},
+				}
+
+				// Between search and shift the slot changes hands.
+				tab.Delete(a)
+				if err := tab.Insert(newcomer, rec{key: newcomer, n: 2}); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, ni, ok := tab.locate(st, tab.hash(newcomer), match(newcomer)); !ok || ni != i {
+					t.Fatalf("%s did not take %s's slot", newcomer, a)
+				}
+				if err := tab.Insert(a, rec{key: a, n: 3}); err != nil {
+					t.Fatal(err)
+				}
+
+				if got := tab.shift(st, path); got != tc.moves {
+					t.Fatalf("shift = %v, want %v", got, tc.moves)
+				}
+				_, nb, _, ok := tab.locate(st, tab.hash(newcomer), match(newcomer))
+				if want := map[bool]uint64{true: path[1].bucket, false: b}[tc.moves]; !ok || nb != want {
+					t.Errorf("%s is in bucket %d (found %v), want %d", newcomer, nb, ok, want)
+				}
+				if (live.tags[i] == 0) != tc.moves {
+					t.Errorf("the path's head slot is free = %v, want %v", live.tags[i] == 0, tc.moves)
+				}
+				model := map[string]rec{a: {key: a, n: 3}, newcomer: {key: newcomer, n: 2}}
+				if n := unreadable(tab, model); n != 0 {
+					t.Errorf("%d of 2 keys unreadable", n)
+				}
+				checkSlots(t, tab)
+			})
+		})
+	}
+}
+
+// TestOnlyTheseReadAnItem pins, from the source, who may turn a slot into
+// its key: locate (behind a matching tag), Oldest (its own-key exclusion and
+// the victim it names), the migrator (a slot's tag is one hash bit short of
+// its bucket in a doubled table) and Range's copy. The insert path — search,
+// shift, displace, execute — is not among them; one function computes an
+// alternate bucket; and a path carries tags, so its types name no key type.
+func TestOnlyTheseReadAnItem(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := map[string][]string{} // callee -> the functions calling it
+	fileOf := map[string]string{}
+	for name, file := range pkgs["generic"].Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				fileOf[d.Name.Name] = name
+				ast.Inspect(d, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					callee := ""
+					switch f := call.Fun.(type) {
+					case *ast.Ident:
+						callee = f.Name
+					case *ast.SelectorExpr:
+						callee = f.Sel.Name
+					}
+					if !slices.Contains(callers[callee], d.Name.Name) {
+						callers[callee] = append(callers[callee], d.Name.Name)
+					}
+					return true
+				})
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && (ts.Name.Name == "bfsNode" || ts.Name.Name == "pathEntry") && ts.TypeParams != nil {
+						t.Errorf("%s has type parameters: a path carries tags, not keys", ts.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	for callee, want := range map[string][]string{
+		"keyOf":     {"keyAt"},
+		"keyAt":     {"Oldest", "copyBucket", "locate", "migrateBucket", "moveOldSlot"},
+		"altOf":     {"search", "twoBuckets"},
+		"altBucket": nil,
+	} {
+		got := slices.Clone(callers[callee])
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s is called by %v, want %v", callee, got, want)
+		}
+	}
+	for _, f := range callers["keyAt"] {
+		if fileOf[f] == "search.go" {
+			t.Errorf("%s in search.go calls keyAt", f)
+		}
+	}
+}
+
+// TestSmallTableFixtures: what a table carries beside its slots — the Table
+// itself, its stripes, their lock probes, the padded size counter and the
+// slow-path probe — is sized by the table. A cuckood shard of 2 048 slots
+// is one of hundreds and costs at most 4 KB more than its slot arrays
+// (19.5 KB when every table carried a whole store's counters). Measured as
+// live heap over 64 of them, against 64 bare pairs of slot arrays measured
+// the same way, so an allocation added per table shows and the arrays' own
+// size-class rounding does not.
+func TestSmallTableFixtures(t *testing.T) {
+	const tables, slots = 64, 2048
+	base := liveHeap()
+	var arrays [tables]struct {
+		vals []*rec
+		tags []uint8
+	}
+	for i := range arrays {
+		arrays[i].vals, arrays[i].tags = make([]*rec, slots), make([]uint8, slots)
+	}
+	slotBytes := float64(liveHeap()-base) / tables
+	runtime.KeepAlive(&arrays)
+
+	base = liveHeap()
+	var tabs [tables]*Table[string, *rec]
+	for i := range tabs {
+		tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: shardAssoc,
+			DisableBackgroundSweep: true}, func(r *rec) string { return r.key })
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs[i] = tab
+	}
+	fixtures := float64(liveHeap()-base)/tables - slotBytes
+	t.Logf("B=%d: %d stripes, %.0f B of slot arrays and %.0f B of fixtures per table", shardAssoc, tabs[0].locks.Len(), slotBytes, fixtures)
+	if tabs[0].Cap() != slots || fixtures > 4096 {
+		t.Errorf("%.0f B of fixtures per %d-slot table, want <= 4096 for %d slots", fixtures, tabs[0].Cap(), slots)
+	}
+	runtime.KeepAlive(&tabs)
+}

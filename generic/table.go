@@ -183,16 +183,33 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 		}
 		stripes = int(min(uint64(stripes), maxBuckets))
 	}
+	// The padded counters are sized by the table, as its lock probes are
+	// (spinlock.NewStripe): a table with few stripes is a small shard of
+	// some larger store, which builds hundreds of it and already spread its
+	// writers when it picked the shard.
+	shards := min(maxCounterShards, max(1, stripes/stripesPerCounterShard))
 	t := &Table[K, V]{
 		cfg:   cfg,
 		seed:  maphash.MakeSeed(),
 		assoc: assoc,
 		keyOf: keyOf,
 		locks: spinlock.NewStripe(stripes),
+		size:  metrics.NewShardedCounter(shards),
+		probe: metrics.NewProbe(min(maxProbeShards, shards)),
 	}
 	t.state.Store(&genState[K, V]{live: t.newArrays(buckets)})
 	return t, nil
 }
+
+// A table spreads its size counter over one padded line per
+// stripesPerCounterShard lock stripes — an eighth of the lock words' own
+// bytes — up to the 64 lines a table that is the whole store has always
+// had, and its slow-path probe over at most 8.
+const (
+	stripesPerCounterShard = 128
+	maxCounterShards       = 64
+	maxProbeShards         = 8
+)
 
 // MustNew panics on configuration errors.
 func MustNew[K comparable, V any](cfg Config) *Table[K, V] {
@@ -230,13 +247,15 @@ func (t *Table[K, V]) bucketTags(arr *tArrays[K, V], b uint64) []uint8 {
 	return arr.tags[b*t.assoc : (b+1)*t.assoc]
 }
 
-// tagOf is the slot tag of a key with hash h: bits 24-31, which neither
-// bucket index reads in a table of up to 2^24 buckets (twoBuckets takes
-// the first from the low bits and the second from the high word), so two
-// keys that share a bucket still differ in their tags 254 times in 255.
-// It is never 0, the tag of an empty slot: a hash whose byte is 0 takes 1.
+// tagOf is the slot tag of a key with hash h: the hash's top byte, bits
+// 56-63, which the first bucket index (the low bits) does not read in any
+// table of up to 2^56 buckets. The tag names the key's second bucket
+// (altOf), so a tag that overlapped the first bucket's bits would tie the
+// two choices together and cost load factor silently; and two keys that
+// share a bucket still differ in their tags 254 times in 255. It is never
+// 0, the tag of an empty slot: a hash whose byte is 0 takes 1.
 func tagOf(h uint64) uint8 {
-	if tag := uint8(h >> 24); tag != 0 {
+	if tag := uint8(h >> 56); tag != 0 {
 		return tag
 	}
 	return 1
@@ -268,22 +287,27 @@ func (t *Table[K, V]) hash(key K) uint64 {
 	return maphash.Comparable(t.seed, key)
 }
 
+// twoBuckets returns the candidate buckets of a key with hash h among that
+// many: the hash's low bits, and the bucket its tag names from there —
+// MemC3's partial-key cuckoo hashing.
 func (t *Table[K, V]) twoBuckets(h, buckets uint64) (uint64, uint64) {
 	mask := buckets - 1
 	b1 := h & mask
-	b2 := (h >> 32) * 0xC2B2AE3D27D4EB4F >> 32 & mask
-	if b2 == b1 {
-		b2 = (b2 ^ 1) & mask
-	}
-	return b1, b2
+	return b1, altOf(b1, tagOf(h), mask)
 }
 
-func (t *Table[K, V]) altBucket(h, buckets, b uint64) uint64 {
-	b1, b2 := t.twoBuckets(h, buckets)
-	if b == b1 {
-		return b2
+// altOf returns the other candidate bucket of an entry with this tag that
+// sits in bucket b of a table whose bucket mask is mask. It is the only
+// place an alternate bucket is computed, and it needs the slot alone: the
+// offset is a multiplicative hash of the tag cut to the table and never 0,
+// so the other bucket is a different one, and xor makes the rule its own
+// inverse — altOf(altOf(b)) == b, whichever of the two b was.
+func altOf(b uint64, tag uint8, mask uint64) uint64 {
+	off := uint64(tag) * 0xC2B2AE3D27D4EB4F >> 32 & mask
+	if off == 0 {
+		off = 1
 	}
-	return b1
+	return b ^ off
 }
 
 // lockPair acquires the stripes of b1 and b2 in order and returns them.

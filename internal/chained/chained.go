@@ -84,7 +84,7 @@ func New(o Options) (*Map, error) {
 	if o.Sync && (o.Stripes <= 0 || o.Stripes&(o.Stripes-1) != 0) {
 		return nil, ErrBadOptions
 	}
-	m := &Map{opts: o, seed: o.Seed}
+	m := &Map{opts: o, seed: o.Seed, size: metrics.NewShardedCounter(64)}
 	if o.Sync {
 		m.locks = spinlock.NewStripe(o.Stripes)
 	}

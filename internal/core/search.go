@@ -115,6 +115,7 @@ func (f *finder) init(opts Options) {
 	f.opts = opts
 	f.assoc = uint64(opts.Assoc)
 	f.vw = uint64(opts.ValueWords)
+	f.probe = metrics.NewProbe(8)
 	f.scratch.New = func() any { return newSearchScratch(opts.MaxSearchSlots, opts.Assoc) }
 }
 

@@ -46,7 +46,7 @@ func NewTable(opts Options) (*Table, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{stripe: spinlock.NewStripe(opts.Stripes)}
+	t := &Table{stripe: spinlock.NewStripe(opts.Stripes), size: metrics.NewShardedCounter(64)}
 	t.finder.init(opts)
 	t.arr.Store(t.newArrays(opts.Buckets))
 	return t, nil

@@ -77,7 +77,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		// The probe's path-length histogram has PathLenBuckets exact
 		// buckets; anything longer (a DFS walk) lands in the last one,
 		// while MaxPathLen keeps the unclamped length.
-		var p Probe
+		p := NewProbe(8)
 		for _, l := range []uint64{0, 1, 1, PathLenBuckets - 1, PathLenBuckets, 250, math.MaxUint64} {
 			p.ObservePath(l, l) // the bucket argument only picks a shard
 		}
@@ -124,7 +124,7 @@ func TestOpCounterConcurrentTotal(t *testing.T) {
 		perW    = 200000
 	)
 	op := NewOpCounter(writers)
-	var sh ShardedCounter
+	sh := NewShardedCounter(64)
 	for _, c := range []struct {
 		name  string
 		add   func(w int)

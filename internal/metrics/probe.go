@@ -2,14 +2,14 @@ package metrics
 
 import "sync/atomic"
 
-// ShardedCounter is a write-mostly signed counter spread over 64 padded
-// cache lines so that concurrent writers on different buckets never
-// contend (principle P1). Every table in the module keeps its size in one
-// (it is on every insert; Probe's slow-path event counts use the narrower
-// slowCounter). Callers pick the shard from a value already in hand — a
-// bucket index or a hash.
+// ShardedCounter is a write-mostly signed counter spread over padded cache
+// lines so that concurrent writers on different buckets never contend
+// (principle P1). Every table in the module keeps its size in one (it is on
+// every insert). Callers pick the shard from a value already in hand — a
+// bucket index or a hash — and the width when they build it: 64 lines for a
+// table that is the whole store, fewer for one that is a small shard of it.
 type ShardedCounter struct {
-	shards [64]paddedInt64
+	shards []paddedInt64
 }
 
 type paddedInt64 struct {
@@ -17,44 +17,40 @@ type paddedInt64 struct {
 	_ [2*cacheLine - 8]byte
 }
 
+// NewShardedCounter creates a counter over n shards; n must be a power of
+// two.
+func NewShardedCounter(n int) ShardedCounter {
+	mustBePowerOfTwo(n)
+	return ShardedCounter{shards: make([]paddedInt64, n)}
+}
+
+func mustBePowerOfTwo(n int) {
+	if n <= 0 || n&(n-1) != 0 {
+		panic("metrics: shard count must be a positive power of two")
+	}
+}
+
 // Add adds delta to the shard selected by the low bits of shard.
 func (c *ShardedCounter) Add(shard uint64, delta int64) {
-	c.shards[shard&63].v.Add(delta)
+	c.shards[shard&uint64(len(c.shards)-1)].v.Add(delta)
 }
 
 // Total sums the shards: exact when no writer is active, a momentary view
 // otherwise.
-func (c *ShardedCounter) Total() int64 { return totalOf(c.shards[:]) }
-
-// Reset zeroes every shard.
-func (c *ShardedCounter) Reset() { resetAll(c.shards[:]) }
-
-func totalOf(shards []paddedInt64) int64 {
+func (c *ShardedCounter) Total() int64 {
 	var t int64
-	for i := range shards {
-		t += shards[i].v.Load()
+	for i := range c.shards {
+		t += c.shards[i].v.Load()
 	}
 	return t
 }
 
-func resetAll(shards []paddedInt64) {
-	for i := range shards {
-		shards[i].v.Store(0)
+// Reset zeroes every shard.
+func (c *ShardedCounter) Reset() {
+	for i := range c.shards {
+		c.shards[i].v.Store(0)
 	}
 }
-
-// slowCounter is ShardedCounter sized for the insert slow path: a search, a
-// displacement or a restart is bumped from inside a path search that costs
-// microseconds and takes bucket locks, so eight padded shards (1 KB, as
-// pathLen has) keep writers apart where sixty-four (8 KB) only cost
-// memory — three of them per table, times every shard of a cache.
-type slowCounter struct {
-	shards [8]paddedInt64
-}
-
-func (c *slowCounter) add(shard uint64) { c.shards[shard&7].v.Add(1) }
-func (c *slowCounter) total() uint64    { return uint64(totalOf(c.shards[:])) }
-func (c *slowCounter) reset()           { resetAll(c.shards[:]) }
 
 // PathLenBuckets is the width of the path-length histogram. Eq. 2 bounds
 // BFS paths at ~5 displacements for the paper's B=4..16 and M=2000, so 16
@@ -66,28 +62,42 @@ const PathLenBuckets = 16
 // lengths (Eq. 2). Both engines (internal/core and generic) embed one, so
 // the evaluation and the service layer read the same signals from either.
 type Probe struct {
-	searches      slowCounter
-	displacements slowCounter
-	restarts      slowCounter
-	maxPathLen    atomic.Uint64
-	// Path lengths are recorded once per successful search, so a modest
-	// shard count suffices.
-	pathLen [8]pathLenShard
+	maxPathLen atomic.Uint64
+	shards     []probeShard
 }
 
-type pathLenShard struct {
-	counts [PathLenBuckets]atomic.Uint64
-	_      [cacheLine]byte
+// probeShard is one padded group of a Probe's counters. They share their
+// lines: all of them are bumped from inside one path search, which costs
+// microseconds and takes bucket locks, by the goroutine running it — a
+// shard per counter kept writers no further apart and cost four times the
+// memory, in every shard of a cache.
+type probeShard struct {
+	searches      atomic.Uint64
+	displacements atomic.Uint64
+	restarts      atomic.Uint64
+	pathLen       [PathLenBuckets]atomic.Uint64
+	_             [4*cacheLine - 8*(3+PathLenBuckets)]byte
+}
+
+// NewProbe creates a probe over n shards (a power of two): eight separate
+// the slow paths of a table that is the whole store.
+func NewProbe(n int) Probe {
+	mustBePowerOfTwo(n)
+	return Probe{shards: make([]probeShard, n)}
+}
+
+func (p *Probe) shard(bucket uint64) *probeShard {
+	return &p.shards[bucket&uint64(len(p.shards)-1)]
 }
 
 // Searched counts one path search started from bucket.
-func (p *Probe) Searched(bucket uint64) { p.searches.add(bucket) }
+func (p *Probe) Searched(bucket uint64) { p.shard(bucket).searches.Add(1) }
 
 // Displaced counts one item moved along a cuckoo path out of bucket.
-func (p *Probe) Displaced(bucket uint64) { p.displacements.add(bucket) }
+func (p *Probe) Displaced(bucket uint64) { p.shard(bucket).displacements.Add(1) }
 
 // Restarted counts one insert restarted because its path went stale.
-func (p *Probe) Restarted(bucket uint64) { p.restarts.add(bucket) }
+func (p *Probe) Restarted(bucket uint64) { p.shard(bucket).restarts.Add(1) }
 
 // ObservePath records a discovered path of length displacements.
 func (p *Probe) ObservePath(bucket, length uint64) {
@@ -100,7 +110,7 @@ func (p *Probe) ObservePath(bucket, length uint64) {
 	if length >= PathLenBuckets {
 		length = PathLenBuckets - 1
 	}
-	p.pathLen[bucket&7].counts[length].Add(1)
+	p.shard(bucket).pathLen[length].Add(1)
 }
 
 // ProbeStats is a snapshot of a Probe. core.Stats and generic.Stats embed
@@ -128,15 +138,14 @@ type ProbeStats struct {
 
 // Snapshot aggregates the shards.
 func (p *Probe) Snapshot() ProbeStats {
-	s := ProbeStats{
-		Searches:      p.searches.total(),
-		Displacements: p.displacements.total(),
-		PathRestarts:  p.restarts.total(),
-		MaxPathLen:    p.maxPathLen.Load(),
-	}
-	for i := range p.pathLen {
-		for b := range p.pathLen[i].counts {
-			s.PathLenHist[b] += p.pathLen[i].counts[b].Load()
+	s := ProbeStats{MaxPathLen: p.maxPathLen.Load()}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		s.Searches += sh.searches.Load()
+		s.Displacements += sh.displacements.Load()
+		s.PathRestarts += sh.restarts.Load()
+		for b := range sh.pathLen {
+			s.PathLenHist[b] += sh.pathLen[b].Load()
 		}
 	}
 	return s
@@ -144,13 +153,14 @@ func (p *Probe) Snapshot() ProbeStats {
 
 // Reset zeroes every counter.
 func (p *Probe) Reset() {
-	p.searches.reset()
-	p.displacements.reset()
-	p.restarts.reset()
 	p.maxPathLen.Store(0)
-	for i := range p.pathLen {
-		for b := range p.pathLen[i].counts {
-			p.pathLen[i].counts[b].Store(0)
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.searches.Store(0)
+		sh.displacements.Store(0)
+		sh.restarts.Store(0)
+		for b := range sh.pathLen {
+			sh.pathLen[b].Store(0)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cuckoohash/internal/metrics"
@@ -217,13 +218,16 @@ func SummarizeStages(st [NumStages]int64) string {
 }
 
 // StageTable aggregates finished spans into one sharded histogram per
-// {verb, stage} cell. Cells whose count is zero are skipped on export,
-// so the series set stays proportional to traffic actually seen.
+// {verb, stage} cell. A cell's histogram is allocated by its first Record
+// — most verb × stage pairs never see one, and a server's worth of empty
+// histograms was half a megabyte — and cells without one are skipped on
+// export, so memory and the series set both stay proportional to traffic
+// actually seen.
 type StageTable struct {
 	verbs  []string
 	shards int
-	// hists is verb-major: hists[v*NumStages+stage].
-	hists []*metrics.ShardedHistogram
+	// hists is verb-major: hists[v*NumStages+stage]; nil until recorded.
+	hists []atomic.Pointer[metrics.ShardedHistogram]
 }
 
 // NewStageTable builds a table for the given verb labels. shards is the
@@ -233,10 +237,7 @@ func NewStageTable(verbs []string, shards int) *StageTable {
 	t := &StageTable{
 		verbs:  verbs,
 		shards: shards,
-		hists:  make([]*metrics.ShardedHistogram, len(verbs)*NumStages),
-	}
-	for i := range t.hists {
-		t.hists[i] = metrics.NewShardedHistogram(shards)
+		hists:  make([]atomic.Pointer[metrics.ShardedHistogram], len(verbs)*NumStages),
 	}
 	return t
 }
@@ -247,7 +248,24 @@ func (t *StageTable) Record(verb int, st Stage, shard uint64, ns int64) {
 	if t == nil || verb < 0 || verb >= len(t.verbs) || ns <= 0 {
 		return
 	}
-	t.hists[verb*NumStages+int(st)].Record(shard, uint64(ns))
+	cell := &t.hists[verb*NumStages+int(st)]
+	h := cell.Load()
+	if h == nil {
+		h = t.newCell(cell)
+	}
+	h.Record(shard, uint64(ns))
+}
+
+// newCell publishes cell's histogram, or returns the one a concurrent
+// Record published first.
+//
+//cuckoo:coldpath runs once per {verb, stage} cell a server ever records, at most len(verbs)*NumStages times
+func (t *StageTable) newCell(cell *atomic.Pointer[metrics.ShardedHistogram]) *metrics.ShardedHistogram {
+	h := metrics.NewShardedHistogram(t.shards)
+	if cell.CompareAndSwap(nil, h) {
+		return h
+	}
+	return cell.Load()
 }
 
 // RecordSpan folds a finished span's nonzero stages into verb's cells.
@@ -274,7 +292,11 @@ func (t *StageTable) Collect(m *Metrics, name, help string) {
 	}
 	for v, verb := range t.verbs {
 		for st := 0; st < NumStages; st++ {
-			snap := t.hists[v*NumStages+st].Snapshot()
+			h := t.hists[v*NumStages+st].Load()
+			if h == nil {
+				continue
+			}
+			snap := h.Snapshot()
 			if snap.Count() == 0 {
 				continue
 			}

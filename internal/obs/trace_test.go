@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -153,6 +154,58 @@ func TestStageTableCollectSkipsEmptyCells(t *testing.T) {
 	}
 	if strings.Contains(out, `verb="SET"`) && strings.Contains(out, `stage="flush",verb="SET"`) {
 		t.Errorf("empty SET/flush cell was exported:\n%s", out)
+	}
+}
+
+// TestStageTableAllocatesOnFirstRecord: a fresh table holds no histogram —
+// a server has some two hundred {verb, stage} cells and records into a
+// handful — and a cell gets exactly one, however many recorders race to be
+// its first, none of whose samples is lost.
+func TestStageTableAllocatesOnFirstRecord(t *testing.T) {
+	verbs := []string{"GET", "SET", "DEL"}
+	tab := NewStageTable(verbs, 4)
+	cells := func() (n int) {
+		for i := range tab.hists {
+			if tab.hists[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if len(tab.hists) != len(verbs)*NumStages || cells() != 0 {
+		t.Fatalf("a fresh table: %d cells, %d with a histogram", len(tab.hists), cells())
+	}
+	tab.Record(9, StageProbe, 0, 1) // dropped, and must not allocate either
+	tab.Record(1, StageProbe, 0, 0)
+	if cells() != 0 {
+		t.Fatalf("dropped records allocated %d histograms", cells())
+	}
+
+	const recorders, each = 8, 1000
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for r := 0; r < recorders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				tab.Record(1, StageProbe, uint64(r), 100)
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+	if cells() != 1 {
+		t.Fatalf("%d cells hold a histogram after records to one", cells())
+	}
+	if snap := tab.hists[1*NumStages+int(StageProbe)].Load().Snapshot(); snap.Count() != recorders*each {
+		t.Fatalf("the cell counts %d samples, want %d", snap.Count(), recorders*each)
+	}
+	tab.Record(1, StageProbe, 0, 100)
+	tab.Record(2, StageFlush, 0, 100)
+	if cells() != 2 {
+		t.Fatalf("%d cells hold a histogram, want 2", cells())
 	}
 }
 

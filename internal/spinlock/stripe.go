@@ -27,12 +27,21 @@ const versionMask = lockBit - 1
 type Stripe struct {
 	words  []atomic.Uint64
 	mask   uint64
-	probes [probeShards]lockProbe
+	probes []lockProbe
 }
 
-// probeShards is the contention-probe shard count; stripes map onto probe
-// shards by low index bits.
-const probeShards = 16
+// A stripe table has one contention-probe shard per stripesPerProbe
+// stripes, at least one and at most maxProbeShards; stripes map onto probe
+// shards by low index bits. The probes are sized by the table they sit
+// beside because the table may be one of hundreds (a cache shard's 256
+// stripes are 2 KB of lock words; sixteen probes beside them were 2 KB
+// more): a shard per 1 KB of lock words keeps them an eighth of it, and
+// writers few enough to share a small stripe table are few enough to share
+// a probe, which only the spin loop touches.
+const (
+	stripesPerProbe = 128
+	maxProbeShards  = 16
+)
 
 // lockProbe is one padded shard of the stripe table's contention counters.
 // The fast path (uncontended CAS) never touches a probe: contended and
@@ -85,7 +94,11 @@ func NewStripe(n int) *Stripe {
 	if n <= 0 || n&(n-1) != 0 {
 		panic("spinlock: stripe size must be a positive power of two")
 	}
-	return &Stripe{words: make([]atomic.Uint64, n), mask: uint64(n - 1)}
+	return &Stripe{
+		words:  make([]atomic.Uint64, n),
+		mask:   uint64(n - 1),
+		probes: make([]lockProbe, min(maxProbeShards, max(1, n/stripesPerProbe))),
+	}
 }
 
 // Len returns the number of stripes.
@@ -107,7 +120,7 @@ func (s *Stripe) Lock(i uint64) {
 // lockSlow is the contended path of Lock, split out so the fast path stays
 // inlineable and probe-free.
 func (s *Stripe) lockSlow(i uint64, w *atomic.Uint64) {
-	p := &s.probes[i&(probeShards-1)]
+	p := &s.probes[i&uint64(len(s.probes)-1)]
 	p.contended.Add(1)
 	for spins := 0; ; spins++ {
 		v := w.Load()

@@ -42,6 +42,7 @@ func (e *Elided) Init(words uint64, policy htm.Policy, cfg htm.Config) error {
 	}
 	e.policy = policy
 	e.region = htm.NewRegion(int(words), cfg)
+	e.size = metrics.NewShardedCounter(64)
 	return nil
 }
 
