@@ -13,10 +13,6 @@ import (
 	"testing"
 )
 
-// shardAssoc is the bucket width cuckood's shards run (server/shard.go,
-// DESIGN.md §8): the per-table and per-slot memory pins are taken at it.
-const shardAssoc = 8
-
 // TestAltIsInvolution: for every tag and every table size, the bucket a tag
 // names is another bucket of the table, and naming it again leads back —
 // which is what lets a slot's occupant move on its tag alone, from either
@@ -37,6 +33,24 @@ func TestAltIsInvolution(t *testing.T) {
 				t.Fatalf("%d buckets, tag %d: altOf(last) = %d", buckets, tag, alt)
 			}
 		}
+	}
+}
+
+// TestTagReadsNoBucketBit: the tag is the hash's top byte and nothing else,
+// so in any table of up to 2^56 buckets a key's first bucket and the offset
+// to its second are independent — a tag that shared bits with the bucket
+// index would tie the two choices together and give up load without a
+// failing test to show for it.
+func TestTagReadsNoBucketBit(t *testing.T) {
+	for tag := 1; tag <= 255; tag++ {
+		for _, low := range []uint64{0, 1, 0xFFFFFFFF, 1<<56 - 1} {
+			if got := tagOf(uint64(tag)<<56 | low); got != uint8(tag) {
+				t.Fatalf("tagOf(%#x<<56 | %#x) = %#x", tag, low, got)
+			}
+		}
+	}
+	if got := tagOf(1<<56 - 1); got != 1 {
+		t.Fatalf("a zero top byte takes tag %#x, want 1: 0 is the empty slot", got)
 	}
 }
 
@@ -91,26 +105,23 @@ func TestInsertPathReadsNoItem(t *testing.T) {
 // many buckets: two that share their tag, and a third with another tag.
 func sameBucket(t *testing.T, tab *Table[string, rec], buckets uint64) (a, twin, stranger string) {
 	t.Helper()
-	type class struct {
-		b1  uint64
-		tag uint8
-	}
-	first := map[class]string{}
-	byBucket := map[uint64]string{}
+	byBucket := map[uint64][]string{}
 	for i := 0; i < 1_000_000; i++ {
-		k := fmt.Sprintf("d%d", i)
-		h := tab.hash(k)
-		c := class{h & (buckets - 1), tagOf(h)}
-		if prev, ok := first[c]; ok {
-			if other, ok := byBucket[c.b1]; ok && tagOf(tab.hash(other)) != c.tag {
-				return prev, k, other
+		twin = fmt.Sprintf("d%d", i)
+		h := tab.hash(twin)
+		b1 := h & (buckets - 1)
+		a, stranger = "", ""
+		for _, k := range byBucket[b1] {
+			if tagOf(tab.hash(k)) == tagOf(h) {
+				a = k
+			} else {
+				stranger = k
 			}
-		} else {
-			first[c] = k
 		}
-		if _, ok := byBucket[c.b1]; !ok || tagOf(tab.hash(byBucket[c.b1])) == c.tag {
-			byBucket[c.b1] = k
+		if a != "" && stranger != "" {
+			return a, twin, stranger
 		}
+		byBucket[b1] = append(byBucket[b1], twin)
 	}
 	t.Fatal("no two keys share a bucket and a tag")
 	return
@@ -251,40 +262,44 @@ func TestOnlyTheseReadAnItem(t *testing.T) {
 }
 
 // TestSmallTableFixtures: what a table carries beside its slots — the Table
-// itself, its stripes, their lock probes, the padded size counter and the
+// itself, its stripes' lock probes, the padded size counter and the
 // slow-path probe — is sized by the table. A cuckood shard of 2 048 slots
-// is one of hundreds and costs at most 4 KB more than its slot arrays
-// (19.5 KB when every table carried a whole store's counters). Measured as
-// live heap over 64 of them, against 64 bare pairs of slot arrays measured
-// the same way, so an allocation added per table shows and the arrays' own
-// size-class rounding does not.
+// (bucket width 4, the default, which DESIGN.md §8 measures against 8) is
+// one of hundreds, and beside its slot arrays and its lock words — one per
+// bucket, 4 KB — it carries under 2.5 KB, where every table used to carry a
+// whole store's counters: 15.5 KB. Measured as live heap over 64 of them,
+// against 64 bare sets of slot arrays and lock words measured the same way,
+// so an allocation added per table shows and the arrays' own size-class
+// rounding does not.
 func TestSmallTableFixtures(t *testing.T) {
-	const tables, slots = 64, 2048
+	const tables, slots, stripes = 64, 2048, 512
 	base := liveHeap()
 	var arrays [tables]struct {
-		vals []*rec
-		tags []uint8
+		vals  []*rec
+		tags  []uint8
+		words []uint64
 	}
 	for i := range arrays {
-		arrays[i].vals, arrays[i].tags = make([]*rec, slots), make([]uint8, slots)
+		arrays[i].vals, arrays[i].tags, arrays[i].words = make([]*rec, slots), make([]uint8, slots), make([]uint64, stripes)
 	}
-	slotBytes := float64(liveHeap()-base) / tables
+	arrayBytes := float64(liveHeap()-base) / tables
 	runtime.KeepAlive(&arrays)
 
 	base = liveHeap()
 	var tabs [tables]*Table[string, *rec]
 	for i := range tabs {
-		tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: shardAssoc,
-			DisableBackgroundSweep: true}, func(r *rec) string { return r.key })
+		tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, DisableBackgroundSweep: true},
+			func(r *rec) string { return r.key })
 		if err != nil {
 			t.Fatal(err)
 		}
 		tabs[i] = tab
 	}
-	fixtures := float64(liveHeap()-base)/tables - slotBytes
-	t.Logf("B=%d: %d stripes, %.0f B of slot arrays and %.0f B of fixtures per table", shardAssoc, tabs[0].locks.Len(), slotBytes, fixtures)
-	if tabs[0].Cap() != slots || fixtures > 4096 {
-		t.Errorf("%.0f B of fixtures per %d-slot table, want <= 4096 for %d slots", fixtures, tabs[0].Cap(), slots)
+	fixtures := float64(liveHeap()-base)/tables - arrayBytes
+	t.Logf("%.0f B of slot arrays and lock words and %.0f B of fixtures per table", arrayBytes, fixtures)
+	if tabs[0].Cap() != slots || tabs[0].locks.Len() != stripes || fixtures > 2560 {
+		t.Errorf("%.0f B of fixtures beside %d slots and %d lock words, want <= 2560 beside %d and %d",
+			fixtures, tabs[0].Cap(), tabs[0].locks.Len(), slots, stripes)
 	}
 	runtime.KeepAlive(&tabs)
 }

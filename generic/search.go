@@ -59,9 +59,10 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry, bo
 			t.locks.Unlock(l)
 			return nil, false
 		}
-		free, ok := freeSlot(t.bucketTags(arr, bucket))
+		bucketTags := t.bucketTags(arr, bucket)
+		free, ok := freeSlot(bucketTags)
 		if !ok { // full: where its tags point is the next frontier
-			copy(tags, t.bucketTags(arr, bucket))
+			copy(tags, bucketTags)
 		}
 		t.locks.Unlock(l)
 

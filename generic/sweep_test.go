@@ -162,10 +162,11 @@ func TestAltBucketSweep(t *testing.T) {
 		for _, slots := range sizes {
 			loads := map[string]float64{}
 			for _, rule := range altRules {
-				var sum, sumSq sweepFill
+				var sum sweepFill
+				var loadSq float64
 				for trial := 0; trial < trials; trial++ {
 					f := modelFill(rule, assoc, slots, uint64(trial+1)*0xD1B54A32D192ED03)
-					sum.load, sumSq.load = sum.load+f.load, sumSq.load+f.load*f.load
+					sum.load, loadSq = sum.load+f.load, loadSq+f.load*f.load
 					sum.displacements += f.displacements
 					sum.meanPath += f.meanPath
 					sum.maxPath = max(sum.maxPath, f.maxPath)
@@ -174,7 +175,7 @@ func TestAltBucketSweep(t *testing.T) {
 				mean := sum.load / n
 				loads[rule.name] = mean
 				fmt.Fprintf(&out, "%-2d %8d  %-18s %7.4f %8.4f %14.3f %10.2f %9d\n", assoc, slots, rule.name,
-					mean, math.Sqrt(max(0, sumSq.load/n-mean*mean)), sum.displacements/n, sum.meanPath/n, sum.maxPath)
+					mean, math.Sqrt(max(0, loadSq/n-mean*mean)), sum.displacements/n, sum.meanPath/n, sum.maxPath)
 			}
 			// The adopted rule gives up no load against the rule it replaced.
 			if full, tag := loads["full hash"], loads["b1^off(tag)"]; tag < full-0.01 {

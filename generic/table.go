@@ -14,10 +14,20 @@
 // value out, Delete is pin → locate → clearSlot, and a put (attempt) is
 // validate → locate → overwrite in place, fold forward or place; reads
 // take the (very short) lock instead of running optimistically because
-// values of arbitrary type cannot be copied tear-free without it. When
-// both candidate buckets are full the write path is the same BFS +
+// values of arbitrary type cannot be copied tear-free without it.
+//
+// It is a partial-key cuckoo table, MemC3's: a key's first bucket is its
+// hash's low bits, a slot's tag is the hash's top byte, and the second
+// bucket is the first xor an offset hashed from the tag (altOf) — so the
+// other bucket of any entry is computable from the slot alone. When both
+// candidate buckets are full the write path is the same BFS +
 // lock-after-discovery algorithm as the specialized cuckoohash.Map
-// (search.go; shift moves the discovered path's keys, last hop first).
+// (search.go), run on tag bytes: the search snapshots tags, shift moves the
+// discovered path's entries last hop first, each hop validated by tag, and
+// no key is read or hashed between "both buckets full" and "a slot is
+// free". What still turns a slot into its key is locate's compare behind a
+// matching tag, Oldest, the migrator (a doubled table's bucket needs one
+// more hash bit than a slot holds) and Range.
 // Resizing is incremental: a grow publishes a doubled live generation next
 // to the old one and drains it a bounded batch of buckets at a time
 // (migrate.go), so no operation ever pauses for a full-table rehash and
@@ -183,10 +193,6 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 		}
 		stripes = int(min(uint64(stripes), maxBuckets))
 	}
-	// The padded counters are sized by the table, as its lock probes are
-	// (spinlock.NewStripe): a table with few stripes is a small shard of
-	// some larger store, which builds hundreds of it and already spread its
-	// writers when it picked the shard.
 	shards := min(maxCounterShards, max(1, stripes/stripesPerCounterShard))
 	t := &Table[K, V]{
 		cfg:   cfg,
@@ -201,10 +207,13 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 	return t, nil
 }
 
-// A table spreads its size counter over one padded line per
+// A table's padded counters are sized by the table, as its lock probes are
+// (spinlock.NewStripe): a table with few stripes is a small shard of some
+// larger store, which builds hundreds of it and already spread its writers
+// when it picked the shard. The size counter gets one padded line per
 // stripesPerCounterShard lock stripes — an eighth of the lock words' own
 // bytes — up to the 64 lines a table that is the whole store has always
-// had, and its slow-path probe over at most 8.
+// had, and the slow-path probe at most 8.
 const (
 	stripesPerCounterShard = 128
 	maxCounterShards       = 64

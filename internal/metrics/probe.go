@@ -69,8 +69,8 @@ type Probe struct {
 // probeShard is one padded group of a Probe's counters. They share their
 // lines: all of them are bumped from inside one path search, which costs
 // microseconds and takes bucket locks, by the goroutine running it — a
-// shard per counter kept writers no further apart and cost four times the
-// memory, in every shard of a cache.
+// shard per counter kept writers no further apart and cost more than twice
+// the memory, in every shard of a cache.
 type probeShard struct {
 	searches      atomic.Uint64
 	displacements atomic.Uint64
@@ -79,8 +79,8 @@ type probeShard struct {
 	_             [4*cacheLine - 8*(3+PathLenBuckets)]byte
 }
 
-// NewProbe creates a probe over n shards (a power of two): eight separate
-// the slow paths of a table that is the whole store.
+// NewProbe creates a probe over n shards; n must be a power of two. A
+// table that is the whole store uses eight.
 func NewProbe(n int) Probe {
 	mustBePowerOfTwo(n)
 	return Probe{shards: make([]probeShard, n)}

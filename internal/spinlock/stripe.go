@@ -33,8 +33,8 @@ type Stripe struct {
 // A stripe table has one contention-probe shard per stripesPerProbe
 // stripes, at least one and at most maxProbeShards; stripes map onto probe
 // shards by low index bits. The probes are sized by the table they sit
-// beside because the table may be one of hundreds (a cache shard's 256
-// stripes are 2 KB of lock words; sixteen probes beside them were 2 KB
+// beside because the table may be one of hundreds (a cache shard's 512
+// stripes are 4 KB of lock words; sixteen probes beside them were 2 KB
 // more): a shard per 1 KB of lock words keeps them an eighth of it, and
 // writers few enough to share a small stripe table are few enough to share
 // a probe, which only the spin loop touches.
