@@ -176,7 +176,9 @@ func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []
 // ns/op is suppressed.
 func BenchmarkFillToRefusal(b *testing.B) {
 	for _, slots := range []uint64{2048, 1 << 20} {
-		keys, _ := benchKeySet("fil", int(slots))
+		// One key more than slots: a small table now and then takes every
+		// key it has room for, and the fill must still end in a refusal.
+		keys, _ := benchKeySet("fil", int(slots)+1)
 		vals := make([]*rec, len(keys))
 		for i, k := range keys {
 			vals[i] = &rec{key: k, n: i}

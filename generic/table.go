@@ -193,15 +193,14 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 		}
 		stripes = int(min(uint64(stripes), maxBuckets))
 	}
-	shards := min(maxCounterShards, max(1, stripes/stripesPerCounterShard))
 	t := &Table[K, V]{
 		cfg:   cfg,
 		seed:  maphash.MakeSeed(),
 		assoc: assoc,
 		keyOf: keyOf,
 		locks: spinlock.NewStripe(stripes),
-		size:  metrics.NewShardedCounter(shards),
-		probe: metrics.NewProbe(min(maxProbeShards, shards)),
+		size:  metrics.NewShardedCounter(min(maxSizeShards, max(1, stripes/stripesPerSizeShard))),
+		probe: metrics.NewProbe(min(maxProbeShards, max(1, stripes/stripesPerProbeShard))),
 	}
 	t.state.Store(&genState[K, V]{live: t.newArrays(buckets)})
 	return t, nil
@@ -209,15 +208,18 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 
 // A table's padded counters are sized by the table, as its lock probes are
 // (spinlock.NewStripe): a table with few stripes is a small shard of some
-// larger store, which builds hundreds of it and already spread its writers
-// when it picked the shard. The size counter gets one padded line per
-// stripesPerCounterShard lock stripes — an eighth of the lock words' own
-// bytes — up to the 64 lines a table that is the whole store has always
-// had, and the slow-path probe at most 8.
+// larger store, which builds dozens of it and already spread its writers
+// when it picked the shard. The size counter, which every insert and delete
+// moves, gets one padded line per 32 lock stripes — half the lock words' own
+// bytes, and the narrowest at which two writers kept on one 2 048-slot table
+// run as they did over 64 lines (BenchmarkInsertDeletePair: 4 lines cost them
+// 7 %) — up to the 64 a table that is the whole store has always had. The
+// probe, which only a path search touches, gets a shard per 128, up to 8.
 const (
-	stripesPerCounterShard = 128
-	maxCounterShards       = 64
-	maxProbeShards         = 8
+	stripesPerSizeShard  = 32
+	maxSizeShards        = 64
+	stripesPerProbeShard = 128
+	maxProbeShards       = 8
 )
 
 // MustNew panics on configuration errors.
