@@ -1,7 +1,6 @@
 package generic
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -14,12 +13,13 @@ import (
 // the production tagOf and altOf — under four rules for a key's second
 // bucket, filled with random hashes to the first refusal.
 //
-//	go test ./generic -run TestAltBucketSweep -sweep.out ../results/SWEEP_altbucket.txt
+//	UPDATE_GOLDEN=1 go test ./generic -run TestAltBucketSweep
 //
-// writes the full table (20 fills per cell, a few minutes); without the flag
-// the test runs the two small sizes a few times and holds the adopted rule
-// to the full hash's load.
-var sweepOut = flag.String("sweep.out", "", "write the alternate-bucket sweep's table to this file")
+// (the variable server/testdata's goldens are regenerated with) runs the
+// full sweep, 20 fills per cell, a few minutes, and rewrites sweepFile;
+// otherwise the test runs the two small sizes a few times and holds the
+// adopted rule to the full hash's load.
+const sweepFile = "../results/SWEEP_altbucket.txt"
 
 // altRule is one way to find an entry's other bucket from the bucket it is
 // in; h is the entry's full hash, of which only the first rule may read more
@@ -152,7 +152,8 @@ func modelFill(rule altRule, assoc int, slots, seed uint64) sweepFill {
 
 func TestAltBucketSweep(t *testing.T) {
 	sizes, trials := []uint64{2048, 32768}, 4
-	if *sweepOut != "" {
+	full := os.Getenv("UPDATE_GOLDEN") != ""
+	if full {
 		sizes, trials = []uint64{2048, 32768, 1 << 20}, 20
 	}
 	var out strings.Builder
@@ -184,8 +185,8 @@ func TestAltBucketSweep(t *testing.T) {
 		}
 	}
 	t.Log("\n" + out.String())
-	if *sweepOut != "" {
-		if err := os.WriteFile(*sweepOut, []byte(out.String()), 0o644); err != nil {
+	if full {
+		if err := os.WriteFile(sweepFile, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -264,12 +264,12 @@ func (t *Table[K, V]) bucketTags(arr *tArrays[K, V], b uint64) []uint8 {
 // (altOf), so a tag that overlapped the first bucket's bits would tie the
 // two choices together and cost load factor silently; and two keys that
 // share a bucket still differ in their tags 254 times in 255. It is never
-// 0, the tag of an empty slot: a hash whose byte is 0 takes 1.
+// 0, the tag of an empty slot: a hash whose byte is 0 takes 1 (tag-1 wraps
+// to all ones for 0 alone; spelled without a branch because every probe
+// computes it, once per generation).
 func tagOf(h uint64) uint8 {
-	if tag := uint8(h >> 56); tag != 0 {
-		return tag
-	}
-	return 1
+	tag := uint32(h >> 56)
+	return uint8(tag + (tag-1)>>31)
 }
 
 // Len returns the number of stored keys.
@@ -310,15 +310,13 @@ func (t *Table[K, V]) twoBuckets(h, buckets uint64) (uint64, uint64) {
 // altOf returns the other candidate bucket of an entry with this tag that
 // sits in bucket b of a table whose bucket mask is mask. It is the only
 // place an alternate bucket is computed, and it needs the slot alone: the
-// offset is a multiplicative hash of the tag cut to the table and never 0,
-// so the other bucket is a different one, and xor makes the rule its own
-// inverse — altOf(altOf(b)) == b, whichever of the two b was.
+// offset is a multiplicative hash of the tag cut to the table and never 0
+// (an offset of 0 takes 1, branch-free as in tagOf), so the other bucket is
+// a different one, and xor makes the rule its own inverse —
+// altOf(altOf(b)) == b, whichever of the two b was.
 func altOf(b uint64, tag uint8, mask uint64) uint64 {
 	off := uint64(tag) * 0xC2B2AE3D27D4EB4F >> 32 & mask
-	if off == 0 {
-		off = 1
-	}
-	return b ^ off
+	return b ^ (off + (off-1)>>63)
 }
 
 // lockPair acquires the stripes of b1 and b2 in order and returns them.
