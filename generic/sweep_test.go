@@ -16,7 +16,7 @@ import (
 //	UPDATE_GOLDEN=1 go test ./generic -run TestAltBucketSweep
 //
 // (the variable server/testdata's goldens are regenerated with) runs the
-// full sweep, 20 fills per cell, a few minutes, and rewrites sweepFile;
+// full sweep, 20 fills per cell, some fifteen seconds, and rewrites sweepFile;
 // otherwise the test runs the two small sizes a few times and holds the
 // adopted rule to the full hash's load.
 const sweepFile = "../results/SWEEP_altbucket.txt"
