@@ -78,6 +78,6 @@ done | awk -v rounds="$rounds" '
 		for (k = 1; k <= nm; k++) {
 			m = order[k]; split(m, name, " ")
 			summarize("base", m, b); summarize("head", m, h); summarize("aa", m, a)
-			printf "%-52s %-12s %11.5g %9.3g %11.5g %9.3g %5d/%-2d %11.5g %5d/%-2d\n", name[1], unit[m], b["med"], b["iqr"], h["med"], h["iqr"], won("head", m, unit[m]), rounds, a["med"], won("aa", m, unit[m]), rounds
+			printf "%-52s %-12s %11.5g %9.3g %11.5g %9.3g %5d/%-2d %11.5g %5d/%d\n", name[1], unit[m], b["med"], b["iqr"], h["med"], h["iqr"], won("head", m, unit[m]), rounds, a["med"], won("aa", m, unit[m]), rounds
 		}
 	}'
