@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build fmt vet vet386 lint cuckoovet test race bench bench-selftest bench-pair bench-rung bench-smoke bench-txn bench-hotalloc bench-grow bench-replica fuzz chaos loc loadgen-smoke metrics-smoke
+.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke bench-txn bench-grow bench-replica fuzz chaos loc
 
 check: build fmt vet vet386 lint race bench-selftest
 
@@ -126,10 +126,6 @@ chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos|TestPoolBreaker|TestDrainSaves' \
 	    ./server/ ./client/ ./internal/faultinject/
 
-# The figure harness at CI scale, with a JSON trajectory artifact.
-bench:
-	$(GO) run ./cmd/cuckoobench -exp all -scale small -json BENCH_small.json
-
 # Quick perf-trajectory point: the full figure set at small scale, written
 # where the committed baseline lives (results/BENCH_core.json is the seed;
 # CI uploads each run's file as an artifact for diffing).
@@ -142,14 +138,6 @@ bench-smoke:
 # in place so a perf regression shows up as a diff.
 bench-txn:
 	$(GO) run ./cmd/cuckoobench -exp txnzipf -scale small -repeat 3 -out results/BENCH_txn.json
-
-# The hot-path allocation benchmark (docs/ANALYSIS.md): allocs/op through
-# the public Cache API for byte-key GET (must be 0, hit and miss) and the
-# string-key entry points that share its lookup. The committed baseline
-# lives at results/BENCH_hotalloc.json; this regenerates it in place so
-# an allocation creeping onto the hot path shows up as a diff.
-bench-hotalloc:
-	$(GO) run ./cmd/cuckoobench -exp hotalloc -scale small -repeat 3 -out results/BENCH_hotalloc.json
 
 # The cuckoorepl acceptance benchmark (docs/REPLICATION.md): hot-set read
 # scale-out across both candidate nodes (peak-capacity factor must be
@@ -173,56 +161,3 @@ bench-grow:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime $(FUZZTIME) ./server/
-
-# End-to-end smoke of the cache daemon: serve, load-generate, drain.
-# The binary is run directly (not via `go run`, which does not forward a
-# kill-sent SIGINT to its child, so the drain would never trigger).
-loadgen-smoke:
-	$(GO) build -o ./cuckood.smoke ./cmd/cuckood
-	./cuckood.smoke -listen 127.0.0.1:11377 & \
-	CUCKOOD_PID=$$!; \
-	sleep 1; \
-	./cuckood.smoke -loadgen -addr 127.0.0.1:11377 \
-	    -conns 4 -ops 20000 -batch 16 -dist zipf; \
-	STATUS=$$?; \
-	kill -INT $$CUCKOOD_PID; wait $$CUCKOOD_PID || STATUS=$$?; \
-	rm -f ./cuckood.smoke; \
-	exit $$STATUS
-
-# End-to-end smoke of the admin endpoint: serve with -admin, drive a tiny
-# traced zipf load, then scrape /metrics and assert the key series —
-# including the cuckootrace stage/hot-key ones — are present, and that
-# /debug/flight dumps records. -slow-op is 1ms, not 1ns: slow ops are
-# never sampled away, so a 1ns threshold would log all 5000 requests.
-metrics-smoke:
-	$(GO) build -o ./cuckood.smoke ./cmd/cuckood
-	./cuckood.smoke -listen 127.0.0.1:11378 -admin 127.0.0.1:11379 -slow-op 1ms & \
-	CUCKOOD_PID=$$!; \
-	sleep 1; \
-	./cuckood.smoke -loadgen -addr 127.0.0.1:11378 -conns 2 -ops 5000 -batch 16 -dist zipf -trace; \
-	STATUS=$$?; \
-	if [ $$STATUS -eq 0 ]; then \
-		SCRAPE=$$(curl -fsS http://127.0.0.1:11379/metrics) || STATUS=$$?; \
-		for series in cuckoo_table_path_length_bucket \
-		              cuckoo_table_path_restarts_total \
-		              cuckoo_lock_contended_total \
-		              cuckoo_htm_aborts_total \
-		              cuckood_hits_total \
-		              cuckood_misses_total \
-		              cuckood_evictions_total \
-		              cuckood_slow_requests_total \
-		              cuckood_request_duration_seconds_bucket \
-		              cuckood_stage_seconds_bucket \
-		              cuckood_hot_key_count; do \
-			echo "$$SCRAPE" | grep -q "$$series" || { echo "MISSING $$series"; STATUS=1; }; \
-		done; \
-		curl -fsS http://127.0.0.1:11379/debug/vars >/dev/null || STATUS=1; \
-		curl -fsS http://127.0.0.1:11379/debug/pprof/ >/dev/null || STATUS=1; \
-		FLIGHT=$$(curl -fsS http://127.0.0.1:11379/debug/flight) || STATUS=$$?; \
-		echo "$$FLIGHT" | grep -q "verb=" || { echo "EMPTY /debug/flight"; STATUS=1; }; \
-		echo "$$FLIGHT" | grep -q "trace=" || { echo "NO trace= in /debug/flight"; STATUS=1; }; \
-	fi; \
-	kill -INT $$CUCKOOD_PID; wait $$CUCKOOD_PID || STATUS=$$?; \
-	rm -f ./cuckood.smoke; \
-	[ $$STATUS -eq 0 ] && echo "metrics-smoke OK"; \
-	exit $$STATUS

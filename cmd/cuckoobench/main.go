@@ -26,13 +26,12 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("exp", "", "experiment id (see -list: fig1..fig10b, eq1, eq2, naive, memory, latency, zipf, churn) or \"all\"")
-		scale    = flag.String("scale", "small", "workload scale: small, medium or paper")
-		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
-		jsonPath = flag.String("json", "", "also write machine-readable results (host, scale, all reports) as JSON to this file")
-		outPath  = flag.String("out", "", "like -json, but creates parent directories first (e.g. results/BENCH_core.json) — for committed perf baselines and CI artifacts")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		repeat   = flag.Int("repeat", 1, "run each experiment N times and report per-cell medians (for noisy hosts)")
+		expID   = flag.String("exp", "", "experiment id (see -list: fig1..fig10b, eq1, eq2, naive, memory, latency, zipf, churn) or \"all\"")
+		scale   = flag.String("scale", "small", "workload scale: small, medium or paper")
+		csvPath = flag.String("csv", "", "also write results as CSV to this file")
+		outPath = flag.String("out", "", "also write machine-readable results (host, scale, all reports) as JSON to this file, creating parent directories (e.g. results/BENCH_core.json) — for committed perf baselines and CI artifacts")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		repeat  = flag.Int("repeat", 1, "run each experiment N times and report per-cell medians (for noisy hosts)")
 	)
 	flag.Parse()
 
@@ -91,28 +90,21 @@ func main() {
 		}
 		done = append(done, rep)
 	}
-	if *jsonPath != "" {
-		writeJSONFile(*jsonPath, false, done, *scale, sc, *repeat)
-	}
 	if *outPath != "" {
-		writeJSONFile(*outPath, true, done, *scale, sc, *repeat)
+		writeJSONFile(*outPath, done, *scale, sc, *repeat)
 	}
 }
 
-// writeJSONFile writes the machine-readable result payload to path; with
-// mkdir it creates missing parent directories, so -out can target a fresh
+// writeJSONFile writes the machine-readable result payload to path,
+// creating missing parent directories, so -out can target a fresh
 // results/ tree on a CI runner.
-func writeJSONFile(path string, mkdir bool, done []*bench.Report, scale string, sc bench.Scale, repeat int) {
+func writeJSONFile(path string, done []*bench.Report, scale string, sc bench.Scale, repeat int) {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "cuckoobench:", err)
 		os.Exit(1)
 	}
-	if mkdir {
-		if dir := filepath.Dir(path); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fail(err)
-			}
-		}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		fail(err)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,7 +1,4 @@
-// Command cuckood runs the cuckoo-table network cache daemon, or — with
-// -loadgen — a load generator against a running daemon.
-//
-// Serve:
+// Command cuckood runs the cuckoo-table network cache daemon:
 //
 //	cuckood -listen 127.0.0.1:11300 -shards 8 -slots 65536 -sweep 1s \
 //	        -admin 127.0.0.1:11301 -log-level info -slow-op 10ms
@@ -11,15 +8,8 @@
 // every connection is closed cleanly. With -admin it also serves an HTTP
 // observability endpoint: Prometheus metrics at /metrics, an expvar
 // snapshot at /debug/vars, and the pprof profiler under /debug/pprof/
-// (docs/OBSERVABILITY.md).
-//
-// Load-generate:
-//
-//	cuckood -loadgen -addr 127.0.0.1:11300 -conns 8 -ops 100000 \
-//	        -batch 16 -dist zipf -theta 0.99 -set 0.1 -keys 1048576
-//
-// The generator opens one pipelined connection per -conns goroutine and
-// reports throughput plus p50/p99/p999 batch round-trip latency.
+// (docs/OBSERVABILITY.md). Load comes from outside the daemon:
+// `bash benchmark/run.sh --workload …` (benchmark/README.md).
 package main
 
 import (
@@ -35,15 +25,13 @@ import (
 	"time"
 
 	"cuckoohash/internal/faultinject"
-	"cuckoohash/internal/loadgen"
 	"cuckoohash/internal/obs"
 	"cuckoohash/server"
 )
 
 func main() {
 	var (
-		// Server mode.
-		listen   = flag.String("listen", "127.0.0.1:11300", "listen address (server mode)")
+		listen   = flag.String("listen", "127.0.0.1:11300", "listen address")
 		shards   = flag.Int("shards", 8, "cache shards (rounded up to a power of two)")
 		slots    = flag.Uint64("slots", 1<<16, "slot capacity per shard (bounded; evicts when full)")
 		sweep    = flag.Duration("sweep", time.Second, "TTL sweep interval (<0 disables)")
@@ -68,38 +56,8 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, or error")
 		logFormat = flag.String("log-format", "text", "log format: text or json")
 		slowOp    = flag.Duration("slow-op", 0, "slow-request threshold; every request at or over it is counted and logged with its trace ID and stage breakdown (0 disables)")
-
-		// Loadgen mode.
-		lg       = flag.Bool("loadgen", false, "run the load generator instead of the server")
-		addr     = flag.String("addr", "127.0.0.1:11300", "server address, or a comma-separated cluster node list in ring order (loadgen mode)")
-		conns    = flag.Int("conns", 8, "concurrent client connections")
-		ops      = flag.Int("ops", 100000, "operations per connection")
-		batch    = flag.Int("batch", 16, "pipeline depth (1 = no pipelining)")
-		dist     = flag.String("dist", "uniform", "key distribution: uniform or zipf")
-		theta    = flag.Float64("theta", 0.99, "zipf skew (0,1)")
-		zipfS    = flag.Float64("zipf-s", 0, "heavy-skew zipf exponent s > 1 (e.g. 1.2); overrides -dist/-theta when set")
-		workload = flag.String("workload", "mixed", "operation shape: mixed (GET/SET), incr (hot counters), txn (MULTI…EXEC batches), or hot (hot-set read scale-out)")
-		hotN     = flag.Uint64("hot-n", 0, "hot-set size for -workload hot (0 = default 64)")
-		setFrac  = flag.Float64("set", 0.1, "fraction of SET operations")
-		keys     = flag.Uint64("keys", 1<<20, "key universe size")
-		valSize  = flag.Int("valsize", 32, "value size in bytes")
-		ttl      = flag.Duration("ttl", 0, "TTL attached to every SET (0 = none)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		ringSeed = flag.Uint64("ring-seed", 0, "cluster ring placement seed when -addr lists several nodes; must match the cluster's clients")
-		trace    = flag.Bool("trace", false, "attach a fresh TRACE id to each request batch (loadgen mode)")
 	)
 	flag.Parse()
-
-	if *lg {
-		runLoadgen(loadgen.Config{
-			Addr: *addr, Conns: *conns, OpsPerConn: *ops, Batch: *batch,
-			Dist: *dist, Theta: *theta, ZipfS: *zipfS, Workload: *workload,
-			HotN: *hotN, SetFrac: *setFrac, Keys: *keys,
-			ValueSize: *valSize, TTL: *ttl, Seed: *seed, RingSeed: *ringSeed,
-			Trace: *trace,
-		})
-		return
-	}
 
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -135,6 +93,10 @@ func main() {
 	if err != nil {
 		fatal("startup failed", err)
 	}
+	// Caught before the daemon announces itself: a signal that follows
+	// "listening" is a drain, never the default kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if err := srv.Listen(); err != nil {
 		fatal("listen failed", err)
 	}
@@ -174,8 +136,6 @@ func main() {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		logger.Info("signal received; draining", "timeout", *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -192,15 +152,4 @@ func main() {
 	// Serve returns as soon as the listener closes; wait for the drain to
 	// finish so in-flight connections are not cut off by process exit.
 	<-drained
-}
-
-func runLoadgen(cfg loadgen.Config) {
-	res, err := loadgen.Run(cfg)
-	if res != nil {
-		res.Print(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cuckood -loadgen:", err)
-		os.Exit(1)
-	}
 }

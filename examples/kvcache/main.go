@@ -7,8 +7,7 @@
 // pipelined clients, prints the server's STATS, and drains gracefully.
 //
 // The wire protocol (SET/SETEX/GET/DEL/TTL/STATS over TCP text lines) is
-// documented in docs/PROTOCOL.md; cmd/cuckood is the full daemon with a
-// load-generator mode.
+// documented in docs/PROTOCOL.md; cmd/cuckood is the full daemon.
 package main
 
 import (

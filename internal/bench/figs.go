@@ -40,7 +40,6 @@ func Experiments() []Experiment {
 		{"probes", "Probe-layer signals: path lengths, lock contention, grows", Probes},
 		{"zipf", "Skewed (zipf) workloads: extension beyond the paper's uniform keys", Zipf},
 		{"txnzipf", "Hot-counter INCR at zipf s=1.2: naive locked vs split counters (cuckootxn)", TxnZipf},
-		{"hotalloc", "Hot-path allocations per op: byte-key GET vs legacy string conversion", HotAlloc},
 		{"churn", "Steady-state delete+insert at fixed occupancy (§6.3's second use mode)", Churn},
 		{"growpause", "Resize pause: stop-the-world rebuild vs incremental migration (max op latency)", GrowPause},
 		{"replread", "Replicated hot-set read scale-out and miss-lease herd collapse (cuckoorepl)", ReplRead},

@@ -275,7 +275,7 @@ func (z *ZipfKeys) NextKey() uint64 {
 // are the existing ones.
 func (z *ZipfKeys) ExistingKey() uint64 { return z.NextKey() }
 
-// ZipfSKeys generates keys with Zipf exponent s > 1 over universe [0, n),
+// ZipfSKeys draws ranks with Zipf exponent s > 1 over universe [0, n),
 // the heavy-skew regime the Gray approximation in ZipfKeys cannot reach
 // (its theta is capped below 1). At s = 1.2 a handful of ranks absorb
 // most of the stream — the hot-counter workload the txn subsystem's
@@ -298,14 +298,6 @@ func NewZipfSKeys(seed uint64, n uint64, s float64) *ZipfSKeys {
 	return &ZipfSKeys{z: rand.NewZipf(r, s, 1, n-1)}
 }
 
-// NextKey draws a rank and scrambles it over the hash space, so the hot
-// ranks do not cluster in adjacent table buckets.
-func (z *ZipfSKeys) NextKey() uint64 { return hashfn.SplitMix64(z.z.Uint64()) }
-
-// ExistingKey is identical to NextKey: the popular keys are the existing
-// ones.
-func (z *ZipfSKeys) ExistingKey() uint64 { return z.NextKey() }
-
-// Rank returns the unscrambled rank of the next draw; benchmarks that
-// need to know which key is hottest (rank 0) use this directly.
+// Rank returns the unscrambled rank of the next draw: rank 0 is the
+// hottest key.
 func (z *ZipfSKeys) Rank() uint64 { return z.z.Uint64() }

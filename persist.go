@@ -16,6 +16,9 @@ import (
 const (
 	snapshotMagic   = 0x6B75636B6F6F2B31 // "kuckoo+1"
 	snapshotVersion = 1
+	// maxSnapshotSlots is past any table a process can hold; under it the
+	// body's byte length and the bucket-count doubling cannot wrap.
+	maxSnapshotSlots = 1 << 40
 )
 
 // ErrBadSnapshot reports a corrupt or incompatible snapshot stream.
@@ -76,7 +79,9 @@ func (m *Map) Save(w io.Writer) error {
 // Load reads a snapshot produced by Save and returns a new Map holding its
 // entries. The returned table has the snapshot's geometry and hash seed;
 // cfg fields other than Capacity/Associativity/ValueWords/Seed still apply
-// (locking mode, stripes, search strategy).
+// (locking mode, stripes, search strategy). A corrupt stream is an error
+// wrapping ErrBadSnapshot and costs no more memory than the bytes it
+// delivers; a good one is held in memory whole until its table is built.
 func Load(r io.Reader, cfg Config) (*Map, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
@@ -95,8 +100,28 @@ func Load(r io.Reader, cfg Config) (*Map, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, hdr[1])
 	}
 	capacity, assoc, vw, count := hdr[2], int(hdr[3]), int(hdr[4]), hdr[5]
-	if assoc < 1 || assoc > 32 || vw < 1 || vw > 1<<16 || count > capacity {
+	if assoc < 1 || assoc > 32 || vw < 1 || vw > 1<<16 || capacity > maxSnapshotSlots || count > capacity {
 		return nil, fmt.Errorf("%w: implausible geometry", ErrBadSnapshot)
+	}
+
+	// Nothing is sized from the header until the checksum has vouched for
+	// it: the body is read into a buffer that grows with the bytes the
+	// stream delivers, not with the count it claims, and the table is built
+	// from a verified stream only.
+	recBytes := 8 * (1 + vw)
+	body, err := io.ReadAll(io.LimitReader(in, int64(count)*int64(recBytes)))
+	if err == nil && uint64(len(body)) < count*uint64(recBytes) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated at entry %d: %v", ErrBadSnapshot, len(body)/recBytes, err)
+	}
+	var got uint64
+	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
+		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadSnapshot, err)
+	}
+	if got != crc.Sum64() {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 
 	cfg.Capacity = capacity
@@ -111,15 +136,10 @@ func Load(r io.Reader, cfg Config) (*Map, error) {
 	}
 
 	val := make([]uint64, vw)
-	for i := uint64(0); i < count; i++ {
-		var key uint64
-		if err := binary.Read(in, binary.LittleEndian, &key); err != nil {
-			return nil, fmt.Errorf("%w: truncated at entry %d: %v", ErrBadSnapshot, i, err)
-		}
-		for w := 0; w < vw; w++ {
-			if err := binary.Read(in, binary.LittleEndian, &val[w]); err != nil {
-				return nil, fmt.Errorf("%w: truncated value at entry %d: %v", ErrBadSnapshot, i, err)
-			}
+	for ; len(body) > 0; body = body[recBytes:] {
+		key := binary.LittleEndian.Uint64(body)
+		for w := range val {
+			val[w] = binary.LittleEndian.Uint64(body[8*(1+w):])
 		}
 		for {
 			err := m.InsertValue(key, val)
@@ -138,15 +158,6 @@ func Load(r io.Reader, cfg Config) (*Map, error) {
 			}
 			return nil, fmt.Errorf("%w: duplicate key %#x: %v", ErrBadSnapshot, key, err)
 		}
-	}
-
-	want := crc.Sum64()
-	var got uint64
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %v", ErrBadSnapshot, err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 	return m, nil
 }

@@ -2,7 +2,9 @@ package cuckoohash_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"testing"
 
 	"cuckoohash"
@@ -104,6 +106,44 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	bad4[8] = 0x7F
 	if _, err := cuckoohash.Load(bytes.NewReader(bad4), cuckoohash.Config{}); !errors.Is(err, cuckoohash.ErrBadSnapshot) {
 		t.Fatalf("bad version: err = %v", err)
+	}
+}
+
+// TestLoadRejectsCorruptHeader: a header the checksum has not vouched for
+// must never size the table. Every case is an ErrBadSnapshot, not a panic,
+// a hang or an allocation of what the header claims; the sealed ones carry
+// a checksum that matches, so only the geometry check can refuse them.
+func TestLoadRejectsCorruptHeader(t *testing.T) {
+	const magic = 0x6B75636B6F6F2B31
+	stream := func(sealed bool, words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		if sealed {
+			b = binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crc64.MakeTable(crc64.ECMA)))
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		// header words: magic, version, capacity, assoc, value words, count, seed
+		{"huge capacity", stream(false, magic, 1, 1<<50, 8, 1, 0, 0)},
+		{"huge capacity sealed", stream(true, magic, 1, 1<<50, 8, 1, 0, 0)},
+		{"flipped bit in capacity and count", stream(false, magic, 1, 1<<34|256, 8, 1, 1<<34|100, 0, 1, 1, 2, 2)},
+		{"capacity times assoc overflows", stream(false, magic, 1, 1<<63+1, 8, 1, 0, 0)},
+		{"capacity times assoc overflows sealed", stream(true, magic, 1, 1<<63+1, 8, 1, 0, 0)},
+		{"count over capacity sealed", stream(true, magic, 1, 8, 4, 1, 9, 0)},
+		{"truncated body", stream(false, magic, 1, 256, 4, 1, 100, 0, 1, 1, 2, 2, 3)},
+		{"missing checksum", stream(false, magic, 1, 256, 4, 1, 2, 0, 1, 1, 2, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := cuckoohash.Load(bytes.NewReader(tc.data), cuckoohash.Config{}); !errors.Is(err, cuckoohash.ErrBadSnapshot) {
+				t.Fatalf("err = %v, want ErrBadSnapshot", err)
+			}
+		})
 	}
 }
 

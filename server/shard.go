@@ -650,7 +650,7 @@ func (c *Cache) get(key []byte, sp *obs.Span) (item, bool) {
 // GetBytesTraced returns the live value for a key still aliasing the
 // connection read buffer, with the probe attributed to sp as StageProbe.
 //
-//cuckoo:hotpath the byte-key GET in-process callers share with the wire; BENCH_hotalloc asserts 0 allocs/op
+//cuckoo:hotpath the byte-key GET in-process callers share with the wire; server/hotalloc_test.go asserts 0 allocs/op
 func (c *Cache) GetBytesTraced(key []byte, sp *obs.Span) (string, bool) {
 	it, ok := c.get(key, sp)
 	if !ok {
