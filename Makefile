@@ -91,17 +91,20 @@ TRACE ?= 0
 bench-pair:
 	bash scripts/bench-pair.sh $(WORKLOAD) $(BASE) $(PAIRS) $(TRACE)
 
-# Paired runs of generic's go test -bench rung (generic/bench_test.go),
-# this checkout against BASE, for what bench-pair's ladder cannot resolve:
-# both test binaries built once, run alternately at -test.cpu CPU for a
-# fixed iteration count, with BASE against itself as the noise floor
-# (scripts/bench-rung.sh). RUNG is a -bench regexp.
+# Paired runs of one package's go test -bench rung (PKG/bench_test.go,
+# default generic), this checkout against BASE, for what bench-pair's
+# ladder cannot resolve: both test binaries built once, run alternately at
+# -test.cpu CPU for a fixed iteration count, with BASE against itself as
+# the noise floor (scripts/bench-rung.sh). RUNG is a -bench regexp; an
+# empty BENCHTIME is the script's per-package default (2000000x for
+# generic, 10000x otherwise).
+PKG ?= generic
 RUNG ?= .
 ROUNDS ?= 12
-BENCHTIME ?= 2000000x
+BENCHTIME ?=
 CPU ?= 1
 bench-rung:
-	bash scripts/bench-rung.sh '$(RUNG)' $(BASE) $(ROUNDS) $(BENCHTIME) $(CPU)
+	bash scripts/bench-rung.sh '$(RUNG)' '$(BASE)' '$(ROUNDS)' '$(BENCHTIME)' '$(CPU)' '$(PKG)'
 
 # Non-test, non-generated Go code lines per package (blank and
 # comment-only lines are not counted). ROADMAP item 4: the trend is a

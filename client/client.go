@@ -15,9 +15,9 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"cuckoohash/internal/connbuf"
 	"cuckoohash/internal/obs"
 )
 
@@ -78,8 +79,8 @@ type Reply struct {
 // concurrent use; use a Pool to share connections between goroutines.
 type Conn struct {
 	nc        net.Conn
-	r         *bufio.Reader
-	w         *bufio.Writer
+	r         *connbuf.Reader
+	w         *connbuf.Writer
 	pending   []opCode
 	replies   []Reply
 	closed    bool
@@ -124,8 +125,8 @@ func DialTimeout(addr string, dialTimeout, ioTimeout time.Duration) (*Conn, erro
 func newConn(nc net.Conn, ioTimeout time.Duration) *Conn {
 	return &Conn{
 		nc:        nc,
-		r:         bufio.NewReaderSize(nc, 64<<10),
-		w:         bufio.NewWriterSize(nc, 64<<10),
+		r:         connbuf.NewReader(nc, math.MaxInt), // replies of any length
+		w:         connbuf.NewWriter(nc),
 		ioTimeout: ioTimeout,
 	}
 }
@@ -293,11 +294,10 @@ func (c *Conn) Flush() ([]Reply, error) {
 }
 
 func (c *Conn) readReply(op opCode) (Reply, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := c.readLine()
 	if err != nil {
 		return Reply{}, err
 	}
-	line = strings.TrimRight(line, "\r\n")
 	switch {
 	case line == "OK":
 		return Reply{Found: true}, nil
@@ -469,14 +469,15 @@ func (c *Conn) exchange(verb string, floor time.Duration, write func(), read fun
 	return read()
 }
 
-// readLine reads one reply line of an exchange without interpreting it;
-// an error is a transport failure and has already broken the Conn.
+// readLine reads one reply line, of a Flush or an exchange, without
+// interpreting it; an error is a transport failure and has already broken
+// the Conn.
 func (c *Conn) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := c.r.ReadLine()
 	if err != nil {
 		return "", c.fail(err)
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return strings.TrimRight(string(line), "\r\n"), nil
 }
 
 // unexpected is the error for a reply line an exchange has no other

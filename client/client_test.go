@@ -118,6 +118,48 @@ func TestConnPipelined(t *testing.T) {
 	}
 }
 
+// TestLargeValueReadsBackWhole pins that replies have no length limit: a
+// 1 MiB value, stored in process because a SET line that long is past the
+// request-line limit, comes back whole through a Conn, alone and in a
+// pipelined batch, and the Conn stays usable for small replies after.
+func TestLargeValueReadsBackWhole(t *testing.T) {
+	s := startServer(t)
+	big := strings.Repeat("0123456789abcdef", 1<<16)
+	if err := s.Cache().Set("big", big, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if v, ok, err := c.Get("big"); err != nil || !ok || v != big {
+		t.Fatalf("Get big = %d bytes, %v, %v; want %d bytes", len(v), ok, err, len(big))
+	}
+	for range 3 {
+		c.QueueGet("big")
+	}
+	c.QueueGet("absent")
+	reps, err := c.Flush()
+	if err != nil || len(reps) != 4 {
+		t.Fatalf("Flush = %d replies, %v", len(reps), err)
+	}
+	for i, rep := range reps[:3] {
+		if !rep.Found || rep.Value != big {
+			t.Fatalf("pipelined GET %d = %d bytes, found %v", i, len(rep.Value), rep.Found)
+		}
+	}
+	if reps[3].Found {
+		t.Fatal("GET absent reported found")
+	}
+	if err := c.Set("small", "v", 0); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := c.Get("small"); err != nil || !ok || v != "v" {
+		t.Fatalf("Get small = %q, %v, %v", v, ok, err)
+	}
+}
+
 func TestInvalidKeysAndValues(t *testing.T) {
 	s := startServer(t)
 	c, err := client.Dial(s.Addr().String())

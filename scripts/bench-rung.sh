@@ -1,44 +1,47 @@
 #!/usr/bin/env bash
-# Paired runs of the table's own go test -bench rung: this checkout against
+# Paired runs of one package's go test -bench rung: this checkout against
 # BASE.
 #
-#   bash scripts/bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU]   (or: make bench-rung)
+#   bash scripts/bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG]   (or: make bench-rung)
 #
 # For a claim the repository benchmark's ladder cannot resolve (ROADMAP
-# 6(b)): generic's test binary is built once per side — BASE exported with
-# git archive into .bench_build/ (ignored by git), this checkout's
-# generic/bench_test.go copied over it so both sides run the same
+# 6(b)): PKG's test binary (default generic) is built once per side — BASE
+# exported with git archive into .bench_build/ (ignored by git), this
+# checkout's PKG/bench_test.go copied over it so both sides run the same
 # benchmarks — and the binaries run alternately at -test.cpu CPU (1, unless
-# the benchmark is about two writers) for a fixed iteration count, the
-# order flipped each round. BASE's binary runs twice a round; its second run
+# the benchmark is about two writers) for a fixed iteration count (default
+# 2000000x for generic's nanosecond cells, 10000x for any other package's),
+# the order flipped each round. BASE's binary runs twice a round; its second run
 # is the A/A side, which differs from the first in nothing but when it ran,
 # so its columns are the noise floor of the others. Prints, per benchmark
 # and unit, both medians, both quartile distances, the rounds this checkout
 # won, and the same for A/A.
 set -euo pipefail
-usage="usage: bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU]"
+usage="usage: bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG]"
 rung="${1:?$usage}"
 base="${2:?$usage}"
 rounds="${3:-12}"
-benchtime="${4:-2000000x}"
 cpu="${5:-1}"
+pkg="${6:-generic}"
+if [ "$pkg" = generic ]; then benchtime="${4:-2000000x}"; else benchtime="${4:-10000x}"; fi
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 rev="$(git rev-parse --short "$base^{commit}")"
+[ -f "$pkg/bench_test.go" ] || { echo "bench-rung: $pkg/bench_test.go does not exist; PKG names a directory with a bench_test.go" >&2; exit 1; }
 out="$root/.bench_build/rung"
 rm -rf "$out"
 mkdir -p "$out/base"
 export GOCACHE="$root/.bench_build/gocache" GOTOOLCHAIN=local XDG_CONFIG_HOME="$root/.bench_build/config"
 git archive "$rev" | tar -x -C "$out/base"
-cp generic/bench_test.go "$out/base/generic/bench_test.go"
-(cd "$out/base" && go test -c -o "$out/base.test" ./generic)
-go test -c -o "$out/head.test" ./generic
+cp "$pkg/bench_test.go" "$out/base/$pkg/bench_test.go"
+(cd "$out/base" && go test -c -o "$out/base.test" "./$pkg")
+go test -c -o "$out/head.test" "./$pkg"
 
 # one SIDE BINARY N: one run; keeps "name unit value" per reported metric.
 one() {
 	local log="$out/$1-$3.log"
-	(cd "$root/generic" && "$2" -test.run '^$' -test.bench "$rung" -test.cpu "$cpu" \
+	(cd "$root/$pkg" && "$2" -test.run '^$' -test.bench "$rung" -test.cpu "$cpu" \
 		-test.benchtime "$benchtime" -test.timeout 30m) >"$log" 2>&1 || { tail -5 "$log" >&2; exit 1; }
 	awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); for (i = 3; i < NF; i += 2) print $1, $(i + 1), $i }' "$log" >"$out/$1-$3.txt"
 	[ -s "$out/$1-$3.txt" ] || { echo "$1 round $3: no benchmark matches $rung" >&2; exit 1; }
@@ -52,7 +55,7 @@ for n in $(seq 1 "$rounds"); do
 	done
 done
 
-echo "bench-rung  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu  GOGC ${GOGC:-100}"
+echo "bench-rung  pkg $pkg  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu  GOGC ${GOGC:-100}"
 grep -m1 '^cpu: ' "$out/head-1.log"
 echo "a/a is base's own second run each round: its distance from base is what the host adds"
 for n in $(seq 1 "$rounds"); do

@@ -196,6 +196,9 @@ func sendHandoff(dest string, recs []item, trace []byte) (int, error) {
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(migrateIOTimeout))
 
+	// A handoff is one bulk frame on a short-lived connection, so it keeps
+	// a fixed 64 KB writer; the adaptive pair (internal/connbuf) is for the
+	// many long-lived client connections.
 	w := bufio.NewWriterSize(nc, 64<<10)
 	if len(trace) > 0 {
 		w.WriteString("TRACE ")
@@ -226,7 +229,7 @@ func sendHandoff(dest string, recs []item, trace []byte) (int, error) {
 // connection is closed by the caller); a payload that arrives but fails
 // validation is answered with ERR and the connection stays usable — the
 // stream is back in sync at the next line either way.
-func (s *Server) applyHandoff(r *bufio.Reader, w *bufio.Writer, n uint64, sp *obs.Span) error {
+func (s *Server) applyHandoff(r io.Reader, w *bufio.Writer, n uint64, sp *obs.Span) error {
 	buf := make([]byte, n)
 	t0 := sp.Begin()
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -685,8 +685,10 @@ func writeExecResults(w *bufio.Writer, results []txn.Result) {
 // allocation per versioned reply.
 func writeUint(w *bufio.Writer, n uint64, base int) {
 	if w.Available() < 20 { // the longest rendering: 2^64-1 in decimal
-		// Make room, so the append below can never outgrow the buffer. A
-		// write error is sticky in bufio and surfaces at the batch flush.
+		// Make room, so the append below can never outgrow the buffer (on
+		// a connection this moves the bytes into connbuf's spill, not onto
+		// the socket). A write error is sticky in bufio and surfaces at the
+		// batch flush.
 		w.Flush()
 	}
 	//lint:allow cuckoovet:allocfree appends into the writer's spare capacity, which the check above guarantees is enough

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"cuckoohash/internal/connbuf"
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/txn"
 )
@@ -17,14 +18,10 @@ import (
 // so an accepted trace ID always fits the per-connection span.
 var _ = [1]struct{}{}[maxTraceIDLen-obs.MaxTraceIDLen]
 
-const (
-	connReadBuf  = 64 << 10
-	connWriteBuf = 64 << 10
-)
-
-// errLineTooLong is reported when a request exceeds the read buffer; the
-// connection is closed because resynchronizing mid-line is not possible.
-var errLineTooLong = errors.New("request line too long")
+// maxLine is the longest request line, '\n' included (docs/PROTOCOL.md).
+// A longer one closes the connection: resynchronizing mid-line is not
+// possible.
+const maxLine = 64 << 10
 
 // errBusy is the overload fast-fail ("ERR busy" on the wire): the request
 // was rejected without executing and may be retried after backoff.
@@ -72,7 +69,14 @@ func (cs *connState) resetTxn() {
 // then keeps parsing requests for as long as the read buffer has complete
 // lines, and flushes the write buffer once per such batch. A client that
 // pipelines N requests costs one read syscall, one write syscall, and one
-// latency-sample clock pair — not N of each.
+// latency-sample clock pair — not N of each. The buffers (internal/connbuf)
+// rest at 4 KB a direction and grow with the batch: the reader doubles
+// when a read fills it or a line does not fit; replies that overflow the
+// writer wait in a spill for the batch's one write, and the writer doubles
+// until that batch would have fit; both fall back after a few batches that
+// used less than a quarter of them. So the one read holds once the reader
+// has grown to the batch, the one write for any batch with up to 64 KB of
+// replies, and an idle connection keeps 8 KB.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.forgetConn(nc)
 	cs := &connState{
@@ -93,8 +97,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.cache.stats.connsActive.Add(1)
 	defer s.cache.stats.connsActive.Add(-1)
 
-	r := bufio.NewReaderSize(nc, connReadBuf)
-	w := bufio.NewWriterSize(nc, connWriteBuf)
+	r := connbuf.NewReader(nc, maxLine)
+	w := connbuf.NewWriter(nc)
 
 	for {
 		// Blocking read for the head of the next batch, bounded by the
@@ -105,7 +109,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			// A shutdown wakes blocked readers via a past read deadline;
 			// flush whatever a slow client has not consumed and drop out.
 			switch {
-			case errors.Is(err, errLineTooLong):
+			case errors.Is(err, connbuf.ErrLineTooLong):
 				s.log.Warn("closing connection", "remote", cs.remote, "err", err)
 			case errors.Is(err, os.ErrDeadlineExceeded) && !s.draining.Load():
 				s.cache.stats.idleClosed.Add(1)
@@ -117,14 +121,13 @@ func (s *Server) handleConn(nc net.Conn) {
 			w.Flush()
 			return
 		}
-		// One write deadline covers the whole batch — including bufio's
-		// automatic mid-batch flushes when responses overflow the buffer —
-		// so a client that stops reading cannot pin the handler (and its
-		// wg slot) forever.
+		// One write deadline covers the whole batch — including the 64 KB
+		// writes of a batch whose replies pass that — so a client that
+		// stops reading cannot pin the handler (and its wg slot) forever.
 		if s.cfg.IOTimeout > 0 {
 			nc.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
 		}
-		quit := s.serveBatchHead(line, r, w, cs)
+		quit := s.serveBatchHead(line, r, w.Writer, cs)
 		if err := w.Flush(); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.cache.stats.ioTimeouts.Add(1)
@@ -161,7 +164,7 @@ func (s *Server) armReadDeadline(nc net.Conn, d time.Duration) {
 
 // serveBatchHead processes line and then every further request already
 // buffered, returning true if the client asked to quit.
-func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) bool {
+func (s *Server) serveBatchHead(line []byte, r *connbuf.Reader, w *bufio.Writer, cs *connState) bool {
 	st := s.cache.stats
 	for {
 		sample := cs.reqCount&latencySampleMask == 0
@@ -236,7 +239,7 @@ func (s *Server) serveBatchHead(line []byte, r *bufio.Reader, w *bufio.Writer, c
 // It reads from r only for a HANDOFF payload (the bulk bytes follow the
 // request line). It returns the parsed request so the caller can
 // attribute slow-op traces.
-func (s *Server) serveRequest(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) (req request, quit bool) {
+func (s *Server) serveRequest(line []byte, r *connbuf.Reader, w *bufio.Writer, cs *connState) (req request, quit bool) {
 	t0 := cs.span.Begin()
 	req, err := parseRequest(line)
 	cs.span.End(obs.StageParse, t0)
@@ -559,12 +562,9 @@ func (s *Server) queueTxnOp(w *bufio.Writer, cs *connState, req request) {
 
 // readLine returns the next \n-terminated line with the terminator (and a
 // preceding \r, if any) stripped. The line aliases the reader's buffer.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
+func readLine(r *connbuf.Reader) ([]byte, error) {
+	line, err := r.ReadLine()
 	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, errLineTooLong
-		}
 		return nil, err
 	}
 	line = line[:len(line)-1]

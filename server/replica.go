@@ -288,7 +288,9 @@ func (s *Server) replCatchup(p *replPeer) error {
 	return nil
 }
 
-// replConn is the mirror worker's persistent connection to its peer.
+// replConn is the mirror worker's persistent connection to its peer. There
+// is one per peer and it carries bulk mirror batches, so its buffers keep
+// fixed sizes rather than the per-client adaptive pair (internal/connbuf).
 type replConn struct {
 	nc net.Conn
 	br *bufio.Reader

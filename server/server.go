@@ -162,7 +162,9 @@ func (s *Server) Cache() *Cache { return s.cache }
 
 // Flight recorder sizing: 16 shards × 64 records remembers the last ~1k
 // operations — a few milliseconds of full-throttle traffic, which is the
-// window an incident dump needs — in ~300 KB of fixed memory.
+// window an incident dump needs — in 225 KiB of fixed memory, measured:
+// 1 024 records of 216 B, each shard's 64 rounded up by the allocator to
+// a 14 KiB size class.
 const (
 	flightShards   = 16
 	flightPerShard = 64

@@ -257,14 +257,58 @@ func TestStatsCommand(t *testing.T) {
 	}
 }
 
+// TestLineTooLong pins the request-line limit from both sides: a line of
+// maxLine bytes, '\n' included, is served — its value reads back whole —
+// and one byte more closes the connection, which cannot resynchronize
+// mid-line.
 func TestLineTooLong(t *testing.T) {
 	s := startServer(t, Config{})
 	c := dialRaw(t, s)
-	// A request longer than the 64 KiB read buffer cannot be parsed or
-	// resynchronized; the server must drop the connection.
-	c.send("SET big " + strings.Repeat("x", 2*connReadBuf) + "\n")
+	val := strings.Repeat("x", maxLine-1-len("SET big "))
+	if got := c.roundTrip("SET big " + val); got != "OK" {
+		t.Fatalf("SET of a %d-byte line -> %.40q", maxLine, got)
+	}
+	if got := c.roundTrip("GET big"); got != "VALUE "+val {
+		t.Fatalf("GET big -> %d bytes, want %d", len(got), len("VALUE "+val))
+	}
+	c.send("SET big " + val + "x\n")
 	if _, err := c.r.ReadString('\n'); err == nil {
 		t.Fatal("oversized request not rejected")
+	}
+}
+
+// TestIdleConnMemory pins what an idle connection costs the server: 300
+// connections that have each served one GET hold at most 20 KB of heap
+// apiece, client sockets included (132.6 KB with the fixed 64 KB buffer
+// pair internal/connbuf replaced).
+func TestIdleConnMemory(t *testing.T) {
+	s := startServer(t, Config{})
+	const n = 300
+	conns := make([]net.Conn, 0, n)
+	t.Cleanup(func() {
+		for _, nc := range conns {
+			nc.Close()
+		}
+	})
+	before := liveHeapBytes()
+	for range n {
+		nc, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, nc)
+		var reply [len("MISS\n")]byte
+		if _, err := io.WriteString(nc, "GET k\n"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(nc, reply[:]); err != nil || string(reply[:]) != "MISS\n" {
+			t.Fatalf("GET k -> %q, %v", reply, err)
+		}
+	}
+	perConn := (float64(liveHeapBytes()) - float64(before)) / n
+	t.Logf("%.1f KB of heap per idle connection", perConn/1e3)
+	if perConn > 20e3 {
+		t.Errorf("an idle connection holds %.1f KB of heap, want <= 20 KB", perConn/1e3)
 	}
 }
 
