@@ -63,8 +63,9 @@ test:
 # memory: shared state many goroutines reach, ~2 s per pass.
 # ./internal/chained runs five times on top: its allocator-conflict test
 # compares the abort behaviour of two allocators under forced overlap, and
-# its predecessor passed single runs while failing under repetition
-# (ROADMAP item 0); five keeps that from reopening silently.
+# its predecessor passed single runs while failing under repetition (it
+# asserted an abort-rate ordering only one CPU's accidental serialisation
+# ever satisfied); five keeps that from reopening silently.
 PARALLEL_PKGS = ./internal/txn ./generic ./server ./client
 
 race:
@@ -107,8 +108,8 @@ bench-rung:
 	bash scripts/bench-rung.sh '$(RUNG)' '$(BASE)' '$(ROUNDS)' '$(BENCHTIME)' '$(CPU)' '$(PKG)'
 
 # Non-test, non-generated Go code lines per package (blank and
-# comment-only lines are not counted). ROADMAP item 4: the trend is a
-# deliverable — every PR records this table before and after.
+# comment-only lines are not counted). The trend is a deliverable:
+# CHANGES.md records this table before and after every change.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
 		files=$$(ls $$dir/*.go 2>/dev/null | grep -v '_test\.go$$' | xargs -r grep -L '^// Code generated .* DO NOT EDIT\.$$'); \

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// The go test -bench rung for the table's own operations (ROADMAP item
-// 6(b)): what a change to pin, locate or the write path costs, measured
+// The go test -bench rung for the table's own operations: what a change to
+// pin, locate, the write path or a table's fixtures costs, measured
 // without the repository benchmark's socket, client and wrapper in front
 // of it. To compare two commits, build each one's test binary once and run
 // them alternately (results/PAIR_pin.txt has the procedure and a reading):

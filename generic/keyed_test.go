@@ -423,22 +423,23 @@ func TestTagTravelsWithSlot(t *testing.T) {
 }
 
 // TestStripesNeverExceedBuckets: a table capped at MaxCapacity allocates
-// no stripe it can never take (IndexFor is bucket & mask, so stripes past
-// the bucket count at the cap are dead words — 28 of 32 KB for a
-// 2 048-slot shard).
+// one stripe per two buckets it will have at the cap, and none it can never
+// take (IndexFor is bucket & mask, so stripes past the bucket count at the
+// cap are dead words — 28 of 32 KB for a 2 048-slot shard).
 func TestStripesNeverExceedBuckets(t *testing.T) {
 	for _, tc := range []struct {
 		initial, max uint64
 		stripes      int // Config.LockStripes; 0 = default 4096
 		want         int
 	}{
-		{256, 2048, 0, 512},      // a cuckood shard of wire-set-evict: 512 buckets at the cap
-		{2048, 2048, 0, 512},     // born at the cap
-		{1024, 0, 0, 4096},       // uncapped: the default stands
-		{8192, 65536, 0, 4096},   // 16 384 buckets at the cap: the default is the smaller
-		{64, 3000, 0, 512},       // growth stops at the last doubling that fits: 2 048 slots
-		{256, 2048, 64, 64},      // an explicit smaller table is left alone
-		{4096, 4096, 8192, 1024}, // and an explicit larger one is clamped too
+		{256, 2048, 0, 256},     // a cuckood shard of wire-set-evict: 512 buckets at the cap
+		{2048, 2048, 0, 256},    // born at the cap
+		{1024, 0, 0, 4096},      // uncapped: the default stands
+		{8192, 65536, 0, 4096},  // 16 384 buckets at the cap: the default is the smaller
+		{64, 3000, 0, 256},      // growth stops at the last doubling that fits: 2 048 slots
+		{256, 2048, 64, 64},     // an explicit smaller table is left alone
+		{4096, 4096, 8192, 512}, // and an explicit larger one is clamped too
+		{8, 8, 0, 1},            // two buckets at the cap share the one stripe
 	} {
 		tab, err := New[int, int](Config{InitialCapacity: tc.initial, MaxCapacity: tc.max, LockStripes: tc.stripes,
 			DisableBackgroundSweep: true})
@@ -452,13 +453,13 @@ func TestStripesNeverExceedBuckets(t *testing.T) {
 			continue
 		}
 		// Fill to the cap: the table must get there, and end with at least
-		// as many buckets as stripes.
+		// two buckets per stripe.
 		for k := 0; ; k++ {
 			if err := tab.Upsert(k, k); err != nil {
 				break
 			}
 		}
-		if buckets := tab.loadState().live.buckets; uint64(tab.locks.Len()) > buckets {
+		if buckets := tab.loadState().live.buckets; 2*uint64(tab.locks.Len()) > buckets {
 			t.Errorf("initial %d max %d: %d stripes over %d buckets at the cap", tc.initial, tc.max, tab.locks.Len(), buckets)
 		}
 	}

@@ -262,25 +262,25 @@ func TestOnlyTheseReadAnItem(t *testing.T) {
 }
 
 // TestSmallTableFixtures: what a table carries beside its slots — the Table
-// itself, its stripes' lock probes, the padded size counter and the
-// slow-path probe — is sized by the table. A cuckood shard of 2 048 slots
-// (bucket width 4, the default, which DESIGN.md §8 measures against 8) is
-// one of dozens, and beside its slot arrays and its lock words — one per
-// bucket, 4 KB — it carries under 4 KB, where every table used to carry a
-// whole store's counters: 15.5 KB. Measured as live heap over 64 of them,
-// against 64 bare sets of slot arrays and lock words measured the same way,
-// so an allocation added per table shows and the arrays' own size-class
-// rounding does not.
+// itself, its lock words and their lock probes, the padded size counter and
+// the slow-path probe — is sized by the table. A cuckood shard of 2 048
+// slots (bucket width 4, the default, which DESIGN.md §8 measures against 8)
+// is one of dozens, and beside its slot arrays it carries at most 4 KB: one
+// lock word per two buckets (2 KB) and everything padded beside them, where
+// a word per bucket and its counters made 7.9 KB and every table used to
+// carry a whole store's: 19.5 KB. Measured as live heap over 64 of them,
+// against 64 bare sets of slot arrays measured the same way, so an
+// allocation added per table shows and the arrays' own size-class rounding
+// does not.
 func TestSmallTableFixtures(t *testing.T) {
-	const tables, slots, stripes = 64, 2048, 512
+	const tables, slots, stripes = 64, 2048, 256
 	base := liveHeap()
 	var arrays [tables]struct {
-		vals  []*rec
-		tags  []uint8
-		words []uint64
+		vals []*rec
+		tags []uint8
 	}
 	for i := range arrays {
-		arrays[i].vals, arrays[i].tags, arrays[i].words = make([]*rec, slots), make([]uint8, slots), make([]uint64, stripes)
+		arrays[i].vals, arrays[i].tags = make([]*rec, slots), make([]uint8, slots)
 	}
 	arrayBytes := float64(liveHeap()-base) / tables
 	runtime.KeepAlive(&arrays)
@@ -296,7 +296,7 @@ func TestSmallTableFixtures(t *testing.T) {
 		tabs[i] = tab
 	}
 	fixtures := float64(liveHeap()-base)/tables - arrayBytes
-	t.Logf("%.0f B of slot arrays and lock words and %.0f B of fixtures per table", arrayBytes, fixtures)
+	t.Logf("%.0f B of slot arrays and %.0f B of fixtures per table", arrayBytes, fixtures)
 	if tabs[0].Cap() != slots || tabs[0].locks.Len() != stripes || fixtures > 4096 {
 		t.Errorf("%.0f B of fixtures beside %d slots and %d lock words, want <= 4096 beside %d and %d",
 			fixtures, tabs[0].Cap(), tabs[0].locks.Len(), slots, stripes)

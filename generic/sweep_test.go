@@ -8,7 +8,8 @@ import (
 	"testing"
 )
 
-// The alternate-bucket sweep (ROADMAP item 4(a)): a single-threaded model of
+// The alternate-bucket sweep, the evidence for deriving a key's second
+// bucket from its tag (DESIGN.md §8): a single-threaded model of
 // the table's fill — buckets of B tags, the same BFS with the same budget,
 // the production tagOf and altOf — under four rules for a key's second
 // bucket, filled with random hashes to the first refusal.

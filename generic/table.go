@@ -67,9 +67,10 @@ type Config struct {
 	// Associativity is the bucket width (default 4, libcuckoo's default).
 	Associativity int
 	// LockStripes is the striped-lock table size (default 4096). A bucket
-	// maps to stripe bucket&(stripes-1), so stripes past the bucket count
-	// can never be taken: with MaxCapacity set, the table allocates no
-	// more stripes than it will have buckets at that capacity.
+	// maps to stripe bucket&(stripes-1). With MaxCapacity set, the table
+	// allocates at most one stripe per two buckets at that capacity, as
+	// §4.4's lock array is sized for concurrency rather than one word per
+	// bucket.
 	LockStripes int
 	// DisableAutoGrow turns off resize-on-full; Insert then returns
 	// ErrFull like the fixed-size tables.
@@ -183,15 +184,15 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 	stripes := cfg.LockStripes
 	if cfg.MaxCapacity != 0 {
 		// Put-driven growth stops at the last doubling that fits
-		// MaxCapacity; IndexFor never reaches a stripe past that bucket
-		// count. (A forced drain-escalation grow may exceed it for a while;
-		// buckets then share stripes, as in any table larger than its
-		// stripe table.)
+		// MaxCapacity, and at that bucket count two buckets share a stripe,
+		// as they do in any table larger than its stripe table (a forced
+		// drain-escalation grow makes it more for a while). A key whose two
+		// buckets share one is locked once: LockPair and LockOrdered dedup.
 		maxBuckets := buckets
 		for maxBuckets*2*assoc <= cfg.MaxCapacity {
 			maxBuckets <<= 1
 		}
-		stripes = int(min(uint64(stripes), maxBuckets))
+		stripes = int(min(uint64(stripes), maxBuckets/2))
 	}
 	t := &Table[K, V]{
 		cfg:   cfg,
@@ -211,14 +212,16 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 // larger store, which builds dozens of it and already spread its writers
 // when it picked the shard. The size counter, which every insert and delete
 // moves, gets one padded line per 32 lock stripes — half the lock words' own
-// bytes, and the narrowest at which two writers kept on one 2 048-slot table
-// run as they did over 64 lines (BenchmarkInsertDeletePair: 4 lines cost them
-// 7 %) — up to the 64 a table that is the whole store has always had. The
-// probe, which only a path search touches, gets a shard per 128, up to 8.
+// bytes — up to the 64 a table that is the whole store has always had: 8
+// lines beside a 2 048-slot table's 256 stripes. Two writers kept on one
+// such table (BenchmarkInsertDeletePair at -cpu 2) pay for both halvings,
+// ~10 ns of 240 for the shared lock-word lines and ~7 for the counter's; a
+// store of dozens of shards rarely puts two writers on one. The probe, which
+// only a path search touches, gets a shard per 256, up to 8.
 const (
 	stripesPerSizeShard  = 32
 	maxSizeShards        = 64
-	stripesPerProbeShard = 128
+	stripesPerProbeShard = 256
 	maxProbeShards       = 8
 )
 

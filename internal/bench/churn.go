@@ -70,7 +70,7 @@ func churnRun(s Scheme, sc Scale, threads int, occupancy float64) float64 {
 	if opsPerThread == 0 {
 		opsPerThread = 1
 	}
-	ops := metrics.NewOpCounter(threads)
+	ops := metrics.NewShardedCounter(threads)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for th := 0; th < threads; th++ {
@@ -96,13 +96,13 @@ func churnRun(s Scheme, sc Scale, threads int, occupancy float64) float64 {
 				mine[victim] = k
 				my += 2
 				if my >= 64 {
-					ops.Add(th, my)
+					ops.Add(uint64(th), int64(my))
 					my = 0
 				}
 			}
-			ops.Add(th, my)
+			ops.Add(uint64(th), int64(my))
 		}(th)
 	}
 	wg.Wait()
-	return metrics.Throughput(ops.Total(), time.Since(start))
+	return metrics.Throughput(uint64(ops.Total()), time.Since(start))
 }

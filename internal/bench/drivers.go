@@ -78,8 +78,7 @@ func Fill(tab KV, spec FillSpec) RunResult {
 	}
 	quota := (targetKeys - prefilled + uint64(spec.Threads) - 1) / uint64(spec.Threads)
 
-	ops := metrics.NewOpCounter(spec.Threads)
-	inserted := metrics.NewOpCounter(spec.Threads)
+	ops := metrics.NewShardedCounter(spec.Threads)
 
 	var rec *metrics.IntervalRecorder
 	if len(spec.WindowBounds) > 1 {
@@ -104,11 +103,10 @@ func Fill(tab KV, spec FillSpec) RunResult {
 			defer workers.Done()
 			keys := workload.NewUniformKeys(spec.Seed, th)
 			opGen := workload.NewOpGen(spec.Mix, spec.Seed^uint64(th)<<17|1)
-			var myOps, myInserts uint64
+			var myOps uint64
 			flush := func() {
-				ops.Add(th, myOps)
-				inserted.Add(th, myInserts)
-				myOps, myInserts = 0, 0
+				ops.Add(uint64(th), int64(myOps))
+				myOps = 0
 			}
 			defer flush()
 			for done := uint64(0); done < quota; {
@@ -126,12 +124,11 @@ func Fill(tab KV, spec FillSpec) RunResult {
 						// ErrExists etc. — count it and move on.
 					}
 					done++
-					myInserts++
 					if th == 0 && rec != nil {
 						lf := float64(prefilled+done*uint64(spec.Threads)) / float64(spec.Slots)
 						if rec.Due(lf) {
 							flush()
-							rec.Observe(lf, ops.Total())
+							rec.Observe(lf, uint64(ops.Total()))
 						}
 					}
 				} else {
@@ -148,8 +145,8 @@ func Fill(tab KV, spec FillSpec) RunResult {
 	elapsed := time.Since(start)
 
 	res := RunResult{
-		Overall:  metrics.Throughput(ops.Total(), elapsed),
-		Ops:      ops.Total(),
+		Overall:  metrics.Throughput(uint64(ops.Total()), elapsed),
+		Ops:      uint64(ops.Total()),
 		Duration: elapsed,
 	}
 	if rec != nil {
@@ -219,7 +216,7 @@ func Lookups(tab KV, spec LookupSpec, fillCounts []uint64) RunResult {
 	if spec.Threads <= 0 {
 		spec.Threads = 1
 	}
-	ops := metrics.NewOpCounter(spec.Threads)
+	ops := metrics.NewShardedCounter(spec.Threads)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for th := 0; th < spec.Threads; th++ {
@@ -243,18 +240,18 @@ func Lookups(tab KV, spec LookupSpec, fillCounts []uint64) RunResult {
 				tab.Lookup(gens[slice].ExistingKey())
 				my++
 				if my >= 1024 {
-					ops.Add(th, my)
+					ops.Add(uint64(th), int64(my))
 					my = 0
 				}
 			}
-			ops.Add(th, my)
+			ops.Add(uint64(th), int64(my))
 		}(th)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	res := RunResult{
-		Overall:  metrics.Throughput(ops.Total(), elapsed),
-		Ops:      ops.Total(),
+		Overall:  metrics.Throughput(uint64(ops.Total()), elapsed),
+		Ops:      uint64(ops.Total()),
 		Duration: elapsed,
 	}
 	if ts, ok := tab.(TxStatser); ok {

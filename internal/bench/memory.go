@@ -184,7 +184,7 @@ func Zipf(sc Scale) *Report {
 		row := Row{Name: s.Name}
 		for _, skewed := range []bool{false, true} {
 			tab := s.New(sc.Slots, 1, threads, sc.Seed)
-			ops := metrics.NewOpCounter(threads)
+			ops := metrics.NewShardedCounter(threads)
 			var wg sync.WaitGroup
 			start := time.Now()
 			for th := 0; th < threads; th++ {
@@ -213,15 +213,15 @@ func Zipf(sc Scale) *Report {
 						}
 						my++
 						if my >= 256 {
-							ops.Add(th, my)
+							ops.Add(uint64(th), int64(my))
 							my = 0
 						}
 					}
-					ops.Add(th, my)
+					ops.Add(uint64(th), int64(my))
 				}(th)
 			}
 			wg.Wait()
-			row.Values = append(row.Values, metrics.Throughput(ops.Total(), time.Since(start)))
+			row.Values = append(row.Values, metrics.Throughput(uint64(ops.Total()), time.Since(start)))
 		}
 		r.Rows = append(r.Rows, row)
 	}

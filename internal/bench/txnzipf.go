@@ -118,7 +118,7 @@ func TxnZipf(sc Scale) *Report {
 				st.Promote(keys[rank])
 			}
 		}
-		ops := metrics.NewOpCounter(threads)
+		ops := metrics.NewShardedCounter(threads)
 		var wg sync.WaitGroup
 		start := time.Now()
 		for th := 0; th < threads; th++ {
@@ -133,11 +133,11 @@ func TxnZipf(sc Scale) *Report {
 					}
 					my++
 					if my >= 256 {
-						ops.Add(th, my)
+						ops.Add(uint64(th), int64(my))
 						my = 0
 					}
 				}
-				ops.Add(th, my)
+				ops.Add(uint64(th), int64(my))
 			}(th)
 		}
 		wg.Wait()
@@ -157,7 +157,7 @@ func TxnZipf(sc Scale) *Report {
 				sum += n
 			}
 		}
-		want = ops.Total()
+		want = uint64(ops.Total())
 		if sum != want {
 			panic(fmt.Sprintf("txnzipf: reconciled sum %d != %d acknowledged INCRs", sum, want))
 		}

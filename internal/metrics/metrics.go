@@ -7,52 +7,12 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
 // cacheLine is the assumed coherence granularity. Counters are padded to
 // two lines to defeat adjacent-line prefetching as well.
 const cacheLine = 64
-
-type paddedUint64 struct {
-	v atomic.Uint64
-	_ [2*cacheLine - 8]byte
-}
-
-// OpCounter counts operations with one padded slot per thread so that
-// incrementing never causes coherence traffic between cores. Reads (Total)
-// aggregate lazily, exactly the "lazily aggregated per-thread counters" the
-// paper substitutes for instant global counters.
-type OpCounter struct {
-	slots []paddedUint64
-}
-
-// NewOpCounter creates a counter for n threads.
-func NewOpCounter(n int) *OpCounter {
-	return &OpCounter{slots: make([]paddedUint64, n)}
-}
-
-// Add adds delta to thread's slot. thread must be in [0, n).
-func (c *OpCounter) Add(thread int, delta uint64) {
-	c.slots[thread].v.Add(delta)
-}
-
-// Total returns the sum over all threads.
-func (c *OpCounter) Total() uint64 {
-	var t uint64
-	for i := range c.slots {
-		t += c.slots[i].v.Load()
-	}
-	return t
-}
-
-// Reset zeroes all slots.
-func (c *OpCounter) Reset() {
-	for i := range c.slots {
-		c.slots[i].v.Store(0)
-	}
-}
 
 // Throughput converts an operation count and duration to millions of
 // requests per second, the unit of every figure in the paper.

@@ -115,15 +115,15 @@ func TestHistogramQuantileEdges(t *testing.T) {
 // adding (run under -race): every intermediate Total must be a value the
 // true count passed through — between 0 and the final sum — and
 // monotonically non-decreasing, since each padded slot only grows. Both
-// lazily aggregated counters are held to it: OpCounter (one slot per
-// thread) and ShardedCounter (64 shards picked by bucket, behind every
-// table's size and every probe count).
+// ways the module counts operations in a ShardedCounter are held to it: a
+// shard per writer (the benchmark drivers' operation counts) and 64 shards
+// picked by bucket (behind every table's size).
 func TestOpCounterConcurrentTotal(t *testing.T) {
 	const (
 		writers = 8
 		perW    = 200000
 	)
-	op := NewOpCounter(writers)
+	op := NewShardedCounter(writers)
 	sh := NewShardedCounter(64)
 	for _, c := range []struct {
 		name  string
@@ -131,7 +131,7 @@ func TestOpCounterConcurrentTotal(t *testing.T) {
 		total func() uint64
 		reset func()
 	}{
-		{"OpCounter", func(w int) { op.Add(w, 1) }, op.Total, op.Reset},
+		{"OpCounter", func(w int) { op.Add(uint64(w), 1) }, func() uint64 { return uint64(op.Total()) }, op.Reset},
 		// Two writers to a shard (w and w+4, and 68 aliases 4): adds to
 		// one shard from several goroutines must not lose counts either.
 		{"ShardedCounter", func(w int) { sh.Add(uint64(w%4+w/4*64), 1) },

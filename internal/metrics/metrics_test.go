@@ -6,20 +6,33 @@ import (
 	"time"
 )
 
+// TestOpCounter: an operation counter is a ShardedCounter built for its
+// writers, each adding into the shard its number picks. A writer count that
+// is not a power of two is rounded up, so three writers get a padded shard
+// each, as the probe and the histogram round theirs.
 func TestOpCounter(t *testing.T) {
-	c := NewOpCounter(4)
+	const writers = 3
+	c := NewShardedCounter(writers)
+	if len(c.shards) != 4 || len(NewProbe(writers).shards) != 4 || NewShardedHistogram(writers).Shards() != 4 {
+		t.Fatalf("%d writers: %d counter shards, want 4, and as many probe and histogram shards", writers, len(c.shards))
+	}
 	var wg sync.WaitGroup
-	for th := 0; th < 4; th++ {
+	for th := 0; th < writers; th++ {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Add(th, 2)
+				c.Add(uint64(th), 2)
 			}
 		}(th)
 	}
 	wg.Wait()
-	if got := c.Total(); got != 8000 {
+	for th := 0; th < writers; th++ {
+		if got := c.shards[th].v.Load(); got != 2000 {
+			t.Fatalf("writer %d's shard holds %d, want its own 2000", th, got)
+		}
+	}
+	if got := c.Total(); got != 6000 {
 		t.Fatalf("Total = %d", got)
 	}
 	c.Reset()

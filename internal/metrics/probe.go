@@ -1,13 +1,18 @@
 package metrics
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // ShardedCounter is a write-mostly signed counter spread over padded cache
 // lines so that concurrent writers on different buckets never contend
 // (principle P1). Every table in the module keeps its size in one (it is on
-// every insert). Callers pick the shard from a value already in hand — a
-// bucket index or a hash — and the width when they build it: 64 lines for a
-// table that is the whole store, fewer for one that is a small shard of it.
+// every insert), and the benchmark drivers count their operations in one, a
+// shard per worker. Callers pick the shard from a value already in hand — a
+// bucket index, a hash or a worker number — and the width when they build
+// it: 64 lines for a table that is the whole store, fewer for one that is a
+// small shard of it.
 type ShardedCounter struct {
 	shards []paddedInt64
 }
@@ -17,18 +22,15 @@ type paddedInt64 struct {
 	_ [2*cacheLine - 8]byte
 }
 
-// NewShardedCounter creates a counter over n shards; n must be a power of
-// two.
+// NewShardedCounter creates a counter over n shards, rounded up to a power
+// of two (min 1), so that n writers numbered 0 to n-1 each get their own.
 func NewShardedCounter(n int) ShardedCounter {
-	mustBePowerOfTwo(n)
-	return ShardedCounter{shards: make([]paddedInt64, n)}
+	return ShardedCounter{shards: make([]paddedInt64, shardCount(n))}
 }
 
-func mustBePowerOfTwo(n int) {
-	if n <= 0 || n&(n-1) != 0 {
-		panic("metrics: shard count must be a positive power of two")
-	}
-}
+// shardCount rounds a requested shard count up to a power of two (min 1),
+// so that a shard is picked by masking.
+func shardCount(n int) int { return 1 << bits.Len(uint(max(n, 1)-1)) }
 
 // Add adds delta to the shard selected by the low bits of shard.
 func (c *ShardedCounter) Add(shard uint64, delta int64) {
@@ -79,11 +81,10 @@ type probeShard struct {
 	_             [4*cacheLine - 8*(3+PathLenBuckets)]byte
 }
 
-// NewProbe creates a probe over n shards; n must be a power of two. A
-// table that is the whole store uses eight.
+// NewProbe creates a probe over n shards, rounded up to a power of two (min
+// 1). A table that is the whole store uses eight.
 func NewProbe(n int) Probe {
-	mustBePowerOfTwo(n)
-	return Probe{shards: make([]probeShard, n)}
+	return Probe{shards: make([]probeShard, shardCount(n))}
 }
 
 func (p *Probe) shard(bucket uint64) *probeShard {

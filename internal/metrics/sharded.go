@@ -30,13 +30,7 @@ type histShard struct {
 // NewShardedHistogram creates a histogram with n shards, rounded up to a
 // power of two (min 1).
 func NewShardedHistogram(n int) *ShardedHistogram {
-	if n < 1 {
-		n = 1
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
+	size := shardCount(n)
 	return &ShardedHistogram{
 		shards: make([]histShard, size),
 		mask:   uint64(size - 1),

@@ -52,7 +52,7 @@ type delta struct {
 // rather than sync.Mutex because the folds (drainZero, drainRemove) run
 // with the key's stripe held: the holder of a stripe must never park.
 // The padding keeps adjacent shards off each other's lines (the paper's
-// principle P1, same reasoning as metrics.OpCounter).
+// principle P1, same reasoning as metrics.ShardedCounter).
 type splitShard struct {
 	mu     spinlock.Mutex
 	deltas map[string]*delta

@@ -4,9 +4,9 @@
 #
 #   bash scripts/bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG]   (or: make bench-rung)
 #
-# For a claim the repository benchmark's ladder cannot resolve (ROADMAP
-# 6(b)): PKG's test binary (default generic) is built once per side — BASE
-# exported with git archive into .bench_build/ (ignored by git), this
+# For a claim the repository benchmark's ladder cannot resolve: PKG's test
+# binary (default generic) is built once per side — BASE exported with git
+# archive into .bench_build/ (ignored by git), this
 # checkout's PKG/bench_test.go copied over it so both sides run the same
 # benchmarks — and the binaries run alternately at -test.cpu CPU (1, unless
 # the benchmark is about two writers) for a fixed iteration count (default

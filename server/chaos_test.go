@@ -280,7 +280,7 @@ func TestChaosGrowUnderLoad(t *testing.T) {
 		}
 	}
 	t.Logf("faults fired=%d; grows=%d migrated_buckets=%d evictions=%d",
-		plan.Fired(), tab.Grows, tab.MigratedBuckets, s.cache.stats.evictions.Total())
+		plan.Fired(), tab.Grows, tab.MigratedBuckets, s.cache.stats.Evictions())
 
 	// Completion: with load stopped, the background sweeper (plus the last
 	// per-op batches) must drain every old generation.

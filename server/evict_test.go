@@ -136,8 +136,8 @@ func TestNoRefusalAtCapacity(t *testing.T) {
 	}
 }
 
-// TestZipfHitRatioMatchesFIFO is ROADMAP item 4's condition for deleting
-// the ring: on a skewed stream over four times the capacity, evicting the
+// TestZipfHitRatioMatchesFIFO is the condition the eviction ring was
+// deleted on: on a skewed stream over four times the capacity, evicting the
 // oldest write among eight neighbours keeps the hit ratio of an exact
 // FIFO of the same capacity.
 func TestZipfHitRatioMatchesFIFO(t *testing.T) {

@@ -207,7 +207,7 @@ func mentions(text, word string) bool {
 
 // TestDocsNameWhatTheTablesDeclare keeps the docs in step with the two
 // tables: every verb is in docs/PROTOCOL.md, every STATS name in it or in
-// docs/OBSERVABILITY.md (the list ROADMAP item 7(c)'s prune reads), and
+// docs/OBSERVABILITY.md (the list a prune of unread series starts from), and
 // every place that lists the -max-inflight exemptions lists the verbs the
 // table marks exempt.
 func TestDocsNameWhatTheTablesDeclare(t *testing.T) {

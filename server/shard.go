@@ -386,7 +386,7 @@ func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, e
 	if err != nil {
 		return 0, err
 	}
-	c.stats.sets.Add(si, 1)
+	c.stats.count(si, statSets)
 	c.wrote(si, it.key(), sp)
 	return it.ver(), nil
 }
@@ -490,7 +490,7 @@ func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
 	si := c.shardFor(key)
 	err := c.evicting(si, []byte(key), sp, apply)
 	if err == nil {
-		c.stats.incrs.Add(si, 1)
+		c.stats.count(si, statIncrs)
 		c.wrote(si, key, sp)
 	}
 	return err
@@ -500,7 +500,7 @@ func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
 // an existing key consumes no new slot, so no eviction loop is needed.
 func (c *Cache) CAS(key, old, newVal string, sp *obs.Span) (txn.CASResult, error) {
 	si := c.shardFor(key)
-	c.stats.cass.Add(si, 1)
+	c.stats.count(si, statCAS)
 	res, err := c.txn.CAS(key, old, newVal, sp)
 	if err == nil && res == txn.CASStored {
 		c.wrote(si, key, sp)
@@ -583,7 +583,7 @@ func (c *Cache) evictFor(si int, key []byte) {
 	removed := false
 	c.txn.WithLock(victim, nil, func() { removed = s.table.Delete(victim) })
 	if removed {
-		c.stats.evictions.Add(si, 1)
+		c.stats.count(si, statEvictions)
 		// Eviction only happens when a shard is full, so this is off
 		// the fast path even at debug verbosity.
 		c.log.Debug("evicted entry", "shard", si, "key", victim)
@@ -624,11 +624,11 @@ func (c *Cache) lookup(key []byte, sp *obs.Span) (it item, si int, state int) {
 
 // countGet books one read against shard si's hit/miss counters.
 func (c *Cache) countGet(si int, hit bool) {
-	c.stats.gets.Add(si, 1)
+	c.stats.count(si, statGets)
 	if hit {
-		c.stats.hits.Add(si, 1)
+		c.stats.count(si, statHits)
 	} else {
-		c.stats.misses.Add(si, 1)
+		c.stats.count(si, statMisses)
 	}
 }
 
@@ -689,7 +689,7 @@ func (c *Cache) TTL(key string) (time.Duration, bool) {
 func (c *Cache) Delete(key string, sp *obs.Span) bool {
 	si := c.shardFor(key)
 	s := c.shards[si]
-	c.stats.dels.Add(si, 1)
+	c.stats.count(si, statDels)
 	ok := false
 	c.txn.WithLock(key, sp, func() {
 		e, found := s.table.Get(key)
@@ -699,7 +699,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 			// An expired-but-unswept entry must look deleted-as-miss,
 			// not OK.
 			if s.table.Delete(key) {
-				c.stats.expired.Add(si, 1)
+				c.stats.count(si, statExpired)
 			}
 		default:
 			ok = c.remove(s, key)
@@ -726,7 +726,7 @@ func (c *Cache) expireKey(si int, key string) bool {
 		}
 	})
 	if removed {
-		c.stats.expired.Add(si, 1)
+		c.stats.count(si, statExpired)
 	}
 	return removed
 }

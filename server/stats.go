@@ -26,20 +26,12 @@ const latencySampleMask = 0xf
 const latencyShards = 64
 
 // stats aggregates the daemon's counters. Operation counters are kept
-// per shard (metrics.OpCounter gives each shard a padded slot), so two
+// per shard, all of a shard's on one padded line pair (opCounts), so two
 // connections hammering different shards never bounce a statistics cache
 // line between cores — the service-layer form of the paper's principle
 // P1, "never share a counter between threads".
 type stats struct {
-	gets      *metrics.OpCounter
-	hits      *metrics.OpCounter
-	misses    *metrics.OpCounter
-	sets      *metrics.OpCounter
-	dels      *metrics.OpCounter
-	incrs     *metrics.OpCounter // INCR/DECR/ADD/MAXUPDATE applied
-	cass      *metrics.OpCounter // CAS attempts (conflicts counted by txn)
-	expired   *metrics.OpCounter
-	evictions *metrics.OpCounter
+	ops []opCounts // one per cache shard, indexed by shard
 
 	connsActive atomic.Int64
 	connsTotal  atomic.Uint64
@@ -107,17 +99,47 @@ const hotSketches = 8
 // distribution.
 const hotSketchK = 48
 
+// opStat names one of a shard's operation counters.
+type opStat uint8
+
+const (
+	statGets opStat = iota
+	statHits
+	statMisses
+	statSets
+	statDels
+	statIncrs     // INCR/DECR/ADD/MAXUPDATE applied
+	statCAS       // CAS attempts (conflicts counted by txn)
+	statExpired   // entries removed because their TTL passed
+	statEvictions // entries evicted to make room
+	numOpStats
+)
+
+// opCounts is one cache shard's operation counters. They share their lines
+// because the requests that bump them are already the shard's — a GET bumps
+// gets and hits on one line, not two — and a line pair per counter would
+// keep no two writers further apart for nine times the memory.
+type opCounts struct {
+	n [numOpStats]atomic.Uint64
+	_ [128 - 8*numOpStats]byte // two cache lines, as metrics' padded counters
+}
+
+// count books one operation of kind k against shard si.
+func (st *stats) count(si int, k opStat) { st.ops[si].n[k].Add(1) }
+
+// total sums counter k over the shards: exact when no writer is active, a
+// momentary view otherwise.
+func (st *stats) total(k opStat) uint64 {
+	var n uint64
+	for i := range st.ops {
+		n += st.ops[i].n[k].Load()
+	}
+	return n
+}
+
 func newStats(shards int) *stats {
 	st := &stats{
-		gets:       metrics.NewOpCounter(shards),
-		hits:       metrics.NewOpCounter(shards),
-		misses:     metrics.NewOpCounter(shards),
-		sets:       metrics.NewOpCounter(shards),
-		dels:       metrics.NewOpCounter(shards),
-		incrs:      metrics.NewOpCounter(shards),
-		cass:       metrics.NewOpCounter(shards),
-		expired:    metrics.NewOpCounter(shards),
-		evictions:  metrics.NewOpCounter(shards),
+		ops:        make([]opCounts, shards),
 		lat:        metrics.NewShardedHistogram(latencyShards),
 		stages:     obs.NewStageTable(stageVerbs, 4),
 		slowTraces: &obs.SlowTraces{},
@@ -149,16 +171,16 @@ func (st *stats) recordLatency(shard uint64, ns uint64) {
 }
 
 // Hits returns the cumulative GET hit count.
-func (st *stats) Hits() uint64 { return st.hits.Total() }
+func (st *stats) Hits() uint64 { return st.total(statHits) }
 
 // Misses returns the cumulative GET miss count.
-func (st *stats) Misses() uint64 { return st.misses.Total() }
+func (st *stats) Misses() uint64 { return st.total(statMisses) }
 
 // Evictions returns the number of entries evicted to make room.
-func (st *stats) Evictions() uint64 { return st.evictions.Total() }
+func (st *stats) Evictions() uint64 { return st.total(statEvictions) }
 
 // Expired returns the number of entries removed because their TTL passed.
-func (st *stats) Expired() uint64 { return st.expired.Total() }
+func (st *stats) Expired() uint64 { return st.total(statExpired) }
 
 // Stat is one name/value line of the STATS response.
 type Stat struct {
@@ -319,16 +341,16 @@ var counters = []counter{
 	{stat: "capacity", cluster: "capacity", prom: "cuckood_capacity_slots", help: "Total slot capacity across all shards.", kind: obs.KindGauge, at: atSize, read: func(r *reading) float64 { return float64(r.c.Cap()) }},
 	{cluster: "load", digits: 6, read: func(r *reading) float64 { return ratio(r.c.Len(), r.c.Cap()) }},
 	{stat: "shards", read: func(r *reading) float64 { return float64(len(r.c.shards)) }},
-	{stat: "gets", prom: "cuckood_gets_total", help: "GET requests served.", at: atOps, read: func(r *reading) float64 { return float64(r.st.gets.Total()) }},
-	{stat: "hits", prom: "cuckood_hits_total", help: "GET requests that found a live entry.", at: atOps, read: func(r *reading) float64 { return float64(r.st.hits.Total()) }},
-	{stat: "misses", prom: "cuckood_misses_total", help: "GET requests that missed.", at: atOps, read: func(r *reading) float64 { return float64(r.st.misses.Total()) }},
-	{stat: "hit_ratio", digits: 4, read: func(r *reading) float64 { return ratio(r.st.hits.Total(), r.st.gets.Total()) }},
-	{stat: "sets", prom: "cuckood_sets_total", help: "SET/SETEX requests stored.", at: atOps, read: func(r *reading) float64 { return float64(r.st.sets.Total()) }},
-	{stat: "dels", prom: "cuckood_dels_total", help: "DEL requests served.", at: atOps, read: func(r *reading) float64 { return float64(r.st.dels.Total()) }},
-	{stat: "incrs", prom: "cuckood_incrs_total", help: "INCR/DECR/ADD/MAXUPDATE requests applied.", at: atOps, read: func(r *reading) float64 { return float64(r.st.incrs.Total()) }},
-	{stat: "cas_ops", prom: "cuckood_cas_total", help: "CAS requests attempted (conflicts are cuckood_txn_cas_conflicts_total).", at: atOps, read: func(r *reading) float64 { return float64(r.st.cass.Total()) }},
-	{stat: "expired", prom: "cuckood_expired_total", help: "Entries removed because their TTL passed.", at: atOps, read: func(r *reading) float64 { return float64(r.st.expired.Total()) }},
-	{stat: "evictions", prom: "cuckood_evictions_total", help: "Entries evicted to make room on a full shard.", at: atOps, read: func(r *reading) float64 { return float64(r.st.evictions.Total()) }},
+	{stat: "gets", prom: "cuckood_gets_total", help: "GET requests served.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statGets)) }},
+	{stat: "hits", prom: "cuckood_hits_total", help: "GET requests that found a live entry.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statHits)) }},
+	{stat: "misses", prom: "cuckood_misses_total", help: "GET requests that missed.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statMisses)) }},
+	{stat: "hit_ratio", digits: 4, read: func(r *reading) float64 { return ratio(r.st.total(statHits), r.st.total(statGets)) }},
+	{stat: "sets", prom: "cuckood_sets_total", help: "SET/SETEX requests stored.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statSets)) }},
+	{stat: "dels", prom: "cuckood_dels_total", help: "DEL requests served.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statDels)) }},
+	{stat: "incrs", prom: "cuckood_incrs_total", help: "INCR/DECR/ADD/MAXUPDATE requests applied.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statIncrs)) }},
+	{stat: "cas_ops", prom: "cuckood_cas_total", help: "CAS requests attempted (conflicts are cuckood_txn_cas_conflicts_total).", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statCAS)) }},
+	{stat: "expired", prom: "cuckood_expired_total", help: "Entries removed because their TTL passed.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statExpired)) }},
+	{stat: "evictions", prom: "cuckood_evictions_total", help: "Entries evicted to make room on a full shard.", at: atOps, read: func(r *reading) float64 { return float64(r.st.total(statEvictions)) }},
 	{stat: "conns_active", prom: "cuckood_connections_active", help: "Currently open client connections.", kind: obs.KindGauge, at: atConns, read: func(r *reading) float64 { return float64(r.st.connsActive.Load()) }},
 	{stat: "conns_total", prom: "cuckood_connections_total", help: "Client connections accepted since start.", at: atConns, read: func(r *reading) float64 { return float64(r.st.connsTotal.Load()) }},
 	{stat: "lat_samples", read: func(r *reading) float64 { return float64(r.latency().Count()) }},

@@ -309,9 +309,9 @@ func TestExecEvictsOnFullCache(t *testing.T) {
 	// The table is within eight slots of full, so one EXEC of two fresh
 	// keys can still find room by luck; a few dozen cannot. Every one of
 	// them must succeed, and by the time the loop ends one had to evict.
-	evicted := c.Stats().evictions.Total()
+	evicted := c.Stats().Evictions()
 	var counter, value string
-	for n := 0; n < 64 && c.Stats().evictions.Total() == evicted; n++ {
+	for n := 0; n < 64 && c.Stats().Evictions() == evicted; n++ {
 		counter, value = fmt.Sprintf("fresh-counter%d", n), fmt.Sprintf("fresh-value%d", n)
 		res := c.Exec([]txn.Op{
 			{Kind: txn.OpIncr, Key: counter, Delta: 7},
@@ -323,7 +323,7 @@ func TestExecEvictsOnFullCache(t *testing.T) {
 			}
 		}
 	}
-	if got := c.Stats().evictions.Total(); got <= evicted {
+	if got := c.Stats().Evictions(); got <= evicted {
 		t.Errorf("expected pre-evictions, counter stayed at %d", got)
 	}
 	if v, ok := c.Get(counter); !ok || v != "7" {
