@@ -18,6 +18,7 @@ import (
 	"cuckoohash"
 	"cuckoohash/internal/bench"
 	"cuckoohash/internal/core"
+	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/htm"
 	"cuckoohash/internal/workload"
 )
@@ -148,6 +149,47 @@ func BenchmarkOpLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := m.Lookup(uint64(i) | 1<<60); ok {
+			b.Fatal("hit")
+		}
+	}
+}
+
+// largeMap is a 2^22-slot, 8-way Map filled to load 0.95 (64 MB of keys
+// and values, far past any cache, so a lookup pays for every line it
+// reads) with keys drawn as the repository benchmark's table-fill-lookup
+// draws them: SplitMix64 of the index, seed 1. It is built once and shared
+// by the Large lookups; it returns the map and its key count.
+var largeMap = sync.OnceValues(func() (*cuckoohash.Map, uint64) {
+	const slots = 1 << 22
+	m := cuckoohash.MustNewMap(cuckoohash.Config{Capacity: slots, Associativity: 8})
+	n := uint64(slots) * 95 / 100
+	for j := uint64(0); j < n; j++ {
+		if err := m.Insert(largeKey(j), j); err != nil {
+			panic(err)
+		}
+	}
+	return m, n
+})
+
+func largeKey(j uint64) uint64 { return hashfn.SplitMix64(j + 1<<32) }
+
+func BenchmarkOpLookupHitLarge(b *testing.B) {
+	m, n := largeMap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Lookup(largeKey(hashfn.SplitMix64(uint64(i)) % n)); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkOpLookupMissLarge(b *testing.B) {
+	m, n := largeMap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Lookup(largeKey(n + uint64(i))); ok {
 			b.Fatal("hit")
 		}
 	}

@@ -254,18 +254,19 @@ func (m *Map) Clear() { m.t.Clear() }
 // Stats returns the map's operational counters.
 func (m *Map) Stats() Stats { return m.t.Stats() }
 
-// MemoryFootprint returns the approximate resident bytes of the table's
-// arrays: 16 B per slot (8-byte key + value) for ValueWords == 1, plus the
-// occupancy bitmap and lock-stripe table — the "no pointers" memory story
-// of the paper.
+// MemoryFootprint returns the approximate resident bytes of the table: 16 B
+// per slot (8-byte key + value) for ValueWords == 1, a zero key word being
+// the empty slot, plus the lock-stripe table and 12 KB of padded counter
+// shards — the "no pointers" memory story of the paper. TestMemoryFootprint
+// holds it to within 1% of the live heap a new Map takes.
 func (m *Map) MemoryFootprint() uint64 {
 	o := m.t.Options()
 	slots := m.t.Cap()
 	keys := slots * 8
 	vals := slots * 8 * uint64(o.ValueWords)
-	occ := m.t.Buckets() * 4
 	stripes := uint64(o.Stripes) * 8
-	return keys + vals + occ + stripes
+	counters := uint64(12 << 10) // entry count, probe and lock-probe shards
+	return keys + vals + stripes + counters
 }
 
 // ElisionPolicy selects the lock-elision retry strategy of an ElidedMap.

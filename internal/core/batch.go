@@ -43,39 +43,14 @@ func (t *Table) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 			prefetchBucket(arr, b1, t.assoc)
 			prefetchBucket(arr, b2, t.assoc)
 		}
-		vals[i], found[i] = t.lookupHashed(keys[i], h)
+		var v [1]uint64
+		found[i] = t.lookupHashed(keys[i], h, v[:])
+		vals[i] = v[0]
 	}
 }
 
-// prefetchBucket warms the cache lines of bucket b with an early read (the
-// value is deliberately discarded), as the BFS does for its frontier.
+// prefetchBucket warms bucket b's key line with an early read (the value is
+// deliberately discarded), as the BFS does for its frontier.
 func prefetchBucket(arr *arrays, b uint64, assoc uint64) {
 	_ = arr.loadKey(b * assoc)
-	_ = arr.loadOcc(b)
-}
-
-// lookupHashed is Lookup with the hash precomputed.
-func (t *Table) lookupHashed(key, h uint64) (uint64, bool) {
-	var dst [1]uint64
-	for spins := 0; ; spins++ {
-		arr := t.arr.Load()
-		b1, b2 := hashfn.TwoBuckets(h, arr.buckets)
-		l1 := t.stripe.IndexFor(b1)
-		l2 := t.stripe.IndexFor(b2)
-		v1, ok1 := t.stripe.Snapshot(l1)
-		v2, ok2 := t.stripe.Snapshot(l2)
-		if ok1 && ok2 {
-			f := t.scanBucket(arr, b1, key, dst[:])
-			if !f {
-				f = t.scanBucket(arr, b2, key, dst[:])
-			}
-			if t.stripe.Validate(l1, v1) && t.stripe.Validate(l2, v2) && t.arr.Load() == arr {
-				return dst[0], f
-			}
-		}
-		if spins >= 64 {
-			yield()
-			spins = 0
-		}
-	}
 }

@@ -35,18 +35,13 @@ func (t *Table) displace(arr *arrays, src, dst pathEntry) bool {
 		return false
 	}
 	srcIdx := arr.slotIdx(src.bucket, src.slot, t.assoc)
-	if arr.loadOcc(src.bucket)&(1<<uint(src.slot)) == 0 || arr.loadKey(srcIdx) != src.key {
-		return false
-	}
-	if arr.loadOcc(dst.bucket)&(1<<uint(dst.slot)) != 0 {
-		return false
-	}
 	dstIdx := arr.slotIdx(dst.bucket, dst.slot, t.assoc)
+	if src.key == 0 || arr.loadKey(srcIdx) != src.key || arr.loadKey(dstIdx) != 0 {
+		return false
+	}
 	// Destination is written before the source is cleared, so a concurrent
 	// optimistic reader can never miss the key: it is transiently present
 	// twice but never absent (the MemC3 hole-backward invariant, §4.2).
 	arr.moveSlot(srcIdx, dstIdx, t.vw)
-	arr.setOcc(dst.bucket, dst.slot)
-	arr.clearOcc(src.bucket, src.slot)
 	return true
 }

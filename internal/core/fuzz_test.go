@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"cuckoohash/internal/hashfn"
-)
+import "testing"
 
 // FuzzTableOps interprets fuzz input as an op script against a small table
 // and cross-checks a map oracle plus the structural invariants. Each input
@@ -21,7 +17,7 @@ func FuzzTableOps(f *testing.F) {
 		grows := 0
 		for i := 0; i+1 < len(script); i += 2 {
 			op, kb := script[i], script[i+1]
-			k := uint64(kb)%300 + 1
+			k := uint64(kb) % 300 // key 0 included
 			v := uint64(i)
 			switch op % 6 {
 			case 0:
@@ -81,19 +77,6 @@ func FuzzTableOps(f *testing.F) {
 				t.Fatalf("final Lookup(%d) = %d,%v want %d", k, got, ok, v)
 			}
 		}
-		arr := tab.arr.Load()
-		for b := uint64(0); b < arr.buckets; b++ {
-			occ := arr.loadOcc(b)
-			for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-				if occ&1 == 0 {
-					continue
-				}
-				key := arr.loadKey(arr.slotIdx(b, s, tab.assoc))
-				b1, b2 := hashfn.TwoBuckets(tab.hash(key), arr.buckets)
-				if b != b1 && b != b2 {
-					t.Fatalf("key %d in wrong bucket", key)
-				}
-			}
-		}
+		checkInvariants(t, tab)
 	})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/bits"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,36 +10,46 @@ import (
 )
 
 // checkInvariants validates the table's structural invariants with no
-// concurrent activity:
-//  1. every occupied slot holds a key hashing to that bucket (b1 or b2),
-//  2. no key appears twice,
-//  3. Len equals the occupancy-bit population count.
+// concurrent activity; see invariantErr.
 func checkInvariants(t *testing.T, tab *Table) {
 	t.Helper()
+	if err := invariantErr(tab); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// invariantErr reports the first broken structural invariant:
+//  1. every non-zero key word is a key hashing to that bucket (b1 or b2),
+//  2. no key appears twice,
+//  3. Len equals the non-zero key words plus key 0's slot if it is set.
+func invariantErr(tab *Table) error {
 	arr := tab.arr.Load()
 	seen := make(map[uint64]uint64)
-	var occupied uint64
+	var stored uint64
 	for b := uint64(0); b < arr.buckets; b++ {
-		occ := arr.loadOcc(b)
-		occupied += uint64(bits.OnesCount32(occ))
-		for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-			if occ&1 == 0 {
+		for s := 0; s < int(tab.assoc); s++ {
+			k := arr.loadKey(arr.slotIdx(b, s, tab.assoc))
+			if k == 0 {
 				continue
 			}
-			k := arr.loadKey(arr.slotIdx(b, s, tab.assoc))
+			stored++
 			b1, b2 := hashfn.TwoBuckets(tab.hash(k), arr.buckets)
 			if b != b1 && b != b2 {
-				t.Fatalf("key %#x stored in bucket %d, candidates are %d/%d", k, b, b1, b2)
+				return fmt.Errorf("key %#x stored in bucket %d, candidates are %d/%d", k, b, b1, b2)
 			}
 			if prev, dup := seen[k]; dup {
-				t.Fatalf("key %#x stored twice: buckets %d and %d", k, prev, b)
+				return fmt.Errorf("key %#x stored twice: buckets %d and %d", k, prev, b)
 			}
 			seen[k] = b
 		}
 	}
-	if got := tab.Len(); got != occupied {
-		t.Fatalf("Len = %d but %d slots occupied", got, occupied)
+	if arr.hasZero() {
+		stored++
 	}
+	if got := tab.Len(); got != stored {
+		return fmt.Errorf("Len = %d but %d entries stored", got, stored)
+	}
+	return nil
 }
 
 func TestInvariantsAfterFill(t *testing.T) {
@@ -63,10 +73,10 @@ func TestInvariantsQuickRandomOps(t *testing.T) {
 		Key  uint16
 	}
 	check := func(ops []op) bool {
-		o := testOptions(512)
-		tab := MustNewTable(o)
+		// Four buckets: a few dozen ops fill them, so inserts displace.
+		tab := MustNewTable(testOptions(32))
 		for _, x := range ops {
-			k := uint64(x.Key)%700 + 1 // keyspace larger than table: forces ErrFull paths
+			k := uint64(x.Key) % 700 // keyspace larger than table (ErrFull paths), key 0 included
 			switch x.Kind % 4 {
 			case 0, 1:
 				_ = tab.Upsert(k, k)
@@ -77,23 +87,11 @@ func TestInvariantsQuickRandomOps(t *testing.T) {
 			}
 		}
 		// Structural invariants must hold regardless of the op sequence.
-		arr := tab.arr.Load()
-		var occupied uint64
-		for b := uint64(0); b < arr.buckets; b++ {
-			occ := arr.loadOcc(b)
-			occupied += uint64(bits.OnesCount32(occ))
-			for s := 0; occ != 0; s, occ = s+1, occ>>1 {
-				if occ&1 == 0 {
-					continue
-				}
-				k := arr.loadKey(arr.slotIdx(b, s, tab.assoc))
-				b1, b2 := hashfn.TwoBuckets(tab.hash(k), arr.buckets)
-				if b != b1 && b != b2 {
-					return false
-				}
-			}
+		if err := invariantErr(tab); err != nil {
+			t.Log(err)
+			return false
 		}
-		return tab.Len() == occupied
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -144,9 +142,9 @@ func TestDisplaceValidation(t *testing.T) {
 	// Locate the slot it landed in.
 	var srcB uint64
 	var srcS int
-	if i, ok := tab.findLocked(arr, b1, key); ok {
+	if i, ok := tab.findIn(arr, b1, key); ok {
 		srcB, srcS = b1, int(i-b1*tab.assoc)
-	} else if i, ok := tab.findLocked(arr, b2, key); ok {
+	} else if i, ok := tab.findIn(arr, b2, key); ok {
 		srcB, srcS = b2, int(i-b2*tab.assoc)
 	} else {
 		t.Fatal("inserted key not found")
@@ -171,9 +169,9 @@ func TestDisplaceValidation(t *testing.T) {
 	// Find it again and aim its displacement at an occupied slot.
 	var nb uint64
 	var ns int
-	if i, ok := tab.findLocked(arr, b1, key); ok {
+	if i, ok := tab.findIn(arr, b1, key); ok {
 		nb, ns = b1, int(i-b1*tab.assoc)
-	} else if i, ok := tab.findLocked(arr, b2, key); ok {
+	} else if i, ok := tab.findIn(arr, b2, key); ok {
 		nb, ns = b2, int(i-b2*tab.assoc)
 	} else {
 		t.Fatal("key not found after reinsert")
@@ -190,10 +188,10 @@ func TestDisplaceValidation(t *testing.T) {
 func (t *Table) insertAtForTest(arr *arrays, b uint64, s int, key uint64) {
 	l1, l2 := t.lockPair(b, b)
 	defer t.unlockPair(l1, l2)
-	if arr.loadOcc(b)&(1<<uint(s)) != 0 {
-		return
+	if i := arr.slotIdx(b, s, t.assoc); arr.loadKey(i) == 0 {
+		t.placeAt(arr, i, key, []uint64{0})
+		t.size.Add(b, 1)
 	}
-	t.insertAt(arr, b, s, key, []uint64{0})
 }
 
 // TestExecutePathRestart verifies that an invalidated path surfaces as

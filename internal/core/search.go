@@ -92,6 +92,9 @@ const (
 // Lookups do not come through here; they keep their direct array access.
 type bucketReader interface {
 	numBuckets() uint64
+	// loadOcc is bucket b's occupancy bitmask: *arrays derives it from the
+	// bucket's key line (a zero key word is an empty slot), so a frontier
+	// bucket costs that one line; *TxTable reads its record's bitmap word.
 	loadOcc(b uint64) uint32
 	slotKey(b uint64, s int) uint64
 	// slotKeys reads every key of bucket b into dst (one per slot): BFS
