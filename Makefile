@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke bench-txn bench-grow bench-replica fuzz chaos loc
+.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke fuzz chaos loc
 
 check: build fmt vet vet386 lint race bench-selftest
 
@@ -135,29 +135,6 @@ chaos:
 # CI uploads each run's file as an artifact for diffing).
 bench-smoke:
 	$(GO) run ./cmd/cuckoobench -exp all -scale small -out results/BENCH_ci.json
-
-# The cuckootxn acceptance benchmark (docs/TRANSACTIONS.md): split-counter
-# INCR vs naive locked INCR under zipf s=1.2 skew, median of 3 runs. The
-# committed baseline lives at results/BENCH_txn.json; this regenerates it
-# in place so a perf regression shows up as a diff.
-bench-txn:
-	$(GO) run ./cmd/cuckoobench -exp txnzipf -scale small -repeat 3 -out results/BENCH_txn.json
-
-# The cuckoorepl acceptance benchmark (docs/REPLICATION.md): hot-set read
-# scale-out across both candidate nodes (peak-capacity factor must be
-# >= 2x single-home) and the miss-lease herd collapse (1 backend fill vs
-# one per client). The committed baseline lives at
-# results/BENCH_replica.json; this regenerates it in place.
-bench-replica:
-	$(GO) run ./cmd/cuckoobench -exp replread -scale small -repeat 3 -out results/BENCH_replica.json
-
-# The incremental-resize acceptance benchmark (docs/ROBUSTNESS.md): max
-# single-op insert latency across six table doublings, stop-the-world
-# rebuild vs incremental migration, median of 3 runs. The committed
-# baseline lives at results/BENCH_grow.json; this regenerates it in place
-# so a regression (e.g. a grow pause creeping back) shows up as a diff.
-bench-grow:
-	$(GO) run ./cmd/cuckoobench -exp growpause -scale small -repeat 3 -out results/BENCH_grow.json
 
 # Native Go fuzzing of the server text-protocol codec. The corpus seeds
 # live in the test; 30s is the CI budget — run longer locally with

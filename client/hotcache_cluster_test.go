@@ -5,6 +5,7 @@ package client
 // cache's serve/invalidate behavior can be pinned deterministically.
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -94,5 +95,74 @@ func TestClusterHotCacheServesAndInvalidates(t *testing.T) {
 	}
 	if cl.hot.invalidations.Load() == 0 {
 		t.Fatal("invalidation not counted")
+	}
+}
+
+// TestClusterSpreadsHotReads checks read spreading: with replication on,
+// both candidates hold a hot key's copy, so reads that miss the local copy
+// alternate between the two nodes instead of all landing on the primary.
+func TestClusterSpreadsHotReads(t *testing.T) {
+	const seed, key, reads = 3, "blazing", 64
+	a, b := startHotNode(t), startHotNode(t)
+	addrs := []string{a.Addr().String(), b.Addr().String()}
+	for _, s := range []*server.Server{a, b} {
+		if err := s.EnableReplication(addrs, seed, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := NewCluster(addrs, ClusterOptions{
+		Pool:        Options{Size: 2},
+		Seed:        seed,
+		HotCache:    true,
+		HotCacheTTL: time.Minute,
+		HotRefresh:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	cl.hot.setHotSet([]HotKey{{Key: key, Count: 99}})
+	if err := cl.Set(key, "v", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// hits reads a node's STATS hits; until the mirror lands it also waits
+	// for the node to hold the key.
+	hits := func(addr string) uint64 {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if _, _, found, err := c.GetV(key); err == nil && found {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never held %s", addr, key)
+			}
+		}
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.ParseUint(st["hits"], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := []uint64{hits(addrs[0]), hits(addrs[1])}
+	for range reads {
+		cl.hot.invalidate(key)
+		if v, ok, err := cl.Get(key); err != nil || !ok || v != "v" {
+			t.Fatalf("hot read = %q/%v/%v", v, ok, err)
+		}
+	}
+	for i, addr := range addrs {
+		// hits itself reads the key once more.
+		if got := hits(addr) - before[i] - 1; got < reads/4 {
+			t.Errorf("node %s served %d of %d hot reads, want >= %d", addr, got, reads, reads/4)
+		}
 	}
 }

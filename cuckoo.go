@@ -259,15 +259,7 @@ func (m *Map) Stats() Stats { return m.t.Stats() }
 // the empty slot, plus the lock-stripe table and 12 KB of padded counter
 // shards — the "no pointers" memory story of the paper. TestMemoryFootprint
 // holds it to within 1% of the live heap a new Map takes.
-func (m *Map) MemoryFootprint() uint64 {
-	o := m.t.Options()
-	slots := m.t.Cap()
-	keys := slots * 8
-	vals := slots * 8 * uint64(o.ValueWords)
-	stripes := uint64(o.Stripes) * 8
-	counters := uint64(12 << 10) // entry count, probe and lock-probe shards
-	return keys + vals + stripes + counters
-}
+func (m *Map) MemoryFootprint() uint64 { return m.t.MemoryFootprint() }
 
 // ElisionPolicy selects the lock-elision retry strategy of an ElidedMap.
 type ElisionPolicy int

@@ -3,6 +3,8 @@ package generic
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -245,4 +247,137 @@ func BenchmarkInsertDeletePair(b *testing.B) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// stwTable is the pre-incremental resize strategy, preserved here as the
+// benchmark baseline: readers and writers share an RWMutex, and a full
+// table is grown by taking the write lock, allocating a doubled table,
+// and reinserting every entry while every other operation waits. This is
+// exactly what generic.Table did before the two-generation migrator
+// (docs/DESIGN.md, "stop-the-world events"), so BenchmarkGrowPause
+// measures the old path against the new one on identical workloads.
+type stwTable struct {
+	mu       sync.RWMutex
+	tab      *Table[uint64, uint64]
+	capSlots uint64
+}
+
+func newSTWTable(initial uint64) *stwTable {
+	t, err := New[uint64, uint64](Config{
+		InitialCapacity:        initial,
+		DisableAutoGrow:        true,
+		DisableBackgroundSweep: true,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return &stwTable{tab: t, capSlots: initial}
+}
+
+func (s *stwTable) insert(key, val uint64) {
+	for {
+		s.mu.RLock()
+		err := s.tab.Insert(key, val)
+		s.mu.RUnlock()
+		if err == nil {
+			return
+		}
+		if err != ErrFull {
+			panic(err)
+		}
+		s.rebuild()
+	}
+}
+
+// rebuild is the stop-the-world grow: everything blocks behind the write
+// lock while the whole table is copied. A racing thread that also saw
+// ErrFull re-checks under the lock so the table is not doubled twice for
+// one fill level.
+func (s *stwTable) rebuild() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tab.LoadFactor() < 0.5 {
+		return // another thread already rebuilt
+	}
+	next, err := New[uint64, uint64](Config{
+		InitialCapacity:        s.capSlots * 2,
+		DisableAutoGrow:        true,
+		DisableBackgroundSweep: true,
+	})
+	if err != nil {
+		panic(err)
+	}
+	s.tab.Range(func(k, v uint64) bool {
+		if err := next.Insert(k, v); err != nil {
+			panic(err)
+		}
+		return true
+	})
+	s.tab = next
+	s.capSlots *= 2
+}
+
+// timedInserts inserts keys 0..n-1, each writer a contiguous range of its
+// own, and returns every insert's latency, indexed by key.
+func timedInserts(writers int, n uint64, insert func(key uint64)) []time.Duration {
+	lats := make([]time.Duration, n)
+	var wg sync.WaitGroup
+	for w := range uint64(writers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w * n / uint64(writers); k < (w+1)*n/uint64(writers); k++ {
+				t0 := time.Now()
+				insert(k)
+				lats[k] = time.Since(t0)
+			}
+		}()
+	}
+	wg.Wait()
+	return lats
+}
+
+// BenchmarkGrowPause is what a resize costs the insert that meets it: 2^19
+// unique inserts into a table of 2^14 slots (six doublings), every insert
+// timed, by GOMAXPROCS writers. stw is the rebuild under a write lock above:
+// the insert that finds the table full copies all of it while every other
+// writer waits, so that pause grows with the table. incremental is Table as
+// shipped, with the background sweeper off so that every migrated bucket is
+// charged to a timed insert (its worst case): a grow is a pointer flip plus
+// a bounded batch per operation. Whole fills run until b.N inserts have been
+// made (at least one); the longest insert (max-µs) and the 99th percentile
+// (p99-µs) are averaged over the fills, and ns/op is suppressed.
+func BenchmarkGrowPause(b *testing.B) {
+	const n, initial = 1 << 19, 1 << 14
+	writers := runtime.GOMAXPROCS(0)
+	for _, mode := range []string{"stw", "incremental"} {
+		b.Run(mode, func(b *testing.B) {
+			var maxUS, p99US, fills float64
+			for inserts := 0; inserts < b.N; inserts += n {
+				runtime.GC() // charge no earlier fill's garbage to a timed insert
+				var insert func(k, v uint64)
+				if mode == "stw" {
+					insert = newSTWTable(initial).insert
+				} else {
+					tab, err := New[uint64, uint64](Config{InitialCapacity: initial, DisableBackgroundSweep: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					insert = func(k, v uint64) {
+						if err := tab.Insert(k, v); err != nil {
+							b.Error(err)
+						}
+					}
+				}
+				lats := timedInserts(writers, n, func(k uint64) { insert(k, k) })
+				slices.Sort(lats)
+				maxUS += float64(lats[n-1]) / float64(time.Microsecond)
+				p99US += float64(lats[n*99/100]) / float64(time.Microsecond)
+				fills++
+			}
+			b.ReportMetric(0, "ns/op")
+			b.ReportMetric(maxUS/fills, "max-µs")
+			b.ReportMetric(p99US/fills, "p99-µs")
+		})
+	}
 }

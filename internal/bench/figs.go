@@ -39,10 +39,7 @@ func Experiments() []Experiment {
 		{"naive", "Naive concurrency control fails (§2.3)", Naive},
 		{"probes", "Probe-layer signals: path lengths, lock contention, grows", Probes},
 		{"zipf", "Skewed (zipf) workloads: extension beyond the paper's uniform keys", Zipf},
-		{"txnzipf", "Hot-counter INCR at zipf s=1.2: naive locked vs split counters (cuckootxn)", TxnZipf},
 		{"churn", "Steady-state delete+insert at fixed occupancy (§6.3's second use mode)", Churn},
-		{"growpause", "Resize pause: stop-the-world rebuild vs incremental migration (max op latency)", GrowPause},
-		{"replread", "Replicated hot-set read scale-out and miss-lease herd collapse (cuckoorepl)", ReplRead},
 	}
 }
 
@@ -455,6 +452,29 @@ func Fig10b(sc Scale) *Report {
 	return r
 }
 
+// fill95 builds a table from o and fills it to 95% with concurrent
+// writers, so that most late inserts need a cuckoo path; a writer stops at
+// its first refusal.
+func fill95(o core.Options, threads int, seed uint64) *core.Table {
+	tab := core.MustNewTable(o)
+	var wg sync.WaitGroup
+	quota := uint64(0.95*float64(tab.Cap())) / uint64(threads)
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			gen := workload.NewUniformKeys(seed, th)
+			for i := uint64(0); i < quota; i++ {
+				if err := tab.Insert(gen.NextKey(), i); err != nil {
+					return
+				}
+			}
+		}(th)
+	}
+	wg.Wait()
+	return tab
+}
+
 // Eq1 compares the measured path-invalidation rate against the analytic
 // upper bound Pinvalid_max = 1 - ((N-L)/N)^(L(T-1)).
 func Eq1(sc Scale) *Report {
@@ -468,23 +488,7 @@ func Eq1(sc Scale) *Report {
 		o := core.Defaults(sc.Slots)
 		o.Seed = sc.Seed
 		o.Search = mode
-		tab := core.MustNewTable(o)
-		// Concurrent fill to 95% so most inserts need a path.
-		var wg sync.WaitGroup
-		quota := uint64(0.95*float64(tab.Cap())) / uint64(threads)
-		for th := 0; th < threads; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				gen := workload.NewUniformKeys(sc.Seed, th)
-				for i := uint64(0); i < quota; i++ {
-					if err := tab.Insert(gen.NextKey(), i); err != nil {
-						return
-					}
-				}
-			}(th)
-		}
-		wg.Wait()
+		tab := fill95(o, threads, sc.Seed)
 		st := tab.Stats()
 		measured := 0.0
 		if st.Searches > 0 {
@@ -593,22 +597,7 @@ func Probes(sc Scale) *Report {
 	}
 	o := core.Defaults(sc.Slots)
 	o.Seed = sc.Seed
-	tab := core.MustNewTable(o)
-	var wg sync.WaitGroup
-	quota := uint64(0.95*float64(tab.Cap())) / uint64(threads)
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			gen := workload.NewUniformKeys(sc.Seed, th)
-			for i := uint64(0); i < quota; i++ {
-				if err := tab.Insert(gen.NextKey(), i); err != nil {
-					return
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
+	tab := fill95(o, threads, sc.Seed)
 	st := tab.Stats()
 	ls := tab.LockStats()
 	r.AddRow("searches", float64(st.Searches))

@@ -45,8 +45,7 @@ func Memory(sc Scale) *Report {
 					break
 				}
 			}
-			analytic := tab.Cap()*16 + tab.Buckets()*4 + uint64(o.Stripes)*8
-			return analytic, tab.Len(), tab
+			return tab.MemoryFootprint(), tab.Len(), tab
 		}},
 		{"TBB chained", func() (uint64, uint64, any) {
 			o := chained.Defaults(n, true)

@@ -53,7 +53,6 @@ func (t *Table) growLocked() error {
 		}
 		if ok {
 			t.growCount.Add(1)
-			t.growEpoch.Add(1)
 			t.growLog.record(GrowEvent{
 				FromBuckets: old.buckets,
 				ToBuckets:   newBuckets,

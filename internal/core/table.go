@@ -28,7 +28,6 @@ type Table struct {
 
 	size      metrics.ShardedCounter
 	growCount atomic.Uint64
-	growEpoch atomic.Uint64 // bumped on every array swap (Grow)
 	growLog   growLog
 }
 
@@ -89,13 +88,14 @@ func (t *Table) Options() Options { return t.opts }
 // Buckets returns the current number of buckets (it changes on Grow).
 func (t *Table) Buckets() uint64 { return t.arr.Load().buckets }
 
-// GrowEpoch returns the table's generation word: a counter bumped every
-// time Grow swaps the arrays. It is the specialized table's analogue of
-// the generic table's MigrationEpoch — layers that cache versioned read
-// sets (e.g. OCC validation) compare it across a read/validate window to
-// detect that an entry may have been rehashed into a new generation,
-// without re-deriving that fact from the array pointer.
-func (t *Table) GrowEpoch() uint64 { return t.growEpoch.Load() }
+// MemoryFootprint returns the approximate resident bytes of the table: 8 B
+// of key and 8 B per value word for every slot, a zero key word being the
+// empty slot, plus the lock-stripe table and 12 KB of padded counter shards
+// (entry count, probe and lock-probe shards) — the "no pointers" memory
+// story of the paper.
+func (t *Table) MemoryFootprint() uint64 {
+	return t.Cap()*8*(1+t.vw) + uint64(t.opts.Stripes)*8 + 12<<10
+}
 
 // Cap returns the current number of slots.
 func (t *Table) Cap() uint64 { return t.arr.Load().buckets * t.assoc }
