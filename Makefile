@@ -61,12 +61,15 @@ test:
 # cached pass proves nothing about a scheduler-dependent bug.
 # ./client rides along for its pool, breaker, hot cache and version
 # memory: shared state many goroutines reach, ~2 s per pass.
+# ./internal/obs and ./internal/metrics ride along for the state they
+# publish on first use (flight rings, histogram shards, stage cells): the
+# racing first records are only interleaved at more than one P.
 # ./internal/chained runs five times on top: its allocator-conflict test
 # compares the abort behaviour of two allocators under forced overlap, and
 # its predecessor passed single runs while failing under repetition (it
 # asserted an abort-rate ordering only one CPU's accidental serialisation
 # ever satisfied); five keeps that from reopening silently.
-PARALLEL_PKGS = ./internal/txn ./generic ./server ./client
+PARALLEL_PKGS = ./internal/txn ./generic ./server ./client ./internal/obs ./internal/metrics
 
 race:
 	$(GO) test -race ./...

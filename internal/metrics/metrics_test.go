@@ -129,3 +129,44 @@ func TestHistogramEmpty(t *testing.T) {
 		t.Fatal("empty histogram stats nonzero")
 	}
 }
+
+// TestShardedHistogramConcurrentFirstRecords: goroutines racing to make one
+// fresh shard's first Records publish exactly one histShard between them,
+// and the count, sum and buckets are exact — a second shard published over
+// the first would drop the samples recorded into the loser.
+func TestShardedHistogramConcurrentFirstRecords(t *testing.T) {
+	const writers, each = 8, 64
+	for round := 0; round < 100; round++ {
+		h := NewShardedHistogram(4)
+		var want Histogram
+		for g := 0; g < writers; g++ {
+			for i := 0; i < each; i++ {
+				want.Record(uint64(g*each + i))
+			}
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < each; i++ {
+					h.Record(1, uint64(g*each+i))
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for i := range h.shards {
+			if published := h.shards[i].Load() != nil; published != (i == 1) {
+				t.Fatalf("round %d: shard %d published = %v, want only shard 1", round, i, published)
+			}
+		}
+		got := h.Snapshot()
+		if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Buckets() != want.Buckets() {
+			t.Fatalf("round %d: count %d sum %d, want %d and %d with equal buckets: samples were lost",
+				round, got.Count(), got.Sum(), want.Count(), want.Sum())
+		}
+	}
+}

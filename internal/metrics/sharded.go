@@ -11,14 +11,16 @@ import "sync/atomic"
 // Each recorder (e.g. one server connection) is assigned a shard; Record on
 // distinct shards touches distinct cache lines, and Snapshot merges lazily
 // at read time. Record on the *same* shard from several goroutines is safe
-// too — it degrades to shared atomic adds, never to a lock.
+// too — it degrades to shared atomic adds, never to a lock. A shard is
+// allocated by its first Record, so a histogram costs the shards its
+// recorders use, not the shard count.
 type ShardedHistogram struct {
-	shards []histShard
+	shards []atomic.Pointer[histShard] // nil until the shard's first Record
 	mask   uint64
 }
 
 // histShard is one padded group of atomic buckets. The trailing pad keeps
-// the next shard's first buckets off this shard's last cache line (and off
+// the next object's first bytes off this shard's last cache line (and off
 // the adjacent prefetched line).
 type histShard struct {
 	buckets [64]atomic.Uint64
@@ -32,7 +34,7 @@ type histShard struct {
 func NewShardedHistogram(n int) *ShardedHistogram {
 	size := shardCount(n)
 	return &ShardedHistogram{
-		shards: make([]histShard, size),
+		shards: make([]atomic.Pointer[histShard], size),
 		mask:   uint64(size - 1),
 	}
 }
@@ -43,7 +45,11 @@ func (h *ShardedHistogram) Shards() int { return len(h.shards) }
 // Record adds one sample (in nanoseconds) to the given shard. shard may be
 // any value; it is reduced modulo the shard count.
 func (h *ShardedHistogram) Record(shard uint64, ns uint64) {
-	s := &h.shards[shard&h.mask]
+	cell := &h.shards[shard&h.mask]
+	s := cell.Load()
+	if s == nil {
+		s = newShard(cell)
+	}
 	b := 0
 	if ns > 0 {
 		b = 64 - leadingZeros(ns)
@@ -56,6 +62,18 @@ func (h *ShardedHistogram) Record(shard uint64, ns uint64) {
 	s.sum.Add(ns)
 }
 
+// newShard publishes cell's shard, or returns the one a concurrent Record
+// published first.
+//
+//cuckoo:coldpath runs once per shard a histogram ever records into, at most Shards() times
+func newShard(cell *atomic.Pointer[histShard]) *histShard {
+	s := new(histShard)
+	if cell.CompareAndSwap(nil, s) {
+		return s
+	}
+	return cell.Load()
+}
+
 // Snapshot merges every shard into a plain value Histogram, which carries
 // the quantile and mean helpers. The merge is lock-free and wait-free; a
 // snapshot taken during concurrent recording is a momentary view, not an
@@ -63,7 +81,10 @@ func (h *ShardedHistogram) Record(shard uint64, ns uint64) {
 func (h *ShardedHistogram) Snapshot() Histogram {
 	var out Histogram
 	for i := range h.shards {
-		s := &h.shards[i]
+		s := h.shards[i].Load()
+		if s == nil {
+			continue
+		}
 		for b := range s.buckets {
 			out.buckets[b] += s.buckets[b].Load()
 		}

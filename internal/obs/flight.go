@@ -67,18 +67,21 @@ func (r *FlightRecord) Trace() string { return string(r.trace[:r.traceLen]) }
 // recent operation records. Writers append under a per-shard mutex
 // (uncontended — each connection sticks to one shard); a global atomic
 // sequence number orders records across shards so dumps read as one
-// timeline.
+// timeline. A shard's ring is allocated by its first record, so a
+// recorder costs what the shards its writers use cost, at most shards ×
+// perShard records.
 type Flight struct {
-	seq    atomic.Uint64
-	mask   uint64
-	shards []flightShard
+	seq      atomic.Uint64
+	mask     uint64
+	perShard int
+	shards   []flightShard
 }
 
 type flightShard struct {
 	mu   sync.Mutex
 	next int
-	recs []FlightRecord
-	_    [24]byte // pad to 64 bytes: keep shards off each other's cache lines
+	recs []FlightRecord // nil until the shard's first record
+	_    [24]byte       // pad to 64 bytes: keep shards off each other's cache lines
 }
 
 // NewFlight builds a recorder with the given shard count (rounded up to
@@ -94,11 +97,7 @@ func NewFlight(shards, perShard int) *Flight {
 	if perShard < 1 {
 		perShard = 1
 	}
-	f := &Flight{mask: uint64(n - 1), shards: make([]flightShard, n)}
-	for i := range f.shards {
-		f.shards[i].recs = make([]FlightRecord, perShard)
-	}
-	return f
+	return &Flight{mask: uint64(n - 1), perShard: perShard, shards: make([]flightShard, n)}
 }
 
 // Record remembers one completed operation. rec.Seq is assigned here;
@@ -110,6 +109,9 @@ func (f *Flight) Record(shard uint64, rec *FlightRecord) {
 	rec.Seq = f.seq.Add(1)
 	sh := &f.shards[shard&f.mask]
 	sh.mu.Lock()
+	if sh.recs == nil {
+		sh.recs = f.newRing()
+	}
 	sh.recs[sh.next] = *rec
 	sh.next++
 	if sh.next == len(sh.recs) {
@@ -118,8 +120,31 @@ func (f *Flight) Record(shard uint64, rec *FlightRecord) {
 	sh.mu.Unlock()
 }
 
+// newRing allocates one shard's ring; the caller holds the shard's mutex.
+//
+//cuckoo:coldpath runs once per shard a recorder ever writes, at most len(shards) times
+func (f *Flight) newRing() []FlightRecord { return make([]FlightRecord, f.perShard) }
+
+// Allocated returns the indexes of the shards whose rings exist, in
+// ascending order: the shards that have taken a record.
+func (f *Flight) Allocated() []int {
+	if f == nil {
+		return nil
+	}
+	var out []int
+	for i := range f.shards {
+		sh := &f.shards[i]
+		sh.mu.Lock()
+		if sh.recs != nil {
+			out = append(out, i)
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
 // Snapshot returns every recorded operation ordered by sequence number
-// (oldest first).
+// (oldest first); shards that never took a record contribute nothing.
 func (f *Flight) Snapshot() []FlightRecord {
 	if f == nil {
 		return nil

@@ -186,3 +186,81 @@ func TestAdminMuxNilFlight(t *testing.T) {
 		t.Errorf("nil-flight body = %q, want disabled notice", got)
 	}
 }
+
+// TestFlightAllocatesShardsByFirstRecord: a recorder holds no ring until a
+// shard takes its first record, and dumps of a recorder with untouched
+// shards show exactly what was recorded.
+func TestFlightAllocatesShardsByFirstRecord(t *testing.T) {
+	f := NewFlight(16, 8)
+	if got := f.Allocated(); len(got) != 0 {
+		t.Fatalf("fresh recorder allocated shards %v, want none", got)
+	}
+	var b strings.Builder
+	if _, err := f.WriteTo(&b); err != nil || b.Len() != 0 {
+		t.Fatalf("fresh WriteTo = %q, %v, want nothing", b.String(), err)
+	}
+	if got := f.Summary(4); got != "none" {
+		t.Fatalf("fresh Summary = %q, want none", got)
+	}
+	if got := f.Snapshot(); len(got) != 0 {
+		t.Fatalf("fresh Snapshot = %+v, want empty", got)
+	}
+
+	rec := FlightRecord{Verb: "GET", TotalNs: 1}
+	f.Record(5, &rec)
+	rec = FlightRecord{Verb: "SET", TotalNs: 2}
+	f.Record(16+5, &rec) // same shard, modulo the shard count
+	if got := f.Allocated(); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("Allocated = %v, want [5]", got)
+	}
+	snap := f.Snapshot()
+	if len(snap) != 2 || snap[0].Verb != "GET" || snap[1].Verb != "SET" {
+		t.Fatalf("Snapshot = %+v, want the GET then the SET", snap)
+	}
+	b.Reset()
+	if _, err := f.WriteTo(&b); err != nil || strings.Count(b.String(), "\n") != 2 {
+		t.Fatalf("WriteTo = %q, %v, want two lines", b.String(), err)
+	}
+	if got, want := f.Summary(4), "[GET ok 1ns] [SET ok 2ns]"; got != want {
+		t.Fatalf("Summary = %q, want %q", got, want)
+	}
+}
+
+// TestFlightConcurrentFirstRecords: goroutines racing to make a shard's
+// first records lose none of them — the ring is allocated once, under the
+// shard's mutex, and never replaced.
+func TestFlightConcurrentFirstRecords(t *testing.T) {
+	const writers, each = 8, 8
+	for round := 0; round < 50; round++ {
+		f := NewFlight(4, writers*each)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < each; i++ {
+					rec := FlightRecord{Verb: "GET", KeyHash: uint64(g*each + i)}
+					f.Record(2, &rec)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if got := f.Allocated(); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("round %d: Allocated = %v, want [2]", round, got)
+		}
+		snap := f.Snapshot()
+		if len(snap) != writers*each {
+			t.Fatalf("round %d: %d records kept, want all %d", round, len(snap), writers*each)
+		}
+		seen := make(map[uint64]bool, len(snap))
+		for i, rec := range snap {
+			if rec.Seq != uint64(i+1) || seen[rec.KeyHash] {
+				t.Fatalf("round %d: record %d = seq %d key %d: a record was lost or repeated", round, i, rec.Seq, rec.KeyHash)
+			}
+			seen[rec.KeyHash] = true
+		}
+	}
+}

@@ -14,11 +14,13 @@ import (
 //
 // Touch is called on the sampled request path only, so a mutex is fine;
 // the map-hit fast path does not allocate (the m[string(b)] lookup
-// compiles to a no-copy probe).
+// compiles to a no-copy probe), and an eviction allocates only the new
+// key's string. The map is made by the first Touch, so a sketch no
+// request reaches holds no entries.
 type TopK struct {
 	mu sync.Mutex
 	k  int
-	m  map[string]*tkEntry
+	m  map[string]*tkEntry // nil until the first Touch
 }
 
 type tkEntry struct {
@@ -32,7 +34,7 @@ func NewTopK(k int) *TopK {
 	if k <= 0 {
 		k = 1
 	}
-	return &TopK{k: k, m: make(map[string]*tkEntry, k)}
+	return &TopK{k: k}
 }
 
 // Touch counts one occurrence of key. The []byte form avoids a string
@@ -49,12 +51,16 @@ func (t *TopK) Touch(key []byte) {
 		return
 	}
 	if len(t.m) < t.k {
+		if t.m == nil {
+			t.m = make(map[string]*tkEntry)
+		}
 		k := string(key)
 		t.m[k] = &tkEntry{key: k, count: 1}
 		t.mu.Unlock()
 		return
 	}
-	// Evict the minimum; the newcomer inherits its count as error bound.
+	// Evict the minimum; the newcomer takes over its entry and inherits
+	// its count as error bound.
 	var min *tkEntry
 	for _, e := range t.m {
 		if min == nil || e.count < min.count {
@@ -62,8 +68,10 @@ func (t *TopK) Touch(key []byte) {
 		}
 	}
 	delete(t.m, min.key)
-	k := string(key)
-	t.m[k] = &tkEntry{key: k, count: min.count + 1, err: min.count}
+	min.key = string(key)
+	min.err = min.count
+	min.count++
+	t.m[min.key] = min
 	t.mu.Unlock()
 }
 

@@ -109,3 +109,46 @@ func TestMergeTopKSumsAcrossSketches(t *testing.T) {
 		t.Errorf("tie order = %s,%s, want y,z", merged[1].Key, merged[2].Key)
 	}
 }
+
+// TestTopKEvictingTouchAllocatesOnlyTheKey: on a full sketch, a new key
+// takes over the evicted entry, so the one allocation is its string.
+func TestTopKEvictingTouchAllocatesOnlyTheKey(t *testing.T) {
+	const k, runs = 48, 400
+	tk := NewTopK(k)
+	keys := make([][]byte, k+runs+1)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
+	}
+	for _, key := range keys[:k] {
+		tk.Touch(key)
+	}
+	next := k
+	allocs := testing.AllocsPerRun(runs, func() {
+		tk.Touch(keys[next])
+		next++
+	})
+	if allocs > 1 {
+		t.Errorf("evicting Touch allocates %.1f per op, want <= 1", allocs)
+	}
+	if got := len(tk.Items()); got != k {
+		t.Fatalf("len(Items) = %d after evictions, want %d", got, k)
+	}
+}
+
+// TestTopKNeverTouchedIsEmpty: a sketch no request reached has no map, and
+// reads as empty on its own and in a merge.
+func TestTopKNeverTouchedIsEmpty(t *testing.T) {
+	idle := NewTopK(4)
+	if items := idle.Items(); len(items) != 0 {
+		t.Fatalf("never-touched Items = %+v, want empty", items)
+	}
+	if merged := MergeTopK([]*TopK{idle, NewTopK(4)}); len(merged) != 0 {
+		t.Fatalf("merge of never-touched sketches = %+v, want empty", merged)
+	}
+	busy := NewTopK(4)
+	busy.Touch([]byte("x"))
+	merged := MergeTopK([]*TopK{idle, busy, NewTopK(4)})
+	if len(merged) != 1 || merged[0] != (TopKItem{Key: "x", Count: 1}) {
+		t.Fatalf("merge = %+v, want only x with count 1", merged)
+	}
+}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"math/rand/v2"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"unsafe"
 
 	"cuckoohash/internal/cluster"
+	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
 )
 
@@ -43,9 +46,11 @@ func liveHeapBytes() uint64 {
 // wire-set-evict's set-up: 64 shards of 2 048 slots at their cap, filled by
 // uniform SETs over a universe four times the capacity until capacity/16
 // evictions, 0.98 full. There a shard's fixtures are priced per slot, and
-// its bound is the measured 77.0 B plus 0.3: one lock word per two buckets
-// and one counter line pair per cache shard. A lock word per bucket and
-// nine line pairs per shard read 79.4.
+// its bound is the measured 76.6 B plus 0.3: one lock word per two buckets
+// and one counter line pair per cache shard, with no latency-histogram
+// shard or hot-key map until a connection records into it. The same with
+// those allocated up front read 77.0, and a lock word per bucket and nine
+// line pairs per shard 79.4.
 func TestBytesPerItem(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the layout's")
@@ -61,7 +66,7 @@ func TestBytesPerItem(t *testing.T) {
 		{"16B key, 32B value", 32, 0, false, 83.8},
 		{"16B key, 32B value, TTL", 32, time.Hour, false, 99.8},
 		{"16B key, 200B value", 200, 0, false, 259.8},
-		{"16B key, 32B value, evicting", 32, 0, true, 77.3},
+		{"16B key, 32B value, evicting", 32, 0, true, 76.9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			val := strings.Repeat("v", tc.vlen)
@@ -187,4 +192,71 @@ func TestHoldersDoNotPinReplacedItems(t *testing.T) {
 		t.Errorf("live heap grew by %d bytes over 10 000 overwrites of %d keys: replaced %d-byte items are still held", grown, keys, itemSize)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestServerObservabilityFixtures pins what a server's per-connection
+// observability state costs: the flight recorder, the sampled-latency
+// histogram and the hot-key sketches, all indexed by the connection's
+// shard. Each shard of them is allocated by its first record, so a server
+// at wire-set-evict's shape (64 x 2 048) that no connection has reached
+// holds the shard tables only, and each of the first connections to serve
+// a GET adds one flight ring (14 KiB), one histogram shard and a sketch
+// entry. By sixteen connections every flight shard exists, and the total
+// is still under what the same state cost allocated up front: 286 800 B,
+// measured (16 flight rings, 64 histogram shards, 8 sketch maps sized
+// for 48 keys).
+func TestServerObservabilityFixtures(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the layout's")
+	}
+	const (
+		eager   = 286_800
+		perConn = 16 << 10
+	)
+	held := make(map[int]int64)
+	for _, conns := range []int{0, 1, 2, 3, 4, 16} {
+		s := startServer(t, Config{Shards: 64, SlotsPerShard: 2048, SweepInterval: -1})
+		for range conns {
+			nc, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply [len("MISS\n")]byte
+			if _, err := io.WriteString(nc, "GET k\n"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(nc, reply[:]); err != nil || string(reply[:]) != "MISS\n" {
+				t.Fatalf("GET k -> %q, %v", reply, err)
+			}
+			nc.Close()
+		}
+		for s.cache.stats.connsActive.Load() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+		held[conns] = obsStateBytes(s)
+		t.Logf("%2d connections: %6d B of flight, latency and sketch state", conns, held[conns])
+	}
+	if held[0] > perConn {
+		t.Errorf("no connection: %d B, want <= %d", held[0], perConn)
+	}
+	for _, n := range []int{1, 2, 3, 4} {
+		if d := held[n] - held[n-1]; d > perConn {
+			t.Errorf("connection %d added %d B, want <= %d", n, d, perConn)
+		}
+	}
+	if held[16] > eager {
+		t.Errorf("16 connections: %d B, want <= %d, the up-front allocation", held[16], eager)
+	}
+}
+
+// obsStateBytes is the live heap s's flight recorder, sampled-latency
+// histogram and hot-key sketches hold: the heap with them less the heap
+// without. It drops them, so it is the last thing a test does with s
+// before closing it.
+func obsStateBytes(s *Server) int64 {
+	with := liveHeapBytes()
+	s.flight = nil
+	s.cache.stats.lat = nil
+	s.cache.stats.hot = [hotSketches]*obs.TopK{}
+	return int64(with) - int64(liveHeapBytes())
 }

@@ -144,7 +144,8 @@ func New(cfg Config) (*Server, error) {
 	// verb GROW:start / GROW:done, the shard index and bucket doubling
 	// packed into the key-hash column, the remaining backlog as the
 	// duration column (buckets, not time — grows have no single duration
-	// by design; they are incremental).
+	// by design; they are incremental). They all go to flightGrowShard,
+	// whichever cache shard grew.
 	cache.growHook = func(shard int, ev generic.GrowEvent) {
 		rec := obs.FlightRecord{
 			Verb:    "GROW:" + ev.Kind.String(),
@@ -152,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 			KeyHash: uint64(shard)<<48 | ev.FromBuckets<<24 | ev.ToBuckets,
 			TotalNs: int64(ev.Backlog),
 		}
-		s.flight.Record(uint64(shard), &rec)
+		s.flight.Record(flightGrowShard, &rec)
 	}
 	return s, nil
 }
@@ -162,12 +163,16 @@ func (s *Server) Cache() *Cache { return s.cache }
 
 // Flight recorder sizing: 16 shards × 64 records remembers the last ~1k
 // operations — a few milliseconds of full-throttle traffic, which is the
-// window an incident dump needs — in 225 KiB of fixed memory, measured:
-// 1 024 records of 216 B, each shard's 64 rounded up by the allocator to
-// a 14 KiB size class.
+// window an incident dump needs. A shard's ring is allocated by its first
+// record: 64 records of 216 B, rounded up by the allocator to a 14 KiB
+// size class, so one per connection up to the sixteenth and at most
+// 225 KiB, measured. Connections take shards from 1 up (latShard counts
+// from one), and grow events share shard 0, so a server that has only
+// grown holds one ring and the last 64 grow records.
 const (
-	flightShards   = 16
-	flightPerShard = 64
+	flightShards    = 16
+	flightPerShard  = 64
+	flightGrowShard = 0
 	// flightDumpOps is how many trailing records automatic log dumps
 	// include; the full ring stays available at /debug/flight.
 	flightDumpOps = 8

@@ -22,7 +22,8 @@ const latencySampleMask = 0xf
 // records into its own shard (assigned round-robin at accept time), so
 // sampled requests on different connections never touch a shared cache
 // line — previously every 16th request across *all* connections serialized
-// on one global mutex.
+// on one global mutex. A shard is allocated by its first sample: 640 B per
+// connection up to the 64th.
 const latencyShards = 64
 
 // stats aggregates the daemon's counters. Operation counters are kept
@@ -90,7 +91,8 @@ type stats struct {
 
 // hotSketches is how many independent top-K sketches traffic spreads
 // across (indexed by connection shard); HOTKEYS folds them on read.
-// Power of two so the index is a mask.
+// Power of two so the index is a mask. A sketch's map is made by its
+// first Touch, so the sketches no connection reaches stay empty.
 const hotSketches = 8
 
 // hotSketchK is each sketch's tracked-key budget. 48 per sketch leaves

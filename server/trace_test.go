@@ -217,3 +217,76 @@ func TestFlightDumpOnConnectionShed(t *testing.T) {
 		t.Errorf("flight dump missing the recent SET:\n%s", logs)
 	}
 }
+
+// TestGrowRecordsShareOneFlightShard: every shard's grow events reach the
+// flight recorder as GROW:start / GROW:done records — cache shard, bucket
+// counts before and after packed as shard<<48 | from<<24 | to, backlog in
+// the duration column — and all of them go to flightGrowShard, so a server
+// no connection has reached holds that one ring and no other.
+func TestGrowRecordsShareOneFlightShard(t *testing.T) {
+	const shards, slots = 8, 2048
+	s, err := New(Config{Shards: shards, SlotsPerShard: slots, SweepInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Cache()
+	for i := range shards * slots * 3 / 4 {
+		if err := c.Set(fmt.Sprintf("grow-%06d", i), "v", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c.growing() {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Each shard doubles from slots/8 to slots: 64 -> 128 -> 256 -> 512
+	// buckets of four, one start and one done record per doubling.
+	type doubling struct {
+		shard, from, to uint64
+		verb            string
+	}
+	want := map[doubling]bool{}
+	for sh := range uint64(shards) {
+		for from := uint64(slots / 8 / 4); from < slots/4; from *= 2 {
+			want[doubling{sh, from, 2 * from, "GROW:start"}] = true
+			want[doubling{sh, from, 2 * from, "GROW:done"}] = true
+		}
+	}
+	got := map[doubling]bool{}
+	lastDone := map[uint64]int64{}
+	for _, rec := range s.Flight().Snapshot() {
+		if !strings.HasPrefix(rec.Verb, "GROW:") {
+			t.Fatalf("unexpected %s record with no connection", rec.Verb)
+		}
+		d := doubling{rec.KeyHash >> 48, rec.KeyHash >> 24 & (1<<24 - 1), rec.KeyHash & (1<<24 - 1), rec.Verb}
+		if got[d] {
+			t.Fatalf("%+v recorded twice", d)
+		}
+		got[d] = true
+		switch rec.Verb {
+		case "GROW:start":
+			// The retiring generation's buckets are all still to migrate.
+			if rec.TotalNs < int64(d.from) {
+				t.Errorf("%+v: backlog %d at start, want >= %d", d, rec.TotalNs, d.from)
+			}
+		case "GROW:done":
+			lastDone[d.shard] = rec.TotalNs
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d grow records, want %d", len(got), len(want))
+	}
+	for d := range want {
+		if !got[d] {
+			t.Errorf("missing %+v", d)
+		}
+	}
+	for sh, backlog := range lastDone {
+		if backlog != 0 {
+			t.Errorf("shard %d: backlog %d after its last GROW:done, want 0", sh, backlog)
+		}
+	}
+	if got := s.Flight().Allocated(); len(got) != 1 || got[0] != flightGrowShard {
+		t.Errorf("flight shards allocated by grows alone: %v, want [%d]", got, flightGrowShard)
+	}
+}
