@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke fuzz chaos loc
+.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke fuzz chaos loc sweep
 
 check: build fmt vet vet386 lint race bench-selftest
 
@@ -109,6 +109,14 @@ BENCHTIME ?=
 CPU ?= 1
 bench-rung:
 	bash scripts/bench-rung.sh '$(RUNG)' '$(BASE)' '$(ROUNDS)' '$(BENCHTIME)' '$(CPU)' '$(PKG)'
+
+# Regenerates results/SWEEP_altbucket.txt, the alternate-bucket model's
+# table (generic/sweep_test.go: the production twoBuckets/altOf against a
+# second hash, the xor rule it replaced and page-local variants; about half
+# a minute). The model is seeded, so CI reruns it and fails on any diff:
+# the committed table cannot drift from the rule the code uses.
+sweep:
+	UPDATE_GOLDEN=1 $(GO) test -count=1 -run TestAltBucketSweep ./generic
 
 # Non-test, non-generated Go code lines per package (blank and
 # comment-only lines are not counted). The trend is a deliverable:

@@ -24,8 +24,11 @@ import (
 // uses of the package must exist on both sides.
 //
 // The table is a cuckood shard's shape at the repository benchmark's
-// prefill: 131 072 slots holding 100 000 sixteen-byte keys (load 0.76),
-// V one pointer to a record that carries its key (*rec, keyed_test.go).
+// prefill while shards doubled: 131 072 slots holding 100 000 sixteen-byte
+// keys (load 0.76; growing by half, a shard stops at 0.90), V one pointer
+// to a record that carries its key (*rec, keyed_test.go). The size stays a
+// power of two so that a commit whose tables had only such sizes builds the
+// same table.
 
 const (
 	benchSlots = 1 << 17
@@ -61,7 +64,7 @@ func benchKeySet(prefix string, n int) ([]string, [][]byte) {
 
 // benchTable builds a table holding keys. Migrating leaves it as a grow
 // has just published it and nothing has drained it since: every key in the
-// draining generation, the doubled live one empty, so a probe walks both.
+// draining generation, the grown live one empty, so a probe walks both.
 func benchTable(b *testing.B, mk func(Config) (*Table[string, *rec], error), keys []string, migrating bool) *Table[string, *rec] {
 	tab, err := mk(Config{InitialCapacity: benchSlots, MigrateBatch: -1, DisableBackgroundSweep: true})
 	if err != nil {
@@ -338,8 +341,9 @@ func timedInserts(writers int, n uint64, insert func(key uint64)) []time.Duratio
 }
 
 // BenchmarkGrowPause is what a resize costs the insert that meets it: 2^19
-// unique inserts into a table of 2^14 slots (six doublings), every insert
-// timed, by GOMAXPROCS writers. stw is the rebuild under a write lock above:
+// unique inserts into a table of 2^14 slots (six doublings for stw, nine
+// grows by half for incremental), every insert timed, by GOMAXPROCS
+// writers. stw is the rebuild under a write lock above:
 // the insert that finds the table full copies all of it while every other
 // writer waits, so that pause grows with the table. incremental is Table as
 // shipped, with the background sweeper off so that every migrated bucket is

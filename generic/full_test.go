@@ -42,7 +42,7 @@ func occupied[K comparable, V any](arr *tArrays[K, V], i uint64) bool {
 // pairFull reports whether both of key's live candidate buckets are full.
 func pairFull[K comparable, V any](tab *Table[K, V], key K) bool {
 	live := tab.loadState().live
-	b1, b2 := tab.twoBuckets(tab.hash(key), live.buckets)
+	b1, b2 := twoBuckets(tab.hash(key), live.buckets)
 	for _, b := range [2]uint64{b1, b2} {
 		for s := uint64(0); s < tab.assoc; s++ {
 			if !occupied(live, b*tab.assoc+s) {
@@ -147,10 +147,10 @@ func TestSearchMarkForgotten(t *testing.T) {
 	searches := tab.Stats().Searches
 	k := nextFullPair(t, tab, next)
 	if err := tab.Upsert(k, k); err != nil {
-		t.Fatalf("Upsert(%d) into a doubled table: %v", k, err)
+		t.Fatalf("Upsert(%d) into a grown table: %v", k, err)
 	}
 	if got := tab.Stats().Searches; got != searches+1 {
-		t.Fatalf("Searches = %d after a full-pair insert into a doubled table, want %d", got, searches+1)
+		t.Fatalf("Searches = %d after a full-pair insert into a grown table, want %d", got, searches+1)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestOldest(t *testing.T) {
 	less := func(a, b int) bool { return a < b }
 	for n := 0; n < 100; n, next = n+1, next+1 {
 		live := tab.loadState().live
-		b1, b2 := tab.twoBuckets(tab.hash(next), live.buckets)
+		b1, b2 := twoBuckets(tab.hash(next), live.buckets)
 		want, found := 0, false
 		for _, b := range [2]uint64{b1, b2} {
 			for s := uint64(0); s < tab.assoc; s++ {
@@ -222,7 +222,7 @@ func TestSearchAllocatesOnDemand(t *testing.T) {
 		if !pairFull(tab, k) {
 			continue
 		}
-		b1, b2 := tab.twoBuckets(tab.hash(k), live.buckets)
+		b1, b2 := twoBuckets(tab.hash(k), live.buckets)
 		path, ok := tab.search(st, b1, b2)
 		if !ok || len(path)-1 > 1 {
 			continue

@@ -3,6 +3,7 @@ package generic
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -55,8 +56,8 @@ func TestNewKeyedNeedsKeyOf(t *testing.T) {
 // checkSlots walks every slot of every generation and requires the two
 // invariants the arrays keep. A slot's tag is nonzero exactly when the slot
 // holds an entry, and then it is the tag of that entry's key. And an entry
-// sits in one of its key's two buckets in that generation — the hash's low
-// bits, or the bucket the tag names from there — which is what lets a
+// sits in one of its key's two buckets in that generation — firstBucket, or
+// the bucket the tag names from there — which is what lets a
 // displacement move it on its tag alone. The witnesses that do not go
 // through the tags: the table's own count of its entries (as many nonzero
 // tags as Len), no key in two slots, and a zero key and value in every slot
@@ -67,6 +68,13 @@ func checkSlots[K comparable, V any](t testing.TB, tab *Table[K, V]) {
 	for _, fault := range slotFaults(tab) {
 		t.Error(fault)
 	}
+}
+
+// firstBucket is a key's first bucket among n, spelled out here rather than
+// taken from twoBuckets: the hash below its tag byte, scaled to [0, n).
+func firstBucket(h, n uint64) uint64 {
+	b, _ := bits.Mul64(h<<8, n)
+	return b
 }
 
 func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
@@ -90,9 +98,8 @@ func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
 			if want := tagOf(h); arr.tags[i] != want {
 				faults = append(faults, fmt.Sprintf("generation %d slot %d: tag %#x, its key's is %#x", gen, i, arr.tags[i], want))
 			}
-			mask := arr.buckets - 1
-			if b, b1 := i/tab.assoc, h&mask; b != b1 && b != altOf(b1, tagOf(h), mask) {
-				faults = append(faults, fmt.Sprintf("generation %d slot %d: %v sits in bucket %d, its two are %d and %d", gen, i, k, b, b1, altOf(b1, tagOf(h), mask)))
+			if b, b1 := i/tab.assoc, firstBucket(h, arr.buckets); b != b1 && b != altOf(b1, tagOf(h), arr.buckets) {
+				faults = append(faults, fmt.Sprintf("generation %d slot %d: %v sits in bucket %d, its two are %d and %d", gen, i, k, b, b1, altOf(b1, tagOf(h), arr.buckets)))
 			}
 			if seen[k] {
 				faults = append(faults, fmt.Sprintf("generation %d slot %d: a second copy of %v", gen, i, k))
@@ -149,7 +156,7 @@ func TestCheckSlotsSeesFaults(t *testing.T) {
 
 		// A key in a third bucket, tag and all: only the placement check can
 		// see it.
-		b1, b2 := tab.twoBuckets(tab.hash(tab.keyAt(live, used)), live.buckets)
+		b1, b2 := twoBuckets(tab.hash(tab.keyAt(live, used)), live.buckets)
 		third := uint64(0)
 		for third == b1 || third == b2 || tab.bucketTags(live, third)[0] != 0 {
 			third++
@@ -258,7 +265,7 @@ func checkOldest(t *testing.T, tab *Table[string, rec], model map[string]rec, ke
 	older := func(a, b rec) bool { return a.n < b.n }
 	victim, ok := tab.Oldest(key, older)
 	live := tab.loadState().live
-	b1, b2 := tab.twoBuckets(tab.hash(key), live.buckets)
+	b1, b2 := twoBuckets(tab.hash(key), live.buckets)
 	var want string
 	found := false
 	for _, b := range [2]uint64{b1, b2} {
@@ -318,7 +325,7 @@ func TestTagAndBucketCollisions(t *testing.T) {
 			}
 			k := fmt.Sprintf("c%d", i)
 			h := tab.hash(k)
-			b1, _ := tab.twoBuckets(h, buckets)
+			b1, _ := twoBuckets(h, buckets)
 			c := class{b1, tagOf(h)}
 			// Six: the shared bucket holds four, so two live in their second
 			// buckets and at least one probe walks past same-tag strangers.
@@ -422,10 +429,11 @@ func TestTagTravelsWithSlot(t *testing.T) {
 	}
 }
 
-// TestStripesNeverExceedBuckets: a table capped at MaxCapacity allocates
-// one stripe per two buckets it will have at the cap, and none it can never
-// take (IndexFor is bucket & mask, so stripes past the bucket count at the
-// cap are dead words — 28 of 32 KB for a 2 048-slot shard).
+// TestStripesNeverExceedBuckets: a table capped at MaxCapacity grows to
+// exactly that many slots, and allocates at most one stripe per two buckets
+// it will have at the cap (the largest power of two that is), and none it
+// can never take (IndexFor is bucket & mask, so stripes past the bucket
+// count at the cap are dead words — 28 of 32 KB for a 2 048-slot shard).
 func TestStripesNeverExceedBuckets(t *testing.T) {
 	for _, tc := range []struct {
 		initial, max uint64
@@ -436,7 +444,7 @@ func TestStripesNeverExceedBuckets(t *testing.T) {
 		{2048, 2048, 0, 256},    // born at the cap
 		{1024, 0, 0, 4096},      // uncapped: the default stands
 		{8192, 65536, 0, 4096},  // 16 384 buckets at the cap: the default is the smaller
-		{64, 3000, 0, 256},      // growth stops at the last doubling that fits: 2 048 slots
+		{64, 3000, 0, 256},      // 750 buckets at the cap: 256 stripes, not 375
 		{256, 2048, 64, 64},     // an explicit smaller table is left alone
 		{4096, 4096, 8192, 512}, // and an explicit larger one is clamped too
 		{8, 8, 0, 1},            // two buckets at the cap share the one stripe
@@ -458,6 +466,9 @@ func TestStripesNeverExceedBuckets(t *testing.T) {
 			if err := tab.Upsert(k, k); err != nil {
 				break
 			}
+		}
+		if tab.Cap() != tc.max {
+			t.Errorf("initial %d max %d: refused at %d slots", tc.initial, tc.max, tab.Cap())
 		}
 		if buckets := tab.loadState().live.buckets; 2*uint64(tab.locks.Len()) > buckets {
 			t.Errorf("initial %d max %d: %d stripes over %d buckets at the cap", tc.initial, tc.max, tab.locks.Len(), buckets)

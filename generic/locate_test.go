@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// forceGrow publishes a doubled live generation whatever the load, as a
-// put that found no room would.
+// forceGrow publishes a live generation half again as large whatever the
+// load, as a put that found no room would.
 func forceGrow[K comparable, V any](tab *Table[K, V]) {
 	tab.growMu.Lock()
 	tab.growLocked(true)
@@ -30,8 +30,9 @@ func threeGenerations(t *testing.T, tab *Table[string, rec]) {
 			}
 		}
 	}
-	if st := tab.loadState(); len(st.olds) != 2 || backlog(st) != 16+32 {
-		t.Fatalf("%d draining generations, backlog %d; want 2 and all 48 buckets", len(st.olds), backlog(st))
+	if st := tab.loadState(); len(st.olds) != 2 || backlog(st) != 16+24 || st.live.buckets != 36 {
+		t.Fatalf("%d draining generations, backlog %d, %d live buckets; want 2, all 40 buckets of 16 and 24, and 36",
+			len(st.olds), backlog(st), st.live.buckets)
 	}
 }
 
@@ -66,7 +67,7 @@ func TestFoundWhereverItLives(t *testing.T) {
 	plant := func(t *testing.T, tab *Table[string, rec], gen int, second bool) uint64 {
 		arr := arrays(tab.loadState(), gen)
 		h := tab.hash(key)
-		b, b2 := tab.twoBuckets(h, arr.buckets)
+		b, b2 := twoBuckets(h, arr.buckets)
 		if second {
 			b = b2
 		}

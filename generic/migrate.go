@@ -1,9 +1,9 @@
 package generic
 
-// Incremental two-generation resize. A grow no longer stops the world:
-// it allocates the doubled bucket array alongside the old one, publishes
-// both behind a single generation-state pointer, and drains the old
-// buckets a bounded batch at a time — per mutating operation and from an
+// Incremental two-generation resize. A grow no longer stops the world: it
+// allocates a bucket array half again as large alongside the old one,
+// publishes both behind a single generation-state pointer, and drains the
+// old buckets a bounded batch at a time — per mutating operation and from an
 // optional background sweeper — while every operation on a key holds that
 // key's stripes in all published generations (pin) and probes them all
 // (locate). The scheme follows the page-by-page rehash of "Cuckoo Hashing
@@ -30,6 +30,7 @@ package generic
 //     to an old generation after its mark.
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,18 @@ func newOldGen[K comparable, V any](arr *tArrays[K, V]) *oldGen[K, V] {
 // isMigrated reports whether bucket b's migrated mark is set.
 func (g *oldGen[K, V]) isMigrated(b uint64) bool {
 	return g.marks[b>>5].Load()&(1<<(b&31)) != 0
+}
+
+// firstUnmarked returns the first bucket whose migrated mark is not set,
+// or the bucket count when every one is. A mark word's bits past the last
+// bucket are never set.
+func (g *oldGen[K, V]) firstUnmarked() uint64 {
+	for w := range g.marks {
+		if m := ^g.marks[w].Load(); m != 0 {
+			return min(uint64(w)*32+uint64(bits.TrailingZeros32(m)), g.arr.buckets)
+		}
+	}
+	return g.arr.buckets
 }
 
 // markMigrated sets bucket b's migrated mark, reporting whether this
@@ -161,9 +174,9 @@ func backlog[K comparable, V any](st *genState[K, V]) uint64 {
 // observedBuckets buckets (a concurrent grow already helped otherwise),
 // returning false only when Config.MaxCapacity forbids further growth.
 //
-//cuckoo:coldpath a doubling allocates the new generation by definition; bounded by log2(capacity) occurrences
+//cuckoo:coldpath a grow allocates the new generation by definition; bounded by log1.5(capacity) occurrences
 func (t *Table[K, V]) grow(observedBuckets uint64) bool {
-	//lint:allow cuckoovet:blockcheck store hierarchy: a put under a txn key stripe may park on growMu during the rare capacity escalation; bounded by doublings
+	//lint:allow cuckoovet:blockcheck store hierarchy: a put under a txn key stripe may park on growMu during the rare capacity escalation; bounded by grows
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
 	if t.loadState().live.buckets != observedBuckets {
@@ -172,17 +185,34 @@ func (t *Table[K, V]) grow(observedBuckets uint64) bool {
 	return t.growLocked(false)
 }
 
-// growLocked publishes a doubled live generation and queues the current
-// live arrays for draining. Caller holds growMu. force ignores
-// MaxCapacity: the migrator uses it to guarantee drain termination, so
-// the configured bound is a bound on put-driven growth, not a hard cap
-// on transient capacity.
+// growLocked publishes a live generation of ⌈1.5·n⌉ buckets rounded up to
+// even and queues the current live arrays for draining. Caller holds
+// growMu. force ignores MaxCapacity: the migrator uses it to guarantee
+// drain termination, so the configured bound is a bound on put-driven
+// growth, not a hard cap on transient capacity.
+//
+// Half again, not double: a table that grows when full at load f is f/1.5
+// full after a grow instead of f/2 (about 0.64 instead of 0.48 at B = 4),
+// so a growing table sits about 0.79 full on average instead of 0.69; a
+// grow holds 2.5 times the old arrays instead of 3 (the last, up to 3);
+// and since a growing table's n items cost a geometric series of
+// migrations, each item is migrated about twice over its life instead of
+// about once.
+//
+// The last grow goes to MaxCapacity's bucket count as soon as that is at
+// most twice the live count, so it is never a small step: the room a grow
+// adds has to absorb the writes made while it drains, and a last step of
+// 5 % (15 552 → 16 384 buckets) filled up before its drain finished and
+// forced an escalation grow past the cap.
 func (t *Table[K, V]) growLocked(force bool) bool {
 	st := t.loadState()
 	live := st.live
-	newBuckets := live.buckets * 2
-	if max := t.cfg.MaxCapacity; !force && max != 0 && newBuckets*t.assoc > max {
-		return false
+	newBuckets := (live.buckets*3/2 + 1) &^ 1
+	if limit := maxBucketsOf(t.cfg); !force && limit != 0 && limit <= 2*live.buckets {
+		if limit <= live.buckets {
+			return false
+		}
+		newBuckets = limit
 	}
 	olds := make([]*oldGen[K, V], 0, len(st.olds)+1)
 	olds = append(olds, st.olds...)
@@ -192,7 +222,7 @@ func (t *Table[K, V]) growLocked(force bool) bool {
 	t.epoch.Add(1)
 	t.growCount.Add(1)
 	if f := t.cfg.OnGrowEvent; f != nil {
-		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per doubling
+		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per grow
 		f(GrowEvent{Kind: GrowStart, FromBuckets: live.buckets,
 			ToBuckets: newBuckets, Backlog: backlog(next)})
 	}
@@ -235,7 +265,13 @@ func (t *Table[K, V]) MigrateBatch(max int) int {
 		}
 		b := g.next.Add(1) - 1
 		if b >= g.arr.buckets {
-			break // every bucket claimed; stragglers drain elsewhere
+			// Every bucket is claimed. A claimant that stalled (a sweeper
+			// not scheduled since) would hold every drain behind its
+			// bucket, so drain the first unmarked one here:
+			// migrateBucket is safe beside its claimant.
+			if b = g.firstUnmarked(); b == g.arr.buckets {
+				break
+			}
 		}
 		t.migrateBucket(g, b, false)
 		done++
@@ -254,8 +290,8 @@ func (t *Table[K, V]) sweepMigration() {
 			return
 		}
 		if n == 0 {
-			// Cursor exhausted but stragglers are still draining in
-			// other goroutines, or growMu is briefly busy. Back off.
+			// growMu is briefly busy, so a drained generation could not
+			// be retired yet. Back off.
 			time.Sleep(50 * time.Microsecond)
 			continue
 		}
@@ -305,7 +341,7 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 
 		live := st.live
 		h := t.hash(key)
-		nb1, nb2 := t.twoBuckets(h, live.buckets)
+		nb1, nb2 := twoBuckets(h, live.buckets)
 		if t.moveOldSlot(st, g, b, slot, key, nb1, nb2) {
 			continue
 		}
@@ -316,7 +352,7 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 			continue
 		}
 		// The live arrays are too full to absorb the old keys: escalate
-		// with another (forced) doubling so the drain always terminates.
+		// with another (forced) grow so the drain always terminates.
 		if growMuHeld {
 			t.growLocked(true)
 		} else {
@@ -403,7 +439,7 @@ func (t *Table[K, V]) finishGenLocked(g *oldGen[K, V]) {
 	t.state.Store(next)
 	t.epoch.Add(1)
 	if f := t.cfg.OnGrowEvent; f != nil {
-		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per doubling
+		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per grow
 		f(GrowEvent{Kind: GrowDone, FromBuckets: g.arr.buckets,
 			ToBuckets: st.live.buckets, Backlog: backlog(next)})
 	}
@@ -412,8 +448,8 @@ func (t *Table[K, V]) finishGenLocked(g *oldGen[K, V]) {
 // drainAllLocked completes every in-flight migration synchronously.
 // Caller holds growMu, which blocks new grows, so the loop terminates:
 // each pass retires the oldest generation, and escalation grows (the
-// only source of new generations here) strictly double the live
-// arrays, which cannot continue past the point where everything fits.
+// only source of new generations here) strictly grow the live arrays by
+// half, which cannot continue past the point where everything fits.
 func (t *Table[K, V]) drainAllLocked() {
 	for {
 		st := t.loadState()

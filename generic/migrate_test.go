@@ -2,6 +2,7 @@ package generic
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -159,8 +160,52 @@ func TestMaxCapacityBoundsGrowth(t *testing.T) {
 	if !full {
 		t.Fatal("capped table never reported ErrFull")
 	}
-	if got := tab.Cap(); got > 256 {
-		t.Fatalf("Cap = %d, exceeds MaxCapacity 256", got)
+	if got := tab.Cap(); got != 256 {
+		t.Fatalf("Cap = %d at the first ErrFull, want MaxCapacity 256", got)
+	}
+}
+
+// TestGrowthSchedule pins the growth rule: each grow makes the live arrays
+// ⌈1.5·n⌉ buckets rounded up to even, and the last goes to MaxCapacity's
+// bucket count, rather than stopping at the last step that fits under it,
+// as soon as that is at most twice the live count: 10 368 → 16 384, not a
+// step to 15 552 and then one of 5 %, whose drain could not keep up with
+// the fill and escalated past the cap. Nothing escalates: the table is
+// refused at exactly its cap.
+func TestGrowthSchedule(t *testing.T) {
+	var grows []uint64
+	cfg := Config{
+		InitialCapacity:        8192,
+		MaxCapacity:            65536,
+		DisableBackgroundSweep: true, // every grow event on this goroutine
+		OnGrowEvent: func(ev GrowEvent) {
+			if ev.Kind == GrowStart {
+				grows = append(grows, ev.ToBuckets)
+			}
+		},
+	}
+	tab, err := New[int, int](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillToFull(t, tab, 0)
+	if want := []uint64{3072, 4608, 6912, 10368, 16384}; !slices.Equal(grows, want) {
+		t.Errorf("grew to %v buckets, want %v", grows, want)
+	}
+	if tab.Cap() != 65536 {
+		t.Errorf("Cap = %d at the first ErrFull, want 65536", tab.Cap())
+	}
+
+	// Where 1.5·n is odd it rounds up, so no table has an odd bucket count.
+	grows, cfg.InitialCapacity, cfg.MaxCapacity = nil, 8, 0
+	if tab, err = New[int, int](cfg); err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		forceGrow(tab)
+	}
+	if want := []uint64{4, 6, 10, 16, 24}; !slices.Equal(grows, want) {
+		t.Errorf("2 buckets grew to %v, want %v", grows, want)
 	}
 }
 
@@ -214,8 +259,8 @@ func TestGrowEvents(t *testing.T) {
 		t.Fatalf("got %d grow events, want at least start+done", len(events))
 	}
 	first, last := events[0], events[len(events)-1]
-	if first.Kind != GrowStart || first.ToBuckets != first.FromBuckets*2 {
-		t.Fatalf("first event = %+v, want a doubling start", first)
+	if first.Kind != GrowStart || first.FromBuckets != 16 || first.ToBuckets != 24 {
+		t.Fatalf("first event = %+v, want the start of a grow from 16 buckets to 24", first)
 	}
 	if last.Kind != GrowDone || last.Backlog != 0 {
 		t.Fatalf("last event = %+v, want a done event with zero backlog", last)
@@ -301,6 +346,25 @@ func TestChainedGrowUnderSustainedInserts(t *testing.T) {
 	}
 	for tab.Growing() {
 		tab.MigrateBatch(64)
+	}
+	checkSlots(t, tab)
+}
+
+// TestDrainPassesAStalledClaim: a migrator that claimed a bucket and then
+// stalled before draining it — a sweeper the scheduler has not run since —
+// must not hold every other drain behind it. Once every bucket is claimed,
+// MigrateBatch drains an unmarked one itself, which migrateBucket allows
+// beside its claimant. Had it waited, writes would go on filling the live
+// generation while no draining one retired, and a table growing by half
+// could come to hold more keys than its live generation has slots.
+func TestDrainPassesAStalledClaim(t *testing.T) {
+	tab := noSweepTable(t, 64, 0)
+	fillUntilGrow(t, tab)
+	tab.loadState().olds[0].next.Add(1) // bucket 0, claimed by nobody who will drain it
+	for tab.Growing() {
+		if tab.MigrateBatch(4) == 0 && tab.Growing() {
+			t.Fatalf("the drain stalled behind a claimed bucket, backlog %d", backlog(tab.loadState()))
+		}
 	}
 	checkSlots(t, tab)
 }

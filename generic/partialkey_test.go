@@ -13,23 +13,36 @@ import (
 	"testing"
 )
 
-// TestAltIsInvolution: for every tag and every table size, the bucket a tag
-// names is another bucket of the table, and naming it again leads back —
-// which is what lets a slot's occupant move on its tag alone, from either
-// of its two buckets, without knowing which one it is in.
+// TestAltIsInvolution: for every tag and every even table size — each up to
+// 256 buckets, the powers of two, and the sizes growth by half passes
+// through — the bucket a tag names is another bucket of the table, and
+// naming it again leads back, which is what lets a slot's occupant move on
+// its tag alone, from either of its two buckets, without knowing which one
+// it is in. The two differ in their low bit, so with two or more lock
+// stripes they are never on one.
 func TestAltIsInvolution(t *testing.T) {
-	for buckets := uint64(2); buckets <= 1<<20; buckets <<= 1 {
-		mask := buckets - 1
+	var sizes []uint64
+	for n := uint64(2); n <= 256; n += 2 {
+		sizes = append(sizes, n)
+	}
+	for n := uint64(512); n <= 1<<20; n <<= 1 {
+		sizes = append(sizes, n)
+	}
+	for n := uint64(256); n <= 1<<24; n = (n*3/2 + 1) &^ 1 {
+		sizes = append(sizes, n)
+	}
+	for _, buckets := range sizes {
 		// Every bucket of a small table; the corners and a stride of a large one.
 		step := max(1, buckets/1024-1)
 		for tag := 1; tag <= 255; tag++ {
 			for b := uint64(0); b < buckets; b += step {
-				alt := altOf(b, uint8(tag), mask)
-				if alt == b || alt >= buckets || altOf(alt, uint8(tag), mask) != b {
-					t.Fatalf("%d buckets, tag %d: altOf(%d) = %d, and back %d", buckets, tag, b, alt, altOf(alt, uint8(tag), mask))
+				alt := altOf(b, uint8(tag), buckets)
+				if alt == b || alt >= buckets || altOf(alt, uint8(tag), buckets) != b || (alt^b)&1 == 0 {
+					t.Fatalf("%d buckets, tag %d: altOf(%d) = %d, and back %d", buckets, tag, b, alt, altOf(alt, uint8(tag), buckets))
 				}
 			}
-			if alt := altOf(mask, uint8(tag), mask); alt == mask || alt >= buckets || altOf(alt, uint8(tag), mask) != mask {
+			last := buckets - 1
+			if alt := altOf(last, uint8(tag), buckets); alt == last || alt >= buckets || altOf(alt, uint8(tag), buckets) != last {
 				t.Fatalf("%d buckets, tag %d: altOf(last) = %d", buckets, tag, alt)
 			}
 		}
@@ -109,7 +122,7 @@ func sameBucket(t *testing.T, tab *Table[string, rec], buckets uint64) (a, twin,
 	for i := 0; i < 1_000_000; i++ {
 		twin = fmt.Sprintf("d%d", i)
 		h := tab.hash(twin)
-		b1 := h & (buckets - 1)
+		b1 := firstBucket(h, buckets)
 		a, stranger = "", ""
 		for _, k := range byBucket[b1] {
 			if tagOf(tab.hash(k)) == tagOf(h) {
@@ -155,13 +168,13 @@ func TestDisplaceMovesSameTagOccupant(t *testing.T) {
 					t.Fatal(err)
 				}
 				_, b, i, ok := tab.locate(st, tab.hash(a), match(a))
-				if !ok || b != tab.hash(a)&(live.buckets-1) {
+				if !ok || b != firstBucket(tab.hash(a), live.buckets) {
 					t.Fatalf("%s is not in its first bucket", a)
 				}
 				tag := live.tags[i]
 				path := []pathEntry{
 					{bucket: b, slot: int(i % tab.assoc), tag: tag},
-					{bucket: altOf(b, tag, live.buckets-1), slot: 0},
+					{bucket: altOf(b, tag, live.buckets), slot: 0},
 				}
 
 				// Between search and shift the slot changes hands.
@@ -198,10 +211,11 @@ func TestDisplaceMovesSameTagOccupant(t *testing.T) {
 
 // TestOnlyTheseReadAnItem pins, from the source, who may turn a slot into
 // its key: locate (behind a matching tag), Oldest (its own-key exclusion and
-// the victim it names), the migrator (a slot's tag is one hash bit short of
-// its bucket in a doubled table) and Range's copy. The insert path — search,
-// shift, displace, execute — is not among them; one function computes an
-// alternate bucket; and a path carries tags, so its types name no key type.
+// the victim it names), the migrator (a grown table reduces the whole hash
+// to a new bucket count, and a slot holds only its tag) and Range's copy.
+// The insert path — search, shift, displace, execute — is not among them;
+// one function computes an alternate bucket; and a path carries tags, so
+// its types name no key type.
 func TestOnlyTheseReadAnItem(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")

@@ -74,7 +74,7 @@ func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry, bo
 		}
 		for s, tag := range tags {
 			nodes = append(nodes, bfsNode{
-				bucket:    altOf(bucket, tag, arr.buckets-1),
+				bucket:    altOf(bucket, tag, arr.buckets),
 				parent:    int32(qi),
 				slotInPar: int8(s),
 				tag:       tag,

@@ -3,7 +3,6 @@ package generic
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,31 +10,25 @@ import (
 )
 
 // sharedStripeTags returns the tags that put both of a key's buckets on one
-// stripe in a table of that many buckets and stripes. altOf is b ^ off(tag),
-// so the two share stripe b & (stripes-1) exactly when off(tag) is a
-// multiple of the stripe count, whichever bucket b is.
+// stripe, from some bucket of a table of that many buckets and stripes.
 func sharedStripeTags(buckets, stripes uint64) []uint8 {
 	var tags []uint8
 	for tag := 1; tag <= 255; tag++ {
-		if off := altOf(0, uint8(tag), buckets-1); off&(stripes-1) == 0 {
-			tags = append(tags, uint8(tag))
+		for b := range buckets {
+			if altOf(b, uint8(tag), buckets)&(stripes-1) == b&(stripes-1) {
+				tags = append(tags, uint8(tag))
+				break
+			}
 		}
 	}
 	return tags
 }
 
-// sharedStripeKeys returns n keys with a prefix of their own whose tag is one
-// of tags: keys whose two candidate buckets take a single stripe.
-func sharedStripeKeys(t *testing.T, tab *Table[string, rec], tags []uint8, prefix string, n int) []string {
-	t.Helper()
-	var keys []string
-	for i := 0; len(keys) < n; i++ {
-		if i > 1_000_000 {
-			t.Fatalf("no key among a million with a tag in %v", tags)
-		}
-		if k := fmt.Sprintf("%s-%d", prefix, i); slices.Contains(tags, tagOf(tab.hash(k))) {
-			keys = append(keys, k)
-		}
+// sharedStripeKeys returns n keys with a prefix of their own.
+func sharedStripeKeys(prefix string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s-%d", prefix, i)
 	}
 	return keys
 }
@@ -56,43 +49,39 @@ func completes(what string, f func()) {
 	}
 }
 
-// TestSharedStripeKey: at its cap a bounded table has one stripe per two
-// buckets, so a key whose tag's offset is a multiple of the stripe count has
-// both candidate buckets on one stripe — tag 180 in a cuckood shard's 512
-// buckets. Every operation on such a key takes that stripe once (LockPair
-// and LockOrdered dedup): insert, get, delete, Oldest, an eviction (Oldest,
-// then a delete, then the insert lands), a migration step out of a draining
-// generation whose bucket is on the same stripe too, and path displacements
-// between the two buckets during the fill. First one goroutine, then four
-// writers beside a migrator and a filler. In a table with 1 024 buckets and
-// 512 stripes no tag's offset is such a multiple: the test asserts that
-// rather than passing over it.
+// TestSharedStripeKey: buckets a key locks together that share a stripe are
+// locked once (LockPair and LockOrdered dedup). A key's own two buckets add
+// up to an odd number (altOf), so they differ in the low bit IndexFor keeps
+// and never share one of two or more stripes — the test asserts that at a
+// cuckood shard's cap, 512 buckets over 256 stripes, and at 768, rather than
+// passing over it — but its buckets in two generations often do. In a table
+// of one stripe every bucket a key touches is on it, so there every
+// operation takes that stripe once: insert, get, delete, Oldest, an eviction
+// (Oldest, then a delete, then the insert lands), a migration step out of a
+// draining generation, and path displacements during the fill. First one
+// goroutine, then four writers beside a migrator and a filler.
 func TestSharedStripeKey(t *testing.T) {
-	if tags := sharedStripeTags(1024, 512); len(tags) != 0 {
-		t.Fatalf("tags %v share a stripe in 1 024 buckets over 512 stripes; none did", tags)
-	}
-	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, MigrateBatch: -1, DisableBackgroundSweep: true}
-	// tags are those of 512 buckets, the live generation's from forceGrow on.
-	prepare := func(t *testing.T, tab *Table[string, rec]) (tags []uint8) {
-		stripes := uint64(tab.locks.Len())
-		if tags = sharedStripeTags(512, stripes); stripes != 256 || len(tags) == 0 {
-			t.Fatalf("%d stripes and shared-stripe tags %v at 512 buckets, want 256 and at least one", stripes, tags)
+	for _, buckets := range []uint64{512, 768} {
+		if tags := sharedStripeTags(buckets, 256); len(tags) != 0 {
+			t.Fatalf("tags %v share a stripe in %d buckets over 256 stripes; none may", tags, buckets)
 		}
-		return tags
 	}
+	if tags := sharedStripeTags(512, 1); len(tags) != 255 {
+		t.Fatalf("%d tags share the one stripe, want all 255", len(tags))
+	}
+	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, LockStripes: 1, MigrateBatch: -1, DisableBackgroundSweep: true}
 	t.Run("sequence", func(t *testing.T) {
 		eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
-			keys := sharedStripeKeys(t, tab, prepare(t, tab), "shared", 64)
+			keys := sharedStripeKeys("shared", 64)
 			completes("one goroutine's operations", func() { sharedStripeSequence(t, tab, keys) })
 			checkSlots(t, tab)
 		})
 	})
 	t.Run("concurrent", func(t *testing.T) {
 		eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
-			tags := prepare(t, tab)
 			keys := make([][]string, 4)
 			for w := range keys {
-				keys[w] = sharedStripeKeys(t, tab, tags, fmt.Sprintf("writer%d", w), 8)
+				keys[w] = sharedStripeKeys(fmt.Sprintf("writer%d", w), 8)
 			}
 			completes("the concurrent phase", func() { sharedStripeConcurrent(t, tab, keys) })
 			for tab.Growing() {
@@ -114,9 +103,10 @@ func sharedStripeSequence(t *testing.T, tab *Table[string, rec], keys []string) 
 			return
 		}
 	}
-	forceGrow(tab) // 512 live buckets: the keys' pairs now share a stripe
-	if st := tab.loadState(); st.live.buckets != 512 || len(st.olds) != 1 {
-		t.Errorf("%d live buckets and %d draining generations, want 512 and 1", st.live.buckets, len(st.olds))
+	forceGrow(tab) // 384 live buckets and 256 draining
+	if st := tab.loadState(); st.live.buckets != 384 || len(st.olds) != 1 || tab.locks.Len() != 1 {
+		t.Errorf("%d live buckets, %d draining generations and %d stripes, want 384, 1 and 1",
+			st.live.buckets, len(st.olds), tab.locks.Len())
 		return
 	}
 	older := func(a, b rec) bool { return a.n < b.n }

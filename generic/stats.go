@@ -15,7 +15,8 @@ const PathLenBuckets = metrics.PathLenBuckets
 type Stats struct {
 	metrics.ProbeStats
 	// Grows counts automatic table expansions started (the live arrays
-	// doubled; draining the previous generation proceeds incrementally).
+	// grew by half; draining the previous generation proceeds
+	// incrementally).
 	Grows uint64
 	// MigratedBuckets counts old-generation buckets drained by the
 	// incremental-resize migrator since the table was created.

@@ -16,27 +16,29 @@
 // take the (very short) lock instead of running optimistically because
 // values of arbitrary type cannot be copied tear-free without it.
 //
-// It is a partial-key cuckoo table, MemC3's: a key's first bucket is its
-// hash's low bits, a slot's tag is the hash's top byte, and the second
-// bucket is the first xor an offset hashed from the tag (altOf) — so the
-// other bucket of any entry is computable from the slot alone. When both
-// candidate buckets are full the write path is the same BFS +
+// It is a partial-key cuckoo table, MemC3's: a slot's tag is the key's
+// hash's top byte, the first bucket is the rest of the hash reduced to the
+// bucket count, and the second is the first reflected through a point
+// hashed from the tag (altOf) — so the other bucket of any entry is
+// computable from the slot alone, in a table of any even bucket count. When
+// both candidate buckets are full the write path is the same BFS +
 // lock-after-discovery algorithm as the specialized cuckoohash.Map
 // (search.go), run on tag bytes: the search snapshots tags, shift moves the
 // discovered path's entries last hop first, each hop validated by tag, and
 // no key is read or hashed between "both buckets full" and "a slot is
 // free". What still turns a slot into its key is locate's compare behind a
-// matching tag, Oldest, the migrator (a doubled table's bucket needs one
-// more hash bit than a slot holds) and Range.
-// Resizing is incremental: a grow publishes a doubled live generation next
-// to the old one and drains it a bounded batch of buckets at a time
-// (migrate.go), so no operation ever pauses for a full-table rehash and
-// nothing outside tests takes the whole stripe table.
+// matching tag, Oldest, the migrator (a grown table reduces the hash to a
+// new bucket count, which a slot's tag cannot) and Range.
+// Resizing is incremental: a grow publishes a live generation half again
+// as large next to the old one and drains it a bounded batch of buckets at
+// a time (migrate.go), so no operation ever pauses for a full-table rehash
+// and nothing outside tests takes the whole stripe table.
 package generic
 
 import (
 	"errors"
 	"hash/maphash"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -57,20 +59,23 @@ var ErrExists = errors.New("generic: key already exists")
 
 // Config configures a Table.
 type Config struct {
-	// InitialCapacity is the initial slot count (default 1024).
+	// InitialCapacity is the initial slot count (default 1024), rounded up
+	// to an even number of buckets.
 	InitialCapacity uint64
-	// MaxCapacity, when nonzero, bounds put-driven automatic growth: a
-	// grow that would exceed it fails and Insert returns ErrFull, like a
-	// fixed-size table at its limit. Migration-escalation grows may
+	// MaxCapacity, when nonzero, bounds put-driven automatic growth. Each
+	// grow makes the table half again as large, and the last one, taken
+	// once it is at most a doubling, goes to MaxCapacity exactly (rounded
+	// down to an even number of buckets); past it Insert returns ErrFull,
+	// like a fixed-size table at its limit. Migration-escalation grows may
 	// transiently exceed the bound to guarantee drains terminate.
 	MaxCapacity uint64
 	// Associativity is the bucket width (default 4, libcuckoo's default).
 	Associativity int
-	// LockStripes is the striped-lock table size (default 4096). A bucket
-	// maps to stripe bucket&(stripes-1). With MaxCapacity set, the table
-	// allocates at most one stripe per two buckets at that capacity, as
-	// §4.4's lock array is sized for concurrency rather than one word per
-	// bucket.
+	// LockStripes is the striped-lock table size (default 4096), a power
+	// of two. A bucket maps to stripe bucket&(stripes-1). With MaxCapacity
+	// set, the table allocates at most one stripe per two buckets at that
+	// capacity (the largest power of two that fits), as §4.4's lock array
+	// is sized for concurrency rather than one word per bucket.
 	LockStripes int
 	// DisableAutoGrow turns off resize-on-full; Insert then returns
 	// ErrFull like the fixed-size tables.
@@ -177,22 +182,16 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 		return nil, errors.New("generic: MaxCapacity below InitialCapacity")
 	}
 	assoc := uint64(cfg.Associativity)
-	buckets := uint64(2)
-	for buckets*assoc < cfg.InitialCapacity {
-		buckets <<= 1
-	}
+	buckets := max(2, (cfg.InitialCapacity+2*assoc-1)/assoc&^1)
 	stripes := cfg.LockStripes
-	if cfg.MaxCapacity != 0 {
-		// Put-driven growth stops at the last doubling that fits
-		// MaxCapacity, and at that bucket count two buckets share a stripe,
-		// as they do in any table larger than its stripe table (a forced
-		// drain-escalation grow makes it more for a while). A key whose two
-		// buckets share one is locked once: LockPair and LockOrdered dedup.
-		maxBuckets := buckets
-		for maxBuckets*2*assoc <= cfg.MaxCapacity {
-			maxBuckets <<= 1
-		}
-		stripes = int(min(uint64(stripes), maxBuckets/2))
+	if maxBuckets := maxBucketsOf(cfg); maxBuckets != 0 {
+		// Put-driven growth stops at maxBuckets, and there at least two
+		// buckets share a stripe, as they do in any table larger than its
+		// stripe table (a forced drain-escalation grow makes it more for a
+		// while). Buckets a key locks together that share one are locked
+		// once: LockPair and LockOrdered dedup.
+		buckets = min(buckets, maxBuckets)
+		stripes = min(stripes, 1<<(bits.Len64(maxBuckets/2)-1))
 	}
 	t := &Table[K, V]{
 		cfg:   cfg,
@@ -205,6 +204,16 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 	}
 	t.state.Store(&genState[K, V]{live: t.newArrays(buckets)})
 	return t, nil
+}
+
+// maxBucketsOf is the bucket count put-driven growth stops at: MaxCapacity
+// over the bucket width, rounded down to even and at least 2, or 0 when
+// growth is unbounded.
+func maxBucketsOf(cfg Config) uint64 {
+	if cfg.MaxCapacity == 0 {
+		return 0
+	}
+	return max(2, cfg.MaxCapacity/uint64(cfg.Associativity)&^1)
 }
 
 // A table's padded counters are sized by the table, as its lock probes are
@@ -262,8 +271,8 @@ func (t *Table[K, V]) bucketTags(arr *tArrays[K, V], b uint64) []uint8 {
 }
 
 // tagOf is the slot tag of a key with hash h: the hash's top byte, bits
-// 56-63, which the first bucket index (the low bits) does not read in any
-// table of up to 2^56 buckets. The tag names the key's second bucket
+// 56-63, which the first bucket index (bits 0-55, twoBuckets) does not
+// read. The tag names the key's second bucket
 // (altOf), so a tag that overlapped the first bucket's bits would tie the
 // two choices together and cost load factor silently; and two keys that
 // share a bucket still differ in their tags 254 times in 255. It is never
@@ -301,25 +310,35 @@ func (t *Table[K, V]) hash(key K) uint64 {
 	return maphash.Comparable(t.seed, key)
 }
 
-// twoBuckets returns the candidate buckets of a key with hash h among that
-// many: the hash's low bits, and the bucket its tag names from there —
-// MemC3's partial-key cuckoo hashing.
-func (t *Table[K, V]) twoBuckets(h, buckets uint64) (uint64, uint64) {
-	mask := buckets - 1
-	b1 := h & mask
-	return b1, altOf(b1, tagOf(h), mask)
+// twoBuckets returns the candidate buckets of a key with hash h among n:
+// the hash below its tag byte scaled to [0, n) by multiply-shift range
+// reduction, so n need not be a power of two, and the bucket its tag names
+// from there — MemC3's partial-key cuckoo hashing.
+func twoBuckets(h, n uint64) (uint64, uint64) {
+	b1, _ := bits.Mul64(h<<8, n)
+	return b1, altOf(b1, tagOf(h), n)
 }
 
 // altOf returns the other candidate bucket of an entry with this tag that
-// sits in bucket b of a table whose bucket mask is mask. It is the only
-// place an alternate bucket is computed, and it needs the slot alone: the
-// offset is a multiplicative hash of the tag cut to the table and never 0
-// (an offset of 0 takes 1, branch-free as in tagOf), so the other bucket is
-// a different one, and xor makes the rule its own inverse —
-// altOf(altOf(b)) == b, whichever of the two b was.
-func altOf(b uint64, tag uint8, mask uint64) uint64 {
-	off := uint64(tag) * 0xC2B2AE3D27D4EB4F >> 32 & mask
-	return b ^ (off + (off-1)>>63)
+// sits in bucket b of a table of n buckets, n even. It is the only place an
+// alternate bucket is computed, and it needs the slot alone: the bucket is
+// b reflected through c, a hash of the tag scaled to the table and made
+// odd, (c - b) mod n. Reflection is its own inverse — altOf(altOf(b)) == b,
+// whichever of the two b was — and b + altOf(b) ≡ c is odd, so the other
+// bucket is a different one and, IndexFor keeping a bucket's low bits, on
+// a different lock stripe of any two or more. The hash is not linear in
+// the tag: two hops by tags t and u move an entry by c_u - c_t, and were c
+// linear those moves would depend on u - t alone, collapsing the reach of
+// a path search (results/SWEEP_altbucket.txt: 0.011 of load at 2^20 slots).
+func altOf(b uint64, tag uint8, n uint64) uint64 {
+	x := uint64(tag) * 0x9E3779B97F4A7C15
+	x = (x ^ x>>31) * 0xBF58476D1CE4E5B9
+	c, _ := bits.Mul64(x, n)
+	c |= 1
+	if b > c {
+		c += n
+	}
+	return c - b
 }
 
 // lockPair acquires the stripes of b1 and b2 in order and returns them.
@@ -334,11 +353,11 @@ func (t *Table[K, V]) lockPair(b1, b2 uint64) (uint64, uint64) {
 // candidates plus two per draining generation. buf is caller scratch so
 // the common cases stay allocation-free.
 func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []uint64 {
-	b1, b2 := t.twoBuckets(h, st.live.buckets)
+	b1, b2 := twoBuckets(h, st.live.buckets)
 	//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
 	buf = append(buf, t.locks.IndexFor(b1), t.locks.IndexFor(b2))
 	for _, g := range st.olds {
-		ob1, ob2 := t.twoBuckets(h, g.arr.buckets)
+		ob1, ob2 := twoBuckets(h, g.arr.buckets)
 		//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
 		buf = append(buf, t.locks.IndexFor(ob1), t.locks.IndexFor(ob2))
 	}
@@ -381,7 +400,7 @@ func (t *Table[K, V]) locate(st *genState[K, V], h uint64, match func(K) bool) (
 		if g < len(st.olds) {
 			arr = st.olds[g].arr
 		}
-		b1, b2 := t.twoBuckets(h, arr.buckets)
+		b1, b2 := twoBuckets(h, arr.buckets)
 		for _, b := range [2]uint64{b1, b2} {
 			for s, slotTag := range t.bucketTags(arr, b) {
 				if slotTag != tag {
@@ -453,7 +472,7 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
 	h := t.hash(key)
 	for {
 		st := t.loadState()
-		b1, b2 := t.twoBuckets(h, st.live.buckets)
+		b1, b2 := twoBuckets(h, st.live.buckets)
 
 		res := t.attempt(st, h, b1, b2, key, val, overwrite, -1)
 		if res == putNoSpace {
@@ -646,7 +665,7 @@ func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool)
 	for {
 		st := t.loadState()
 		live := st.live
-		b1, b2 := t.twoBuckets(h, live.buckets)
+		b1, b2 := twoBuckets(h, live.buckets)
 		l1, l2 := t.lockPair(b1, b2)
 		if !t.stateValid(st) {
 			t.locks.UnlockPair(l1, l2)

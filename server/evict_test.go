@@ -50,6 +50,21 @@ func fullCache(t *testing.T, slots uint64, ttl time.Duration) *Cache {
 	return c
 }
 
+// TestSlotsPerShardHonoured: a shard grows to exactly its configured slot
+// count before it evicts. A shard grows by half from an eighth of it, and
+// its last grow goes to the configured count, so -slots 100000 serves
+// 100 000 slots a shard; while shards doubled it served 65 536, the last
+// doubling that fit. A 2 048-slot shard, wire-set-evict's, still ends at
+// 2 048 (512 buckets), so that workload's capacity cannot move.
+func TestSlotsPerShardHonoured(t *testing.T) {
+	for _, slots := range []uint64{100_000, 2048} {
+		c := fullCache(t, slots, 0)
+		if got := c.Cap(); got != slots {
+			t.Errorf("SlotsPerShard %d: %d slots at the first eviction, %d entries", slots, got, c.Len())
+		}
+	}
+}
+
 // TestEvictionPrefersExpired: while the keys' buckets hold dead entries,
 // no live one is evicted.
 func TestEvictionPrefersExpired(t *testing.T) {

@@ -30,17 +30,18 @@ func liveHeapBytes() uint64 {
 // pointer per slot, one allocation per item — by what a resident item costs
 // in live heap, everything a Cache allocates included: 8 shards x 65 536
 // slots and 200 000 items through Cache.Set, the repository benchmark's
-// prefill (shards stop doubling at 32 768 slots, 76 % full). What an item
-// costs there is 1.31 slots of 9 bytes (11.8), its size class and 5 B of
-// per-cache fixtures (stripes, size and stats counters, histograms) —
-// 80.8 B for the benchmark's 16-byte key and 32-byte value, a 58-byte item
-// in the 64-byte class. The layouts before this one read 92.6 B here (a
-// 16-byte string header per slot and an occupancy word per bucket) and
-// 118.3 B (a 16-byte key header + 32-byte entry per slot, two heap objects
-// per item). Three shapes, so the bound is not fitted to one size class:
-// that one, the same with a TTL (eight more header bytes: the 80-byte
-// class), and a 200-byte value (a 227-byte item in the 240-byte class).
-// Each bound is the measured figure plus 3 B.
+// prefill (shards grow by half and stop at 27 648 slots, 90 % full). What an
+// item costs there is 1.106 slots of 9 bytes (9.95), its size class and
+// 2 B of per-cache fixtures (stripes, size and stats counters, histograms)
+// — 75.9 B for the benchmark's 16-byte key and 32-byte value, a 58-byte
+// item in the 64-byte class. While shards doubled they stopped at 32 768
+// slots, 76 % full: 1.31 slots (11.8 B) and 77.7 B. The layouts before this
+// one read 92.6 B here (a 16-byte string header per slot and an occupancy
+// word per bucket) and 118.3 B (a 16-byte key header + 32-byte entry per
+// slot, two heap objects per item). Three shapes, so the bound is not
+// fitted to one size class: that one, the same with a TTL (eight more
+// header bytes: the 80-byte class), and a 200-byte value (a 227-byte item
+// in the 240-byte class). Each bound is the measured figure plus 3 B.
 //
 // The fourth shape is the repository benchmark's evicting one,
 // wire-set-evict's set-up: 64 shards of 2 048 slots at their cap, filled by
@@ -63,9 +64,9 @@ func TestBytesPerItem(t *testing.T) {
 		evicting bool
 		maxPer   float64
 	}{
-		{"16B key, 32B value", 32, 0, false, 83.8},
-		{"16B key, 32B value, TTL", 32, time.Hour, false, 99.8},
-		{"16B key, 200B value", 200, 0, false, 259.8},
+		{"16B key, 32B value", 32, 0, false, 78.9},
+		{"16B key, 32B value, TTL", 32, time.Hour, false, 94.9},
+		{"16B key, 200B value", 200, 0, false, 254.9},
 		{"16B key, 32B value, evicting", 32, 0, true, 76.9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,8 +25,10 @@ type Config struct {
 	// Shards is the number of independent cuckoo tables the cache is
 	// split into (rounded up to a power of two; default 8).
 	Shards int
-	// SlotsPerShard is each shard's fixed slot capacity (default 1<<16).
-	// The cache is bounded: past this it evicts rather than grows.
+	// SlotsPerShard is each shard's fixed slot capacity (default 1<<16),
+	// which a shard grows to by half at a time and then serves exactly
+	// (rounded down to a multiple of eight). The cache is bounded: past
+	// this it evicts rather than grows.
 	SlotsPerShard uint64
 	// SweepInterval is how often the TTL sweeper scans for expired
 	// entries (default 1s; negative disables the sweeper — expiry then
@@ -141,11 +143,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Grow events land in the flight recorder as synthetic records so an
 	// incident dump shows resize activity inline with the ops around it:
-	// verb GROW:start / GROW:done, the shard index and bucket doubling
-	// packed into the key-hash column, the remaining backlog as the
-	// duration column (buckets, not time — grows have no single duration
-	// by design; they are incremental). They all go to flightGrowShard,
-	// whichever cache shard grew.
+	// verb GROW:start / GROW:done, the shard index and the bucket counts
+	// before and after packed into the key-hash column, the remaining
+	// backlog as the duration column (buckets, not time — grows have no
+	// single duration by design; they are incremental). They all go to
+	// flightGrowShard, whichever cache shard grew.
 	cache.growHook = func(shard int, ev generic.GrowEvent) {
 		rec := obs.FlightRecord{
 			Verb:    "GROW:" + ev.Kind.String(),

@@ -222,9 +222,10 @@ func TestFlightDumpOnConnectionShed(t *testing.T) {
 // flight recorder as GROW:start / GROW:done records — cache shard, bucket
 // counts before and after packed as shard<<48 | from<<24 | to, backlog in
 // the duration column — and all of them go to flightGrowShard, so a server
-// no connection has reached holds that one ring and no other.
+// no connection has reached holds that one ring and no other. Four shards,
+// so that their forty records fit the ring's 64.
 func TestGrowRecordsShareOneFlightShard(t *testing.T) {
-	const shards, slots = 8, 2048
+	const shards, slots = 4, 2048
 	s, err := New(Config{Shards: shards, SlotsPerShard: slots, SweepInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -239,26 +240,29 @@ func TestGrowRecordsShareOneFlightShard(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Each shard doubles from slots/8 to slots: 64 -> 128 -> 256 -> 512
-	// buckets of four, one start and one done record per doubling.
-	type doubling struct {
+	// Each shard grows by half from slots/8, and its last grow goes to
+	// slots: 64 -> 96 -> 144 -> 216 -> 324 -> 512 buckets of four, one
+	// start and one done record per grow. 1 536 entries a shard do not fit
+	// 324 buckets' 1 296 slots, so every grow happens.
+	type grow struct {
 		shard, from, to uint64
 		verb            string
 	}
-	want := map[doubling]bool{}
+	want := map[grow]bool{}
+	steps := []uint64{64, 96, 144, 216, 324, 512}
 	for sh := range uint64(shards) {
-		for from := uint64(slots / 8 / 4); from < slots/4; from *= 2 {
-			want[doubling{sh, from, 2 * from, "GROW:start"}] = true
-			want[doubling{sh, from, 2 * from, "GROW:done"}] = true
+		for i, from := range steps[:len(steps)-1] {
+			want[grow{sh, from, steps[i+1], "GROW:start"}] = true
+			want[grow{sh, from, steps[i+1], "GROW:done"}] = true
 		}
 	}
-	got := map[doubling]bool{}
+	got := map[grow]bool{}
 	lastDone := map[uint64]int64{}
 	for _, rec := range s.Flight().Snapshot() {
 		if !strings.HasPrefix(rec.Verb, "GROW:") {
 			t.Fatalf("unexpected %s record with no connection", rec.Verb)
 		}
-		d := doubling{rec.KeyHash >> 48, rec.KeyHash >> 24 & (1<<24 - 1), rec.KeyHash & (1<<24 - 1), rec.Verb}
+		d := grow{rec.KeyHash >> 48, rec.KeyHash >> 24 & (1<<24 - 1), rec.KeyHash & (1<<24 - 1), rec.Verb}
 		if got[d] {
 			t.Fatalf("%+v recorded twice", d)
 		}
