@@ -69,12 +69,16 @@ test:
 # its predecessor passed single runs while failing under repetition (it
 # asserted an abort-rate ordering only one CPU's accidental serialisation
 # ever satisfied); five keeps that from reopening silently.
+# ./generic's path-search, displacement and concurrent tests run five times
+# too: a search reads tag words with no stripe held, and the windows in
+# which what it read goes stale are rare on a 2-CPU host.
 PARALLEL_PKGS = ./internal/txn ./generic ./server ./client ./internal/obs ./internal/metrics
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 $(PARALLEL_PKGS)
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/chained
+	$(GO) test -race -count=5 -cpu 1,2,4 -run 'Search|Concurrent|Displace' ./generic
 
 # The repository benchmark's own tests (declared metric names match
 # BENCHMARK.json, recorder arithmetic, cuckoovet-clean harness). It is

@@ -3,6 +3,7 @@ package generic
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -153,21 +154,31 @@ func BenchmarkDeleteUpsert(b *testing.B) {
 // many slots until the first ErrFull — every full bucket pair on the way is
 // a path search, so this is the insert slow path's rung — and returns the
 // inserts that landed, the time they took, the load factor reached and how
-// often the table asked a value for its key.
-func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []*rec) (inserts int, took time.Duration, load float64, keyOfs int) {
+// often the table asked a value for its key. last and lastTook are the
+// fill's final tenth of inserts, the densest, and the time they took,
+// timed from the last of the clock readings taken every 2^shift inserts
+// (about 512 a fill) that precedes it.
+func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []*rec) (inserts int, took time.Duration, load float64, keyOfs, last int, lastTook time.Duration) {
 	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: assoc,
 		DisableAutoGrow: true, DisableBackgroundSweep: true},
 		func(r *rec) string { keyOfs++; return r.key })
 	if err != nil {
 		b.Fatal(err)
 	}
+	shift := max(0, bits.Len(uint(len(keys)))-10)
+	marks := make([]time.Duration, 0, len(keys)>>shift+1)
 	start := time.Now()
 	for i, k := range keys {
+		if i&(1<<shift-1) == 0 {
+			marks = append(marks, time.Since(start))
+		}
 		if err := tab.Insert(k, vals[i]); err != nil {
 			if !errors.Is(err, ErrFull) {
 				b.Fatal(err)
 			}
-			return i, time.Since(start), tab.LoadFactor(), keyOfs
+			took = time.Since(start)
+			from := (i - i/10) >> shift
+			return i, took, tab.LoadFactor(), keyOfs, i - from<<shift, took - marks[from]
 		}
 	}
 	b.Fatalf("%d keys never filled %d slots", len(keys), slots)
@@ -177,8 +188,10 @@ func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []
 // BenchmarkFillToRefusal fills keyed tables of a shard's size and of a
 // DRAM-resident size to their first refusal, whole fills until b.N inserts
 // have been made (at least one), and reports per insert the time and the
-// keyOf calls, and the load at refusal. b.N only says when to stop, so
-// ns/op is suppressed.
+// keyOf calls, the time per insert over each fill's final tenth
+// (ns/insert-last-decile, the dense end where nearly every insert is a path
+// search), and the load at refusal. b.N only says when to stop, so ns/op is
+// suppressed.
 func BenchmarkFillToRefusal(b *testing.B) {
 	for _, slots := range []uint64{2048, 1 << 20} {
 		// One key more than slots: a small table now and then takes every
@@ -190,15 +203,17 @@ func BenchmarkFillToRefusal(b *testing.B) {
 		}
 		for _, assoc := range []int{4, 8} {
 			b.Run(fmt.Sprintf("B%d/slots%d", assoc, slots), func(b *testing.B) {
-				var inserts, keyOfs, fills int
-				var took time.Duration
+				var inserts, keyOfs, fills, last int
+				var took, lastTook time.Duration
 				var loads float64
 				for inserts < b.N {
-					n, d, load, calls := fillToRefusal(b, assoc, slots, keys, vals)
+					n, d, load, calls, ln, ld := fillToRefusal(b, assoc, slots, keys, vals)
 					inserts, took, loads, keyOfs, fills = inserts+n, took+d, loads+load, keyOfs+calls, fills+1
+					last, lastTook = last+ln, lastTook+ld
 				}
 				b.ReportMetric(0, "ns/op")
 				b.ReportMetric(float64(took.Nanoseconds())/float64(inserts), "ns/insert")
+				b.ReportMetric(float64(lastTook.Nanoseconds())/float64(last), "ns/insert-last-decile")
 				b.ReportMetric(loads/float64(fills), "load")
 				b.ReportMetric(float64(keyOfs)/float64(inserts), "keyOf/insert")
 			})

@@ -7,10 +7,12 @@ import (
 )
 
 // cappedTable returns a table that is already at its MaxCapacity, so a
-// failed search ends in ErrFull and never in a grow.
+// failed search ends in ErrFull and never in a grow. It has no background
+// sweeper: a test that forces a grow drains it itself, and no drain's
+// search can still be running, and counted, once the drain is done.
 func cappedTable(t *testing.T, slots uint64) *Table[int, int] {
 	t.Helper()
-	tab, err := New[int, int](Config{InitialCapacity: slots, MaxCapacity: slots})
+	tab, err := New[int, int](Config{InitialCapacity: slots, MaxCapacity: slots, DisableBackgroundSweep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,26 @@ func fillToFull(t *testing.T, tab *Table[int, int], next int) int {
 // tests read the arrays' occupancy. Single-goroutine tests only: it reads
 // without the stripes.
 func occupied[K comparable, V any](arr *tArrays[K, V], i uint64) bool {
-	return arr.tags[i] != 0
+	return slotTag(arr, i) != 0
+}
+
+// slotWords returns the tag words of the bucket holding slot i of arr, and
+// the slot's index in that bucket.
+func slotWords[K comparable, V any](arr *tArrays[K, V], i uint64) ([]uint32, int) {
+	assoc, words := uint64(len(arr.vals))/arr.buckets, uint64(len(arr.tags))/arr.buckets
+	return arr.tags[i/assoc*words : (i/assoc+1)*words], int(i % assoc)
+}
+
+// slotTag returns slot i's tag. Single-goroutine tests only.
+func slotTag[K comparable, V any](arr *tArrays[K, V], i uint64) uint8 {
+	return tagIn(slotWords(arr, i))
+}
+
+// setSlotTag overwrites slot i's tag and nothing else, as a fault would.
+// Single-goroutine tests only.
+func setSlotTag[K comparable, V any](arr *tArrays[K, V], i uint64, tag uint8) {
+	ws, s := slotWords(arr, i)
+	setTag(ws, s, tag)
 }
 
 // pairFull reports whether both of key's live candidate buckets are full.
@@ -199,49 +220,74 @@ func TestOldest(t *testing.T) {
 	}
 }
 
-// TestSearchAllocatesOnDemand: a search that ends one hop from the key's
-// own buckets must not pay for the whole maxSearchSlots queue (64 KB for
-// string keys).
-func TestSearchAllocatesOnDemand(t *testing.T) {
-	tab, err := New[string, int](Config{InitialCapacity: 4096, DisableAutoGrow: true})
-	if err != nil {
-		t.Fatal(err)
+// TestSearchAllocatesNothing: a path search reads the tag words where they
+// lie, with no stripe held, and takes its queue and path from a pooled
+// scratch, so a search that ends one hop away, one that ends further out and
+// one that spends the whole budget and fails all allocate nothing and take
+// no lock, at either bucket width.
+func TestSearchAllocatesNothing(t *testing.T) {
+	for _, assoc := range []int{4, 8} {
+		t.Run(fmt.Sprintf("B%d", assoc), func(t *testing.T) {
+			tab, err := New[string, int](Config{InitialCapacity: 4096, MaxCapacity: 4096, Associativity: assoc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := searchScratches.Get().(*searchScratch)
+			defer searchScratches.Put(sc)
+			// TotalAlloc is the whole process's, and earlier tests' sweepers
+			// may still be winding down (a drain's own search can take a
+			// fresh scratch from the pool): a search's own share is the
+			// least of a few repeats (it changes nothing, so it repeats
+			// exactly), made at one P, as testing.AllocsPerRun does, so
+			// that no other goroutine runs beside it.
+			measured := map[string]bool{}
+			measure := func(class string, st *genState[string, int], b1, b2 uint64) {
+				if measured[class] {
+					return
+				}
+				measured[class] = true
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				least := ^uint64(0)
+				var m0, m1 runtime.MemStats
+				locks := tab.LockStats().Acquisitions
+				for range 5 {
+					runtime.ReadMemStats(&m0)
+					tab.search(st, sc, b1, b2)
+					runtime.ReadMemStats(&m1)
+					least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+				}
+				if least != 0 {
+					t.Errorf("a %s search allocated %d B, want 0", class, least)
+				}
+				if n := tab.LockStats().Acquisitions - locks; n != 0 {
+					t.Errorf("5 %s searches took %d stripes, want 0", class, n)
+				}
+			}
+			for i := 0; ; i++ {
+				k := fmt.Sprintf("key-%05d", i)
+				if pairFull(tab, k) {
+					st := tab.loadState()
+					b1, b2 := twoBuckets(tab.hash(k), st.live.buckets)
+					switch path, ok := tab.search(st, sc, b1, b2); {
+					case !ok:
+						measure("failed", st, b1, b2)
+					case len(path) == 2:
+						measure("one-hop", st, b1, b2)
+					default:
+						measure("multi-hop", st, b1, b2)
+					}
+				}
+				if err := tab.Insert(k, i); err == ErrFull {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, class := range []string{"one-hop", "multi-hop", "failed"} {
+				if !measured[class] {
+					t.Errorf("the fill made no %s search", class)
+				}
+			}
+		})
 	}
-	keys := make([]string, 8192)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%05d", i)
-	}
-	for _, k := range keys[:3400] { // load factor 0.83: most full pairs have room one hop away
-		if err := tab.Insert(k, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := tab.loadState()
-	live := st.live
-	for _, k := range keys[3400:] {
-		if !pairFull(tab, k) {
-			continue
-		}
-		b1, b2 := twoBuckets(tab.hash(k), live.buckets)
-		path, ok := tab.search(st, b1, b2)
-		if !ok || len(path)-1 > 1 {
-			continue
-		}
-		// TotalAlloc is the whole process's, and earlier tests' sweepers
-		// may still be winding down: the search's own share is the least
-		// of a few repeats (it changes nothing, so it repeats exactly).
-		least := ^uint64(0)
-		var m0, m1 runtime.MemStats
-		for range 5 {
-			runtime.ReadMemStats(&m0)
-			tab.search(st, b1, b2)
-			runtime.ReadMemStats(&m1)
-			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
-		}
-		if least >= 2048 {
-			t.Fatalf("a search of depth %d allocated %d bytes, want < 2048", len(path)-1, least)
-		}
-		return
-	}
-	t.Fatal("no key whose search ends within one hop")
 }

@@ -1,6 +1,9 @@
 package generic
 
-import "iter"
+import (
+	"iter"
+	"math/bits"
+)
 
 // All returns an iterator over the table's key/value pairs, in the style
 // of maps.All. Like Range (which it wraps) it walks the table one stripe
@@ -60,11 +63,9 @@ func (t *Table[K, V]) Clear() {
 // caller holds the bucket's stripe.
 func (t *Table[K, V]) clearBucket(arr *tArrays[K, V], b uint64) int64 {
 	var n int64
-	for s, tag := range t.bucketTags(arr, b) {
-		if tag != 0 {
-			t.clearSlot(arr, b*t.assoc+uint64(s))
-			n++
-		}
+	for m := used(t.bucketTags(arr, b)); m != 0; m &= m - 1 {
+		t.clearSlot(arr, b, b*t.assoc+uint64(bits.TrailingZeros32(m)))
+		n++
 	}
 	return n
 }

@@ -85,7 +85,7 @@ func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
 	}
 	seen := make(map[K]bool)
 	for gen, arr := range arrs {
-		for i := range arr.tags {
+		for i := range arr.vals {
 			i := uint64(i)
 			if !occupied(arr, i) {
 				if !reflect.ValueOf(arr.vals[i]).IsZero() || (arr.keys != nil && !reflect.ValueOf(arr.keys[i]).IsZero()) {
@@ -95,8 +95,8 @@ func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
 			}
 			k := tab.keyAt(arr, i)
 			h := tab.hash(k)
-			if want := tagOf(h); arr.tags[i] != want {
-				faults = append(faults, fmt.Sprintf("generation %d slot %d: tag %#x, its key's is %#x", gen, i, arr.tags[i], want))
+			if got, want := slotTag(arr, i), tagOf(h); got != want {
+				faults = append(faults, fmt.Sprintf("generation %d slot %d: tag %#x, its key's is %#x", gen, i, got, want))
 			}
 			if b, b1 := i/tab.assoc, firstBucket(h, arr.buckets); b != b1 && b != altOf(b1, tagOf(h), arr.buckets) {
 				faults = append(faults, fmt.Sprintf("generation %d slot %d: %v sits in bucket %d, its two are %d and %d", gen, i, k, b, b1, altOf(b1, tagOf(h), arr.buckets)))
@@ -130,7 +130,7 @@ func TestCheckSlotsSeesFaults(t *testing.T) {
 		}
 		live := tab.loadState().live
 		var used, free uint64
-		for i := range live.tags {
+		for i := range live.vals {
 			if occupied(live, uint64(i)) {
 				used = uint64(i)
 			} else {
@@ -144,28 +144,28 @@ func TestCheckSlotsSeesFaults(t *testing.T) {
 		}{
 			{"an entry under tag 0", used, 0},
 			{"a tag over an empty slot", free, 7},
-			{"another key's tag", used, live.tags[used]%255 + 1},
+			{"another key's tag", used, slotTag(live, used)%255 + 1},
 		} {
-			was := live.tags[m.slot]
-			live.tags[m.slot] = m.tag
+			was := slotTag(live, m.slot)
+			setSlotTag(live, m.slot, m.tag)
 			if len(slotFaults(tab)) == 0 {
 				t.Errorf("%s: checkSlots saw nothing", m.name)
 			}
-			live.tags[m.slot] = was
+			setSlotTag(live, m.slot, was)
 		}
 
 		// A key in a third bucket, tag and all: only the placement check can
 		// see it.
 		b1, b2 := twoBuckets(tab.hash(tab.keyAt(live, used)), live.buckets)
 		third := uint64(0)
-		for third == b1 || third == b2 || tab.bucketTags(live, third)[0] != 0 {
+		for third == b1 || third == b2 || occupied(live, third*tab.assoc) {
 			third++
 		}
-		tab.moveSlot(live, third, 0, live, used)
+		tab.moveSlot(live, third, 0, live, used/tab.assoc, int(used%tab.assoc))
 		if faults := slotFaults(tab); len(faults) != 1 {
 			t.Errorf("an entry in a third bucket: checkSlots reports %v", faults)
 		}
-		tab.moveSlot(live, used/tab.assoc, int(used%tab.assoc), live, third*tab.assoc)
+		tab.moveSlot(live, used/tab.assoc, int(used%tab.assoc), live, third, 0)
 		checkSlots(t, tab)
 	})
 }
@@ -412,9 +412,9 @@ func TestTagTravelsWithSlot(t *testing.T) {
 
 				// Mutation: spoil the tag of one resident slot.
 				live := tab.loadState().live
-				for i := range live.tags {
-					if occupied(live, uint64(i)) && live.tags[i] != 0x5a { // 0x5a^0x5a would read as empty
-						live.tags[i] ^= 0x5a
+				for i := range uint64(len(live.vals)) {
+					if tag := slotTag(live, i); tag != 0 && tag != 0x5a { // 0x5a^0x5a would read as empty
+						setSlotTag(live, i, tag^0x5a)
 						break
 					}
 				}

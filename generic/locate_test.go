@@ -71,7 +71,7 @@ func TestFoundWhereverItLives(t *testing.T) {
 		if second {
 			b = b2
 		}
-		s, ok := freeSlot(tab.bucketTags(arr, b))
+		s, ok := tab.freeSlot(tab.bucketTags(arr, b))
 		if !ok {
 			t.Fatalf("bucket %d of generation %d is full", b, gen)
 		}

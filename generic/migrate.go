@@ -322,14 +322,15 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 			t.locks.Unlock(li)
 			continue
 		}
-		slot, occupied := usedSlot(t.bucketTags(g.arr, b))
+		m := used(t.bucketTags(g.arr, b))
+		slot := uint64(bits.TrailingZeros32(m))
 		var key K
-		if occupied {
+		if m != 0 {
 			key = t.keyAt(g.arr, b*t.assoc+slot)
 		}
 		t.locks.Unlock(li)
 
-		if !occupied {
+		if m == 0 {
 			// Nothing is ever added to an old generation, so emptiness
 			// is stable and the mark can be set outside the stripe.
 			if g.markMigrated(b) {
@@ -346,9 +347,9 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 			continue
 		}
 		// Neither live candidate has room: open a slot with a BFS
-		// displacement path, exactly like a slow-path insert.
-		if path, ok := t.search(st, nb1, nb2); ok {
-			t.shift(st, path) // whether or not it got there, look again
+		// displacement path, exactly like a slow-path insert, and whether
+		// or not the shift got there, look again.
+		if _, hops, _ := t.openSlot(st, nb1, nb2); hops >= 0 {
 			continue
 		}
 		// The live arrays are too full to absorb the old keys: escalate
@@ -366,17 +367,6 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 	}
 }
 
-// usedSlot returns the first occupied slot of the bucket whose tags these
-// are.
-func usedSlot(tags []uint8) (uint64, bool) {
-	for s, tag := range tags {
-		if tag != 0 {
-			return uint64(s), true
-		}
-	}
-	return 0, false
-}
-
 // moveOldSlot moves one key from old-generation bucket ob (slot s) into
 // a free slot of its live candidates nb1/nb2, holding the old bucket's
 // stripe and both live stripes. It returns true when the slot no longer
@@ -392,12 +382,12 @@ func (t *Table[K, V]) moveOldSlot(st *genState[K, V], g *oldGen[K, V], ob, s uin
 		return true
 	}
 	i := ob*t.assoc + s
-	if g.arr.tags[i] == 0 || t.keyAt(g.arr, i) != key {
+	if tagIn(t.bucketTags(g.arr, ob), int(s)) == 0 || t.keyAt(g.arr, i) != key {
 		return true // a writer or another migrator already handled it
 	}
 	dst, ok := t.liveSlotFor(st.live, nb1, nb2, -1)
 	if ok {
-		t.moveSlot(st.live, dst.bucket, dst.slot, g.arr, i)
+		t.moveSlot(st.live, dst.bucket, dst.slot, g.arr, ob, int(s))
 	}
 	return ok
 }

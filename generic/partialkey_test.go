@@ -7,6 +7,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"strings"
@@ -64,6 +66,84 @@ func TestTagReadsNoBucketBit(t *testing.T) {
 	}
 	if got := tagOf(1<<56 - 1); got != 1 {
 		t.Fatalf("a zero top byte takes tag %#x, want 1: 0 is the empty slot", got)
+	}
+}
+
+// TestTagWordProbes compares the word-at-a-time probes with a loop over a
+// word's bytes, for all 256 tags, over the edge words and seeded random
+// ones (half of them drawn from bytes that provoke matchTag's borrow):
+// matchTag finds every byte equal to the tag and its lowest match is one;
+// freeIn finds exactly the first empty slot, a narrow bucket's padding
+// never among them; usedIn and used mark exactly the nonzero bytes.
+func TestTagWordProbes(t *testing.T) {
+	words := []uint32{0, 0x01010101, ^uint32(0)}
+	for b := range 4 {
+		words = append(words, ^uint32(0)&^(0xff<<(8*b)), 0x01010101&^(0xff<<(8*b)))
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	byteOf := func(w uint32, s int) uint8 { return uint8(w >> (8 * s)) }
+	tables := map[int]*Table[int, int]{}
+	for _, assoc := range []int{1, 2, 3, 4, 8} {
+		tables[assoc] = MustNew[int, int](Config{InitialCapacity: 64, Associativity: assoc})
+	}
+	for tag := range 256 {
+		tag := uint8(tag)
+		edge := []uint8{0, 1, 0x80, 0xff, tag, tag ^ 1}
+		for i := range 256 {
+			w := rng.Uint32()
+			if i%2 == 0 {
+				w = 0
+				for s := range 4 {
+					w |= uint32(edge[rng.IntN(len(edge))]) << (8 * s)
+				}
+			}
+			words = append(words, w)
+		}
+		for _, w := range words {
+			m, lowest := matchTag(w, tag), -1
+			for s := range 4 {
+				if byteOf(w, s) == tag {
+					if lowest < 0 {
+						lowest = s
+					}
+					if m>>(8*s+7)&1 == 0 {
+						t.Fatalf("matchTag(%#08x, %#02x) = %#08x misses byte %d", w, tag, m, s)
+					}
+				}
+			}
+			if got := bits.TrailingZeros32(m) / 8; m != 0 && got != lowest || m == 0 && lowest >= 0 {
+				t.Fatalf("matchTag(%#08x, %#02x) = %#08x: lowest match %d, want %d", w, tag, m, got, lowest)
+			}
+		}
+		words = words[:11]
+	}
+	for range 4096 {
+		ws := []uint32{rng.Uint32() & rng.Uint32(), rng.Uint32() & rng.Uint32()}
+		for _, w := range ws {
+			for s := range 4 {
+				if got, want := usedIn(w)>>(8*s+7)&1 == 1, byteOf(w, s) != 0; got != want {
+					t.Fatalf("usedIn(%#08x) byte %d = %v, want %v", w, s, got, want)
+				}
+			}
+		}
+		for assoc, tab := range tables {
+			n := min(assoc, 4)
+			want := 4
+			for s := n - 1; s >= 0; s-- {
+				if byteOf(ws[0], s) == 0 {
+					want = s
+				}
+			}
+			if got := tab.freeIn(ws[0], 0, 1); got != want {
+				t.Fatalf("B%d: freeIn(%#08x) = %d, want %d", assoc, ws[0], got, want)
+			}
+		}
+		m := used(ws)
+		for s := range 32 {
+			if got, want := m>>s&1 == 1, s < 8 && byteOf(ws[s/4], s%4) != 0; got != want {
+				t.Fatalf("used(%#08x) slot %d = %v, want %v", ws, s, got, want)
+			}
+		}
 	}
 }
 
@@ -171,7 +251,7 @@ func TestDisplaceMovesSameTagOccupant(t *testing.T) {
 				if !ok || b != firstBucket(tab.hash(a), live.buckets) {
 					t.Fatalf("%s is not in its first bucket", a)
 				}
-				tag := live.tags[i]
+				tag := slotTag(live, i)
 				path := []pathEntry{
 					{bucket: b, slot: int(i % tab.assoc), tag: tag},
 					{bucket: altOf(b, tag, live.buckets), slot: 0},
@@ -196,8 +276,8 @@ func TestDisplaceMovesSameTagOccupant(t *testing.T) {
 				if want := map[bool]uint64{true: path[1].bucket, false: b}[tc.moves]; !ok || nb != want {
 					t.Errorf("%s is in bucket %d (found %v), want %d", newcomer, nb, ok, want)
 				}
-				if (live.tags[i] == 0) != tc.moves {
-					t.Errorf("the path's head slot is free = %v, want %v", live.tags[i] == 0, tc.moves)
+				if occupied(live, i) == tc.moves {
+					t.Errorf("the path's head slot is free = %v, want %v", !occupied(live, i), tc.moves)
 				}
 				model := map[string]rec{a: {key: a, n: 3}, newcomer: {key: newcomer, n: 2}}
 				if n := unreadable(tab, model); n != 0 {
@@ -213,7 +293,7 @@ func TestDisplaceMovesSameTagOccupant(t *testing.T) {
 // its key: locate (behind a matching tag), Oldest (its own-key exclusion and
 // the victim it names), the migrator (a grown table reduces the whole hash
 // to a new bucket count, and a slot holds only its tag) and Range's copy.
-// The insert path — search, shift, displace, execute — is not among them;
+// The insert path — search, shift, displace, openSlot — is not among them;
 // one function computes an alternate bucket; and a path carries tags, so
 // its types name no key type.
 func TestOnlyTheseReadAnItem(t *testing.T) {
@@ -291,10 +371,10 @@ func TestSmallTableFixtures(t *testing.T) {
 	base := liveHeap()
 	var arrays [tables]struct {
 		vals []*rec
-		tags []uint8
+		tags []uint32
 	}
 	for i := range arrays {
-		arrays[i].vals, arrays[i].tags = make([]*rec, slots), make([]uint8, slots)
+		arrays[i].vals, arrays[i].tags = make([]*rec, slots), make([]uint32, slots/4)
 	}
 	arrayBytes := float64(liveHeap()-base) / tables
 	runtime.KeepAlive(&arrays)

@@ -1,13 +1,21 @@
 package generic
 
-// BFS path search for the generic table, on tag bytes alone. A slot's tag
-// names its occupant's other bucket (altOf), so a frontier scan snapshots a
-// full bucket's tags — under its stripe, one bucket at a time, never nested
-// — and neither the search nor the moves it leads to read a key: in a keyed
-// table that was a dereference of every item considered. The discovered
-// path is still validated entry by entry during execution, as in §4.3.1,
-// by tag. Paths live entirely in the live generation: draining old buckets
-// never receive new entries, so they are never displacement targets.
+// BFS path search for the generic table, on tag words alone. A slot's tag
+// names its occupant's other bucket (altOf), so a frontier scan reads a
+// bucket's tag words — atomically, with no stripe held: the search runs
+// before any lock is taken, as in §4.3.1 — and neither the search nor the
+// moves it leads to read a key: in a keyed table that was a dereference of
+// every item considered. What the search saw may be stale by the time it
+// is used; the discovered path is validated entry by entry during
+// execution, by tag under the hop's stripes (displace), and its head slot
+// by the locked attempt. Paths live entirely in the live generation:
+// draining old buckets never receive new entries, so they are never
+// displacement targets.
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // pathEntry is one hop of a cuckoo path: a slot and the tag its occupant
 // had when the search passed (0 for the free slot at the path's end).
@@ -31,62 +39,68 @@ type bfsNode struct {
 // paper's value; Associativity <= 32 keeps one bucket pair well inside it).
 const maxSearchSlots = 2000
 
-// search runs BFS from b1/b2 to an empty live slot. The queue starts
-// with room for the roots, their children and their grandchildren — all
-// a search that ends one hop away can enqueue — and grows on demand to
-// at most the roots plus maxSearchSlots nodes.
+// searchScratch is one search's BFS queue and the path it returns. It is
+// pooled (searchScratches), so a search allocates nothing: the queue is made
+// once with room for the whole budget, and the path keeps the capacity of
+// the longest one its scratch has held.
+type searchScratch struct {
+	nodes []bfsNode
+	path  []pathEntry
+}
+
+var searchScratches = sync.Pool{New: func() any {
+	return &searchScratch{nodes: make([]bfsNode, 0, maxSearchSlots+2)}
+}}
+
+// search runs BFS from b1/b2 to an empty live slot, reading each frontier
+// bucket's tag words once, with no stripe held. It checks that st is still
+// the published generation set once, when it has found a free slot. The
+// returned path is backed by sc.
 //
-//cuckoo:coldpath BFS path discovery is the insert slow path (§4, Eq. 2); its queue is the cost of a full bucket pair
-func (t *Table[K, V]) search(st *genState[K, V], b1, b2 uint64) ([]pathEntry, bool) {
+//cuckoo:coldpath BFS path discovery is the insert slow path (§4, Eq. 2); its appends fill sc, whose queue holds the whole budget
+func (t *Table[K, V]) search(st *genState[K, V], sc *searchScratch, b1, b2 uint64) ([]pathEntry, bool) {
 	t.probe.Searched(b1)
 	arr := st.live
 	assoc := int(t.assoc)
-	nodes := make([]bfsNode, 0, min(2+2*assoc*(1+assoc), maxSearchSlots+2))
-	nodes = append(nodes,
+	nodes := append(sc.nodes[:0],
 		bfsNode{bucket: b1, parent: -1},
 		bfsNode{bucket: b2, parent: -1},
 	)
-	tags := make([]uint8, assoc)
 	slotsExamined := 0
 	for qi := 0; qi < len(nodes) && slotsExamined < maxSearchSlots; qi++ {
-		bucket := nodes[qi].bucket // a copy: the appends below may move nodes
+		bucket := nodes[qi].bucket
 		slotsExamined += assoc
-
-		// Snapshot the bucket under its stripe.
-		l := t.locks.IndexFor(bucket)
-		t.locks.Lock(l)
-		if !t.stateValid(st) {
-			t.locks.Unlock(l)
-			return nil, false
-		}
-		bucketTags := t.bucketTags(arr, bucket)
-		free, ok := freeSlot(bucketTags)
-		if !ok { // full: where its tags point is the next frontier
-			copy(tags, bucketTags)
-		}
-		t.locks.Unlock(l)
-
-		if ok {
-			return buildPath(nodes, qi, free), true
-		}
-		if len(nodes)+assoc > maxSearchSlots+2 {
-			continue
-		}
-		for s, tag := range tags {
-			nodes = append(nodes, bfsNode{
-				bucket:    altOf(bucket, tag, arr.buckets),
-				parent:    int32(qi),
-				slotInPar: int8(s),
-				tag:       tag,
-			})
+		expand := len(nodes)+assoc <= maxSearchSlots+2
+		ws := t.bucketTags(arr, bucket)
+		for j := range ws {
+			w := atomic.LoadUint32(&ws[j])
+			if s := t.freeIn(w, j, len(ws)); s < 4 {
+				if !t.stateValid(st) {
+					return nil, false
+				}
+				sc.path = buildPath(sc.path, nodes, qi, 4*j+s)
+				return sc.path, true
+			}
+			// Every slot of this word is taken: where its tags point is
+			// the next frontier.
+			for s := 4 * j; expand && s < min(4*j+4, assoc); s++ {
+				tag := uint8(w >> (s % 4 * 8))
+				nodes = append(nodes, bfsNode{
+					bucket:    altOf(bucket, tag, arr.buckets),
+					parent:    int32(qi),
+					slotInPar: int8(s),
+					tag:       tag,
+				})
+			}
 		}
 	}
 	return nil, false
 }
 
-func buildPath(nodes []bfsNode, qi, s int) []pathEntry {
-	var path []pathEntry
-	path = append(path, pathEntry{bucket: nodes[qi].bucket, slot: s})
+// buildPath writes into path, from its start, the hops from a root to slot
+// s of node qi.
+func buildPath(path []pathEntry, nodes []bfsNode, qi, s int) []pathEntry {
+	path = append(path[:0], pathEntry{bucket: nodes[qi].bucket, slot: s})
 	for i := qi; nodes[i].parent >= 0; i = int(nodes[i].parent) {
 		p := nodes[i].parent
 		path = append(path, pathEntry{
@@ -116,19 +130,21 @@ func (t *Table[K, V]) shift(st *genState[K, V], path []pathEntry) bool {
 	return true
 }
 
-// execute performs the validated displacements and the final insert,
-// returning the locked attempt's outcome (putNoSpace and putStale both mean
-// "retry the whole insert").
-func (t *Table[K, V]) execute(st *genState[K, V], path []pathEntry, h, b1, b2 uint64, key K, val V, overwrite bool) putResult {
-	if !t.shift(st, path) {
-		return putNoSpace
+// openSlot makes room in the full bucket pair b1/b2: it searches, in pooled
+// scratch, for a cuckoo path and shifts the path's entries along it. hops
+// is the path's length in displacements, -1 when the search found none;
+// freed reports that the shift got through, leaving head, the path's first
+// slot, free. A put (tryPut) and a drain (migrateBucket) are its callers.
+//
+//cuckoo:coldpath the insert slow path (§4, Eq. 2): a search and the moves it leads to, in scratch from searchScratches
+func (t *Table[K, V]) openSlot(st *genState[K, V], b1, b2 uint64) (head pathEntry, hops int, freed bool) {
+	sc := searchScratches.Get().(*searchScratch)
+	defer searchScratches.Put(sc)
+	path, ok := t.search(st, sc, b1, b2)
+	if !ok {
+		return pathEntry{}, -1, false
 	}
-	head := path[0]
-	other := b2
-	if head.bucket == b2 {
-		other = b1
-	}
-	return t.attempt(st, h, head.bucket, other, key, val, overwrite, head.slot)
+	return path[0], len(path) - 1, t.shift(st, path)
 }
 
 // displace moves src's occupant into dst, one hop of a path. The hop was
@@ -145,11 +161,10 @@ func (t *Table[K, V]) displace(st *genState[K, V], src, dst pathEntry) bool {
 		return false
 	}
 	arr := st.live
-	si := src.bucket*t.assoc + uint64(src.slot)
-	if arr.tags[si] != src.tag || arr.tags[dst.bucket*t.assoc+uint64(dst.slot)] != 0 {
+	if tagIn(t.bucketTags(arr, src.bucket), src.slot) != src.tag || tagIn(t.bucketTags(arr, dst.bucket), dst.slot) != 0 {
 		return false
 	}
-	t.moveSlot(arr, dst.bucket, dst.slot, arr, si)
+	t.moveSlot(arr, dst.bucket, dst.slot, arr, src.bucket, src.slot)
 	t.probe.Displaced(src.bucket)
 	return true
 }

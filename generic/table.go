@@ -9,7 +9,7 @@
 // A key's critical section has one owner. pin takes the stripes of the
 // key's candidate buckets in every generation and retries until the
 // generation set it locked under is still the published one; locate is the
-// one probe — generations × two buckets × tag bytes, a key looked at only
+// one probe — generations × two buckets × tag words, a key looked at only
 // behind a matching tag. Get and GetBytes are pin → locate → copy the
 // value out, Delete is pin → locate → clearSlot, and a put (attempt) is
 // validate → locate → overwrite in place, fold forward or place; reads
@@ -23,12 +23,13 @@
 // computable from the slot alone, in a table of any even bucket count. When
 // both candidate buckets are full the write path is the same BFS +
 // lock-after-discovery algorithm as the specialized cuckoohash.Map
-// (search.go), run on tag bytes: the search snapshots tags, shift moves the
-// discovered path's entries last hop first, each hop validated by tag, and
-// no key is read or hashed between "both buckets full" and "a slot is
-// free". What still turns a slot into its key is locate's compare behind a
-// matching tag, Oldest, the migrator (a grown table reduces the hash to a
-// new bucket count, which a slot's tag cannot) and Range.
+// (search.go), run on tag words: the search reads them with no lock held
+// (§4.3.1), shift moves the discovered path's entries last hop first, each
+// hop validated by tag under its stripes, and no key is read or hashed
+// between "both buckets full" and "a slot is free". What still turns a slot
+// into its key is locate's compare behind a matching tag, Oldest, the
+// migrator (a grown table reduces the hash to a new bucket count, which a
+// slot's tag cannot) and Range.
 // Resizing is incremental: a grow publishes a live generation half again
 // as large next to the old one and drains it a bounded batch of buckets at
 // a time (migrate.go), so no operation ever pauses for a full-table rehash
@@ -120,6 +121,8 @@ type Table[K comparable, V any] struct {
 	// keyOf is non-nil in a keyed table (NewKeyed): the value carries its
 	// key, so the arrays store no keys and a slot's key is keyOf(value).
 	keyOf  func(V) K
+	words  uint64 // tag words per bucket, ⌈assoc/4⌉
+	pad    uint32 // ones in the bytes of a bucket's last tag word past its last slot
 	locks  *spinlock.Stripe
 	growMu sync.Mutex // serializes generation-set changes and full walks
 	state  atomic.Pointer[genState[K, V]]
@@ -135,13 +138,17 @@ type tArrays[K comparable, V any] struct {
 	buckets uint64
 	keys    []K // nil in a keyed table
 	vals    []V
-	// tags holds one byte per slot, guarded by the bucket's lock stripe: 0
-	// for an empty slot, otherwise a byte of its key's hash (tagOf, never
-	// 0) — MemC3's partial-key tag, which is also the bucket's occupancy. A
-	// probe compares it before it compares — in a keyed table, before it
+	// tags holds one byte per slot, packed four to a word: slot s of bucket
+	// b is byte s%4 of the bucket's word s/4, and each bucket starts a word
+	// of its own (bucketTags). A byte is 0 for an empty slot, otherwise a
+	// byte of its key's hash (tagOf, never 0) — MemC3's partial-key tag,
+	// which is also the bucket's occupancy. A probe matches a whole word at
+	// a time (matchTag) before it compares — in a keyed table, before it
 	// dereferences — any key, and a slot that moves (displace, migration)
-	// carries its tag along.
-	tags []uint8
+	// carries its tag along. Written only under the bucket's stripe and
+	// always a whole word with atomic.StoreUint32 (setTag), so a path search
+	// can read them with no stripe held.
+	tags []uint32
 
 	// fullAt is the search mark: the table's Len when a path search in
 	// these arrays last ran out of budget, 0 when none has (or since
@@ -198,9 +205,13 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 		seed:  maphash.MakeSeed(),
 		assoc: assoc,
 		keyOf: keyOf,
+		words: (assoc + 3) / 4,
 		locks: spinlock.NewStripe(stripes),
 		size:  metrics.NewShardedCounter(min(maxSizeShards, max(1, stripes/stripesPerSizeShard))),
 		probe: metrics.NewProbe(min(maxProbeShards, max(1, stripes/stripesPerProbeShard))),
+	}
+	if r := assoc % 4; r != 0 {
+		t.pad = ^uint32(0) << (8 * r)
 	}
 	t.state.Store(&genState[K, V]{live: t.newArrays(buckets)})
 	return t, nil
@@ -247,7 +258,7 @@ func (t *Table[K, V]) newArrays(buckets uint64) *tArrays[K, V] {
 	arr := &tArrays[K, V]{
 		buckets: buckets,
 		vals:    make([]V, buckets*t.assoc),
-		tags:    make([]uint8, buckets*t.assoc),
+		tags:    make([]uint32, buckets*t.words),
 	}
 	if t.keyOf == nil {
 		arr.keys = make([]K, buckets*t.assoc)
@@ -264,10 +275,61 @@ func (t *Table[K, V]) keyAt(arr *tArrays[K, V], i uint64) K {
 	return arr.keys[i]
 }
 
-// bucketTags returns bucket b's tag bytes, one per slot. Caller holds the
-// bucket's stripe.
-func (t *Table[K, V]) bucketTags(arr *tArrays[K, V], b uint64) []uint8 {
-	return arr.tags[b*t.assoc : (b+1)*t.assoc]
+// bucketTags returns bucket b's tag words. Caller holds the bucket's
+// stripe, or only reads them, atomically, as a path search does.
+func (t *Table[K, V]) bucketTags(arr *tArrays[K, V], b uint64) []uint32 {
+	return arr.tags[b*t.words : (b+1)*t.words]
+}
+
+// matchTag returns the top bit of every byte of w that equals tag: the
+// zero-byte test (SWAR) on w with tag xored out of every byte. Its lowest
+// set bit is exact. A byte above a true match can be set as well when it
+// equals tag^1 (the borrow out of the match), so a caller that goes past
+// the lowest bit re-checks the byte.
+func matchTag(w uint32, tag uint8) uint32 {
+	v := w ^ uint32(tag)*0x01010101
+	return (v - 0x01010101) &^ v & 0x80808080
+}
+
+// usedIn returns the top bit of every nonzero byte of w, exactly: adding
+// 0x7f to a byte's low seven bits carries into its top bit unless they are
+// all 0, and no byte's sum carries out into the next.
+func usedIn(w uint32) uint32 {
+	return (w&0x7f7f7f7f + 0x7f7f7f7f | w) & 0x80808080
+}
+
+// freeIn returns the first empty slot among the four of word j of a
+// bucket's n tag words, 4 when every one is taken: matchTag's lowest match
+// of 0, which is exact. A last word's bytes past the bucket's last slot
+// read as taken.
+func (t *Table[K, V]) freeIn(w uint32, j, n int) int {
+	if j == n-1 {
+		w |= t.pad
+	}
+	return bits.TrailingZeros32(matchTag(w, 0)) / 8
+}
+
+// used returns the occupied slots of the bucket whose tag words ws are, bit
+// s for slot s: each word's usedIn, its four top bits gathered by one
+// multiply into a nibble.
+func used(ws []uint32) (m uint32) {
+	for j := range ws {
+		m |= usedIn(atomic.LoadUint32(&ws[j])) >> 7 * 0x10204080 >> 28 << (4 * j)
+	}
+	return m
+}
+
+// tagIn returns slot s's tag from its bucket's tag words ws.
+func tagIn(ws []uint32, s int) uint8 {
+	return uint8(atomic.LoadUint32(&ws[s>>2]) >> (s & 3 * 8))
+}
+
+// setTag writes slot s's tag into its bucket's tag words ws, the whole
+// word at once. Caller holds the bucket's stripe, so no other byte of the
+// word changes meanwhile.
+func setTag(ws []uint32, s int, tag uint8) {
+	p, shift := &ws[s>>2], s&3*8
+	atomic.StoreUint32(p, atomic.LoadUint32(p)&^(0xff<<shift)|uint32(tag)<<shift)
 }
 
 // tagOf is the slot tag of a key with hash h: the hash's top byte, bits
@@ -391,8 +453,8 @@ func (t *Table[K, V]) pin(h uint64, buf []uint64) (*genState[K, V], []uint64) {
 // (Eq. 1) can keep it: a key that leaves a generation behind the probe is
 // already in the one ahead. Only a slot whose tag matches — an occupied
 // one, tags being nonzero — has its key looked at, so match runs at most
-// once per tag match. Caller holds the stripes of h's candidate buckets in
-// every generation of st.
+// once per tag match; matchTag finds them a word at a time. Caller holds
+// the stripes of h's candidate buckets in every generation of st.
 func (t *Table[K, V]) locate(st *genState[K, V], h uint64, match func(K) bool) (arr *tArrays[K, V], bucket, index uint64, ok bool) {
 	tag := tagOf(h)
 	for g := 0; g <= len(st.olds); g++ {
@@ -402,12 +464,17 @@ func (t *Table[K, V]) locate(st *genState[K, V], h uint64, match func(K) bool) (
 		}
 		b1, b2 := twoBuckets(h, arr.buckets)
 		for _, b := range [2]uint64{b1, b2} {
-			for s, slotTag := range t.bucketTags(arr, b) {
-				if slotTag != tag {
-					continue
-				}
-				if i := b*t.assoc + uint64(s); match(t.keyAt(arr, i)) {
-					return arr, b, i, true
+			ws := t.bucketTags(arr, b)
+			for j := range ws {
+				w := atomic.LoadUint32(&ws[j])
+				for m := matchTag(w, tag); m != 0; m &= m - 1 {
+					shift := bits.TrailingZeros32(m) &^ 7
+					if uint8(w>>shift) != tag {
+						continue // matchTag's borrow, not a match
+					}
+					if i := b*t.assoc + uint64(4*j+shift/8); match(t.keyAt(arr, i)) {
+						return arr, b, i, true
+					}
 				}
 			}
 		}
@@ -482,10 +549,13 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
 			if mark := st.live.fullAt.Load(); mark != 0 && n >= mark && len(st.olds) == 0 {
 				return ErrFull
 			}
-			if path, ok := t.search(st, b1, b2); ok {
-				t.probe.ObservePath(b1, uint64(len(path)-1))
-				res = t.execute(st, path, h, b1, b2, key, val, overwrite)
-				if res == putNoSpace || res == putStale {
+			if head, hops, freed := t.openSlot(st, b1, b2); hops >= 0 {
+				t.probe.ObservePath(b1, uint64(hops))
+				if freed {
+					// The head is b1 or b2: insert into its free slot.
+					res = t.attempt(st, h, head.bucket, b1^b2^head.bucket, key, val, overwrite, head.slot)
+				}
+				if !freed || res == putNoSpace || res == putStale {
 					// Path invalidated or generations swapped (Eq. 1); retry.
 					t.probe.Restarted(b1)
 					continue
@@ -535,7 +605,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 		return putStale
 	}
 	live := st.live
-	arr, _, i, found := t.locate(st, h, func(k K) bool { return k == key })
+	arr, ab, i, found := t.locate(st, h, func(k K) bool { return k == key })
 	if found && !overwrite {
 		return putExists
 	}
@@ -554,7 +624,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 	// neither generation.
 	t.place(live, s.bucket, s.slot, key, val, tagOf(h))
 	if found {
-		t.clearSlot(arr, i)
+		t.clearSlot(arr, ab, i)
 	} else {
 		t.size.Add(s.bucket, 1)
 	}
@@ -573,13 +643,13 @@ type liveTarget struct {
 // stripes.
 func (t *Table[K, V]) liveSlotFor(live *tArrays[K, V], b1, b2 uint64, reqSlot int) (liveTarget, bool) {
 	if reqSlot >= 0 {
-		if live.tags[b1*t.assoc+uint64(reqSlot)] != 0 {
+		if tagIn(t.bucketTags(live, b1), reqSlot) != 0 {
 			return liveTarget{}, false
 		}
 		return liveTarget{bucket: b1, slot: reqSlot}, true
 	}
 	for _, b := range [2]uint64{b1, b2} {
-		if s, ok := freeSlot(t.bucketTags(live, b)); ok {
+		if s, ok := t.freeSlot(t.bucketTags(live, b)); ok {
 			return liveTarget{bucket: b, slot: s}, true
 		}
 	}
@@ -594,40 +664,42 @@ func (t *Table[K, V]) place(arr *tArrays[K, V], b uint64, s int, key K, val V, t
 		arr.keys[i] = key
 	}
 	arr.vals[i] = val
-	arr.tags[i] = tag
+	setTag(t.bucketTags(arr, b), s, tag)
 }
 
-// moveSlot relocates the entry in slot si of src into free slot ds of dst's
-// bucket db, tag and all: a displacement within the live
+// moveSlot relocates the entry in slot ss of src's bucket sb into free slot
+// ds of dst's bucket db, tag and all: a displacement within the live
 // arrays, or a migration out of a draining generation (a key's tag depends
 // on its hash alone, so it holds in every generation). Caller holds both
 // stripes; the table's size is unchanged.
-func (t *Table[K, V]) moveSlot(dst *tArrays[K, V], db uint64, ds int, src *tArrays[K, V], si uint64) {
+func (t *Table[K, V]) moveSlot(dst *tArrays[K, V], db uint64, ds int, src *tArrays[K, V], sb uint64, ss int) {
+	si := sb*t.assoc + uint64(ss)
 	var key K
 	if src.keys != nil {
 		key = src.keys[si]
 	}
-	t.place(dst, db, ds, key, src.vals[si], src.tags[si])
-	t.clearSlot(src, si)
+	t.place(dst, db, ds, key, src.vals[si], tagIn(t.bucketTags(src, sb), ss))
+	t.clearSlot(src, sb, si)
 }
 
-// clearSlot empties slot i, releasing references for the GC; caller holds
-// its bucket's stripe and accounts for size itself.
-func (t *Table[K, V]) clearSlot(arr *tArrays[K, V], i uint64) {
+// clearSlot empties slot i of bucket b, releasing references for the GC;
+// caller holds the bucket's stripe and accounts for size itself.
+func (t *Table[K, V]) clearSlot(arr *tArrays[K, V], b, i uint64) {
 	if arr.keys != nil {
 		var zeroK K
 		arr.keys[i] = zeroK
 	}
 	var zeroV V
 	arr.vals[i] = zeroV
-	arr.tags[i] = 0
+	setTag(t.bucketTags(arr, b), int(i-b*t.assoc), 0)
 }
 
-// freeSlot returns the first empty slot of the bucket whose tags these are.
-func freeSlot(tags []uint8) (int, bool) {
-	for s, tag := range tags {
-		if tag == 0 {
-			return s, true
+// freeSlot returns the first empty slot of the bucket whose tag words ws
+// are; caller holds the bucket's stripe.
+func (t *Table[K, V]) freeSlot(ws []uint32) (int, bool) {
+	for j := range ws {
+		if s := t.freeIn(atomic.LoadUint32(&ws[j]), j, len(ws)); s < 4 {
+			return 4*j + s, true
 		}
 	}
 	return 0, false
@@ -642,7 +714,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 	st, locked := t.pin(h, lockBuf[:0])
 	arr, b, i, found := t.locate(st, h, func(k K) bool { return k == key })
 	if found {
-		t.clearSlot(arr, i) // linearization point
+		t.clearSlot(arr, b, i) // linearization point
 		t.size.Add(b, -1)
 	}
 	t.locks.UnlockOrdered(locked)
@@ -673,9 +745,11 @@ func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool)
 		}
 		var best uint64
 		for _, b := range [2]uint64{b1, b2} {
-			for s, slotTag := range t.bucketTags(live, b) {
+			ws := t.bucketTags(live, b)
+			for m := used(ws); m != 0; m &= m - 1 {
+				s := bits.TrailingZeros32(m)
 				i := b*t.assoc + uint64(s)
-				if slotTag == 0 || slotTag == tag && t.keyAt(live, i) == key {
+				if tagIn(ws, s) == tag && t.keyAt(live, i) == key {
 					continue
 				}
 				if !ok || older(live.vals[i], live.vals[best]) {
@@ -722,11 +796,10 @@ func (t *Table[K, V]) Range(fn func(key K, val V) bool) {
 // copyBucket appends bucket b's occupied entries to keys/vals; caller
 // holds the bucket's stripe.
 func (t *Table[K, V]) copyBucket(arr *tArrays[K, V], b uint64, keys []K, vals []V) ([]K, []V) {
-	for s, tag := range t.bucketTags(arr, b) {
-		if i := b*t.assoc + uint64(s); tag != 0 {
-			keys = append(keys, t.keyAt(arr, i))
-			vals = append(vals, arr.vals[i])
-		}
+	for m := used(t.bucketTags(arr, b)); m != 0; m &= m - 1 {
+		i := b*t.assoc + uint64(bits.TrailingZeros32(m))
+		keys = append(keys, t.keyAt(arr, i))
+		vals = append(vals, arr.vals[i])
 	}
 	return keys, vals
 }
