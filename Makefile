@@ -42,12 +42,14 @@ lint: cuckoovet
 	fi
 
 # cuckoovet machine-checks the paper's concurrency invariants (§4.2 atomic
-# discipline, §4.4 lock ordering, Eq. 1 snapshot/validate, §5 transaction
-# purity, P1 cache-line padding) plus the interprocedural hot-path proofs
-# (allocation freedom, no blocking in lock-free regions). See
-# docs/ANALYSIS.md. -timing prints per-analyzer wall time to stderr so a
-# slow analyzer is visible before it eats the CI budget (the CI job caps
-# the whole static-analysis step at 5 minutes).
+# discipline, §4.4 lock ordering, Eq. 1 snapshot/validate, P1 cache-line
+# padding, the two-generation resize) plus two interprocedural proofs on
+# one call-graph walker: allocfree (hot paths and span methods allocate
+# nothing) and blockcheck (nothing blocks in a lock-free region, nothing
+# irreversible runs in a §5 transaction body). Eight analyzers, one
+# section each in docs/ANALYSIS.md. -timing prints per-analyzer wall time
+# to stderr so a slow analyzer is visible before it eats the CI budget
+# (the CI job caps the whole static-analysis step at 5 minutes).
 cuckoovet:
 	$(GO) run ./cmd/cuckoovet -timing ./...
 

@@ -9,7 +9,9 @@ package client
 // touches.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -164,13 +166,10 @@ func (cl *Cluster) HotKeys(n int) ([]HotKey, error) {
 // sortHotKeys orders by count descending, then key ascending for
 // deterministic ties.
 func sortHotKeys(hk []HotKey) {
-	for i := 1; i < len(hk); i++ {
-		for j := i; j > 0; j-- {
-			if hk[j-1].Count > hk[j].Count ||
-				(hk[j-1].Count == hk[j].Count && hk[j-1].Key <= hk[j].Key) {
-				break
-			}
-			hk[j-1], hk[j] = hk[j], hk[j-1]
+	slices.SortFunc(hk, func(a, b HotKey) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.Key, b.Key)
+	})
 }

@@ -114,7 +114,6 @@ func main() {
 	if *admin != "" {
 		reg := obs.NewRegistry()
 		reg.Register(obs.GoRuntime{})
-		reg.Register(obs.HTM{})
 		reg.Register(srv)
 		obs.PublishExpvar("cuckood", srv.ExpvarSnapshot)
 		adminLn, err := net.Listen("tcp", *admin)

@@ -167,7 +167,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 			"cuckoo_table_path_length_bucket",
 			"cuckoo_table_path_restarts_total",
 			"cuckoo_lock_contended_total",
-			"cuckoo_htm_aborts_total",
 			"cuckood_hits_total",
 			"cuckood_misses_total",
 			"cuckood_evictions_total",

@@ -1,4 +1,4 @@
-// Package allocfree proves annotated hot-path roots allocation-free.
+// Package allocfree proves hot-path roots allocation-free.
 //
 // The paper's request-path throughput (§5, Fig. 9) assumes GET and SET
 // never touch the allocator: one heap allocation per operation caps the
@@ -14,6 +14,14 @@
 // unanalyzed (standard-library) functions off the known-clean list are
 // all reported, with the full root → site call chain in the diagnostic.
 //
+// Every method of a span-shaped type (Arm, Begin and End: the per-request
+// tracing scratch, internal/obs.Span) is a root by its structure, with no
+// annotation: a span sits on every request, so it must be free whether or
+// not it is armed. Span methods carry one more rule, positional and not
+// transitive: a call into package time must come after an early-return
+// guard (an if statement that can return), the Begin/End idiom that keeps
+// an unarmed span off the clock.
+//
 // //cuckoo:coldpath marks a deliberate slow path (BFS path search, table
 // growth, eviction): the walk stops there, and the annotation is the
 // audited promise that the function is off the per-operation fast path.
@@ -22,17 +30,21 @@ package allocfree
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 
 	"cuckoohash/internal/analysis"
 	"cuckoohash/internal/analysis/callgraph"
+	"cuckoohash/internal/analysis/checkutil"
 )
 
-// HotFact marks a //cuckoo:hotpath proof root.
-type HotFact struct{ Note string }
+// HotFact marks a proof root: a //cuckoo:hotpath function or a span
+// method.
+type HotFact struct {
+	Note string
+	Span bool
+}
 
 func (*HotFact) AFact() {}
 
@@ -49,9 +61,10 @@ const (
 // Analyzer is the allocation-freedom prover.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocfree",
-	Doc: "prove //cuckoo:hotpath roots allocation-free (§5 request path)\n\n" +
-		"Walks the call graph from each annotated root and reports any\n" +
-		"transitively reachable heap allocation with its full call chain.",
+	Doc: "prove //cuckoo:hotpath roots and span methods allocation-free (§5 request path)\n\n" +
+		"Walks the call graph from each root and reports any transitively\n" +
+		"reachable heap allocation with its full call chain; span methods\n" +
+		"must also read the clock only behind an early-return guard.",
 	Requires: []*analysis.Analyzer{callgraph.Analyzer},
 	Run:      run,
 	End:      end,
@@ -110,16 +123,32 @@ var cleanPkgs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	// Collect the annotations; the proof itself runs in End, when every
+	// The tracing scratch is recognized structurally: any type of this
+	// package carrying the Arm/Begin/End triple.
+	spans := make(map[*types.Named]bool)
+	scope := pass.Pkg.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && checkutil.HasMethods(tn.Type(), "Arm", "Begin", "End") {
+			spans[checkutil.NamedOf(tn.Type())] = true
+		}
+	}
+	// Collect the roots; the proof itself runs in End, when every
 	// package's summaries are in the fact store.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
+			if !ok {
 				continue
 			}
 			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			if !ok {
+				continue
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && fd.Body != nil && spans[checkutil.NamedOf(recv.Type())] {
+				pass.ExportObjectFact(fn.Origin(), &HotFact{Span: true})
+				clockAfterGuard(pass, fd)
+			}
+			if fd.Doc == nil {
 				continue
 			}
 			for _, c := range fd.Doc.List {
@@ -146,20 +175,67 @@ func markerNote(text, marker string) (string, bool) {
 	return strings.TrimSpace(rest), true
 }
 
+// clockAfterGuard reports calls into package time that a span method
+// makes before its first early-return guard (an if statement containing a
+// return), in source order: the nil/unarmed check that makes the clock
+// read conditional.
+func clockAfterGuard(pass *analysis.Pass, fd *ast.FuncDecl) {
+	for _, stmt := range fd.Body.List {
+		ast.Inspect(stmt, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := checkutil.Callee(pass.TypesInfo, call)
+			if !checkutil.PkgPathIn(fn, "time") {
+				return true
+			}
+			// Report the outermost time call only: time.Now().UnixNano()
+			// is one clock read.
+			pass.Reportf(call.Pos(),
+				"span method %s reads the clock (time.%s) before an armed guard: unarmed spans must return without touching time.Now",
+				fd.Name.Name, fn.Name())
+			return false
+		})
+		if ifs, ok := stmt.(*ast.IfStmt); ok && returns(ifs) {
+			return
+		}
+	}
+}
+
+// returns reports whether n contains a return statement.
+func returns(n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if _, ok := n.(*ast.ReturnStmt); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 func end(pass *analysis.Pass) error {
 	roots := pass.AllObjectFacts(&HotFact{})
 	sort.Slice(roots, func(i, j int) bool { return roots[i].Object.Pos() < roots[j].Object.Pos() })
 
-	// Packages the analysis summarized: an interface method from any other
-	// package is an unknown implementation space.
-	modulePkgs := make(map[*types.Package]bool)
-	for _, of := range pass.AllObjectFacts(&FuncFactProto) {
-		if p := of.Object.Pkg(); p != nil {
-			modulePkgs[p] = true
-		}
+	c := &checker{pass: pass}
+	w := &callgraph.Walker{
+		Pass: pass,
+		Max:  20,
+		Site: c.site,
+		External: func(fn *types.Func) string {
+			if p := fn.Pkg(); p != nil && cleanPkgs[p.Path()] || cleanFuncs[fn.FullName()] {
+				return ""
+			}
+			return "call into unanalyzed " + fn.FullName()
+		},
+		Stop: func(fn *types.Func) bool { return pass.ImportObjectFact(fn, &ColdFact{}) },
+		Foreign: func(m *types.Func) string {
+			return "dynamic call through non-module interface method " + m.FullName()
+		},
+		Visible: c.reaches,
 	}
-
-	reported := make(map[token.Pos]bool)
 	for _, root := range roots {
 		fn, ok := root.Object.(*types.Func)
 		if !ok {
@@ -170,61 +246,28 @@ func end(pass *analysis.Pass) error {
 			pass.Reportf(fn.Pos(), "//cuckoo:hotpath root %s has no call-graph summary (no body?)", fn.Name())
 			continue
 		}
-		c := &checker{
-			pass:       pass,
-			rootPkg:    fn.Pkg(),
-			rootName:   sum.Name,
-			modulePkgs: modulePkgs,
-			onstack:    make(map[*callgraph.Summary]bool),
-			reachMemo:  make(map[*types.Package]bool),
-			reported:   reported,
+		kind := "//cuckoo:hotpath root"
+		if root.Fact.(*HotFact).Span {
+			kind = "span method"
 		}
-		c.walk(sum, nil, []string{sum.Name}, 0)
+		c.rootPkg, c.reachMemo = fn.Pkg(), make(map[*types.Package]bool)
+		w.Start(fmt.Sprintf("from %s %s", kind, sum.Name))
+		w.Walk(sum, []string{sum.Name})
 	}
 	return nil
 }
 
-// FuncFactProto exists only to enumerate summarized packages.
-var FuncFactProto callgraph.FuncFact
-
-// maxOffenses caps diagnostics per root so one broken helper does not
-// flood the report.
-const maxOffenses = 20
-
-// binding maps a callee's parameter index to the function values the
-// caller passed, for substituting calls through function parameters.
-type binding struct {
-	vals map[int][]bound
-}
-
-type bound struct {
-	fn  *types.Func
-	lit *callgraph.Summary
-}
-
 type checker struct {
-	pass       *analysis.Pass
-	rootPkg    *types.Package
-	rootName   string
-	modulePkgs map[*types.Package]bool
-	onstack    map[*callgraph.Summary]bool
-	reachMemo  map[*types.Package]bool
-	reported   map[token.Pos]bool
-	count      int
+	pass      *analysis.Pass
+	rootPkg   *types.Package
+	reachMemo map[*types.Package]bool
 }
 
-func (c *checker) report(pos token.Pos, chain []string, format string, args ...any) {
-	if c.count >= maxOffenses {
-		return
+func (c *checker) site(sum *callgraph.Summary, s *callgraph.Site) string {
+	if !s.Op.Allocates() || s.Op == callgraph.OpClosure && c.closureSafe(sum, s.Lit) {
+		return ""
 	}
-	c.count++
-	if c.reported[pos] {
-		return // another root already flagged this site
-	}
-	c.reported[pos] = true
-	msg := fmt.Sprintf(format, args...)
-	c.pass.Reportf(pos, "%s reachable from //cuckoo:hotpath root %s: %s",
-		msg, c.rootName, strings.Join(chain, " -> "))
+	return fmt.Sprintf("%s (%s)", s.Op, s.What)
 }
 
 // reaches reports whether the root's package transitively imports p — the
@@ -237,137 +280,6 @@ func (c *checker) reaches(p *types.Package) bool {
 	v := callgraph.Imports(c.rootPkg, p)
 	c.reachMemo[p] = v
 	return v
-}
-
-func (c *checker) walk(sum *callgraph.Summary, bind *binding, chain []string, depth int) {
-	if depth > 100 || c.onstack[sum] || c.count >= maxOffenses {
-		return
-	}
-	c.onstack[sum] = true
-	defer delete(c.onstack, sum)
-
-	for i := range sum.Sites {
-		site := &sum.Sites[i]
-		switch site.Op {
-		case callgraph.OpChanSend, callgraph.OpChanRecv, callgraph.OpSelect:
-			continue // blocking, not allocating: blockcheck's domain
-		case callgraph.OpClosure:
-			if c.closureSafe(sum, site.Lit) {
-				continue
-			}
-		}
-		c.report(site.Pos, chain, "%s (%s)", site.Op, site.What)
-	}
-
-	for i := range sum.Calls {
-		call := &sum.Calls[i]
-		if call.Go {
-			continue // the launch is the OpGo site; the body runs elsewhere
-		}
-		c.walkCall(sum, call, bind, chain, depth)
-	}
-}
-
-func (c *checker) walkCall(sum *callgraph.Summary, call *callgraph.Call, bind *binding, chain []string, depth int) {
-	switch {
-	case call.Callee != nil:
-		c.walkCallee(call, call.Callee, bind, chain, depth)
-	case call.Iface != nil:
-		m := call.Iface
-		if m.Pkg() != nil && !c.modulePkgs[m.Pkg()] {
-			c.report(call.Pos, chain, "dynamic call through non-module interface method %s", m.FullName())
-			return
-		}
-		impls := callgraph.Implementers(c.pass, m, c.reaches)
-		for _, impl := range impls {
-			c.walkCallee(call, impl, bind, chain, depth)
-		}
-	case call.Param >= 0:
-		if bind == nil {
-			return // unbound: the root's own contract covers its callers
-		}
-		for _, b := range bind.vals[call.Param] {
-			if b.fn != nil {
-				c.walkCallee(call, b.fn, bind, chain, depth)
-			}
-			if b.lit != nil {
-				c.descend(call, b.lit, bind, chain, depth)
-			}
-		}
-	case call.Field != nil:
-		var ff callgraph.FieldFuncs
-		if !c.pass.ImportObjectFact(call.Field, &ff) {
-			return // never assigned in-module: nothing can be called
-		}
-		if ff.Opaque {
-			c.report(call.Pos, chain, "call through field %s with unanalyzable stored values", call.Field.Name())
-			return
-		}
-		for _, fn := range ff.Funcs {
-			c.walkCallee(call, fn, bind, chain, depth)
-		}
-		for _, lit := range ff.Lits {
-			c.descend(call, lit, bind, chain, depth)
-		}
-	case call.Lit != nil:
-		c.descend(call, call.Lit, bind, chain, depth)
-	case call.Unknown:
-		c.report(call.Pos, chain, "unresolvable dynamic call")
-	}
-}
-
-func (c *checker) walkCallee(call *callgraph.Call, fn *types.Func, bind *binding, chain []string, depth int) {
-	var cold ColdFact
-	if c.pass.ImportObjectFact(fn, &cold) {
-		return // audited slow path
-	}
-	callee := callgraph.Lookup(c.pass, fn)
-	if callee == nil {
-		if c.cleanExternal(fn) {
-			return
-		}
-		c.report(call.Pos, chain, "call into unanalyzed %s", fn.FullName())
-		return
-	}
-	c.descend(call, callee, bind, chain, depth)
-}
-
-// descend walks into a callee summary, building its parameter binding
-// from the call's function-valued arguments. An argument that is itself
-// one of the caller's parameters is resolved through the caller's own
-// binding.
-func (c *checker) descend(call *callgraph.Call, callee *callgraph.Summary, callerBind *binding, chain []string, depth int) {
-	var bind *binding
-	add := func(idx int, b bound) {
-		if bind == nil {
-			bind = &binding{vals: make(map[int][]bound)}
-		}
-		bind.vals[idx] = append(bind.vals[idx], b)
-	}
-	for _, a := range call.Args {
-		switch {
-		case a.Param >= 0:
-			if callerBind != nil {
-				for _, b := range callerBind.vals[a.Param] {
-					add(a.Index, b)
-				}
-			}
-		case a.Fn != nil:
-			add(a.Index, bound{fn: a.Fn})
-		case a.Lit != nil:
-			add(a.Index, bound{lit: a.Lit})
-		}
-	}
-	c.walk(callee, bind, append(chain[:len(chain):len(chain)], callee.Name), depth+1)
-}
-
-// cleanExternal reports whether an unsummarized function is on the
-// known-clean list.
-func (c *checker) cleanExternal(fn *types.Func) bool {
-	if p := fn.Pkg(); p != nil && cleanPkgs[p.Path()] {
-		return true
-	}
-	return cleanFuncs[fn.FullName()]
 }
 
 // closureSafe reports whether a function literal never forces a heap

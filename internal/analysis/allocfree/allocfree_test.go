@@ -12,3 +12,11 @@ func TestGolden(t *testing.T) {
 		[]string{analysistest.Dir("allocfreetest")},
 		allocfree.Analyzer)
 }
+
+// TestSpanGolden holds span-shaped types to the zero-cost-when-idle
+// contract: every method is a root, and the clock waits for the guard.
+func TestSpanGolden(t *testing.T) {
+	analysistest.Run(t,
+		[]string{analysistest.Dir("obslib"), analysistest.Dir("spantest")},
+		allocfree.Analyzer)
+}

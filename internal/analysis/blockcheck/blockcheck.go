@@ -1,4 +1,5 @@
-// Package blockcheck proves critical sections free of blocking calls.
+// Package blockcheck proves critical sections free of blocking calls, and
+// transaction bodies free of effects that cannot roll back.
 //
 // Three region kinds must never park the goroutine, no matter how deep
 // the call chain:
@@ -13,12 +14,23 @@
 //   - HTM transaction bodies (§5): on real TSX any syscall aborts the
 //     transaction every single time.
 //
+// A transaction body is held to more. §5 moves the insert critical
+// section into a transaction, and the design depends on the body being a
+// handful of undo-loggable word reads and writes: allocation, map writes
+// and deletes, goroutine launches, defer, panic, channel close, and calls
+// into time, math/rand, runtime, sync and the I/O packages touch state no
+// undo log covers, so they are reported too. A transaction body is any
+// function or literal taking a handle (a type with Load, Store and Abort)
+// declared in another package; the walk stops at that package, which
+// implements the transaction machinery.
+//
 // Regions are detected per function (including regions opened by helpers
-// that return with stripes held, like lockAllGens), then checked
-// transitively over the callgraph summaries, resolving interface calls
-// against every module implementer. Function values passed to a callee
-// that invokes them inside a region (txn.Store.WithLock's fn argument) are
-// checked at each call site that supplies them.
+// that return with stripes held, like lockAllGens: lockorder's NetHeld
+// summary), then checked transitively over the callgraph summaries,
+// resolving interface calls against every module implementer. Function
+// values passed to a callee that invokes them inside a region
+// (txn.Store.WithLock's fn argument) are checked at each call site that
+// supplies them.
 //
 // Blocking is a deny list: sync lock/wait primitives, channel operations
 // and select, time.Sleep/After/Tick, and calls into I/O packages (os,
@@ -38,12 +50,14 @@ import (
 	"cuckoohash/internal/analysis"
 	"cuckoohash/internal/analysis/callgraph"
 	"cuckoohash/internal/analysis/checkutil"
+	"cuckoohash/internal/analysis/lockorder"
 )
 
-// A Region is one no-blocking proof obligation: the top-level statements
-// of Sum between From and To.
+// A Region is one proof obligation: the top-level statements of Sum
+// between From and To.
 type Region struct {
-	Kind     string // human description, e.g. "spinlock critical section on s.locks"
+	Kind     string         // human description, e.g. "spinlock critical section on s.locks"
+	Txn      *types.Package // transaction bodies: the handle's package, where the walk stops
 	From, To token.Pos
 	Sum      *callgraph.Summary
 }
@@ -58,6 +72,7 @@ func (*RegionsFact) AFact() {}
 type ParamRegion struct {
 	Index int
 	Kind  string
+	Txn   *types.Package
 }
 
 // ParamRegionFact lists the parameters of a function that are called
@@ -66,20 +81,16 @@ type ParamRegionFact struct{ Params []ParamRegion }
 
 func (*ParamRegionFact) AFact() {}
 
-// NetAcquireFact marks a helper that returns with spin locks still held
-// (lockAllGens): a call to it opens a region in the caller.
-type NetAcquireFact struct{}
-
-func (*NetAcquireFact) AFact() {}
-
 // Analyzer is the no-blocking prover.
 var Analyzer = &analysis.Analyzer{
 	Name: "blockcheck",
-	Doc: "prove spinlock/seqlock/HTM regions never block (§4.2, §4.4, §5)\n\n" +
+	Doc: "prove spinlock/seqlock/HTM regions never block, and HTM bodies roll back (§4.2, §4.4, §5)\n\n" +
 		"No mutex wait, channel operation, select, sleep, or I/O call may\n" +
 		"be transitively reachable from a spinlock critical section, a\n" +
-		"Snapshot/Validate read window, or a transaction body.",
-	Requires: []*analysis.Analyzer{callgraph.Analyzer},
+		"Snapshot/Validate read window, or a transaction body; nor may\n" +
+		"allocation, map writes, goroutines, defer, panic or effectful\n" +
+		"library calls be reachable from a transaction body.",
+	Requires: []*analysis.Analyzer{callgraph.Analyzer, lockorder.Analyzer},
 	Run:      run,
 	End:      end,
 }
@@ -87,7 +98,9 @@ var Analyzer = &analysis.Analyzer{
 // isSpinLock recognizes busy-waiting lock providers structurally: the
 // Lock/Unlock pair plus the Locked or LockPair surface of this module's
 // spinlock types. sync.Mutex (Lock/Unlock/TryLock only) stays out — it
-// parks, and parking on it is exactly what this analyzer reports.
+// parks, and parking on it is exactly what this analyzer reports. It is
+// wider than lockorder's striped lock (LockPair only), whose held-lock
+// summary opens the regions of helpers that return holding stripes.
 func isSpinLock(t types.Type) bool {
 	return checkutil.HasMethods(t, "Lock", "Unlock") &&
 		(checkutil.HasMethods(t, "Locked") || checkutil.HasMethods(t, "LockPair"))
@@ -114,82 +127,53 @@ func run(pass *analysis.Pass) (any, error) {
 	if g == nil {
 		return nil, nil
 	}
-	r := &runner{
-		pass:   pass,
-		g:      g,
-		bodies: make(map[*types.Func]checkutil.FuncBody),
-		encl:   make(map[*ast.FuncLit]*types.Func),
-		net:    make(map[*types.Func]int), // 0 unknown, 1 computing, 2 done
-	}
-	var fbs []checkutil.FuncBody
-	for _, f := range pass.Files {
-		for _, fb := range checkutil.Bodies(f) {
-			fbs = append(fbs, fb)
-			if fb.Decl != nil {
-				fn, _ := pass.TypesInfo.Defs[fb.Decl.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				r.bodies[fn] = fb
-				lits := fb.Decl
-				ast.Inspect(lits, func(n ast.Node) bool {
-					if l, ok := n.(*ast.FuncLit); ok {
-						r.encl[l] = fn
-					}
-					return true
-				})
-			}
-		}
-	}
-
 	perFn := make(map[*types.Func]*RegionsFact)
 	perFnParams := make(map[*types.Func]*ParamRegionFact)
-	for _, fb := range fbs {
-		var sum *callgraph.Summary
+	for _, f := range pass.Files {
+		// Bodies yields a declaration before the literals nested in it.
+		var decl *ast.FuncDecl
 		var owner *types.Func
-		if fb.Decl != nil {
-			fn, _ := pass.TypesInfo.Defs[fb.Decl.Name].(*types.Func)
-			if fn == nil {
+		for _, fb := range checkutil.Bodies(f) {
+			sum := g.Lits[fb.Lit]
+			if fb.Decl != nil {
+				decl, owner = fb.Decl, nil
+				if fn, ok := pass.TypesInfo.Defs[fb.Decl.Name].(*types.Func); ok {
+					owner, sum = fn, g.Funcs[fn]
+				}
+			} else if decl == nil || fb.Lit.Pos() > decl.End() {
+				continue // a package-level literal has no owner to carry its facts
+			}
+			if sum == nil || owner == nil {
 				continue
 			}
-			owner, sum = fn, g.Funcs[fn]
-		} else {
-			owner, sum = r.encl[fb.Lit], g.Lits[fb.Lit]
-		}
-		if sum == nil || owner == nil {
-			continue
-		}
-		regions := r.detect(fb, sum)
-		if len(regions) == 0 {
-			continue
-		}
-		rf := perFn[owner]
-		if rf == nil {
-			rf = &RegionsFact{}
-			perFn[owner] = rf
-		}
-		rf.Regions = append(rf.Regions, regions...)
-		// Parameters of this function invoked inside one of its regions.
-		for _, reg := range regions {
-			for i := range sum.Calls {
-				call := &sum.Calls[i]
-				if call.Param < 0 || call.Pos < reg.From || call.Pos > reg.To {
-					continue
-				}
-				pf := perFnParams[owner]
-				if pf == nil {
-					pf = &ParamRegionFact{}
-					perFnParams[owner] = pf
-				}
-				have := false
-				for _, p := range pf.Params {
-					if p.Index == call.Param {
-						have = true
-						break
+			regions := detect(pass, fb, sum)
+			if len(regions) == 0 {
+				continue
+			}
+			rf := perFn[owner]
+			if rf == nil {
+				rf = &RegionsFact{}
+				perFn[owner] = rf
+			}
+			rf.Regions = append(rf.Regions, regions...)
+			if fb.Decl == nil {
+				continue // a literal's parameters are not its owner's
+			}
+			// Parameters of this function invoked inside one of its regions.
+			for _, reg := range regions {
+				for i := range sum.Calls {
+					call := &sum.Calls[i]
+					if call.Param < 0 || call.Pos < reg.From || call.Pos > reg.To {
+						continue
 					}
-				}
-				if !have {
-					pf.Params = append(pf.Params, ParamRegion{Index: call.Param, Kind: reg.Kind})
+					pf := perFnParams[owner]
+					if pf == nil {
+						pf = &ParamRegionFact{}
+						perFnParams[owner] = pf
+					}
+					if _, have := paramRegion(pf, call.Param); !have {
+						pf.Params = append(pf.Params, ParamRegion{Index: call.Param, Kind: reg.Kind, Txn: reg.Txn})
+					}
 				}
 			}
 		}
@@ -203,87 +187,26 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-type runner struct {
-	pass   *analysis.Pass
-	g      *callgraph.Graph
-	bodies map[*types.Func]checkutil.FuncBody
-	encl   map[*ast.FuncLit]*types.Func
-	net    map[*types.Func]int
-}
-
-// netAcquires reports whether fn returns with spin locks held: a direct
-// acquire surplus, counting deferred releases as releases and calls to
-// other net-acquiring helpers as acquires.
-func (r *runner) netAcquires(fn *types.Func) bool {
-	fn = fn.Origin()
-	var nf NetAcquireFact
-	if r.pass.ImportObjectFact(fn, &nf) {
-		return true
-	}
-	switch r.net[fn] {
-	case 1: // cycle: assume balanced
-		return false
-	case 2:
-		return false // computed, and no fact was exported
-	}
-	fb, ok := r.bodies[fn]
-	if !ok {
-		r.net[fn] = 2
-		return false
-	}
-	r.net[fn] = 1
-	acq, rel := 0, 0
-	info := r.pass.TypesInfo
-	ast.Inspect(fb.Body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if recv := checkutil.Receiver(info, call); recv != nil {
-			t := info.Types[recv].Type
-			if isSpinLock(t) && definingPkg(t) != r.pass.Pkg {
-				switch checkutil.Callee(info, call).Name() {
-				case "Lock", "LockPair", "LockOrdered", "LockAll":
-					acq++
-				case "Unlock", "UnlockPair", "UnlockOrdered", "UnlockAll":
-					rel++
-				}
-			}
-			return true
-		}
-		if callee := checkutil.Callee(info, call); callee != nil && r.netAcquires(callee) {
-			acq++
-		}
-		return true
-	})
-	r.net[fn] = 2
-	if acq > rel {
-		r.pass.ExportObjectFact(fn, &NetAcquireFact{})
-		return true
-	}
-	return false
-}
-
 // detect scans one function body linearly for regions.
-func (r *runner) detect(fb checkutil.FuncBody, sum *callgraph.Summary) []Region {
-	info := r.pass.TypesInfo
+func detect(pass *analysis.Pass, fb checkutil.FuncBody, sum *callgraph.Summary) []Region {
+	info := pass.TypesInfo
 	var regions []Region
 
 	// HTM: a body taking the transaction handle is one whole region.
-	sig := signatureOf(r.pass, fb)
-	if sig != nil {
-		for i := 0; i < sig.Params().Len(); i++ {
-			pt := sig.Params().At(i).Type()
-			if isTxnType(pt) && definingPkg(pt) != r.pass.Pkg {
-				regions = append(regions, Region{
-					Kind: "HTM transaction body",
-					From: fb.Body.Pos(), To: fb.Body.End(), Sum: sum,
-				})
-				break
-			}
+	var sig *types.Signature
+	if sum.Fn != nil {
+		sig = sum.Fn.Type().(*types.Signature)
+	} else {
+		sig, _ = info.TypeOf(fb.Lit).(*types.Signature)
+	}
+	for i := 0; sig != nil && i < sig.Params().Len(); i++ {
+		pt := sig.Params().At(i).Type()
+		if p := definingPkg(pt); isTxnType(pt) && p != nil && p != pass.Pkg {
+			regions = append(regions, Region{
+				Kind: "HTM transaction body", Txn: p,
+				From: fb.Body.Pos(), To: fb.Body.End(), Sum: sum,
+			})
+			break
 		}
 	}
 
@@ -338,7 +261,9 @@ func (r *runner) detect(fb checkutil.FuncBody, sum *callgraph.Summary) []Region 
 		}
 		recv := checkutil.Receiver(info, call)
 		if recv == nil {
-			if callee := checkutil.Callee(info, call); callee != nil && !deferred && r.netAcquires(callee) {
+			var lf lockorder.LockFact
+			if callee := checkutil.Callee(info, call); callee != nil && !deferred &&
+				pass.ImportObjectFact(callee.Origin(), &lf) && lf.NetHeld {
 				opens = append(opens, openReg{
 					key:      "locks held by " + callee.Name(),
 					from:     call.End(),
@@ -349,7 +274,7 @@ func (r *runner) detect(fb checkutil.FuncBody, sum *callgraph.Summary) []Region 
 		}
 		t := info.Types[recv].Type
 		key := types.ExprString(recv)
-		if isSpinLock(t) && definingPkg(t) != r.pass.Pkg {
+		if isSpinLock(t) && definingPkg(t) != pass.Pkg {
 			switch checkutil.Callee(info, call).Name() {
 			case "Lock", "LockPair", "LockOrdered", "LockAll":
 				if !deferred {
@@ -362,7 +287,7 @@ func (r *runner) detect(fb checkutil.FuncBody, sum *callgraph.Summary) []Region 
 				// A deferred release closes at body end, below.
 			}
 		}
-		if isSeqlock(t) && definingPkg(t) != r.pass.Pkg {
+		if isSeqlock(t) && definingPkg(t) != pass.Pkg {
 			switch checkutil.Callee(info, call).Name() {
 			case "Snapshot":
 				if !snapFirst.IsValid() {
@@ -393,28 +318,8 @@ func (r *runner) detect(fb checkutil.FuncBody, sum *callgraph.Summary) []Region 
 	return regions
 }
 
-func signatureOf(pass *analysis.Pass, fb checkutil.FuncBody) *types.Signature {
-	if fb.Decl != nil {
-		if fn, ok := pass.TypesInfo.Defs[fb.Decl.Name].(*types.Func); ok {
-			return fn.Type().(*types.Signature)
-		}
-		return nil
-	}
-	if tv, ok := pass.TypesInfo.Types[fb.Lit]; ok {
-		sig, _ := tv.Type.(*types.Signature)
-		return sig
-	}
-	return nil
-}
-
 func end(pass *analysis.Pass) error {
-	modulePkgs := make(map[*types.Package]bool)
 	sums := pass.AllObjectFacts(&callgraph.FuncFact{})
-	for _, of := range sums {
-		if p := of.Object.Pkg(); p != nil {
-			modulePkgs[p] = true
-		}
-	}
 	sort.Slice(sums, func(i, j int) bool { return sums[i].Object.Pos() < sums[j].Object.Pos() })
 
 	// Propagate "invokes its parameter inside a region" through parameter
@@ -439,16 +344,17 @@ func end(pass *analysis.Pass) error {
 					if a.Param < 0 {
 						continue
 					}
-					kind, in := paramRegionKind(&prf, a.Index)
+					p, in := paramRegion(&prf, a.Index)
 					if !in {
 						continue
 					}
 					var own ParamRegionFact
 					pass.ImportObjectFact(sum.Fn.Origin(), &own)
-					if _, have := paramRegionKind(&own, a.Param); have {
+					if _, have := paramRegion(&own, a.Param); have {
 						continue
 					}
-					own.Params = append(own.Params, ParamRegion{Index: a.Param, Kind: kind})
+					p.Index = a.Param
+					own.Params = append(own.Params, p)
 					pass.ExportObjectFact(sum.Fn.Origin(), &own)
 					changed = true
 				}
@@ -456,11 +362,23 @@ func end(pass *analysis.Pass) error {
 		}
 	}
 
-	c := &rchecker{
-		pass:       pass,
-		modulePkgs: modulePkgs,
-		reported:   make(map[token.Pos]bool),
-		onstack:    make(map[*callgraph.Summary]bool),
+	w := &callgraph.Walker{
+		Pass: pass,
+		Max:  10,
+		Foreign: func(m *types.Func) string {
+			if checkutil.PkgPathIn(m, "io", "net", "os") {
+				return "I/O interface call " + m.FullName()
+			}
+			return "" // other foreign interfaces: assumed non-blocking
+		},
+	}
+	start := func(kind string, txn *types.Package) {
+		w.Site, w.External, w.Stop = blockingSite, blockingExternal, nil
+		if txn != nil {
+			w.Site, w.External = txnSite, txnExternal
+			w.Stop = func(fn *types.Func) bool { return fn.Pkg() == txn }
+		}
+		w.Start("inside " + kind)
 	}
 
 	// Declared regions.
@@ -468,9 +386,8 @@ func end(pass *analysis.Pass) error {
 	sort.Slice(regions, func(i, j int) bool { return regions[i].Object.Pos() < regions[j].Object.Pos() })
 	for _, of := range regions {
 		for _, reg := range of.Fact.(*RegionsFact).Regions {
-			c.kind = reg.Kind
-			c.count = 0
-			c.walkRange(reg.Sum, reg.From, reg.To, nil, []string{reg.Sum.Name})
+			start(reg.Kind, reg.Txn)
+			w.WalkRange(reg.Sum, reg.From, reg.To, []string{reg.Sum.Name})
 		}
 	}
 
@@ -488,18 +405,17 @@ func end(pass *analysis.Pass) error {
 				continue
 			}
 			for _, a := range call.Args {
-				kind, in := paramRegionKind(&prf, a.Index)
+				p, in := paramRegion(&prf, a.Index)
 				if !in || (a.Fn == nil && a.Lit == nil) {
 					continue
 				}
-				c.kind = fmt.Sprintf("%s (argument run by %s)", kind, callgraph.DisplayName(call.Callee))
-				c.count = 0
+				start(fmt.Sprintf("%s (argument run by %s)", p.Kind, callgraph.DisplayName(call.Callee)), p.Txn)
 				chain := []string{sum.Name}
 				if a.Fn != nil {
-					c.walkFunc(call, a.Fn, nil, chain, 0)
+					w.WalkCallee(call, a.Fn, chain)
 				}
 				if a.Lit != nil {
-					c.walk(a.Lit, nil, append(chain, a.Lit.Name), 1)
+					w.Walk(a.Lit, append(chain, a.Lit.Name))
 				}
 			}
 		}
@@ -507,208 +423,76 @@ func end(pass *analysis.Pass) error {
 	return nil
 }
 
-func paramRegionKind(f *ParamRegionFact, idx int) (string, bool) {
+func paramRegion(f *ParamRegionFact, idx int) (ParamRegion, bool) {
 	for _, p := range f.Params {
 		if p.Index == idx {
-			return p.Kind, true
+			return p, true
 		}
 	}
-	return "", false
+	return ParamRegion{}, false
 }
 
-// maxPerRegion caps diagnostics per region.
-const maxPerRegion = 10
-
-type rchecker struct {
-	pass       *analysis.Pass
-	modulePkgs map[*types.Package]bool
-	reported   map[token.Pos]bool
-	onstack    map[*callgraph.Summary]bool
-	kind       string
-	count      int
+func blockingSite(_ *callgraph.Summary, s *callgraph.Site) string {
+	if s.Op.Blocks() {
+		return s.Op.String()
+	}
+	return ""
 }
 
-type binding struct{ vals map[int][]bound }
-
-type bound struct {
-	fn  *types.Func
-	lit *callgraph.Summary
-}
-
-func (c *rchecker) report(pos token.Pos, chain []string, format string, args ...any) {
-	if c.count >= maxPerRegion {
-		return
+// txnSite reports every operation a transaction body cannot undo: all of
+// them but a closure, which the body may build to call in place.
+func txnSite(_ *callgraph.Summary, s *callgraph.Site) string {
+	if s.Op == callgraph.OpClosure {
+		return ""
 	}
-	c.count++
-	if c.reported[pos] {
-		return
-	}
-	c.reported[pos] = true
-	msg := fmt.Sprintf(format, args...)
-	c.pass.Reportf(pos, "%s reachable inside %s: %s", msg, c.kind, strings.Join(chain, " -> "))
-}
-
-// walkRange checks only the top-level sites/calls of sum within
-// [from, to]; everything reached from there is checked in full.
-func (c *rchecker) walkRange(sum *callgraph.Summary, from, to token.Pos, bind *binding, chain []string) {
-	c.onstack[sum] = true
-	defer delete(c.onstack, sum)
-	for i := range sum.Sites {
-		site := &sum.Sites[i]
-		if site.Pos < from || site.Pos > to {
-			continue
-		}
-		c.site(site, chain)
-	}
-	for i := range sum.Calls {
-		call := &sum.Calls[i]
-		if call.Pos < from || call.Pos > to {
-			continue
-		}
-		c.call(call, bind, chain, 0)
-	}
-}
-
-func (c *rchecker) walk(sum *callgraph.Summary, bind *binding, chain []string, depth int) {
-	if depth > 100 || c.onstack[sum] || c.count >= maxPerRegion {
-		return
-	}
-	c.onstack[sum] = true
-	defer delete(c.onstack, sum)
-	for i := range sum.Sites {
-		c.site(&sum.Sites[i], chain)
-	}
-	for i := range sum.Calls {
-		c.call(&sum.Calls[i], bind, chain, depth)
-	}
-}
-
-func (c *rchecker) site(site *callgraph.Site, chain []string) {
-	if site.Op.Blocks() {
-		c.report(site.Pos, chain, "%s", site.Op)
-	}
-}
-
-func (c *rchecker) call(call *callgraph.Call, bind *binding, chain []string, depth int) {
-	if call.Go {
-		return // the spawned body runs outside the region
-	}
-	switch {
-	case call.Callee != nil:
-		c.walkFunc(call, call.Callee, bind, chain, depth)
-	case call.Iface != nil:
-		m := call.Iface
-		if m.Pkg() != nil && !c.modulePkgs[m.Pkg()] {
-			if checkutil.PkgPathIn(m, "io", "net", "os") {
-				c.report(call.Pos, chain, "I/O interface call %s", m.FullName())
-			}
-			return // other foreign interfaces: assumed non-blocking
-		}
-		for _, impl := range callgraph.Implementers(c.pass, m, nil) {
-			c.walkFunc(call, impl, bind, chain, depth)
-		}
-	case call.Param >= 0:
-		if bind == nil {
-			return // unbound: checked at each supplying call site
-		}
-		for _, b := range bind.vals[call.Param] {
-			if b.fn != nil {
-				c.walkFunc(call, b.fn, bind, chain, depth)
-			}
-			if b.lit != nil {
-				c.descend(call, b.lit, bind, chain, depth)
-			}
-		}
-	case call.Field != nil:
-		var ff callgraph.FieldFuncs
-		if !c.pass.ImportObjectFact(call.Field, &ff) {
-			return
-		}
-		if ff.Opaque {
-			c.report(call.Pos, chain, "call through field %s with unanalyzable stored values", call.Field.Name())
-			return
-		}
-		for _, fn := range ff.Funcs {
-			c.walkFunc(call, fn, bind, chain, depth)
-		}
-		for _, lit := range ff.Lits {
-			c.descend(call, lit, bind, chain, depth)
-		}
-	case call.Lit != nil:
-		c.descend(call, call.Lit, bind, chain, depth)
-	case call.Unknown:
-		c.report(call.Pos, chain, "unresolvable dynamic call")
-	}
-}
-
-func (c *rchecker) walkFunc(call *callgraph.Call, fn *types.Func, bind *binding, chain []string, depth int) {
-	callee := callgraph.Lookup(c.pass, fn)
-	if callee == nil {
-		if why, bad := blockingExternal(fn); bad {
-			c.report(call.Pos, chain, "%s", why)
-		}
-		return
-	}
-	c.descend(call, callee, bind, chain, depth)
-}
-
-func (c *rchecker) descend(call *callgraph.Call, callee *callgraph.Summary, callerBind *binding, chain []string, depth int) {
-	var bind *binding
-	add := func(idx int, b bound) {
-		if bind == nil {
-			bind = &binding{vals: make(map[int][]bound)}
-		}
-		bind.vals[idx] = append(bind.vals[idx], b)
-	}
-	for _, a := range call.Args {
-		switch {
-		case a.Param >= 0:
-			if callerBind != nil {
-				for _, b := range callerBind.vals[a.Param] {
-					add(a.Index, b)
-				}
-			}
-		case a.Fn != nil:
-			add(a.Index, bound{fn: a.Fn})
-		case a.Lit != nil:
-			add(a.Index, bound{lit: a.Lit})
-		}
-	}
-	c.walk(callee, bind, append(chain[:len(chain):len(chain)], callee.Name), depth+1)
+	return s.Op.String()
 }
 
 // blockingExternal classifies unsummarized (standard-library) callees.
 // Deny list: lock waits, sleeps, and I/O. Everything else outside the
 // list is assumed compute-only.
-func blockingExternal(fn *types.Func) (string, bool) {
+func blockingExternal(fn *types.Func) string {
 	pkg := fn.Pkg()
 	if pkg == nil {
-		return "", false
+		return ""
 	}
 	name := fn.Name()
 	switch pkg.Path() {
 	case "sync":
 		switch name {
 		case "Lock", "RLock", "Wait", "Do":
-			return fmt.Sprintf("blocking sync call %s", fn.FullName()), true
+			return "blocking sync call " + fn.FullName()
 		}
-		return "", false
+		return ""
 	case "time":
 		switch name {
 		case "Sleep", "After", "Tick":
-			return fmt.Sprintf("blocking time call time.%s", name), true
+			return "blocking time call time." + name
 		}
-		return "", false
+		return ""
 	case "runtime":
-		return "", false // Gosched is the spin loop's own yield
+		return "" // Gosched is the spin loop's own yield
 	case "fmt":
 		if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") || strings.HasPrefix(name, "Scan") {
-			return "I/O call fmt." + name, true
+			return "I/O call fmt." + name
 		}
-		return "", false
+		return ""
 	}
 	if checkutil.PkgPathIn(fn, "os", "net", "io", "bufio", "syscall", "log") {
-		return fmt.Sprintf("I/O call into %s", fn.FullName()), true
+		return "I/O call into " + fn.FullName()
 	}
-	return "", false
+	return ""
+}
+
+// txnExternal adds to the blocking calls every call a transaction body
+// cannot undo: the clock, random state, the runtime, sync (atomics
+// included) and formatting.
+func txnExternal(fn *types.Func) string {
+	if why := blockingExternal(fn); why != "" {
+		return why
+	}
+	if checkutil.PkgPathIn(fn, "fmt", "time", "math/rand", "runtime", "sync") {
+		return "non-transactional call into " + fn.FullName()
+	}
+	return ""
 }

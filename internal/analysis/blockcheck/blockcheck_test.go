@@ -16,3 +16,11 @@ func TestGolden(t *testing.T) {
 		},
 		blockcheck.Analyzer)
 }
+
+// TestTxnGolden holds transaction bodies to the rollback rules: nothing
+// reachable from one may do what an abort cannot undo.
+func TestTxnGolden(t *testing.T) {
+	analysistest.Run(t,
+		[]string{analysistest.Dir("htmlib"), analysistest.Dir("txnbodytest")},
+		blockcheck.Analyzer)
+}

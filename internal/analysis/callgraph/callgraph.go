@@ -12,7 +12,8 @@
 // index so a caller's argument can be substituted; calls through
 // function-typed struct fields resolve to every function value the module
 // ever stores into that field. Anything else is an unknown dynamic call,
-// which consumers treat conservatively.
+// which consumers treat conservatively. The one transitive walk over the
+// summaries, which allocfree and blockcheck configure, is Walker.
 package callgraph
 
 import (
@@ -24,7 +25,8 @@ import (
 	"cuckoohash/internal/analysis/checkutil"
 )
 
-// OpKind classifies one allocation- or blocking-relevant operation.
+// OpKind classifies one allocation-, blocking- or rollback-relevant
+// operation.
 type OpKind uint8
 
 const (
@@ -40,7 +42,19 @@ const (
 	OpChanSend               // ch <- v
 	OpChanRecv               // <-ch
 	OpSelect                 // select statement
+	OpPrint                  // print()/println()
+	OpDefer                  // defer statement
+	OpPanic                  // panic()
+	OpClose                  // close()
+	OpDelete                 // delete()
 )
+
+// builtinOps are the built-in calls that are sites; the rest (len, copy,
+// min, package unsafe's, ...) are neither sites nor call edges.
+var builtinOps = map[string]OpKind{
+	"make": OpMake, "new": OpNew, "append": OpAppend, "print": OpPrint, "println": OpPrint,
+	"panic": OpPanic, "close": OpClose, "delete": OpDelete,
+}
 
 func (k OpKind) String() string {
 	switch k {
@@ -68,16 +82,27 @@ func (k OpKind) String() string {
 		return "channel receive"
 	case OpSelect:
 		return "select"
+	case OpPrint:
+		return "I/O (print)"
+	case OpDefer:
+		return "defer"
+	case OpPanic:
+		return "panic"
+	case OpClose:
+		return "channel close"
+	case OpDelete:
+		return "map delete"
 	}
 	return "operation"
 }
 
+// Allocates reports whether the operation can heap-allocate (the
+// allocfree axis; OpGo is both an allocation and a scheduler call).
+func (k OpKind) Allocates() bool { return k <= OpGo }
+
 // Blocks reports whether the operation can park the goroutine (the
-// blockcheck axis; the allocation axis is every kind except these three,
-// plus OpGo which is both a heap allocation and a scheduler call).
-func (k OpKind) Blocks() bool {
-	return k == OpChanSend || k == OpChanRecv || k == OpSelect
-}
+// blockcheck axis).
+func (k OpKind) Blocks() bool { return k >= OpChanSend && k <= OpPrint }
 
 // A Site is one operation of interest inside a function body.
 type Site struct {
@@ -375,6 +400,8 @@ func (b *builder) fill(sum *Summary, fb checkutil.FuncBody) {
 			b.call(sum, x, paramIdx, locals, accounted, stack)
 		case *ast.GoStmt:
 			sum.Sites = append(sum.Sites, Site{Pos: x.Pos(), Op: OpGo, What: "go statement"})
+		case *ast.DeferStmt:
+			sum.Sites = append(sum.Sites, Site{Pos: x.Pos(), Op: OpDefer, What: "defer statement"})
 		case *ast.SendStmt:
 			sum.Sites = append(sum.Sites, Site{Pos: x.Pos(), Op: OpChanSend, What: "channel send"})
 		case *ast.SelectStmt:
@@ -568,20 +595,11 @@ func (b *builder) call(sum *Summary, call *ast.CallExpr, paramIdx map[*types.Var
 		return
 	}
 
-	// Builtins.
-	switch checkutil.BuiltinName(info, call) {
-	case "make":
-		sum.Sites = append(sum.Sites, Site{Pos: call.Pos(), Op: OpMake, What: "make"})
+	if name := checkutil.BuiltinName(info, call); name != "" {
+		if op, ok := builtinOps[name]; ok {
+			sum.Sites = append(sum.Sites, Site{Pos: call.Pos(), Op: op, What: name})
+		}
 		return
-	case "new":
-		sum.Sites = append(sum.Sites, Site{Pos: call.Pos(), Op: OpNew, What: "new"})
-		return
-	case "append":
-		sum.Sites = append(sum.Sites, Site{Pos: call.Pos(), Op: OpAppend, What: "append"})
-		return
-	case "":
-	default:
-		return // len, cap, copy, delete, panic, min, max, ...
 	}
 
 	edge := Call{Pos: call.Pos(), Param: -1}

@@ -10,9 +10,7 @@ import (
 	"cuckoohash/internal/analysis/atomicfield"
 	"cuckoohash/internal/analysis/blockcheck"
 	"cuckoohash/internal/analysis/genercheck"
-	"cuckoohash/internal/analysis/htmpure"
 	"cuckoohash/internal/analysis/lockorder"
-	"cuckoohash/internal/analysis/obscheck"
 	"cuckoohash/internal/analysis/padcheck"
 	"cuckoohash/internal/analysis/seqlock"
 )
@@ -26,8 +24,6 @@ func Analyzers() []*analysis.Analyzer {
 		padcheck.Analyzer,
 		seqlock.Analyzer,
 		genercheck.Analyzer,
-		htmpure.Analyzer,
-		obscheck.Analyzer,
 		allocfree.Analyzer,
 		blockcheck.Analyzer,
 	}

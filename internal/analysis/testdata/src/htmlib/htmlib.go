@@ -1,5 +1,5 @@
 // Package htmlib is the testdata stand-in for the emulated-HTM region: a
-// Txn handle with the Load/Store/Abort method set the htmpure analyzer
+// Txn handle with the Load/Store/Abort method set the blockcheck analyzer
 // recognizes structurally, declared outside the test package so the
 // implementation-package exemption does not apply there.
 package htmlib

@@ -1,7 +1,7 @@
-// Package obslib is the clean half of the obscheck golden: a span shaped
-// exactly like internal/obs.Span, whose methods follow the contract —
-// no allocation, clock reads only behind the nil/unarmed early-return
-// guard. The analyzer must report nothing here.
+// Package obslib is the clean half of the allocfree span golden: a span
+// shaped exactly like internal/obs.Span, whose methods follow the
+// contract — no allocation, clock reads only behind the nil/unarmed
+// early-return guard. The analyzer must report nothing here.
 package obslib
 
 import "time"

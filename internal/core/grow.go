@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"cuckoohash/internal/hashfn"
-)
+import "cuckoohash/internal/hashfn"
 
 // GrowIfFull grows the table only if it is still nearly full, so that
 // several writers reacting to the same ErrFull trigger exactly one
@@ -38,7 +34,6 @@ func (t *Table) growLocked() error {
 	newBuckets := old.buckets * 2
 	for {
 		next := t.newArrays(newBuckets)
-		start := time.Now()
 		if t.opts.Locking == LockGlobal {
 			t.global.Lock()
 		}
@@ -53,13 +48,6 @@ func (t *Table) growLocked() error {
 		}
 		if ok {
 			t.growCount.Add(1)
-			t.growLog.record(GrowEvent{
-				FromBuckets: old.buckets,
-				ToBuckets:   newBuckets,
-				Items:       t.Len(),
-				Duration:    time.Since(start),
-				Unix:        time.Now().UnixNano(),
-			})
 			return nil
 		}
 		// Pathological hash clustering: double again. With a sound hash

@@ -28,7 +28,6 @@ type Table struct {
 
 	size      metrics.ShardedCounter
 	growCount atomic.Uint64
-	growLog   growLog
 }
 
 // arrays is the swappable storage of a Table; Grow installs a new one.

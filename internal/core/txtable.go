@@ -122,9 +122,15 @@ func (t *TxTable) write(key uint64, val []uint64, mode writeMode) error {
 	}
 	b1, b2 := t.twoBuckets(key)
 	attempt := func(path []pathEntry) error {
-		_, err := t.Do(b1, 1, func(tx *htm.Txn) error {
+		inserted, err := t.Do(b1, 1, func(tx *htm.Txn) error {
 			return t.txAttempt(tx, b1, b2, key, val, mode, path)
 		})
+		if inserted {
+			// Counted once committed: an aborted attempt moved nothing.
+			for _, e := range path[:max(len(path)-1, 0)] {
+				t.probe.Displaced(e.bucket)
+			}
+		}
 		return err
 	}
 	sc := t.scratch.Get().(*searchScratch)
@@ -203,7 +209,6 @@ func (t *TxTable) txAttempt(tx *htm.Txn, b1, b2 uint64, key uint64, val []uint64
 			return errPathInvalid
 		}
 		t.TxMove(tx, src.bucket, src.slot, dst.bucket, dst.slot)
-		t.probe.Displaced(src.bucket)
 	}
 	head := path[0]
 	if t.TxOcc(tx, head.bucket)&(1<<uint(head.slot)) != 0 {

@@ -43,26 +43,6 @@ type Stats struct {
 	WriteLines     uint64 // total write-set lines over committed transactions
 }
 
-// AbortCause is one row of the abort-code breakdown.
-type AbortCause struct {
-	Cause string
-	Count uint64
-}
-
-// Breakdown returns the abort-cause histogram in a fixed order, the shape
-// Intel PCM's TSX view reports and the exporters emit as labeled series.
-// Causes overlap (an abort can be both explicit and lock-busy), so the
-// counts may sum to more than Aborts.
-func (s Stats) Breakdown() []AbortCause {
-	return []AbortCause{
-		{"conflict", s.ConflictAborts},
-		{"capacity", s.CapacityAborts},
-		{"explicit", s.ExplicitAborts},
-		{"lock_busy", s.LockBusyAborts},
-		{"retry_hint", s.RetryHints},
-	}
-}
-
 // AvgFootprint returns the mean (read, write) line footprint of committed
 // transactions — the quantity §5 is about: short transactions rarely abort.
 func (s Stats) AvgFootprint() (read, write float64) {

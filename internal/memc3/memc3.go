@@ -161,9 +161,12 @@ func (t *Table) LoadFactor() float64 {
 	return float64(n) / float64(t.Cap())
 }
 
+//lint:allow cuckoovet:blockcheck no transaction reads Table: TxTable's search reaches it only through the bucketReader interface, and passes its txSearch
 func (t *Table) loadKey(i uint64) uint64 { return atomic.LoadUint64(&t.keys[i]) }
 
 // The bucketReader of the path search; the writer lock is held.
+//
+//lint:allow cuckoovet:blockcheck no transaction reads Table: TxTable's search reaches it only through the bucketReader interface, and passes its txSearch
 func (t *Table) loadOcc(b uint64) uint32        { return t.occ[b].Load() }
 func (t *Table) slotKey(b uint64, s int) uint64 { return t.loadKey(b*t.assoc + uint64(s)) }
 

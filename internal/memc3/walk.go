@@ -37,7 +37,8 @@ func (w *walk) maxPathLen() int {
 // state. The buffers are sized before the search begins and only ever
 // written by index: when the search runs inside a transaction an
 // allocation cannot be rolled back on abort, and real HTM aborts on the
-// allocator's page faults (cuckoovet:htmpure).
+// allocator's page faults (cuckoovet:blockcheck follows the search into
+// the transaction).
 type dfsScratch struct {
 	paths [2][]entry
 	rng   uint64 // xorshift64 state

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -112,25 +113,10 @@ type Histogram struct {
 
 // Record adds one sample.
 func (h *Histogram) Record(ns uint64) {
-	b := 0
-	if ns > 0 {
-		b = 64 - leadingZeros(ns)
-	}
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
+	b := min(bits.Len64(ns), 63)
 	h.buckets[b]++
 	h.count++
 	h.sum += ns
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for x != 0 {
-		x >>= 1
-		n++
-	}
-	return 64 - n
 }
 
 // Merge folds other into h.

@@ -1,6 +1,9 @@
 package metrics
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // ShardedHistogram is the concurrent counterpart of Histogram: the same
 // power-of-two nanosecond buckets, but sharded across padded cache-line
@@ -50,13 +53,7 @@ func (h *ShardedHistogram) Record(shard uint64, ns uint64) {
 	if s == nil {
 		s = newShard(cell)
 	}
-	b := 0
-	if ns > 0 {
-		b = 64 - leadingZeros(ns)
-	}
-	if b >= len(s.buckets) {
-		b = len(s.buckets) - 1
-	}
+	b := min(bits.Len64(ns), 63)
 	s.buckets[b].Add(1)
 	s.count.Add(1)
 	s.sum.Add(ns)

@@ -7,8 +7,9 @@
 //
 // The contract that makes tracing free when idle: an unarmed Span's
 // Begin/Now return 0 without reading the clock, End on a zero start is
-// a no-op, and no method on the record path allocates. The cuckoovet
-// obscheck analyzer machine-checks that contract.
+// a no-op, and no Span method allocates. The cuckoovet allocfree
+// analyzer machine-checks that contract: every method of a span-shaped
+// type is one of its proof roots.
 package obs
 
 import (
@@ -182,10 +183,6 @@ func (s *Span) TraceBytes() []byte {
 	return s.trace[:s.traceLen]
 }
 
-// TraceString returns the recorded trace ID as a string ("" when
-// unset). It allocates; call it only on slow paths.
-func (s *Span) TraceString() string { return string(s.TraceBytes()) }
-
 // Stages returns a copy of the per-stage nanosecond totals.
 func (s *Span) Stages() [NumStages]int64 {
 	if s == nil {
@@ -196,8 +193,7 @@ func (s *Span) Stages() [NumStages]int64 {
 
 // SummarizeStages renders nonzero stage timings as "stage=dur" pairs
 // for structured logs. Free function, not a Span method: it allocates,
-// and keeping it off the type keeps the obscheck purity contract on
-// Span itself simple.
+// and every Span method is an allocfree root.
 func SummarizeStages(st [NumStages]int64) string {
 	var b []byte
 	for i, ns := range st {

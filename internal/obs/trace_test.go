@@ -104,12 +104,12 @@ func TestSpanTraceTruncationAndUnarmedPropagation(t *testing.T) {
 	var sp Span // deliberately unarmed: traces must stick anyway
 	long := strings.Repeat("t", MaxTraceIDLen+17)
 	sp.SetTrace([]byte(long))
-	if got := sp.TraceString(); got != long[:MaxTraceIDLen] {
-		t.Errorf("TraceString() = %q (len %d), want %d-byte truncation", got, len(got), MaxTraceIDLen)
+	if got := string(sp.TraceBytes()); got != long[:MaxTraceIDLen] {
+		t.Errorf("TraceBytes() = %q (len %d), want %d-byte truncation", got, len(got), MaxTraceIDLen)
 	}
 	sp.SetTrace([]byte("short"))
-	if got := sp.TraceString(); got != "short" {
-		t.Errorf("TraceString() = %q, want short", got)
+	if got := string(sp.TraceBytes()); got != "short" {
+		t.Errorf("TraceBytes() = %q, want short", got)
 	}
 }
 

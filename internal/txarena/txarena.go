@@ -3,9 +3,9 @@
 // region run under one elision policy with the entry count kept beside it
 // (Elided), and on top of that the cuckoo bucket-record layout with its
 // transactional slot operations (Buckets). It sits outside package htm on
-// purpose: htm is transaction machinery and exempt from the htmpure
-// analyzer, while the transaction bodies here are table code and are
-// checked like any other.
+// purpose: htm is transaction machinery, where blockcheck's walk of a
+// transaction body stops, while the transaction bodies here are table
+// code and are checked like any other.
 package txarena
 
 import (

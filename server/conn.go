@@ -204,7 +204,7 @@ func (s *Server) serveBatchHead(line []byte, r *connbuf.Reader, w *bufio.Writer,
 					"op", req.op.String(),
 					"key", string(req.key),
 					"dur", time.Duration(durNs),
-					"trace", cs.span.TraceString(),
+					"trace", string(cs.span.TraceBytes()),
 					"stages", obs.SummarizeStages(cs.span.Stages()),
 					"remote", cs.remote)
 			}
