@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"cuckoohash"
 	"cuckoohash/internal/bench"
@@ -279,18 +280,43 @@ func BenchmarkAblationSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrefetch toggles the BFS prefetch.
+// BenchmarkAblationPrefetch toggles Options.Prefetch (the BFS frontier
+// touch and the early loads of both candidate buckets) on a table of
+// largeMap's shape: 2^22 slots, B = 8, filled by one writer from empty to
+// load 0.95 with largeMap's keys, 64 MB, so that an insert's buckets miss
+// every cache. Whole fills run until b.N inserts have been made (at least
+// one), and it reports the time per insert and per insert over each fill's
+// final tenth (ns/insert-last-decile, the dense end where nearly every
+// insert searches a path). b.N only says when to stop, so ns/op is
+// suppressed.
 func BenchmarkAblationPrefetch(b *testing.B) {
+	const slots = 1 << 22
+	n := uint64(slots) * 95 / 100
 	for _, pf := range []bool{true, false} {
 		b.Run(fmt.Sprintf("prefetch=%v", pf), func(b *testing.B) {
-			var mops float64
-			for i := 0; i < b.N; i++ {
-				o := core.Defaults(1 << 15)
+			var inserts, last uint64
+			var took, lastTook time.Duration
+			for inserts < uint64(b.N) {
+				o := core.Defaults(slots)
 				o.Prefetch = pf
-				o.Seed = 7
-				mops = fillOnce(o, 1)
+				tab := core.MustNewTable(o)
+				var mark time.Time
+				start := time.Now()
+				for j := range n {
+					if j == n-n/10 {
+						mark = time.Now()
+					}
+					if err := tab.Insert(largeKey(j), j); err != nil {
+						b.Fatal(err)
+					}
+				}
+				end := time.Now()
+				inserts, took = inserts+n, took+end.Sub(start)
+				last, lastTook = last+n/10, lastTook+end.Sub(mark)
 			}
-			b.ReportMetric(mops, "Mops/s")
+			b.ReportMetric(0, "ns/op")
+			b.ReportMetric(float64(took.Nanoseconds())/float64(inserts), "ns/insert")
+			b.ReportMetric(float64(lastTook.Nanoseconds())/float64(last), "ns/insert-last-decile")
 		})
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cuckoohash/internal/hugepage"
 	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/spinlock"
 )
@@ -257,11 +258,11 @@ func MustNew[K comparable, V any](cfg Config) *Table[K, V] {
 func (t *Table[K, V]) newArrays(buckets uint64) *tArrays[K, V] {
 	arr := &tArrays[K, V]{
 		buckets: buckets,
-		vals:    make([]V, buckets*t.assoc),
-		tags:    make([]uint32, buckets*t.words),
+		vals:    hugepage.Make[V](buckets * t.assoc),
+		tags:    hugepage.Make[uint32](buckets * t.words),
 	}
 	if t.keyOf == nil {
-		arr.keys = make([]K, buckets*t.assoc)
+		arr.keys = hugepage.Make[K](buckets * t.assoc)
 	}
 	return arr
 }

@@ -17,7 +17,9 @@ import (
 type Walker struct {
 	Pass *analysis.Pass
 	// Max caps the findings of one root or region, so one broken helper
-	// does not flood the report.
+	// does not flood the report. Only new positions count: a site already
+	// reported, reached again by another chain, does not use up the cap
+	// and hide a later site of the same region.
 	Max int
 	// Site returns the finding for one operation of sum, or "".
 	Site func(sum *Summary, s *Site) string
@@ -68,13 +70,10 @@ func (w *Walker) Start(context string) {
 // Report files one finding with the call chain that reaches it. A
 // position is reported once across all roots and regions.
 func (w *Walker) Report(pos token.Pos, chain []string, format string, args ...any) {
-	if w.count >= w.Max {
+	if w.count >= w.Max || w.reported[pos] {
 		return
 	}
 	w.count++
-	if w.reported[pos] {
-		return
-	}
 	w.reported[pos] = true
 	w.Pass.Reportf(pos, "%s reachable %s: %s", fmt.Sprintf(format, args...), w.context, strings.Join(chain, " -> "))
 }

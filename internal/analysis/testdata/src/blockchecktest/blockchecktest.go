@@ -53,6 +53,30 @@ func badHelperBlocks(t *table, i uint64) {
 	t.locks.Unlock(i)
 }
 
+func logMiss(i uint64) {
+	fmt.Println("miss", i) // want `I/O call fmt\.Println reachable inside spinlock critical section on t\.locks: blockchecktest\.badSameSiteThenSleep -> blockchecktest\.logMiss`
+}
+
+// badSameSiteThenSleep reaches one blocking site by eleven chains, more
+// than a region's finding cap (10), then a second site: the repeats of a site
+// already reported must not use up the cap and hide the second.
+func badSameSiteThenSleep(t *table, i uint64) {
+	t.locks.Lock(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	logMiss(i)
+	time.Sleep(2) // want `blocking time call time\.Sleep reachable inside spinlock critical section on t\.locks: blockchecktest\.badSameSiteThenSleep`
+	t.locks.Unlock(i)
+}
+
 func badMutexInWindow(t *table, i uint64) uint64 {
 	for {
 		v := t.locks.Snapshot(i)

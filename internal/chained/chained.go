@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/hugepage"
 	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/spinlock"
 )
@@ -102,7 +103,7 @@ func MustNew(o Options) *Map {
 }
 
 func newHeads(n uint64) *headsArr {
-	return &headsArr{heads: make([]*node, n), mask: n - 1}
+	return &headsArr{heads: hugepage.Make[*node](n), mask: n - 1}
 }
 
 // Len returns the entry count.
@@ -271,14 +272,16 @@ func (m *Map) maybeGrowSync() {
 	if float64(m.Len()) <= m.opts.GrowAt*float64(ha.mask+1) {
 		return
 	}
+	// Allocated before any lock is taken, since a large array's huge-page
+	// advice is a system call; a grower that loses the race drops it.
+	next := newHeads((ha.mask + 1) * 2)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := m.heads.Load()
-	if cur != ha {
+	if m.heads.Load() != ha {
 		return // someone else grew
 	}
 	m.locks.LockAll()
-	m.rehash(cur, newHeads((cur.mask+1)*2))
+	m.rehash(ha, next)
 	m.locks.UnlockAll()
 }
 

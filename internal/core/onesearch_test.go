@@ -1,42 +1,66 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cuckoohash/internal/htm"
 	"cuckoohash/internal/workload"
 )
 
+// oneSearchTable is what TestOneSearchTwoBackends drives on every table.
+type oneSearchTable interface {
+	Insert(key, val uint64) error
+	Upsert(key, val uint64) error
+	Delete(key uint64) bool
+	Lookup(key uint64) (uint64, bool)
+	Len() uint64
+	Stats() Stats
+}
+
 // TestOneSearchTwoBackends pins that Table and TxTable are one algorithm
-// under two concurrency-control backends (§4.3 and §5): the same seeded,
-// single-threaded insert/upsert/delete sequence to load factor 0.95 must
-// return the same result at every step, leave the same contents, and have
-// searched, displaced and measured exactly the same paths — for BFS and for
-// the DFS baseline. Any drift between the locked and the elided write path,
-// or between what their searches read, shows up as a counter mismatch.
+// under two concurrency-control backends (§4.3 and §5), and that
+// Options.Prefetch only reads: the same seeded, single-threaded
+// insert/upsert/delete sequence to load factor 0.95 must return the same
+// result at every step, leave the same contents, and have searched,
+// displaced and measured exactly the same paths on both backends with the
+// prefetches on and off — for BFS and for the DFS baseline. Any drift
+// between the locked and the elided write path, between what their
+// searches read, or a prefetch that changes what it warms, shows up as a
+// counter mismatch.
 func TestOneSearchTwoBackends(t *testing.T) {
 	for _, mode := range []SearchMode{SearchBFS, SearchDFS} {
 		name := map[SearchMode]string{SearchBFS: "BFS", SearchDFS: "DFS"}[mode]
 		t.Run(name, func(t *testing.T) {
-			o := testOptions(1 << 12)
-			o.Search = mode
-			o.Locking = LockGlobal
-			locked := MustNewTable(o)
-			elided := MustNewTxTable(o, htm.PolicyTuned, htm.DefaultConfig())
+			var names []string
+			var tabs []oneSearchTable
+			for _, prefetch := range []bool{true, false} {
+				o := testOptions(1 << 12)
+				o.Search = mode
+				o.Locking = LockGlobal
+				o.Prefetch = prefetch
+				names = append(names, fmt.Sprintf("locked prefetch=%v", prefetch), fmt.Sprintf("elided prefetch=%v", prefetch))
+				tabs = append(tabs, MustNewTable(o), MustNewTxTable(o, htm.PolicyTuned, htm.DefaultConfig()))
+			}
+			locked := tabs[0].(*Table)
 
 			rnd := workload.NewRand(7)
 			oracle := make(map[uint64]uint64)
 			var present []uint64
 			next := uint64(1)
+			errs := make([]error, len(tabs))
+			dels := make([]bool, len(tabs))
 			for step := 0; locked.LoadFactor() < 0.95; step++ {
-				var e1, e2 error
-				var d1, d2 bool
+				clear(errs)
+				clear(dels)
 				switch op := rnd.Intn(10); {
 				case op < 7: // insert a new key
 					k, v := next, rnd.Next()
 					next++
-					e1, e2 = locked.Insert(k, v), elided.Insert(k, v)
-					if e1 == nil {
+					for i, tab := range tabs {
+						errs[i] = tab.Insert(k, v)
+					}
+					if errs[0] == nil {
 						oracle[k] = v
 						present = append(present, k)
 					}
@@ -45,8 +69,10 @@ func TestOneSearchTwoBackends(t *testing.T) {
 					if k >= next {
 						next = k + 1
 					}
-					e1, e2 = locked.Upsert(k, v), elided.Upsert(k, v)
-					if e1 == nil {
+					for i, tab := range tabs {
+						errs[i] = tab.Upsert(k, v)
+					}
+					if errs[0] == nil {
 						if _, ok := oracle[k]; !ok {
 							present = append(present, k)
 						}
@@ -58,34 +84,43 @@ func TestOneSearchTwoBackends(t *testing.T) {
 					present[i] = present[len(present)-1]
 					present = present[:len(present)-1]
 					delete(oracle, k)
-					d1, d2 = locked.Delete(k), elided.Delete(k)
-					if !d1 {
+					for i, tab := range tabs {
+						dels[i] = tab.Delete(k)
+					}
+					if !dels[0] {
 						t.Fatalf("step %d: Delete(%d) of a present key = false", step, k)
 					}
 				}
-				if e1 != e2 || d1 != d2 {
-					t.Fatalf("step %d: locked = (%v, %v), elided = (%v, %v)", step, e1, d1, e2, d2)
+				for i := range tabs[1:] {
+					if errs[i+1] != errs[0] || dels[i+1] != dels[0] {
+						t.Fatalf("step %d: %s = (%v, %v), %s = (%v, %v)",
+							step, names[0], errs[0], dels[0], names[i+1], errs[i+1], dels[i+1])
+					}
 				}
 			}
 
-			if locked.Len() != uint64(len(oracle)) || elided.Len() != locked.Len() {
-				t.Fatalf("Len: locked %d, elided %d, oracle %d", locked.Len(), elided.Len(), len(oracle))
-			}
-			for k, want := range oracle {
-				v1, ok1 := locked.Lookup(k)
-				v2, ok2 := elided.Lookup(k)
-				if !ok1 || !ok2 || v1 != want || v2 != want {
-					t.Fatalf("Lookup(%d): locked %d,%v elided %d,%v want %d", k, v1, ok1, v2, ok2, want)
+			for i, tab := range tabs {
+				if tab.Len() != uint64(len(oracle)) {
+					t.Fatalf("Len: %s %d, oracle %d", names[i], tab.Len(), len(oracle))
 				}
 			}
-			s1, s2 := locked.Stats().ProbeStats, elided.Stats().ProbeStats
-			if s1 != s2 {
-				t.Fatalf("stats diverged:\nlocked %+v\nelided %+v", s1, s2)
+			for k, want := range oracle {
+				for i, tab := range tabs {
+					if v, ok := tab.Lookup(k); !ok || v != want {
+						t.Fatalf("Lookup(%d): %s %d,%v want %d", k, names[i], v, ok, want)
+					}
+				}
 			}
-			if s1.Searches == 0 || s1.Displacements == 0 || s1.MaxPathLen == 0 {
-				t.Fatalf("sequence never reached the slow path: %+v", s1)
+			s0 := tabs[0].Stats().ProbeStats
+			for i, tab := range tabs[1:] {
+				if s := tab.Stats().ProbeStats; s != s0 {
+					t.Fatalf("stats diverged:\n%s %+v\n%s %+v", names[0], s0, names[i+1], s)
+				}
 			}
-			t.Logf("%d entries, %+v", len(oracle), s1)
+			if s0.Searches == 0 || s0.Displacements == 0 || s0.MaxPathLen == 0 {
+				t.Fatalf("sequence never reached the slow path: %+v", s0)
+			}
+			t.Logf("%d entries, %+v", len(oracle), s0)
 		})
 	}
 }

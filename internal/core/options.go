@@ -80,9 +80,11 @@ type Options struct {
 	Locking LockMode
 	// Search selects BFS (default) or the DFS baseline.
 	Search SearchMode
-	// Prefetch enables the BFS next-neighbor prefetch of §4.3.2. On
-	// hardware this is a prefetch instruction; here it is an early touch of
-	// the next frontier bucket (see DESIGN.md §2).
+	// Prefetch enables the prefetches of §4.3.2: the BFS touches the next
+	// frontier bucket, and Table's lookups, writes and deletes touch the
+	// key line and first value line of both candidate buckets before
+	// reading either. On hardware each is a prefetch instruction; here it
+	// is an early read whose value is discarded (see DESIGN.md §2).
 	Prefetch bool
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/hugepage"
 	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/spinlock"
 )
@@ -75,8 +76,8 @@ func (t *Table) newArrays(buckets uint64) *arrays {
 	return &arrays{
 		buckets: buckets,
 		assoc:   t.assoc,
-		keys:    make([]uint64, buckets*t.assoc),
-		vals:    make([]uint64, buckets*t.assoc*t.vw),
+		keys:    hugepage.Make[uint64](buckets * t.assoc),
+		vals:    hugepage.Make[uint64](buckets * t.assoc * t.vw),
 		zero:    make([]uint64, 1+t.vw),
 	}
 }
@@ -154,6 +155,25 @@ func (a *arrays) valWords(i, vw uint64) []uint64 {
 		return a.zero[1:]
 	}
 	return a.vals[i*vw : (i+1)*vw]
+}
+
+// touch loads bucket b's key line and the first line of its values and
+// discards what it reads: a software prefetch, since Go has no portable
+// prefetch instruction.
+func (a *arrays) touch(b, vw uint64) {
+	_ = a.loadKey(b * a.assoc)
+	_ = atomic.LoadUint64(&a.vals[b*a.assoc*vw])
+}
+
+// touchPair, with Options.Prefetch, touches both candidate buckets before
+// anything reads them, so that their four misses overlap instead of each
+// meeting the scan, the free-slot peek, the lock or the value copy as it
+// gets there.
+func (t *Table) touchPair(arr *arrays, b1, b2 uint64) {
+	if t.opts.Prefetch {
+		arr.touch(b1, t.vw)
+		arr.touch(b2, t.vw)
+	}
 }
 
 // hasZero reports whether key 0 is stored.
@@ -251,11 +271,17 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 // dst and reports whether the key was found. The read is optimistic: it
 // takes no locks and dirties no shared cache lines (§4.2).
 func (t *Table) LookupValue(key uint64, dst []uint64) bool {
-	return t.lookupHashed(key, t.hash(key), dst)
+	h := t.hash(key)
+	arr := t.arr.Load()
+	b1, b2 := hashfn.TwoBuckets(h, arr.buckets)
+	t.touchPair(arr, b1, b2)
+	return t.lookupHashed(key, h, dst)
 }
 
-// lookupHashed is LookupValue with the hash precomputed: the Eq. 1 read,
-// snapshot both candidate stripes, scan, validate, retry on a conflict.
+// lookupHashed is LookupValue with the hash precomputed and no touch of its
+// own (LookupBatch touched the buckets batchWindow keys earlier): the Eq. 1
+// read, snapshot both candidate stripes, scan, validate, retry on a
+// conflict.
 func (t *Table) lookupHashed(key, h uint64, dst []uint64) bool {
 	for spins := 0; ; spins++ {
 		arr := t.arr.Load()
@@ -378,6 +404,7 @@ func (t *Table) write(key uint64, val []uint64, mode writeMode) error {
 	for {
 		arr := t.arr.Load()
 		b1, b2 := hashfn.TwoBuckets(h, arr.buckets)
+		t.touchPair(arr, b1, b2)
 
 		// Fast path, per Algorithm 2 lines 3–8: peek (unlocked) whether
 		// either candidate bucket has a free slot; if so take the locked
@@ -531,6 +558,7 @@ func (t *Table) Delete(key uint64) bool {
 	for {
 		arr := t.arr.Load()
 		b1, b2 := hashfn.TwoBuckets(h, arr.buckets)
+		t.touchPair(arr, b1, b2)
 		l1, l2 := t.lockPair(b1, b2)
 		if t.arr.Load() != arr {
 			t.unlockPair(l1, l2)

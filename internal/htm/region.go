@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"cuckoohash/internal/hugepage"
 )
 
 func yield() { runtime.Gosched() }
@@ -106,8 +108,8 @@ func NewRegion(words int, cfg Config) *Region {
 	}
 	lines := (words + wordsPerLine - 1) / wordsPerLine
 	r := &Region{
-		mem:      make([]uint64, words),
-		versions: make([]atomic.Uint64, lines),
+		mem:      hugepage.Make[uint64](uint64(words)),
+		versions: hugepage.Make[atomic.Uint64](uint64(lines)),
 		cfg:      cfg,
 	}
 	r.txPool.New = func() any {

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/hugepage"
 	"cuckoohash/internal/spinlock"
 	"cuckoohash/internal/txarena"
 )
@@ -118,9 +119,9 @@ func New(o Options) (*Table, error) {
 	t := &Table{
 		walk:     newWalk(o),
 		vw:       uint64(o.ValueWords),
-		keys:     make([]uint64, o.Buckets*uint64(o.Assoc)),
-		vals:     make([]uint64, o.Buckets*uint64(o.Assoc)*uint64(o.ValueWords)),
-		occ:      make([]atomic.Uint32, o.Buckets),
+		keys:     hugepage.Make[uint64](o.Buckets * uint64(o.Assoc)),
+		vals:     hugepage.Make[uint64](o.Buckets * uint64(o.Assoc) * uint64(o.ValueWords)),
+		occ:      hugepage.Make[atomic.Uint32](o.Buckets),
 		versions: spinlock.NewStripe(o.Stripes),
 	}
 	t.scratch = t.newScratch()

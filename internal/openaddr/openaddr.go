@@ -10,6 +10,7 @@ import (
 	"errors"
 
 	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/hugepage"
 )
 
 // ErrFull reports that an insert could not find a slot (only possible when
@@ -51,9 +52,9 @@ func New(capacity uint64, seed uint64, maxLoad float64, fixed bool) *Map {
 	return &Map{
 		seed:    seed,
 		mask:    size - 1,
-		keys:    make([]uint64, size),
-		vals:    make([]uint64, size),
-		state:   make([]uint8, size),
+		keys:    hugepage.Make[uint64](size),
+		vals:    hugepage.Make[uint64](size),
+		state:   hugepage.Make[uint8](size),
 		maxLoad: maxLoad,
 		fixed:   fixed,
 	}
@@ -176,9 +177,9 @@ func (m *Map) grow() {
 	old := *m
 	size := (m.mask + 1) * 2
 	m.mask = size - 1
-	m.keys = make([]uint64, size)
-	m.vals = make([]uint64, size)
-	m.state = make([]uint8, size)
+	m.keys = hugepage.Make[uint64](size)
+	m.vals = hugepage.Make[uint64](size)
+	m.state = hugepage.Make[uint8](size)
 	m.n = 0
 	m.tomb = 0
 	m.resizes++

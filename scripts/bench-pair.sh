@@ -51,6 +51,9 @@ done
 
 echo "bench-pair  workload $workload  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  pairs $pairs  seed 1  seconds 15  trace $trace"
 grep -m1 '^host ' "$out/head-1.log"
+# Whether the host backs huge-page advice (internal/hugepage): the bracketed
+# word is the mode, and "never" leaves every table on 4 KiB pages.
+echo "thp $(cat /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || echo unknown)"
 # "better" per metric, from BENCHMARK.json (one metric per line there).
 sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' BENCHMARK.json >"$out/better.txt"
 for n in $(seq 1 "$pairs"); do

@@ -57,6 +57,9 @@ done
 
 echo "bench-rung  pkg $pkg  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu  GOGC ${GOGC:-100}"
 grep -m1 '^cpu: ' "$out/head-1.log"
+# Whether the host backs huge-page advice (internal/hugepage): the bracketed
+# word is the mode, and "never" leaves every table on 4 KiB pages.
+echo "thp $(cat /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || echo unknown)"
 echo "a/a is base's own second run each round: its distance from base is what the host adds"
 for n in $(seq 1 "$rounds"); do
 	for side in base head aa; do sed "s/^/$side $n /" "$out/$side-$n.txt"; done
