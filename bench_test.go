@@ -321,15 +321,16 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLockLater compares global-lock (whole-insert serialized)
-// with fine-grained locking under concurrent writers.
+// BenchmarkAblationLockLater measures what taking the writer lock after the
+// path search buys under concurrent writers: "early" holds the global lock
+// through the whole insert, search included (Algorithm 1); "global" takes
+// it only around each displacement and the final placement (Algorithm 2,
+// Fig. 5's "+lock later"); "striped" replaces it with the bucket-pair
+// stripes (§4.4).
 func BenchmarkAblationLockLater(b *testing.B) {
-	for _, lm := range []core.LockMode{core.LockGlobal, core.LockStriped} {
-		name := "global"
-		if lm == core.LockStriped {
-			name = "striped"
-		}
-		b.Run(name, func(b *testing.B) {
+	names := map[core.LockMode]string{core.LockEarly: "early", core.LockGlobal: "global", core.LockStriped: "striped"}
+	for _, lm := range []core.LockMode{core.LockEarly, core.LockGlobal, core.LockStriped} {
+		b.Run(names[lm], func(b *testing.B) {
 			var mops float64
 			for i := 0; i < b.N; i++ {
 				o := core.Defaults(1 << 15)

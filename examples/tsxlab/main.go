@@ -26,7 +26,6 @@ import (
 
 	"cuckoohash/internal/core"
 	"cuckoohash/internal/htm"
-	"cuckoohash/internal/memc3"
 	"cuckoohash/internal/workload"
 )
 
@@ -98,8 +97,12 @@ func main() {
 
 	// 1. Unoptimized cuckoo (whole Algorithm 1 in one transaction).
 	for _, p := range []htm.Policy{htm.PolicyNone, htm.PolicyGlibc, htm.PolicyTuned} {
-		o := memc3.Defaults(slots)
-		tab := memc3.MustNewTxTable(o, p, cfg)
+		// MemC3's table: 4-way buckets, its random-walk search, and the
+		// writer lock (here, the one transaction) taken before the search.
+		o := core.Defaults(slots)
+		o.Assoc, o.Buckets = 4, 2*o.Buckets
+		o.Locking, o.Search, o.Prefetch = core.LockEarly, core.SearchDFS, false
+		tab := core.MustNewTxTable(o, p, cfg)
 		prefill(tab.Cap(), tab.Insert)
 		tab.Region().ResetStats()
 		results = append(results, run(

@@ -14,7 +14,6 @@ import (
 	"cuckoohash/internal/chained"
 	"cuckoohash/internal/core"
 	"cuckoohash/internal/htm"
-	"cuckoohash/internal/memc3"
 	"cuckoohash/internal/openaddr"
 	"cuckoohash/internal/spinlock"
 )
@@ -55,7 +54,7 @@ func stopIfFull(err error) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, core.ErrFull) || errors.Is(err, memc3.ErrFull) || errors.Is(err, openaddr.ErrFull) {
+	if errors.Is(err, core.ErrFull) || errors.Is(err, openaddr.ErrFull) {
 		return errStop
 	}
 	return err
@@ -77,6 +76,18 @@ func coreOptions(slots uint64, valueWords int, seed uint64) core.Options {
 	o := core.Defaults(slots)
 	o.ValueWords = valueWords
 	o.Seed = seed
+	return o
+}
+
+// assocOptions is coreOptions at set-associativity assoc, with the bucket
+// count re-derived for slots.
+func assocOptions(slots uint64, valueWords, assoc int, seed uint64) core.Options {
+	o := coreOptions(slots, valueWords, seed)
+	o.Assoc = assoc
+	o.Buckets = 2
+	for o.Buckets*uint64(assoc) < slots {
+		o.Buckets <<= 1
+	}
 	return o
 }
 
@@ -122,14 +133,7 @@ func CuckooPlusAssoc(assoc int, prefix string) Scheme {
 	return Scheme{
 		Name: prefix,
 		New: func(slots uint64, vw, _ int, seed uint64) KV {
-			o := coreOptions(slots, vw, seed)
-			o.Assoc = assoc
-			buckets := uint64(2)
-			for buckets*uint64(assoc) < slots {
-				buckets <<= 1
-			}
-			o.Buckets = buckets
-			return coreKV{core.MustNewTable(o)}
+			return coreKV{core.MustNewTable(assocOptions(slots, vw, assoc, seed))}
 		},
 	}
 }
@@ -159,67 +163,37 @@ func CuckooPlusTSXAssoc(assoc int, name string) Scheme {
 	return Scheme{
 		Name: name,
 		New: func(slots uint64, vw, _ int, seed uint64) KV {
-			o := coreOptions(slots, vw, seed)
-			o.Assoc = assoc
-			buckets := uint64(2)
-			for buckets*uint64(assoc) < slots {
-				buckets <<= 1
-			}
-			o.Buckets = buckets
-			return coreTxKV{core.MustNewTxTable(o, htm.PolicyTuned, htm.DefaultConfig())}
+			return coreTxKV{core.MustNewTxTable(assocOptions(slots, vw, assoc, seed), htm.PolicyTuned, htm.DefaultConfig())}
 		},
 	}
 }
 
-// --- MemC3 optimistic cuckoo adapters ---
+// --- MemC3 baseline adapters ---
 
-type memc3KV struct{ t *memc3.Table }
-
-func (a memc3KV) Insert(k, v uint64) error       { return stopIfFull(a.t.Insert(k, v)) }
-func (a memc3KV) Lookup(k uint64) (uint64, bool) { return a.t.Lookup(k) }
-func (a memc3KV) Delete(k uint64) bool           { return a.t.Delete(k) }
-func (a memc3KV) Len() uint64 {
-	n := a.t.Len()
-	if n < 0 {
-		return 0
-	}
-	return uint64(n)
-}
-func (a memc3KV) Cap() uint64 { return a.t.Cap() }
-
-func memc3Options(slots uint64, vw, assoc int, seed uint64) memc3.Options {
-	o := memc3.Defaults(slots)
-	if assoc != 0 && assoc != o.Assoc {
-		o.Assoc = assoc
-		buckets := uint64(2)
-		for buckets*uint64(assoc) < slots {
-			buckets <<= 1
-		}
-		o.Buckets = buckets
-	}
-	o.ValueWords = vw
-	o.Seed = seed
+// baselineOptions is MemC3's configuration of the core table: Algorithm 1
+// (the writer lock held through the search), the random-walk DFS, no
+// prefetch, M = 2000 and 4096 stripes. assoc selects the set-associativity
+// (MemC3's own default is 4; the factor analysis holds it at 8 to isolate
+// the algorithmic deltas).
+func baselineOptions(slots uint64, vw, assoc int, seed uint64) core.Options {
+	o := assocOptions(slots, vw, assoc, seed)
+	o.Locking = core.LockEarly
+	o.Search = core.SearchDFS
+	o.Prefetch = false
 	return o
 }
 
 // Memc3 is the optimistic concurrent cuckoo baseline ("cuckoo" in the
-// figures): multi-reader, single global writer lock, Algorithm 1. assoc
-// selects the set-associativity (MemC3's own default is 4; the factor
-// analysis holds it at 8 to isolate the algorithmic deltas).
+// figures): multi-reader, single global writer lock, Algorithm 1.
 func Memc3(assoc int) Scheme {
 	return Scheme{
 		Name:         "cuckoo",
 		SingleWriter: true,
 		New: func(slots uint64, vw, _ int, seed uint64) KV {
-			return memc3KV{memc3.MustNew(memc3Options(slots, vw, assoc, seed))}
+			return coreKV{core.MustNewTable(baselineOptions(slots, vw, assoc, seed))}
 		},
 	}
 }
-
-type memc3TxKV struct{ *memc3.TxTable }
-
-func (a memc3TxKV) Insert(k, v uint64) error { return stopIfFull(a.TxTable.Insert(k, v)) }
-func (a memc3TxKV) TxStats() htm.Stats       { return a.Region().Stats() }
 
 // Memc3TSX is the unoptimized cuckoo under coarse-lock elision (whole
 // Algorithm 1 in one transaction).
@@ -227,7 +201,7 @@ func Memc3TSX(name string, policy htm.Policy, assoc int) Scheme {
 	return Scheme{
 		Name: name,
 		New: func(slots uint64, vw, _ int, seed uint64) KV {
-			return memc3TxKV{memc3.MustNewTxTable(memc3Options(slots, vw, assoc, seed), policy, htm.DefaultConfig())}
+			return coreTxKV{core.MustNewTxTable(baselineOptions(slots, vw, assoc, seed), policy, htm.DefaultConfig())}
 		},
 	}
 }

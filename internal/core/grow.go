@@ -34,7 +34,7 @@ func (t *Table) growLocked() error {
 	newBuckets := old.buckets * 2
 	for {
 		next := t.newArrays(newBuckets)
-		if t.opts.Locking == LockGlobal {
+		if t.opts.Locking != LockStriped {
 			t.global.Lock()
 		}
 		t.stripe.LockAll()
@@ -43,7 +43,7 @@ func (t *Table) growLocked() error {
 			t.arr.Store(next)
 		}
 		t.stripe.UnlockAll()
-		if t.opts.Locking == LockGlobal {
+		if t.opts.Locking != LockStriped {
 			t.global.Unlock()
 		}
 		if ok {
@@ -85,6 +85,7 @@ func (t *Table) placeDirect(arr *arrays, sc *searchScratch, key uint64, val []ui
 			return true
 		}
 	}
+	t.probe.Searched(b1)
 	path, st := t.search(arr, sc, b1, b2)
 	if st != searchFound {
 		// Exclusive access: searchStale is impossible, so this means full.
@@ -105,7 +106,7 @@ func (t *Table) placeDirect(arr *arrays, sc *searchScratch, key uint64, val []ui
 func (t *Table) Range(fn func(key uint64, val []uint64) bool) {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
-	if t.opts.Locking == LockGlobal {
+	if t.opts.Locking != LockStriped {
 		t.global.Lock()
 		defer t.global.Unlock()
 	}
@@ -127,7 +128,7 @@ func (t *Table) Range(fn func(key uint64, val []uint64) bool) {
 func (t *Table) Clear() {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
-	if t.opts.Locking == LockGlobal {
+	if t.opts.Locking != LockStriped {
 		t.global.Lock()
 		defer t.global.Unlock()
 	}

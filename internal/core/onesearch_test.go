@@ -19,28 +19,36 @@ type oneSearchTable interface {
 }
 
 // TestOneSearchTwoBackends pins that Table and TxTable are one algorithm
-// under two concurrency-control backends (§4.3 and §5), and that
-// Options.Prefetch only reads: the same seeded, single-threaded
-// insert/upsert/delete sequence to load factor 0.95 must return the same
-// result at every step, leave the same contents, and have searched,
-// displaced and measured exactly the same paths on both backends with the
+// under two concurrency-control backends (§4.3 and §5), that taking the
+// writer lock before the search (LockEarly, Algorithm 1) or after it only
+// moves the critical section, and that Options.Prefetch only reads: the
+// same seeded, single-threaded insert/upsert/delete sequence to load
+// factor 0.95 must return the same result at every step, leave the same
+// contents, and have searched, displaced and measured exactly the same
+// paths on both backends, with the lock taken early or late and the
 // prefetches on and off — for BFS and for the DFS baseline. Any drift
 // between the locked and the elided write path, between what their
-// searches read, or a prefetch that changes what it warms, shows up as a
-// counter mismatch.
+// searches read (the elided early search reads through its transaction),
+// or a prefetch that changes what it warms, shows up as a counter
+// mismatch.
 func TestOneSearchTwoBackends(t *testing.T) {
 	for _, mode := range []SearchMode{SearchBFS, SearchDFS} {
 		name := map[SearchMode]string{SearchBFS: "BFS", SearchDFS: "DFS"}[mode]
 		t.Run(name, func(t *testing.T) {
 			var names []string
 			var tabs []oneSearchTable
-			for _, prefetch := range []bool{true, false} {
-				o := testOptions(1 << 12)
-				o.Search = mode
-				o.Locking = LockGlobal
-				o.Prefetch = prefetch
-				names = append(names, fmt.Sprintf("locked prefetch=%v", prefetch), fmt.Sprintf("elided prefetch=%v", prefetch))
-				tabs = append(tabs, MustNewTable(o), MustNewTxTable(o, htm.PolicyTuned, htm.DefaultConfig()))
+			for _, locking := range []LockMode{LockGlobal, LockEarly} {
+				for _, prefetch := range []bool{true, false} {
+					o := testOptions(1 << 12)
+					o.Search = mode
+					o.Locking = locking
+					o.Prefetch = prefetch
+					lock := map[LockMode]string{LockGlobal: "late", LockEarly: "early"}[locking]
+					names = append(names,
+						fmt.Sprintf("locked %s prefetch=%v", lock, prefetch),
+						fmt.Sprintf("elided %s prefetch=%v", lock, prefetch))
+					tabs = append(tabs, MustNewTable(o), MustNewTxTable(o, htm.PolicyTuned, htm.DefaultConfig()))
+				}
 			}
 			locked := tabs[0].(*Table)
 

@@ -41,6 +41,11 @@ const (
 	// path search outside the critical section (Algorithm 2). This is the
 	// "+lock later" configuration of the factor analysis (Fig. 5).
 	LockGlobal
+	// LockEarly is MemC3's Algorithm 1, the "cuckoo" baseline of every
+	// figure: the global writer lock covers the whole write — duplicate
+	// check, path search and execution. On a TxTable the whole insert,
+	// search included, is one transaction (§2.3).
+	LockEarly
 )
 
 // SearchMode selects the empty-slot search strategy.
@@ -76,7 +81,7 @@ type Options struct {
 	// Seed perturbs the hash function.
 	Seed uint64
 	// Locking selects fine-grained striped locks (default) or a global
-	// writer lock.
+	// writer lock, taken after the path search or before it.
 	Locking LockMode
 	// Search selects BFS (default) or the DFS baseline.
 	Search SearchMode

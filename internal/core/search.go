@@ -46,12 +46,17 @@ func (n bfsNode) decodePath(assoc uint64, slots []int) (root uint32) {
 
 // searchScratch holds the per-insert search state. It is pooled: BFS over a
 // 2000-slot budget needs a frontier of up to ~M nodes, far too large to
-// allocate per operation.
+// allocate per operation. Its buffers are sized here and the searches only
+// ever write them by index: a search may run inside a transaction (TxTable
+// in LockEarly mode), where an allocation cannot be rolled back on abort
+// and real HTM aborts on the allocator's page faults (cuckoovet:blockcheck
+// follows the search into the transaction).
 type searchScratch struct {
-	nodes []bfsNode
-	path  []pathEntry
-	slots []int    // decoded slot sequence, maxPath entries
-	keys  []uint64 // the keys of the bucket being expanded, assoc entries
+	nodes []bfsNode   // the BFS frontier
+	path  []pathEntry // the path found; DFS keeps its two walks here
+	slots []int       // decoded slot sequence, maxPath entries
+	keys  []uint64    // the keys of the bucket being expanded, assoc entries
+	txs   txSearch    // a search inside a transaction (LockEarly)
 }
 
 func newSearchScratch(maxSlots, assoc int) *searchScratch {
@@ -61,8 +66,8 @@ func newSearchScratch(maxSlots, assoc int) *searchScratch {
 		maxPath = dfsMax
 	}
 	return &searchScratch{
-		nodes: make([]bfsNode, 0, maxSlots+2),
-		path:  make([]pathEntry, 0, maxPath),
+		nodes: make([]bfsNode, maxSlots+2),
+		path:  make([]pathEntry, maxPath),
 		slots: make([]int, maxPath),
 		keys:  make([]uint64, assoc),
 	}
@@ -89,7 +94,11 @@ const (
 // word is read: *arrays reads its flat slices with atomic loads, *TxTable
 // reads its arena with untracked Region.LoadDirect. Either way a stale
 // observation only yields a path that fails validation during execution.
-// Lookups do not come through here; they keep their direct array access.
+// In LockEarly mode (Algorithm 1) the search runs inside the critical
+// section instead: Table's under the writer lock, through *arrays still,
+// and TxTable's inside the transaction, through a *txSearch whose every
+// read the transaction tracks. Lookups do not come through here; they keep
+// their direct array access.
 type bucketReader interface {
 	numBuckets() uint64
 	// loadOcc is bucket b's occupancy bitmask: *arrays derives it from the
@@ -125,9 +134,10 @@ func (f *finder) init(opts Options) {
 func (f *finder) hash(key uint64) uint64 { return hashfn.Uint64(key, f.opts.Seed) }
 
 // search discovers a cuckoo path from buckets b1/b2 to an empty slot. The
-// returned slice is backed by sc and valid until the scratch is reused.
+// returned slice is backed by sc and valid until the scratch is reused. It
+// counts nothing: it may run inside a transaction, where a counter bump
+// would survive an abort, so its callers count the search (probe.Searched).
 func (f *finder) search(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	f.probe.Searched(b1)
 	if f.opts.Search == SearchDFS {
 		return f.searchDFS(r, sc, b1, b2)
 	}
@@ -138,18 +148,17 @@ func (f *finder) search(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pat
 // frontier bucket extends its own candidate path, so the first empty slot
 // found is at minimum displacement depth, bounded by Eq. 2.
 func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
-	nodes := sc.nodes[:0]
-	nodes = append(nodes,
-		bfsNode{bucket: b1, pathcode: 0},
-		bfsNode{bucket: b2, pathcode: 1},
-	)
+	nodes := sc.nodes
+	nodes[0] = bfsNode{bucket: b1, pathcode: 0}
+	nodes[1] = bfsNode{bucket: b2, pathcode: 1}
+	tail := 2
 	assoc := int(f.assoc)
 	nb := r.numBuckets()
 	budget := f.opts.MaxSearchSlots
 	slotsExamined := 0
 
-	for qi := 0; qi < len(nodes) && slotsExamined < budget; qi++ {
-		if f.opts.Prefetch && qi+1 < len(nodes) {
+	for qi := 0; qi < tail && slotsExamined < budget; qi++ {
+		if f.opts.Prefetch && qi+1 < tail {
 			// Emulated prefetch: touch the next frontier bucket so its
 			// lines are warm when we examine it (see DESIGN.md §2). Go
 			// has no portable prefetch intrinsic; an early read has the
@@ -160,7 +169,6 @@ func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]
 		occ := r.loadOcc(n.bucket)
 		slotsExamined += assoc
 		if s, ok := txarena.FreeSlot(occ, assoc); ok {
-			sc.nodes = nodes
 			if path, ok := f.buildPath(r, sc, n, b1, b2, s); ok {
 				return path, searchFound
 			}
@@ -168,7 +176,7 @@ func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]
 		}
 		// Bucket full: each of its keys extends a candidate path to its
 		// alternate bucket.
-		if len(nodes)+assoc > cap(nodes) {
+		if tail+assoc > len(nodes) {
 			continue
 		}
 		childCode := n.pathcode * uint32(assoc)
@@ -176,14 +184,14 @@ func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]
 		r.slotKeys(n.bucket, sc.keys)
 		for s, k := range sc.keys {
 			alt := hashfn.AltBucket(f.hash(k), nb, n.bucket)
-			nodes = append(nodes, bfsNode{
+			nodes[tail] = bfsNode{
 				bucket:   alt,
 				pathcode: childCode + uint32(s),
 				depth:    childDepth,
-			})
+			}
+			tail++
 		}
 	}
-	sc.nodes = nodes
 	return nil, searchFull
 }
 
@@ -199,11 +207,11 @@ func (f *finder) buildPath(r bucketReader, sc *searchScratch, n bfsNode, b1, b2 
 		bucket = b2
 	}
 	nb := r.numBuckets()
-	path := sc.path[:0]
+	path := sc.path
 	for i := 0; i < int(n.depth); i++ {
 		slot := sc.slots[i]
 		k := r.slotKey(bucket, slot)
-		path = append(path, pathEntry{bucket: bucket, slot: slot, key: k})
+		path[i] = pathEntry{bucket: bucket, slot: slot, key: k}
 		bucket = hashfn.AltBucket(f.hash(k), nb, bucket)
 	}
 	// The walked chain must end at the bucket whose free slot we found; if
@@ -211,74 +219,61 @@ func (f *finder) buildPath(r bucketReader, sc *searchScratch, n bfsNode, b1, b2 
 	// failure so the caller restarts the search rather than executing a
 	// path into the wrong bucket.
 	if bucket != n.bucket {
-		sc.path = path
 		return nil, false
 	}
-	path = append(path, pathEntry{bucket: bucket, slot: s})
-	sc.path = path
-	return path, true
+	path[n.depth] = pathEntry{bucket: bucket, slot: s}
+	return path[:n.depth+1], true
 }
 
-// searchDFS is the MemC3-style two-way random-walk search: two candidate
-// paths (one per candidate bucket) are extended alternately by kicking a
-// random victim, completing when either reaches a bucket with an empty
-// slot. It is retained as the factor-analysis baseline (§4.3.2, Fig. 5).
+// searchDFS is MemC3's two-way random-walk search: two candidate paths (one
+// per candidate bucket) are extended alternately by kicking a random
+// victim, completing when either reaches a bucket with an empty slot. It is
+// retained as the factor-analysis baseline (§4.3.2, Fig. 5).
+//
+// A random walk can cross itself and name one slot twice. Executed
+// hole-backward, the earlier mention then finds the key a later hop moved
+// in, whose alternate bucket is not the one the path goes on to; execution
+// re-validates every entry's key before moving it (displace, txAttempt), so
+// such a path stops there and the insert searches again — every hop
+// already made was a legal move.
 func (f *finder) searchDFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]pathEntry, searchStatus) {
 	assoc := int(f.assoc)
 	nb := r.numBuckets()
 	budget := f.opts.MaxSearchSlots
-	maxLen := budget / (2 * assoc)
-	if maxLen < 1 {
-		maxLen = 1
-	}
+	maxLen := max(budget/(2*assoc), 1)
 
-	// Two independent walks, each in its own half of the scratch path
-	// buffer.
-	buf := sc.path[:0]
-	if cap(buf) < 2*maxLen+2 {
-		buf = make([]pathEntry, 0, 2*maxLen+2)
-	}
-	pathA := buf[0 : 0 : maxLen+1]                     // first half
-	pathB := buf[maxLen+1 : maxLen+1 : 2*maxLen+2][:0] // second half
-	curA, curB := b1, b2
-	slotsExamined := 0
+	// Two walks, one from each candidate bucket, each in its own half of
+	// the scratch path buffer.
+	walks := [2][]pathEntry{sc.path[:maxLen+1], sc.path[maxLen+1 : 2*maxLen+2]}
+	cur := [2]uint64{b1, b2}
+	var n [2]int
 	// Victims derive from the candidate pair, not from state carried
 	// between searches: a search is a function of the table and the key, so
 	// the same operations on two tables walk the same paths whichever
 	// pooled scratch each happens to draw.
 	rng := b1<<32 ^ b2
 
-	for slotsExamined < budget {
-		if len(pathA) > maxLen && len(pathB) > maxLen {
+	for slotsExamined := 0; slotsExamined < budget; {
+		if n[0] > maxLen && n[1] > maxLen {
 			return nil, searchFull
 		}
-		for w := 0; w < 2; w++ {
-			cur := curA
-			path := &pathA
-			if w == 1 {
-				cur = curB
-				path = &pathB
-			}
-			if len(*path) > maxLen {
+		for w, path := range walks {
+			if n[w] > maxLen {
 				continue
 			}
-			occ := r.loadOcc(cur)
+			occ := r.loadOcc(cur[w])
 			slotsExamined += assoc
 			if s, ok := txarena.FreeSlot(occ, assoc); ok {
-				*path = append(*path, pathEntry{bucket: cur, slot: s})
-				return *path, searchFound
+				path[n[w]] = pathEntry{bucket: cur[w], slot: s}
+				return path[:n[w]+1], searchFound
 			}
 			// Kick a random victim to its alternate bucket.
 			rng = hashfn.SplitMix64(rng)
 			s := int(rng % uint64(assoc))
-			k := r.slotKey(cur, s)
-			*path = append(*path, pathEntry{bucket: cur, slot: s, key: k})
-			next := hashfn.AltBucket(f.hash(k), nb, cur)
-			if w == 0 {
-				curA = next
-			} else {
-				curB = next
-			}
+			k := r.slotKey(cur[w], s)
+			path[n[w]] = pathEntry{bucket: cur[w], slot: s, key: k}
+			n[w]++
+			cur[w] = hashfn.AltBucket(f.hash(k), nb, cur[w])
 		}
 	}
 	return nil, searchFull

@@ -22,13 +22,21 @@ import (
 type Table struct {
 	finder
 	stripe *spinlock.Stripe
-	global spinlock.Mutex // writer lock in LockGlobal mode
-	growMu sync.Mutex     // serializes Grow
+	growMu sync.Mutex // serializes Grow
 
 	arr atomic.Pointer[arrays]
 
 	size      metrics.ShardedCounter
 	growCount atomic.Uint64
+
+	// global is the writer lock of LockGlobal and LockEarly, the word
+	// concurrent writers fight over. A line of padding on each side keeps
+	// it on a line of its own wherever the Table is allocated: on the line
+	// of arr, which every lookup and write loads, each acquisition would
+	// steal that line from every other reader and writer.
+	_      [64]byte
+	global spinlock.Mutex
+	_      [64]byte
 }
 
 // arrays is the swappable storage of a Table; Grow installs a new one.
@@ -137,6 +145,8 @@ func (a *arrays) slotKeys(b uint64, dst []uint64) {
 }
 
 // loadKey reads the key word of bucket slot i.
+//
+//lint:allow cuckoovet:blockcheck no transaction reads arrays: a search inside one (TxTable in LockEarly mode) reaches them only through the bucketReader interface, and passes its txSearch
 func (a *arrays) loadKey(i uint64) uint64 { return atomic.LoadUint64(&a.keys[i]) }
 
 // storeKey writes the key word of slot i, key 0's slot included.
@@ -336,7 +346,8 @@ func (t *Table) findIn(arr *arrays, b uint64, key uint64) (uint64, bool) {
 }
 
 // lockPair acquires the stripe locks for buckets b1 and b2 (in stripe order)
-// and, in LockGlobal mode, the global writer lock first.
+// and, in LockGlobal mode, the global writer lock first. In LockEarly mode
+// the caller already holds the global lock for its whole operation.
 func (t *Table) lockPair(b1, b2 uint64) (l1, l2 uint64) {
 	l1, l2 = t.stripe.IndexFor(b1), t.stripe.IndexFor(b2)
 	if t.opts.Locking == LockGlobal {
@@ -395,10 +406,16 @@ type absentError struct{}
 
 func (*absentError) Error() string { return "cuckoo: key not found" }
 
-// write implements Insert/Upsert/Update per Algorithm 2 plus §4.4.
+// write implements Insert/Upsert/Update per Algorithm 2 plus §4.4, or per
+// Algorithm 1 in LockEarly mode: the same steps, all under the writer lock.
 func (t *Table) write(key uint64, val []uint64, mode writeMode) error {
 	if uint64(len(val)) > t.vw {
 		panic("cuckoo: value longer than ValueWords")
+	}
+	if t.opts.Locking == LockEarly {
+		// Algorithm 1: the whole write, search included, holds the lock.
+		t.global.Lock()
+		defer t.global.Unlock()
 	}
 	h := t.hash(key)
 	for {
@@ -431,10 +448,11 @@ func (t *Table) write(key uint64, val []uint64, mode writeMode) error {
 		}
 
 		// Slow path, Algorithm 2 lines 9–13: discover a cuckoo path with
-		// no locks held (§4.3.1), then execute it under per-displacement
-		// pair locks. The duplicate check for the modeInsert fast-path
+		// no locks held (§4.3.1; LockEarly holds the writer lock), then
+		// execute it under per-displacement pair locks. The duplicate check for the modeInsert fast-path
 		// bypass happens inside the final critical section of executePath.
 		sc := t.scratch.Get().(*searchScratch)
+		t.probe.Searched(b1)
 		path, st := t.search(arr, sc, b1, b2)
 		if st == searchStale {
 			// A concurrent writer invalidated the observation mid-search
@@ -554,6 +572,10 @@ func (t *Table) placeAt(arr *arrays, i, key uint64, val []uint64) {
 
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key uint64) bool {
+	if t.opts.Locking == LockEarly {
+		t.global.Lock()
+		defer t.global.Unlock()
+	}
 	h := t.hash(key)
 	for {
 		arr := t.arr.Load()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -16,23 +17,30 @@ func testOptions(slots uint64) Options {
 }
 
 func TestInsertLookupBasic(t *testing.T) {
-	tab := MustNewTable(testOptions(1 << 10))
-	for k := uint64(1); k <= 500; k++ {
-		if err := tab.Insert(k, k*10); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
+	for _, locking := range []LockMode{LockStriped, LockGlobal, LockEarly} {
+		o := testOptions(1 << 10)
+		o.Locking = locking
+		tab := MustNewTable(o)
+		for k := uint64(1); k <= 500; k++ {
+			if err := tab.Insert(k, k*10); err != nil {
+				t.Fatalf("locking=%v: Insert(%d): %v", locking, k, err)
+			}
 		}
-	}
-	if got := tab.Len(); got != 500 {
-		t.Fatalf("Len = %d, want 500", got)
-	}
-	for k := uint64(1); k <= 500; k++ {
-		v, ok := tab.Lookup(k)
-		if !ok || v != k*10 {
-			t.Fatalf("Lookup(%d) = %d,%v; want %d,true", k, v, ok, k*10)
+		if got := tab.Len(); got != 500 {
+			t.Fatalf("locking=%v: Len = %d, want 500", locking, got)
 		}
-	}
-	if _, ok := tab.Lookup(9999); ok {
-		t.Fatal("Lookup(absent) reported found")
+		for k := uint64(1); k <= 500; k++ {
+			v, ok := tab.Lookup(k)
+			if !ok || v != k*10 {
+				t.Fatalf("locking=%v: Lookup(%d) = %d,%v; want %d,true", locking, k, v, ok, k*10)
+			}
+		}
+		if _, ok := tab.Lookup(9999); ok {
+			t.Fatalf("locking=%v: Lookup(absent) reported found", locking)
+		}
+		if !tab.Delete(1) || tab.Delete(1) || tab.Len() != 499 {
+			t.Fatalf("locking=%v: Delete semantics or Len wrong", locking)
+		}
 	}
 }
 
@@ -108,7 +116,7 @@ func TestFillTo95(t *testing.T) {
 func TestConcurrentMixedOracle(t *testing.T) {
 	const threads = 8
 	const opsPerThread = 20000
-	for _, locking := range []LockMode{LockStriped, LockGlobal} {
+	for _, locking := range []LockMode{LockStriped, LockGlobal, LockEarly} {
 		o := testOptions(1 << 16)
 		o.Locking = locking
 		tab := MustNewTable(o)
@@ -359,5 +367,33 @@ func TestAssociativityVariants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGlobalLockOwnsItsLine pins the padding around Table.global: whatever
+// 64-byte line the lock word falls on, wherever the allocator puts the
+// Table, no other field and no neighbouring object shares it. On the line
+// of arr, which every lookup and write loads, each acquisition cost the
+// global-lock modes 10-25 % of Figure 5b's concurrent insert throughput.
+func TestGlobalLockOwnsItsLine(t *testing.T) {
+	const line = 64
+	typ := reflect.TypeOf(Table{})
+	g, ok := typ.FieldByName("global")
+	if !ok {
+		t.Fatal("Table has no field global")
+	}
+	lo := int(g.Offset) + int(g.Type.Size()) - line // earliest byte on its line
+	hi := int(g.Offset) + line                      // first byte past its line
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if f.Name == "global" || f.Name == "_" || f.Type.Size() == 0 {
+			continue
+		}
+		if start, end := int(f.Offset), int(f.Offset+f.Type.Size()); end > lo && start < hi {
+			t.Errorf("field %s (bytes %d-%d) can share the line of global (offset %d)", f.Name, start, end, g.Offset)
+		}
+	}
+	if lo < 0 || int(typ.Size()) < hi {
+		t.Errorf("Table (%d bytes) leaves global (offset %d) a line another object can share", typ.Size(), g.Offset)
 	}
 }

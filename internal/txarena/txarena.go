@@ -104,9 +104,8 @@ const wordsPerLine = 8
 //	words 1+assoc..:       values (assoc*valueWords words)
 //	padding to line multiple
 //
-// core.TxTable (path search outside the transaction, §5) and memc3.TxTable
-// (all of Algorithm 1 inside it, §2.3) both embed it; they differ in what
-// they do between these slot operations, not in the operations.
+// core.TxTable embeds it, with its path search outside the transaction
+// (§5) or, in LockEarly mode, all of Algorithm 1 inside it (§2.3).
 type Buckets struct {
 	Elided
 	nb, assoc, vw, stride uint64

@@ -8,12 +8,11 @@ import (
 	"cuckoohash/internal/chained"
 	"cuckoohash/internal/core"
 	"cuckoohash/internal/htm"
-	"cuckoohash/internal/memc3"
 	"cuckoohash/internal/openaddr"
 	"cuckoohash/internal/txarena"
 )
 
-// TestArenaBoundAllConstructors: the four HTM-instrumented tables address
+// TestArenaBoundAllConstructors: the three HTM-instrumented tables address
 // their arena with uint32 words. Each sizes it from caller input, and each
 // must refuse a size whose addresses would wrap — before allocating it —
 // and still accept a modest one. Only core.NewTxTable used to check.
@@ -27,11 +26,6 @@ func TestArenaBoundAllConstructors(t *testing.T) {
 		o.ValueWords = valueWords
 		return o
 	}
-	memc3Opts := func(buckets uint64, valueWords int) memc3.Options {
-		o := memc3.Defaults(buckets * 4)
-		o.ValueWords = valueWords
-		return o
-	}
 	cases := []struct {
 		name  string
 		build func(big bool) error
@@ -42,14 +36,6 @@ func TestArenaBoundAllConstructors(t *testing.T) {
 				o = coreOpts(1<<24, 128)
 			}
 			_, err := core.NewTxTable(o, htm.PolicyTuned, cfg)
-			return err
-		}},
-		{"memc3.NewTxTable", func(big bool) error {
-			o := memc3Opts(1<<8, 1)
-			if big {
-				o = memc3Opts(1<<24, 128)
-			}
-			_, err := memc3.NewTxTable(o, htm.PolicyTuned, cfg)
 			return err
 		}},
 		{"chained.NewTxMap", func(big bool) error {
