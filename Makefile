@@ -107,14 +107,16 @@ bench-pair:
 # -test.cpu CPU for a fixed iteration count, with BASE against itself as
 # the noise floor (scripts/bench-rung.sh). RUNG is a -bench regexp; an
 # empty BENCHTIME is the script's per-package default (2000000x for
-# generic, 10000x otherwise).
+# generic, 10000x otherwise). SCALE sets the paper figures' sizes (PKG=.:
+# small, the default, medium or paper).
 PKG ?= generic
 RUNG ?= .
 ROUNDS ?= 12
 BENCHTIME ?=
 CPU ?= 1
+SCALE ?=
 bench-rung:
-	bash scripts/bench-rung.sh '$(RUNG)' '$(BASE)' '$(ROUNDS)' '$(BENCHTIME)' '$(CPU)' '$(PKG)'
+	bash scripts/bench-rung.sh '$(RUNG)' '$(BASE)' '$(ROUNDS)' '$(BENCHTIME)' '$(CPU)' '$(PKG)' '$(SCALE)'
 
 # Regenerates results/SWEEP_altbucket.txt, the alternate-bucket model's
 # table (generic/sweep_test.go: the production twoBuckets/altOf against a
@@ -147,11 +149,15 @@ chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos|TestPoolBreaker|TestDrainSaves' \
 	    ./server/ ./client/ ./internal/faultinject/
 
-# Quick perf-trajectory point: the full figure set at small scale, written
-# where the committed baseline lives (results/BENCH_core.json is the seed;
-# CI uploads each run's file as an artifact for diffing).
+# Every paper figure's every cell (the root bench_test.go), one run each at
+# small scale, written as go test -bench text to .bench_build/bench-smoke.txt
+# (CI uploads it). results/RUNG_figs.txt is the committed baseline, made by
+# make bench-rung PKG=. RUNG='$(FIGURES)|Ceiling' BENCHTIME=1x.
+FIGURES = Fig|Eq|Memory|Latency|Zipf|Churn
 bench-smoke:
-	$(GO) run ./cmd/cuckoobench -exp all -scale small -out results/BENCH_ci.json
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(FIGURES)|Ceiling' -benchtime 1x . >.bench_build/bench-smoke.txt || { cat .bench_build/bench-smoke.txt; exit 1; }
+	@cat .bench_build/bench-smoke.txt
 
 # Native Go fuzzing of the server text-protocol codec. The corpus seeds
 # live in the test; 30s is the CI budget — run longer locally with

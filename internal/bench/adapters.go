@@ -1,11 +1,9 @@
-// Package bench is the experiment harness that regenerates every figure of
-// the paper's evaluation (§6). Each experiment drives scaled-down versions
-// of the paper's workloads against the table implementations in this
-// repository and renders the same rows/series the paper reports; see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// results. Absolute throughput is not comparable to the paper's C++/Haswell
-// numbers — the shapes (scaling slopes, crossovers, ratios) are the
-// reproduced object.
+// Package bench holds what the paper's figures (§6) run: the schemes, each
+// a named constructor of one of the repository's tables behind the KV
+// interface, and the drivers Fill, PreFill and Lookups that run the
+// paper's workloads against them. The figures themselves are the root
+// package's Benchmark{Fig2,...,Ceiling} cells (bench_test.go); DESIGN.md
+// §4 indexes them and EXPERIMENTS.md records their results.
 package bench
 
 import (
@@ -43,9 +41,6 @@ type Scheme struct {
 	// New builds a fresh table. threads tells arena-based tables how many
 	// writer goroutines will use it (ignored by most).
 	New func(slots uint64, valueWords, threads int, seed uint64) KV
-	// SingleWriter marks tables whose Insert already serializes internally
-	// or must be externally serialized.
-	SingleWriter bool
 }
 
 // stopIfFull maps every table's "no room" error to errStop; other errors
@@ -157,17 +152,6 @@ func CuckooPlusTSX(name string, policy htm.Policy, search core.SearchMode, prefe
 	}
 }
 
-// CuckooPlusTSXAssoc is the elided cuckoo+ at a given associativity
-// (Figs. 8–9 use "optimized cuckoo hashing with TSX lock elision").
-func CuckooPlusTSXAssoc(assoc int, name string) Scheme {
-	return Scheme{
-		Name: name,
-		New: func(slots uint64, vw, _ int, seed uint64) KV {
-			return coreTxKV{core.MustNewTxTable(assocOptions(slots, vw, assoc, seed), htm.PolicyTuned, htm.DefaultConfig())}
-		},
-	}
-}
-
 // --- MemC3 baseline adapters ---
 
 // baselineOptions is MemC3's configuration of the core table: Algorithm 1
@@ -187,8 +171,7 @@ func baselineOptions(slots uint64, vw, assoc int, seed uint64) core.Options {
 // figures): multi-reader, single global writer lock, Algorithm 1.
 func Memc3(assoc int) Scheme {
 	return Scheme{
-		Name:         "cuckoo",
-		SingleWriter: true,
+		Name: "cuckoo",
 		New: func(slots uint64, vw, _ int, seed uint64) KV {
 			return coreKV{core.MustNewTable(baselineOptions(slots, vw, assoc, seed))}
 		},
@@ -233,8 +216,7 @@ func TBB() Scheme {
 // Callers must serialize access (see LockWrapped).
 func Unordered() Scheme {
 	return Scheme{
-		Name:         "unordered_map",
-		SingleWriter: true,
+		Name: "unordered_map",
 		New: func(slots uint64, _, _ int, seed uint64) KV {
 			o := chained.Defaults(slots, false)
 			o.Seed = seed
@@ -292,8 +274,7 @@ func (a openTxKV) TxStats() htm.Stats             { return a.Region().Stats() }
 // single-threaded (see LockWrapped for the §2.3 global-lock wrapping).
 func Dense() Scheme {
 	return Scheme{
-		Name:         "dense_hash_map",
-		SingleWriter: true,
+		Name: "dense_hash_map",
 		New: func(slots uint64, _, _ int, seed uint64) KV {
 			// Presize to keep the live load under 0.5 without resizing,
 			// the configuration most favourable to dense_hash_map.

@@ -1,24 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"cuckoohash/internal/workload"
 )
-
-// tinyScale keeps harness tests fast; shapes are not asserted at this size.
-func tinyScale() Scale {
-	return Scale{
-		Slots:      1 << 12,
-		Fig2Keys:   1 << 10,
-		Threads:    []int{1, 2},
-		MaxThreads: []int{1, 2, 4},
-		LookupOps:  1 << 12,
-		Seed:       7,
-	}
-}
 
 func TestFillDriverCountsAndWindows(t *testing.T) {
 	s := CuckooPlusFG()
@@ -35,7 +21,7 @@ func TestFillDriverCountsAndWindows(t *testing.T) {
 	if lf < 0.94 {
 		t.Fatalf("fill stopped at load factor %.3f", lf)
 	}
-	for _, w := range []string{wOverall, wMid, wHigh} {
+	for _, w := range []string{"0.00-0.95", "0.75-0.90", "0.90-0.95"} {
 		if res.Windows[w] <= 0 {
 			t.Fatalf("window %s = %v (windows: %v)", w, res.Windows[w], res.Windows)
 		}
@@ -75,41 +61,53 @@ func TestLookupDriver(t *testing.T) {
 	}
 }
 
-func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness sweep is seconds-long; skipped in -short")
+func TestWindowKey(t *testing.T) {
+	cases := []struct {
+		lo, hi float64
+		want   string
+	}{
+		{0, 0.95, "0.00-0.95"},
+		{0.75, 0.90, "0.75-0.90"},
+		{0.9, 0.95, "0.90-0.95"},
+		{0.3, 0.4, "0.30-0.40"},
 	}
-	sc := tinyScale()
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			rep := e.Run(sc)
-			if rep == nil || len(rep.Rows) == 0 {
-				t.Fatalf("experiment %s produced no rows", e.ID)
-			}
-			var buf bytes.Buffer
-			rep.Print(&buf)
-			if !strings.Contains(buf.String(), rep.ID) {
-				t.Fatalf("report print missing id: %q", buf.String())
-			}
-			var csv bytes.Buffer
-			rep.CSV(&csv)
-			lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-			if len(lines) != len(rep.Rows)+1 {
-				t.Fatalf("CSV has %d lines for %d rows", len(lines), len(rep.Rows))
-			}
-			t.Logf("\n%s", buf.String())
-		})
+	for _, c := range cases {
+		if got := windowKey(c.lo, c.hi); got != c.want {
+			t.Fatalf("windowKey(%v,%v) = %q want %q", c.lo, c.hi, got, c.want)
+		}
 	}
 }
 
-func TestScaleByName(t *testing.T) {
-	for _, name := range []string{"", "small", "medium", "paper"} {
-		if _, err := ScaleByName(name); err != nil {
-			t.Fatalf("ScaleByName(%q): %v", name, err)
+func TestLockWrappedSerializes(t *testing.T) {
+	s := LockWrapped("locked dense", Dense())
+	tab := s.New(1<<10, 1, 4, 7)
+	// Concurrent access through the wrapper must be safe for the
+	// single-threaded inner table.
+	done := make(chan bool, 4)
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			base := uint64(w+1) << 32
+			for i := uint64(0); i < 500; i++ {
+				if err := tab.Insert(base|i, i); err != nil {
+					done <- false
+					return
+				}
+			}
+			done <- true
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		if !<-done {
+			t.Fatal("insert failed")
 		}
 	}
-	if _, err := ScaleByName("bogus"); err == nil {
-		t.Fatal("expected error for unknown scale")
+	if tab.Len() != 2000 {
+		t.Fatalf("Len = %d", tab.Len())
+	}
+	if _, ok := tab.Lookup(uint64(1)<<32 | 3); !ok {
+		t.Fatal("lookup through wrapper failed")
+	}
+	if !tab.Delete(uint64(1)<<32 | 3) {
+		t.Fatal("delete through wrapper failed")
 	}
 }

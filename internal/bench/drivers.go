@@ -19,8 +19,6 @@ type RunResult struct {
 	Windows map[string]float64
 	// Ops is the total operation count.
 	Ops uint64
-	// Duration is the wall time of the measured phase.
-	Duration time.Duration
 	// Tx carries the emulated-HTM counters when the table runs under
 	// elision, else nil.
 	Tx *htm.Stats
@@ -44,9 +42,6 @@ type FillSpec struct {
 	// factors (ascending). Example: [0, 0.75, 0.9, 0.95] yields windows
 	// 0-0.75, 0.75-0.9, 0.9-0.95 plus any combination via Window().
 	WindowBounds []float64
-	// PreFill inserts this fraction of Slots single-threaded before the
-	// measured phase (used to measure steady-state at high occupancy).
-	PreFill float64
 }
 
 // Fill runs the spec against tab and reports throughput. The measured phase
@@ -59,24 +54,9 @@ func Fill(tab KV, spec FillSpec) RunResult {
 		spec.TargetLoad = 0.95
 	}
 
-	prefilled := uint64(0)
-	if spec.PreFill > 0 {
-		gen := workload.NewUniformKeys(spec.Seed^0xFEED, 1<<20) // reserved thread slice
-		target := uint64(spec.PreFill * float64(spec.Slots))
-		for prefilled < target {
-			if err := tab.Insert(gen.NextKey(), prefilled); err != nil {
-				break
-			}
-			prefilled++
-		}
-	}
-
 	// Round up so the last load-factor threshold is actually crossed.
-	targetKeys := uint64(math.Ceil(spec.TargetLoad * float64(spec.Slots)))
-	if targetKeys <= prefilled {
-		targetKeys = prefilled + 1
-	}
-	quota := (targetKeys - prefilled + uint64(spec.Threads) - 1) / uint64(spec.Threads)
+	targetKeys := max(uint64(math.Ceil(spec.TargetLoad*float64(spec.Slots))), 1)
+	quota := (targetKeys + uint64(spec.Threads) - 1) / uint64(spec.Threads)
 
 	ops := metrics.NewShardedCounter(spec.Threads)
 
@@ -92,7 +72,7 @@ func Fill(tab KV, spec FillSpec) RunResult {
 
 	// Load-factor thresholds are detected deterministically by worker 0
 	// from its own insert count: inserts are partitioned evenly, so after
-	// worker 0's k-th insert the table holds ≈ prefilled + k*threads keys.
+	// worker 0's k-th insert the table holds ≈ k*threads keys.
 	// Wall-clock sampling cannot keep up with fast fills, and a shared
 	// exact counter on the hot path would violate P1; the estimate's error
 	// is bounded by inter-thread skew plus the 64-op flush granularity.
@@ -125,7 +105,7 @@ func Fill(tab KV, spec FillSpec) RunResult {
 					}
 					done++
 					if th == 0 && rec != nil {
-						lf := float64(prefilled+done*uint64(spec.Threads)) / float64(spec.Slots)
+						lf := float64(done*uint64(spec.Threads)) / float64(spec.Slots)
 						if rec.Due(lf) {
 							flush()
 							rec.Observe(lf, uint64(ops.Total()))
@@ -145,9 +125,8 @@ func Fill(tab KV, spec FillSpec) RunResult {
 	elapsed := time.Since(start)
 
 	res := RunResult{
-		Overall:  metrics.Throughput(uint64(ops.Total()), elapsed),
-		Ops:      uint64(ops.Total()),
-		Duration: elapsed,
+		Overall: metrics.Throughput(uint64(ops.Total()), elapsed),
+		Ops:     uint64(ops.Total()),
 	}
 	if rec != nil {
 		res.Windows = map[string]float64{}
@@ -185,12 +164,9 @@ type LookupSpec struct {
 	// OpsPerThread lookups are issued per thread over the inserted keys.
 	OpsPerThread uint64
 	Seed         uint64
-	// PreFillThread tells workers which key-generator slices were used to
-	// fill, so lookups hit present keys.
-	FillThreads int
 }
 
-// PreFill loads tab to targetLoad*slots using FillThreads generator slices
+// PreFill loads tab to targetLoad*slots using fillThreads generator slices
 // and returns the per-slice insert counts (needed to generate hits).
 func PreFill(tab KV, slots uint64, targetLoad float64, fillThreads int, seed uint64) []uint64 {
 	counts := make([]uint64, fillThreads)
@@ -248,11 +224,9 @@ func Lookups(tab KV, spec LookupSpec, fillCounts []uint64) RunResult {
 		}(th)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	res := RunResult{
-		Overall:  metrics.Throughput(uint64(ops.Total()), elapsed),
-		Ops:      uint64(ops.Total()),
-		Duration: elapsed,
+		Overall: metrics.Throughput(uint64(ops.Total()), time.Since(start)),
+		Ops:     uint64(ops.Total()),
 	}
 	if ts, ok := tab.(TxStatser); ok {
 		s := ts.TxStats()

@@ -2,7 +2,7 @@
 # Paired runs of one package's go test -bench rung: this checkout against
 # BASE.
 #
-#   bash scripts/bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG]   (or: make bench-rung)
+#   bash scripts/bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG] [SCALE]   (or: make bench-rung)
 #
 # For a claim the repository benchmark's ladder cannot resolve: PKG's test
 # binary (default generic) is built once per side — BASE exported with git
@@ -11,18 +11,21 @@
 # benchmarks — and the binaries run alternately at -test.cpu CPU (1, unless
 # the benchmark is about two writers) for a fixed iteration count (default
 # 2000000x for generic's nanosecond cells, 10000x for any other package's),
-# the order flipped each round. BASE's binary runs twice a round; its second run
+# the order flipped each round. SCALE, when set, is passed to both binaries
+# as -scale (the root package's figure sizes: small, medium or paper).
+# BASE's binary runs twice a round; its second run
 # is the A/A side, which differs from the first in nothing but when it ran,
 # so its columns are the noise floor of the others. Prints, per benchmark
 # and unit, both medians, both quartile distances, the rounds this checkout
 # won, and the same for A/A.
 set -euo pipefail
-usage="usage: bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG]"
+usage="usage: bench-rung.sh RUNG BASE [ROUNDS] [BENCHTIME] [CPU] [PKG] [SCALE]"
 rung="${1:?$usage}"
 base="${2:?$usage}"
 rounds="${3:-12}"
 cpu="${5:-1}"
 pkg="${6:-generic}"
+scale="${7:-}"
 if [ "$pkg" = generic ]; then benchtime="${4:-2000000x}"; else benchtime="${4:-10000x}"; fi
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -42,7 +45,7 @@ go test -c -o "$out/head.test" "./$pkg"
 one() {
 	local log="$out/$1-$3.log"
 	(cd "$root/$pkg" && "$2" -test.run '^$' -test.bench "$rung" -test.cpu "$cpu" \
-		-test.benchtime "$benchtime" -test.timeout 30m) >"$log" 2>&1 || { tail -5 "$log" >&2; exit 1; }
+		-test.benchtime "$benchtime" -test.timeout 30m ${scale:+-scale "$scale"}) >"$log" 2>&1 || { tail -5 "$log" >&2; exit 1; }
 	awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); for (i = 3; i < NF; i += 2) print $1, $(i + 1), $i }' "$log" >"$out/$1-$3.txt"
 	[ -s "$out/$1-$3.txt" ] || { echo "$1 round $3: no benchmark matches $rung" >&2; exit 1; }
 }
@@ -55,7 +58,7 @@ for n in $(seq 1 "$rounds"); do
 	done
 done
 
-echo "bench-rung  pkg $pkg  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu  GOGC ${GOGC:-100}"
+echo "bench-rung  pkg $pkg  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu${scale:+  scale $scale}  GOGC ${GOGC:-100}"
 grep -m1 '^cpu: ' "$out/head-1.log"
 # Whether the host backs huge-page advice (internal/hugepage): the bracketed
 # word is the mode, and "never" leaves every table on 4 KiB pages.
@@ -70,20 +73,23 @@ done | awk -v rounds="$rounds" '
 		for (i = 2; i <= rounds; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 		res["med"] = quantile(a, rounds, 0.5); res["iqr"] = quantile(a, rounds, 0.75) - quantile(a, rounds, 0.25)
 	}
-	# won SIDE M: rounds in which SIDE read better than base (load: higher; every other unit: lower).
-	function won(side, m, unit,    n, d, w) {
+	# won SIDE M: rounds in which SIDE read better than base. Higher is better
+	# for load and for every unit that starts with Mops/s (Mops/s,
+	# Mops/s@0.90-0.95, ...); lower for every other unit.
+	function won(side, m, unit,    n, d, w, up) {
+		up = unit == "load" || unit ~ /^Mops\/s/
 		for (n = 1; n <= rounds; n++) {
 			d = v[side, n, m] - v["base", n, m]
-			if ((unit == "load" && d > 0) || (unit != "load" && d < 0)) w++
+			if ((up && d > 0) || (!up && d < 0)) w++
 		}
 		return w + 0
 	}
 	{ m = $3 " " $4; v[$1, $2, m] = $5; if (!(m in seen)) { seen[m] = 1; order[++nm] = m; unit[m] = $4 } }
 	END {
-		printf "%-52s %-12s %11s %9s %11s %9s %8s %11s %8s\n", "benchmark", "unit", "base median", "base iqr", "head median", "head iqr", "head won", "a/a median", "a/a won"
+		printf "%-62s %-18s %11s %9s %11s %9s %8s %11s %8s\n", "benchmark", "unit", "base median", "base iqr", "head median", "head iqr", "head won", "a/a median", "a/a won"
 		for (k = 1; k <= nm; k++) {
 			m = order[k]; split(m, name, " ")
 			summarize("base", m, b); summarize("head", m, h); summarize("aa", m, a)
-			printf "%-52s %-12s %11.5g %9.3g %11.5g %9.3g %5d/%-2d %11.5g %5d/%d\n", name[1], unit[m], b["med"], b["iqr"], h["med"], h["iqr"], won("head", m, unit[m]), rounds, a["med"], won("aa", m, unit[m]), rounds
+			printf "%-62s %-18s %11.5g %9.3g %11.5g %9.3g %5d/%-2d %11.5g %5d/%d\n", name[1], unit[m], b["med"], b["iqr"], h["med"], h["iqr"], won("head", m, unit[m]), rounds, a["med"], won("aa", m, unit[m]), rounds
 		}
 	}'
