@@ -329,8 +329,9 @@ func fig9(sc scale) []cell {
 }
 
 // fig10a is Fig 10a: cuckoo+ with TSX holding sc.slots/4 entries at load
-// 0.95 whatever the value size, at 8 to 256 B values: inserts by the last,
-// the fourth and one thread, 10% inserts by the last and one.
+// 0.95 whatever the value size, at 8 to 256 B values: inserts by the last
+// thread count, by 4 threads (or fewer, if that is the last) and by one;
+// 10% inserts by the last thread count and by one.
 func fig10a(sc scale) []cell {
 	entries := sc.slots / 4
 	slots := entries * 100 / 95

@@ -1,9 +1,9 @@
 // Package bench holds what the paper's figures (§6) run: the schemes, each
 // a named constructor of one of the repository's tables behind the KV
 // interface, and the drivers Fill, PreFill and Lookups that run the
-// paper's workloads against them. The figures themselves are the root
-// package's Benchmark{Fig2,...,Ceiling} cells (bench_test.go); DESIGN.md
-// §4 indexes them and EXPERIMENTS.md records their results.
+// paper's workloads against them. The figures themselves are the cells of
+// the root package's figure benchmarks (bench_test.go); DESIGN.md §4
+// indexes them and EXPERIMENTS.md records their results.
 package bench
 
 import (
