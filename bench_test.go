@@ -32,6 +32,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,10 +86,12 @@ type cell struct {
 
 // figures lists every figure's cell enumerator. Each is a benchmark below,
 // and TestEveryFigureCellRuns runs them all.
-var figures = []struct {
+type figure struct {
 	name  string
 	cells func(scale) []cell
-}{
+}
+
+var figures = []figure{
 	{"Fig2", fig2}, {"Fig5a", fig5a}, {"Fig5b", fig5b}, {"Fig6", fig6}, {"Fig8", fig8}, {"Fig9", fig9},
 	{"Fig10a", fig10a}, {"Fig10b", fig10b}, {"Memory", memory}, {"Latency", latency}, {"Eq1", eq1},
 	{"Eq2", eq2}, {"Zipf", zipf}, {"Churn", churn}, {"Ceiling", ceiling},
@@ -139,13 +142,35 @@ func runFigure(b *testing.B, fig func(scale) []cell) {
 	}
 }
 
+// views are the paper's figures and tables that read another figure's
+// cells rather than run their own: each keeps the cells of the figure it
+// reads and the metric unit it reads off them (EXPERIMENTS.md).
+var views = []struct {
+	name, figure, unit string
+	keep               func(sc scale, name string) bool
+}{
+	{"Fig1", "Fig6", "Mops/s", func(_ scale, n string) bool { return strings.Contains(n, "/"+mixName(workload.Mix5050)+"/") }},
+	{"Fig6a", "Fig6", "Mops/s", func(scale, string) bool { return true }},
+	{"Fig6b", "Fig6", "Mops/s@0.90-0.95", func(scale, string) bool { return true }},
+	{"Fig7", "Fig6", "Mops/s", func(_ scale, n string) bool {
+		return strings.HasPrefix(n, bench.CuckooPlusFG().Name+"/") || strings.HasPrefix(n, bench.TBB().Name+"/")
+	}},
+	{"Naive", "Fig2", "Mops/s", func(sc scale, n string) bool {
+		return strings.HasSuffix(n, "/threads=1") || strings.HasSuffix(n, fmt.Sprintf("/threads=%d", last(sc.threads)))
+	}},
+	{"Probes", "Eq1", "P-invalid", func(sc scale, n string) bool { return n == fmt.Sprintf("BFS/threads=%d", last(sc.threads)) }},
+}
+
 // TestEveryFigureCellRuns runs every cell of every figure once at a tiny
 // scale: each must report a finite, positive primary metric, under a name
-// no other cell of its figure has.
+// no other cell of its figure has. Then each view must find its cells in
+// the figure it reads, each reporting its unit: finite, not negative, and
+// positive for a throughput.
 func TestEveryFigureCellRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every figure's cells take seconds; skipped in -short")
 	}
+	ran := map[string][]metric{} // by figure + "/" + cell, for the views
 	for _, f := range figures {
 		t.Run(f.name, func(t *testing.T) {
 			seen := map[string]bool{}
@@ -154,9 +179,42 @@ func TestEveryFigureCellRuns(t *testing.T) {
 					t.Fatalf("two cells named %s", c.name)
 				}
 				seen[c.name] = true
-				if _, ms := c.run(); len(ms) == 0 || !(ms[0].value > 0) || math.IsInf(ms[0].value, 0) {
+				_, ms := c.run()
+				ran[f.name+"/"+c.name] = ms
+				if len(ms) == 0 || !(ms[0].value > 0) || math.IsInf(ms[0].value, 0) {
 					t.Errorf("%s: primary metric of %v", c.name, ms)
 				}
+			}
+		})
+	}
+	for _, v := range views {
+		t.Run(v.name, func(t *testing.T) {
+			i := slices.IndexFunc(figures, func(f figure) bool { return f.name == v.figure })
+			if i < 0 {
+				t.Fatalf("no figure %s", v.figure)
+			}
+			kept := 0
+			for _, c := range figures[i].cells(tinyScale) {
+				if !v.keep(tinyScale, c.name) {
+					continue
+				}
+				kept++
+				ms, ok := ran[v.figure+"/"+c.name]
+				if !ok { // its figure's subtest was not selected
+					_, ms = c.run()
+				}
+				j := slices.IndexFunc(ms, func(m metric) bool { return m.unit == v.unit })
+				if j < 0 {
+					t.Errorf("%s/%s reports no %s: %v", v.figure, c.name, v.unit, ms)
+					continue
+				}
+				x := ms[j].value
+				if !(x >= 0) || math.IsInf(x, 0) || (strings.HasPrefix(v.unit, "Mops/s") && x == 0) {
+					t.Errorf("%s/%s: %s of %v", v.figure, c.name, v.unit, x)
+				}
+			}
+			if kept == 0 {
+				t.Errorf("no cell of %s", v.figure)
 			}
 		})
 	}
