@@ -7,7 +7,7 @@ GO ?= go
 # mid-flight; bump deliberately.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke fuzz chaos loc sweep
+.PHONY: check build fmt vet vet386 lint cuckoovet test race bench-selftest bench-pair bench-rung bench-smoke fuzz chaos loc cover sweep
 
 check: build fmt vet vet386 lint race bench-selftest
 
@@ -140,6 +140,14 @@ loc:
 			{ n++ } \
 			END { printf "%-44s %6d\n", pkg, n }'; \
 	done | awk '{ print; total += $$2 } END { printf "%-44s %6d\n", "total", total }'
+
+# Statements that neither go test ./... nor one -benchtime 1x pass of every
+# benchmark runs, merged over both runs' -coverpkg=./... profiles
+# (scripts/cover.sh): per package, the module total outside cmd/ and
+# examples/, and every function there that never ran. results/COVER.txt is
+# the committed output; CI fails when the module total rises above it.
+cover:
+	bash scripts/cover.sh
 
 # Deterministic chaos suite (docs/ROBUSTNESS.md): fault-injected workloads,
 # fault-tolerant clients, drain/restore — always under -race and -count=1

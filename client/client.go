@@ -131,9 +131,6 @@ func newConn(nc net.Conn, ioTimeout time.Duration) *Conn {
 	}
 }
 
-// SetIOTimeout sets the per-Flush deadline (0 disables it).
-func (c *Conn) SetIOTimeout(d time.Duration) { c.ioTimeout = d }
-
 // Err returns the Conn's sticky transport error, or nil while healthy.
 func (c *Conn) Err() error { return c.broken }
 
@@ -584,8 +581,8 @@ type Options struct {
 	DialTimeout time.Duration
 	// IOTimeout bounds each Flush write and reply read (0 = none).
 	IOTimeout time.Duration
-	// MaxRetries is how many times an idempotent one-shot op (Get1, Del,
-	// TTL1 — and Set when RetrySets is set) is retried after a transport
+	// MaxRetries is how many times an idempotent one-shot op (Get1, Del
+	// — and Set when RetrySets is set) is retried after a transport
 	// failure or busy rejection. 0 disables retries.
 	MaxRetries int
 	// RetrySets opts SET into the retry policy. A retried SET re-executes
@@ -939,24 +936,16 @@ func (p *Pool) Del(key string) (bool, error) {
 	return rep.Found, err
 }
 
-// GetV1 is a pooled one-shot GETV.
-func (p *Pool) GetV1(key string) (val string, ver uint64, found bool, err error) {
-	return p.getV(key, "")
-}
-
-// getV is GetV1 under a trace ID: the one read a Cluster issues.
+// getV is a pooled one-shot GETV under a trace ID: the one read a Cluster
+// issues.
 func (p *Pool) getV(key, trace string) (val string, ver uint64, found bool, err error) {
 	rep, err := p.oneShot(true, trace, func(c *Conn) error { return c.QueueGetV(key) })
 	return rep.Value, rep.Ver, rep.Found, err
 }
 
-// SetV1 is a pooled one-shot SETV, returning the write's version word.
-// Like Set, it is retried only when Options.RetrySets is set.
-func (p *Pool) SetV1(key, val string, ttl time.Duration) (uint64, error) {
-	return p.setV(key, val, ttl, "")
-}
-
-// setV is SetV1 under a trace ID: the one write a Cluster issues.
+// setV is a pooled one-shot SETV under a trace ID, returning the write's
+// version word: the one write a Cluster issues. Like Set, it is retried
+// only when Options.RetrySets is set.
 func (p *Pool) setV(key, val string, ttl time.Duration, trace string) (uint64, error) {
 	rep, err := p.oneShot(p.opt.RetrySets, trace, func(c *Conn) error { return c.QueueSetV(key, val, ttl) })
 	return rep.Ver, err
@@ -1018,12 +1007,6 @@ func (p *Pool) GetOrFill(key string, ttl time.Duration, acceptStale bool, fill f
 		}
 	}
 	return "", ErrLeaseWait
-}
-
-// TTL1 is a pooled one-shot TTL query.
-func (p *Pool) TTL1(key string) (time.Duration, bool, error) {
-	rep, err := p.oneShot(true, "", func(c *Conn) error { return c.QueueTTL(key) })
-	return rep.TTL, rep.Found, err
 }
 
 // Collect implements obs.Collector so applications embedding the client

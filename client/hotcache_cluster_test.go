@@ -1,14 +1,17 @@
 package client
 
 // Internal-package cluster test for the hot-key cache: membership is
-// injected directly (the HOTKEYS poller is exercised separately) so the
-// cache's serve/invalidate behavior can be pinned deterministically.
+// injected directly so the cache's serve/invalidate behavior can be pinned
+// deterministically; the HOTKEYS poller that sets it in production is
+// checked at the end, against the same nodes.
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"cuckoohash/internal/obs"
 	"cuckoohash/server"
 )
 
@@ -70,10 +73,50 @@ func TestClusterHotCacheServesAndInvalidates(t *testing.T) {
 			t.Fatalf("fill read after writing %s = %q/%v/%v", w.val, v, ok, err)
 		}
 	}
+	// The poller's source: every node's HOTKEYS, one key's counts summed
+	// over the nodes it is hot on. "warm" is read on both, more often than
+	// any other key.
+	want := uint64(0)
+	for _, addr := range addrs {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Set("warm", "w", 0); err != nil {
+			t.Fatal(err)
+		}
+		for range 20 {
+			c.Get("warm")
+		}
+		hk, err := c.HotKeys(1)
+		if err != nil || len(hk) != 1 || hk[0].Key != "warm" {
+			t.Fatalf("%s HOTKEYS 1 = %v/%v", addr, hk, err)
+		}
+		want += hk[0].Count
+		c.Close()
+	}
+	if hk, err := cl.HotKeys(1); err != nil || len(hk) != 1 || hk[0] != (HotKey{Key: "warm", Count: want}) {
+		t.Fatalf("cluster HotKeys(1) = %v/%v, want warm with %d", hk, err, want)
+	}
+	// A cluster that polls takes "warm" into its hot set by itself.
+	polled, err := NewCluster(addrs, ClusterOptions{Seed: 3, HotCache: true, HotRefresh: time.Millisecond, HotKeyCount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !polled.hot.isHot("warm"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the poller never took warm into the hot set")
+		}
+	}
+	polled.Close()
+
 	// With both servers gone, the hot cache alone serves the key, to a
 	// traced read as well.
 	a.Close()
 	b.Close()
+	if _, err := cl.HotKeys(1); err == nil {
+		t.Fatal("HotKeys with every node down returned no error")
+	}
 	if v, ok, err := cl.Get(key); err != nil || !ok || v != "v1" {
 		t.Fatalf("cached read = %q/%v/%v, want v1 from the local copy", v, ok, err)
 	}
@@ -95,6 +138,17 @@ func TestClusterHotCacheServesAndInvalidates(t *testing.T) {
 	}
 	if cl.hot.invalidations.Load() == 0 {
 		t.Fatal("invalidation not counted")
+	}
+	reg := obs.NewRegistry()
+	reg.Register(cl)
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"hits", "misses", "invalidations"} {
+		if !strings.Contains(text.String(), "cuckood_client_hot_cache_"+series+"_total ") {
+			t.Errorf("Collect exports no hot-cache %s series", series)
+		}
 	}
 }
 

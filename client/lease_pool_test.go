@@ -5,6 +5,7 @@ package client_test
 // caller still gets the value.
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,5 +65,35 @@ func TestGetOrFillSingleFlight(t *testing.T) {
 		return "", nil
 	}); err != nil || v != "origin-value" {
 		t.Fatalf("post-fill read = %q/%v", v, err)
+	}
+
+	// A failed fill is returned to its caller as is.
+	errOrigin := errors.New("origin down")
+	if _, err := p.GetOrFill("fail-key", 0, false, func() (string, error) { return "", errOrigin }); !errors.Is(err, errOrigin) {
+		t.Fatalf("failed fill returned %v, want the fill's error", err)
+	}
+
+	// While another caller holds the lease on an expired key, acceptStale
+	// takes the expired copy the server still holds, without a fill.
+	if err := p.Set("stale-key", "old", time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if rep, err := c.Lease("stale-key"); err != nil || rep.Lease == 0 {
+		t.Fatalf("first LEASE on the expired key = %+v/%v, want a grant", rep, err)
+	}
+	if v, err := p.GetOrFill("stale-key", 0, true, func() (string, error) {
+		t.Error("fill ran while another caller held the lease")
+		return "", nil
+	}); err != nil || v != "old" {
+		t.Fatalf("stale read = %q/%v, want the expired copy", v, err)
+	}
+	if n := p.Stats().LeaseStaleServed; n != 1 {
+		t.Fatalf("pool counted %d stale copies served, want 1", n)
 	}
 }

@@ -193,6 +193,11 @@ func TestRetryBudgetThrottles(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
+	for st, want := range map[BreakerState]string{BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open", BreakerHalfOpen + 1: "invalid"} {
+		if got := st.String(); got != want {
+			t.Errorf("BreakerState(%d).String() = %q, want %q", int(st), got, want)
+		}
+	}
 	b := &breaker{threshold: 3, cooldown: 30 * time.Millisecond}
 
 	// Failures below the threshold keep it closed; a success resets the

@@ -85,9 +85,6 @@ type Txn struct {
 // NewTxn returns an empty transaction builder.
 func NewTxn() *Txn { return &Txn{} }
 
-// Len returns the number of buffered operations.
-func (t *Txn) Len() int { return len(t.lines) }
-
 // Err returns the first validation error, if any.
 func (t *Txn) Err() error { return t.err }
 

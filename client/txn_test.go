@@ -136,6 +136,36 @@ func TestExecTxnValidationSticks(t *testing.T) {
 	if _, ok, _ := c.Get("fine"); ok {
 		t.Fatal("op after a poisoned builder was applied")
 	}
+	for name, txn := range map[string]*Txn{
+		"newline in a SET value": NewTxn().Set("k", "a\nb", 0).Incr("fine", 1),
+		"empty CAS expected":     NewTxn().CAS("k", "", "v").Incr("fine", 1),
+		"spaced CAS expected":    NewTxn().CAS("k", "a b", "v").Incr("fine", 1),
+		"newline in a CAS value": NewTxn().CAS("k", "a", "b\r").Incr("fine", 1),
+		"first error sticks":     NewTxn().Set("bad key", "v", 0).CAS("k", "", "v"),
+	} {
+		if _, err := c.ExecTxn(txn); err == nil || err != txn.Err() {
+			t.Fatalf("%s: ExecTxn = %v, want the builder's error %v", name, err, txn.Err())
+		}
+	}
+	if _, _, err := c.CAS("k", "a b", "v"); err == nil {
+		t.Fatal("CAS with a spaced expected value queued")
+	}
+	if _, ok, _ := c.Get("fine"); ok {
+		t.Fatal("op after a poisoned builder was applied")
+	}
+
+	// One op past the server's queue bound: the server refuses it at
+	// queue time, and EXEC aborts the whole transaction.
+	long := NewTxn()
+	for range 65 {
+		long.Incr("fine", 1)
+	}
+	if _, err := c.ExecTxn(long); !errors.Is(err, ErrTxnAborted) {
+		t.Fatalf("65-op ExecTxn = %v, want ErrTxnAborted", err)
+	}
+	if _, ok, _ := c.Get("fine"); ok {
+		t.Fatal("an aborted transaction was applied")
+	}
 }
 
 func TestPoolTxnVerbs(t *testing.T) {
@@ -237,11 +267,20 @@ func TestClusterTxnRouting(t *testing.T) {
 		}
 	}
 
-	if err := cl.Incr(onA, 2); err != nil {
+	if err := cl.Incr(onA, 1); err != nil {
 		t.Fatalf("Incr: %v", err)
+	}
+	if err := cl.MaxUpdate(onA, 2); err != nil {
+		t.Fatalf("MaxUpdate: %v", err)
 	}
 	if _, _, err := cl.CAS(onA, "2", "two"); err != nil {
 		t.Fatalf("CAS: %v", err)
+	}
+	if replies, err := cl.ExecTxn(NewTxn()); err != nil || replies != nil {
+		t.Fatalf("empty ExecTxn = %+v, %v", replies, err)
+	}
+	if _, err := cl.ExecTxn(NewTxn().Set("bad key", "v", 0)); err == nil {
+		t.Fatal("ExecTxn of an invalid builder succeeded")
 	}
 	replies, err := cl.ExecTxn(NewTxn().Get(onA).Incr(alsoOnA, 1))
 	if err != nil || len(replies) != 2 || replies[0].Value != "two" {

@@ -22,7 +22,26 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1024, LockStripes: 3}); err == nil {
 		t.Fatal("non-power-of-two LockStripes accepted")
 	}
-	m, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1000})
+	if _, err := cuckoohash.NewElidedMap(cuckoohash.Config{}, cuckoohash.ElisionTuned); err == nil {
+		t.Fatal("ElidedMap: zero Capacity accepted")
+	}
+	if _, err := cuckoohash.NewElidedMap(cuckoohash.Config{Capacity: 1024, LockStripes: 3}, cuckoohash.ElisionTuned); err == nil {
+		t.Fatal("ElidedMap: non-power-of-two LockStripes accepted")
+	}
+	for name, mustNew := range map[string]func(){
+		"MustNewMap":       func() { cuckoohash.MustNewMap(cuckoohash.Config{}) },
+		"MustNewElidedMap": func() { cuckoohash.MustNewElidedMap(cuckoohash.Config{}, cuckoohash.ElisionTuned) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a zero Capacity", name)
+				}
+			}()
+			mustNew()
+		}()
+	}
+	m, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1000, MaxSearchSlots: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +81,18 @@ func TestPublicAPIBasics(t *testing.T) {
 	}
 	if m.MemoryFootprint() == 0 {
 		t.Fatal("MemoryFootprint = 0")
+	}
+	for k := uint64(1); k <= 1024; k++ {
+		if err := m.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lf := m.LoadFactor(); lf != 0.25 {
+		t.Fatalf("LoadFactor = %v with 1024 of %d slots", lf, m.Cap())
+	}
+	m.Clear()
+	if m.Len() != 0 || m.Contains(7) || m.Cap() != 1<<12 {
+		t.Fatalf("after Clear: Len %d, Cap %d, Contains(7) %v", m.Len(), m.Cap(), m.Contains(7))
 	}
 }
 
@@ -153,6 +184,22 @@ func TestGlobalLockMode(t *testing.T) {
 	if m.Len() != 3200 {
 		t.Fatalf("Len = %d", m.Len())
 	}
+	// The whole-table operations take the global lock too.
+	if err := m.Grow(); err != nil || m.Cap() != 1<<13 || m.Len() != 3200 {
+		t.Fatalf("Grow = %v: Cap %d, Len %d", err, m.Cap(), m.Len())
+	}
+	visited := 0
+	m.Range(func(key uint64, val []uint64) bool {
+		visited++
+		return visited < 10
+	})
+	if visited != 10 {
+		t.Fatalf("Range visited %d entries after fn said stop at 10", visited)
+	}
+	m.Clear()
+	if m.Len() != 0 || m.Contains(1<<32) {
+		t.Fatalf("after Clear: Len %d", m.Len())
+	}
 }
 
 func TestDFSAndNoPrefetchModes(t *testing.T) {
@@ -207,6 +254,21 @@ func TestElidedMapAllPolicies(t *testing.T) {
 		if m.Len() != 2000 {
 			t.Fatalf("policy %v: Len = %d", p, m.Len())
 		}
+		if err := m.Upsert(1<<32, 7); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := m.Lookup(1 << 32); v != 7 {
+			t.Fatalf("policy %v: after Upsert Lookup = %d", p, v)
+		}
+		if !m.Delete(1<<32) || m.Delete(1<<32) {
+			t.Fatalf("policy %v: Delete semantics", p)
+		}
+		if lf := m.LoadFactor(); lf != float64(1999)/float64(m.Cap()) || m.Cap() != 1<<12 {
+			t.Fatalf("policy %v: LoadFactor %v, Cap %d with 1999 keys", p, lf, m.Cap())
+		}
+		if g := m.Stats().Grows; g != 0 {
+			t.Fatalf("policy %v: fixed-capacity map grew %d times", p, g)
+		}
 		ts := m.TxStats()
 		if p == cuckoohash.ElisionNone && ts.Commits != 0 {
 			t.Fatalf("ElisionNone speculated: %+v", ts)
@@ -219,7 +281,7 @@ func TestElidedMapAllPolicies(t *testing.T) {
 
 func TestGrowViaPublicAPI(t *testing.T) {
 	m := cuckoohash.MustNewMap(cuckoohash.Config{Capacity: 256})
-	var i uint64
+	var i, grows uint64
 	for {
 		if err := m.Insert(i+1, i); err != nil {
 			if !errors.Is(err, cuckoohash.ErrFull) {
@@ -228,6 +290,7 @@ func TestGrowViaPublicAPI(t *testing.T) {
 			if err := m.Grow(); err != nil {
 				t.Fatal(err)
 			}
+			grows++
 			continue
 		}
 		i++
@@ -239,6 +302,9 @@ func TestGrowViaPublicAPI(t *testing.T) {
 		if v, ok := m.Lookup(k); !ok || v != k-1 {
 			t.Fatalf("after grow Lookup(%d) = %d,%v", k, v, ok)
 		}
+	}
+	if g := m.Stats().Grows; g != grows {
+		t.Fatalf("Stats().Grows = %d after %d Grow calls", g, grows)
 	}
 }
 

@@ -51,6 +51,24 @@ func TestNewKeyedNeedsKeyOf(t *testing.T) {
 	if _, err := NewKeyed[string, rec](Config{}, nil); err == nil {
 		t.Fatal("NewKeyed accepted a nil keyOf")
 	}
+	// The configurations every constructor refuses.
+	for _, cfg := range []Config{
+		{Associativity: 33},
+		{LockStripes: 3},
+		{InitialCapacity: 1024, MaxCapacity: 512},
+	} {
+		if _, err := New[uint64, uint64](cfg); err == nil {
+			t.Errorf("New accepted %+v", cfg)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MustNew accepted %+v", cfg)
+				}
+			}()
+			MustNew[uint64, uint64](cfg)
+		}()
+	}
 }
 
 // checkSlots walks every slot of every generation and requires the two

@@ -615,9 +615,13 @@ func (b *builder) call(sum *Summary, call *ast.CallExpr, paramIdx map[*types.Var
 	edge.Deferred, edge.Go = deferred, goStmt
 
 	// Unwrap explicit generic instantiation: f[T](...) / recv.m[T](...).
+	// Indexing anything but a function is an element of a slice, array or
+	// map, called through like any other func value.
 	switch ix := fun.(type) {
 	case *ast.IndexExpr:
-		fun = ast.Unparen(ix.X)
+		if _, generic := info.TypeOf(ix.X).(*types.Signature); generic {
+			fun = ast.Unparen(ix.X)
+		}
 	case *ast.IndexListExpr:
 		fun = ast.Unparen(ix.X)
 	}

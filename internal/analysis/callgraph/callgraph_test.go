@@ -91,6 +91,25 @@ func TestMethodValueThroughLocal(t *testing.T) {
 	}
 }
 
+func TestCallsThroughAliases(t *testing.T) {
+	g, _ := loadGraph(t)
+	var got []string
+	for _, call := range sumByName(t, g, "callgraphtest.aliases").Calls {
+		switch {
+		case call.Callee != nil:
+			got = append(got, callgraph.DisplayName(call.Callee))
+		case call.Unknown:
+			got = append(got, "unknown")
+		default:
+			got = append(got, "other")
+		}
+	}
+	want := []string{"callgraphtest.named", "(*widget).inc", "(*widget).inc", "strings.ToUpper", "unknown", "unknown", "callgraphtest.ident", "unknown"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("aliases edges = %v, want %v", got, want)
+	}
+}
+
 func TestMutualRecursionEdges(t *testing.T) {
 	g, _ := loadGraph(t)
 	even := sumByName(t, g, "callgraphtest.even")
@@ -159,5 +178,21 @@ func TestGenericOriginNormalization(t *testing.T) {
 	}
 	if count != 1 {
 		t.Errorf("got %d summary facts for pair.first, want exactly 1", count)
+	}
+}
+
+// TestOpKindNames: every operation kind a diagnostic can name has a name
+// of its own.
+func TestOpKindNames(t *testing.T) {
+	seen := make(map[string]callgraph.OpKind)
+	for k := callgraph.OpMake; k <= callgraph.OpDelete; k++ {
+		name := k.String()
+		if prev, dup := seen[name]; dup || name == "operation" {
+			t.Errorf("OpKind %d prints as %q, like %d", k, name, prev)
+		}
+		seen[name] = k
+	}
+	if got := (callgraph.OpDelete + 1).String(); got != "operation" {
+		t.Errorf("unknown OpKind prints as %q", got)
 	}
 }

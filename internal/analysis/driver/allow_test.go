@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,5 +60,14 @@ func TestAllowDirectives(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("got %d lockorder findings, want 1 (the unsuppressed one)", n)
+	}
+	// The printed form cuckoovet emits: position, [check], message.
+	for _, f := range findings {
+		if want := fmt.Sprintf("%s: [%s] %s", f.Pos, f.Check, f.Message); f.String() != want {
+			t.Errorf("finding prints as %q, want %q", f.String(), want)
+		}
+	}
+	if got := lockorder.Analyzer.String(); got != "lockorder" {
+		t.Errorf("lockorder.Analyzer prints as %q", got)
 	}
 }

@@ -204,20 +204,15 @@ func newInfo() *types.Info {
 	}
 }
 
-// LoadDir parses and type-checks the single package rooted at dir (ignoring
-// _test.go files), resolving imports through compiled export data. It is
-// the loader used by the analysistest harness for testdata packages, which
-// `go list ./...` deliberately does not enumerate.
-func LoadDir(dir string) (*Program, error) {
-	return LoadDirs(dir)
-}
-
-// LoadDirs loads several directory packages into one shared universe, in
-// order. Each package is registered under its base name as import path, so
-// a later directory may import an earlier one by that name — this is how
-// testdata packages obtain a stand-in lock/seqlock/transaction provider
-// type declared outside their own package (the analyzers exempt the
-// provider's package, so a one-package test could not exercise them).
+// LoadDirs parses and type-checks directory packages (ignoring _test.go
+// files) into one shared universe, in order, resolving imports through
+// compiled export data. It is the loader of the analysistest harness for
+// testdata packages, which `go list ./...` deliberately does not
+// enumerate. Each package is registered under its base name as import
+// path, so a later directory may import an earlier one by that name —
+// this is how testdata packages obtain a stand-in lock/seqlock/transaction
+// provider type declared outside their own package (the analyzers exempt
+// the provider's package, so a one-package test could not exercise them).
 func LoadDirs(dirs ...string) (*Program, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("driver: LoadDirs needs at least one directory")

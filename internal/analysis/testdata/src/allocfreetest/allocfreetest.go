@@ -72,6 +72,40 @@ func goodStackClosure(t *table) {
 	runOnly(func() { t.hits.Add(1) })
 }
 
+// relay hands its argument on to a call-only parameter, and relayDeep to
+// itself: call-only all the way down.
+func relay(f func()) { runOnly(f) }
+
+func relayDeep(f func(), n int) {
+	if n > 0 {
+		relayDeep(f, n-1)
+	}
+	f()
+}
+
+//cuckoo:hotpath a literal relayed through call-only parameters stays on the stack
+func goodRelayedClosure(t *table) {
+	relay(func() { t.hits.Add(1) })
+	relayDeep(func() { t.hits.Add(1) }, 3)
+}
+
+// keep stores its argument, and runAll's arguments share one variadic
+// parameter.
+func keep(f func()) { sink = f }
+
+func runAll(fs ...func()) {
+	for _, f := range fs {
+		f() // want `unresolvable dynamic call reachable from //cuckoo:hotpath root allocfreetest\.badLeakedClosures: allocfreetest\.badLeakedClosures -> allocfreetest\.runAll`
+	}
+}
+
+//cuckoo:hotpath a literal handed to a parameter that escapes, or past a variadic one's first slot, heap-allocates
+func badLeakedClosures(t *table) {
+	keep(func() { t.hits.Add(1) })              // want `closure allocation \(func literal\) reachable from //cuckoo:hotpath root allocfreetest\.badLeakedClosures`
+	runAll(func() {}, func() { t.hits.Add(1) }) // want `closure allocation \(func literal\) reachable from //cuckoo:hotpath root allocfreetest\.badLeakedClosures`
+	go func() { t.hits.Add(1) }()               // want `goroutine launch \(go statement\) reachable from //cuckoo:hotpath root allocfreetest\.badLeakedClosures`
+}
+
 //cuckoo:hotpath a stored literal heap-allocates its closure
 func badStoredClosure(t *table) {
 	f := func() { t.hits.Add(1) } // want `closure allocation \(func literal\) reachable from //cuckoo:hotpath root allocfreetest\.badStoredClosure`

@@ -120,6 +120,15 @@ func badArgBlocks(t *table, i uint64) {
 	})
 }
 
+func napOnce() {
+	time.Sleep(1) // want `blocking time call time\.Sleep reachable inside spinlock critical section on t\.locks \(argument run by blockchecktest\.withStripe\): blockchecktest\.badNamedArgBlocks -> blockchecktest\.napOnce`
+}
+
+// badNamedArgBlocks hands withStripe a declared function, not a literal.
+func badNamedArgBlocks(t *table, i uint64) {
+	withStripe(t, i, napOnce)
+}
+
 func goodArgSpins(t *table, i uint64) {
 	withStripe(t, i, func() {
 		t.locks.Snapshot(i)

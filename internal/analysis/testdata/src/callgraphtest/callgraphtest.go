@@ -1,9 +1,12 @@
 // Package callgraphtest exercises the callgraph builder's edge kinds:
-// interface dispatch, method values through locals, mutual recursion,
+// interface dispatch, method values and other aliases through locals,
+// method expressions, mutual recursion,
 // func-typed struct fields, and Origin-normalized generic instantiation.
 // The assertions live in callgraph_test.go; this package only provides
 // the shapes.
 package callgraphtest
+
+import "strings"
 
 type ringer interface{ ring() }
 
@@ -36,6 +39,31 @@ func invokeField(w *widget) { w.onPing() }
 func methodValue(w *widget) {
 	f := w.inc
 	f()
+}
+
+func ident[T any](v T) T { return v }
+
+// aliases calls through locals bound once to a function, a method
+// expression and a package-qualified function, calls a method expression
+// and an explicit instantiation directly, and makes three calls nothing
+// resolves: through a local bound twice, through one bound only to nil,
+// and through an element of a slice parameter.
+func aliases(w *widget, fs []func()) {
+	f := named
+	f()
+	g := (*widget).inc
+	g(w)
+	(*widget).inc(w)
+	h := strings.ToUpper
+	h("x")
+	k := named
+	k = func() {}
+	k()
+	var z func()
+	z = nil
+	z()
+	ident[int](1)
+	fs[0]()
 }
 
 func even(n int) bool {

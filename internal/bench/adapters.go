@@ -19,14 +19,13 @@ import (
 // errStop tells the driver a table cannot accept more inserts.
 var errStop = errors.New("bench: table full")
 
-// KV is the minimal interface the drivers need. Insert must return errStop
-// (or wrap core.ErrFull et al.) when the table cannot take more keys.
+// KV is the minimal interface the drivers and the figure cells need.
+// Insert must return errStop (or wrap core.ErrFull et al.) when the table
+// cannot take more keys.
 type KV interface {
 	Insert(key, val uint64) error
 	Lookup(key uint64) (uint64, bool)
 	Delete(key uint64) bool
-	Len() uint64
-	Cap() uint64
 }
 
 // TxStatser is implemented by adapters whose table runs under emulated HTM.
@@ -196,8 +195,6 @@ type chainedKV struct{ m *chained.Map }
 func (a chainedKV) Insert(k, v uint64) error       { a.m.Put(k, v); return nil }
 func (a chainedKV) Lookup(k uint64) (uint64, bool) { return a.m.Get(k) }
 func (a chainedKV) Delete(k uint64) bool           { return a.m.Delete(k) }
-func (a chainedKV) Len() uint64                    { return a.m.Len() }
-func (a chainedKV) Cap() uint64                    { return a.m.Buckets() }
 
 // TBB is the Intel-TBB-analog concurrent chained map, presized like the
 // paper ("we initialize the TBB table with the same number of buckets").
@@ -239,8 +236,6 @@ func (a chainedTxKV) Insert(k, v uint64) error {
 }
 func (a chainedTxKV) Lookup(k uint64) (uint64, bool) { return a.m.Get(k) }
 func (a chainedTxKV) Delete(k uint64) bool           { return false }
-func (a chainedTxKV) Len() uint64                    { return a.m.Len() }
-func (a chainedTxKV) Cap() uint64                    { return 0 }
 
 // UnorderedTSX is the chained map under coarse-lock elision with the shared
 // bump allocator (the allocation-conflict configuration of §5).
@@ -315,8 +310,6 @@ func (a *lockedKV) Delete(k uint64) bool {
 	defer a.mu.Unlock()
 	return a.kv.Delete(k)
 }
-func (a *lockedKV) Len() uint64 { return a.kv.Len() }
-func (a *lockedKV) Cap() uint64 { return a.kv.Cap() }
 
 // LockWrapped wraps a single-writer scheme in one global spinlock, the
 // naive-concurrency baseline of §2.3.

@@ -3,12 +3,14 @@ package bench
 import (
 	"testing"
 
+	"cuckoohash/internal/core"
+	"cuckoohash/internal/htm"
 	"cuckoohash/internal/workload"
 )
 
 func TestFillDriverCountsAndWindows(t *testing.T) {
 	s := CuckooPlusFG()
-	tab := s.New(1<<12, 1, 2, 7)
+	tab := s.New(1<<12, 1, 2, 7).(coreKV)
 	res := Fill(tab, FillSpec{
 		Threads: 2, Mix: workload.InsertOnly,
 		TargetLoad: 0.95, Slots: 1 << 12, Seed: 7,
@@ -30,7 +32,7 @@ func TestFillDriverCountsAndWindows(t *testing.T) {
 
 func TestFillDriverMixedCountsLookups(t *testing.T) {
 	s := CuckooPlusFG()
-	tab := s.New(1<<12, 1, 2, 7)
+	tab := s.New(1<<12, 1, 2, 7).(coreKV)
 	res := Fill(tab, FillSpec{
 		Threads: 2, Mix: workload.Mix1090,
 		TargetLoad: 0.9, Slots: 1 << 12, Seed: 7,
@@ -101,13 +103,51 @@ func TestLockWrappedSerializes(t *testing.T) {
 			t.Fatal("insert failed")
 		}
 	}
-	if tab.Len() != 2000 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-	if _, ok := tab.Lookup(uint64(1)<<32 | 3); !ok {
-		t.Fatal("lookup through wrapper failed")
+	for w := uint64(1); w <= 4; w++ {
+		for i := uint64(0); i < 500; i++ {
+			if v, ok := tab.Lookup(w<<32 | i); !ok || v != i {
+				t.Fatalf("lookup of %#x through wrapper = %d, %v", w<<32|i, v, ok)
+			}
+		}
 	}
 	if !tab.Delete(uint64(1)<<32 | 3) {
 		t.Fatal("delete through wrapper failed")
+	}
+}
+
+// TestEverySchemeStoresWhatItTakes runs each figure scheme through the KV
+// interface: every inserted key reads back its value, an absent key
+// misses, and a deleted key is gone (the transactional chained map has no
+// Delete and says so).
+func TestEverySchemeStoresWhatItTakes(t *testing.T) {
+	for _, s := range []Scheme{
+		CuckooPlusFG(), CuckooPlusGlobal(),
+		CuckooPlusVariant("cuckoo+ DFS", core.LockStriped, core.SearchDFS, false),
+		CuckooPlusAssoc(4, "4-way"), CuckooPlusTSX("cuckoo+ TSX", htm.PolicyTuned, core.SearchBFS, true),
+		Memc3(4), Memc3TSX("cuckoo TSX", htm.PolicyGlibc, 4),
+		TBB(), Unordered(), UnorderedTSX("unordered_map TSX", htm.PolicyTuned),
+		Dense(), DenseTSX("dense_hash_map TSX", htm.PolicyTuned), LockWrapped("locked dense", Dense()),
+	} {
+		tab := s.New(1<<10, 1, 1, 7)
+		for k := uint64(1); k <= 100; k++ {
+			if err := tab.Insert(k, k*3); err != nil {
+				t.Fatalf("%s: Insert(%d) = %v", s.Name, k, err)
+			}
+		}
+		for k := uint64(1); k <= 100; k++ {
+			if v, ok := tab.Lookup(k); !ok || v != k*3 {
+				t.Fatalf("%s: Lookup(%d) = %d, %v", s.Name, k, v, ok)
+			}
+		}
+		if _, ok := tab.Lookup(1000); ok {
+			t.Fatalf("%s: absent key found", s.Name)
+		}
+		_, noDelete := tab.(chainedTxKV)
+		if deleted := tab.Delete(7); deleted == noDelete {
+			t.Fatalf("%s: Delete = %v", s.Name, deleted)
+		}
+		if _, ok := tab.Lookup(7); ok != noDelete {
+			t.Fatalf("%s: after Delete, Lookup found = %v", s.Name, ok)
+		}
 	}
 }

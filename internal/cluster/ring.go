@@ -143,12 +143,6 @@ func (r *Ring) Candidates(key string) (primary, alternate int) {
 	return primary, alternate
 }
 
-// CandidateAddrs is Candidates resolved to addresses.
-func (r *Ring) CandidateAddrs(key string) (primary, alternate string) {
-	p, a := r.Candidates(key)
-	return r.nodes[p], r.nodes[a]
-}
-
 // IsCandidate reports whether addr is one of the key's two candidate
 // nodes — the MIGRATE selection predicate.
 func (r *Ring) IsCandidate(key, addr string) bool {

@@ -28,6 +28,8 @@ var (
 	ErrFull = errors.New("cuckoo: table is too full")
 	// ErrExists means Insert found the key already present.
 	ErrExists = errors.New("cuckoo: key already exists")
+	// errAbsent is an internal sentinel for modeUpdate misses.
+	errAbsent = errors.New("cuckoo: key not found")
 )
 
 // LockMode selects the writer concurrency-control scheme.

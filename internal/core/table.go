@@ -93,9 +93,6 @@ func (t *Table) newArrays(buckets uint64) *arrays {
 // Options returns the table's configuration.
 func (t *Table) Options() Options { return t.opts }
 
-// Buckets returns the current number of buckets (it changes on Grow).
-func (t *Table) Buckets() uint64 { return t.arr.Load().buckets }
-
 // MemoryFootprint returns the approximate resident bytes of the table: 8 B
 // of key and 8 B per value word for every slot, a zero key word being the
 // empty slot, plus the lock-stripe table and 12 KB of padded counter shards
@@ -398,13 +395,6 @@ func (t *Table) UpsertValue(key uint64, val []uint64) error {
 func (t *Table) Update(key, val uint64) bool {
 	return t.write(key, []uint64{val}, modeUpdate) == nil
 }
-
-// errAbsent is an internal sentinel for modeUpdate misses.
-var errAbsent = &absentError{}
-
-type absentError struct{}
-
-func (*absentError) Error() string { return "cuckoo: key not found" }
 
 // write implements Insert/Upsert/Update per Algorithm 2 plus §4.4, or per
 // Algorithm 1 in LockEarly mode: the same steps, all under the writer lock.

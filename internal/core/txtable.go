@@ -100,11 +100,6 @@ func (t *TxTable) Insert(key, val uint64) error {
 	return t.write(key, []uint64{val}, modeInsert)
 }
 
-// InsertValue is Insert for multi-word values.
-func (t *TxTable) InsertValue(key uint64, val []uint64) error {
-	return t.write(key, val, modeInsert)
-}
-
 // Upsert inserts or overwrites.
 func (t *TxTable) Upsert(key, val uint64) error {
 	return t.write(key, []uint64{val}, modeUpsert)

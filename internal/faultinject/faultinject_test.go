@@ -187,6 +187,9 @@ func TestListenerAcceptFaults(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Accept error %v not in ErrInjected chain", err)
 	}
+	if !strings.Contains(err.Error(), "injected transient accept error") {
+		t.Fatalf("Accept error reads %q", err)
+	}
 	// Disarmed, the listener accepts and the conn passes through wrapped.
 	p.Disarm()
 	go net.Dial("tcp", ln.Addr().String())

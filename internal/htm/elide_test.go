@@ -118,6 +118,10 @@ func TestWriteWriteConflictAborts(t *testing.T) {
 				if a.code&AbortConflict == 0 {
 					t.Errorf("abort code %v, want conflict", a.code)
 				}
+				// An abort that escaped its transaction would print so.
+				if got := a.String(); got != "transaction abort: "+a.code.String() {
+					t.Errorf("abort prints as %q", got)
+				}
 				aborted = true
 			}
 		}()

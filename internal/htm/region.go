@@ -138,15 +138,6 @@ func (r *Region) LoadDirect(addr uint32) uint64 {
 	return atomic.LoadUint64(&r.mem[addr])
 }
 
-// StoreDirect writes a word outside any transaction. Callers must hold the
-// fallback lock or otherwise exclude concurrent transactions (bulk load).
-func (r *Region) StoreDirect(addr uint32, val uint64) {
-	atomic.StoreUint64(&r.mem[addr], val)
-}
-
-// Lines returns the number of conflict-detection lines in the region.
-func (r *Region) Lines() int { return len(r.versions) }
-
 // Stats returns a snapshot of the region's counters.
 func (r *Region) Stats() Stats {
 	var s Stats

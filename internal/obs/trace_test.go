@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -241,5 +242,38 @@ func TestSlowTracesRingAndDedupe(t *testing.T) {
 	}
 	if got := len(st.Snapshot()); got != slowTraceSlots {
 		t.Errorf("after overflow Snapshot len = %d, want %d", got, slowTraceSlots)
+	}
+}
+
+// TestNilAndOutOfRange: the instruments a server may run without are nil,
+// and every method on a nil one is a no-op; names past the tables read as
+// unknown, and the smallest recorders still hold one record.
+func TestNilAndOutOfRange(t *testing.T) {
+	var f *Flight
+	f.Record(0, &FlightRecord{})
+	var k *TopK
+	k.Touch([]byte("k"))
+	var sp *Span
+	var st *StageTable
+	st.RecordSpan(0, 0, &Span{})
+	st.Collect(newMetrics(), "x", "y")
+	var slow *SlowTraces
+	if f.Allocated() != nil || k.Items() != nil || sp.Stages() != [NumStages]int64{} || slow.Snapshot() != nil {
+		t.Fatal("a nil instrument reported something")
+	}
+	if Outcome(99).String() != "unknown" || Stage(99).String() != "unknown" || Kind(99).String() != "untyped" {
+		t.Fatal("an out-of-range name is not unknown")
+	}
+	if formatValue(math.Inf(-1)) != "-Inf" {
+		t.Fatal("-Inf exposition")
+	}
+	small := NewFlight(0, 0)
+	small.Record(5, &FlightRecord{Verb: "GET"})
+	small.Record(5, &FlightRecord{Verb: "SET"})
+	if recs := small.Snapshot(); len(recs) != 1 || recs[0].Verb != "SET" {
+		t.Fatalf("NewFlight(0, 0) kept %+v, want the newest record alone", recs)
+	}
+	if NewTopK(0) == nil {
+		t.Fatal("NewTopK(0)")
 	}
 }

@@ -164,15 +164,6 @@ func (m *Map) Delete(key uint64) bool {
 	}
 }
 
-// Range visits every live entry.
-func (m *Map) Range(fn func(key, val uint64) bool) {
-	for i := range m.keys {
-		if m.state[i] == slotFull && !fn(m.keys[i], m.vals[i]) {
-			return
-		}
-	}
-}
-
 func (m *Map) grow() {
 	old := *m
 	size := (m.mask + 1) * 2

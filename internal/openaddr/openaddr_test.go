@@ -89,6 +89,20 @@ func TestFixedFull(t *testing.T) {
 	if !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v", err)
 	}
+	// With no empty slot left, a new key takes the one tombstone its
+	// probe sequence passed, and the table is full again after it.
+	if !m.Delete(3) {
+		t.Fatal("Delete(3) in a full table missed")
+	}
+	if err := m.Put(1000, 7); err != nil {
+		t.Fatalf("Put into the tombstone of a full table: %v", err)
+	}
+	if v, ok := m.Get(1000); !ok || v != 7 || m.Len() != m.Cap() {
+		t.Fatalf("Get(1000) = %d,%v with %d of %d slots", v, ok, m.Len(), m.Cap())
+	}
+	if err := m.Put(1001, 1); !errors.Is(err, ErrFull) {
+		t.Fatalf("Put past the reused tombstone: %v", err)
+	}
 }
 
 func TestOracleRandomOps(t *testing.T) {

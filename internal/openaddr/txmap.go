@@ -47,9 +47,6 @@ func MustNewTxMap(capacity uint64, seed uint64, policy htm.Policy, cfg htm.Confi
 	return m
 }
 
-// Cap returns the slot count.
-func (m *TxMap) Cap() uint64 { return m.mask + 1 }
-
 func (m *TxMap) stateAddr(i uint64) uint32 { return uint32(i) }
 func (m *TxMap) keyAddr(i uint64) uint32   { return uint32(m.mask + 1 + i) }
 func (m *TxMap) valAddr(i uint64) uint32   { return uint32(2*(m.mask+1) + i) }

@@ -187,6 +187,15 @@ func (s *Store) tryExec(ops []Op) ([]Result, bool) {
 			return nil, false
 		}
 	}
+	s.flush(ops, res, env)
+	s.locks.UnlockOrdered(held)
+	return res, true
+}
+
+// flush applies env's buffered writes to the backing store; the caller
+// holds every touched key's stripe. A store error (a full shard) surfaces
+// on the ops that buffered the failed write.
+func (s *Store) flush(ops []Op, res []Result, env map[string]*cell) {
 	for key, c := range env {
 		if !c.dirty {
 			continue
@@ -194,7 +203,6 @@ func (s *Store) tryExec(ops []Op) ([]Result, bool) {
 		if c.deleted {
 			s.kv.Delete(key)
 		} else if err := s.kv.Store(key, c.val, c.expireAt, c.keepTTL); err != nil {
-			// A full shard surfaces on the op that buffered the write.
 			for i := range ops {
 				if ops[i].Key == key && res[i].Status == StatusOK {
 					res[i] = Result{Status: StatusErr, Err: err.Error()}
@@ -202,8 +210,6 @@ func (s *Store) tryExec(ops []Op) ([]Result, bool) {
 			}
 		}
 	}
-	s.locks.UnlockOrdered(held)
-	return res, true
 }
 
 // readVersioned performs one optimistic versioned read of key: snapshot
@@ -307,20 +313,7 @@ func (s *Store) execPessimistic(ops []Op) []Result {
 		}
 		res[i] = applyToCell(op, c)
 	}
-	for key, c := range env {
-		if !c.dirty {
-			continue
-		}
-		if c.deleted {
-			s.kv.Delete(key)
-		} else if err := s.kv.Store(key, c.val, c.expireAt, c.keepTTL); err != nil {
-			for i := range ops {
-				if ops[i].Key == key && res[i].Status == StatusOK {
-					res[i] = Result{Status: StatusErr, Err: err.Error()}
-				}
-			}
-		}
-	}
+	s.flush(ops, res, env)
 	s.locks.UnlockOrdered(held)
 	return res
 }

@@ -85,7 +85,3 @@ func (s *Store) StatsSnapshot() Stats {
 	}
 	return st
 }
-
-// MaxRetries reports the configured OCC retry budget (the retry
-// histogram has MaxRetries+2 buckets).
-func (s *Store) MaxRetries() int { return s.cfg.MaxRetries }

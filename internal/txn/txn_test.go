@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -272,20 +273,32 @@ func TestExecCASAndDelete(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv, Config{})
 	s.Set("k", "v1", 0, nil)
+	s.Set("m", "10", 0, nil)
 	res, _ := s.Exec([]Op{
 		{Kind: OpCAS, Key: "k", Old: "nope", Val: "v2"},
 		{Kind: OpCAS, Key: "k", Old: "v1", Val: "v2"},
 		{Kind: OpDel, Key: "k"},
 		{Kind: OpDel, Key: "k"},
+		{Kind: OpCAS, Key: "k", Old: "v2", Val: "v3"},
+		{Kind: OpSet, Key: "s", Val: "abc"},
+		{Kind: OpIncr, Key: "s", Delta: 1},
+		{Kind: OpMax, Key: "m", Delta: 5},
+		{Kind: OpCAS + 1, Key: "m"},
 	}, nil)
-	want := []Status{StatusConflict, StatusOK, StatusOK, StatusMiss}
+	want := []Status{StatusConflict, StatusOK, StatusOK, StatusMiss, StatusMiss, StatusOK, StatusErr, StatusOK, StatusErr}
 	for i, w := range want {
 		if res[i].Status != w {
 			t.Fatalf("res[%d].Status = %v, want %v", i, res[i].Status, w)
 		}
 	}
+	if res[6].Err != ErrNotInteger.Error() || res[8].Err != "unknown op" {
+		t.Fatalf("errors %q and %q", res[6].Err, res[8].Err)
+	}
 	if _, ok := kv.Load("k"); ok {
 		t.Fatal("k survived transactional delete")
+	}
+	if got := kv.get(t, "m"); got != "10" {
+		t.Fatalf("MAX 5 over 10 left %q", got)
 	}
 }
 
@@ -330,41 +343,132 @@ func TestExecAtomicTransfer(t *testing.T) {
 	}
 }
 
+// interferingKV commits a write to victim, under victim's stripe, each
+// time a transaction loads trigger while that stripe is free: every
+// optimistic attempt that read victim first then fails validation. The
+// pessimistic fallback holds victim's stripe when it loads trigger, so it
+// is left alone.
+type interferingKV struct {
+	*mapKV
+	s               *Store
+	trigger, victim string
+}
+
+func (k *interferingKV) Load(key string) (string, bool) {
+	if key == k.trigger && !k.s.locks.Locked(k.s.stripeFor(k.victim)) {
+		k.s.Set(k.victim, "10", 0, nil)
+	}
+	return k.mapKV.Load(key)
+}
+
+// TestExecPessimisticFallback drives Exec past its retry budget and checks
+// the fallback: it commits, its results and writes are those of the same
+// ops run one after another, txn_fallbacks counts it once, and it does not
+// deadlock against an optimistic committer on the same stripes.
 func TestExecPessimisticFallback(t *testing.T) {
-	kv := newMapKV()
-	s := New(kv, Config{MaxRetries: 1, Stripes: 2})
-	s.Set("a", "0", 0, nil)
-	// Hammer the same stripe from writers while transacting; with a
-	// 1-retry budget some transactions must fall back, and every one
-	// must still commit.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	for _, concurrent := range []bool{false, true} {
+		rounds := 1
+		if concurrent {
+			rounds = 50
+		}
+		for range rounds {
+			checkFallback(t, concurrent)
+		}
+	}
+}
+
+func checkFallback(t *testing.T, concurrent bool) {
+	t.Helper()
+	kv := &interferingKV{mapKV: newMapKV(), victim: "a"}
+	s := New(kv, Config{MaxRetries: 2, Stripes: 8, PromoteAfter: -1})
+	kv.s = s
+	// keyOn returns the first of prefix0, prefix1, ... whose stripe is
+	// like's (or, with same false, is not). The trigger needs a stripe of
+	// its own: loading it must not move the version its read validates.
+	keyOn := func(prefix, like string, same bool) string {
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				s.Set(fmt.Sprintf("w%d", i%16), "x", 0, nil)
+			k := fmt.Sprintf("%s%d", prefix, i)
+			if (s.stripeFor(k) == s.stripeFor(like)) == same {
+				return k
 			}
 		}
-	}()
-	for n := 0; n < 500; n++ {
-		res, _ := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}}, nil)
-		if res[0].Status != StatusOK {
-			t.Fatalf("txn %d: %+v", n, res[0])
-		}
 	}
+	b := keyOn("b", "a", false)
+	kv.trigger = b
+	seed := map[string]string{"a": "1", b: "2", "d": "x"}
+	for k, v := range seed {
+		s.Set(k, v, 0, nil)
+	}
+	ops := []Op{
+		{Kind: OpGet, Key: "a"},
+		{Kind: OpGet, Key: b},
+		{Kind: OpIncr, Key: "a", Delta: 5},
+		{Kind: OpCAS, Key: b, Old: "2", Val: "3"},
+		{Kind: OpSet, Key: "c", Val: "new"},
+		{Kind: OpDel, Key: "d"},
+		{Kind: OpMax, Key: "e", Delta: 9},
+		{Kind: OpGet, Key: "a"},
+	}
+
+	// The committer's keys share a's and b's stripes, in the opposite
+	// order, so its commits take the stripes the fallback holds.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var theirs, commits uint64
+	x, y := keyOn("x", "a", true), keyOn("y", b, true)
+	if concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, info := s.Exec([]Op{{Kind: OpIncr, Key: y, Delta: 1}, {Kind: OpIncr, Key: x, Delta: 1}}, nil); info.Pessimistic {
+					theirs++
+				}
+				commits++
+			}
+		}()
+	}
+	before := s.StatsSnapshot().Fallbacks
+	res, info := s.Exec(ops, nil)
 	close(stop)
 	wg.Wait()
-	if got := kv.get(t, "a"); got != "500" {
-		t.Fatalf("a = %q, want 500", got)
+	for _, k := range []string{x, y} {
+		if got, _ := kv.mapKV.Load(k); commits > 0 && got != strconv.FormatUint(commits, 10) {
+			t.Fatalf("%s = %q after %d committed increments", k, got, commits)
+		}
 	}
-	st := s.StatsSnapshot()
-	if st.Commits < 500 {
-		t.Fatalf("commits = %d, want >= 500", st.Commits)
+	if !info.Pessimistic || info.Retries != 3 {
+		t.Fatalf("info = %+v, want the pessimistic fallback after 3 attempts", info)
+	}
+	if got := s.StatsSnapshot().Fallbacks - before - theirs; got != 1 {
+		t.Fatalf("txn_fallbacks rose by %d for one fallback", got)
+	}
+
+	// The model: the same ops one at a time, from the state the fallback
+	// saw (the interfering writes left a at 10).
+	model := newMapKV()
+	seq := New(model, Config{PromoteAfter: -1})
+	seed["a"] = "10"
+	for k, v := range seed {
+		seq.Set(k, v, 0, nil)
+	}
+	for i := range ops {
+		want, _ := seq.Exec(ops[i:i+1], nil)
+		if res[i] != want[0] {
+			t.Fatalf("op %d (%+v): fallback %+v, one at a time %+v", i, ops[i], res[i], want[0])
+		}
+	}
+	for _, k := range []string{"a", b, "c", "d", "e"} {
+		got, gok := kv.mapKV.Load(k)
+		want, wok := model.Load(k)
+		if got != want || gok != wok {
+			t.Fatalf("%s = %q (%v) after the fallback, %q (%v) one at a time", k, got, gok, want, wok)
+		}
 	}
 }
 
@@ -381,9 +485,22 @@ func TestWithLockBumpsVersion(t *testing.T) {
 	s := New(kv, Config{})
 	i := s.stripeFor("k")
 	before := s.locks.Version(i)
-	s.WithLock("k", nil, func() { kv.Store("k", "v", 0, false) })
+	got := make(chan Result)
+	s.WithLock("k", nil, func() {
+		// A transaction reading k meanwhile waits the writer out (Eq. 1):
+		// it spins, yielding now and then, and reads what the writer wrote.
+		go func() {
+			res, _ := s.Exec([]Op{{Kind: OpGet, Key: "k"}}, nil)
+			got <- res[0]
+		}()
+		time.Sleep(5 * time.Millisecond)
+		kv.Store("k", "v", 0, false)
+	})
 	if after := s.locks.Version(i); after == before {
 		t.Fatal("WithLock did not advance the stripe version")
+	}
+	if res := <-got; res != (Result{Status: StatusValue, Value: "v"}) {
+		t.Fatalf("read under a held stripe = %+v, want the writer's value", res)
 	}
 }
 

@@ -90,7 +90,8 @@ func TestOpGenFractions(t *testing.T) {
 
 func TestMixNames(t *testing.T) {
 	if InsertOnly.Name() != "100% Insert" || Mix5050.Name() != "50% Insert" ||
-		Mix1090.Name() != "10% Insert" || LookupOnly.Name() != "100% Lookup" {
+		Mix1090.Name() != "10% Insert" || LookupOnly.Name() != "100% Lookup" ||
+		(Mix{InsertFrac: 0.3}).Name() != "custom mix" {
 		t.Fatal("mix names wrong")
 	}
 }
@@ -158,6 +159,16 @@ func TestZipfSkew(t *testing.T) {
 	if len(counts) > n/4 {
 		t.Fatalf("%d distinct keys in %d draws; not skewed", len(counts), n)
 	}
+	// Past 2^20 keys the normaliser's tail is an integral; it must stay
+	// within 0.1% of the direct sum.
+	const big = 1<<20 + 1<<19
+	exact := 0.0
+	for i := 1; i <= big; i++ {
+		exact += 1 / math.Pow(float64(i), 0.99)
+	}
+	if got := NewZipfKeys(3, big, 0.99).zetan; math.Abs(got-exact) > exact/1000 {
+		t.Fatalf("zeta(%d, 0.99) = %v, direct sum %v", big, got, exact)
+	}
 }
 
 func TestZipfPanics(t *testing.T) {
@@ -165,6 +176,8 @@ func TestZipfPanics(t *testing.T) {
 		func() { NewZipfKeys(1, 0, 0.5) },
 		func() { NewZipfKeys(1, 10, 0) },
 		func() { NewZipfKeys(1, 10, 1) },
+		func() { NewZipfSKeys(1, 0, 1.2) },
+		func() { NewZipfSKeys(1, 10, 1) },
 	} {
 		func() {
 			defer func() {

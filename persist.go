@@ -30,49 +30,34 @@ var ErrBadSnapshot = errors.New("cuckoohash: bad snapshot")
 func (m *Map) Save(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	crc := crc64.New(crc64.MakeTable(crc64.ECMA))
+	// bufio keeps the first error of w: every later write and the final
+	// Flush return it, so the writes below need no checks of their own.
 	out := io.MultiWriter(bw, crc)
 
 	o := m.t.Options()
-	hdr := [7]uint64{
+	count := m.Len()
+	binary.Write(out, binary.LittleEndian, [7]uint64{
 		snapshotMagic,
 		snapshotVersion,
 		m.Cap(),
 		uint64(o.Assoc),
 		uint64(o.ValueWords),
-		m.Len(),
+		count,
 		o.Seed,
-	}
-	for _, h := range hdr {
-		if err := binary.Write(out, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-
-	var werr error
+	})
 	written := uint64(0)
 	m.Range(func(key uint64, val []uint64) bool {
-		if werr = binary.Write(out, binary.LittleEndian, key); werr != nil {
-			return false
-		}
-		for _, v := range val {
-			if werr = binary.Write(out, binary.LittleEndian, v); werr != nil {
-				return false
-			}
-		}
+		binary.Write(out, binary.LittleEndian, key)
+		binary.Write(out, binary.LittleEndian, val)
 		written++
 		return true
 	})
-	if werr != nil {
-		return werr
-	}
-	if written != hdr[5] {
+	if written != count {
 		// A writer raced between Len and Range; snapshots need external
 		// write quiescence only for the count, the data is consistent.
-		return fmt.Errorf("cuckoohash: table changed during Save: %d entries written, %d expected", written, hdr[5])
+		return fmt.Errorf("cuckoohash: table changed during Save: %d entries written, %d expected", written, count)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum64()); err != nil {
-		return err
-	}
+	binary.Write(bw, binary.LittleEndian, crc.Sum64())
 	return bw.Flush()
 }
 

@@ -107,6 +107,37 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	if _, err := cuckoohash.Load(bytes.NewReader(bad4), cuckoohash.Config{}); !errors.Is(err, cuckoohash.ErrBadSnapshot) {
 		t.Fatalf("bad version: err = %v", err)
 	}
+
+	// Cut anywhere: in the header, in a record, before or in the checksum.
+	for n := range good {
+		if _, err := cuckoohash.Load(bytes.NewReader(good[:n]), cuckoohash.Config{}); !errors.Is(err, cuckoohash.ErrBadSnapshot) {
+			t.Fatalf("cut to %d of %d bytes: err = %v", n, len(good), err)
+		}
+	}
+
+	// A writer that fails in the header, in the body or at the checksum:
+	// Save returns its error.
+	for _, at := range []int{0, 60, len(good) - 4} {
+		w := &failingWriter{room: at}
+		if err := m.Save(w); !errors.Is(err, errWriteFailed) {
+			t.Fatalf("writer failing at byte %d: Save = %v, want its error", at, err)
+		}
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter accepts room bytes, then fails every write.
+type failingWriter struct{ room int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.room {
+		w.room -= len(p)
+		return len(p), nil
+	}
+	n := w.room
+	w.room = 0
+	return n, errWriteFailed
 }
 
 // TestLoadRejectsCorruptHeader: a header the checksum has not vouched for
@@ -138,6 +169,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 		{"count over capacity sealed", stream(true, magic, 1, 8, 4, 1, 9, 0)},
 		{"truncated body", stream(false, magic, 1, 256, 4, 1, 100, 0, 1, 1, 2, 2, 3)},
 		{"missing checksum", stream(false, magic, 1, 256, 4, 1, 2, 0, 1, 1, 2, 2)},
+		{"duplicate key sealed", stream(true, magic, 1, 256, 4, 1, 2, 0, 5, 1, 5, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := cuckoohash.Load(bytes.NewReader(tc.data), cuckoohash.Config{}); !errors.Is(err, cuckoohash.ErrBadSnapshot) {

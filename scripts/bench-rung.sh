@@ -9,7 +9,8 @@
 # archive into .bench_build/ (ignored by git), this
 # checkout's PKG/bench_test.go copied over it so both sides run the same
 # benchmarks — and the binaries run alternately at -test.cpu CPU (1, unless
-# the benchmark is about two writers) for a fixed iteration count (default
+# the benchmark is about two writers; a list such as 1,2 runs each count and
+# keeps their rows apart) for a fixed iteration count (default
 # 2000000x for generic's nanosecond cells, 10000x for any other package's),
 # the order flipped each round. SCALE, when set, is passed to both binaries
 # as -scale (the root package's figure sizes: small, medium or paper).
@@ -41,12 +42,17 @@ cp "$pkg/bench_test.go" "$out/base/$pkg/bench_test.go"
 (cd "$out/base" && go test -c -o "$out/base.test" "./$pkg")
 go test -c -o "$out/head.test" "./$pkg"
 
+# go test names a row run at N > 1 Ps Name-N. With one CPU count the suffix
+# is the same on every row and is dropped; with a list (CPU=1,2) it is what
+# tells the rows of one benchmark apart, so it stays.
+case "$cpu" in *,*) strip=0 ;; *) strip=1 ;; esac
+
 # one SIDE BINARY N: one run; keeps "name unit value" per reported metric.
 one() {
 	local log="$out/$1-$3.log"
 	(cd "$root/$pkg" && "$2" -test.run '^$' -test.bench "$rung" -test.cpu "$cpu" \
 		-test.benchtime "$benchtime" -test.timeout 30m ${scale:+-scale "$scale"}) >"$log" 2>&1 || { tail -5 "$log" >&2; exit 1; }
-	awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); for (i = 3; i < NF; i += 2) print $1, $(i + 1), $i }' "$log" >"$out/$1-$3.txt"
+	awk -v strip="$strip" '/^Benchmark/ { if (strip) sub(/-[0-9]+$/, "", $1); for (i = 3; i < NF; i += 2) print $1, $(i + 1), $i }' "$log" >"$out/$1-$3.txt"
 	[ -s "$out/$1-$3.txt" ] || { echo "$1 round $3: no benchmark matches $rung" >&2; exit 1; }
 }
 

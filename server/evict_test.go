@@ -63,6 +63,16 @@ func TestSlotsPerShardHonoured(t *testing.T) {
 			t.Errorf("SlotsPerShard %d: %d slots at the first eviction, %d entries", slots, got, c.Len())
 		}
 	}
+	// NewCache's own defaults: at least one shard, a power of two of them.
+	for _, tc := range []struct{ shards, want int }{{0, 1}, {3, 4}} {
+		c, err := NewCache(tc.shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.shards) != tc.want {
+			t.Errorf("NewCache(%d, 0) has %d shards, want %d", tc.shards, len(c.shards), tc.want)
+		}
+	}
 }
 
 // TestEvictionPrefersExpired: while the keys' buckets hold dead entries,

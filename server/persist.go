@@ -265,18 +265,17 @@ func (s *Server) saveSnapshot() error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := s.cache.SaveSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
+	err = s.cache.SaveSnapshot(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.cfg.SnapshotPath)
 	}
-	if err := os.Rename(tmp.Name(), s.cfg.SnapshotPath); err != nil {
+	if err != nil {
 		return err
 	}
 	dur := time.Since(start)

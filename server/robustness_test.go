@@ -8,6 +8,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -271,11 +272,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond) // let "dead" expire
+	// "dying" is alive at the save and dead at the load.
+	dying := time.Now().Add(100 * time.Millisecond)
+	if err := src.Set("dying", "v", time.Until(dying)); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := src.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Contains(buf.Bytes(), []byte("dying")) {
+		t.Fatal("entry alive at the save left out of the snapshot")
+	}
+	time.Sleep(time.Until(dying))
 	dst, err := NewCache(8, 1<<10) // different shard count: restore re-hashes
 	if err != nil {
 		t.Fatal(err)
@@ -295,8 +305,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if d, ok := dst.TTL("ttl"); !ok || d <= 0 || d > time.Hour {
 		t.Fatalf("restored TTL = %v, %v", d, ok)
 	}
-	if _, ok := dst.Get("dead"); ok {
-		t.Fatal("expired entry resurrected by restore")
+	for _, k := range []string{"dead", "dying"} {
+		if _, ok := dst.Get(k); ok {
+			t.Fatalf("expired entry %q resurrected by restore", k)
+		}
 	}
 }
 
@@ -334,6 +346,14 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	ver := bytes.Clone(good)
 	ver[8] = 0x63
 	corrupt["badversion"] = ver
+	// A key length past any record's.
+	long := bytes.Clone(good)
+	binary.LittleEndian.PutUint32(long[16:], maxSnapshotStr+1)
+	corrupt["implausible-length"] = long
+	// Cut anywhere: in the header, a record, the trailer.
+	for n := range good {
+		corrupt[fmt.Sprintf("cut-%d", n)] = good[:n]
+	}
 
 	for name, data := range corrupt {
 		dst, err := NewCache(2, 1<<8)
@@ -347,6 +367,29 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: corrupt load applied %d entries", name, dst.Len())
 		}
 	}
+
+	// A writer that fails in the header, in the body or at the trailer:
+	// SaveSnapshot returns its error.
+	for _, at := range []int{0, 20, len(good) - 4} {
+		if err := src.SaveSnapshot(&failingWriter{room: at}); !errors.Is(err, errWriteFailed) {
+			t.Errorf("writer failing at byte %d: SaveSnapshot = %v, want its error", at, err)
+		}
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failingWriter accepts room bytes, then fails every write.
+type failingWriter struct{ room int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.room {
+		w.room -= len(p)
+		return len(p), nil
+	}
+	n := w.room
+	w.room = 0
+	return n, errWriteFailed
 }
 
 // TestDrainSavesAndRestartRestores is the crash-recovery acceptance test:

@@ -117,7 +117,7 @@ type Server struct {
 	flightDumpAt atomic.Int64
 }
 
-// New creates a Server; call Listen then Serve (or ListenAndServe).
+// New creates a Server; call Listen then Serve.
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	cache, err := NewCache(cfg.Shards, cfg.SlotsPerShard)
@@ -294,14 +294,6 @@ func shedConn(nc net.Conn) {
 	nc.SetWriteDeadline(time.Now().Add(time.Second))
 	nc.Write([]byte("ERR busy\n"))
 	nc.Close()
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 // trackConn registers a live connection, refusing it when draining.

@@ -87,6 +87,12 @@ func TestProtocolBasics(t *testing.T) {
 		{"DEL k1", "MISS"},
 		{"TTL k1", "MISS"},
 		{"SET toolong" + strings.Repeat("x", 300) + " v", "ERR key exceeds 250 bytes"},
+		{"TTL toolong" + strings.Repeat("x", 300), "ERR key exceeds 250 bytes"},
+		{"INCR toolong" + strings.Repeat("x", 300) + " 1", "ERR key exceeds 250 bytes"},
+		{"CAS toolong" + strings.Repeat("x", 300) + " a b", "ERR key exceeds 250 bytes"},
+		{"REPLDEL toolong" + strings.Repeat("x", 300) + " 5", "ERR key exceeds 250 bytes"},
+		{"MIGRATE home a b seed 5 a,b", "ERR " + errBadMigrate.Error()},
+		{"MIGRATE home a b 1 max a,b", "ERR " + errBadMigrate.Error()},
 		{"SET justkey", "ERR wrong number of arguments"},
 		{"SETEX k2 notanumber v", "ERR ttl must be a positive integer (milliseconds)"},
 		{"BOGUS x", "ERR unknown command"},

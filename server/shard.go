@@ -207,9 +207,6 @@ func (c *Cache) driveMigration(si int, sp *obs.Span) {
 	sp.End(obs.StageMigrate, t0)
 }
 
-// Txn exposes the transaction layer, e.g. for metrics and tests.
-func (c *Cache) Txn() *txn.Store { return c.txn }
-
 // nextVersion issues the next write version: wall-clock nanoseconds,
 // bumped past the previous issue when the clock stalls or steps back.
 // Lock-free (CAS loop), so it is legal under a key stripe.
