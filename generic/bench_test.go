@@ -67,7 +67,7 @@ func benchKeySet(prefix string, n int) ([]string, [][]byte) {
 // has just published it and nothing has drained it since: every key in the
 // draining generation, the grown live one empty, so a probe walks both.
 func benchTable(b *testing.B, mk func(Config) (*Table[string, *rec], error), keys []string, migrating bool) *Table[string, *rec] {
-	tab, err := mk(Config{InitialCapacity: benchSlots, MigrateBatch: -1, DisableBackgroundSweep: true})
+	tab, err := mk(Config{InitialCapacity: benchSlots, DisableBackgroundSweep: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +361,8 @@ func timedInserts(writers int, n uint64, insert func(key uint64)) []time.Duratio
 // writers. stw is the rebuild under a write lock above:
 // the insert that finds the table full copies all of it while every other
 // writer waits, so that pause grows with the table. incremental is Table as
-// shipped, with the background sweeper off so that every migrated bucket is
+// shipped, with the background sweeper off and MigrateBatch(2) after each
+// insert, as cuckood drives its shards, so that every migrated bucket is
 // charged to a timed insert (its worst case): a grow is a pointer flip plus
 // a bounded batch per operation. Whole fills run until b.N inserts have been
 // made (at least one); the longest insert (max-µs) and the 99th percentile
@@ -386,6 +387,7 @@ func BenchmarkGrowPause(b *testing.B) {
 						if err := tab.Insert(k, v); err != nil {
 							b.Error(err)
 						}
+						tab.MigrateBatch(2) // as cuckood's request handlers drive it
 					}
 				}
 				lats := timedInserts(writers, n, func(k uint64) { insert(k, k) })

@@ -90,7 +90,6 @@ func TestGetBytesDuringMigration(t *testing.T) {
 	tab := MustNew[string, int](Config{
 		InitialCapacity:        64,
 		DisableBackgroundSweep: true,
-		MigrateBatch:           -1, // no per-op draining: keep olds populated
 	})
 	n := 0
 	for tab.Len() < tab.Cap()-1 { // fill until the next insert must grow

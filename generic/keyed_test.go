@@ -208,7 +208,7 @@ func unreadable(tab *Table[string, rec], model map[string]rec) int {
 // operations), and checks every result, the final contents and the tag of
 // every resident slot.
 func TestModel(t *testing.T) {
-	cfg := Config{InitialCapacity: 64, MigrateBatch: -1, DisableBackgroundSweep: true}
+	cfg := Config{InitialCapacity: 64, DisableBackgroundSweep: true}
 	eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
 		rnd := rand.New(rand.NewSource(19))
 		model := map[string]rec{}
@@ -398,10 +398,11 @@ func TestTagTravelsWithSlot(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
 		Config
-		n int
+		n     int
+		drain int // buckets migrated after each insert
 	}{
-		{"displace", Config{InitialCapacity: 4096, MaxCapacity: 4096}, 3891}, // 0.95 of 4096
-		{"migrate", Config{InitialCapacity: 64, MigrateBatch: 1, DisableBackgroundSweep: true}, 5000},
+		{"displace", Config{InitialCapacity: 4096, MaxCapacity: 4096}, 3891, 0}, // 0.95 of 4096
+		{"migrate", Config{InitialCapacity: 64, DisableBackgroundSweep: true}, 5000, 1},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			eachConstruction(t, cfg.Config, func(t *testing.T, tab *Table[string, rec]) {
@@ -411,6 +412,7 @@ func TestTagTravelsWithSlot(t *testing.T) {
 					if err := tab.Insert(v.key, v); err != nil {
 						t.Fatalf("Insert #%d at load %.3f: %v", i, tab.LoadFactor(), err)
 					}
+					tab.MigrateBatch(cfg.drain)
 					model[v.key] = v
 				}
 				st := tab.Stats()
@@ -498,7 +500,7 @@ func TestStripesNeverExceedBuckets(t *testing.T) {
 // table through several grows: under -race this is what checks that a key
 // is only ever read out of a value under that slot's stripe.
 func TestConcurrentKeyed(t *testing.T) {
-	eachConstruction(t, Config{InitialCapacity: 64, MigrateBatch: 1}, func(t *testing.T, tab *Table[string, rec]) {
+	eachConstruction(t, Config{InitialCapacity: 64}, func(t *testing.T, tab *Table[string, rec]) {
 		const writers, perWriter = 4, 1500
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
@@ -512,6 +514,7 @@ func TestConcurrentKeyed(t *testing.T) {
 						t.Errorf("Insert(%s): %v", k, err)
 						return
 					}
+					tab.MigrateBatch(1)
 					if i%3 == 0 {
 						if err := tab.Upsert(k, rec{key: k, n: -i}); err != nil {
 							t.Errorf("Upsert(%s): %v", k, err)

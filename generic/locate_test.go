@@ -43,7 +43,7 @@ func threeGenerations(t *testing.T, tab *Table[string, rec]) {
 func TestFoundWhereverItLives(t *testing.T) {
 	const key = "planted"
 	was, now := rec{key: key, n: 1}, rec{key: key, n: 2}
-	cfg := Config{InitialCapacity: 64, MigrateBatch: -1, DisableBackgroundSweep: true}
+	cfg := Config{InitialCapacity: 64, DisableBackgroundSweep: true}
 
 	// gen -1 is the live generation, 0 and 1 the draining ones, oldest first.
 	positions := []struct {

@@ -69,7 +69,7 @@ func TestSharedStripeKey(t *testing.T) {
 	if tags := sharedStripeTags(512, 1); len(tags) != 255 {
 		t.Fatalf("%d tags share the one stripe, want all 255", len(tags))
 	}
-	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, LockStripes: 1, MigrateBatch: -1, DisableBackgroundSweep: true}
+	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, LockStripes: 1, DisableBackgroundSweep: true}
 	t.Run("sequence", func(t *testing.T) {
 		eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
 			keys := sharedStripeKeys("shared", 64)

@@ -24,9 +24,12 @@
 // declared in another package; the walk stops at that package, which
 // implements the transaction machinery.
 //
-// Regions are detected per function (including regions opened by helpers
-// that return with stripes held, like lockAllGens: lockorder's NetHeld
-// summary), then checked transitively over the callgraph summaries,
+// Regions are detected per function. A spinlock critical section is each
+// source range lockorder's branch-sensitive held-lock walk covers while it
+// holds a spin-shaped lock or the stripes a helper returned holding (like
+// lockAllGens), so a release on an early-exit branch does not end the
+// region on the path that falls through. Regions are then checked
+// transitively over the callgraph summaries,
 // resolving interface calls against every module implementer. Function
 // values passed to a callee that invokes them inside a region
 // (txn.Store.WithLock's fn argument) are checked at each call site that
@@ -53,8 +56,8 @@ import (
 	"cuckoohash/internal/analysis/lockorder"
 )
 
-// A Region is one proof obligation: the top-level statements of Sum
-// between From and To.
+// A Region is one proof obligation: the sites and calls of Sum between
+// From and To.
 type Region struct {
 	Kind     string         // human description, e.g. "spinlock critical section on s.locks"
 	Txn      *types.Package // transaction bodies: the handle's package, where the walk stops
@@ -95,17 +98,6 @@ var Analyzer = &analysis.Analyzer{
 	End:      end,
 }
 
-// isSpinLock recognizes busy-waiting lock providers structurally: the
-// Lock/Unlock pair plus the Locked or LockPair surface of this module's
-// spinlock types. sync.Mutex (Lock/Unlock/TryLock only) stays out — it
-// parks, and parking on it is exactly what this analyzer reports. It is
-// wider than lockorder's striped lock (LockPair only), whose held-lock
-// summary opens the regions of helpers that return holding stripes.
-func isSpinLock(t types.Type) bool {
-	return checkutil.HasMethods(t, "Lock", "Unlock") &&
-		(checkutil.HasMethods(t, "Locked") || checkutil.HasMethods(t, "LockPair"))
-}
-
 func isSeqlock(t types.Type) bool {
 	return checkutil.HasMethods(t, "Snapshot", "Validate")
 }
@@ -127,6 +119,7 @@ func run(pass *analysis.Pass) (any, error) {
 	if g == nil {
 		return nil, nil
 	}
+	held, _ := pass.ResultOf[lockorder.Analyzer].(lockorder.Result)
 	perFn := make(map[*types.Func]*RegionsFact)
 	perFnParams := make(map[*types.Func]*ParamRegionFact)
 	for _, f := range pass.Files {
@@ -146,7 +139,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if sum == nil || owner == nil {
 				continue
 			}
-			regions := detect(pass, fb, sum)
+			regions := detect(pass, fb, sum, held[fb.Body])
 			if len(regions) == 0 {
 				continue
 			}
@@ -187,8 +180,10 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// detect scans one function body linearly for regions.
-func detect(pass *analysis.Pass, fb checkutil.FuncBody, sum *callgraph.Summary) []Region {
+// detect lists one function body's regions: a transaction body whole,
+// each span the lockorder walk covered holding a lock, and the window
+// from the first Snapshot to the last Validate of a seqlock.
+func detect(pass *analysis.Pass, fb checkutil.FuncBody, sum *callgraph.Summary, spans []lockorder.Span) []Region {
 	info := pass.TypesInfo
 	var regions []Region
 
@@ -210,44 +205,17 @@ func detect(pass *analysis.Pass, fb checkutil.FuncBody, sum *callgraph.Summary) 
 		}
 	}
 
-	type openReg struct {
-		key      string
-		from     token.Pos
-		sentinel bool
-	}
-	var opens []openReg
-	var snapFirst, valLast token.Pos
-
-	closeAt := func(key string, pos token.Pos, kindFmt string) {
-		idx := -1
-		for i := len(opens) - 1; i >= 0; i-- {
-			if opens[i].key == key {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			for i := len(opens) - 1; i >= 0; i-- {
-				if opens[i].sentinel {
-					idx = i
-					break
-				}
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		o := opens[idx]
-		opens = append(opens[:idx], opens[idx+1:]...)
-		if o.from < pos {
+	for _, sp := range spans {
+		if sp.From < sp.To {
 			regions = append(regions, Region{
-				Kind: fmt.Sprintf(kindFmt, o.key),
-				From: o.from, To: pos, Sum: sum,
+				Kind: "spinlock critical section on " + sp.Lock,
+				From: sp.From, To: sp.To, Sum: sum,
 			})
 		}
 	}
 
-	checkutil.WalkStack(fb.Body, func(n ast.Node, stack []ast.Node) bool {
+	var snapFirst, valLast token.Pos
+	ast.Inspect(fb.Body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false // literals carry their own regions
 		}
@@ -255,39 +223,11 @@ func detect(pass *analysis.Pass, fb checkutil.FuncBody, sum *callgraph.Summary) 
 		if !ok {
 			return true
 		}
-		deferred := false
-		if len(stack) > 0 {
-			_, deferred = stack[len(stack)-1].(*ast.DeferStmt)
-		}
 		recv := checkutil.Receiver(info, call)
 		if recv == nil {
-			var lf lockorder.LockFact
-			if callee := checkutil.Callee(info, call); callee != nil && !deferred &&
-				pass.ImportObjectFact(callee.Origin(), &lf) && lf.NetHeld {
-				opens = append(opens, openReg{
-					key:      "locks held by " + callee.Name(),
-					from:     call.End(),
-					sentinel: true,
-				})
-			}
 			return true
 		}
-		t := info.Types[recv].Type
-		key := types.ExprString(recv)
-		if isSpinLock(t) && definingPkg(t) != pass.Pkg {
-			switch checkutil.Callee(info, call).Name() {
-			case "Lock", "LockPair", "LockOrdered", "LockAll":
-				if !deferred {
-					opens = append(opens, openReg{key: key, from: call.End()})
-				}
-			case "Unlock", "UnlockPair", "UnlockOrdered", "UnlockAll":
-				if !deferred {
-					closeAt(key, call.Pos(), "spinlock critical section on %s")
-				}
-				// A deferred release closes at body end, below.
-			}
-		}
-		if isSeqlock(t) && definingPkg(t) != pass.Pkg {
+		if t := info.Types[recv].Type; isSeqlock(t) && definingPkg(t) != pass.Pkg {
 			switch checkutil.Callee(info, call).Name() {
 			case "Snapshot":
 				if !snapFirst.IsValid() {
@@ -299,16 +239,6 @@ func detect(pass *analysis.Pass, fb checkutil.FuncBody, sum *callgraph.Summary) 
 		}
 		return true
 	})
-
-	// Deferred releases and never-released acquires: region to body end.
-	for _, o := range opens {
-		if o.from < fb.Body.End() {
-			regions = append(regions, Region{
-				Kind: fmt.Sprintf("spinlock critical section on %s", o.key),
-				From: o.from, To: fb.Body.End(), Sum: sum,
-			})
-		}
-	}
 	if snapFirst.IsValid() && valLast.IsValid() && snapFirst < valLast {
 		regions = append(regions, Region{
 			Kind: "seqlock read window",

@@ -15,6 +15,20 @@ func badDoubleLock(t *table, a, b uint64) {
 	t.locks.Unlock(a)
 }
 
+// badLockInLabeledLoop: a labeled statement is walked like any other.
+func badLockInLabeledLoop(t *table, a uint64, bs []uint64) {
+	t.locks.Lock(a)
+outer:
+	for _, b := range bs {
+		if b == a {
+			break outer
+		}
+		t.locks.Lock(b) // want `Stripe\.Lock on t\.locks while stripe lock t\.locks is held`
+		t.locks.Unlock(b)
+	}
+	t.locks.Unlock(a)
+}
+
 func badPairWhileHeld(t *table, a, b uint64) {
 	t.locks.Lock(a)
 	t.locks.LockPair(a, b) // want `LockPair on t\.locks while stripe lock`
@@ -83,4 +97,41 @@ func goodLiteralIsSeparate(t *table, a uint64) func() {
 	}
 	t.locks.Unlock(a)
 	return func() { f(a) }
+}
+
+func badLockAfterEarlyExit(t *table, a, b uint64, bail bool) {
+	t.locks.Lock(a)
+	if bail {
+		t.locks.Unlock(a)
+		return
+	}
+	t.locks.Lock(b) // want `Stripe\.Lock on t\.locks while stripe lock t\.locks is held`
+	t.locks.Unlock(b)
+	t.locks.Unlock(a)
+}
+
+// goodBranchLocksAndReturns holds a to the end of a branch that returns:
+// the hold never reaches the join, so the later Lock is alone.
+func goodBranchLocksAndReturns(t *table, a, b uint64, cond bool) uint64 {
+	if cond {
+		t.locks.Lock(a)
+		defer t.locks.Unlock(a)
+		return t.locks.Snapshot(a)
+	}
+	t.locks.Lock(b)
+	t.locks.Unlock(b)
+	return 0
+}
+
+// goodSpinMutexNests: a single spin lock is no stripe, so taking one under
+// a stripe (or a stripe under it) is outside the ordering rule.
+func goodSpinMutexNests(t *table, mu *stripelib.Spin, a uint64) {
+	t.locks.Lock(a)
+	mu.Lock()
+	mu.Unlock()
+	t.locks.Unlock(a)
+	mu.Lock()
+	t.locks.Lock(a)
+	t.locks.Unlock(a)
+	mu.Unlock()
 }

@@ -38,3 +38,11 @@ func (s *Stripe) Snapshot(i uint64) uint64 { return s.words[i] }
 
 // Validate re-checks that stripe i's version still equals snap.
 func (s *Stripe) Validate(i, snap uint64) bool { return s.words[i] == snap }
+
+// Spin is a single busy-waiting lock: Lock/Unlock plus Locked, no
+// LockPair, so it is spin-shaped but not striped.
+type Spin struct{ state uint32 }
+
+func (m *Spin) Lock()        {}
+func (m *Spin) Unlock()      {}
+func (m *Spin) Locked() bool { return m.state != 0 }

@@ -6,6 +6,7 @@ package txnbodytest
 
 import (
 	"fmt"
+	"math/bits"
 
 	"htmlib"
 )
@@ -125,4 +126,14 @@ func goodCaller(t *table) error {
 	})
 	fmt.Println(scratch[0])
 	return err
+}
+
+// goodPureLibraryAndClosure calls a pure library function and a literal in
+// place: neither leaves anything an abort must undo.
+func goodPureLibraryAndClosure(t *table) error {
+	return t.region.Run(func(tx *htmlib.Txn) error {
+		n := bits.OnesCount64(tx.Load(0))
+		func() { tx.Store(1, uint64(n)) }()
+		return nil
+	})
 }

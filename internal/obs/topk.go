@@ -15,12 +15,15 @@ import (
 // Touch is called on the sampled request path only, so a mutex is fine;
 // the map-hit fast path does not allocate (the m[string(b)] lookup
 // compiles to a no-copy probe), and an eviction allocates only the new
-// key's string. The map is made by the first Touch, so a sketch no
-// request reaches holds no entries.
+// key's string. The entries live in one slice the map indexes, so finding
+// the minimum is a scan of k contiguous entries, not a map iteration.
+// Both are made by the first Touch, so a sketch no request reaches holds
+// no entries.
 type TopK struct {
-	mu sync.Mutex
-	k  int
-	m  map[string]*tkEntry // nil until the first Touch
+	mu      sync.Mutex
+	k       int
+	m       map[string]int // key -> index into entries; nil until the first Touch
+	entries []tkEntry
 }
 
 type tkEntry struct {
@@ -45,33 +48,35 @@ func (t *TopK) Touch(key []byte) {
 		return
 	}
 	t.mu.Lock()
-	if e, ok := t.m[string(key)]; ok {
-		e.count++
+	if i, ok := t.m[string(key)]; ok {
+		t.entries[i].count++
 		t.mu.Unlock()
 		return
 	}
-	if len(t.m) < t.k {
+	if len(t.entries) < t.k {
 		if t.m == nil {
-			t.m = make(map[string]*tkEntry)
+			t.m = make(map[string]int)
 		}
 		k := string(key)
-		t.m[k] = &tkEntry{key: k, count: 1}
+		t.m[k] = len(t.entries)
+		t.entries = append(t.entries, tkEntry{key: k, count: 1})
 		t.mu.Unlock()
 		return
 	}
-	// Evict the minimum; the newcomer takes over its entry and inherits
+	// Evict the minimum; the newcomer takes over its slot and inherits
 	// its count as error bound.
-	var min *tkEntry
-	for _, e := range t.m {
-		if min == nil || e.count < min.count {
-			min = e
+	min := 0
+	for i := 1; i < len(t.entries); i++ {
+		if t.entries[i].count < t.entries[min].count {
+			min = i
 		}
 	}
-	delete(t.m, min.key)
-	min.key = string(key)
-	min.err = min.count
-	min.count++
-	t.m[min.key] = min
+	e := &t.entries[min]
+	delete(t.m, e.key)
+	e.key = string(key)
+	e.err = e.count
+	e.count++
+	t.m[e.key] = min
 	t.mu.Unlock()
 }
 
@@ -90,8 +95,8 @@ func (t *TopK) Items() []TopKItem {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]TopKItem, 0, len(t.m))
-	for _, e := range t.m {
+	out := make([]TopKItem, 0, len(t.entries))
+	for _, e := range t.entries {
 		out = append(out, TopKItem{Key: e.key, Count: e.count, Err: e.err})
 	}
 	t.mu.Unlock()

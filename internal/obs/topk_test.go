@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -150,5 +151,41 @@ func TestTopKNeverTouchedIsEmpty(t *testing.T) {
 	merged := MergeTopK([]*TopK{idle, busy, NewTopK(4)})
 	if len(merged) != 1 || merged[0] != (TopKItem{Key: "x", Count: 1}) {
 		t.Fatalf("merge = %+v, want only x with count 1", merged)
+	}
+}
+
+// BenchmarkTopKTouch measures Touch on a full k=48 sketch (the server's
+// hotSketchK): uniform keys, where nearly every touch misses and evicts,
+// and a skewed stream, where most touches hit a tracked key.
+func BenchmarkTopKTouch(b *testing.B) {
+	const k, universe = 48, 200_000
+	keys := make([][]byte, universe)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%011d", i)) // 16 bytes
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	zipf := rand.NewZipf(rand.New(rand.NewPCG(3, 4)), 1.2, 1, universe-1)
+	for _, s := range []struct {
+		name string
+		next func() int
+	}{
+		{"uniform", func() int { return rng.IntN(universe) }},
+		{"zipf", func() int { return int(zipf.Uint64()) }},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			order := make([]int, 1<<16)
+			for i := range order {
+				order[i] = s.next()
+			}
+			tk := NewTopK(k)
+			for _, i := range order[:k*4] {
+				tk.Touch(keys[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tk.Touch(keys[order[i&(len(order)-1)]])
+			}
+		})
 	}
 }

@@ -153,8 +153,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 			// The server drives migration itself (driveMigration) so the
 			// batch work lands inside the request's span as StageMigrate;
 			// the table's background sweeper stays on for idle shards.
-			MigrateBatch: -1,
-			OnGrowEvent:  c.growEventFunc(i),
+			OnGrowEvent: c.growEventFunc(i),
 		}, item.key)
 		if err != nil {
 			return nil, err
