@@ -70,3 +70,19 @@ func goodRecursiveHelper(t *table, i uint64) {
 	t.locks.Lock(i)
 	t.locks.Unlock(i)
 }
+
+// goodGoRunsElsewhere launches a raw-locking helper under a stripe: it
+// runs on another goroutine, not in this hold.
+func goodGoRunsElsewhere(t *table, a, b uint64) {
+	t.locks.Lock(a)
+	go rawHelper(t, b)
+	t.locks.Unlock(a)
+}
+
+// goodGoHelperHoldsElsewhere: what a launched helper returns holding is
+// held by its goroutine, not by the launcher.
+func goodGoHelperHoldsElsewhere(t *table, a, b uint64) {
+	go acquireStripe(t, a)
+	t.locks.Lock(b)
+	t.locks.Unlock(b)
+}
