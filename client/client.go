@@ -156,10 +156,23 @@ func (c *Conn) Close() error {
 }
 
 func validKey(key string) error {
-	if key == "" || len(key) > 250 || strings.ContainsAny(key, " \r\n") {
+	if key == "" || len(key) > 250 || notToken(key) {
 		return fmt.Errorf("client: invalid key %q", key)
 	}
 	return nil
+}
+
+// hasNewline reports whether s holds a CR or an LF: two IndexByte scans,
+// which run in assembly, where strings.ContainsAny walks s a byte at a
+// time against its set.
+func hasNewline(s string) bool {
+	return strings.IndexByte(s, '\n') >= 0 || strings.IndexByte(s, '\r') >= 0
+}
+
+// notToken reports whether s holds a space or a newline, so that it cannot
+// be sent as one protocol token.
+func notToken(s string) bool {
+	return strings.IndexByte(s, ' ') >= 0 || hasNewline(s)
 }
 
 // queue buffers one request line "<verb> <key>[ <arg>...]" whose reply
@@ -189,7 +202,7 @@ func (c *Conn) queue(op opCode, verb, key string, args ...string) error {
 // of them the value, which runs to the end of the line and so must not
 // contain a newline.
 func (c *Conn) queueStore(op opCode, verb, key string, args ...string) error {
-	if strings.ContainsAny(args[len(args)-1], "\r\n") {
+	if hasNewline(args[len(args)-1]) {
 		return fmt.Errorf("client: value for %q contains newline", key)
 	}
 	return c.queue(op, verb, key, args...)

@@ -168,13 +168,15 @@ func TestInvalidKeysAndValues(t *testing.T) {
 	}
 	defer c.Close()
 
-	for _, bad := range []string{"", "has space", "has\nnewline", strings.Repeat("x", 251)} {
+	for _, bad := range []string{"", "has space", "has\nnewline", "has\rreturn", strings.Repeat("x", 251)} {
 		if err := c.QueueGet(bad); err == nil {
 			t.Errorf("QueueGet(%q) accepted", bad)
 		}
 	}
-	if err := c.QueueSet("k", "line1\nline2", 0); err == nil {
-		t.Error("QueueSet with newline value accepted")
+	for _, bad := range []string{"line1\nline2", "line1\r\nline2", "a lone\rreturn"} {
+		if err := c.QueueSet("k", bad, 0); err == nil {
+			t.Errorf("QueueSet with value %q accepted", bad)
+		}
 	}
 	if c.Pending() != 0 {
 		t.Fatalf("invalid requests were queued: Pending = %d", c.Pending())

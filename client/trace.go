@@ -51,7 +51,7 @@ func NewTraceID() string {
 // or cleared with SetTrace(""). The ID must be a single protocol token of
 // at most 64 bytes.
 func (c *Conn) SetTrace(id string) error {
-	if id != "" && (len(id) > maxTraceIDLen || strings.ContainsAny(id, " \r\n")) {
+	if id != "" && (len(id) > maxTraceIDLen || notToken(id)) {
 		return fmt.Errorf("client: invalid trace ID %q (one token, at most %d bytes)", id, maxTraceIDLen)
 	}
 	c.trace = id

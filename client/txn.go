@@ -39,7 +39,7 @@ func (c *Conn) QueueMaxUpdate(key string, val int64) error {
 // currently equals old. old is a single protocol token (no spaces);
 // newVal may contain spaces but not newlines.
 func (c *Conn) QueueCAS(key, old, newVal string) error {
-	if old == "" || strings.ContainsAny(old, " \r\n") {
+	if old == "" || notToken(old) {
 		return fmt.Errorf("client: CAS expected value %q must be one token", old)
 	}
 	return c.queueStore(opCAS, "CAS", key, old, newVal)
@@ -123,7 +123,7 @@ func (t *Txn) Get(key string) *Txn {
 
 // Set queues a write (ttl 0 = no expiry).
 func (t *Txn) Set(key, val string, ttl time.Duration) *Txn {
-	if t.err == nil && strings.ContainsAny(val, "\r\n") {
+	if t.err == nil && hasNewline(val) {
 		t.err = fmt.Errorf("client: value for %q contains newline", key)
 		return t
 	}
@@ -152,11 +152,11 @@ func (t *Txn) MaxUpdate(key string, val int64) *Txn {
 // CAS queues a compare-and-set; its EXEC result is Found on success,
 // Conflict on a value mismatch, neither on a missing key.
 func (t *Txn) CAS(key, old, newVal string) *Txn {
-	if t.err == nil && (old == "" || strings.ContainsAny(old, " \r\n")) {
+	if t.err == nil && (old == "" || notToken(old)) {
 		t.err = fmt.Errorf("client: CAS expected value %q must be one token", old)
 		return t
 	}
-	if t.err == nil && strings.ContainsAny(newVal, "\r\n") {
+	if t.err == nil && hasNewline(newVal) {
 		t.err = fmt.Errorf("client: value for %q contains newline", key)
 		return t
 	}

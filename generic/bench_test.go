@@ -67,7 +67,7 @@ func benchKeySet(prefix string, n int) ([]string, [][]byte) {
 // has just published it and nothing has drained it since: every key in the
 // draining generation, the grown live one empty, so a probe walks both.
 func benchTable(b *testing.B, mk func(Config) (*Table[string, *rec], error), keys []string, migrating bool) *Table[string, *rec] {
-	tab, err := mk(Config{InitialCapacity: benchSlots, DisableBackgroundSweep: true})
+	tab, err := mk(Config{InitialCapacity: benchSlots})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func BenchmarkDeleteUpsert(b *testing.B) {
 // (about 512 a fill) that precedes it.
 func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []*rec) (inserts int, took time.Duration, load float64, keyOfs, last int, lastTook time.Duration) {
 	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: assoc,
-		DisableAutoGrow: true, DisableBackgroundSweep: true},
+		DisableAutoGrow: true},
 		func(r *rec) string { keyOfs++; return r.key })
 	if err != nil {
 		b.Fatal(err)
@@ -229,7 +229,7 @@ func BenchmarkFillToRefusal(b *testing.B) {
 // (make bench-rung CPU=2).
 func BenchmarkInsertDeletePair(b *testing.B) {
 	const slots, writers, own = 2048, 2, 256
-	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, DisableAutoGrow: true, DisableBackgroundSweep: true},
+	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, DisableAutoGrow: true},
 		func(r *rec) string { return r.key })
 	if err != nil {
 		b.Fatal(err)
@@ -281,11 +281,7 @@ type stwTable struct {
 }
 
 func newSTWTable(initial uint64) *stwTable {
-	t, err := New[uint64, uint64](Config{
-		InitialCapacity:        initial,
-		DisableAutoGrow:        true,
-		DisableBackgroundSweep: true,
-	})
+	t, err := New[uint64, uint64](Config{InitialCapacity: initial, DisableAutoGrow: true})
 	if err != nil {
 		panic(err)
 	}
@@ -317,11 +313,7 @@ func (s *stwTable) rebuild() {
 	if s.tab.LoadFactor() < 0.5 {
 		return // another thread already rebuilt
 	}
-	next, err := New[uint64, uint64](Config{
-		InitialCapacity:        s.capSlots * 2,
-		DisableAutoGrow:        true,
-		DisableBackgroundSweep: true,
-	})
+	next, err := New[uint64, uint64](Config{InitialCapacity: s.capSlots * 2, DisableAutoGrow: true})
 	if err != nil {
 		panic(err)
 	}
@@ -361,10 +353,9 @@ func timedInserts(writers int, n uint64, insert func(key uint64)) []time.Duratio
 // writers. stw is the rebuild under a write lock above:
 // the insert that finds the table full copies all of it while every other
 // writer waits, so that pause grows with the table. incremental is Table as
-// shipped, with the background sweeper off and MigrateBatch(2) after each
-// insert, as cuckood drives its shards, so that every migrated bucket is
-// charged to a timed insert (its worst case): a grow is a pointer flip plus
-// a bounded batch per operation. Whole fills run until b.N inserts have been
+// shipped, default Config: a grow is a pointer flip, and each insert made
+// while a migration is in flight drains a bounded batch of buckets, beside
+// the background sweeper. Whole fills run until b.N inserts have been
 // made (at least one); the longest insert (max-µs) and the 99th percentile
 // (p99-µs) are averaged over the fills, and ns/op is suppressed.
 func BenchmarkGrowPause(b *testing.B) {
@@ -379,7 +370,7 @@ func BenchmarkGrowPause(b *testing.B) {
 				if mode == "stw" {
 					insert = newSTWTable(initial).insert
 				} else {
-					tab, err := New[uint64, uint64](Config{InitialCapacity: initial, DisableBackgroundSweep: true})
+					tab, err := New[uint64, uint64](Config{InitialCapacity: initial})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -387,7 +378,6 @@ func BenchmarkGrowPause(b *testing.B) {
 						if err := tab.Insert(k, v); err != nil {
 							b.Error(err)
 						}
-						tab.MigrateBatch(2) // as cuckood's request handlers drive it
 					}
 				}
 				lats := timedInserts(writers, n, func(k uint64) { insert(k, k) })

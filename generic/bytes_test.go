@@ -84,30 +84,28 @@ func TestGetBytesEmptyKey(t *testing.T) {
 	}
 }
 
-// TestGetBytesDuringMigration drives an incremental resize and checks
+// TestGetBytesDuringMigration holds an incremental resize open and checks
 // that GetBytes finds keys still parked in the draining generation.
 func TestGetBytesDuringMigration(t *testing.T) {
-	tab := MustNew[string, int](Config{
-		InitialCapacity:        64,
-		DisableBackgroundSweep: true,
-	})
-	n := 0
-	for tab.Len() < tab.Cap()-1 { // fill until the next insert must grow
-		if err := tab.Insert(fmt.Sprintf("key-%d", n), n); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	for i := 0; !tab.Growing(); i++ {
-		if err := tab.Insert(fmt.Sprintf("spill-%d", i), i); err != nil {
+	tab := MustNew[string, int](Config{InitialCapacity: 64})
+	const n = 48
+	for i := range n {
+		if err := tab.Insert(fmt.Sprintf("key-%d", i), i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < n; i++ {
+	if tab.Growing() {
+		t.Fatal("the fill grew the table")
+	}
+	forceGrow(tab) // every key in the draining generation, and no sweeper
+	for i := range n {
 		k := fmt.Sprintf("key-%d", i)
 		if v, ok := GetBytes(tab, []byte(k)); !ok || v != i {
 			t.Fatalf("mid-migration GetBytes(%q) = %d, %v; want %d, true", k, v, ok, i)
 		}
+	}
+	if backlog(tab.loadState()) != 16 {
+		t.Fatalf("backlog %d after the reads, want all 16 buckets: a read drained", backlog(tab.loadState()))
 	}
 }
 

@@ -7,12 +7,13 @@ import (
 )
 
 // cappedTable returns a table that is already at its MaxCapacity, so a
-// failed search ends in ErrFull and never in a grow. It has no background
-// sweeper: a test that forces a grow drains it itself, and no drain's
-// search can still be running, and counted, once the drain is done.
+// failed search ends in ErrFull and never in a grow, and no grow starts a
+// background sweeper: a test that forces a grow (forceGrow) drains it
+// itself, and no drain's search can still be running, and counted, once
+// the drain is done.
 func cappedTable(t *testing.T, slots uint64) *Table[int, int] {
 	t.Helper()
-	tab, err := New[int, int](Config{InitialCapacity: slots, MaxCapacity: slots, DisableBackgroundSweep: true})
+	tab, err := New[int, int](Config{InitialCapacity: slots, MaxCapacity: slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,9 @@ func TestSearchMarkForgotten(t *testing.T) {
 
 	// MaxCapacity forbids a put-driven grow; force one, as a drain
 	// escalation would.
-	tab.growMu.Lock()
-	tab.growLocked(true)
-	tab.growMu.Unlock()
+	forceGrow(tab)
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	if got := tab.loadState().live.fullAt.Load(); got != 0 {
 		t.Fatalf("mark = %d after a grow, want 0", got)

@@ -136,7 +136,7 @@ func slotFaults[K comparable, V any](tab *Table[K, V]) (faults []string) {
 // tag and an entry in a bucket that is neither of its key's two each turn
 // it red.
 func TestCheckSlotsSeesFaults(t *testing.T) {
-	eachConstruction(t, Config{InitialCapacity: 256, DisableBackgroundSweep: true}, func(t *testing.T, tab *Table[string, rec]) {
+	eachConstruction(t, Config{InitialCapacity: 256}, func(t *testing.T, tab *Table[string, rec]) {
 		for i := range 100 {
 			k := fmt.Sprintf("key-%d", i)
 			if err := tab.Insert(k, rec{key: k, n: i + 1}); err != nil {
@@ -204,11 +204,13 @@ func unreadable(tab *Table[string, rec], model map[string]rec) int {
 
 // TestModel drives both constructions through a seeded sequence of every
 // operation against a map oracle, across several grows whose migration
-// advances only when the sequence says so (MigrateBatch is one of the
-// operations), and checks every result, the final contents and the tag of
-// every resident slot.
+// advances only when the sequence says so — by its writes, each draining
+// its share, and by migrateBatch, one of the operations — and checks every
+// result, the final contents and the tag of every resident slot. The table
+// grows through writeGrowing, so no sweeper moves a key while checkOldest
+// reads the buckets.
 func TestModel(t *testing.T) {
-	cfg := Config{InitialCapacity: 64, DisableBackgroundSweep: true}
+	cfg := Config{InitialCapacity: 64, DisableAutoGrow: true}
 	eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
 		rnd := rand.New(rand.NewSource(19))
 		model := map[string]rec{}
@@ -219,14 +221,14 @@ func TestModel(t *testing.T) {
 			val := rec{key: key, n: step}
 			switch op := rnd.Intn(100); {
 			case op < 30:
-				err := tab.Insert(key, val)
+				err := writeGrowing(tab, func() error { return tab.Insert(key, val) })
 				if _, present := model[key]; present != errors.Is(err, ErrExists) || (!present && err != nil) {
 					t.Fatalf("step %d Insert(%s) = %v with present=%v", step, key, err, present)
 				} else if !present {
 					model[key] = val
 				}
 			case op < 50:
-				if err := tab.Upsert(key, val); err != nil {
+				if err := writeGrowing(tab, func() error { return tab.Upsert(key, val) }); err != nil {
 					t.Fatalf("step %d Upsert(%s): %v", step, key, err)
 				}
 				model[key] = val
@@ -250,7 +252,7 @@ func TestModel(t *testing.T) {
 				checkOldest(t, tab, model, key)
 			case op < 98:
 				grewMidway = grewMidway || tab.Growing()
-				tab.MigrateBatch(1 + rnd.Intn(3))
+				tab.migrateBatch(1 + rnd.Intn(3))
 			case op < 99:
 				if step%7 == 0 { // a full walk drains the migration: keep it rare
 					checkRange(t, tab, model)
@@ -390,29 +392,27 @@ func TestTagAndBucketCollisions(t *testing.T) {
 }
 
 // TestTagTravelsWithSlot fills a fixed table to 0.95 — thousands of BFS
-// displacements — and a growing one through several migrations, then
-// requires every key readable and every resident slot to carry its own
-// key's tag. The last part is the mutation check: one deliberately wrong
+// displacements — and a growing one through several migrations, which only
+// its inserts drain (writeGrowing), then requires every key readable and
+// every resident slot to carry its own key's tag. The last part is the mutation check: one deliberately wrong
 // tag must turn both instruments red, or they prove nothing.
 func TestTagTravelsWithSlot(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
 		Config
-		n     int
-		drain int // buckets migrated after each insert
+		n int
 	}{
-		{"displace", Config{InitialCapacity: 4096, MaxCapacity: 4096}, 3891, 0}, // 0.95 of 4096
-		{"migrate", Config{InitialCapacity: 64, DisableBackgroundSweep: true}, 5000, 1},
+		{"displace", Config{InitialCapacity: 4096, MaxCapacity: 4096}, 3891}, // 0.95 of 4096
+		{"migrate", Config{InitialCapacity: 64, DisableAutoGrow: true}, 5000},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			eachConstruction(t, cfg.Config, func(t *testing.T, tab *Table[string, rec]) {
 				model := map[string]rec{}
 				for i := 0; i < cfg.n; i++ {
 					v := rec{key: fmt.Sprintf("fill-%d", i), n: i}
-					if err := tab.Insert(v.key, v); err != nil {
+					if err := writeGrowing(tab, func() error { return tab.Insert(v.key, v) }); err != nil {
 						t.Fatalf("Insert #%d at load %.3f: %v", i, tab.LoadFactor(), err)
 					}
-					tab.MigrateBatch(cfg.drain)
 					model[v.key] = v
 				}
 				st := tab.Stats()
@@ -469,8 +469,7 @@ func TestStripesNeverExceedBuckets(t *testing.T) {
 		{4096, 4096, 8192, 512}, // and an explicit larger one is clamped too
 		{8, 8, 0, 1},            // two buckets at the cap share the one stripe
 	} {
-		tab, err := New[int, int](Config{InitialCapacity: tc.initial, MaxCapacity: tc.max, LockStripes: tc.stripes,
-			DisableBackgroundSweep: true})
+		tab, err := New[int, int](Config{InitialCapacity: tc.initial, MaxCapacity: tc.max, LockStripes: tc.stripes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +513,7 @@ func TestConcurrentKeyed(t *testing.T) {
 						t.Errorf("Insert(%s): %v", k, err)
 						return
 					}
-					tab.MigrateBatch(1)
+					tab.migrateBatch(1)
 					if i%3 == 0 {
 						if err := tab.Upsert(k, rec{key: k, n: -i}); err != nil {
 							t.Errorf("Upsert(%s): %v", k, err)
@@ -553,7 +552,7 @@ func TestConcurrentKeyed(t *testing.T) {
 					}
 					if n%64 == 0 {
 						tab.Oldest(k, func(a, b rec) bool { return a.n < b.n })
-						tab.MigrateBatch(2)
+						tab.migrateBatch(2)
 					}
 				}
 			}(r)
@@ -577,7 +576,7 @@ func TestConcurrentKeyed(t *testing.T) {
 			}
 		}
 		for tab.Growing() {
-			tab.MigrateBatch(64)
+			tab.migrateBatch(64)
 		}
 		checkSlots(t, tab)
 	})
@@ -590,7 +589,7 @@ func TestConcurrentKeyed(t *testing.T) {
 func TestKeyedSlotBytes(t *testing.T) {
 	const slots = 1 << 18
 	base := liveHeap()
-	tab, err := NewKeyed(Config{InitialCapacity: slots, DisableBackgroundSweep: true}, func(r *rec) string { return r.key })
+	tab, err := NewKeyed(Config{InitialCapacity: slots}, func(r *rec) string { return r.key })
 	if err != nil {
 		t.Fatal(err)
 	}

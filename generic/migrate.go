@@ -3,15 +3,15 @@ package generic
 // Incremental two-generation resize. A grow no longer stops the world: it
 // allocates a bucket array half again as large alongside the old one,
 // publishes both behind a single generation-state pointer, and drains the
-// old buckets a bounded batch at a time — from MigrateBatch calls, from an
-// optional background sweeper and, when those fall behind the writes,
-// from the writes themselves (keepPace) — while every operation on a key
+// old buckets a bounded batch at a time while every operation on a key
 // holds that key's stripes in all published generations (pin) and probes
-// them all (locate). An owner that calls MigrateBatch after each write,
-// as cuckood's request handlers do so that the work lands in the
-// request's migrate stage, keeps ahead, and its writes drain nothing
-// themselves. The scheme follows the page-by-page rehash of "Cuckoo
-// Hashing with Pages" (arXiv:1104.5111) and the two-table read discipline of
+// them all (locate). The table paces its own drain, and nothing outside it
+// can: every Insert, Upsert and Delete made while a migration is in flight
+// drains writeDrain buckets once it has released its stripes, and the
+// background sweeper a grow starts finishes the migration of a table that
+// stops seeing writes. The scheme follows the page-by-page rehash of
+// "Cuckoo Hashing with Pages" (arXiv:1104.5111), which paces the rehash
+// with the table's own operations, and the two-table read discipline of
 // "Lock-Free Hopscotch Hashing" (arXiv:1911.03028): a version (epoch) word
 // tells concurrent operations that the generation set changed, and
 // per-bucket migrated marks make the old generation write-once-drained.
@@ -58,7 +58,6 @@ type oldGen[K comparable, V any] struct {
 	marks     []atomic.Uint32 // 32 buckets per word
 	next      atomic.Uint64   // next bucket index to claim
 	remaining atomic.Int64    // unmarked buckets; 0 = fully drained
-	writes    atomic.Uint64   // writes made while this is the oldest generation
 }
 
 func newOldGen[K comparable, V any](arr *tArrays[K, V]) *oldGen[K, V] {
@@ -177,7 +176,9 @@ func backlog[K comparable, V any](st *genState[K, V]) uint64 {
 
 // grow starts an incremental migration if the live arrays still have
 // observedBuckets buckets (a concurrent grow already helped otherwise),
-// returning false only when Config.MaxCapacity forbids further growth.
+// returning false only when Config.MaxCapacity forbids further growth. The
+// migration it starts gets a background sweeper, so it finishes even if
+// the writes that pace it stop.
 //
 //cuckoo:coldpath a grow allocates the new generation by definition; bounded by log1.5(capacity) occurrences
 func (t *Table[K, V]) grow(observedBuckets uint64) bool {
@@ -187,14 +188,21 @@ func (t *Table[K, V]) grow(observedBuckets uint64) bool {
 	if t.loadState().live.buckets != observedBuckets {
 		return true // raced with another grow; caller just retries
 	}
-	return t.growLocked(false)
+	if !t.growLocked(false) {
+		return false
+	}
+	go t.sweepMigration()
+	return true
 }
 
 // growLocked publishes a live generation of ⌈1.5·n⌉ buckets rounded up to
 // even and queues the current live arrays for draining. Caller holds
 // growMu. force ignores MaxCapacity: the migrator uses it to guarantee
 // drain termination, so the configured bound is a bound on put-driven
-// growth, not a hard cap on transient capacity.
+// growth, not a hard cap on transient capacity. It starts no sweeper (grow
+// does): the only other grow is an escalation mid-drain, whose migration
+// whoever is draining finishes — Range's or Clear's synchronous drain, or
+// the writes and the sweeper the first grow started.
 //
 // Half again, not double: a table that grows when full at load f is f/1.5
 // full after a grow instead of f/2 (about 0.64 instead of 0.48 at B = 4),
@@ -231,47 +239,24 @@ func (t *Table[K, V]) growLocked(force bool) bool {
 		f(GrowEvent{Kind: GrowStart, FromBuckets: live.buckets,
 			ToBuckets: newBuckets, Backlog: backlog(next)})
 	}
-	if !t.cfg.DisableBackgroundSweep {
-		go t.sweepMigration()
-	}
 	return true
 }
 
-// keepPace is the writes' own migration driver: while the table drives
-// its migrations (its sweeper is on), each write counts against the
-// oldest draining generation, and a write that finds fewer of its buckets
-// drained than writes made drains paceBatch buckets itself. An owner
-// calling MigrateBatch after each write, or a sweeper that keeps up,
-// stays ahead, and writes drain nothing. A sweeper that fell behind an
-// insert loop would otherwise let the live arrays fill before the old
-// ones empty: keys stay in the old generation, the next grow stacks a
-// third, and the drain escalates past MaxCapacity.
-//
-//cuckoo:coldpath drain work only exists while a resize is in flight; at most paceBatch buckets per write
-func (t *Table[K, V]) keepPace() {
-	st := t.loadState()
-	if len(st.olds) == 0 || t.cfg.DisableBackgroundSweep {
-		return
-	}
-	// writes > drained + paceBatch, where drained = buckets - remaining.
-	if g := st.olds[0]; g.writes.Add(1)+uint64(g.remaining.Load()) > g.arr.buckets+paceBatch {
-		t.MigrateBatch(paceBatch)
-	}
-}
+// writeDrain is how many old-generation buckets each write drains while
+// a migration is in flight: a generation of n buckets is drained within
+// n/2 writes, while the live arrays, 1.5·n buckets holding its keys at
+// about 0.64 load, take about 1.9·n more keys before they fill. A write
+// pays at most a couple of bucket moves for it.
+const writeDrain = 2
 
-// paceBatch is keepPace's drain and its slack: a write drains once the
-// writes made outnumber the oldest generation's drained buckets by more
-// than paceBatch. A generation of n buckets, published under a live one
-// of 1.5·n at about 0.64 load, is then drained within n writes, while the
-// live arrays take about 1.9·n more keys before they fill.
-const paceBatch = 2
-
-// MigrateBatch drains up to max old-generation buckets into the live
+// migrateBatch drains up to max old-generation buckets into the live
 // arrays, oldest generation first, and returns how many buckets this
-// call drained. It returns 0 when no migration is in flight. The server
-// layer calls it from request handlers so migration cost appears as an
-// attributed span stage rather than hiding inside table operations.
-func (t *Table[K, V]) MigrateBatch(max int) int {
+// call drained. It returns 0, after one atomic load, when no migration is
+// in flight. Writes call it with writeDrain, the sweeper with
+// sweepBatchBuckets.
+//
+//cuckoo:coldpath drain work only exists while a resize is in flight; at most writeDrain buckets per write
+func (t *Table[K, V]) migrateBatch(max int) int {
 	done := 0
 	for done < max {
 		st := t.loadState()
@@ -307,7 +292,7 @@ func (t *Table[K, V]) MigrateBatch(max int) int {
 // management is needed.
 func (t *Table[K, V]) sweepMigration() {
 	for {
-		n := t.MigrateBatch(sweepBatchBuckets)
+		n := t.migrateBatch(sweepBatchBuckets)
 		if !t.Growing() {
 			return
 		}

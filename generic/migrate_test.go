@@ -7,42 +7,30 @@ import (
 	"testing"
 )
 
-// noSweepTable returns a table whose migration advances only through
-// explicit MigrateBatch calls, so tests can hold a migration open and
-// observe the two-generation state deterministically.
-func noSweepTable(t *testing.T, initial, max uint64) *Table[int, int] {
+// fillUntilGrow inserts ascending keys into a fresh 64-slot table through
+// tryPut, which neither grows nor drains, until one is refused, then forces
+// a grow. It returns the table and how many keys it holds, every one of
+// them in the draining generation: forceGrow starts no sweeper and no write
+// has run since, so the migration advances only through the test's own
+// writes and migrateBatch calls.
+func fillUntilGrow(t *testing.T, cfg Config) (*Table[int, int], int) {
 	t.Helper()
-	tab, err := New[int, int](Config{
-		InitialCapacity:        initial,
-		MaxCapacity:            max,
-		DisableBackgroundSweep: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-// fillUntilGrow inserts ascending keys until the table starts a grow,
-// returning how many keys were inserted.
-func fillUntilGrow(t *testing.T, tab *Table[int, int]) int {
-	t.Helper()
+	cfg.InitialCapacity = 64
+	tab := MustNew[int, int](cfg)
 	for i := 0; ; i++ {
-		if err := tab.Insert(i, i*3); err != nil {
+		switch err := tab.tryPut(i, i*3, false); err {
+		case nil:
+		case ErrFull:
+			forceGrow(tab)
+			return tab, i
+		default:
 			t.Fatalf("insert %d: %v", i, err)
-		}
-		if tab.Growing() {
-			return i + 1
-		}
-		if i > 1<<20 {
-			t.Fatal("table never grew")
 		}
 	}
 }
 
 func TestIncrementalGrowKeepsKeysVisible(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
-	n := fillUntilGrow(t, tab)
+	tab, n := fillUntilGrow(t, Config{})
 
 	// Migration is in flight: every key must be readable from whichever
 	// generation currently holds it.
@@ -58,7 +46,7 @@ func TestIncrementalGrowKeepsKeysVisible(t *testing.T) {
 	// Drain in bounded batches; backlog must reach zero and the old
 	// generation must be retired.
 	for tab.Growing() {
-		if tab.MigrateBatch(4) == 0 && tab.Growing() {
+		if tab.migrateBatch(4) == 0 && tab.Growing() {
 			t.Fatal("migration stalled with a nonzero backlog")
 		}
 	}
@@ -83,15 +71,13 @@ func TestIncrementalGrowKeepsKeysVisible(t *testing.T) {
 }
 
 func TestMigrationEpochAdvances(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
-	e0 := tab.MigrationEpoch()
-	fillUntilGrow(t, tab)
+	tab, _ := fillUntilGrow(t, Config{}) // from a fresh table's epoch 0
 	e1 := tab.MigrationEpoch()
-	if e1 == e0 {
+	if e1 == 0 {
 		t.Fatal("epoch did not advance at grow start")
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(16)
+		tab.migrateBatch(16)
 	}
 	if tab.MigrationEpoch() == e1 {
 		t.Fatal("epoch did not advance at migration finish")
@@ -99,19 +85,21 @@ func TestMigrationEpochAdvances(t *testing.T) {
 }
 
 func TestWritesLandInLiveGeneration(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
-	n := fillUntilGrow(t, tab)
+	tab, n := fillUntilGrow(t, Config{})
 	if !tab.Growing() {
 		t.Fatal("expected migration in flight")
 	}
 
-	// Upsert every key while the migration is held open: each value
-	// must fold forward into the live generation, and deletes must find
-	// keys wherever they live.
+	// Overwrite every key while the migration is held open (tryPut is an
+	// Upsert that drains nothing): each value must fold forward into the
+	// live generation, and deletes must find keys wherever they live.
 	for i := 0; i < n; i++ {
-		if err := tab.Upsert(i, i*7); err != nil {
+		if err := tab.tryPut(i, i*7, true); err != nil {
 			t.Fatalf("mid-migration Upsert(%d): %v", i, err)
 		}
+	}
+	if b := backlog(tab.loadState()); b != 16 {
+		t.Fatalf("backlog %d after the overwrites, want all 16 buckets", b)
 	}
 	// A key folded forward already held a slot: it is moved, not added.
 	if got := tab.Len(); got != uint64(n) {
@@ -128,7 +116,7 @@ func TestWritesLandInLiveGeneration(t *testing.T) {
 		}
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(16)
+		tab.migrateBatch(16)
 	}
 	for i := 0; i < n; i++ {
 		v, ok := tab.Get(i)
@@ -174,9 +162,10 @@ func TestMaxCapacityBoundsGrowth(t *testing.T) {
 func TestGrowthSchedule(t *testing.T) {
 	var grows []uint64
 	cfg := Config{
-		InitialCapacity:        8192,
-		MaxCapacity:            65536,
-		DisableBackgroundSweep: true, // every grow event on this goroutine
+		InitialCapacity: 8192,
+		MaxCapacity:     65536,
+		// A put-driven grow starts on this goroutine; only an escalation,
+		// which this test rules out, could start on a sweeper.
 		OnGrowEvent: func(ev GrowEvent) {
 			if ev.Kind == GrowStart {
 				grows = append(grows, ev.ToBuckets)
@@ -209,8 +198,7 @@ func TestGrowthSchedule(t *testing.T) {
 }
 
 func TestRangeCompletesInFlightMigration(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
-	n := fillUntilGrow(t, tab)
+	tab, n := fillUntilGrow(t, Config{})
 	if !tab.Growing() {
 		t.Fatal("expected migration in flight")
 	}
@@ -231,25 +219,15 @@ func TestRangeCompletesInFlightMigration(t *testing.T) {
 func TestGrowEvents(t *testing.T) {
 	var mu sync.Mutex
 	var events []GrowEvent
-	tab, err := New[int, int](Config{
-		InitialCapacity:        64,
-		DisableBackgroundSweep: true,
+	tab, _ := fillUntilGrow(t, Config{
 		OnGrowEvent: func(ev GrowEvent) {
 			mu.Lock()
 			events = append(events, ev)
 			mu.Unlock()
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; !tab.Growing(); i++ {
-		if err := tab.Insert(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for tab.Growing() {
-		tab.MigrateBatch(16)
+		tab.migrateBatch(16)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -266,7 +244,7 @@ func TestGrowEvents(t *testing.T) {
 }
 
 func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
+	tab := MustNew[int, int](Config{InitialCapacity: 64})
 	const (
 		workers = 4
 		perW    = 4000
@@ -281,7 +259,7 @@ func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tab.MigrateBatch(2)
+				tab.migrateBatch(2)
 			}
 		}
 	}()
@@ -308,7 +286,7 @@ func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
 	close(stop)
 	migrators.Wait()
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	if got := tab.Len(); got != workers*perW {
 		t.Fatalf("Len = %d, want %d", got, workers*perW)
@@ -343,7 +321,7 @@ func TestChainedGrowUnderSustainedInserts(t *testing.T) {
 		}
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	checkSlots(t, tab)
 }
@@ -356,13 +334,52 @@ func TestChainedGrowUnderSustainedInserts(t *testing.T) {
 // generation while no draining one retired, and a table growing by half
 // could come to hold more keys than its live generation has slots.
 func TestDrainPassesAStalledClaim(t *testing.T) {
-	tab := noSweepTable(t, 64, 0)
-	fillUntilGrow(t, tab)
-	tab.loadState().olds[0].next.Add(1) // bucket 0, claimed by nobody who will drain it
+	tab, _ := fillUntilGrow(t, Config{})
+	g := tab.loadState().olds[0]
+	g.next.Add(1) // bucket 0, claimed by nobody who will drain it
 	for tab.Growing() {
-		if tab.MigrateBatch(4) == 0 && tab.Growing() {
+		if tab.migrateBatch(4) == 0 && tab.Growing() {
 			t.Fatalf("the drain stalled behind a claimed bucket, backlog %d", backlog(tab.loadState()))
 		}
 	}
+	if b := g.firstUnmarked(); b != g.arr.buckets {
+		t.Fatalf("bucket %d of the retired generation is unmarked", b)
+	}
 	checkSlots(t, tab)
+}
+
+// TestDrainEscalates: a draining generation whose keys no longer fit in a
+// full live one neither stalls nor loses a key: its drain grows the table
+// again, past any cap, whether the drain holds growMu (Range's) or takes it
+// (migrateBatch's).
+func TestDrainEscalates(t *testing.T) {
+	for _, walk := range []bool{true, false} {
+		t.Run(fmt.Sprintf("range=%v", walk), func(t *testing.T) {
+			tab := MustNew[int, int](Config{InitialCapacity: 64})
+			n := 0
+			fill := func() { // to the first refusal, with no grow and no drain
+				for ; tab.tryPut(n, n, false) == nil; n++ {
+				}
+			}
+			fill()
+			forceGrow(tab)
+			fill() // the live generation is full beside the draining one
+			grows := tab.Stats().Grows
+			if walk {
+				tab.Items()
+			}
+			for tab.Growing() {
+				tab.migrateBatch(64)
+			}
+			if tab.Stats().Grows == grows {
+				t.Fatal("the drain found room for every key in a full live generation")
+			}
+			for k := range n {
+				if v, ok := tab.Get(k); !ok || v != k {
+					t.Fatalf("Get(%d) = %d, %v after the escalated drain", k, v, ok)
+				}
+			}
+			checkSlots(t, tab)
+		})
+	}
 }

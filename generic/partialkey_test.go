@@ -162,7 +162,7 @@ func TestInsertPathReadsNoItem(t *testing.T) {
 			const slots = 1 << 16
 			keyOfs := 0
 			tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: tc.assoc,
-				DisableAutoGrow: true, DisableBackgroundSweep: true},
+				DisableAutoGrow: true},
 				func(r *rec) string { keyOfs++; return r.key })
 			if err != nil {
 				t.Fatal(err)
@@ -226,7 +226,7 @@ func sameBucket(t *testing.T, tab *Table[string, rec], buckets uint64) (a, twin,
 // it lands, and nothing is lost or misplaced. A key with another tag is not
 // the path's to move: the hop is refused and the table is left as it was.
 func TestDisplaceMovesSameTagOccupant(t *testing.T) {
-	cfg := Config{InitialCapacity: 256, MaxCapacity: 256, DisableBackgroundSweep: true}
+	cfg := Config{InitialCapacity: 256, MaxCapacity: 256}
 	for _, tc := range []struct {
 		name  string
 		moves bool
@@ -382,7 +382,7 @@ func TestSmallTableFixtures(t *testing.T) {
 	base = liveHeap()
 	var tabs [tables]*Table[string, *rec]
 	for i := range tabs {
-		tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, DisableBackgroundSweep: true},
+		tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots},
 			func(r *rec) string { return r.key })
 		if err != nil {
 			t.Fatal(err)

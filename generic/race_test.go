@@ -53,7 +53,7 @@ func TestInsertIfAbsentAtomicity(t *testing.T) {
 		}
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	checkSlots(t, tab)
 }
@@ -95,7 +95,7 @@ func TestGetWhileGrowing(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	checkSlots(t, tab)
 }
@@ -113,7 +113,7 @@ func TestSearchRacesWriters(t *testing.T) {
 	for _, assoc := range []int{4, 8} {
 		t.Run(fmt.Sprintf("B%d", assoc), func(t *testing.T) {
 			tab, err := New[int, int](Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: assoc,
-				DisableAutoGrow: true, DisableBackgroundSweep: true})
+				DisableAutoGrow: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,11 +69,14 @@ func TestSharedStripeKey(t *testing.T) {
 	if tags := sharedStripeTags(512, 1); len(tags) != 255 {
 		t.Fatalf("%d tags share the one stripe, want all 255", len(tags))
 	}
-	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, LockStripes: 1, DisableBackgroundSweep: true}
+	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, LockStripes: 1}
 	t.Run("sequence", func(t *testing.T) {
 		eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
 			keys := sharedStripeKeys("shared", 64)
 			completes("one goroutine's operations", func() { sharedStripeSequence(t, tab, keys) })
+			for tab.Growing() { // the fill's grow to the cap started a sweeper
+				tab.migrateBatch(64)
+			}
 			checkSlots(t, tab)
 		})
 	})
@@ -85,7 +88,7 @@ func TestSharedStripeKey(t *testing.T) {
 			}
 			completes("the concurrent phase", func() { sharedStripeConcurrent(t, tab, keys) })
 			for tab.Growing() {
-				tab.MigrateBatch(64)
+				tab.migrateBatch(64)
 			}
 			checkSlots(t, tab)
 		})
@@ -123,7 +126,7 @@ func sharedStripeSequence(t *testing.T, tab *Table[string, rec], keys []string) 
 		t.Errorf("Delete(%s) mid-migration found nothing", keys[0])
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(1)
+		tab.migrateBatch(1)
 	}
 	for i, k := range keys[1:5] {
 		if v, ok := tab.Get(k); !ok || v.n != i+1 {
@@ -195,7 +198,7 @@ func sharedStripeConcurrent(t *testing.T, tab *Table[string, rec], keys [][]stri
 	go func() {
 		defer wg.Done()
 		for tab.Growing() {
-			tab.MigrateBatch(1)
+			tab.migrateBatch(1)
 		}
 	}()
 	go func() {

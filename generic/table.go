@@ -32,9 +32,10 @@
 // slot's tag cannot) and Range.
 // Resizing is incremental: a grow publishes a live generation half again
 // as large next to the old one and drains it a bounded batch of buckets at
-// a time (migrate.go: the owner's MigrateBatch calls, the background
-// sweeper and, when those lag, the writes drive it), so no operation ever pauses for a full-table rehash
-// and nothing outside tests takes the whole stripe table.
+// a time, so no operation ever pauses for a full-table rehash and nothing
+// outside tests takes the whole stripe table. The table alone paces the
+// drain (migrate.go): each write made during a migration drains two
+// buckets, and a background sweeper finishes it once the writes stop.
 package generic
 
 import (
@@ -83,14 +84,6 @@ type Config struct {
 	// DisableAutoGrow turns off resize-on-full; Insert then returns
 	// ErrFull like the fixed-size tables.
 	DisableAutoGrow bool
-	// DisableBackgroundSweep stops the table driving its migrations
-	// itself: grows spawn no background drain goroutine and writes do not
-	// catch a lagging migration up, so a migration advances only through
-	// explicit MigrateBatch calls, which the owner must make. Without it,
-	// an owner that calls MigrateBatch after each write (the server, from
-	// its request handlers) still drives the migration alone, since its
-	// writes then never find it lagging. Useful for deterministic tests.
-	DisableBackgroundSweep bool
 	// OnGrowEvent, when non-nil, is called at every grow state change
 	// (start and finish) from the goroutine driving the transition. It
 	// must be fast and must not call back into the table.
@@ -515,7 +508,7 @@ func (t *Table[K, V]) Upsert(key K, val V) error {
 
 // put is the shared write loop behind Insert and Upsert: the in-place
 // fast path, then BFS path search (the audited slow path), growing as
-// needed, then a migration drain if the migration lags the writes.
+// needed, then the write's share of an in-flight migration's drain.
 //
 //cuckoo:hotpath the table write path; search/grow/migrate are the audited slow paths
 func (t *Table[K, V]) put(key K, val V, overwrite bool) error {
@@ -527,7 +520,7 @@ func (t *Table[K, V]) put(key K, val V, overwrite bool) error {
 				continue
 			}
 		}
-		t.keepPace()
+		t.migrateBatch(writeDrain)
 		return err
 	}
 }
@@ -704,7 +697,8 @@ func (t *Table[K, V]) freeSlot(ws []uint32) (int, bool) {
 
 // Delete removes key, reporting whether it was present. The removal may
 // land in either generation — clearing an old-generation slot is the
-// same write migration itself performs.
+// same write migration itself performs — and, like a put, pays its share
+// of an in-flight migration's drain once its stripes are released.
 func (t *Table[K, V]) Delete(key K) bool {
 	h := t.hash(key)
 	var lockBuf [8]uint64
@@ -715,6 +709,7 @@ func (t *Table[K, V]) Delete(key K) bool {
 		t.size.Add(b, -1)
 	}
 	t.locks.UnlockOrdered(locked)
+	t.migrateBatch(writeDrain)
 	return found
 }
 

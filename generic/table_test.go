@@ -151,7 +151,7 @@ func TestConcurrentMixedGeneric(t *testing.T) {
 		t.Fatalf("Len = %d want %d", got, want)
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	checkSlots(t, tab)
 }
@@ -190,7 +190,7 @@ func TestConcurrentInsertWithAutoGrow(t *testing.T) {
 		}
 	}
 	for tab.Growing() {
-		tab.MigrateBatch(64)
+		tab.migrateBatch(64)
 	}
 	checkSlots(t, tab)
 }

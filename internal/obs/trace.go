@@ -36,15 +36,13 @@ const (
 	StageDispatch
 	// StageLock: acquiring key-stripe locks (txn layer).
 	StageLock
-	// StageProbe: cuckoo-table reads and writes under the stripe.
+	// StageProbe: cuckoo-table reads and writes under the stripe,
+	// including the bucket drain a write pays while its shard grows.
 	StageProbe
 	// StageEvict: eviction passes on ErrFull retry loops.
 	StageEvict
 	// StageTxnRetry: failed optimistic commit attempts (OCC retries).
 	StageTxnRetry
-	// StageMigrate: incremental-resize bucket batches this request drove
-	// forward (the bounded per-op migration work during a grow).
-	StageMigrate
 	// StageFlush: writing the batched reply to the socket.
 	StageFlush
 	// StageRepl: applying inbound replication traffic (REPLSET/REPLDEL
@@ -62,7 +60,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"read", "parse", "dispatch", "lock", "probe", "evict",
-	"txn_retry", "migrate", "flush", "repl", "lease", "other",
+	"txn_retry", "flush", "repl", "lease", "other",
 }
 
 // String returns the stage's label as exported on /metrics.

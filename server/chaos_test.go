@@ -181,10 +181,12 @@ func TestChaosNoAcknowledgedWriteLost(t *testing.T) {
 //     grow either succeeds or fails like any other faulted op;
 //   - durability: no acknowledged SET is lost across the grows (writes
 //     land in the live generation, reads consult old generations);
-//   - bounded latency: a grow shows up as per-op migration batches, not a
-//     stop-the-world rebuild, so the client-visible p99 stays small;
-//   - completion: once load stops, the background sweeper drains every
-//     old generation to a zero backlog.
+//   - bounded latency: a grow shows up as the two-bucket drain each table
+//     write pays while it is in flight, not a stop-the-world rebuild, so
+//     the client-visible p99 stays small;
+//   - completion: once load stops, the table's own background sweeper,
+//     which the grow started, drains every old generation to a zero
+//     backlog.
 func TestChaosGrowUnderLoad(t *testing.T) {
 	plan := chaosPlan(0x6120F)
 	s, err := New(Config{

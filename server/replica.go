@@ -84,8 +84,10 @@ func (r *replState) peerFor(key string) *replPeer {
 // versioned tombstone. Called from Cache.store / Cache.remove with the
 // key's stripe held: the log append spins (never parks) and the wake-up
 // send is non-blocking. The log entry outlives the request, until the
-// mirror worker drains it or the ring drops it, so a stored item is
-// copied for it: the log never keeps a since-replaced item alive.
+// mirror worker drains it or the ring drops it, and aliases the stored
+// item: items are immutable, so it keeps alive the bytes a copy would,
+// without allocating one, and none beyond the table's while the key is
+// unchanged.
 func (c *Cache) replEnqueue(key string, it item) {
 	r := c.repl
 	if r == nil {
@@ -99,10 +101,7 @@ func (c *Cache) replEnqueue(key string, it item) {
 	if it.isZero() {
 		ent.Key, ent.Ver, ent.Del = key, c.nextVersion(), true
 	} else {
-		// The log's own copy: one more item, made only when replication
-		// is on and the key has a peer.
-		own := newItem(it.ver(), it.expireAt(), it.key(), it.val())
-		ent.Key, ent.Val, ent.ExpireAt, ent.Ver = own.key(), own.val(), own.expireAt(), own.ver()
+		ent.Key, ent.Val, ent.ExpireAt, ent.Ver = it.key(), it.val(), it.expireAt(), it.ver()
 	}
 	p.log.Append(ent)
 	c.stats.replEnqueued.Add(1)
@@ -123,8 +122,8 @@ func (c *Cache) replEnqueue(key string, it item) {
 // (MIGRATE and replication catch-up): all are "replica" writes in the
 // sense that they carry an origin version that must be preserved, not
 // reassigned. An applied one supersedes whatever a filler read before it,
-// so — like every local write (Cache.wrote) — it kills the key's
-// outstanding fill lease, here, for all of those callers at once.
+// so, like every local write, it passes through Cache.wrote, which kills
+// the key's outstanding fill lease, here, for all of those callers at once.
 func (c *Cache) applyReplicaSet(key, val []byte, expireAt int64, ver uint64, sp *obs.Span) (bool, error) {
 	c.observeVersion(ver)
 	it, err := c.put(c.shardForBytes(key), key, val, expireAt, ver, true, sp)
@@ -132,7 +131,7 @@ func (c *Cache) applyReplicaSet(key, val []byte, expireAt int64, ver uint64, sp 
 		return false, nil
 	}
 	if err == nil {
-		c.leaseInvalidate(it.key())
+		c.wrote(it.key())
 	}
 	return err == nil, err
 }
@@ -154,7 +153,7 @@ func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 		}
 	})
 	if applied {
-		c.leaseInvalidate(key)
+		c.wrote(key)
 	}
 	return applied
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"net"
 	"os"
 	"path/filepath"
@@ -374,6 +375,47 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if err := src.SaveSnapshot(&failingWriter{room: at}); !errors.Is(err, errWriteFailed) {
 			t.Errorf("writer failing at byte %d: SaveSnapshot = %v, want its error", at, err)
 		}
+	}
+}
+
+// TestSnapshotLoadsVersion1: a stream in the pre-replication format —
+// version 1, records without the version word — still loads, every record
+// at version 0, which any replicated write then beats. The stream is built
+// by hand, as a version-1 writer laid it out, since nothing writes one now.
+func TestSnapshotLoadsVersion1(t *testing.T) {
+	var body []byte
+	u32 := func(v uint32) { body = binary.LittleEndian.AppendUint32(body, v) }
+	u64 := func(v uint64) { body = binary.LittleEndian.AppendUint64(body, v) }
+	u64(cacheSnapMagic)
+	u64(cacheSnapVersionNoVer)
+	const records = 3
+	for i := range records {
+		key, val := fmt.Sprintf("v1-key-%d", i), fmt.Sprintf("v1 value %d", i)
+		u32(uint32(len(key)))
+		body = append(body, key...)
+		u32(uint32(len(val)))
+		body = append(body, val...)
+		u64(0) // expireAt: none
+	}
+	u32(cacheSnapEnd)
+	u64(records)
+	stream := binary.LittleEndian.AppendUint64(body, crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+
+	s := startServer(t, Config{})
+	if n, err := s.cache.LoadSnapshot(bytes.NewReader(stream)); err != nil || n != records {
+		t.Fatalf("LoadSnapshot(version 1) = %d, %v; want %d records", n, err, records)
+	}
+	c := dialRaw(t, s)
+	for i := range records {
+		if got, want := c.roundTrip(fmt.Sprintf("GETV v1-key-%d", i)), fmt.Sprintf("VALUEV 0 v1 value %d", i); got != want {
+			t.Fatalf("GETV v1-key-%d = %q, want %q", i, got, want)
+		}
+	}
+	if got := c.roundTrip("REPLSET v1-key-1 1 0 replicated"); got != "OK" {
+		t.Fatalf("REPLSET at version 1 over a version-1 record = %q, want OK", got)
+	}
+	if got := c.roundTrip("GETV v1-key-1"); got != "VALUEV 1 replicated" {
+		t.Fatalf("GETV after the REPLSET = %q, want VALUEV 1 replicated", got)
 	}
 }
 

@@ -52,13 +52,6 @@ const maxEvictTries = 8
 // that stops short of it is about 0.79 full on average, not 0.69.
 const growInitialDivisor = 8
 
-// migrateBatchPerOp is how many old-generation buckets each mutating
-// request drains when its shard has a resize in flight. Two buckets
-// bounds the added tail latency to a couple of bucket moves while still
-// guaranteeing forward progress proportional to write traffic; the
-// table's background sweeper handles the idle-shard case.
-const migrateBatchPerOp = 2
-
 // Cache is the sharded store behind the daemon. Keys are hashed to one of
 // N independent cuckoo tables, so a Grow or stripe-lock convoy in one
 // shard never stalls traffic to the others. All methods are safe for
@@ -123,7 +116,10 @@ type shard struct {
 // last grow reaches exactly (rounded down to a multiple of eight slots:
 // an even number of four-slot buckets), with the table's incremental
 // two-generation migration — a grow never blocks the request loop behind a
-// stop-the-world rehash.
+// stop-the-world rehash. The table paces that migration itself: each table
+// write made while a shard grows drains two old buckets as part of the
+// write, and the sweeper the grow starts finishes it once the writes stop.
+// The cache drives nothing.
 func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 	if shards < 1 {
 		shards = 1
@@ -150,10 +146,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		t, err := generic.NewKeyed(generic.Config{
 			InitialCapacity: initial,
 			MaxCapacity:     slotsPerShard,
-			// The server drives migration itself (driveMigration) so the
-			// batch work lands inside the request's span as StageMigrate;
-			// the table's background sweeper stays on for idle shards.
-			OnGrowEvent: c.growEventFunc(i),
+			OnGrowEvent:     c.growEventFunc(i),
 		}, item.key)
 		if err != nil {
 			return nil, err
@@ -187,23 +180,6 @@ func (c *Cache) growEventFunc(i int) func(generic.GrowEvent) {
 			h(i, ev)
 		}
 	}
-}
-
-// driveMigration advances an in-flight incremental resize on shard si by
-// a bounded batch, attributing the work to sp as StageMigrate. Mutating
-// verbs call this so migration progress scales with write traffic; the
-// Growing check is one atomic load, so the common no-grow case costs
-// nothing.
-//
-//cuckoo:coldpath migration work exists only while a shard resize is in flight; bounded to migrateBatchPerOp buckets
-func (c *Cache) driveMigration(si int, sp *obs.Span) {
-	t := c.shards[si].table
-	if !t.Growing() {
-		return
-	}
-	t0 := sp.Begin()
-	t.MigrateBatch(migrateBatchPerOp)
-	sp.End(obs.StageMigrate, t0)
 }
 
 // nextVersion issues the next write version: wall-clock nanoseconds,
@@ -386,7 +362,7 @@ func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, e
 		return 0, err
 	}
 	c.stats.count(si, statSets)
-	c.wrote(si, it.key(), sp)
+	c.wrote(it.key())
 	return it.ver(), nil
 }
 
@@ -446,21 +422,13 @@ func (c *Cache) evicting(si int, key []byte, sp *obs.Span, attempt func() error)
 	}
 }
 
-// wrote is the one post-write step: every acknowledged client-visible
-// mutation of key — whatever the verb, alone or inside EXEC — passes
-// through here once it has applied. It kills any outstanding fill lease
-// on the key, so an in-flight SETL holding a now-stale token loses its
-// ValidateRelease, and advances an in-flight resize of the key's shard
-// so migration progress scales with write traffic.
-func (c *Cache) wrote(si int, key string, sp *obs.Span) {
-	c.leaseInvalidate(key)
-	c.driveMigration(si, sp)
-}
-
-// leaseInvalidate drops key's outstanding fill lease, if any. Gated on
-// one atomic load: the write path pays nothing when no leases are
-// outstanding anywhere.
-func (c *Cache) leaseInvalidate(key string) {
+// wrote is the one post-write step: every applied mutation of key —
+// whatever the verb, alone or inside EXEC, local or replicated — passes
+// through here. It kills any outstanding fill lease on the key, so an
+// in-flight SETL holding a now-stale token loses its ValidateRelease.
+// Gated on one atomic load: the write path pays nothing when no leases
+// are outstanding anywhere.
+func (c *Cache) wrote(key string) {
 	if c.leases.Active() > 0 {
 		c.leases.Invalidate(key)
 	}
@@ -490,7 +458,7 @@ func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
 	err := c.evicting(si, []byte(key), sp, apply)
 	if err == nil {
 		c.stats.count(si, statIncrs)
-		c.wrote(si, key, sp)
+		c.wrote(key)
 	}
 	return err
 }
@@ -502,7 +470,7 @@ func (c *Cache) CAS(key, old, newVal string, sp *obs.Span) (txn.CASResult, error
 	c.stats.count(si, statCAS)
 	res, err := c.txn.CAS(key, old, newVal, sp)
 	if err == nil && res == txn.CASStored {
-		c.wrote(si, key, sp)
+		c.wrote(key)
 	}
 	return res, err
 }
@@ -520,7 +488,7 @@ func (c *Cache) Exec(ops []txn.Op, sp *obs.Span) []txn.Result {
 	for i := range ops {
 		// StatusOK on a non-GET op is exactly "this op changed its key".
 		if ops[i].Kind != txn.OpGet && res[i].Status == txn.StatusOK {
-			c.wrote(c.shardFor(ops[i].Key), ops[i].Key, sp)
+			c.wrote(ops[i].Key)
 		}
 	}
 	return res
@@ -705,7 +673,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 		}
 	})
 	if ok {
-		c.wrote(si, key, sp)
+		c.wrote(key)
 	}
 	return ok
 }

@@ -8,9 +8,10 @@ import (
 // so each Range walk stays short (the same critical-section-shortening
 // discipline the table itself follows). Range locks one bucket stripe at
 // a time — never the whole table — so concurrent traffic keeps flowing
-// while the sweep scans; it also folds any in-flight incremental resize
-// first, which makes the sweeper double as a migration-drain backstop on
-// shards that stop seeing writes mid-grow.
+// while the sweep scans. Range finishes any in-flight incremental resize
+// before it walks, so the sweep sees a single generation; finishing the
+// resize of a shard that stops seeing writes mid-grow is the table's own
+// background sweeper's job, not this one's.
 const sweepBatch = 1024
 
 // Sweep scans every shard once and deletes entries whose TTL has passed,
