@@ -12,9 +12,10 @@ package generic
 // stops seeing writes. The scheme follows the page-by-page rehash of
 // "Cuckoo Hashing with Pages" (arXiv:1104.5111), which paces the rehash
 // with the table's own operations, and the two-table read discipline of
-// "Lock-Free Hopscotch Hashing" (arXiv:1911.03028): a version (epoch) word
-// tells concurrent operations that the generation set changed, and
-// per-bucket migrated marks make the old generation write-once-drained.
+// "Lock-Free Hopscotch Hashing" (arXiv:1911.03028): the published
+// generation-state pointer tells concurrent operations that the generation
+// set changed (stateValid), and per-bucket migrated marks make the old
+// generation write-once-drained.
 //
 // Invariants (machine-checked by the cuckoovet genercheck analyzer):
 //
@@ -157,12 +158,6 @@ func (t *Table[K, V]) stateValid(st *genState[K, V]) bool { return t.state.Load(
 // Growing reports whether an incremental migration is in flight.
 func (t *Table[K, V]) Growing() bool { return len(t.loadState().olds) > 0 }
 
-// MigrationEpoch returns the generation epoch: a counter bumped every
-// time the generation set changes (grow start and finish). Transaction
-// layers snapshot it with their read sets so a commit can detect that
-// an entry it read may have been migrated.
-func (t *Table[K, V]) MigrationEpoch() uint64 { return t.epoch.Load() }
-
 // backlog sums the unmarked buckets across st's old generations.
 func backlog[K comparable, V any](st *genState[K, V]) uint64 {
 	var n uint64
@@ -232,7 +227,6 @@ func (t *Table[K, V]) growLocked(force bool) bool {
 	olds = append(olds, newOldGen(live))
 	next := &genState[K, V]{live: t.newArrays(newBuckets), olds: olds}
 	t.state.Store(next)
-	t.epoch.Add(1)
 	t.growCount.Add(1)
 	if f := t.cfg.OnGrowEvent; f != nil {
 		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per grow
@@ -434,7 +428,6 @@ func (t *Table[K, V]) finishGenLocked(g *oldGen[K, V]) {
 	}
 	next := &genState[K, V]{live: st.live, olds: olds}
 	t.state.Store(next)
-	t.epoch.Add(1)
 	if f := t.cfg.OnGrowEvent; f != nil {
 		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per grow
 		f(GrowEvent{Kind: GrowDone, FromBuckets: g.arr.buckets,

@@ -70,20 +70,6 @@ func TestIncrementalGrowKeepsKeysVisible(t *testing.T) {
 	}
 }
 
-func TestMigrationEpochAdvances(t *testing.T) {
-	tab, _ := fillUntilGrow(t, Config{}) // from a fresh table's epoch 0
-	e1 := tab.MigrationEpoch()
-	if e1 == 0 {
-		t.Fatal("epoch did not advance at grow start")
-	}
-	for tab.Growing() {
-		tab.migrateBatch(16)
-	}
-	if tab.MigrationEpoch() == e1 {
-		t.Fatal("epoch did not advance at migration finish")
-	}
-}
-
 func TestWritesLandInLiveGeneration(t *testing.T) {
 	tab, n := fillUntilGrow(t, Config{})
 	if !tab.Growing() {

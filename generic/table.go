@@ -116,7 +116,6 @@ type Table[K comparable, V any] struct {
 	locks  *spinlock.Stripe
 	growMu sync.Mutex // serializes generation-set changes and full walks
 	state  atomic.Pointer[genState[K, V]]
-	epoch  atomic.Uint64 // bumped on every generation-set change
 	size   metrics.ShardedCounter
 
 	probe           metrics.Probe

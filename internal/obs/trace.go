@@ -1,7 +1,7 @@
 // cuckootrace: the request-tracing layer. A Span is per-connection
 // scratch that attributes a request's wall time to pipeline stages
 // (read, parse, dispatch queue, stripe-lock acquire, table probe,
-// eviction, OCC retry, reply flush); a StageTable aggregates finished
+// eviction, reply flush); a StageTable aggregates finished
 // spans into per-{verb,stage} sharded histograms; SlowTraces keeps
 // exemplar trace IDs for the slowest recent requests.
 //
@@ -41,13 +41,8 @@ const (
 	StageProbe
 	// StageEvict: eviction passes on ErrFull retry loops.
 	StageEvict
-	// StageTxnRetry: failed optimistic commit attempts (OCC retries).
-	StageTxnRetry
 	// StageFlush: writing the batched reply to the socket.
 	StageFlush
-	// StageRepl: applying inbound replication traffic (REPLSET/REPLDEL
-	// version checks and stores) inside a request.
-	StageRepl
 	// StageLease: miss-lease table work (grant, validate, release) on the
 	// LEASE/SETL verbs.
 	StageLease
@@ -60,7 +55,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"read", "parse", "dispatch", "lock", "probe", "evict",
-	"txn_retry", "flush", "repl", "lease", "other",
+	"flush", "lease", "other",
 }
 
 // String returns the stage's label as exported on /metrics.

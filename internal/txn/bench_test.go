@@ -43,11 +43,10 @@ func BenchmarkIncrZipf(b *testing.B) {
 			ranks [][]uint32
 		}{{"mixed", mixed}, {"hot-head", head}} {
 			b.Run(mode+"/"+stream.name, func(b *testing.B) {
-				cfg := Config{}
+				st := New(newMapKV())
 				if mode == "naive" {
-					cfg.PromoteAfter = -1
+					st.promoteAfter = -1
 				}
-				st := New(newMapKV(), cfg)
 				if mode == "split" {
 					for _, k := range keys[:hotRanks] {
 						st.Promote(k)

@@ -75,13 +75,10 @@ type splitTable struct {
 	contend   map[string]int
 }
 
-func newSplitTable(shards int) *splitTable {
-	if shards <= 0 || shards&(shards-1) != 0 {
-		panic("txn: SplitShards must be a positive power of two")
-	}
+func newSplitTable() *splitTable {
 	t := &splitTable{
-		shards:  make([]splitShard, shards),
-		mask:    uint64(shards - 1),
+		shards:  make([]splitShard, splitShards),
+		mask:    splitShards - 1,
 		contend: make(map[string]int),
 	}
 	for i := range t.shards {
@@ -212,7 +209,7 @@ func (t *splitTable) pendingKeys() map[string]struct{} {
 }
 
 // noteContention charges one contended stripe acquisition to key and
-// promotes it to split mode once the configured threshold is reached.
+// promotes it to split mode once the threshold is reached.
 // Called only from the already-contended slow path, so the bookkeeping
 // mutex is off the uncontended fast path entirely.
 //
@@ -221,7 +218,7 @@ func (s *Store) noteContention(key string, class uint8) {
 	t := s.split
 	t.promoteMu.Lock()
 	t.contend[key]++
-	if t.contend[key] >= s.cfg.PromoteAfter {
+	if t.contend[key] >= s.promoteAfter {
 		delete(t.contend, key)
 		if t.insertHotLocked(key, class) {
 			s.stats.promotions.Add(1)
@@ -234,12 +231,8 @@ func (s *Store) noteContention(key string, class uint8) {
 // if it had crossed the contention threshold. Benchmarks and tests use
 // it to measure split-phase behaviour deterministically: organic
 // promotion depends on TryLock collisions, which are scheduler-timing
-// dependent. Returns false when splitting is disabled or the key is
-// already hot.
+// dependent. Returns false when the key is already hot.
 func (s *Store) Promote(key string) bool {
-	if s.cfg.PromoteAfter < 0 {
-		return false
-	}
 	t := s.split
 	t.promoteMu.Lock()
 	ok := t.insertHotLocked(key, classAdd)

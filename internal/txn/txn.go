@@ -1,16 +1,16 @@
 // Package txn is cuckootxn, the read-modify-write subsystem layered over
 // the cache: atomic single-key verbs (INCR/DECR/ADD/MAXUPDATE/CAS),
-// multi-key transactions with optimistic concurrency control, and
-// Doppel-style split counters for contended commutative updates.
+// multi-key transactions, and Doppel-style split counters for contended
+// commutative updates.
 //
-// The design reuses the paper's central trick one level up. §4.2 gives
-// every bucket stripe a combined lock/version word so readers validate
-// instead of locking (Eq. 1); cuckootxn keeps a second, per-key stripe
-// table of the same words and turns them into an OCC read set: a
-// transaction records the stripe versions it read, re-checks them under
-// sorted stripe locks at commit, and retries on mismatch. The §4.4
-// ascending-order rule that LockPair applies to a displacement's two
-// buckets generalizes to LockOrdered over a commit's whole stripe set.
+// Every verb runs under per-key stripe locks of the paper's kind (§4.2's
+// lock/version words, one level up). A transaction knows its whole key set
+// before it runs, so it takes every stripe up front in ascending order —
+// the §4.4 rule LockPair applies to a displacement's two buckets,
+// generalized by LockOrdered to a commit's whole stripe set — runs its ops
+// against the backing store and releases. It never aborts and never
+// retries. The single-key verbs run the same op interpreter under their
+// one stripe.
 //
 // For commutative verbs on skewed workloads, even perfect stripes melt:
 // every INCR of one hot key serializes on one word. Doppel (Narula et
@@ -30,7 +30,6 @@ package txn
 import (
 	"errors"
 	"hash/maphash"
-	"strconv"
 
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/spinlock"
@@ -38,9 +37,8 @@ import (
 
 // KV is the backing store the transaction layer mediates access to. The
 // contract: every mutation of a key routed through this interface happens
-// while the Store holds that key's stripe (the Store guarantees this),
-// so stripe versions invalidate optimistic readers exactly when the
-// underlying value may have changed. Load must return only live values.
+// while the Store holds that key's stripe (the Store guarantees this).
+// Load must return only live values.
 type KV interface {
 	Load(key string) (val string, ok bool)
 	// Store writes val. When keepTTL is set the entry's current expiry is
@@ -54,44 +52,16 @@ type KV interface {
 // does not parse as a signed 64-bit integer.
 var ErrNotInteger = errors.New("value is not an integer")
 
-// Config tunes a Store. The zero value picks usable defaults.
-type Config struct {
-	// Stripes is the per-key version/lock table size (power of two,
-	// default 1024). More stripes mean fewer false OCC conflicts.
-	Stripes int
-	// SplitShards is the number of padded delta shards hot keys split
-	// across (power of two, default 16).
-	SplitShards int
-	// PromoteAfter is how many contended stripe acquisitions a key
-	// accumulates before it is promoted to split mode. Negative disables
-	// splitting entirely (every op takes the stripe). Default 8.
-	PromoteAfter int
-	// MaxRetries bounds OCC commit retries before a transaction falls
-	// back to pessimistic stripe-ordered locking. Default 8.
-	MaxRetries int
-	// Epoch, when non-nil, maps a key to its backing shard's migration
-	// epoch (a word the table bumps whenever an incremental resize starts
-	// or finishes a generation). Transactions record it alongside each
-	// versioned read and re-check it at commit: a read-set entry whose
-	// shard migrated during the window aborts the attempt cleanly instead
-	// of committing against a view that straddled two generations.
-	Epoch func(key string) uint64
-}
-
-func (c *Config) setDefaults() {
-	if c.Stripes == 0 {
-		c.Stripes = 1024
-	}
-	if c.SplitShards == 0 {
-		c.SplitShards = 16
-	}
-	if c.PromoteAfter == 0 {
-		c.PromoteAfter = 8
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 8
-	}
-}
+const (
+	// stripes is the per-key lock table size (a power of two).
+	stripes = 1024
+	// splitShards is the number of padded delta shards hot keys split
+	// across (a power of two).
+	splitShards = 16
+	// promoteAfter is how many contended stripe acquisitions a key
+	// accumulates before it is promoted to split mode.
+	promoteAfter = 8
+)
 
 // Store runs atomic verbs and transactions against a KV. All methods are
 // safe for concurrent use.
@@ -100,28 +70,24 @@ type Store struct {
 	seed  maphash.Seed
 	locks *spinlock.Stripe
 	split *splitTable
-	cfg   Config
-	stats storeStats
+	// promoteAfter is New's constant of the same name; the package's tests
+	// lower it, or set it negative to disable splitting.
+	promoteAfter int
+	stats        storeStats
 }
 
 // New creates a transaction layer over kv.
-func New(kv KV, cfg Config) *Store {
-	cfg.setDefaults()
-	if cfg.Stripes&(cfg.Stripes-1) != 0 || cfg.Stripes <= 0 {
-		panic("txn: Stripes must be a positive power of two")
+func New(kv KV) *Store {
+	return &Store{
+		kv:           kv,
+		seed:         maphash.MakeSeed(),
+		locks:        spinlock.NewStripe(stripes),
+		split:        newSplitTable(),
+		promoteAfter: promoteAfter,
 	}
-	s := &Store{
-		kv:    kv,
-		seed:  maphash.MakeSeed(),
-		locks: spinlock.NewStripe(cfg.Stripes),
-		cfg:   cfg,
-	}
-	s.split = newSplitTable(cfg.SplitShards)
-	s.stats.init(cfg.MaxRetries)
-	return s
 }
 
-// stripeFor maps a key to its version/lock stripe.
+// stripeFor maps a key to its lock stripe.
 func (s *Store) stripeFor(key string) uint64 {
 	return s.locks.IndexFor(maphash.String(s.seed, key))
 }
@@ -134,8 +100,8 @@ func (s *Store) stripeFor(key string) uint64 {
 // WithLock runs fn while holding key's stripe, first folding any pending
 // split deltas so fn observes the reconciled value. Every out-of-band
 // mutation of the backing store (plain SET/DEL, TTL expiry, eviction,
-// cluster migration removal) must run through here: the version bump on
-// unlock is what invalidates concurrent optimistic read sets.
+// cluster migration removal) must run through here, so it serializes with
+// every verb and transaction that holds the key's stripe.
 //
 //cuckoo:hotpath every keyed verb runs its critical section through here
 func (s *Store) WithLock(key string, rec *obs.Span, fn func()) {
@@ -181,33 +147,6 @@ func (s *Store) WithLockBytes(key []byte, rec *obs.Span, fn func(hold uint64)) {
 	s.locks.Unlock(i)
 }
 
-// Set writes key=val with the given absolute expiry under the key's
-// stripe, reconciling pending deltas first (they serialize before the
-// overwrite). It returns the backing store's error unchanged so callers
-// can drive eviction-and-retry outside the stripe.
-func (s *Store) Set(key, val string, expireAt int64, rec *obs.Span) error {
-	var err error
-	s.WithLock(key, rec, func() {
-		t0 := rec.Begin()
-		err = s.kv.Store(key, val, expireAt, false)
-		rec.End(obs.StageProbe, t0)
-	})
-	return err
-}
-
-// Delete removes key under its stripe. Pending deltas are folded first,
-// then discarded with the entry; deltas that arrive afterwards serialize
-// after the delete and re-create the counter from zero.
-func (s *Store) Delete(key string, rec *obs.Span) bool {
-	var ok bool
-	s.WithLock(key, rec, func() {
-		t0 := rec.Begin()
-		ok = s.kv.Delete(key)
-		rec.End(obs.StageProbe, t0)
-	})
-	return ok
-}
-
 // Incr atomically adds delta to the signed 64-bit integer stored at key
 // (a missing key counts from zero; int64 arithmetic wraps on overflow).
 // hint spreads split-mode updates across delta shards — pass a stable
@@ -242,36 +181,22 @@ func (s *Store) commute(key string, class uint8, n int64, hint uint64, rec *obs.
 	i := s.stripeFor(key)
 	t0 := rec.Begin()
 	if !s.locks.TryLock(i) {
-		if s.cfg.PromoteAfter > 0 {
+		if s.promoteAfter > 0 {
 			s.noteContention(key, class)
 		}
 		s.locks.Lock(i)
 	}
 	rec.End(obs.StageLock, t0)
 	s.reconcileIfHotLocked(key)
+	op := Op{Kind: OpIncr, Key: key, Delta: n}
+	if class == classMax {
+		op.Kind = OpMax
+	}
 	t1 := rec.Begin()
-	err := s.applyLocked(key, class, n)
+	_, err := s.applyOne(&op)
 	rec.End(obs.StageProbe, t1)
 	s.locks.Unlock(i)
 	return err
-}
-
-// applyLocked performs the read-modify-write of a commutative verb: add
-// n (classAdd) or raise to n (classMax). Caller holds key's stripe.
-func (s *Store) applyLocked(key string, class uint8, n int64) error {
-	if cur, ok := s.kv.Load(key); ok {
-		v, err := strconv.ParseInt(cur, 10, 64)
-		if err != nil {
-			return ErrNotInteger
-		}
-		if class == classAdd {
-			n += v
-		} else if v >= n {
-			return nil
-		}
-	}
-	//lint:allow cuckoovet:allocfree the re-encoded value string is the write; split mode batches these to one per fold
-	return s.kv.Store(key, strconv.FormatInt(n, 10), 0, true)
 }
 
 // CASResult is the outcome of a CAS.
@@ -290,46 +215,57 @@ const (
 // CAS observes the value, so it is never split; it always takes the
 // stripe and reconciles pending deltas first.
 func (s *Store) CAS(key, old, newVal string, rec *obs.Span) (CASResult, error) {
-	res, err := CASMiss, error(nil)
+	op := Op{Kind: OpCAS, Key: key, Old: old, Val: newVal}
+	var st Status
+	var err error
 	s.WithLock(key, rec, func() {
 		t0 := rec.Begin()
-		cur, ok := s.kv.Load(key)
-		switch {
-		case !ok:
-			res = CASMiss
-		case cur != old:
-			res = CASConflict
-			s.stats.casConflicts.Add(1)
-		default:
-			res = CASStored
-			err = s.kv.Store(key, newVal, 0, true)
-		}
+		st, err = s.applyOne(&op)
 		rec.End(obs.StageProbe, t0)
 	})
-	return res, err
-}
-
-// ReconcileKey folds key's pending split deltas into the backing store
-// if the key is hot; a cold key costs one atomic load. Read paths call
-// this so a GET observes every acknowledged commutative update.
-func (s *Store) ReconcileKey(key string) {
-	if _, ok := s.split.lookup(key); !ok {
-		return
+	switch st {
+	case StatusOK:
+		return CASStored, err
+	case StatusConflict:
+		s.stats.casConflicts.Add(1)
+		return CASConflict, nil
 	}
-	i := s.stripeFor(key)
-	s.locks.Lock(i)
-	s.reconcileIfHotLocked(key)
-	s.locks.Unlock(i)
+	return CASMiss, nil
 }
 
-// ReconcileKeyBytes is ReconcileKey for a key still in byte-slice form
-// (the server's GET path aliases its read buffer). The hot-set probe
-// uses the compiler's free map[string(b)] lookup and a hot hit carries
-// the set's own copy of the key, so nothing is converted in any state.
+// applyOne runs op alone against its key's stored value — the op
+// interpreter EXEC runs, on one cell — and stores the result if the op
+// wrote. Caller holds the key's stripe. A store error is returned
+// unchanged so callers can evict and retry outside the stripe.
+func (s *Store) applyOne(op *Op) (Status, error) {
+	var c cell
+	c.val, c.ok = s.kv.Load(op.Key)
+	r := applyToCell(op, &c)
+	switch {
+	case r.Status == StatusErr:
+		return r.Status, ErrNotInteger // the one error INCR, MAXUPDATE and CAS can meet
+	case c.dirty:
+		return r.Status, s.kv.Store(op.Key, c.val, c.expireAt, c.keepTTL)
+	}
+	return r.Status, nil
+}
+
+// ReconcileKeyBytes folds key's pending split deltas into the backing
+// store if the key is hot; a cold key costs one atomic load. Read paths
+// call this so a GET observes every acknowledged commutative update. key
+// may alias the caller's read buffer (the server's GET path): the hot-set
+// probe uses the compiler's free map[string(b)] lookup and a hot hit
+// carries the set's own copy of the key, so nothing is converted in any
+// state.
 //
 //cuckoo:hotpath GET-path split-counter fold gate; allocates nothing
 func (s *Store) ReconcileKeyBytes(key []byte) {
-	if e, ok := s.split.lookupBytes(key); ok {
-		s.ReconcileKey(e.key)
+	e, ok := s.split.lookupBytes(key)
+	if !ok {
+		return
 	}
+	i := s.stripeFor(e.key)
+	s.locks.Lock(i)
+	s.reconcileIfHotLocked(e.key)
+	s.locks.Unlock(i)
 }

@@ -2,12 +2,15 @@ package txn
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
+
+	"cuckoohash/internal/spinlock"
 )
 
 // mapKV is a mutex-guarded map backing store for tests. The stripe layer
@@ -42,6 +45,14 @@ func (k *mapKV) Delete(key string) bool {
 	return ok
 }
 
+// newStore is New with the promotion threshold lowered to promote
+// contended acquisitions, or splitting disabled when promote is negative.
+func newStore(kv KV, promote int) *Store {
+	s := New(kv)
+	s.promoteAfter = promote
+	return s
+}
+
 func (k *mapKV) get(t *testing.T, key string) string {
 	t.Helper()
 	v, ok := k.Load(key)
@@ -53,7 +64,7 @@ func (k *mapKV) get(t *testing.T, key string) string {
 
 func TestIncrBasics(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{PromoteAfter: -1})
+	s := newStore(kv, -1)
 	if err := s.Incr("c", 1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +80,7 @@ func TestIncrBasics(t *testing.T) {
 	if got := kv.get(t, "c"); got != "40" {
 		t.Fatalf("c = %q, want 40", got)
 	}
-	if err := s.Set("junk", "not-a-number", 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	kv.Store("junk", "not-a-number", 0, false)
 	if err := s.Incr("junk", 1, 0, nil); err != ErrNotInteger {
 		t.Fatalf("Incr on junk = %v, want ErrNotInteger", err)
 	}
@@ -79,7 +88,7 @@ func TestIncrBasics(t *testing.T) {
 
 func TestMaxUpdate(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{PromoteAfter: -1})
+	s := newStore(kv, -1)
 	for _, n := range []int64{5, 3, 9, 7} {
 		if err := s.MaxUpdate("m", n, 0, nil); err != nil {
 			t.Fatal(err)
@@ -92,11 +101,11 @@ func TestMaxUpdate(t *testing.T) {
 
 func TestCAS(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{})
+	s := New(kv)
 	if res, _ := s.CAS("k", "a", "b", nil); res != CASMiss {
 		t.Fatalf("CAS on missing = %v, want CASMiss", res)
 	}
-	s.Set("k", "a", 0, nil)
+	kv.Store("k", "a", 0, false)
 	if res, _ := s.CAS("k", "x", "b", nil); res != CASConflict {
 		t.Fatalf("CAS wrong old = %v, want CASConflict", res)
 	}
@@ -121,7 +130,7 @@ func TestConcurrentIncrExact(t *testing.T) {
 	const goroutines, perG = 8, 5000
 	for _, promoted := range []bool{true, false} {
 		kv := newMapKV()
-		s := New(kv, Config{PromoteAfter: 1})
+		s := newStore(kv, 1)
 		if promoted {
 			s.noteContention("hot", classAdd)
 		}
@@ -156,7 +165,7 @@ func TestConcurrentIncrExact(t *testing.T) {
 
 func TestContentionPromotes(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{PromoteAfter: 3})
+	s := newStore(kv, 3)
 	for i := 0; i < 2; i++ {
 		s.noteContention("h", classAdd)
 	}
@@ -174,7 +183,7 @@ func TestContentionPromotes(t *testing.T) {
 
 func TestReconcileOnRead(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{PromoteAfter: 1})
+	s := newStore(kv, 1)
 	// Force promotion by pre-seeding contention, then verify a read-side
 	// reconcile folds pending deltas.
 	s.noteContention("h", classAdd)
@@ -187,7 +196,7 @@ func TestReconcileOnRead(t *testing.T) {
 	if v, ok := kv.Load("h"); ok {
 		t.Fatalf("h reconciled too early: %q", v)
 	}
-	s.ReconcileKey("h")
+	s.ReconcileKeyBytes([]byte("h"))
 	if got := kv.get(t, "h"); got != "10" {
 		t.Fatalf("h = %q, want 10 after read reconcile", got)
 	}
@@ -195,7 +204,7 @@ func TestReconcileOnRead(t *testing.T) {
 
 func TestTickDemotesIdleKeys(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{PromoteAfter: 1})
+	s := newStore(kv, 1)
 	s.noteContention("h", classAdd)
 	s.Incr("h", 3, 1, nil)
 	s.Tick() // folds 3
@@ -214,17 +223,19 @@ func TestTickDemotesIdleKeys(t *testing.T) {
 
 func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{PromoteAfter: 1})
+	s := newStore(kv, 1)
 	s.noteContention("h", classAdd)
 	s.Incr("h", 5, 0, nil)
-	// SET serializes after the pending INCRs: they fold, then the SET
-	// overwrites.
-	s.Set("h", "100", 0, nil)
+	// SET (the server's, under WithLock) serializes after the pending
+	// INCRs: they fold, then the SET overwrites.
+	s.WithLock("h", nil, func() { kv.Store("h", "100", 0, false) })
 	if got := kv.get(t, "h"); got != "100" {
 		t.Fatalf("h = %q, want 100", got)
 	}
 	s.Incr("h", 5, 0, nil)
-	s.Delete("h", nil)
+	// So does a DEL queued in a transaction: the fold runs under the
+	// stripe Exec holds, then the entry goes with it.
+	s.Exec([]Op{{Kind: OpDel, Key: "h"}}, nil)
 	if v, ok := kv.Load("h"); ok {
 		t.Fatalf("h survived delete: %q", v)
 	}
@@ -238,9 +249,9 @@ func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 
 func TestExecReadYourWrites(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{})
-	s.Set("a", "1", 0, nil)
-	res, info := s.Exec([]Op{
+	s := New(kv)
+	kv.Store("a", "1", 0, false)
+	res := s.Exec([]Op{
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpSet, Key: "a", Val: "2"},
 		{Kind: OpGet, Key: "a"},
@@ -248,9 +259,6 @@ func TestExecReadYourWrites(t *testing.T) {
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpGet, Key: "missing"},
 	}, nil)
-	if info.Pessimistic {
-		t.Fatal("uncontended txn took the pessimistic path")
-	}
 	want := []Result{
 		{Status: StatusValue, Value: "1"},
 		{Status: StatusOK},
@@ -267,14 +275,18 @@ func TestExecReadYourWrites(t *testing.T) {
 	if got := kv.get(t, "a"); got != "12" {
 		t.Fatalf("a = %q, want 12 after commit", got)
 	}
+	// An empty queue commits nothing.
+	if res := s.Exec(nil, nil); res != nil || s.StatsSnapshot().Commits != 1 {
+		t.Fatalf("empty Exec = %v with %d commits, want nil after 1", res, s.StatsSnapshot().Commits)
+	}
 }
 
 func TestExecCASAndDelete(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{})
-	s.Set("k", "v1", 0, nil)
-	s.Set("m", "10", 0, nil)
-	res, _ := s.Exec([]Op{
+	s := New(kv)
+	kv.Store("k", "v1", 0, false)
+	kv.Store("m", "10", 0, false)
+	res := s.Exec([]Op{
 		{Kind: OpCAS, Key: "k", Old: "nope", Val: "v2"},
 		{Kind: OpCAS, Key: "k", Old: "v1", Val: "v2"},
 		{Kind: OpDel, Key: "k"},
@@ -303,13 +315,13 @@ func TestExecCASAndDelete(t *testing.T) {
 }
 
 func TestExecAtomicTransfer(t *testing.T) {
-	// Concurrent balance transfers preserve the invariant sum — the
-	// classic OCC smoke test. Aborted validations must retry, and the
-	// histogram must account for every commit.
+	// Concurrent balance transfers preserve the invariant sum, and every
+	// transaction commits exactly once.
 	kv := newMapKV()
-	s := New(kv, Config{Stripes: 8}) // few stripes → frequent conflicts
-	s.Set("x", "1000", 0, nil)
-	s.Set("y", "1000", 0, nil)
+	s := New(kv)
+	s.locks = spinlock.NewStripe(8) // few stripes: transactions collide
+	kv.Store("x", "1000", 0, false)
+	kv.Store("y", "1000", 0, false)
 	const goroutines, transfers = 8, 300
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -333,58 +345,53 @@ func TestExecAtomicTransfer(t *testing.T) {
 	if y != 1000+goroutines*transfers {
 		t.Fatalf("y = %d, want %d", y, 1000+goroutines*transfers)
 	}
-	st := s.StatsSnapshot()
-	var hist uint64
-	for _, n := range st.RetryHist {
-		hist += n
-	}
-	if hist != st.Commits {
-		t.Fatalf("retry histogram sums to %d, commits = %d", hist, st.Commits)
+	if got := s.StatsSnapshot().Commits; got != goroutines*transfers {
+		t.Fatalf("Commits = %d, want %d", got, goroutines*transfers)
 	}
 }
 
-// interferingKV commits a write to victim, under victim's stripe, each
-// time a transaction loads trigger while that stripe is free: every
-// optimistic attempt that read victim first then fails validation. The
-// pessimistic fallback holds victim's stripe when it loads trigger, so it
-// is left alone.
-type interferingKV struct {
+// yieldKV gives up the processor inside a Load of a key whose stripe is
+// free, so a transaction that read its keys before taking their stripes
+// would let another commit land between two of its reads. Exec loads
+// under the stripes it holds and never yields here: a holder that yielded
+// could starve the goroutines spinning on its stripes.
+type yieldKV struct {
 	*mapKV
-	s               *Store
-	trigger, victim string
+	s *Store
 }
 
-func (k *interferingKV) Load(key string) (string, bool) {
-	if key == k.trigger && !k.s.locks.Locked(k.s.stripeFor(k.victim)) {
-		k.s.Set(k.victim, "10", 0, nil)
+func (k *yieldKV) Load(key string) (string, bool) {
+	if !k.s.locks.Locked(k.s.stripeFor(key)) {
+		runtime.Gosched()
 	}
 	return k.mapKV.Load(key)
 }
 
-// TestExecPessimisticFallback drives Exec past its retry budget and checks
-// the fallback: it commits, its results and writes are those of the same
-// ops run one after another, txn_fallbacks counts it once, and it does not
-// deadlock against an optimistic committer on the same stripes.
-func TestExecPessimisticFallback(t *testing.T) {
+// TestExecOrderedCommit checks Exec's one commit path: its results and
+// writes are those of the same ops run one after another; it does not
+// deadlock against a committer on the same stripes in the opposite
+// order; and a read-only transaction beside concurrent transfers always
+// sees their invariant sum.
+func TestExecOrderedCommit(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
 		rounds := 1
 		if concurrent {
 			rounds = 50
 		}
 		for range rounds {
-			checkFallback(t, concurrent)
+			checkExec(t, concurrent)
 		}
 	}
+	checkSnapshot(t)
 }
 
-func checkFallback(t *testing.T, concurrent bool) {
+func checkExec(t *testing.T, concurrent bool) {
 	t.Helper()
-	kv := &interferingKV{mapKV: newMapKV(), victim: "a"}
-	s := New(kv, Config{MaxRetries: 2, Stripes: 8, PromoteAfter: -1})
-	kv.s = s
+	kv := newMapKV()
+	s := newStore(kv, -1)
+	s.locks = spinlock.NewStripe(8)
 	// keyOn returns the first of prefix0, prefix1, ... whose stripe is
-	// like's (or, with same false, is not). The trigger needs a stripe of
-	// its own: loading it must not move the version its read validates.
+	// like's (or, with same false, is not).
 	keyOn := func(prefix, like string, same bool) string {
 		for i := 0; ; i++ {
 			k := fmt.Sprintf("%s%d", prefix, i)
@@ -394,10 +401,9 @@ func checkFallback(t *testing.T, concurrent bool) {
 		}
 	}
 	b := keyOn("b", "a", false)
-	kv.trigger = b
 	seed := map[string]string{"a": "1", b: "2", "d": "x"}
 	for k, v := range seed {
-		s.Set(k, v, 0, nil)
+		kv.Store(k, v, 0, false)
 	}
 	ops := []Op{
 		{Kind: OpGet, Key: "a"},
@@ -411,10 +417,10 @@ func checkFallback(t *testing.T, concurrent bool) {
 	}
 
 	// The committer's keys share a's and b's stripes, in the opposite
-	// order, so its commits take the stripes the fallback holds.
+	// order, so its commits take the stripes this transaction takes.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var theirs, commits uint64
+	var commits uint64
 	x, y := keyOn("x", "a", true), keyOn("y", b, true)
 	if concurrent {
 		wg.Add(1)
@@ -426,50 +432,72 @@ func checkFallback(t *testing.T, concurrent bool) {
 					return
 				default:
 				}
-				if _, info := s.Exec([]Op{{Kind: OpIncr, Key: y, Delta: 1}, {Kind: OpIncr, Key: x, Delta: 1}}, nil); info.Pessimistic {
-					theirs++
-				}
+				s.Exec([]Op{{Kind: OpIncr, Key: y, Delta: 1}, {Kind: OpIncr, Key: x, Delta: 1}}, nil)
 				commits++
 			}
 		}()
 	}
-	before := s.StatsSnapshot().Fallbacks
-	res, info := s.Exec(ops, nil)
+	res := s.Exec(ops, nil)
 	close(stop)
 	wg.Wait()
 	for _, k := range []string{x, y} {
-		if got, _ := kv.mapKV.Load(k); commits > 0 && got != strconv.FormatUint(commits, 10) {
+		if got, _ := kv.Load(k); commits > 0 && got != strconv.FormatUint(commits, 10) {
 			t.Fatalf("%s = %q after %d committed increments", k, got, commits)
 		}
 	}
-	if !info.Pessimistic || info.Retries != 3 {
-		t.Fatalf("info = %+v, want the pessimistic fallback after 3 attempts", info)
-	}
-	if got := s.StatsSnapshot().Fallbacks - before - theirs; got != 1 {
-		t.Fatalf("txn_fallbacks rose by %d for one fallback", got)
-	}
 
-	// The model: the same ops one at a time, from the state the fallback
-	// saw (the interfering writes left a at 10).
+	// The model: the same ops one at a time, from the same seed.
 	model := newMapKV()
-	seq := New(model, Config{PromoteAfter: -1})
-	seed["a"] = "10"
+	seq := newStore(model, -1)
 	for k, v := range seed {
-		seq.Set(k, v, 0, nil)
+		model.Store(k, v, 0, false)
 	}
 	for i := range ops {
-		want, _ := seq.Exec(ops[i:i+1], nil)
+		want := seq.Exec(ops[i:i+1], nil)
 		if res[i] != want[0] {
-			t.Fatalf("op %d (%+v): fallback %+v, one at a time %+v", i, ops[i], res[i], want[0])
+			t.Fatalf("op %d (%+v): transaction %+v, one at a time %+v", i, ops[i], res[i], want[0])
 		}
 	}
 	for _, k := range []string{"a", b, "c", "d", "e"} {
-		got, gok := kv.mapKV.Load(k)
+		got, gok := kv.Load(k)
 		want, wok := model.Load(k)
 		if got != want || gok != wok {
-			t.Fatalf("%s = %q (%v) after the fallback, %q (%v) one at a time", k, got, gok, want, wok)
+			t.Fatalf("%s = %q (%v) after the transaction, %q (%v) one at a time", k, got, gok, want, wok)
 		}
 	}
+}
+
+// checkSnapshot runs read-only EXECs of GET x, GET y while two goroutines
+// transfer between x and y: every read must see x+y unchanged.
+func checkSnapshot(t *testing.T) {
+	t.Helper()
+	kv := &yieldKV{mapKV: newMapKV()}
+	s := newStore(kv, -1)
+	kv.s = s
+	kv.Store("x", "1000", 0, false)
+	kv.Store("y", "1000", 0, false)
+	var wg sync.WaitGroup
+	var writing atomic.Int32
+	for _, d := range []int64{-1, 1} {
+		wg.Add(1)
+		writing.Add(1)
+		go func() {
+			defer wg.Done()
+			defer writing.Add(-1)
+			for range 300 {
+				s.Exec([]Op{{Kind: OpIncr, Key: "x", Delta: -d}, {Kind: OpIncr, Key: "y", Delta: d}}, nil)
+			}
+		}()
+	}
+	for n := 0; n == 0 || writing.Load() > 0; n++ {
+		res := s.Exec([]Op{{Kind: OpGet, Key: "x"}, {Kind: OpGet, Key: "y"}}, nil)
+		x, _ := strconv.Atoi(res[0].Value)
+		y, _ := strconv.Atoi(res[1].Value)
+		if x+y != 2000 {
+			t.Fatalf("read %d: x=%d y=%d, sum %d, want 2000", n, x, y, x+y)
+		}
+	}
+	wg.Wait()
 }
 
 func TestSplitShardPadding(t *testing.T) {
@@ -482,15 +510,16 @@ func TestSplitShardPadding(t *testing.T) {
 
 func TestWithLockBumpsVersion(t *testing.T) {
 	kv := newMapKV()
-	s := New(kv, Config{})
+	s := New(kv)
 	i := s.stripeFor("k")
 	before := s.locks.Version(i)
 	got := make(chan Result)
 	s.WithLock("k", nil, func() {
-		// A transaction reading k meanwhile waits the writer out (Eq. 1):
-		// it spins, yielding now and then, and reads what the writer wrote.
+		// A transaction reading k meanwhile waits the writer out: it
+		// spins on the stripe, yielding now and then, and reads what the
+		// writer wrote.
 		go func() {
-			res, _ := s.Exec([]Op{{Kind: OpGet, Key: "k"}}, nil)
+			res := s.Exec([]Op{{Kind: OpGet, Key: "k"}}, nil)
 			got <- res[0]
 		}()
 		time.Sleep(5 * time.Millisecond)
@@ -501,62 +530,5 @@ func TestWithLockBumpsVersion(t *testing.T) {
 	}
 	if res := <-got; res != (Result{Status: StatusValue, Value: "v"}) {
 		t.Fatalf("read under a held stripe = %+v, want the writer's value", res)
-	}
-}
-
-func TestEpochAbortOnMigration(t *testing.T) {
-	kv := newMapKV()
-	var epoch atomic.Uint64
-	// The epoch source fires once mid-window: the first transactional
-	// read observes epoch 0, then a "migration" bumps the word before
-	// commit validation runs, so the first attempt must abort and the
-	// retry (which observes the settled epoch 1) must commit.
-	var reads atomic.Uint64
-	s := New(kv, Config{
-		PromoteAfter: -1,
-		Epoch: func(key string) uint64 {
-			if reads.Add(1) == 1 {
-				defer epoch.Add(1)
-			}
-			return epoch.Load()
-		},
-	})
-	if err := s.Set("a", "1", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, info := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}}, nil)
-	if res[0].Status != StatusOK {
-		t.Fatalf("result = %+v", res[0])
-	}
-	if info.Retries == 0 {
-		t.Fatal("expected at least one epoch-driven retry")
-	}
-	if got := kv.get(t, "a"); got != "2" {
-		t.Fatalf("a = %q, want 2", got)
-	}
-	st := s.StatsSnapshot()
-	if st.EpochAborts == 0 {
-		t.Fatal("EpochAborts not counted")
-	}
-	if st.Aborts < st.EpochAborts {
-		t.Fatalf("Aborts=%d < EpochAborts=%d", st.Aborts, st.EpochAborts)
-	}
-}
-
-func TestEpochStableCommitsFirstTry(t *testing.T) {
-	kv := newMapKV()
-	s := New(kv, Config{
-		PromoteAfter: -1,
-		Epoch:        func(string) uint64 { return 7 },
-	})
-	if err := s.Set("a", "1", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, info := s.Exec([]Op{{Kind: OpIncr, Key: "a", Delta: 1}}, nil)
-	if res[0].Status != StatusOK || info.Retries != 0 {
-		t.Fatalf("res=%+v info=%+v, want clean first-try commit", res[0], info)
-	}
-	if st := s.StatsSnapshot(); st.EpochAborts != 0 {
-		t.Fatalf("EpochAborts = %d, want 0", st.EpochAborts)
 	}
 }

@@ -1,19 +1,73 @@
 package server_test
 
-// The go test -bench rung for the wire (make bench-rung PKG=server
-// RUNG=Wire): one client.Conn round trip against an in-process server on
-// loopback, per value size, plus a depth-16 pipeline. Exported API only,
-// so the file compiles against any parent it is copied over
+// The go test -bench rungs for the server package (make bench-rung
+// PKG=server RUNG=Wire|Exec): BenchmarkWire is one client.Conn round trip
+// against an in-process server on loopback, per value size, plus a
+// depth-16 pipeline; BenchmarkExec is Cache.Exec in process. Exported API
+// only, so the file compiles against any parent it is copied over
 // (scripts/bench-rung.sh).
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cuckoohash/client"
+	"cuckoohash/internal/txn"
 	"cuckoohash/server"
 )
+
+// BenchmarkExec is MULTI/EXEC without the wire: each op is one two-key
+// INCR transfer (x -= 1, y += 1) through Cache.Exec, from b.RunParallel's
+// goroutines. spread draws both keys from 10 000 counters per transfer,
+// each goroutine its own stream, so transactions rarely share a stripe;
+// onepair has every goroutine move between the same two keys, so every
+// transaction waits on the others' stripes.
+func BenchmarkExec(b *testing.B) {
+	const universe = 10000
+	keys := make([]string, universe)
+	for i := range keys {
+		keys[i] = "ctr" + strconv.Itoa(i)
+	}
+	for _, cell := range []struct {
+		name string
+		span int // how many keys the transfers draw from
+	}{{"spread", universe}, {"onepair", 2}} {
+		b.Run(cell.name, func(b *testing.B) {
+			c, err := server.NewCache(4, 1<<13)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range keys[:cell.span] {
+				if err := c.Set(k, "1000000", 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var seeds atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				x := seeds.Add(1) * 0x9e3779b97f4a7c15 // per-goroutine xorshift state
+				ops := []txn.Op{{Kind: txn.OpIncr, Delta: -1}, {Kind: txn.OpIncr, Delta: 1}}
+				for pb.Next() {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					i := int(x % uint64(cell.span))
+					j := (i + 1 + int(x>>32)%(cell.span-1)) % cell.span
+					ops[0].Key, ops[1].Key = keys[i], keys[j]
+					for _, r := range c.Exec(ops, nil) {
+						if r.Status != txn.StatusOK {
+							b.Errorf("transfer %s -> %s: %+v", keys[i], keys[j], r)
+							return
+						}
+					}
+				}
+			})
+		})
+	}
+}
 
 func BenchmarkWire(b *testing.B) {
 	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", SweepInterval: -1})

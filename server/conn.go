@@ -314,13 +314,11 @@ func (s *Server) serveRequest(line []byte, r *connbuf.Reader, w *bufio.Writer, c
 	case opReplSet, opReplDel:
 		var applied bool
 		var err error
-		t0 := cs.span.Begin()
 		if req.op == opReplSet {
 			applied, err = s.cache.applyReplicaSet(req.key, req.val, req.delta, req.ver, &cs.span)
 		} else {
 			applied = s.cache.applyReplicaDel(string(req.key), req.ver, &cs.span)
 		}
-		cs.span.End(obs.StageRepl, t0)
 		switch {
 		case err != nil:
 			s.replyErr(w, cs, err)

@@ -40,12 +40,6 @@ func (s *Server) Collect(m *obs.Metrics) {
 				"Discovered cuckoo-path length in displacements (Eq. 2 bounds this near 5).",
 				hb, total, sum)
 		case atTxn:
-			// RetryHist[i] counts commits that needed exactly i optimistic
-			// retries; the final bucket counts pessimistic fallbacks.
-			hb, total, sum := exactBuckets(r.txn().RetryHist)
-			m.Histogram("cuckood_txn_retries",
-				"Optimistic retries per committed EXEC (+Inf bucket = pessimistic fallback).",
-				hb, total, sum)
 			// The cuckootrace series (docs/OBSERVABILITY.md): per-{stage,verb}
 			// latency attribution, the hot-key top-K, and the slow-request
 			// trace-ID exemplars.

@@ -144,13 +144,15 @@ func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 	sh := c.shards[c.shardFor(key)]
 	applied := true
 	c.txn.WithLock(key, sp, func() {
-		if cur, ok := sh.table.Get(key); ok {
-			if cur.ver() > ver {
-				applied = false
-				return
-			}
+		t0 := sp.Begin()
+		switch cur, ok := sh.table.Get(key); {
+		case !ok:
+		case cur.ver() > ver:
+			applied = false
+		default:
 			sh.table.Delete(key)
 		}
+		sp.End(obs.StageProbe, t0)
 	})
 	if applied {
 		c.wrote(key)

@@ -92,11 +92,11 @@ type Cache struct {
 	// publish over fresher data.
 	leases *replica.LeaseTable
 
-	// txn is the cuckootxn layer (internal/txn): per-key version/lock
-	// stripes, atomic verbs, OCC transactions, and split counters. Every
-	// mutation of the shards — including plain SET/DEL, TTL expiry,
-	// eviction, and migration removal — runs under the key's stripe so
-	// the version bump invalidates concurrent transactional read sets.
+	// txn is the cuckootxn layer (internal/txn): per-key lock stripes,
+	// atomic verbs, stripe-ordered transactions, and split counters.
+	// Every mutation of the shards — including plain SET/DEL, TTL expiry,
+	// eviction, and migration removal — runs under the key's stripe, so
+	// it serializes with every verb and transaction on the key.
 	txn *txn.Store
 }
 
@@ -153,13 +153,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		}
 		c.shards[i] = &shard{table: t}
 	}
-	c.txn = txn.New(cacheKV{c}, txn.Config{
-		// OCC read sets observe the shard's migration epoch so a commit
-		// never validates across an incremental-resize generation change.
-		Epoch: func(key string) uint64 {
-			return c.shards[c.shardFor(key)].table.MigrationEpoch()
-		},
-	})
+	c.txn = txn.New(cacheKV{c})
 	return c, nil
 }
 
@@ -379,13 +373,14 @@ func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPee
 	builtIn := txn.NoHold // the stripe hold it was built in
 	err = c.evicting(si, key, sp, func() (serr error) {
 		c.txn.WithLockBytes(key, sp, func(hold uint64) {
+			t0 := sp.Begin()
 			if fromPeer {
 				if cur, ok := generic.GetBytes(sh.table, key); ok && cur.ver() >= ver {
 					serr = errStaleReplica // the local copy is newer, or this is a redelivery
+					sp.End(obs.StageProbe, t0)
 					return
 				}
 			}
-			t0 := sp.Begin()
 			if it.isZero() || hold != builtIn+1 {
 				if !fromPeer {
 					ver = c.nextVersion()
@@ -475,15 +470,15 @@ func (c *Cache) CAS(key, old, newVal string, sp *obs.Span) (txn.CASResult, error
 	return res, err
 }
 
-// Exec runs a MULTI/EXEC transaction, attributing OCC retries to sp as
-// StageTxnRetry. A write that lands on a full shard cannot evict at
-// commit time (the commit holds the transaction's stripes; deleting a
-// victim there would bump other keys' versions mid-validation), and the
-// whole transaction cannot be re-run after a partial apply — so
-// full-shard failures are repaired afterwards through the evict-and-retry
-// loop instead.
+// Exec runs a MULTI/EXEC transaction, attributing its stripe wait to sp
+// as StageLock and its ops as StageProbe. A write that lands on a full
+// shard cannot evict at commit time (the commit holds the transaction's
+// stripes, and deleting a victim there would take one more stripe out of
+// order), and the whole transaction cannot be re-run after a partial
+// apply — so full-shard failures are repaired afterwards through the
+// evict-and-retry loop instead.
 func (c *Cache) Exec(ops []txn.Op, sp *obs.Span) []txn.Result {
-	res, _ := c.txn.Exec(ops, sp)
+	res := c.txn.Exec(ops, sp)
 	c.repairFullWrites(ops, res)
 	for i := range ops {
 		// StatusOK on a non-GET op is exactly "this op changed its key".
@@ -659,6 +654,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 	c.stats.count(si, statDels)
 	ok := false
 	c.txn.WithLock(key, sp, func() {
+		t0 := sp.Begin()
 		e, found := s.table.Get(key)
 		switch {
 		case !found:
@@ -671,6 +667,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 		default:
 			ok = c.remove(s, key)
 		}
+		sp.End(obs.StageProbe, t0)
 	})
 	if ok {
 		c.wrote(key)

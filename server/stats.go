@@ -296,7 +296,7 @@ const (
 	atTableMax                // the longest path: before table_grows in STATS, after it here
 	atGrow                    // incremental resize; then: the path-length histogram
 	atLock                    // stripe locks
-	atTxn                     // then: the retry histogram, the cuckootrace series
+	atTxn                     // then: the cuckootrace series
 	atRepl                    // the outbound mirror stream (docs/REPLICATION.md)
 	atReplDropped             // its overflow drops: after the inbound pair in STATS, before it here
 	atReplIn                  // inbound application, queue depth and lag
@@ -394,9 +394,6 @@ var counters = []counter{
 	{stat: "lease_rejects", prom: "cuckood_lease_rejects_total", help: "SETL fills rejected because the lease was invalidated or expired.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseRejects.Load()) }},
 	{prom: "cuckood_lease_active", help: "Outstanding fill leases.", kind: obs.KindGauge, at: atLease, read: func(r *reading) float64 { return float64(r.c.leases.Active()) }},
 	{stat: "txn_commits", prom: "cuckood_txn_commits_total", help: "EXEC transactions committed (optimistic or pessimistic).", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Commits) }},
-	{stat: "txn_aborts", prom: "cuckood_txn_aborts_total", help: "Optimistic EXEC attempts aborted by stripe-version validation.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Aborts) }},
-	{stat: "txn_epoch_aborts", prom: "cuckood_txn_epoch_aborts_total", help: "Optimistic EXEC attempts aborted because a shard's migration epoch moved under a read-set entry.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().EpochAborts) }},
-	{stat: "txn_fallbacks", prom: "cuckood_txn_fallbacks_total", help: "EXEC transactions that exhausted optimistic retries and committed via the stripe-ordered pessimistic path.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Fallbacks) }},
 	{stat: "txn_cas_conflicts", prom: "cuckood_txn_cas_conflicts_total", help: "CAS operations rejected because the current value differed.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().CASConflicts) }},
 	{stat: "txn_split_ops", prom: "cuckood_txn_split_ops_total", help: "Commutative updates absorbed by per-shard split counters instead of the key's stripe.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().SplitOps) }},
 	{stat: "txn_split_reconciles", prom: "cuckood_txn_split_reconciles_total", help: "Hot-key delta reconciliations folded into the table.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Reconciles) }},

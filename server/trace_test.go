@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"log/slog"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"cuckoohash/internal/obs"
 )
 
 // bufLogger pairs a goroutine-safe capture buffer (metrics_test.go's
@@ -39,6 +43,66 @@ func TestTraceWireParsing(t *testing.T) {
 	for _, tc := range cases {
 		if got := c.roundTrip(tc.req); got != tc.want {
 			t.Errorf("%q -> %q, want %q", tc.req, got, tc.want)
+		}
+	}
+}
+
+// TestStageSumsClose drives each data verb through serveRequest with its
+// span armed, as serveBatchHead arms a sampled request. The named stages
+// must sum to no more than the request's wall time (no interval is
+// attributed twice), and a verb that touches the table must attribute that
+// work to probe.
+func TestStageSumsClose(t *testing.T) {
+	c, err := NewCache(1, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{cache: c}
+	var cs connState
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	// Each round runs every verb; a double-counted interval shows in most
+	// rounds but not every one, so there are several.
+	for round := range 20 {
+		for _, step := range []struct {
+			line  string
+			probe bool // the verb reads or writes the table
+		}{
+			{"SET k v", true},
+			{"GET k", true},
+			{"SET n 1", true},
+			{"INCR n", true},
+			{"CAS k v w", true},
+			{"DEL k", true},
+			{"MULTI", false},
+			{"INCR n", false},
+			{"GET k", false},
+			{"EXEC", true},
+			{fmt.Sprintf("REPLSET r%d 5 0 x", round), true},
+			{fmt.Sprintf("REPLDEL r%d 6", round), true},
+		} {
+			buf.Reset()
+			cs.span.Arm()
+			start := cs.span.Now()
+			s.serveRequest([]byte(step.line), nil, w, &cs)
+			wall := cs.span.Now() - start
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(buf.String(), "ERR") {
+				t.Fatalf("%q replied %q", step.line, buf.String())
+			}
+			st := cs.span.Stages()
+			var named int64
+			for i := range obs.NumStages - 1 { // all but other, which Finish fills in
+				named += st[i]
+			}
+			if named > wall {
+				t.Errorf("%q: named stages sum to %d ns over %d ns of wall time: %s", step.line, named, wall, obs.SummarizeStages(st))
+			}
+			if step.probe && st[obs.StageProbe] == 0 {
+				t.Errorf("%q touched the table but attributed no probe time: %s", step.line, obs.SummarizeStages(st))
+			}
 		}
 	}
 }

@@ -267,7 +267,7 @@ func TestTxnStatsExposed(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		"incrs", "cas_ops", "txn_commits", "txn_aborts", "txn_fallbacks",
+		"incrs", "cas_ops", "txn_commits",
 		"txn_cas_conflicts", "txn_split_ops", "txn_split_reconciles",
 		"txn_split_promotions", "txn_split_demotions", "txn_hot_keys",
 	} {
