@@ -3,6 +3,7 @@ package generic
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -91,12 +92,23 @@ func nextFullPair(t *testing.T, tab *Table[int, int], next int) int {
 
 // TestSearchMark pins ErrFull's documented behaviour: one search that
 // runs out of budget is not repeated while the table stays as full, a
-// delete re-arms it, and an overwrite never asks.
+// delete re-arms it, and an overwrite never asks. Displacement fills past
+// 0.95 in the median of five fresh tables: the mark is 0 until a search
+// fails, so the first ErrFull always follows a search that spent its whole
+// budget, and at 4 096 slots where that happens is a statistical property
+// of the scheme — of 20 000 fills the first refusal came at load 0.9478 at
+// the lowest, below 0.95 in 4 and at 0.9702 in the median.
 func TestSearchMark(t *testing.T) {
-	tab := cappedTable(t, 4096)
-	next := fillToFull(t, tab, 0)
-	if lf := tab.LoadFactor(); lf < 0.95 {
-		t.Fatalf("first ErrFull at load factor %.3f: displacement should fill past 0.95", lf)
+	var tab *Table[int, int]
+	var next int
+	lfs := make([]float64, 5)
+	for i := range lfs {
+		tab = cappedTable(t, 4096)
+		next = fillToFull(t, tab, 0)
+		lfs[i] = tab.LoadFactor()
+	}
+	if slices.Sort(lfs); lfs[2] < 0.95 {
+		t.Fatalf("first ErrFull at load factors %.3f: displacement should fill past 0.95 in the median", lfs)
 	}
 	mark, searches := tab.Len(), tab.Stats().Searches
 
@@ -193,9 +205,9 @@ func TestOldest(t *testing.T) {
 				}
 			}
 		}
-		got, ok := tab.Oldest(next, less)
-		if ok != found || got != want { // values are the keys
-			t.Fatalf("Oldest(%d) = %d, %v; buckets %d and %d hold %d, %v", next, got, ok, b1, b2, want, found)
+		got, val, ok := tab.Oldest(next, less)
+		if ok != found || got != want || val != want { // values are the keys
+			t.Fatalf("Oldest(%d) = %d, %d, %v; buckets %d and %d hold %d, %v", next, got, val, ok, b1, b2, want, found)
 		}
 	}
 
@@ -209,12 +221,12 @@ func TestOldest(t *testing.T) {
 	if err := tab.Upsert(resident, -1); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := tab.Oldest(resident, less); ok && got == resident {
+	if got, _, ok := tab.Oldest(resident, less); ok && got == resident {
 		t.Fatalf("Oldest(%d) chose the key itself", resident)
 	}
 
 	empty := cappedTable(t, 256)
-	if got, ok := empty.Oldest(1, less); ok {
+	if got, _, ok := empty.Oldest(1, less); ok {
 		t.Fatalf("Oldest on an empty table = %d, true", got)
 	}
 }

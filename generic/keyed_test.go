@@ -54,7 +54,6 @@ func TestNewKeyedNeedsKeyOf(t *testing.T) {
 	// The configurations every constructor refuses.
 	for _, cfg := range []Config{
 		{Associativity: 33},
-		{LockStripes: 3},
 		{InitialCapacity: 1024, MaxCapacity: 512},
 	} {
 		if _, err := New[uint64, uint64](cfg); err == nil {
@@ -206,9 +205,10 @@ func unreadable(tab *Table[string, rec], model map[string]rec) int {
 // operation against a map oracle, across several grows whose migration
 // advances only when the sequence says so — by its writes, each draining
 // its share, and by migrateBatch, one of the operations — and checks every
-// result, the final contents and the tag of every resident slot. The table
-// grows through writeGrowing, so no sweeper moves a key while checkOldest
-// reads the buckets.
+// result, the final contents and the tag of every resident slot. Update is
+// an operation with each of its decisions, and each must have met a key
+// still in a draining generation. The table grows through writeGrowing, so
+// no sweeper moves a key while checkOldest reads the buckets.
 func TestModel(t *testing.T) {
 	cfg := Config{InitialCapacity: 64, DisableAutoGrow: true}
 	eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
@@ -216,10 +216,44 @@ func TestModel(t *testing.T) {
 		model := map[string]rec{}
 		const universe = 3000
 		grewMidway := false
+		var oldGenUpdates [3]int // by decision
 		for step := 0; step < 40000; step++ {
 			key := fmt.Sprintf("key-%d", rnd.Intn(universe))
 			val := rec{key: key, n: step}
 			switch op := rnd.Intn(100); {
+			case op < 12:
+				if k, ok := oldGenKey(tab, rnd); ok && rnd.Intn(2) == 0 {
+					key, val = k, rec{key: k, n: step}
+				}
+				decision := Action(rnd.Intn(3))
+				if inOldGen(tab, key) {
+					oldGenUpdates[decision]++
+				}
+				prev, present := model[key]
+				var cur rec
+				var found bool
+				var act Action
+				err := writeGrowing(tab, func() (err error) {
+					act, err = tab.Update(key, func(c rec, f bool) (rec, Action) {
+						cur, found = c, f
+						return val, decision
+					})
+					return err
+				})
+				wantAct := decision
+				if decision == Remove && !present {
+					wantAct = Keep
+				}
+				if err != nil || found != present || cur != prev || act != wantAct {
+					t.Fatalf("step %d Update(%s) deciding %d = %d, %v; decide saw %+v,%v, want %d and %+v,%v",
+						step, key, decision, act, err, cur, found, wantAct, prev, present)
+				}
+				switch act {
+				case Store:
+					model[key] = val
+				case Remove:
+					delete(model, key)
+				}
 			case op < 30:
 				err := writeGrowing(tab, func() error { return tab.Insert(key, val) })
 				if _, present := model[key]; present != errors.Is(err, ErrExists) || (!present && err != nil) {
@@ -270,6 +304,11 @@ func TestModel(t *testing.T) {
 		if !grewMidway {
 			t.Fatal("the sequence never ran an operation during a migration")
 		}
+		for decision, n := range oldGenUpdates {
+			if n == 0 {
+				t.Fatalf("no Update deciding %d met a key in a draining generation", decision)
+			}
+		}
 		if n := unreadable(tab, model); n != 0 {
 			t.Fatalf("%d of %d keys unreadable at the end", n, len(model))
 		}
@@ -278,12 +317,34 @@ func TestModel(t *testing.T) {
 	})
 }
 
+// inOldGen reports whether key lives in a draining generation.
+// Single-goroutine tests only: it probes without the stripes.
+func inOldGen(tab *Table[string, rec], key string) bool {
+	st := tab.loadState()
+	arr, _, _, ok := tab.locate(st, tab.hash(key), func(k string) bool { return k == key })
+	return ok && arr != st.live
+}
+
+// oldGenKey returns a key still in a draining generation, from a slot
+// picked at random, and false when none is. Single-goroutine tests only.
+func oldGenKey(tab *Table[string, rec], rnd *rand.Rand) (string, bool) {
+	for _, g := range tab.loadState().olds {
+		n := uint64(len(g.arr.vals))
+		for j, start := uint64(0), uint64(rnd.Int63n(int64(n))); j < n; j++ {
+			if i := (start + j) % n; occupied(g.arr, i) {
+				return tab.keyAt(g.arr, i), true
+			}
+		}
+	}
+	return "", false
+}
+
 // checkOldest: the victim is a resident key other than key, it lives in
 // one of key's two live buckets, and nothing else there ranks before it.
 func checkOldest(t *testing.T, tab *Table[string, rec], model map[string]rec, key string) {
 	t.Helper()
 	older := func(a, b rec) bool { return a.n < b.n }
-	victim, ok := tab.Oldest(key, older)
+	victim, val, ok := tab.Oldest(key, older)
 	live := tab.loadState().live
 	b1, b2 := twoBuckets(tab.hash(key), live.buckets)
 	var want string
@@ -302,8 +363,8 @@ func checkOldest(t *testing.T, tab *Table[string, rec], model map[string]rec, ke
 	if ok != found || victim != want {
 		t.Fatalf("Oldest(%s) = %q,%v, the buckets say %q,%v", key, victim, ok, want, found)
 	}
-	if _, resident := model[victim]; ok && !resident {
-		t.Fatalf("Oldest(%s) named %q, which is not in the table", key, victim)
+	if resident, in := model[victim]; ok && (!in || val != resident) {
+		t.Fatalf("Oldest(%s) named %q with %+v; the table holds %+v, %v", key, victim, val, resident, in)
 	}
 }
 
@@ -385,7 +446,7 @@ func TestTagAndBucketCollisions(t *testing.T) {
 		if _, ok := tab.Get(gone); ok {
 			t.Fatalf("%s is still readable after its delete", gone)
 		}
-		if victim, ok := tab.Oldest(colliders[0], func(a, b rec) bool { return a.n < b.n }); !ok || victim == colliders[0] {
+		if victim, _, ok := tab.Oldest(colliders[0], func(a, b rec) bool { return a.n < b.n }); !ok || victim == colliders[0] {
 			t.Fatalf("Oldest(%s) = %q,%v: it must skip the key itself, not its tag twins", colliders[0], victim, ok)
 		}
 	})
@@ -457,21 +518,23 @@ func TestTagTravelsWithSlot(t *testing.T) {
 func TestStripesNeverExceedBuckets(t *testing.T) {
 	for _, tc := range []struct {
 		initial, max uint64
-		stripes      int // Config.LockStripes; 0 = default 4096
+		stripes      int // withStripes; 0 = what the capacity sizes
 		want         int
 	}{
-		{256, 2048, 0, 256},     // a cuckood shard of wire-set-evict: 512 buckets at the cap
-		{2048, 2048, 0, 256},    // born at the cap
-		{1024, 0, 0, 4096},      // uncapped: the default stands
-		{8192, 65536, 0, 4096},  // 16 384 buckets at the cap: the default is the smaller
-		{64, 3000, 0, 256},      // 750 buckets at the cap: 256 stripes, not 375
-		{256, 2048, 64, 64},     // an explicit smaller table is left alone
-		{4096, 4096, 8192, 512}, // and an explicit larger one is clamped too
-		{8, 8, 0, 1},            // two buckets at the cap share the one stripe
+		{256, 2048, 0, 256},    // a cuckood shard of wire-set-evict: 512 buckets at the cap
+		{2048, 2048, 0, 256},   // born at the cap
+		{1024, 0, 0, 4096},     // uncapped: all 4 096
+		{8192, 65536, 0, 4096}, // 16 384 buckets at the cap: 4 096 is the smaller
+		{64, 3000, 0, 256},     // 750 buckets at the cap: 256 stripes, not 375
+		{256, 2048, 64, 64},    // a smaller table fills to the cap as well
+		{8, 8, 0, 1},           // two buckets at the cap share the one stripe
 	} {
-		tab, err := New[int, int](Config{InitialCapacity: tc.initial, MaxCapacity: tc.max, LockStripes: tc.stripes})
+		tab, err := New[int, int](Config{InitialCapacity: tc.initial, MaxCapacity: tc.max})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.stripes != 0 {
+			withStripes(tab, tc.stripes)
 		}
 		if got := tab.locks.Len(); got != tc.want {
 			t.Errorf("initial %d max %d stripes %d: %d stripes, want %d", tc.initial, tc.max, tc.stripes, got, tc.want)

@@ -4,7 +4,31 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"cuckoohash/internal/spinlock"
 )
+
+// tryPut is Insert (overwrite false) or Upsert through tryUpdate, which
+// neither grows nor drains.
+func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
+	act, err := t.tryUpdate(t.hash(key), key, func(_ V, found bool) (V, Action) {
+		if found && !overwrite {
+			return val, Keep
+		}
+		return val, Store
+	})
+	if err == nil && act == Keep {
+		return ErrExists
+	}
+	return err
+}
+
+// withStripes gives a table nothing has used yet a stripe table of n
+// stripes in place of the one its capacity sized.
+func withStripes[K comparable, V any](tab *Table[K, V], n int) *Table[K, V] {
+	tab.locks = spinlock.NewStripe(n)
+	return tab
+}
 
 // forceGrow publishes a live generation half again as large whatever the
 // load, as a put that found no room would, but starts no sweeper: the

@@ -6,16 +6,16 @@ package generic
 // old buckets a bounded batch at a time while every operation on a key
 // holds that key's stripes in all published generations (pin) and probes
 // them all (locate). The table paces its own drain, and nothing outside it
-// can: every Insert, Upsert and Delete made while a migration is in flight
-// drains writeDrain buckets once it has released its stripes, and the
-// background sweeper a grow starts finishes the migration of a table that
-// stops seeing writes. The scheme follows the page-by-page rehash of
-// "Cuckoo Hashing with Pages" (arXiv:1104.5111), which paces the rehash
-// with the table's own operations, and the two-table read discipline of
-// "Lock-Free Hopscotch Hashing" (arXiv:1911.03028): the published
-// generation-state pointer tells concurrent operations that the generation
-// set changed (stateValid), and per-bucket migrated marks make the old
-// generation write-once-drained.
+// can: every Update (and so every Insert, Upsert and Delete) made while a
+// migration is in flight drains writeDrain buckets once it has released
+// its stripes, and the background sweeper a grow starts finishes the
+// migration of a table that stops seeing writes. The scheme follows the
+// page-by-page rehash of "Cuckoo Hashing with Pages" (arXiv:1104.5111),
+// which paces the rehash with the table's own operations, and the
+// two-table read discipline of "Lock-Free Hopscotch Hashing"
+// (arXiv:1911.03028): the published generation-state pointer tells
+// concurrent operations that the generation set changed (stateValid), and
+// per-bucket migrated marks make the old generation write-once-drained.
 //
 // Invariants (machine-checked by the cuckoovet genercheck analyzer):
 //

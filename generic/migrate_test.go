@@ -229,12 +229,18 @@ func TestGrowEvents(t *testing.T) {
 	}
 }
 
+// TestConcurrentOpsAcrossManualMigration: writers insert and read back
+// their own keys beside a migrator, and each also increments one shared
+// counter through Update — a read-modify-write in one critical section —
+// while one of them forces grows; the counter must end exact.
 func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
 	tab := MustNew[int, int](Config{InitialCapacity: 64})
 	const (
 		workers = 4
 		perW    = 4000
+		counter = -1 // the writers' keys are 0 and up
 	)
+	incr := func(cur int, _ bool) (int, Action) { return cur + 1, Store }
 	stop := make(chan struct{})
 	var migrators sync.WaitGroup
 	migrators.Add(1)
@@ -265,6 +271,13 @@ func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
 					t.Errorf("readback %d = %v, %v", k, v, ok)
 					return
 				}
+				if _, err := tab.Update(counter, incr); err != nil {
+					t.Errorf("increment %d: %v", k, err)
+					return
+				}
+				if w == 0 && i%1000 == 999 {
+					forceGrow(tab)
+				}
 			}
 		}(w)
 	}
@@ -274,8 +287,11 @@ func TestConcurrentOpsAcrossManualMigration(t *testing.T) {
 	for tab.Growing() {
 		tab.migrateBatch(64)
 	}
-	if got := tab.Len(); got != workers*perW {
-		t.Fatalf("Len = %d, want %d", got, workers*perW)
+	if got := tab.Len(); got != workers*perW+1 {
+		t.Fatalf("Len = %d, want %d", got, workers*perW+1)
+	}
+	if n, _ := tab.Get(counter); n != workers*perW {
+		t.Fatalf("counter = %d after %d increments", n, workers*perW)
 	}
 	for k := 0; k < workers*perW; k++ {
 		if v, ok := tab.Get(k); !ok || v != k {

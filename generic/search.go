@@ -134,7 +134,7 @@ func (t *Table[K, V]) shift(st *genState[K, V], path []pathEntry) bool {
 // scratch, for a cuckoo path and shifts the path's entries along it. hops
 // is the path's length in displacements, -1 when the search found none;
 // freed reports that the shift got through, leaving head, the path's first
-// slot, free. A put (tryPut) and a drain (migrateBucket) are its callers.
+// slot, free. A store (tryUpdate) and a drain (migrateBucket) are its callers.
 //
 //cuckoo:coldpath the insert slow path (§4, Eq. 2): a search and the moves it leads to, in scratch from searchScratches
 func (t *Table[K, V]) openSlot(st *genState[K, V], b1, b2 uint64) (head pathEntry, hops int, freed bool) {

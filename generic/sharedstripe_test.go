@@ -69,9 +69,10 @@ func TestSharedStripeKey(t *testing.T) {
 	if tags := sharedStripeTags(512, 1); len(tags) != 255 {
 		t.Fatalf("%d tags share the one stripe, want all 255", len(tags))
 	}
-	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048, LockStripes: 1}
+	cfg := Config{InitialCapacity: 1024, MaxCapacity: 2048}
 	t.Run("sequence", func(t *testing.T) {
 		eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
+			withStripes(tab, 1)
 			keys := sharedStripeKeys("shared", 64)
 			completes("one goroutine's operations", func() { sharedStripeSequence(t, tab, keys) })
 			for tab.Growing() { // the fill's grow to the cap started a sweeper
@@ -82,6 +83,7 @@ func TestSharedStripeKey(t *testing.T) {
 	})
 	t.Run("concurrent", func(t *testing.T) {
 		eachConstruction(t, cfg, func(t *testing.T, tab *Table[string, rec]) {
+			withStripes(tab, 1)
 			keys := make([][]string, 4)
 			for w := range keys {
 				keys[w] = sharedStripeKeys(fmt.Sprintf("writer%d", w), 8)
@@ -154,7 +156,7 @@ func sharedStripeSequence(t *testing.T, tab *Table[string, rec], keys []string) 
 			t.Errorf("Insert(%s): %v", k, err)
 			return
 		}
-		victim, ok := tab.Oldest(k, older)
+		victim, _, ok := tab.Oldest(k, older)
 		if !ok || !tab.Delete(victim) {
 			t.Errorf("Oldest(%s) = %s, %v, and it could not be deleted", k, victim, ok)
 			return
@@ -221,7 +223,7 @@ func sharedStripeConcurrent(t *testing.T, tab *Table[string, rec], keys [][]stri
 				k := keys[i%len(keys)]
 				v := rec{key: k, n: 1<<20 + i}
 				for tries := 0; tab.Upsert(k, v) != nil; tries++ {
-					if victim, ok := tab.Oldest(k, older); ok && tab.Delete(victim) {
+					if victim, _, ok := tab.Oldest(k, older); ok && tab.Delete(victim) {
 						evictions.Add(1)
 					}
 					if tries > 64 {

@@ -11,8 +11,9 @@
 // generation set it locked under is still the published one; locate is the
 // one probe — generations × two buckets × tag words, a key looked at only
 // behind a matching tag. Get and GetBytes are pin → locate → copy the
-// value out, Delete is pin → locate → clearSlot, and a put (attempt) is
-// validate → locate → overwrite in place, fold forward or place; reads
+// value out. Update is the one keyed write — lock → validate → locate →
+// decide → keep, overwrite in place, fold forward, place or clear — and
+// Insert, Upsert and Delete are what it does with a fixed decision; reads
 // take the (very short) lock instead of running optimistically because
 // values of arbitrary type cannot be copied tear-free without it.
 //
@@ -50,11 +51,11 @@ import (
 	"cuckoohash/internal/spinlock"
 )
 
-// ErrFull is returned by Insert and Upsert when no slot is reachable and
-// automatic resizing is disabled (or capped by MaxCapacity). A search
-// that exhausts its budget records the Len it started from; until Len
-// falls below that mark — a Delete, or a grow or Clear, which forget it —
-// a key whose two buckets are full gets ErrFull without repeating a
+// ErrFull is returned by a store (Update, Insert, Upsert) when no slot is
+// reachable and automatic resizing is disabled (or capped by MaxCapacity).
+// A search that exhausts its budget records the Len it started from; until
+// Len falls below that mark — a removal, or a grow or Clear, which forget
+// it — a key whose two buckets are full gets ErrFull without repeating a
 // search that just proved futile.
 var ErrFull = errors.New("generic: table is too full")
 
@@ -75,12 +76,6 @@ type Config struct {
 	MaxCapacity uint64
 	// Associativity is the bucket width (default 4, libcuckoo's default).
 	Associativity int
-	// LockStripes is the striped-lock table size (default 4096), a power
-	// of two. A bucket maps to stripe bucket&(stripes-1). With MaxCapacity
-	// set, the table allocates at most one stripe per two buckets at that
-	// capacity (the largest power of two that fits), as §4.4's lock array
-	// is sized for concurrency rather than one word per bucket.
-	LockStripes int
 	// DisableAutoGrow turns off resize-on-full; Insert then returns
 	// ErrFull like the fixed-size tables.
 	DisableAutoGrow bool
@@ -97,10 +92,14 @@ func (c *Config) setDefaults() {
 	if c.Associativity == 0 {
 		c.Associativity = 4
 	}
-	if c.LockStripes == 0 {
-		c.LockStripes = 4096
-	}
 }
+
+// lockStripes is the striped-lock table's size, a power of two: a bucket
+// maps to stripe bucket&(lockStripes-1). With MaxCapacity set, a table
+// allocates at most one stripe per two buckets at that capacity (the
+// largest power of two that fits), as §4.4's lock array is sized for
+// concurrency rather than one word per bucket.
+const lockStripes = 4096
 
 // Table is a concurrent cuckoo hash table mapping K to V. All methods are
 // safe for concurrent use.
@@ -171,15 +170,12 @@ func newTable[K comparable, V any](cfg Config, keyOf func(V) K) (*Table[K, V], e
 	if cfg.Associativity < 1 || cfg.Associativity > 32 {
 		return nil, errors.New("generic: Associativity must be in [1,32]")
 	}
-	if cfg.LockStripes&(cfg.LockStripes-1) != 0 {
-		return nil, errors.New("generic: LockStripes must be a power of two")
-	}
 	if cfg.MaxCapacity != 0 && cfg.MaxCapacity < cfg.InitialCapacity {
 		return nil, errors.New("generic: MaxCapacity below InitialCapacity")
 	}
 	assoc := uint64(cfg.Associativity)
 	buckets := max(2, (cfg.InitialCapacity+2*assoc-1)/assoc&^1)
-	stripes := cfg.LockStripes
+	stripes := lockStripes
 	if maxBuckets := maxBucketsOf(cfg); maxBuckets != 0 {
 		// Put-driven growth stops at maxBuckets, and there at least two
 		// buckets share a stripe, as they do in any table larger than its
@@ -494,76 +490,115 @@ func (t *Table[K, V]) get(h uint64, match func(K) bool) (v V, ok bool) {
 	return v, ok
 }
 
+// Action is what an Update's decide function asks of the table.
+type Action uint8
+
+const (
+	// Keep leaves the key as decide found it.
+	Keep Action = iota
+	// Store writes the value decide returned: over the resident one in
+	// place, or into a free live slot.
+	Store
+	// Remove clears the key's slot; for an absent key it is Keep.
+	Remove
+)
+
+// Update is the table's one keyed write. It pins key — the stripes of its
+// candidate buckets in every generation — locates it once, and applies
+// what decide(cur, found) returns before the pin is released, so a check
+// and the write it decides are one critical section (found is false and
+// cur the zero V for an absent key). A Store that finds both live
+// candidate buckets full releases the pin, opens a slot by a path search
+// or grows the table, and runs decide again under the fresh pin. It
+// returns what it applied — Keep for a Remove of an absent key — and
+// ErrFull, having applied nothing, when no slot is reachable and growth is
+// disabled or capped. decide runs under bucket stripes: it only compares
+// and builds, never blocks and never calls into t. In a keyed table a
+// stored value's key must equal key. Like every write, Update pays its
+// share of an in-flight migration's drain once its stripes are released.
+//
+//cuckoo:hotpath the table write path; search/grow/migrate are the audited slow paths
+func (t *Table[K, V]) Update(key K, decide func(cur V, found bool) (V, Action)) (Action, error) {
+	h := t.hash(key)
+	for {
+		observed := t.loadState().live.buckets
+		act, err := t.tryUpdate(h, key, decide)
+		if err == ErrFull && !t.cfg.DisableAutoGrow && t.grow(observed) {
+			continue
+		}
+		t.migrateBatch(writeDrain)
+		return act, err
+	}
+}
+
 // Insert adds key, returning ErrExists if present. With auto-grow enabled
 // (the default) it resizes instead of returning ErrFull.
 func (t *Table[K, V]) Insert(key K, val V) error {
-	return t.put(key, val, false)
+	act, err := t.Update(key, func(_ V, found bool) (V, Action) {
+		if found {
+			return val, Keep
+		}
+		return val, Store
+	})
+	if err == nil && act == Keep {
+		return ErrExists
+	}
+	return err
 }
 
 // Upsert inserts or overwrites key.
 func (t *Table[K, V]) Upsert(key K, val V) error {
-	return t.put(key, val, true)
+	_, err := t.Update(key, func(V, bool) (V, Action) { return val, Store })
+	return err
 }
 
-// put is the shared write loop behind Insert and Upsert: the in-place
-// fast path, then BFS path search (the audited slow path), growing as
-// needed, then the write's share of an in-flight migration's drain.
-//
-//cuckoo:hotpath the table write path; search/grow/migrate are the audited slow paths
-func (t *Table[K, V]) put(key K, val V, overwrite bool) error {
-	for {
-		observed := t.loadState().live.buckets
-		err := t.tryPut(key, val, overwrite)
-		if err == ErrFull && !t.cfg.DisableAutoGrow {
-			if t.grow(observed) {
-				continue
-			}
-		}
-		t.migrateBatch(writeDrain)
-		return err
-	}
+// Delete removes key, reporting whether it was present. The removal may
+// land in either generation: clearing an old-generation slot is the same
+// write migration itself performs.
+func (t *Table[K, V]) Delete(key K) bool {
+	act, _ := t.Update(key, func(V, bool) (v V, _ Action) { return v, Remove })
+	return act == Remove
 }
 
-func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
-	h := t.hash(key)
+// tryUpdate is one Update without growing or draining: the in-place fast
+// path, then BFS path search (the audited slow path) when a store needs a
+// slot.
+func (t *Table[K, V]) tryUpdate(h uint64, key K, decide func(V, bool) (V, Action)) (Action, error) {
 	for {
 		st := t.loadState()
 		b1, b2 := twoBuckets(h, st.live.buckets)
 
-		res := t.attempt(st, h, b1, b2, key, val, overwrite, -1)
+		act, res := t.attempt(st, h, b1, b2, key, decide, -1)
 		if res == putNoSpace {
 			// The mark is the Len the failed search started from, so a
 			// delete that made room while it ran re-arms the next one.
 			n := t.Len()
 			if mark := st.live.fullAt.Load(); mark != 0 && n >= mark && len(st.olds) == 0 {
-				return ErrFull
+				return Keep, ErrFull
 			}
 			if head, hops, freed := t.openSlot(st, b1, b2); hops >= 0 {
 				t.probe.ObservePath(b1, uint64(hops))
 				if freed {
 					// The head is b1 or b2: insert into its free slot.
-					res = t.attempt(st, h, head.bucket, b1^b2^head.bucket, key, val, overwrite, head.slot)
+					act, res = t.attempt(st, h, head.bucket, b1^b2^head.bucket, key, decide, head.slot)
 				}
 				if !freed || res == putNoSpace || res == putStale {
 					// Path invalidated or generations swapped (Eq. 1); retry.
 					t.probe.Restarted(b1)
 					continue
 				}
-			} else if res = t.attempt(st, h, b1, b2, key, val, overwrite, -1); res == putNoSpace {
+			} else if act, res = t.attempt(st, h, b1, b2, key, decide, -1); res == putNoSpace {
 				// Still no room on the re-check under the lock: give up. A
 				// search that failed mid-migration says nothing about the
 				// settled table, whose keys Len already counts.
 				if len(st.olds) == 0 {
 					st.live.fullAt.Store(n)
 				}
-				return ErrFull
+				return Keep, ErrFull
 			}
 		}
-		switch res {
-		case putDone:
-			return nil
-		case putExists:
-			return ErrExists
+		if res == putDone {
+			return act, nil
 		}
 		// putStale: the generation set changed under us; retry.
 	}
@@ -573,38 +608,46 @@ type putResult int
 
 const (
 	putDone putResult = iota
-	putExists
 	putNoSpace
 	putStale
 )
 
-// attempt tries to complete the put under the key's full cross-
-// generation lock set. A key found in the live arrays is updated in
-// place; a key found in a draining generation is folded forward — the
-// new value lands in a live slot and the old slot is cleared — so
-// writers always land in the live generation. reqSlot >= 0 pins the
-// insert to that slot of b1 (the head of a discovered cuckoo path). A
-// republished generation set is putStale, not a retry here: the caller's
-// buckets and path were computed against st.
-func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V, overwrite bool, reqSlot int) putResult {
+// attempt runs decide under the key's full cross-generation lock set and
+// applies what it returns. A stored key found in the live arrays is
+// updated in place; one found in a draining generation is folded forward —
+// the new value lands in a live slot and the old slot is cleared — so
+// writers always land in the live generation. reqSlot >= 0 pins an insert
+// to that slot of b1 (the head of a discovered cuckoo path). A republished
+// generation set is putStale, not a retry here: the caller's buckets and
+// path were computed against st.
+func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, decide func(V, bool) (V, Action), reqSlot int) (Action, putResult) {
 	var lockBuf [8]uint64
 	locked := t.lockAllGens(st, h, lockBuf[:0])
 	defer t.locks.UnlockOrdered(locked)
 	if !t.stateValid(st) {
-		return putStale
+		return Keep, putStale
 	}
 	live := st.live
 	arr, ab, i, found := t.locate(st, h, func(k K) bool { return k == key })
-	if found && !overwrite {
-		return putExists
+	var cur V
+	if found {
+		cur = arr.vals[i]
 	}
-	if found && arr == live {
+	val, act := decide(cur, found)
+	switch {
+	case act == Remove && found:
+		t.clearSlot(arr, ab, i) // linearization point of a removal
+		t.size.Add(ab, -1)
+		return Remove, putDone
+	case act != Store:
+		return Keep, putDone
+	case found && arr == live:
 		live.vals[i] = val // linearization point of an overwrite
-		return putDone
+		return Store, putDone
 	}
 	s, ok := t.liveSlotFor(live, b1, b2, reqSlot)
 	if !ok {
-		return putNoSpace
+		return Keep, putNoSpace
 	}
 	// linearization point of an insert, and of a fold-forward: the key is
 	// placed at its destination before its old-generation slot is cleared
@@ -617,7 +660,7 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, val V
 	} else {
 		t.size.Add(s.bucket, 1)
 	}
-	return putDone
+	return Store, putDone
 }
 
 // liveTarget names a (bucket, slot) destination in the live arrays.
@@ -694,63 +737,41 @@ func (t *Table[K, V]) freeSlot(ws []uint32) (int, bool) {
 	return 0, false
 }
 
-// Delete removes key, reporting whether it was present. The removal may
-// land in either generation — clearing an old-generation slot is the
-// same write migration itself performs — and, like a put, pays its share
-// of an in-flight migration's drain once its stripes are released.
-func (t *Table[K, V]) Delete(key K) bool {
-	h := t.hash(key)
-	var lockBuf [8]uint64
-	st, locked := t.pin(h, lockBuf[:0])
-	arr, b, i, found := t.locate(st, h, func(k K) bool { return k == key })
-	if found {
-		t.clearSlot(arr, b, i) // linearization point
-		t.size.Add(b, -1)
-	}
-	t.locks.UnlockOrdered(locked)
-	t.migrateBatch(writeDrain)
-	return found
-}
-
-// Oldest returns the key that older ranks first among the entries in the
+// Oldest returns the entry that older ranks first among the entries in the
 // live slots of key's two candidate buckets, key itself excepted — the
 // ones whose removal lets an Upsert of key that just got ErrFull land
 // without a search. It is how a bounded cache picks an eviction victim
 // where the room is needed instead of keeping an eviction order of its
-// own. ok is false when those slots hold nothing else. older runs under
-// the buckets' stripes: it must only compare, and not call into t.
-func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, ok bool) {
+// own; with the victim's value in hand, the cache can remove it through
+// Update only if that value is still the one there. ok is false when
+// those slots hold nothing else. older runs under the buckets' stripes: it
+// must only compare, and not call into t.
+func (t *Table[K, V]) Oldest(key K, older func(a, b V) bool) (victim K, val V, ok bool) {
 	h := t.hash(key)
 	tag := tagOf(h)
-	for {
-		st := t.loadState()
-		live := st.live
-		b1, b2 := twoBuckets(h, live.buckets)
-		l1, l2 := t.lockPair(b1, b2)
-		if !t.stateValid(st) {
-			t.locks.UnlockPair(l1, l2)
-			continue
-		}
-		var best uint64
-		for _, b := range [2]uint64{b1, b2} {
-			ws := t.bucketTags(live, b)
-			for m := used(ws); m != 0; m &= m - 1 {
-				s := bits.TrailingZeros32(m)
-				i := b*t.assoc + uint64(s)
-				if tagIn(ws, s) == tag && t.keyAt(live, i) == key {
-					continue
-				}
-				if !ok || older(live.vals[i], live.vals[best]) {
-					best, ok = i, true
-				}
+	var lockBuf [8]uint64
+	st, locked := t.pin(h, lockBuf[:0])
+	live := st.live
+	b1, b2 := twoBuckets(h, live.buckets)
+	var best uint64
+	for _, b := range [2]uint64{b1, b2} {
+		ws := t.bucketTags(live, b)
+		for m := used(ws); m != 0; m &= m - 1 {
+			s := bits.TrailingZeros32(m)
+			i := b*t.assoc + uint64(s)
+			if tagIn(ws, s) == tag && t.keyAt(live, i) == key {
+				continue
+			}
+			if !ok || older(live.vals[i], live.vals[best]) {
+				best, ok = i, true
 			}
 		}
-		if ok {
-			victim = t.keyAt(live, best)
-		}
-		t.locks.UnlockPair(l1, l2)
-		return victim, ok
 	}
+	if ok {
+		victim, val = t.keyAt(live, best), live.vals[best]
+	}
+	t.locks.UnlockOrdered(locked)
+	return victim, val, ok
 }
 
 // Range calls fn for every key/value pair until fn returns false. It

@@ -59,14 +59,13 @@ type Result struct {
 }
 
 // cell is one key's view while a transaction runs: loaded once under the
-// key's held stripe, then read and rewritten by each op on the key.
+// key's held stripe, then read and rewritten by each op on the key. A
+// counter's write keeps expireAt, the expiry the key was loaded with.
 type cell struct {
 	val      string
 	ok       bool
-	dirty    bool // buffered write; must apply at commit
-	deleted  bool
+	write    OpKind // the buffered write, OpSet or OpDel; OpGet until an op writes
 	expireAt int64
-	keepTTL  bool
 }
 
 // Exec runs ops as one atomic multi-key transaction and returns a result
@@ -97,7 +96,7 @@ func (s *Store) Exec(ops []Op, rec *obs.Span) []Result {
 		if c == nil {
 			s.reconcileIfHotLocked(op.Key)
 			c = &cell{}
-			c.val, c.ok = s.kv.Load(op.Key)
+			c.val, c.expireAt, c.ok = s.kv.Load(op.Key)
 			env[op.Key] = c
 		}
 		res[i] = applyToCell(op, c)
@@ -109,17 +108,15 @@ func (s *Store) Exec(ops []Op, rec *obs.Span) []Result {
 	return res
 }
 
-// flush applies env's buffered writes to the backing store; the caller
-// holds every touched key's stripe. A store error (a full shard) surfaces
-// on the ops that buffered the failed write.
+// flush applies env's buffered writes to the backing store, one Update a
+// key; the caller holds every touched key's stripe. A store error (a full
+// shard) surfaces on the ops that buffered the failed write.
 func (s *Store) flush(ops []Op, res []Result, env map[string]*cell) {
 	for key, c := range env {
-		if !c.dirty {
+		if c.write == OpGet {
 			continue
 		}
-		if c.deleted {
-			s.kv.Delete(key)
-		} else if err := s.kv.Store(key, c.val, c.expireAt, c.keepTTL); err != nil {
+		if _, err := s.kv.Update(key, Change{c: *c}); err != nil {
 			for i := range ops {
 				if ops[i].Key == key && res[i].Status == StatusOK {
 					res[i] = Result{Status: StatusErr, Err: err.Error()}
@@ -141,13 +138,13 @@ func applyToCell(op *Op, c *cell) Result {
 		return Result{Status: StatusValue, Value: c.val}
 	case OpSet:
 		c.val, c.ok = op.Val, true
-		c.dirty, c.deleted = true, false
-		c.expireAt, c.keepTTL = op.ExpireAt, false
+		c.write = OpSet
+		c.expireAt = op.ExpireAt
 		return Result{Status: StatusOK}
 	case OpDel:
 		was := c.ok
-		c.val, c.ok = "", false
-		c.dirty, c.deleted = true, true
+		c.val, c.ok, c.expireAt = "", false, 0
+		c.write = OpDel
 		if !was {
 			return Result{Status: StatusMiss}
 		}
@@ -168,10 +165,8 @@ func applyToCell(op *Op, c *cell) Result {
 		} else {
 			n = op.Delta
 		}
-		//lint:allow cuckoovet:allocfree the re-encoded value string is the write; split mode batches these to one per fold
 		c.val, c.ok = strconv.FormatInt(n, 10), true
-		c.dirty, c.deleted = true, false
-		c.keepTTL = true
+		c.write = OpSet
 		return Result{Status: StatusOK}
 	case OpCAS:
 		switch {
@@ -181,8 +176,7 @@ func applyToCell(op *Op, c *cell) Result {
 			return Result{Status: StatusConflict}
 		default:
 			c.val = op.Val
-			c.dirty, c.deleted = true, false
-			c.keepTTL = true
+			c.write = OpSet
 			return Result{Status: StatusOK}
 		}
 	}

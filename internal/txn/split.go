@@ -315,18 +315,19 @@ func (s *Store) foldLocked(key string) uint64 {
 		return 0
 	}
 	s.stats.splitOps.Add(f.ops)
-	var cur int64
-	if v, ok := s.kv.Load(key); ok {
-		cur, _ = strconv.ParseInt(v, 10, 64)
+	var n int64
+	v, expireAt, ok := s.kv.Load(key)
+	if ok {
+		n, _ = strconv.ParseInt(v, 10, 64)
 	}
-	n := cur + f.add
+	n += f.add
 	if f.haveMax && f.max > n {
 		n = f.max
 	}
 	// Best effort: a full backing store drops the fold (counters on a
 	// shard that cannot even hold the key are already lost causes), but
 	// the drained deltas were removed, so count the reconcile regardless.
-	_ = s.kv.Store(key, strconv.FormatInt(n, 10), 0, true)
+	_, _ = s.kv.Update(key, Change{c: cell{val: strconv.FormatInt(n, 10), write: OpSet, expireAt: expireAt}})
 	s.stats.reconciles.Add(1)
 	return f.ops
 }

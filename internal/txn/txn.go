@@ -38,14 +38,41 @@ import (
 // KV is the backing store the transaction layer mediates access to. The
 // contract: every mutation of a key routed through this interface happens
 // while the Store holds that key's stripe (the Store guarantees this).
-// Load must return only live values.
+// Load and Update see only live values.
 type KV interface {
-	Load(key string) (val string, ok bool)
-	// Store writes val. When keepTTL is set the entry's current expiry is
-	// preserved (counter updates must not clobber a TTL); otherwise
-	// expireAt (unix nanoseconds, 0 = never) becomes the new expiry.
-	Store(key, val string, expireAt int64, keepTTL bool) error
-	Delete(key string) bool
+	// Load returns key's value and its expiry (unix nanoseconds, 0 =
+	// never).
+	Load(key string) (val string, expireAt int64, ok bool)
+	// Update makes the write ch.Decide returns for key's live value and
+	// expiry, in one critical section of the store, and returns ch as the
+	// last Decide left it. Decide may run more than once — the store
+	// retries a write that had to make room first. The error is a write
+	// the store could not make (a full store).
+	Update(key string, ch Change) (Change, error)
+}
+
+// A Change is what a KV's Update makes of one key: Decide runs an op on
+// the key's live value (a single-key verb) or returns a write already
+// buffered (a transaction's commit, a split fold). It is a value — passed
+// to Update and returned with the op's Result — so a verb crosses the KV
+// interface without allocating.
+type Change struct {
+	op  Op
+	run bool // run op on the value; otherwise c holds the write
+	c   cell
+	res Result
+}
+
+// Decide returns the write to make of a key whose value is val, expiring
+// at expireAt (ok false when there is none): OpSet stores newVal to
+// expire at exp, OpDel removes the key, OpGet leaves it. It only
+// computes: a store calls it in its critical section.
+func (ch *Change) Decide(val string, expireAt int64, ok bool) (write OpKind, newVal string, exp int64) {
+	if ch.run {
+		ch.c = cell{val: val, ok: ok, expireAt: expireAt}
+		ch.res = applyToCell(&ch.op, &ch.c)
+	}
+	return ch.c.write, ch.c.val, ch.c.expireAt
 }
 
 // ErrNotInteger is returned when an arithmetic verb lands on a value that
@@ -192,9 +219,7 @@ func (s *Store) commute(key string, class uint8, n int64, hint uint64, rec *obs.
 	if class == classMax {
 		op.Kind = OpMax
 	}
-	t1 := rec.Begin()
-	_, err := s.applyOne(&op)
-	rec.End(obs.StageProbe, t1)
+	_, err := s.applyOne(op, rec)
 	s.locks.Unlock(i)
 	return err
 }
@@ -218,11 +243,7 @@ func (s *Store) CAS(key, old, newVal string, rec *obs.Span) (CASResult, error) {
 	op := Op{Kind: OpCAS, Key: key, Old: old, Val: newVal}
 	var st Status
 	var err error
-	s.WithLock(key, rec, func() {
-		t0 := rec.Begin()
-		st, err = s.applyOne(&op)
-		rec.End(obs.StageProbe, t0)
-	})
+	s.WithLock(key, rec, func() { st, err = s.applyOne(op, rec) })
 	switch st {
 	case StatusOK:
 		return CASStored, err
@@ -234,20 +255,18 @@ func (s *Store) CAS(key, old, newVal string, rec *obs.Span) (CASResult, error) {
 }
 
 // applyOne runs op alone against its key's stored value — the op
-// interpreter EXEC runs, on one cell — and stores the result if the op
-// wrote. Caller holds the key's stripe. A store error is returned
-// unchanged so callers can evict and retry outside the stripe.
-func (s *Store) applyOne(op *Op) (Status, error) {
-	var c cell
-	c.val, c.ok = s.kv.Load(op.Key)
-	r := applyToCell(op, &c)
-	switch {
-	case r.Status == StatusErr:
-		return r.Status, ErrNotInteger // the one error INCR, MAXUPDATE and CAS can meet
-	case c.dirty:
-		return r.Status, s.kv.Store(op.Key, c.val, c.expireAt, c.keepTTL)
+// interpreter EXEC runs, on one cell — in the one Update that reads the
+// value and writes the result, attributed to rec as StageProbe. Caller
+// holds the key's stripe. A store error is returned unchanged so callers
+// can evict and retry outside the stripe.
+func (s *Store) applyOne(op Op, rec *obs.Span) (Status, error) {
+	t0 := rec.Begin()
+	ch, err := s.kv.Update(op.Key, Change{op: op, run: true})
+	rec.End(obs.StageProbe, t0)
+	if ch.res.Status == StatusErr {
+		return ch.res.Status, ErrNotInteger // the one error INCR, MAXUPDATE and CAS can meet
 	}
-	return r.Status, nil
+	return ch.res.Status, err
 }
 
 // ReconcileKeyBytes folds key's pending split deltas into the backing

@@ -23,26 +23,36 @@ type mapKV struct {
 
 func newMapKV() *mapKV { return &mapKV{m: make(map[string]string)} }
 
-func (k *mapKV) Load(key string) (string, bool) {
+func (k *mapKV) Load(key string) (string, int64, bool) {
+	v, ok := k.value(key)
+	return v, 0, ok
+}
+
+// value is key's value, read outside any stripe.
+func (k *mapKV) value(key string) (string, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	v, ok := k.m[key]
 	return v, ok
 }
 
-func (k *mapKV) Store(key, val string, expireAt int64, keepTTL bool) error {
+func (k *mapKV) Update(key string, ch Change) (Change, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.m[key] = val
-	return nil
+	v, ok := k.m[key]
+	switch write, val, _ := ch.Decide(v, 0, ok); write {
+	case OpSet:
+		k.m[key] = val
+	case OpDel:
+		delete(k.m, key)
+	}
+	return ch, nil
 }
 
-func (k *mapKV) Delete(key string) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	_, ok := k.m[key]
-	delete(k.m, key)
-	return ok
+// Store seeds key with val, as a SET would.
+func (k *mapKV) Store(key, val string, _ int64, _ bool) error {
+	_, err := k.Update(key, Change{c: cell{val: val, write: OpSet}})
+	return err
 }
 
 // newStore is New with the promotion threshold lowered to promote
@@ -55,7 +65,7 @@ func newStore(kv KV, promote int) *Store {
 
 func (k *mapKV) get(t *testing.T, key string) string {
 	t.Helper()
-	v, ok := k.Load(key)
+	v, ok := k.value(key)
 	if !ok {
 		t.Fatalf("key %q missing", key)
 	}
@@ -193,7 +203,7 @@ func TestReconcileOnRead(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Incr("h", 1, uint64(i), nil)
 	}
-	if v, ok := kv.Load("h"); ok {
+	if v, ok := kv.value("h"); ok {
 		t.Fatalf("h reconciled too early: %q", v)
 	}
 	s.ReconcileKeyBytes([]byte("h"))
@@ -236,7 +246,7 @@ func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 	// So does a DEL queued in a transaction: the fold runs under the
 	// stripe Exec holds, then the entry goes with it.
 	s.Exec([]Op{{Kind: OpDel, Key: "h"}}, nil)
-	if v, ok := kv.Load("h"); ok {
+	if v, ok := kv.value("h"); ok {
 		t.Fatalf("h survived delete: %q", v)
 	}
 	// A delta arriving after the delete restarts the counter from zero.
@@ -306,7 +316,7 @@ func TestExecCASAndDelete(t *testing.T) {
 	if res[6].Err != ErrNotInteger.Error() || res[8].Err != "unknown op" {
 		t.Fatalf("errors %q and %q", res[6].Err, res[8].Err)
 	}
-	if _, ok := kv.Load("k"); ok {
+	if _, ok := kv.value("k"); ok {
 		t.Fatal("k survived transactional delete")
 	}
 	if got := kv.get(t, "m"); got != "10" {
@@ -360,7 +370,7 @@ type yieldKV struct {
 	s *Store
 }
 
-func (k *yieldKV) Load(key string) (string, bool) {
+func (k *yieldKV) Load(key string) (string, int64, bool) {
 	if !k.s.locks.Locked(k.s.stripeFor(key)) {
 		runtime.Gosched()
 	}
@@ -441,7 +451,7 @@ func checkExec(t *testing.T, concurrent bool) {
 	close(stop)
 	wg.Wait()
 	for _, k := range []string{x, y} {
-		if got, _ := kv.Load(k); commits > 0 && got != strconv.FormatUint(commits, 10) {
+		if got, _ := kv.value(k); commits > 0 && got != strconv.FormatUint(commits, 10) {
 			t.Fatalf("%s = %q after %d committed increments", k, got, commits)
 		}
 	}
@@ -459,8 +469,8 @@ func checkExec(t *testing.T, concurrent bool) {
 		}
 	}
 	for _, k := range []string{"a", b, "c", "d", "e"} {
-		got, gok := kv.Load(k)
-		want, wok := model.Load(k)
+		got, gok := kv.value(k)
+		want, wok := model.value(k)
 		if got != want || gok != wok {
 			t.Fatalf("%s = %q (%v) after the transaction, %q (%v) one at a time", k, got, gok, want, wok)
 		}

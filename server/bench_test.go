@@ -1,11 +1,11 @@
 package server_test
 
 // The go test -bench rungs for the server package (make bench-rung
-// PKG=server RUNG=Wire|Exec): BenchmarkWire is one client.Conn round trip
-// against an in-process server on loopback, per value size, plus a
-// depth-16 pipeline; BenchmarkExec is Cache.Exec in process. Exported API
-// only, so the file compiles against any parent it is copied over
-// (scripts/bench-rung.sh).
+// PKG=server RUNG='Wire|Exec|KeyedOps'): BenchmarkWire is one client.Conn
+// round trip against an in-process server on loopback, per value size,
+// plus a depth-16 pipeline; BenchmarkExec is Cache.Exec in process, and
+// BenchmarkKeyedOps the single-key writes. Exported API only, so the file
+// compiles against any parent it is copied over (scripts/bench-rung.sh).
 
 import (
 	"fmt"
@@ -62,6 +62,62 @@ func BenchmarkExec(b *testing.B) {
 							b.Errorf("transfer %s -> %s: %+v", keys[i], keys[j], r)
 							return
 						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkKeyedOps is one keyed write per op through the Cache, in
+// process, from b.RunParallel's goroutines, each drawing keys from its own
+// stream over 10 000 resident keys: incr adds 1 to a counter no one has
+// made hot, cas swaps a value for itself (so every one is stored), del+set
+// deletes a key and writes it back, and set, the control, overwrites.
+func BenchmarkKeyedOps(b *testing.B) {
+	const universe = 10000
+	keys := make([]string, universe)
+	for i := range keys {
+		keys[i] = "key" + strconv.Itoa(i)
+	}
+	for _, cell := range []struct {
+		name string
+		op   func(c *server.Cache, key string) error
+	}{
+		{"incr", func(c *server.Cache, key string) error { return c.Incr(key, 1, 0, nil) }},
+		{"cas", func(c *server.Cache, key string) error {
+			if res, err := c.CAS(key, "1", "1", nil); err != nil || res != txn.CASStored {
+				return fmt.Errorf("CAS = %v, %v", res, err)
+			}
+			return nil
+		}},
+		{"del+set", func(c *server.Cache, key string) error {
+			c.Delete(key, nil)
+			return c.Set(key, "1", 0)
+		}},
+		{"set", func(c *server.Cache, key string) error { return c.Set(key, "1", 0) }},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			c, err := server.NewCache(4, 1<<13)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range keys {
+				if err := c.Set(k, "1", 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var seeds atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				x := seeds.Add(1) * 0x9e3779b97f4a7c15 // per-goroutine xorshift state
+				for pb.Next() {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					if err := cell.op(c, keys[x%universe]); err != nil {
+						b.Errorf("%s %s: %v", cell.name, keys[x%universe], err)
+						return
 					}
 				}
 			})

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"cuckoohash/generic"
 	"cuckoohash/internal/cluster"
 	"cuckoohash/internal/obs"
 )
@@ -155,21 +156,21 @@ func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, ma
 	return recs
 }
 
-// removeIfUnchanged deletes want's key only if its slot still holds the
-// item observed at migration-selection time (items compare by identity,
-// and an item is never modified, so equal means the same write), so a
-// concurrent SET that landed in between — even of the same bytes —
-// survives. The check and delete run under the key's txn
-// stripe, which both closes the check-then-delete window against
-// concurrent SETs and bumps the version for transactional readers.
+// removeIfUnchanged deletes want's key only if its slot still holds want
+// — the item observed at migration-selection time, the victim an eviction
+// chose, an entry seen expired (items compare by identity, and an item is
+// never modified, so equal means the same write) — so a concurrent SET
+// that landed in between, even of the same bytes, survives. The check and
+// delete are one table Update under the key's txn stripe, which also
+// bumps the stripe's version for transactional readers.
 func (c *Cache) removeIfUnchanged(want item) bool {
 	key := want.key()
-	sh := c.shards[c.shardFor(key)]
 	removed := false
 	c.txn.WithLock(key, nil, func() {
-		if cur, ok := sh.table.Get(key); ok && cur == want {
-			removed = sh.table.Delete(key)
-		}
+		act, _ := c.shards[c.shardFor(key)].table.Update(key, func(cur item, found bool) (item, generic.Action) {
+			return removeWhen(found && cur == want)
+		})
+		removed = act == generic.Remove
 	})
 	return removed
 }

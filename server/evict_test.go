@@ -125,7 +125,7 @@ func TestEvictionPicksOldestNeighbour(t *testing.T) {
 				victim = e
 			}
 		}
-		if next, ok := tab.Oldest(key, byVer); ok && after[next].ver() < victim.ver() {
+		if next, _, ok := tab.Oldest(key, byVer); ok && after[next].ver() < victim.ver() {
 			t.Fatalf("SET %s evicted ver %d and left the older ver %d beside it", key, victim.ver(), after[next].ver())
 		}
 		checked++

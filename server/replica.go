@@ -4,8 +4,8 @@ package server
 // ring placement already names a natural second home — its alternate
 // node. This file mirrors writes there asynchronously:
 //
-//   - the write path (Cache.store / Cache.remove) enqueues each
-//     mutation, with its version word, onto a bounded per-peer log;
+//   - the write path (Cache.store, cacheKV.Update, Cache.Delete) enqueues
+//     each mutation, with its version word, onto a bounded per-peer log;
 //   - one mirror worker per peer drains the log in batches and streams
 //     REPLSET/REPLDEL lines over a persistent connection;
 //   - when the log overflows or a send fails, the worker falls back to
@@ -23,6 +23,7 @@ import (
 	"net"
 	"time"
 
+	"cuckoohash/generic"
 	"cuckoohash/internal/cluster"
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
@@ -81,13 +82,13 @@ func (r *replState) peerFor(key string) *replPeer {
 
 // replEnqueue mirrors one mutation of key to the key's alternate node:
 // the item just stored, or — the zero item — a client-visible delete, as a
-// versioned tombstone. Called from Cache.store / Cache.remove with the
-// key's stripe held: the log append spins (never parks) and the wake-up
-// send is non-blocking. The log entry outlives the request, until the
-// mirror worker drains it or the ring drops it, and aliases the stored
-// item: items are immutable, so it keeps alive the bytes a copy would,
-// without allocating one, and none beyond the table's while the key is
-// unchanged.
+// versioned tombstone. Called from Cache.store, cacheKV.Update and
+// Cache.Delete with the key's stripe held: the log append spins (never
+// parks) and the wake-up send is non-blocking. The log entry outlives the
+// request, until the mirror worker drains it or the ring drops it, and
+// aliases the stored item: items are immutable, so it keeps alive the
+// bytes a copy would, without allocating one, and none beyond the table's
+// while the key is unchanged.
 func (c *Cache) replEnqueue(key string, it item) {
 	r := c.repl
 	if r == nil {
@@ -145,13 +146,10 @@ func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 	applied := true
 	c.txn.WithLock(key, sp, func() {
 		t0 := sp.Begin()
-		switch cur, ok := sh.table.Get(key); {
-		case !ok:
-		case cur.ver() > ver:
-			applied = false
-		default:
-			sh.table.Delete(key)
-		}
+		sh.table.Update(key, func(cur item, found bool) (item, generic.Action) {
+			applied = !found || cur.ver() <= ver
+			return removeWhen(found && applied)
+		})
 		sp.End(obs.StageProbe, t0)
 	})
 	if applied {

@@ -213,49 +213,76 @@ func (c *Cache) observeVersion(v uint64) {
 // txn layer calls them while already holding the key's stripe.
 type cacheKV struct{ c *Cache }
 
-func (k cacheKV) Load(key string) (string, bool) {
-	it, ok := k.c.shards[k.c.shardFor(key)].table.Get(key)
-	if !ok || it.expiredNow() {
-		return "", false
-	}
-	return it.val(), true
+func (k cacheKV) Load(key string) (string, int64, bool) {
+	return live(k.c.shards[k.c.shardFor(key)].table.Get(key))
 }
 
-func (k cacheKV) Store(key, val string, expireAt int64, keepTTL bool) error {
-	sh := k.c.shards[k.c.shardFor(key)]
-	if keepTTL {
-		// Counter updates inherit the entry's current expiry; a fresh
-		// counter never expires until a SETEX says otherwise.
-		expireAt = 0
-		if cur, ok := sh.table.Get(key); ok && !cur.expiredNow() {
-			expireAt = cur.expireAt()
+// live is what the txn layer sees of a table entry: its value and expiry
+// when it is there and has not expired.
+func live(it item, found bool) (string, int64, bool) {
+	if !found || it.expiredNow() {
+		return "", 0, false
+	}
+	return it.val(), it.expireAt(), true
+}
+
+// Update is the txn layer's write — an INCR or MAXUPDATE, a CAS swap, a
+// split fold, a transaction's commit — as one table Update, whose decide
+// runs ch.Decide on the entry it found and builds the item there. A write
+// is mirrored as a local one is (store), a delete as a versioned
+// tombstone.
+func (k cacheKV) Update(key string, ch txn.Change) (txn.Change, error) {
+	c := k.c
+	var stored item
+	act, err := c.shards[c.shardFor(key)].table.Update(key, func(cur item, found bool) (item, generic.Action) {
+		stored = item{}
+		switch write, v, exp := ch.Decide(live(cur, found)); write {
+		case txn.OpDel:
+			return stored, generic.Remove
+		case txn.OpSet:
+			stored = newItem(c.nextVersion(), exp, key, v)
+			return stored, generic.Store
 		}
+		return stored, generic.Keep
+	})
+	if err != nil {
+		return ch, errShardFull
 	}
-	return k.c.store(sh, newItem(k.c.nextVersion(), expireAt, key, val), false)
+	if act != generic.Keep {
+		c.replEnqueue(key, stored)
+	}
+	return ch, nil
 }
 
-func (k cacheKV) Delete(key string) bool {
-	return k.c.remove(k.c.shards[k.c.shardFor(key)], key)
-}
-
-// store is the one table write. Every item that lands in a shard — a
-// client SET, a counter fold, a CAS swap, a transaction commit, a
-// mirrored, restored or handed-off record — is put here with the key's
-// stripe held, in a single probe. Its two callers build the item under
-// that stripe and so decide its version: a local write is issued the next
-// one (nextVersion) and is mirrored to the key's alternate node here; a
-// write from a peer keeps its origin version and is never re-mirrored
-// (that is what stops a mirrored write bouncing between the pair).
-// Because every local item is versioned and stored under the stripe,
-// per-key versions are monotonic and the mirror log sees writes in stripe
-// order. The version is also the item's age when a full shard picks a
-// victim (evictFor).
+// store is the one write of a built item. Every item that lands in a shard
+// — a client SET, a mirrored, restored or handed-off record — is put here
+// with the key's stripe held, in a single probe; a counter fold, a CAS
+// swap and a transaction commit build theirs inside the probe instead
+// (cacheKV.Update). The callers build the item under that stripe and so
+// decide its version: a local write is issued the next one (nextVersion)
+// and is mirrored to the key's alternate node here; a write from a peer
+// keeps its origin version, is last-writer-wins — it lands only over an
+// older local copy, else store reports errStaleReplica — and is never
+// re-mirrored (that is what stops a mirrored write bouncing between the
+// pair). Because every local item is versioned and stored under the
+// stripe, per-key versions are monotonic and the mirror log sees writes in
+// stripe order. The version is also the item's age when a full shard
+// picks a victim (evictFor).
 func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
-	if err := sh.table.Upsert(it.key(), it); err != nil {
+	act, err := sh.table.Update(it.key(), func(cur item, found bool) (item, generic.Action) {
+		if fromPeer && found && cur.ver() >= it.ver() {
+			return it, generic.Keep // the local copy is newer, or this is a redelivery
+		}
+		return it, generic.Store
+	})
+	switch {
+	case err != nil:
 		// ErrFull: the caller must evict outside the stripe and retry —
 		// deleting victims here would mutate other keys' entries without
 		// bumping their stripe versions.
 		return errShardFull
+	case act == generic.Keep:
+		return errStaleReplica
 	}
 	if !fromPeer {
 		c.replEnqueue(it.key(), it)
@@ -263,17 +290,13 @@ func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
 	return nil
 }
 
-// remove deletes key's entry on behalf of a client (DEL, a committed
-// transactional delete) and mirrors the delete as a versioned tombstone.
-// Expiry, eviction and migration removals do not come through here: each
-// replica holds the same absolute expireAt and lapses on its own. Caller
-// holds key's stripe.
-func (c *Cache) remove(sh *shard, key string) bool {
-	ok := sh.table.Delete(key)
-	if ok {
-		c.replEnqueue(key, item{})
+// removeWhen is a conditional removal's decision, for a table Update made
+// under the key's txn stripe: remove the entry found when drop holds.
+func removeWhen(drop bool) (item, generic.Action) {
+	if drop {
+		return item{}, generic.Remove
 	}
-	return ok
+	return item{}, generic.Keep
 }
 
 // setLogger swaps the cache's logger; called before the cache is shared.
@@ -365,22 +388,15 @@ func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, e
 // issued its version there. A put from a peer (REPLSET, snapshot restore,
 // HANDOFF load) carries its origin version ver and is last-writer-wins:
 // unless ver is newer than the local copy's it stores nothing and reports
-// errStaleReplica. The item is built once: an attempt sent away to evict
-// comes back with the item it built, which is still key's newest write if
-// nobody held the stripe in between (txn.Store.WithLockBytes).
+// errStaleReplica (store). The item is built once: an attempt sent away to
+// evict comes back with the item it built, which is still key's newest
+// write if nobody held the stripe in between (txn.Store.WithLockBytes).
 func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPeer bool, sp *obs.Span) (it item, err error) {
 	sh := c.shards[si]
 	builtIn := txn.NoHold // the stripe hold it was built in
 	err = c.evicting(si, key, sp, func() (serr error) {
 		c.txn.WithLockBytes(key, sp, func(hold uint64) {
 			t0 := sp.Begin()
-			if fromPeer {
-				if cur, ok := generic.GetBytes(sh.table, key); ok && cur.ver() >= ver {
-					serr = errStaleReplica // the local copy is newer, or this is a redelivery
-					sp.End(obs.StageProbe, t0)
-					return
-				}
-			}
 			if it.isZero() || hold != builtIn+1 {
 				if !fromPeer {
 					ver = c.nextVersion()
@@ -531,20 +547,17 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 // arXiv:1605.05236, with the hybrid-clock version as the age). Choosing
 // among at most 2·B entries is a sample of the shard, not its global
 // oldest, which is what buys deleting the eviction order altogether. The
-// delete runs under the victim's stripe — never the inserting key's — so
-// the victim's version bump is honest and no two stripes are ever held.
+// delete is MIGRATE's (removeIfUnchanged): it runs under the victim's
+// stripe — never the inserting key's — so the victim's version bump is
+// honest and no two stripes are ever held, and it removes the item chosen,
+// not a write of the victim's key that landed since.
 //
 //cuckoo:coldpath eviction runs only when a shard is full; the documented admission slow path
 func (c *Cache) evictFor(si int, key []byte) {
 	s := c.shards[si]
 	now := time.Now().UnixNano()
-	victim, ok := s.table.Oldest(string(key), func(a, b item) bool { return a.olderThan(b, now) })
-	if !ok {
-		return
-	}
-	removed := false
-	c.txn.WithLock(victim, nil, func() { removed = s.table.Delete(victim) })
-	if removed {
+	victim, it, ok := s.table.Oldest(string(key), func(a, b item) bool { return a.olderThan(b, now) })
+	if ok && c.removeIfUnchanged(it) {
 		c.stats.count(si, statEvictions)
 		// Eviction only happens when a shard is full, so this is off
 		// the fast path even at debug verbosity.
@@ -603,8 +616,7 @@ func (c *Cache) get(key []byte, sp *obs.Span) (item, bool) {
 		return it, true
 	}
 	if state == probeStale {
-		//lint:allow cuckoovet:allocfree lazy expiry of a dead entry is rare and the deletion needs an owned key
-		c.expireKey(si, string(key))
+		c.expireKey(si, it)
 	}
 	return item{}, false
 }
@@ -640,55 +652,51 @@ func (c *Cache) TTL(key string) (time.Duration, bool) {
 	}
 	d := time.Duration(exp - time.Now().UnixNano())
 	if d <= 0 {
-		c.expireKey(si, key)
+		c.expireKey(si, it)
 		return 0, false
 	}
 	return d, true
 }
 
 // Delete removes key, reporting whether it was present and live; lock
-// wait and the removal probe are attributed to sp.
+// wait and the removal probe are attributed to sp. A live entry's delete
+// is mirrored as a versioned tombstone. An expired-but-unswept one is
+// removed as expiry removes it — unmirrored: each replica holds the same
+// absolute expireAt and lapses on its own — and looks deleted-as-miss,
+// not OK.
 func (c *Cache) Delete(key string, sp *obs.Span) bool {
 	si := c.shardFor(key)
 	s := c.shards[si]
 	c.stats.count(si, statDels)
-	ok := false
+	present := false
 	c.txn.WithLock(key, sp, func() {
 		t0 := sp.Begin()
-		e, found := s.table.Get(key)
+		act, _ := s.table.Update(key, func(cur item, found bool) (item, generic.Action) {
+			present = found && !cur.expiredNow()
+			return removeWhen(found)
+		})
 		switch {
-		case !found:
-		case e.expiredNow():
-			// An expired-but-unswept entry must look deleted-as-miss,
-			// not OK.
-			if s.table.Delete(key) {
-				c.stats.count(si, statExpired)
-			}
-		default:
-			ok = c.remove(s, key)
+		case present:
+			c.replEnqueue(key, item{})
+		case act == generic.Remove:
+			c.stats.count(si, statExpired)
 		}
 		sp.End(obs.StageProbe, t0)
 	})
-	if ok {
+	if present {
 		c.wrote(key)
 	}
-	return ok
+	return present
 }
 
-// expireKey removes an entry observed to be expired, re-checking under
-// the key's stripe so a concurrent re-SET of the same key is never
-// deleted (the re-SET holds the same stripe). It reports whether an
-// entry was actually removed.
+// expireKey removes it, an item of shard si observed to be expired, if it
+// is still there: an item never changes, so it is still expired, and a
+// concurrent re-SET of the same key, a new item, is never deleted
+// (removeIfUnchanged). It reports whether an entry was actually removed.
 //
 //cuckoo:coldpath lazy expiry fires once per dead entry observed; never on the live-hit path
-func (c *Cache) expireKey(si int, key string) bool {
-	s := c.shards[si]
-	removed := false
-	c.txn.WithLock(key, nil, func() {
-		if e, ok := s.table.Get(key); ok && e.expiredNow() {
-			removed = s.table.Delete(key)
-		}
-	})
+func (c *Cache) expireKey(si int, it item) bool {
+	removed := c.removeIfUnchanged(it)
 	if removed {
 		c.stats.count(si, statExpired)
 	}

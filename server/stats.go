@@ -393,7 +393,7 @@ var counters = []counter{
 	{stat: "lease_fills", prom: "cuckood_lease_fills_total", help: "SETL fills accepted from lease winners.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseFills.Load()) }},
 	{stat: "lease_rejects", prom: "cuckood_lease_rejects_total", help: "SETL fills rejected because the lease was invalidated or expired.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseRejects.Load()) }},
 	{prom: "cuckood_lease_active", help: "Outstanding fill leases.", kind: obs.KindGauge, at: atLease, read: func(r *reading) float64 { return float64(r.c.leases.Active()) }},
-	{stat: "txn_commits", prom: "cuckood_txn_commits_total", help: "EXEC transactions committed (optimistic or pessimistic).", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Commits) }},
+	{stat: "txn_commits", prom: "cuckood_txn_commits_total", help: "EXEC transactions committed.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Commits) }},
 	{stat: "txn_cas_conflicts", prom: "cuckood_txn_cas_conflicts_total", help: "CAS operations rejected because the current value differed.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().CASConflicts) }},
 	{stat: "txn_split_ops", prom: "cuckood_txn_split_ops_total", help: "Commutative updates absorbed by per-shard split counters instead of the key's stripe.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().SplitOps) }},
 	{stat: "txn_split_reconciles", prom: "cuckood_txn_split_reconciles_total", help: "Hot-key delta reconciliations folded into the table.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Reconciles) }},

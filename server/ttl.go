@@ -21,17 +21,17 @@ const sweepBatch = 1024
 func (c *Cache) Sweep() uint64 {
 	now := time.Now().UnixNano()
 	var removed uint64
-	victims := make([]string, 0, 64)
+	victims := make([]item, 0, 64)
 	for si, s := range c.shards {
 		victims = victims[:0]
-		s.table.Range(func(key string, it item) bool {
+		s.table.Range(func(_ string, it item) bool {
 			if it.expired(now) {
-				victims = append(victims, key)
+				victims = append(victims, it)
 			}
 			return len(victims) < sweepBatch
 		})
-		for _, key := range victims {
-			if c.expireKey(si, key) {
+		for _, it := range victims {
+			if c.expireKey(si, it) {
 				removed++
 			}
 		}

@@ -67,6 +67,22 @@ func TestCounterTTLPreserved(t *testing.T) {
 	if !strings.HasPrefix(ttl, "TTL ") || ttl == "TTL -1" {
 		t.Fatalf("TTL after INCR: got %q, want a finite TTL", ttl)
 	}
+
+	// In a transaction a counter keeps the expiry its key has there: the
+	// TTL a queued SETEX gave it, none after a queued DEL.
+	for _, tc := range []struct {
+		key, first string
+		finite     bool
+	}{{"m", "SETEX m 60000 5", true}, {"n", "DEL n", false}} {
+		for _, req := range []string{"MULTI", tc.first, "INCR " + tc.key, "EXEC"} {
+			c.roundTrip(req)
+		}
+		c.readLine()
+		c.readLine()
+		if ttl := c.roundTrip("TTL " + tc.key); (ttl != "TTL -1") != tc.finite || !strings.HasPrefix(ttl, "TTL ") {
+			t.Errorf("TTL after MULTI, %s, INCR %s, EXEC: %q, want a finite TTL: %v", tc.first, tc.key, ttl, tc.finite)
+		}
+	}
 }
 
 func TestCASVerb(t *testing.T) {
