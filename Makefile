@@ -74,6 +74,11 @@ test:
 # ./generic's path-search, displacement and concurrent tests run five times
 # too: a search reads tag words with no stripe held, and the windows in
 # which what it read goes stale are rare on a 2-CPU host.
+# ./server's eviction-retry, evicting-SET and one-pin tests run five times
+# as well: a SET builds its item before any lock and its version is issued
+# inside the key's pin, and the window between that issue and the item's
+# publication, where a racing writer of the same key could reorder
+# versions, is as rare on a 2-CPU host as the search's.
 PARALLEL_PKGS = ./internal/txn ./generic ./server ./client ./internal/obs ./internal/metrics
 
 race:
@@ -81,6 +86,7 @@ race:
 	$(GO) test -race -count=1 -cpu 1,2,4 $(PARALLEL_PKGS)
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/chained
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'Search|Concurrent|Displace' ./generic
+	$(GO) test -race -count=5 -cpu 1,2,4 -run 'EvictRetry|EvictingSet|OnePin' ./server
 
 # The repository benchmark's own tests (declared metric names match
 # BENCHMARK.json, recorder arithmetic, cuckoovet-clean harness). It is

@@ -149,14 +149,13 @@ func run(pass *analysis.Pass) (any, error) {
 				perFn[owner] = rf
 			}
 			rf.Regions = append(rf.Regions, regions...)
-			if fb.Decl == nil {
-				continue // a literal's parameters are not its owner's
-			}
-			// Parameters of this function invoked inside one of its regions.
+			// Parameters of this function invoked inside one of its regions,
+			// or of its literals' (a literal's own parameters are not its
+			// owner's).
 			for _, reg := range regions {
 				for i := range sum.Calls {
 					call := &sum.Calls[i]
-					if call.Param < 0 || call.Pos < reg.From || call.Pos > reg.To {
+					if call.Param < 0 || call.ParamOf != g.Funcs[owner] || call.Pos < reg.From || call.Pos > reg.To {
 						continue
 					}
 					pf := perFnParams[owner]

@@ -9,7 +9,8 @@
 // interface calls carry the abstract method and are resolved by consumers
 // against the set of module-defined implementers (exported here as type
 // facts); calls through function-typed parameters carry the parameter
-// index so a caller's argument can be substituted; calls through
+// index so a caller's argument can be substituted — also from a literal
+// calling a parameter of the function it is written in; calls through
 // function-typed struct fields resolve to every function value the module
 // ever stores into that field. Anything else is an unknown dynamic call,
 // which consumers treat conservatively. The one transitive walk over the
@@ -119,7 +120,8 @@ type Call struct {
 	RecvType types.Type  // static receiver type for method calls
 	Iface    *types.Func // interface method for dynamic dispatch
 	Field    *types.Var  // func-typed struct field being invoked
-	Param    int         // index of the enclosing function's parameter being invoked; -1 otherwise
+	Param    int         // index of the parameter being invoked; -1 otherwise
+	ParamOf  *Summary    // with Param: whose parameter — this function's, or that of a function written around this literal
 	Lit      *Summary    // directly-invoked function literal
 	Unknown  bool        // unresolvable dynamic call
 	Go       bool        // launched with `go`
@@ -301,7 +303,7 @@ func run(pass *analysis.Pass) (any, error) {
 		Funcs: make(map[*types.Func]*Summary),
 		Lits:  make(map[*ast.FuncLit]*Summary),
 	}
-	b := &builder{pass: pass, g: g}
+	b := &builder{pass: pass, g: g, params: make(map[*types.Var]paramOf)}
 
 	// Two passes: create every summary first so literal references and
 	// same-package argument edges resolve, then fill them in.
@@ -354,6 +356,14 @@ func run(pass *analysis.Pass) (any, error) {
 type builder struct {
 	pass *analysis.Pass
 	g    *Graph
+	// params maps every func-typed parameter of the package to its function
+	// and position, so a literal's call of one it captured resolves too.
+	params map[*types.Var]paramOf
+}
+
+type paramOf struct {
+	sum *Summary
+	idx int
 }
 
 // signatureOf returns the function's own signature.
@@ -374,11 +384,15 @@ func (b *builder) signatureOf(fb checkutil.FuncBody) *types.Signature {
 func (b *builder) fill(sum *Summary, fb checkutil.FuncBody) {
 	info := b.pass.TypesInfo
 	sig := b.signatureOf(fb)
-	paramIdx := make(map[*types.Var]int)
 	if sig != nil {
+		// Bodies yields a function before the literals written inside it,
+		// so theirs see its parameters here.
 		sum.Params = make([]ParamUse, sig.Params().Len())
-		for i := 0; i < sig.Params().Len(); i++ {
-			paramIdx[sig.Params().At(i)] = i
+		for i := range sig.Params().Len() {
+			v := sig.Params().At(i)
+			if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
+				b.params[v] = paramOf{sum, i}
+			}
 		}
 	}
 	// Idents whose use the call/compare visitors already classified; any
@@ -397,7 +411,7 @@ func (b *builder) fill(sum *Summary, fb checkutil.FuncBody) {
 			}
 			return false // the literal has its own summary
 		case *ast.CallExpr:
-			b.call(sum, x, paramIdx, locals, accounted, stack)
+			b.call(sum, x, locals, accounted, stack)
 		case *ast.GoStmt:
 			sum.Sites = append(sum.Sites, Site{Pos: x.Pos(), Op: OpGo, What: "go statement"})
 		case *ast.DeferStmt:
@@ -466,10 +480,8 @@ func (b *builder) fill(sum *Summary, fb checkutil.FuncBody) {
 				return true
 			}
 			if v, ok := info.Uses[id].(*types.Var); ok {
-				if i, isParam := paramIdx[v]; isParam {
-					if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
-						sum.Params[i].Escapes = true
-					}
+				if p, isParam := b.params[v]; isParam && p.sum == sum {
+					sum.Params[p.idx].Escapes = true
 				}
 			}
 			return true
@@ -585,7 +597,7 @@ func (b *builder) localFuncs(fb checkutil.FuncBody) map[*types.Var]*localSrc {
 
 // call records one call expression: conversion sites, builtin allocation
 // sites, or an outgoing call edge.
-func (b *builder) call(sum *Summary, call *ast.CallExpr, paramIdx map[*types.Var]int, locals map[*types.Var]*localSrc, accounted map[*ast.Ident]bool, stack []ast.Node) {
+func (b *builder) call(sum *Summary, call *ast.CallExpr, locals map[*types.Var]*localSrc, accounted map[*ast.Ident]bool, stack []ast.Node) {
 	info := b.pass.TypesInfo
 	fun := ast.Unparen(call.Fun)
 
@@ -633,8 +645,8 @@ func (b *builder) call(sum *Summary, call *ast.CallExpr, paramIdx map[*types.Var
 		case *types.Func:
 			edge.Callee = obj.Origin()
 		case *types.Var:
-			if i, ok := paramIdx[obj]; ok {
-				edge.Param = i
+			if p, ok := b.params[obj]; ok {
+				edge.Param, edge.ParamOf = p.idx, p.sum
 			} else if obj.IsField() {
 				edge.Field = obj
 			} else if src, ok := locals[obj]; ok && !src.bad {
@@ -704,11 +716,9 @@ func (b *builder) call(sum *Summary, call *ast.CallExpr, paramIdx map[*types.Var
 				accounted[a] = true
 				edge.Args = append(edge.Args, ArgVal{Index: i, Fn: obj.Origin(), Param: -1})
 			case *types.Var:
-				if pi, ok := paramIdx[obj]; ok {
-					if _, isFunc := obj.Type().Underlying().(*types.Signature); isFunc {
-						accounted[a] = true
-						edge.Args = append(edge.Args, ArgVal{Index: i, Param: pi})
-					}
+				if p, ok := b.params[obj]; ok && p.sum == sum {
+					accounted[a] = true
+					edge.Args = append(edge.Args, ArgVal{Index: i, Param: p.idx})
 				}
 			}
 		case *ast.SelectorExpr:
@@ -723,6 +733,16 @@ func (b *builder) call(sum *Summary, call *ast.CallExpr, paramIdx map[*types.Var
 			if lit := b.g.Lits[a]; lit != nil {
 				edge.Args = append(edge.Args, ArgVal{Index: i, Lit: lit, Param: -1})
 			}
+			// The literal hands on every func-typed parameter of this
+			// function that it, or a literal inside it, uses: the callee
+			// running it runs those.
+			ast.Inspect(a.Body, func(n ast.Node) bool {
+				id, _ := n.(*ast.Ident)
+				if v, ok := info.Uses[id].(*types.Var); ok && b.params[v].sum == sum {
+					edge.Args = append(edge.Args, ArgVal{Index: i, Param: b.params[v].idx})
+				}
+				return true
+			})
 		}
 	}
 	sum.Calls = append(sum.Calls, edge)

@@ -38,7 +38,7 @@ type Walker struct {
 	context    string
 	count      int
 	modulePkgs map[*types.Package]bool
-	onstack    map[*Summary]bool
+	onstack    map[*Summary]binding // what each summary on the walk was called with
 	reported   map[token.Pos]bool
 }
 
@@ -61,7 +61,7 @@ func (w *Walker) Start(context string) {
 				w.modulePkgs[p] = true
 			}
 		}
-		w.onstack = make(map[*Summary]bool)
+		w.onstack = make(map[*Summary]binding)
 		w.reported = make(map[token.Pos]bool)
 	}
 	w.context, w.count = context, 0
@@ -93,14 +93,14 @@ func (w *Walker) WalkCallee(call *Call, fn *types.Func, chain []string) {
 }
 
 func (w *Walker) walk(sum *Summary, bind binding, chain []string, depth int) {
-	if depth > 100 || w.onstack[sum] || w.count >= w.Max {
+	if _, on := w.onstack[sum]; on || depth > 100 || w.count >= w.Max {
 		return
 	}
 	w.body(sum, 0, math.MaxInt, bind, chain, depth)
 }
 
 func (w *Walker) body(sum *Summary, from, to token.Pos, bind binding, chain []string, depth int) {
-	w.onstack[sum] = true
+	w.onstack[sum] = bind
 	defer delete(w.onstack, sum)
 	for i := range sum.Sites {
 		s := &sum.Sites[i]
@@ -136,8 +136,12 @@ func (w *Walker) call(call *Call, bind binding, chain []string, depth int) {
 			w.callee(call, impl, bind, chain, depth)
 		}
 	case call.Param >= 0:
-		// Unbound at a root or region: its callers' contract covers it.
-		for _, b := range bind[call.Param] {
+		// Bound by what the parameter's function was called with — for a
+		// literal calling a parameter of a function around it, when the
+		// walk came through that function. Unbound at a root or region, or
+		// where the literal was reached some other way: its callers'
+		// contract covers it (a literal passed on hands the parameter on).
+		for _, b := range w.onstack[call.ParamOf][call.Param] {
 			if b.fn != nil {
 				w.callee(call, b.fn, bind, chain, depth)
 			}

@@ -282,3 +282,40 @@ func badSleepInUnlockArg(t *table, i uint64) {
 	t.locks.Lock(i)
 	t.locks.Unlock(slowIndex(i))
 }
+
+// withStripeIf hands withStripe a literal that calls keep, a parameter of
+// withStripeIf itself: every argument its callers pass for keep is a
+// region (the server's removeIf shape).
+func withStripeIf(t *table, i uint64, keep func(uint64) bool) (kept bool) {
+	withStripe(t, i, func() {
+		kept = keep(i)
+	})
+	return kept
+}
+
+func badCapturedParamBlocks(t *table, i uint64) bool {
+	return withStripeIf(t, i, func(uint64) bool {
+		t.mu.Lock() // want `blocking sync call \(\*sync\.Mutex\)\.Lock reachable inside spinlock critical section on t\.locks \(argument run by blockchecktest\.withStripeIf\): blockchecktest\.badCapturedParamBlocks -> func literal`
+		return true
+	})
+}
+
+func goodCapturedParamSpins(t *table, i uint64) bool {
+	return withStripeIf(t, i, func(v uint64) bool { return v == 0 })
+}
+
+// applyIf calls keep from a literal it runs in place, outside any region
+// of its own: inside a caller's region, keep is what that caller passed.
+func applyIf(i uint64, keep func(uint64) bool) bool {
+	run := func() bool { return keep(i) }
+	return run()
+}
+
+func badBoundCapturedParam(t *table, i uint64) {
+	t.locks.Lock(i)
+	applyIf(i, func(uint64) bool {
+		time.Sleep(1) // want `blocking time call time\.Sleep reachable inside spinlock critical section on t\.locks: blockchecktest\.badBoundCapturedParam -> blockchecktest\.applyIf -> func literal -> func literal`
+		return true
+	})
+	t.locks.Unlock(i)
+}

@@ -74,7 +74,7 @@ func TestStripeIndexFor(t *testing.T) {
 
 func TestStripeVersionBumpOnUnlock(t *testing.T) {
 	s := NewStripe(4)
-	v0 := s.Version(1)
+	v0, _ := s.Snapshot(1)
 	s.Lock(1)
 	if !s.Locked(1) {
 		t.Fatal("not locked")
@@ -86,7 +86,7 @@ func TestStripeVersionBumpOnUnlock(t *testing.T) {
 	if s.Locked(1) {
 		t.Fatal("still locked")
 	}
-	if s.Version(1) == v0 {
+	if v, _ := s.Snapshot(1); v == v0 {
 		t.Fatal("version did not advance across lock/unlock")
 	}
 }
@@ -201,11 +201,12 @@ func TestStripeQuickProperties(t *testing.T) {
 	s := NewStripe(64)
 	prop := func(idx uint64) bool {
 		i := idx % 64
-		v0 := s.Version(i)
+		v0, _ := s.Snapshot(i)
 		s.Lock(i)
 		s.Unlock(i)
 		// Version strictly advances and lock is free again.
-		return s.Version(i) != v0 && !s.Locked(i)
+		v, _ := s.Snapshot(i)
+		return v != v0 && !s.Locked(i)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestStripeLockOrdered(t *testing.T) {
 	}
 	// Each locked stripe's version advanced exactly once.
 	for _, i := range held {
-		if v := s.Version(i); v != 1 {
+		if v, _ := s.Snapshot(i); v != 1 {
 			t.Fatalf("stripe %d version = %d after one lock/unlock, want 1", i, v)
 		}
 	}

@@ -233,14 +233,6 @@ func (s *Stripe) Validate(i uint64, version uint64) bool {
 	return s.words[i].Load() == version
 }
 
-// Version returns the current version counter of stripe i, ignoring the
-// lock bit: the number of critical sections the stripe has completed. To
-// the stripe's holder it is stable, and two holds that read consecutive
-// values had nobody between them; to anyone else it is a statistic.
-func (s *Stripe) Version(i uint64) uint64 {
-	return s.words[i].Load() & versionMask
-}
-
 // Locked reports whether stripe i is currently held.
 func (s *Stripe) Locked(i uint64) bool {
 	return s.words[i].Load()&lockBit != 0

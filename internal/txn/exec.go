@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"strconv"
 
 	"cuckoohash/internal/obs"
@@ -80,45 +81,50 @@ func (s *Store) Exec(ops []Op, rec *obs.Span) []Result {
 	if len(ops) == 0 {
 		return nil
 	}
+	// Everything the commit writes into is allocated, and every op matched
+	// to its key's cell, before the stripes are taken, so the critical
+	// section holds decisions only. A key's cell sits at the index of the
+	// first op that names it (first); the other cells stay zero, a cell
+	// with no write.
 	idxs := make([]uint64, len(ops))
+	res := make([]Result, len(ops))
+	cells := make([]cell, len(ops))
+	first := make([]int, len(ops))
 	for i := range ops {
 		idxs[i] = s.stripeFor(ops[i].Key)
+		first[i] = slices.IndexFunc(ops, func(o Op) bool { return o.Key == ops[i].Key })
 	}
 	t0 := rec.Begin()
 	held := s.locks.LockOrdered(idxs)
 	rec.End(obs.StageLock, t0)
 	t1 := rec.Begin()
-	res := make([]Result, len(ops))
-	env := make(map[string]*cell, len(ops))
 	for i := range ops {
 		op := &ops[i]
-		c := env[op.Key]
-		if c == nil {
+		c := &cells[first[i]]
+		if first[i] == i {
 			s.reconcileIfHotLocked(op.Key)
-			c = &cell{}
 			c.val, c.expireAt, c.ok = s.kv.Load(op.Key)
-			env[op.Key] = c
 		}
 		res[i] = applyToCell(op, c)
 	}
-	s.flush(ops, res, env)
+	s.flush(ops, res, cells, first)
 	rec.End(obs.StageProbe, t1)
 	s.locks.UnlockOrdered(held)
 	s.stats.commits.Add(1)
 	return res
 }
 
-// flush applies env's buffered writes to the backing store, one Update a
-// key; the caller holds every touched key's stripe. A store error (a full
-// shard) surfaces on the ops that buffered the failed write.
-func (s *Store) flush(ops []Op, res []Result, env map[string]*cell) {
-	for key, c := range env {
-		if c.write == OpGet {
+// flush applies the cells' buffered writes to the backing store, one
+// Update a key; the caller holds every touched key's stripe. A store error
+// (a full shard) surfaces on the ops that buffered the failed write.
+func (s *Store) flush(ops []Op, res []Result, cells []cell, first []int) {
+	for k := range cells {
+		if cells[k].write == OpGet {
 			continue
 		}
-		if _, err := s.kv.Update(key, Change{c: *c}); err != nil {
+		if _, err := s.kv.Update(ops[k].Key, Change{c: cells[k]}); err != nil {
 			for i := range ops {
-				if ops[i].Key == key && res[i].Status == StatusOK {
+				if first[i] == k && res[i].Status == StatusOK {
 					res[i] = Result{Status: StatusErr, Err: err.Error()}
 				}
 			}

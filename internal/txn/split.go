@@ -350,8 +350,9 @@ func (s *Store) Tick() {
 	for key := range t.pendingKeys() {
 		i := s.stripeFor(key)
 		s.locks.Lock(i)
-		folded[key] = s.foldLocked(key)
+		n := s.foldLocked(key)
 		s.locks.Unlock(i)
+		folded[key] = n // outside the stripe: the map may grow
 	}
 
 	if hot == nil {

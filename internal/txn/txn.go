@@ -141,11 +141,6 @@ func (s *Store) WithLock(key string, rec *obs.Span, fn func()) {
 	s.locks.Unlock(i)
 }
 
-// NoHold is the hold number of a WithLockBytes critical section that began
-// by folding the key's pending split deltas into the store: it wrote the
-// key before fn ran, so it continues no earlier hold.
-const NoHold = ^uint64(0)
-
 // WithLockBytes is WithLock for a key still in byte-slice form (the
 // server's SET path aliases its read buffer): same stripe — maphash.Bytes
 // agrees with maphash.String on the same bytes — and the same fold of
@@ -153,24 +148,16 @@ const NoHold = ^uint64(0)
 // map[string(b)] lookup and hands back its own copy of a hot key, so no
 // key is ever converted.
 //
-// fn receives the hold's number: how many critical sections the stripe had
-// completed when this one began. Two holds numbered n and n+1 had the
-// stripe to themselves in between — no key mapped to it was written — so a
-// caller sent away between them to make room (the server's evict-and-retry)
-// may store in the second what it built, versioned, in the first.
-//
 //cuckoo:hotpath the wire SET's critical section; converts nothing
-func (s *Store) WithLockBytes(key []byte, rec *obs.Span, fn func(hold uint64)) {
+func (s *Store) WithLockBytes(key []byte, rec *obs.Span, fn func()) {
 	i := s.locks.IndexFor(maphash.Bytes(s.seed, key))
 	t0 := rec.Begin()
 	s.locks.Lock(i)
 	rec.End(obs.StageLock, t0)
-	hold := s.locks.Version(i)
 	if e, ok := s.split.lookupBytes(key); ok {
 		s.foldLocked(e.key)
-		hold = NoHold
 	}
-	fn(hold)
+	fn()
 	s.locks.Unlock(i)
 }
 

@@ -522,7 +522,7 @@ func TestWithLockBumpsVersion(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv)
 	i := s.stripeFor("k")
-	before := s.locks.Version(i)
+	before, _ := s.locks.Snapshot(i)
 	got := make(chan Result)
 	s.WithLock("k", nil, func() {
 		// A transaction reading k meanwhile waits the writer out: it
@@ -535,7 +535,7 @@ func TestWithLockBumpsVersion(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		kv.Store("k", "v", 0, false)
 	})
-	if after := s.locks.Version(i); after == before {
+	if after, _ := s.locks.Snapshot(i); after == before {
 		t.Fatal("WithLock did not advance the stripe version")
 	}
 	if res := <-got; res != (Result{Status: StatusValue, Value: "v"}) {

@@ -74,28 +74,35 @@ func BenchmarkExec(b *testing.B) {
 // stream over 10 000 resident keys: incr adds 1 to a counter no one has
 // made hot, cas swaps a value for itself (so every one is stored), del+set
 // deletes a key and writes it back, and set, the control, overwrites.
+// set-samekey overwrites one key with a 1 KB or a 60 KB value from every
+// goroutine, so the writers meet on one txn stripe and one table pin and
+// wait out whatever a SET does while it holds them.
 func BenchmarkKeyedOps(b *testing.B) {
 	const universe = 10000
 	keys := make([]string, universe)
 	for i := range keys {
 		keys[i] = "key" + strconv.Itoa(i)
 	}
+	kb1, kb60 := strings.Repeat("v", 1<<10), strings.Repeat("v", 60<<10)
 	for _, cell := range []struct {
 		name string
+		span uint64 // how many keys the ops draw from
 		op   func(c *server.Cache, key string) error
 	}{
-		{"incr", func(c *server.Cache, key string) error { return c.Incr(key, 1, 0, nil) }},
-		{"cas", func(c *server.Cache, key string) error {
+		{"incr", universe, func(c *server.Cache, key string) error { return c.Incr(key, 1, 0, nil) }},
+		{"cas", universe, func(c *server.Cache, key string) error {
 			if res, err := c.CAS(key, "1", "1", nil); err != nil || res != txn.CASStored {
 				return fmt.Errorf("CAS = %v, %v", res, err)
 			}
 			return nil
 		}},
-		{"del+set", func(c *server.Cache, key string) error {
+		{"del+set", universe, func(c *server.Cache, key string) error {
 			c.Delete(key, nil)
 			return c.Set(key, "1", 0)
 		}},
-		{"set", func(c *server.Cache, key string) error { return c.Set(key, "1", 0) }},
+		{"set", universe, func(c *server.Cache, key string) error { return c.Set(key, "1", 0) }},
+		{"set-samekey/1KB", 1, func(c *server.Cache, key string) error { return c.Set(key, kb1, 0) }},
+		{"set-samekey/60KB", 1, func(c *server.Cache, key string) error { return c.Set(key, kb60, 0) }},
 	} {
 		b.Run(cell.name, func(b *testing.B) {
 			c, err := server.NewCache(4, 1<<13)
@@ -115,8 +122,8 @@ func BenchmarkKeyedOps(b *testing.B) {
 					x ^= x << 13
 					x ^= x >> 7
 					x ^= x << 17
-					if err := cell.op(c, keys[x%universe]); err != nil {
-						b.Errorf("%s %s: %v", cell.name, keys[x%universe], err)
+					if err := cell.op(c, keys[x%cell.span]); err != nil {
+						b.Errorf("%s %s: %v", cell.name, keys[x%cell.span], err)
 						return
 					}
 				}

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"cuckoohash/generic"
 	"cuckoohash/internal/cluster"
 	"cuckoohash/internal/obs"
 )
@@ -159,20 +158,10 @@ func (c *Cache) selectForMigrate(ring *cluster.Ring, mode, dest, self string, ma
 // removeIfUnchanged deletes want's key only if its slot still holds want
 // — the item observed at migration-selection time, the victim an eviction
 // chose, an entry seen expired (items compare by identity, and an item is
-// never modified, so equal means the same write) — so a concurrent SET
-// that landed in between, even of the same bytes, survives. The check and
-// delete are one table Update under the key's txn stripe, which also
-// bumps the stripe's version for transactional readers.
+// never modified once stored, so equal means the same write) — so a
+// concurrent SET that landed in between, even of the same bytes, survives.
 func (c *Cache) removeIfUnchanged(want item) bool {
-	key := want.key()
-	removed := false
-	c.txn.WithLock(key, nil, func() {
-		act, _ := c.shards[c.shardFor(key)].table.Update(key, func(cur item, found bool) (item, generic.Action) {
-			return removeWhen(found && cur == want)
-		})
-		removed = act == generic.Remove
-	})
-	return removed
+	return c.removeIf(want.key(), nil, func(cur item) bool { return cur == want })
 }
 
 // sendHandoff encodes recs in the snapshot wire format, dials dest,

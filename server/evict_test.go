@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,28 +254,52 @@ func TestEvictionStorm(t *testing.T) {
 }
 
 // TestEvictingSetBuildsOneItem: a SET sent away to evict stores, on its
-// retry, the item it built the first time — one allocation and one version
-// per SET, not one per attempt. Versions are counted on a clock parked in
-// the future, where it counts by one. (The retry does rebuild when somebody
-// held the key's stripe in between, and the eviction itself is such a
-// somebody when the victim shares the stripe: one key in 1 024.)
+// retry, the item it built before its first attempt — one item per SET,
+// not one per attempt. With a 4 KB value the item is nearly all a SET
+// allocates, so the bytes allocated per evicting SET stay under one and a
+// half items; a rebuild per attempt would allocate two.
 func TestEvictingSetBuildsOneItem(t *testing.T) {
 	c := fullCache(t, 256, 0)
-	const base, sets = uint64(1) << 62, 400
-	c.verClock.Store(base)
-	evicted := c.Stats().Evictions()
-	for i := 0; i < sets; i++ {
-		if err := c.Set(fmt.Sprintf("fresh%d", i), "v", 0); err != nil {
-			t.Fatal(err)
-		}
+	const sets = 400
+	val := bytes.Repeat([]byte("v"), 4096)
+	keys := make([][]byte, sets)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("fresh%d", i))
 	}
+	itemBytes := allocated(func() {
+		for _, k := range keys {
+			builtItem = newItem(1, 0, k, val)
+		}
+	}) / sets
+	evicted := c.Stats().Evictions()
+	perSet := allocated(func() {
+		for _, k := range keys {
+			if _, err := c.set(k, val, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / sets
 	evicted = c.Stats().Evictions() - evicted
 	if evicted < sets/2 {
 		t.Fatalf("only %d of %d SETs evicted", evicted, sets)
 	}
-	if issued := c.verClock.Load() - base; issued > sets+evicted/10 {
-		t.Errorf("%d versions issued for %d SETs, %d of them evicting: the retry rebuilt its item", issued, sets, evicted)
+	t.Logf("%d B allocated per SET for a %d B item, %d of %d SETs evicting", perSet, itemBytes, evicted, sets)
+	if 2*perSet >= 3*itemBytes {
+		t.Errorf("over one and a half items allocated per SET: the retry rebuilt its item")
 	}
+}
+
+// builtItem keeps the items TestEvictingSetBuildsOneItem builds alive.
+var builtItem item
+
+// allocated is the heap bytes allocated while f runs.
+func allocated(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
 }
 
 // TestEvictRetryKeepsVersionsMonotonic: writers race on a key universe a

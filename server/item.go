@@ -28,10 +28,11 @@ import (
 // size class for a 16-byte key and a 32-byte value. Key and value are
 // substrings, free to take.
 //
-// An item is built once, under its key's stripe, and never modified: an
-// overwrite publishes a new item through the slot, so two items are equal
-// exactly when they are the same write. The zero item is "no record"; the
-// accessors may be called on a stored item only.
+// An item is built before any lock; its version word is written only by
+// the decision that publishes it (stamp), and nothing of it changes once a
+// slot holds it: an overwrite publishes a new item through the slot, so two
+// items are equal exactly when they are the same write. The zero item is
+// "no record"; the accessors may be called on a stored item only.
 //
 // This file is the module's only use of unsafe (TestUnsafeStaysInItem):
 // Go has no safe reference to a variable-length record narrower than a
@@ -110,6 +111,12 @@ func newItem[S interface{ ~string | ~[]byte }](ver uint64, expireAt int64, key, 
 	copy(b[n:], val)
 	return item{unsafe.SliceData(b)}
 }
+
+// stamp writes ver into the version word of an item no slot holds yet: a
+// local write's Update decision issues the version under the key's pin and
+// stamps it there, again on every attempt, before the table publishes the
+// item.
+func (it item) stamp(ver uint64) { putLE64(unsafe.Slice(it.p, 8), ver) }
 
 func putLE64(b []byte, v uint64) {
 	_ = b[7]

@@ -23,7 +23,6 @@ import (
 	"net"
 	"time"
 
-	"cuckoohash/generic"
 	"cuckoohash/internal/cluster"
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
@@ -142,15 +141,10 @@ func (c *Cache) applyReplicaSet(key, val []byte, expireAt int64, ver uint64, sp 
 // report true (an idempotent delete already took effect).
 func (c *Cache) applyReplicaDel(key string, ver uint64, sp *obs.Span) bool {
 	c.observeVersion(ver)
-	sh := c.shards[c.shardFor(key)]
 	applied := true
-	c.txn.WithLock(key, sp, func() {
-		t0 := sp.Begin()
-		sh.table.Update(key, func(cur item, found bool) (item, generic.Action) {
-			applied = !found || cur.ver() <= ver
-			return removeWhen(found && applied)
-		})
-		sp.End(obs.StageProbe, t0)
+	c.removeIf(key, sp, func(cur item) bool {
+		applied = cur.ver() <= ver
+		return applied
 	})
 	if applied {
 		c.wrote(key)

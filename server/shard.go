@@ -258,28 +258,31 @@ func (k cacheKV) Update(key string, ch txn.Change) (txn.Change, error) {
 // — a client SET, a mirrored, restored or handed-off record — is put here
 // with the key's stripe held, in a single probe; a counter fold, a CAS
 // swap and a transaction commit build theirs inside the probe instead
-// (cacheKV.Update). The callers build the item under that stripe and so
-// decide its version: a local write is issued the next one (nextVersion)
-// and is mirrored to the key's alternate node here; a write from a peer
-// keeps its origin version, is last-writer-wins — it lands only over an
-// older local copy, else store reports errStaleReplica — and is never
-// re-mirrored (that is what stops a mirrored write bouncing between the
-// pair). Because every local item is versioned and stored under the
-// stripe, per-key versions are monotonic and the mirror log sees writes in
-// stripe order. The version is also the item's age when a full shard
-// picks a victim (evictFor).
+// (cacheKV.Update). The decision that publishes a local write issues its
+// version (nextVersion) and stamps it into the item, so the key's pin, not
+// the stripe, orders versions: per key they rise in store order, however
+// often an attempt is sent away to evict or the table re-runs the decision
+// after a path search. A local write is mirrored to the key's alternate
+// node here; a write from a peer keeps its origin version, is
+// last-writer-wins — it lands only over an older local copy, else store
+// reports errStaleReplica — and is never re-mirrored (that is what stops a
+// mirrored write bouncing between the pair). The version is also the
+// item's age when a full shard picks a victim (evictFor).
 func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
 	act, err := sh.table.Update(it.key(), func(cur item, found bool) (item, generic.Action) {
-		if fromPeer && found && cur.ver() >= it.ver() {
+		if !fromPeer {
+			it.stamp(c.nextVersion())
+		} else if found && cur.ver() >= it.ver() {
 			return it, generic.Keep // the local copy is newer, or this is a redelivery
 		}
 		return it, generic.Store
 	})
 	switch {
 	case err != nil:
-		// ErrFull: the caller must evict outside the stripe and retry —
-		// deleting victims here would mutate other keys' entries without
-		// bumping their stripe versions.
+		// ErrFull: the caller must evict outside the stripe and retry.
+		// The victim's removal takes the victim's stripe, which orders it
+		// against EXEC and a split fold on that key, and no two stripes
+		// are ever held.
 		return errShardFull
 	case act == generic.Keep:
 		return errStaleReplica
@@ -290,13 +293,27 @@ func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
 	return nil
 }
 
-// removeWhen is a conditional removal's decision, for a table Update made
-// under the key's txn stripe: remove the entry found when drop holds.
-func removeWhen(drop bool) (item, generic.Action) {
-	if drop {
-		return item{}, generic.Remove
-	}
-	return item{}, generic.Keep
+// removeIf is the one conditional removal — of an evicted, expired or
+// migrated item (removeIfUnchanged) and of a peer's tombstone
+// (applyReplicaDel): it removes key's entry if there is one and drop, given
+// it, says so, and reports whether it did. The check and the delete are
+// one table Update under the key's txn stripe, which orders the removal
+// against EXEC and a split fold on the key; no two stripes are ever held.
+// The table work is attributed to sp as StageProbe.
+func (c *Cache) removeIf(key string, sp *obs.Span, drop func(item) bool) bool {
+	removed := false
+	c.txn.WithLock(key, sp, func() {
+		t0 := sp.Begin()
+		act, _ := c.shards[c.shardFor(key)].table.Update(key, func(cur item, found bool) (item, generic.Action) {
+			if found && drop(cur) {
+				return item{}, generic.Remove
+			}
+			return item{}, generic.Keep
+		})
+		removed = act == generic.Remove
+		sp.End(obs.StageProbe, t0)
+	})
+	return removed
 }
 
 // setLogger swaps the cache's logger; called before the cache is shared.
@@ -383,27 +400,20 @@ func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, e
 	return it.ver(), nil
 }
 
-// put builds the item for key=val under key's stripe and stores it, with
-// eviction on a full shard; it returns the item stored. A local write is
-// issued its version there. A put from a peer (REPLSET, snapshot restore,
-// HANDOFF load) carries its origin version ver and is last-writer-wins:
-// unless ver is newer than the local copy's it stores nothing and reports
-// errStaleReplica (store). The item is built once: an attempt sent away to
-// evict comes back with the item it built, which is still key's newest
-// write if nobody held the stripe in between (txn.Store.WithLockBytes).
-func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPeer bool, sp *obs.Span) (it item, err error) {
+// put builds the item for key=val, once and before any lock, and stores
+// it under key's stripe, with eviction on a full shard; it returns the
+// item stored. A local write is issued its version by the decision that
+// publishes it (store), so an attempt sent away to evict retries with the
+// same item. A put from a peer (REPLSET, snapshot restore, HANDOFF load)
+// carries its origin version ver and is last-writer-wins: unless ver is
+// newer than the local copy's it stores nothing and reports
+// errStaleReplica.
+func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPeer bool, sp *obs.Span) (item, error) {
 	sh := c.shards[si]
-	builtIn := txn.NoHold // the stripe hold it was built in
-	err = c.evicting(si, key, sp, func() (serr error) {
-		c.txn.WithLockBytes(key, sp, func(hold uint64) {
+	it := newItem(ver, expireAt, key, val)
+	err := c.evicting(si, key, sp, func() (serr error) {
+		c.txn.WithLockBytes(key, sp, func() {
 			t0 := sp.Begin()
-			if it.isZero() || hold != builtIn+1 {
-				if !fromPeer {
-					ver = c.nextVersion()
-				}
-				it = newItem(ver, expireAt, key, val)
-			}
-			builtIn = hold
 			serr = c.store(sh, it, fromPeer)
 			sp.End(obs.StageProbe, t0)
 		})
@@ -548,9 +558,10 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 // among at most 2·B entries is a sample of the shard, not its global
 // oldest, which is what buys deleting the eviction order altogether. The
 // delete is MIGRATE's (removeIfUnchanged): it runs under the victim's
-// stripe — never the inserting key's — so the victim's version bump is
-// honest and no two stripes are ever held, and it removes the item chosen,
-// not a write of the victim's key that landed since.
+// stripe — never the inserting key's — which orders the removal against
+// EXEC and a split fold on the victim, and no two stripes are ever held;
+// it removes the item chosen, not a write of the victim's key that landed
+// since.
 //
 //cuckoo:coldpath eviction runs only when a shard is full; the documented admission slow path
 func (c *Cache) evictFor(si int, key []byte) {
@@ -673,7 +684,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 		t0 := sp.Begin()
 		act, _ := s.table.Update(key, func(cur item, found bool) (item, generic.Action) {
 			present = found && !cur.expiredNow()
-			return removeWhen(found)
+			return item{}, generic.Remove
 		})
 		switch {
 		case present:
