@@ -78,7 +78,10 @@ test:
 # as well: a SET builds its item before any lock and its version is issued
 # inside the key's pin, and the window between that issue and the item's
 # publication, where a racing writer of the same key could reorder
-# versions, is as rare on a 2-CPU host as the search's.
+# versions, is as rare on a 2-CPU host as the search's. So do the tests of
+# what the key's pin alone orders (docs/TRANSACTIONS.md, "What the pin
+# orders"): EXEC's exclusion and ordered commit, the mirror log's order,
+# the split-counter fold, and the counter exactness under faults.
 PARALLEL_PKGS = ./internal/txn ./generic ./server ./client ./internal/obs ./internal/metrics
 
 race:
@@ -86,7 +89,7 @@ race:
 	$(GO) test -race -count=1 -cpu 1,2,4 $(PARALLEL_PKGS)
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/chained
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'Search|Concurrent|Displace' ./generic
-	$(GO) test -race -count=5 -cpu 1,2,4 -run 'EvictRetry|EvictingSet|OnePin' ./server
+	$(GO) test -race -count=5 -cpu 1,2,4 -run 'EvictRetry|EvictingSet|OnePin|ExecOrderedCommit|ExecExcludes|MirrorOrder|BlindWrite|ChaosCounterExactness' ./server
 
 # The repository benchmark's own tests (declared metric names match
 # BENCHMARK.json, recorder arithmetic, cuckoovet-clean harness). It is

@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -724,13 +725,20 @@ func parallelMops(threads int, body func(t int) uint64) (uint64, float64) {
 
 var ceilingSink atomic.Uint64
 
-// ceiling is the host's own scaling ceiling: a register-only loop, one
-// LCG step an operation with no memory traffic, in 1 and GOMAXPROCS
-// goroutines. The two cells' Mops/s ratio bounds what any cell at that
-// thread count can scale by on the host while the run lasts.
-func ceiling(scale) []cell {
+// ceiling is the host's own scaling ceiling, in 1 and GOMAXPROCS
+// goroutines. threads=N is a register-only loop, one LCG step an operation
+// with no memory traffic: the two cells' Mops/s ratio bounds what any cell
+// at that thread count can scale by on the host while the run lasts.
+// store/ and load/ are random 8-byte stores, and loads, over one shared
+// array as large as the figure's table (16 B a slot, sc.slots slots), an
+// address an LCG step: a write-heavy cell is read against the store
+// ceiling at its own size, where cache lines travel between cores. A
+// goroutine stores only to the words it owns (index ≡ t mod N), so stores
+// share lines but never a word.
+func ceiling(sc scale) []cell {
 	var cells []cell
-	for _, th := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+	threads := slices.Compact([]int{1, runtime.GOMAXPROCS(0)})
+	for _, th := range threads {
 		cells = append(cells, cell{fmt.Sprintf("threads=%d", th), func() (uint64, []metric) {
 			ops, mops := parallelMops(th, func(t int) uint64 {
 				const steps = 1 << 23
@@ -743,6 +751,36 @@ func ceiling(scale) []cell {
 			})
 			return ops, []metric{{"Mops/s", mops}}
 		}})
+	}
+	var mem []uint64
+	for _, store := range []bool{true, false} {
+		for _, th := range threads {
+			op := "load"
+			if store {
+				op = "store"
+			}
+			cells = append(cells, cell{fmt.Sprintf("%s/threads=%d", op, th), func() (uint64, []metric) {
+				if mem == nil {
+					mem = make([]uint64, 2*sc.slots)
+				}
+				ops, mops := parallelMops(th, func(t int) uint64 {
+					const steps = 1 << 22
+					per, x, sum := uint64(len(mem)/th), uint64(t)+1, uint64(0)
+					for range steps {
+						x = x*6364136223846793005 + 1442695040888963407
+						j, _ := bits.Mul64(x, per)
+						if i := j*uint64(th) + uint64(t); store {
+							mem[i] = x
+						} else {
+							sum += mem[i]
+						}
+					}
+					ceilingSink.Add(sum)
+					return steps
+				})
+				return ops, []metric{{"Mops/s", mops}}
+			}})
+		}
 	}
 	return cells
 }

@@ -16,7 +16,7 @@ func (t *Table[K, V]) tryPut(key K, val V, overwrite bool) error {
 			return val, Keep
 		}
 		return val, Store
-	})
+	}, nil)
 	if err == nil && act == Keep {
 		return ErrExists
 	}

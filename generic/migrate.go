@@ -177,7 +177,6 @@ func backlog[K comparable, V any](st *genState[K, V]) uint64 {
 //
 //cuckoo:coldpath a grow allocates the new generation by definition; bounded by log1.5(capacity) occurrences
 func (t *Table[K, V]) grow(observedBuckets uint64) bool {
-	//lint:allow cuckoovet:blockcheck store hierarchy: a put under a txn key stripe may park on growMu during the rare capacity escalation; bounded by grows
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
 	if t.loadState().live.buckets != observedBuckets {
@@ -229,7 +228,6 @@ func (t *Table[K, V]) growLocked(force bool) bool {
 	t.state.Store(next)
 	t.growCount.Add(1)
 	if f := t.cfg.OnGrowEvent; f != nil {
-		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per grow
 		f(GrowEvent{Kind: GrowStart, FromBuckets: live.buckets,
 			ToBuckets: newBuckets, Backlog: backlog(next)})
 	}
@@ -358,7 +356,6 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 		if growMuHeld {
 			t.growLocked(true)
 		} else {
-			//lint:allow cuckoovet:blockcheck store hierarchy: drain escalation may park on growMu with stripes held; the alternative is a migration that cannot terminate
 			t.growMu.Lock()
 			if t.stateValid(st) {
 				t.growLocked(true)
@@ -377,7 +374,7 @@ func (t *Table[K, V]) migrateBucket(g *oldGen[K, V], b uint64, growMuHeld bool) 
 func (t *Table[K, V]) moveOldSlot(st *genState[K, V], g *oldGen[K, V], ob, s uint64, key K, nb1, nb2 uint64) bool {
 	var buf [3]uint64
 	idxs := append(buf[:0], t.locks.IndexFor(ob), t.locks.IndexFor(nb1), t.locks.IndexFor(nb2))
-	locked := t.locks.LockOrdered(idxs)
+	locked, _ := t.locks.LockOrdered(idxs)
 	defer t.locks.UnlockOrdered(locked)
 	if !t.stateValid(st) {
 		return true
@@ -429,7 +426,6 @@ func (t *Table[K, V]) finishGenLocked(g *oldGen[K, V]) {
 	next := &genState[K, V]{live: st.live, olds: olds}
 	t.state.Store(next)
 	if f := t.cfg.OnGrowEvent; f != nil {
-		//lint:allow cuckoovet:blockcheck grow-event callbacks are documented non-blocking (growEventFunc) and fire at most twice per grow
 		f(GrowEvent{Kind: GrowDone, FromBuckets: g.arr.buckets,
 			ToBuckets: st.live.buckets, Backlog: backlog(next)})
 	}

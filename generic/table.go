@@ -15,7 +15,9 @@
 // decide → keep, overwrite in place, fold forward, place or clear — and
 // Insert, Upsert and Delete are what it does with a fixed decision; reads
 // take the (very short) lock instead of running optimistically because
-// values of arbitrary type cannot be copied tear-free without it.
+// values of arbitrary type cannot be copied tear-free without it. Section
+// is the same critical section over several keys at once, for a caller's
+// multi-key commit: one ascending acquisition of all their stripes.
 //
 // It is a partial-key cuckoo table, MemC3's: a slot's tag is the key's
 // hash's top byte, the first bucket is the rest of the hash reduced to the
@@ -395,11 +397,10 @@ func (t *Table[K, V]) lockPair(b1, b2 uint64) (uint64, uint64) {
 	return l1, l2
 }
 
-// lockAllGens acquires, in globally ascending order, the stripes of the
-// key's candidate buckets in every generation of st: the two live
-// candidates plus two per draining generation. buf is caller scratch so
-// the common cases stay allocation-free.
-func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []uint64 {
+// stripesOf appends to buf the stripes of the candidate buckets of the key
+// with hash h in every generation of st: the two live candidates plus two
+// per draining generation.
+func (t *Table[K, V]) stripesOf(st *genState[K, V], h uint64, buf []uint64) []uint64 {
 	b1, b2 := twoBuckets(h, st.live.buckets)
 	//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
 	buf = append(buf, t.locks.IndexFor(b1), t.locks.IndexFor(b2))
@@ -408,7 +409,15 @@ func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []
 		//lint:allow cuckoovet:allocfree appends fill the caller's fixed 8-slot scratch: live pair plus two per draining generation spills only past three concurrent generations
 		buf = append(buf, t.locks.IndexFor(ob1), t.locks.IndexFor(ob2))
 	}
-	return t.locks.LockOrdered(buf)
+	return buf
+}
+
+// lockAllGens acquires, in globally ascending order, the stripes of the key
+// with hash h in every generation of st (stripesOf), reporting whether any
+// was held by another. buf is caller scratch so the common cases stay
+// allocation-free.
+func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) ([]uint64, bool) {
+	return t.locks.LockOrdered(t.stripesOf(st, h, buf))
 }
 
 // pin opens key hash h's critical section: it loads the generation set and
@@ -421,7 +430,7 @@ func (t *Table[K, V]) lockAllGens(st *genState[K, V], h uint64, buf []uint64) []
 func (t *Table[K, V]) pin(h uint64, buf []uint64) (*genState[K, V], []uint64) {
 	for {
 		st := t.loadState()
-		locked := t.lockAllGens(st, h, buf)
+		locked, _ := t.lockAllGens(st, h, buf)
 		if t.stateValid(st) {
 			return st, locked
 		}
@@ -516,13 +525,24 @@ const (
 // and builds, never blocks and never calls into t. In a keyed table a
 // stored value's key must equal key. Like every write, Update pays its
 // share of an in-flight migration's drain once its stripes are released.
+func (t *Table[K, V]) Update(key K, decide func(cur V, found bool) (V, Action)) (Action, error) {
+	return t.UpdateThen(key, decide, nil)
+}
+
+// UpdateThen is Update with a step that runs under the same pin right after
+// the decision is applied: then(val, act, waited) gets the value decide
+// returned, what was applied, and whether that pin had to wait for a stripe
+// another held. It runs exactly once — never for a decision that found no
+// room and runs again — so what must follow a write in the key's own order,
+// exactly once per applied write, belongs there. then is held to decide's
+// rules; a nil then is Update.
 //
 //cuckoo:hotpath the table write path; search/grow/migrate are the audited slow paths
-func (t *Table[K, V]) Update(key K, decide func(cur V, found bool) (V, Action)) (Action, error) {
+func (t *Table[K, V]) UpdateThen(key K, decide func(cur V, found bool) (V, Action), then func(val V, act Action, waited bool)) (Action, error) {
 	h := t.hash(key)
 	for {
 		observed := t.loadState().live.buckets
-		act, err := t.tryUpdate(h, key, decide)
+		act, err := t.tryUpdate(h, key, decide, then)
 		if err == ErrFull && !t.cfg.DisableAutoGrow && t.grow(observed) {
 			continue
 		}
@@ -563,12 +583,12 @@ func (t *Table[K, V]) Delete(key K) bool {
 // tryUpdate is one Update without growing or draining: the in-place fast
 // path, then BFS path search (the audited slow path) when a store needs a
 // slot.
-func (t *Table[K, V]) tryUpdate(h uint64, key K, decide func(V, bool) (V, Action)) (Action, error) {
+func (t *Table[K, V]) tryUpdate(h uint64, key K, decide func(V, bool) (V, Action), then func(V, Action, bool)) (Action, error) {
 	for {
 		st := t.loadState()
 		b1, b2 := twoBuckets(h, st.live.buckets)
 
-		act, res := t.attempt(st, h, b1, b2, key, decide, -1)
+		act, res := t.attempt(st, h, b1, b2, key, decide, then, -1)
 		if res == putNoSpace {
 			// The mark is the Len the failed search started from, so a
 			// delete that made room while it ran re-arms the next one.
@@ -580,14 +600,14 @@ func (t *Table[K, V]) tryUpdate(h uint64, key K, decide func(V, bool) (V, Action
 				t.probe.ObservePath(b1, uint64(hops))
 				if freed {
 					// The head is b1 or b2: insert into its free slot.
-					act, res = t.attempt(st, h, head.bucket, b1^b2^head.bucket, key, decide, head.slot)
+					act, res = t.attempt(st, h, head.bucket, b1^b2^head.bucket, key, decide, then, head.slot)
 				}
 				if !freed || res == putNoSpace || res == putStale {
 					// Path invalidated or generations swapped (Eq. 1); retry.
 					t.probe.Restarted(b1)
 					continue
 				}
-			} else if act, res = t.attempt(st, h, b1, b2, key, decide, -1); res == putNoSpace {
+			} else if act, res = t.attempt(st, h, b1, b2, key, decide, then, -1); res == putNoSpace {
 				// Still no room on the re-check under the lock: give up. A
 				// search that failed mid-migration says nothing about the
 				// settled table, whose keys Len already counts.
@@ -612,42 +632,58 @@ const (
 	putStale
 )
 
-// attempt runs decide under the key's full cross-generation lock set and
-// applies what it returns. A stored key found in the live arrays is
-// updated in place; one found in a draining generation is folded forward —
-// the new value lands in a live slot and the old slot is cleared — so
-// writers always land in the live generation. reqSlot >= 0 pins an insert
-// to that slot of b1 (the head of a discovered cuckoo path). A republished
+// attempt runs decide under the key's full cross-generation lock set,
+// applies what it returns and runs then. reqSlot >= 0 pins an insert to
+// that slot of b1 (the head of a discovered cuckoo path). A republished
 // generation set is putStale, not a retry here: the caller's buckets and
 // path were computed against st.
-func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, decide func(V, bool) (V, Action), reqSlot int) (Action, putResult) {
+func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, decide func(V, bool) (V, Action), then func(V, Action, bool), reqSlot int) (Action, putResult) {
 	var lockBuf [8]uint64
-	locked := t.lockAllGens(st, h, lockBuf[:0])
+	locked, waited := t.lockAllGens(st, h, lockBuf[:0])
 	defer t.locks.UnlockOrdered(locked)
 	if !t.stateValid(st) {
 		return Keep, putStale
 	}
+	val, act, ok := t.update(st, h, b1, b2, key, decide, reqSlot)
+	if !ok {
+		return Keep, putNoSpace
+	}
+	if then != nil {
+		then(val, act, waited)
+	}
+	return act, putDone
+}
+
+// update locates the key with hash h under the caller's pin of st, runs
+// decide on what it finds and applies the result, returning the value
+// decide returned and what was applied. A stored key found in the live
+// arrays is updated in place; one found in a draining generation is folded
+// forward — the new value lands in a live slot and the old slot is cleared
+// — so writers always land in the live generation. ok is false, nothing
+// changed, for a Store that needs a live slot when b1 and b2 (or, with
+// reqSlot >= 0, that slot of b1) have none.
+func (t *Table[K, V]) update(st *genState[K, V], h, b1, b2 uint64, key K, decide func(V, bool) (V, Action), reqSlot int) (val V, act Action, ok bool) {
 	live := st.live
 	arr, ab, i, found := t.locate(st, h, func(k K) bool { return k == key })
 	var cur V
 	if found {
 		cur = arr.vals[i]
 	}
-	val, act := decide(cur, found)
+	val, act = decide(cur, found)
 	switch {
 	case act == Remove && found:
 		t.clearSlot(arr, ab, i) // linearization point of a removal
 		t.size.Add(ab, -1)
-		return Remove, putDone
+		return val, Remove, true
 	case act != Store:
-		return Keep, putDone
+		return val, Keep, true
 	case found && arr == live:
 		live.vals[i] = val // linearization point of an overwrite
-		return Store, putDone
+		return val, Store, true
 	}
 	s, ok := t.liveSlotFor(live, b1, b2, reqSlot)
 	if !ok {
-		return Keep, putNoSpace
+		return val, Keep, false
 	}
 	// linearization point of an insert, and of a fold-forward: the key is
 	// placed at its destination before its old-generation slot is cleared
@@ -660,7 +696,71 @@ func (t *Table[K, V]) attempt(st *genState[K, V], h, b1, b2 uint64, key K, decid
 	} else {
 		t.size.Add(s.bucket, 1)
 	}
-	return Store, putDone
+	return val, Store, true
+}
+
+// Section runs fn holding every key of keys at once: the stripes of their
+// candidate buckets in every generation, taken in one ascending
+// acquisition (the §4.4 rule) and re-checked against the published
+// generation set as pin does. Until fn returns no other writer can touch
+// the keys. Through sec it reads them, stores into a key's own live
+// buckets and removes; it never searches or grows, so a store that needs a
+// slot its key's buckets lack fails, and the caller makes room (MakeRoom)
+// with the section released. A caller holding several tables' sections
+// takes them in one order of its own. fn is held to Update's decide rules.
+func (t *Table[K, V]) Section(keys []K, fn func(sec Section[K, V])) {
+	var buf [16]uint64
+	idxs := buf[:0]
+	for {
+		st := t.loadState()
+		idxs = idxs[:0]
+		for _, k := range keys {
+			idxs = t.stripesOf(st, t.hash(k), idxs)
+		}
+		locked, _ := t.locks.LockOrdered(idxs)
+		if t.stateValid(st) {
+			fn(Section[K, V]{t: t, st: st})
+			t.locks.UnlockOrdered(locked)
+			return
+		}
+		t.locks.UnlockOrdered(locked)
+	}
+}
+
+// A Section is Table.Section's hold of its keys.
+type Section[K comparable, V any] struct {
+	t  *Table[K, V]
+	st *genState[K, V]
+}
+
+// Update is Table.Update of key, one of the section's keys, under the
+// section's hold: it applies what decide(cur, found) returns. ok is false,
+// with nothing applied, for a Store that needs a live slot when the key's
+// two live buckets are full.
+func (s Section[K, V]) Update(key K, decide func(cur V, found bool) (V, Action)) (act Action, ok bool) {
+	h := s.t.hash(key)
+	b1, b2 := twoBuckets(h, s.st.live.buckets)
+	_, act, ok = s.t.update(s.st, h, b1, b2, key, decide, -1)
+	return act, ok
+}
+
+// MakeRoom tries to free a live slot for key, holding no stripe when it is
+// called: a path search shifts entries out of one of key's live buckets,
+// or, when the search finds no path, the table grows. It returns ErrFull
+// when neither is possible — growth disabled or capped — and says nothing
+// of whether the slot is still free by the time the caller pins key again.
+//
+//cuckoo:coldpath the insert slow path behind a section's failed store: a search, or a grow
+func (t *Table[K, V]) MakeRoom(key K) error {
+	st := t.loadState()
+	b1, b2 := twoBuckets(t.hash(key), st.live.buckets)
+	if _, hops, _ := t.openSlot(st, b1, b2); hops >= 0 {
+		return nil
+	}
+	if !t.cfg.DisableAutoGrow && t.grow(st.live.buckets) {
+		return nil
+	}
+	return ErrFull
 }
 
 // liveTarget names a (bucket, slot) destination in the live arrays.

@@ -270,14 +270,16 @@ func (c *checker) site(sum *callgraph.Summary, s *callgraph.Site) string {
 	return fmt.Sprintf("%s (%s)", s.Op, s.What)
 }
 
-// reaches reports whether the root's package transitively imports p — the
-// RTA visibility filter: a component cannot dispatch to an implementation
-// it could never have constructed.
+// reaches reports whether the root's package and p are on one import
+// chain — the RTA visibility filter. A component cannot dispatch to an
+// implementation it could never have constructed, one in a package
+// neither it nor any of its importers reach; but a package that imports
+// it can hand it one, as the server hands internal/txn its backing store.
 func (c *checker) reaches(p *types.Package) bool {
 	if v, ok := c.reachMemo[p]; ok {
 		return v
 	}
-	v := callgraph.Imports(c.rootPkg, p)
+	v := callgraph.Imports(c.rootPkg, p) || callgraph.Imports(p, c.rootPkg)
 	c.reachMemo[p] = v
 	return v
 }

@@ -9,7 +9,7 @@ import (
 
 func TestGolden(t *testing.T) {
 	analysistest.Run(t,
-		[]string{analysistest.Dir("allocfreetest")},
+		[]string{analysistest.Dir("allocfreetest"), analysistest.Dir("allocfreeimpl")},
 		allocfree.Analyzer)
 }
 

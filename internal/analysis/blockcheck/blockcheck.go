@@ -32,8 +32,9 @@
 // transitively over the callgraph summaries,
 // resolving interface calls against every module implementer. Function
 // values passed to a callee that invokes them inside a region
-// (txn.Store.WithLock's fn argument) are checked at each call site that
-// supplies them.
+// (generic.Table.Update's decide argument) are checked at each call site
+// that supplies them, in a declared function or in any literal nested in
+// one.
 //
 // Blocking is a deny list: sync lock/wait primitives, channel operations
 // and select, time.Sleep/After/Tick, and calls into I/O packages (os,
@@ -252,7 +253,8 @@ func end(pass *analysis.Pass) error {
 	sort.Slice(sums, func(i, j int) bool { return sums[i].Object.Pos() < sums[j].Object.Pos() })
 
 	// Propagate "invokes its parameter inside a region" through parameter
-	// hand-offs (a wrapper that passes fn through to WithLock) to a fixpoint.
+	// hand-offs (a wrapper that passes fn on to a region-invoking callee)
+	// to a fixpoint.
 	for changed := true; changed; {
 		changed = false
 		for _, of := range sums {
@@ -321,9 +323,12 @@ func end(pass *analysis.Pass) error {
 	}
 
 	// Function values handed to region-invoking parameters: each argument
-	// is a region of its own at the supplying call site.
-	for _, of := range sums {
-		sum := of.Fact.(*callgraph.FuncFact).S
+	// is a region of its own at the supplying call site, whether the site
+	// is in a declared function or in a literal nested in one (a write
+	// wrapped in an evict-and-retry literal hands the table its decision
+	// from there).
+	var args func(sum *callgraph.Summary, chain []string)
+	args = func(sum *callgraph.Summary, chain []string) {
 		for i := range sum.Calls {
 			call := &sum.Calls[i]
 			if call.Callee == nil {
@@ -339,15 +344,23 @@ func end(pass *analysis.Pass) error {
 					continue
 				}
 				start(fmt.Sprintf("%s (argument run by %s)", p.Kind, callgraph.DisplayName(call.Callee)), p.Txn)
-				chain := []string{sum.Name}
 				if a.Fn != nil {
 					w.WalkCallee(call, a.Fn, chain)
 				}
 				if a.Lit != nil {
-					w.Walk(a.Lit, append(chain, a.Lit.Name))
+					w.Walk(a.Lit, append(chain[:len(chain):len(chain)], a.Lit.Name))
 				}
 			}
 		}
+		for _, site := range sum.Sites {
+			if site.Op == callgraph.OpClosure && site.Lit != nil {
+				args(site.Lit, append(chain[:len(chain):len(chain)], site.Lit.Name))
+			}
+		}
+	}
+	for _, of := range sums {
+		sum := of.Fact.(*callgraph.FuncFact).S
+		args(sum, []string{sum.Name})
 	}
 	return nil
 }

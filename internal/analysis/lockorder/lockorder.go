@@ -32,13 +32,13 @@
 // deferred or launched (go) call is not applied where it stands; only its
 // arguments, evaluated there, are walked.
 //
-// Nesting across lock *types* — a transaction key stripe over the backing
-// store's bucket stripes — follows the documented store hierarchy
-// (internal/txn package doc) and is legal as long as the inner layer goes
-// through LockPair/LockOrdered; only raw Lock propagates through
+// Nesting across lock instances — one table's stripes held while
+// another's are taken, as a transaction takes its shards' sections in
+// shard order (internal/txn package doc) — is legal as long as each layer
+// goes through LockPair/LockOrdered; only raw Lock propagates through
 // summaries. Dynamic calls (interface methods, function values) are not
 // followed: the held-set reasoning would cross object instances where the
-// hierarchy, not the order rule, governs. Loops are walked once, so a lock
+// documented order, not the stripe-index rule, governs. Loops are walked once, so a lock
 // carried into the next iteration, or out of the loop by break, is not
 // seen there.
 package lockorder

@@ -201,3 +201,13 @@ func badUnsafeStillAllocates(key []byte) record {
 	b[0] = byte(copy(b[1:], key))
 	return record{unsafe.SliceData(b)}
 }
+
+// Backend is implemented only by a package that imports this one
+// (allocfreeimpl), which hands its implementation in: a root's interface
+// call is checked against that implementer too.
+type Backend interface{ Put(k string) }
+
+//cuckoo:hotpath interface calls are checked against implementers in the packages that import the root's
+func BadUpward(b Backend) {
+	b.Put("k")
+}

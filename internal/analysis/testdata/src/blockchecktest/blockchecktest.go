@@ -319,3 +319,21 @@ func badBoundCapturedParam(t *table, i uint64) {
 	})
 	t.locks.Unlock(i)
 }
+
+// retry runs attempt, outside any region, until it reports success.
+func retry(attempt func() bool) {
+	for !attempt() {
+	}
+}
+
+// badNestedLitBlocks hands withStripe a literal from inside a literal of
+// its own, as a write wrapped in an evict-and-retry loop does: the inner
+// literal is a region all the same.
+func badNestedLitBlocks(t *table, i uint64) {
+	retry(func() bool {
+		withStripe(t, i, func() {
+			time.Sleep(1) // want `blocking time call time\.Sleep reachable inside spinlock critical section on t\.locks \(argument run by blockchecktest\.withStripe\): blockchecktest\.badNestedLitBlocks -> func literal -> func literal`
+		})
+		return true
+	})
+}

@@ -1,6 +1,7 @@
 package spinlock
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -215,7 +216,10 @@ func TestStripeQuickProperties(t *testing.T) {
 
 func TestStripeLockOrdered(t *testing.T) {
 	s := NewStripe(8)
-	held := s.LockOrdered([]uint64{5, 1, 3, 1, 5})
+	held, waited := s.LockOrdered([]uint64{5, 1, 3, 1, 5})
+	if waited {
+		t.Fatal("LockOrdered of free stripes reported a wait")
+	}
 	if want := []uint64{1, 3, 5}; len(held) != len(want) {
 		t.Fatalf("LockOrdered dedup = %v, want %v", held, want)
 	} else {
@@ -247,6 +251,21 @@ func TestStripeLockOrdered(t *testing.T) {
 			t.Fatalf("stripe %d version = %d after one lock/unlock, want 1", i, v)
 		}
 	}
+	// A stripe another holds is waited for, and the wait is reported.
+	s.Lock(3)
+	got := make(chan bool)
+	go func() {
+		held, waited := s.LockOrdered([]uint64{3, 6})
+		s.UnlockOrdered(held)
+		got <- waited
+	}()
+	for s.Stats().Contended == 0 {
+		runtime.Gosched()
+	}
+	s.Unlock(3)
+	if !<-got {
+		t.Fatal("LockOrdered that had to wait for a held stripe reported none")
+	}
 }
 
 func TestStripeLockOrderedConcurrent(t *testing.T) {
@@ -264,7 +283,7 @@ func TestStripeLockOrderedConcurrent(t *testing.T) {
 			}
 			for n := 0; n < 2000; n++ {
 				idxs := append([]uint64(nil), sets[(g+n)%len(sets)]...)
-				held := s.LockOrdered(idxs)
+				held, _ := s.LockOrdered(idxs)
 				counter++ // data race iff mutual exclusion is broken
 				s.UnlockOrdered(held)
 			}

@@ -183,13 +183,19 @@ func (s *Stripe) UnlockPair(i, j uint64) {
 // two-stripe LockPair to the arbitrary stripe sets a multi-key
 // transaction commit touches. idxs is sorted in place and deduplicated;
 // the returned slice (a prefix of idxs) holds the distinct indexes that
-// were locked and must be handed back to UnlockOrdered unchanged.
-func (s *Stripe) LockOrdered(idxs []uint64) []uint64 {
+// were locked and must be handed back to UnlockOrdered unchanged. waited
+// reports that some stripe was held by another when it was asked for:
+// the contention a caller can act on, told apart from an uncontended
+// acquisition as Lock's fast path tells it from lockSlow.
+func (s *Stripe) LockOrdered(idxs []uint64) (held []uint64, waited bool) {
 	idxs = sortDedup(idxs)
 	for _, i := range idxs {
-		s.Lock(i)
+		if !s.TryLock(i) {
+			s.lockSlow(i, &s.words[i])
+			waited = true
+		}
 	}
-	return idxs
+	return idxs, waited
 }
 
 // UnlockOrdered releases the stripes acquired by LockOrdered.

@@ -11,12 +11,12 @@ import (
 
 // BenchmarkIncrZipf is INCR under heavy zipf skew (s = 1.2 over 1 024
 // counters), the workload split counters exist for. naive disables
-// promotion, so every INCR takes its key's stripe and a parse/format/store
-// round trip through mapKV; split promotes the 64 hottest ranks up front,
+// promotion, so every INCR is a parse/format/store round trip under
+// mapKV's lock; split promotes the 64 hottest ranks up front,
 // so a hot INCR is a shard-local add until ReconcileAll folds it, inside the
 // timed region. mixed walks the whole stream; hot-head walks the same draws
 // restricted to the promoted ranks, where the two paths differ on every op
-// (the cold tail takes the stripe path in both). Each RunParallel goroutine
+// (the cold tail takes the pinned path in both). Each RunParallel goroutine
 // walks a stream of its own, drawn before the timer. The subsystem's bar is
 // split >= 3x naive on hot-head; exactness is TestConcurrentIncrExact's.
 func BenchmarkIncrZipf(b *testing.B) {

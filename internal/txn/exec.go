@@ -3,8 +3,6 @@ package txn
 import (
 	"slices"
 	"strconv"
-
-	"cuckoohash/internal/obs"
 )
 
 // OpKind enumerates the operations a transaction may queue.
@@ -60,7 +58,7 @@ type Result struct {
 }
 
 // cell is one key's view while a transaction runs: loaded once under the
-// key's held stripe, then read and rewritten by each op on the key. A
+// key's held pin, then read and rewritten by each op on the key. A
 // counter's write keeps expireAt, the expiry the key was loaded with.
 type cell struct {
 	val      string
@@ -69,72 +67,95 @@ type cell struct {
 	expireAt int64
 }
 
-// Exec runs ops as one atomic multi-key transaction and returns a result
-// per op. The transaction knows its whole key set, so it takes every
-// distinct stripe first, in ascending order (LockOrdered, the §4.4
-// discipline generalized), folds each hot key's pending split deltas
-// under its held stripe, runs the ops in queue order against the backing
-// store, applies the writes and releases. Nothing else can touch a key in
-// between, so it never aborts. Stripe wait is attributed to rec as
-// StageLock and the ops as StageProbe.
-func (s *Store) Exec(ops []Op, rec *obs.Span) []Result {
-	if len(ops) == 0 {
-		return nil
-	}
-	// Everything the commit writes into is allocated, and every op matched
-	// to its key's cell, before the stripes are taken, so the critical
-	// section holds decisions only. A key's cell sits at the index of the
-	// first op that names it (first); the other cells stay zero, a cell
-	// with no write.
-	idxs := make([]uint64, len(ops))
-	res := make([]Result, len(ops))
-	cells := make([]cell, len(ops))
-	first := make([]int, len(ops))
-	for i := range ops {
-		idxs[i] = s.stripeFor(ops[i].Key)
-		first[i] = slices.IndexFunc(ops, func(o Op) bool { return o.Key == ops[i].Key })
-	}
-	t0 := rec.Begin()
-	held := s.locks.LockOrdered(idxs)
-	rec.End(obs.StageLock, t0)
-	t1 := rec.Begin()
-	for i := range ops {
-		op := &ops[i]
-		c := &cells[first[i]]
-		if first[i] == i {
-			s.reconcileIfHotLocked(op.Key)
-			c.val, c.expireAt, c.ok = s.kv.Load(op.Key)
-		}
-		res[i] = applyToCell(op, c)
-	}
-	s.flush(ops, res, cells, first)
-	rec.End(obs.StageProbe, t1)
-	s.locks.UnlockOrdered(held)
-	s.stats.commits.Add(1)
-	return res
+// Tx is one transaction's working state: its ops, a result per op and a
+// cell per distinct key, all allocated by Begin before the backing store
+// takes any lock, so the commit holds decisions only. The store commits
+// it: holding every key's critical section, it loads each distinct key
+// (Load), runs the ops (Run) and writes each key's buffered write (Write).
+// A commit that found no room for a write releases everything, makes room
+// and runs again from its loads; the split deltas a load drained stay with
+// the Tx across those runs, and are lost only with a commit that is given
+// up on (Fail).
+type Tx struct {
+	s    *Store
+	ops  []Op
+	res  []Result
+	keys []txKey
 }
 
-// flush applies the cells' buffered writes to the backing store, one
-// Update a key; the caller holds every touched key's stripe. A store error
-// (a full shard) surfaces on the ops that buffered the failed write.
-func (s *Store) flush(ops []Op, res []Result, cells []cell, first []int) {
-	for k := range cells {
-		if cells[k].write == OpGet {
-			continue
-		}
-		if _, err := s.kv.Update(ops[k].Key, Change{c: cells[k]}); err != nil {
-			for i := range ops {
-				if first[i] == k && res[i].Status == StatusOK {
-					res[i] = Result{Status: StatusErr, Err: err.Error()}
-				}
-			}
+// txKey is op i's view of its key. first is the index of the first op
+// that names the key, where the key's cell and the deltas drained for it
+// live; the other entries' cells stay zero, a cell with no write.
+type txKey struct {
+	first int
+	c     cell
+	pend  pending
+}
+
+// Begin readies tx to commit ops, one transaction's queue, reusing what a
+// Tx that committed before it allocated, but not its results.
+func (s *Store) Begin(tx *Tx, ops []Op) {
+	tx.s, tx.ops, tx.res = s, ops, make([]Result, len(ops))
+	if cap(tx.keys) < len(ops) {
+		tx.keys = make([]txKey, len(ops))
+	}
+	tx.keys = tx.keys[:len(ops)]
+	for i := range ops {
+		tx.keys[i] = txKey{first: slices.IndexFunc(ops, func(o Op) bool { return o.Key == ops[i].Key })}
+	}
+}
+
+// Distinct reports whether op k is the first to name its key: the index
+// at which the store loads and writes the key.
+func (tx *Tx) Distinct(k int) bool { return tx.keys[k].first == k }
+
+// Load sets the cell of op k's key to the store's live value, expiring at
+// expireAt (ok false for none), and folds the key's split deltas into it:
+// those an earlier run drained and any pending now. Caller holds the
+// key's critical section; k is Distinct.
+func (tx *Tx) Load(k int, val string, expireAt int64, ok bool) {
+	e := &tx.keys[k]
+	e.c = cell{val: val, ok: ok, expireAt: expireAt}
+	tx.s.drain(tx.ops[k].Key, &e.pend, false)
+	e.pend.foldInto(&e.c)
+}
+
+// Run runs the ops in queue order against their keys' loaded cells.
+func (tx *Tx) Run() {
+	for i := range tx.ops {
+		tx.res[i] = applyToCell(&tx.ops[i], &tx.keys[tx.keys[i].first].c)
+	}
+}
+
+// Write returns the write Run buffered for op k's key: OpSet stores val
+// to expire at exp, OpDel removes the key, OpGet (and any k that is not
+// Distinct) leaves it.
+func (tx *Tx) Write(k int) (write OpKind, val string, exp int64) {
+	c := &tx.keys[k].c
+	return c.write, c.val, c.expireAt
+}
+
+// Fail reports err on every op that changed its key: the store gave up on
+// room for the commit and wrote none of it.
+func (tx *Tx) Fail(err error) {
+	for i := range tx.ops {
+		if tx.ops[i].Kind != OpGet && tx.res[i].Status == StatusOK {
+			tx.res[i] = Result{Status: StatusErr, Err: err.Error()}
 		}
 	}
+}
+
+// Done ends the transaction, counting its commit, and returns a result
+// per op.
+func (tx *Tx) Done() []Result {
+	tx.s.stats.commits.Add(1)
+	return tx.res
 }
 
 // applyToCell executes one op against a key's cell, buffering writes in
-// it. It is the one statement of every verb's rules: Exec runs it per op,
-// and the single-key verbs run it on a cell of their own (applyOne).
+// it. It is the one statement of every verb's rules: a transaction runs it
+// per op (Tx.Run), and the single-key verbs run it on a cell of their own
+// (Change.Decide).
 func applyToCell(op *Op, c *cell) Result {
 	switch op.Kind {
 	case OpGet:
@@ -171,6 +192,7 @@ func applyToCell(op *Op, c *cell) Result {
 		} else {
 			n = op.Delta
 		}
+		//lint:allow cuckoovet:allocfree the re-encoded value string is the write; split mode batches these to one per fold
 		c.val, c.ok = strconv.FormatInt(n, 10), true
 		c.write = OpSet
 		return Result{Status: StatusOK}

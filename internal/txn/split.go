@@ -25,7 +25,7 @@ type hotEntry struct {
 	key   string
 	class uint8
 	// idleTicks counts consecutive phase ticks that folded no deltas;
-	// two idle ticks demote the key back to direct stripe updates.
+	// two idle ticks demote the key back to direct pinned updates.
 	idleTicks uint8
 	// slots[i] is this key's pre-registered delta in shard i: promotion
 	// pays for the shard-map insertions once, so the split fast path
@@ -38,7 +38,7 @@ type delta struct {
 	class uint8
 	// dead marks a delta unlinked from its shard map at demotion. A
 	// straggler that cached the pointer through a stale hot set must
-	// fall back to the stripe path rather than write into an object no
+	// fall back to the pinned path rather than write into an object no
 	// fold will ever visit again. Guarded by the owning shard's mutex.
 	dead bool
 	add  int64
@@ -47,10 +47,10 @@ type delta struct {
 }
 
 // splitShard is one padded shard of pending deltas. Updates take only
-// the shard's spinlock — never a key stripe — so a split-phase INCR
+// the shard's spinlock — never a key's pin — so a split-phase INCR
 // touches no cache line shared with another core's split ops. A spinlock
-// rather than sync.Mutex because the folds (drainZero, drainRemove) run
-// with the key's stripe held: the holder of a stripe must never park.
+// rather than sync.Mutex because a drain (Store.drain) runs with the
+// key's pin held: the holder of a stripe must never park.
 // The padding keeps adjacent shards off each other's lines (the paper's
 // principle P1, same reasoning as metrics.ShardedCounter).
 type splitShard struct {
@@ -116,7 +116,7 @@ func (t *splitTable) lookupBytes(key []byte) (hotEntry, bool) {
 // MAXUPDATE to n, per the key's split class — in the hint's shard slot.
 // It reports false when the slot is dead — the key was demoted between
 // the caller's hot lookup and here — and the caller must apply on the
-// stripe path instead.
+// pinned path instead.
 func (t *splitTable) record(e hotEntry, n int64, hint uint64) bool {
 	i := hint & t.mask
 	p := e.slots[i]
@@ -146,7 +146,7 @@ type pending struct {
 
 // take moves p's pending state into f and zeroes p, so a slot can never
 // be folded twice — not even a dead one that a racing re-promotion
-// adopted into a new hot entry just before drainRemove unlinked it.
+// adopted into a new hot entry just before a drain unlinked it.
 // Caller holds p's shard mutex.
 func (f *pending) take(p *delta) {
 	if p.ops == 0 {
@@ -158,37 +158,6 @@ func (f *pending) take(p *delta) {
 	}
 	f.ops += p.ops
 	p.add, p.max, p.ops = 0, 0, 0
-}
-
-// drainZero folds a still-hot key's pending deltas in place: each slot
-// is zeroed but stays registered in its shard map, so the next split op
-// reuses it. Caller holds key's stripe.
-func (t *splitTable) drainZero(e hotEntry) (f pending) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		f.take(e.slots[i])
-		sh.mu.Unlock()
-	}
-	return f
-}
-
-// drainRemove unlinks and returns a demoted key's deltas from every
-// shard, marking each dead so stragglers holding cached slot pointers
-// divert to the stripe path. After this, no state for key remains in any
-// shard and none can silently reappear. Caller holds key's stripe.
-func (t *splitTable) drainRemove(key string) (f pending) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		if p, ok := sh.deltas[key]; ok {
-			delete(sh.deltas, key)
-			p.dead = true
-			f.take(p)
-		}
-		sh.mu.Unlock()
-	}
-	return f
 }
 
 // pendingKeys snapshots every key registered in any shard: all hot keys
@@ -208,12 +177,12 @@ func (t *splitTable) pendingKeys() map[string]struct{} {
 	return keys
 }
 
-// noteContention charges one contended stripe acquisition to key and
-// promotes it to split mode once the threshold is reached.
-// Called only from the already-contended slow path, so the bookkeeping
+// noteContention charges one contended critical section to key and
+// promotes it to split mode once the threshold is reached. Called only
+// after a pin that had to wait, once it is released, so the bookkeeping
 // mutex is off the uncontended fast path entirely.
 //
-//cuckoo:coldpath promotion bookkeeping runs only on contended acquisitions, never on the uncontended per-op path
+//cuckoo:coldpath promotion bookkeeping runs only after contended pins, never on the uncontended per-op path
 func (s *Store) noteContention(key string, class uint8) {
 	t := s.split
 	t.promoteMu.Lock()
@@ -230,7 +199,7 @@ func (s *Store) noteContention(key string, class uint8) {
 // Promote forces key into split mode for the commutative-add class, as
 // if it had crossed the contention threshold. Benchmarks and tests use
 // it to measure split-phase behaviour deterministically: organic
-// promotion depends on TryLock collisions, which are scheduler-timing
+// promotion depends on pins colliding, which is scheduler-timing
 // dependent. Returns false when the key is already hot.
 func (s *Store) Promote(key string) bool {
 	t := s.split
@@ -284,59 +253,89 @@ func (t *splitTable) insertHotLocked(key string, class uint8) bool {
 	return true
 }
 
-// reconcileIfHotLocked folds key's pending deltas into the backing
-// store. Caller holds key's stripe. Unparsable existing values (a SET
-// overwrote a split counter with garbage) are treated as zero: the
-// acknowledged commutative ops cannot be reported as failed after the
-// fact, so folding onto zero is the least surprising recovery.
-func (s *Store) reconcileIfHotLocked(key string) {
-	if s.split.hotCount.Load() == 0 {
+// drain moves key's pending deltas into p. Caller holds key's pin. A
+// still-hot key's slots are zeroed but stay registered in their shard
+// maps, so the next split op reuses them. With all — a fold's — a demoted
+// key's stragglers are drained too: each is unlinked and marked dead, so a
+// writer still holding its pointer through a stale hot set diverts to the
+// pinned path, and no state for the key remains in any shard nor can
+// silently reappear. Without all a key that is not hot costs one atomic
+// load: a demoted key's deltas wait for the phase tick's fold.
+func (s *Store) drain(key string, p *pending, all bool) {
+	if !all && s.split.hotCount.Load() == 0 {
 		return
 	}
-	if _, ok := s.split.lookup(key); !ok {
+	e, hot := s.split.lookup(key)
+	if !hot && !all {
 		return
 	}
-	s.foldLocked(key)
+	before := p.ops
+	for i := range s.split.shards {
+		sh := &s.split.shards[i]
+		sh.mu.Lock()
+		if hot {
+			p.take(e.slots[i])
+		} else if d, ok := sh.deltas[key]; ok {
+			delete(sh.deltas, key)
+			d.dead = true
+			p.take(d)
+		}
+		sh.mu.Unlock()
+	}
+	if n := p.ops - before; n > 0 {
+		s.stats.splitOps.Add(n)
+		s.stats.reconciles.Add(1)
+	}
 }
 
-// foldLocked drains and applies key's pending deltas: in place for a
-// still-hot key, unlinking the slots for a demoted one. Caller holds
-// key's stripe.
+// foldInto makes drained deltas a write of c: the adds onto its integer,
+// then the maximum. Unparsable existing values (a SET overwrote a split
+// counter with garbage) are treated as zero: the acknowledged commutative
+// ops cannot be reported as failed after the fact, so folding onto zero
+// is the least surprising recovery.
 //
-//cuckoo:coldpath a fold runs once per phase tick (or on a hot key's first stripe op), not per operation
-func (s *Store) foldLocked(key string) uint64 {
-	var f pending
-	if e, ok := s.split.lookup(key); ok {
-		f = s.split.drainZero(e)
-	} else {
-		f = s.split.drainRemove(key)
+//cuckoo:coldpath a fold runs once per phase tick (or on a hot key's first pinned op), not per operation
+func (p *pending) foldInto(c *cell) {
+	if p.ops == 0 {
+		return
 	}
-	if f.ops == 0 {
-		return 0
-	}
-	s.stats.splitOps.Add(f.ops)
 	var n int64
-	v, expireAt, ok := s.kv.Load(key)
-	if ok {
-		n, _ = strconv.ParseInt(v, 10, 64)
+	if c.ok {
+		n, _ = strconv.ParseInt(c.val, 10, 64)
 	}
-	n += f.add
-	if f.haveMax && f.max > n {
-		n = f.max
+	n += p.add
+	if p.haveMax && p.max > n {
+		n = p.max
 	}
-	// Best effort: a full backing store drops the fold (counters on a
-	// shard that cannot even hold the key are already lost causes), but
-	// the drained deltas were removed, so count the reconcile regardless.
-	_, _ = s.kv.Update(key, Change{c: cell{val: strconv.FormatInt(n, 10), write: OpSet, expireAt: expireAt}})
-	s.stats.reconciles.Add(1)
-	return f.ops
+	c.val, c.ok, c.write = strconv.FormatInt(n, 10), true, OpSet
+}
+
+// fold folds key's pending deltas, a hot key's or a demoted key's, into
+// the backing store in one Update, and returns how many ops it folded. A
+// store too full to take the key the deltas would create drops them: a
+// counter on a shard that cannot even hold the key is already lost.
+//
+//cuckoo:coldpath a fold runs once per phase tick, or on a hot key's read
+func (s *Store) fold(key string) uint64 {
+	ch, _ := s.kv.Update(key, Change{s: s, op: Op{Key: key}})
+	return ch.pend.ops
+}
+
+// Discard drops key's pending split deltas, reporting whether there were
+// any: a blind write (SET, DEL) or a removal replaces whatever they would
+// have added. Call it in the critical section that applies the write, and
+// only for a write it applies.
+func (s *Store) Discard(key string) bool {
+	var p pending
+	s.drain(key, &p, false)
+	return p.ops > 0
 }
 
 // Tick runs one split-phase boundary: every pending delta is folded into
 // its canonical value, and hot keys that were idle for two consecutive
 // ticks are demoted. Call it periodically (tens of milliseconds — the
 // phase length bounds read staleness). It is safe to call concurrently:
-// folds serialize on the key stripes and the hot-set rebuild on
+// folds serialize on the keys' pins and the hot-set rebuild on
 // promoteMu; a Tick that loses the race to another's demotions simply
 // finds less (or nothing) left to do.
 func (s *Store) Tick() {
@@ -348,11 +347,7 @@ func (s *Store) Tick() {
 	// this sweep is what guarantees it still lands.
 	folded := make(map[string]uint64)
 	for key := range t.pendingKeys() {
-		i := s.stripeFor(key)
-		s.locks.Lock(i)
-		n := s.foldLocked(key)
-		s.locks.Unlock(i)
-		folded[key] = n // outside the stripe: the map may grow
+		folded[key] = s.fold(key)
 	}
 
 	if hot == nil {
@@ -402,10 +397,7 @@ func (s *Store) Tick() {
 	// the swap may have parked one more delta; fold it now rather than
 	// waiting a full phase.
 	for _, k := range demote {
-		i := s.stripeFor(k)
-		s.locks.Lock(i)
-		s.foldLocked(k)
-		s.locks.Unlock(i)
+		s.fold(k)
 	}
 }
 
@@ -414,9 +406,6 @@ func (s *Store) Tick() {
 // in a delta shard.
 func (s *Store) ReconcileAll() {
 	for key := range s.split.pendingKeys() {
-		i := s.stripeFor(key)
-		s.locks.Lock(i)
-		s.foldLocked(key)
-		s.locks.Unlock(i)
+		s.fold(key)
 	}
 }

@@ -23,7 +23,7 @@ type Stats struct {
 	// different value.
 	CASConflicts uint64
 	// SplitOps counts commutative updates absorbed by per-shard split
-	// state instead of the key's stripe.
+	// state instead of the key's pin.
 	SplitOps uint64
 	// Reconciles counts split-delta folds into canonical values.
 	Reconciles uint64

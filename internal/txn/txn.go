@@ -1,16 +1,14 @@
 // Package txn is cuckootxn, the read-modify-write subsystem layered over
-// the cache: atomic single-key verbs (INCR/DECR/ADD/MAXUPDATE/CAS),
-// multi-key transactions, and Doppel-style split counters for contended
-// commutative updates.
+// the cache: atomic single-key verbs (INCR/DECR/ADD/MAXUPDATE/CAS), the op
+// interpreter multi-key transactions run, and Doppel-style split counters
+// for contended commutative updates.
 //
-// Every verb runs under per-key stripe locks of the paper's kind (§4.2's
-// lock/version words, one level up). A transaction knows its whole key set
-// before it runs, so it takes every stripe up front in ascending order —
-// the §4.4 rule LockPair applies to a displacement's two buckets,
-// generalized by LockOrdered to a commit's whole stripe set — runs its ops
-// against the backing store and releases. It never aborts and never
-// retries. The single-key verbs run the same op interpreter under their
-// one stripe.
+// The package holds no lock of a key's. A single-key verb is one Update of
+// the backing store (KV): the store runs the verb's Change in the critical
+// section that writes the key — in cuckood, one pin of the key's bucket
+// stripes — so its check and its write are one. A transaction's commit is
+// the store's too: the server takes every key's pin in one ordered
+// acquisition and runs the interpreter (Tx) on the keys' cells inside it.
 //
 // For commutative verbs on skewed workloads, even perfect stripes melt:
 // every INCR of one hot key serializes on one word. Doppel (Narula et
@@ -18,84 +16,85 @@
 // updates land in per-shard delta slots and the canonical value is
 // reconciled on read or at phase ticks. Because a split op cannot
 // observe the value, the commutative verbs reply OK without returning
-// the new count — that contract is what makes the split legal.
+// the new count — that contract is what makes the split legal. A key is
+// promoted after its counter verbs' critical sections keep having to wait
+// for it (Change.Waited).
 //
-// Lock hierarchy (outermost first): key stripe → backing-store internals
-// (table bucket stripes) and split-shard mutexes.
-// Split-shard mutexes and the backing store are never held while a key
-// stripe is being acquired, and multi-stripe acquisition happens only
-// through spinlock.LockOrdered, so the hierarchy is cycle-free.
+// Lock hierarchy (outermost first): the store's key pins (table bucket
+// stripes, several tables' in one fixed order for a transaction), then the
+// split-shard spinlocks, which a pin holder takes to drain a key's deltas
+// (Change.Decide, Tx.Load, Discard). A split-shard lock is never held while
+// a pin is being taken, so the hierarchy is cycle-free.
 package txn
 
 import (
 	"errors"
-	"hash/maphash"
 
 	"cuckoohash/internal/obs"
-	"cuckoohash/internal/spinlock"
 )
 
-// KV is the backing store the transaction layer mediates access to. The
-// contract: every mutation of a key routed through this interface happens
-// while the Store holds that key's stripe (the Store guarantees this).
-// Load and Update see only live values.
+// KV is the backing store the transaction layer writes through.
 type KV interface {
-	// Load returns key's value and its expiry (unix nanoseconds, 0 =
-	// never).
-	Load(key string) (val string, expireAt int64, ok bool)
 	// Update makes the write ch.Decide returns for key's live value and
 	// expiry, in one critical section of the store, and returns ch as the
 	// last Decide left it. Decide may run more than once — the store
-	// retries a write that had to make room first. The error is a write
-	// the store could not make (a full store).
+	// retries a write that had to make room first — and keeps what an
+	// earlier run drained. The store calls Waited on ch when that critical
+	// section had to wait for the key. The error is a write the store could
+	// not make (a full store).
 	Update(key string, ch Change) (Change, error)
 }
 
-// A Change is what a KV's Update makes of one key: Decide runs an op on
-// the key's live value (a single-key verb) or returns a write already
-// buffered (a transaction's commit, a split fold). It is a value — passed
-// to Update and returned with the op's Result — so a verb crosses the KV
-// interface without allocating.
+// A Change is what a KV's Update makes of one key: Decide folds the key's
+// pending split deltas into its live value and runs an op on it (a
+// single-key verb), or only folds them (a phase tick, a read's reconcile).
+// It is a value — passed to Update and returned with the op's Result — so
+// a verb crosses the KV interface without allocating.
 type Change struct {
-	op  Op
-	run bool // run op on the value; otherwise c holds the write
-	c   cell
-	res Result
+	s      *Store
+	op     Op
+	run    bool    // run op on the folded value; otherwise only fold
+	pend   pending // the deltas drained so far, kept when Decide runs again
+	res    Result
+	waited bool
 }
 
 // Decide returns the write to make of a key whose value is val, expiring
 // at expireAt (ok false when there is none): OpSet stores newVal to
-// expire at exp, OpDel removes the key, OpGet leaves it. It only
-// computes: a store calls it in its critical section.
+// expire at exp, OpDel removes the key, OpGet leaves it. It runs in the
+// store's critical section for the key: it drains the key's split deltas
+// and computes, nothing else.
 func (ch *Change) Decide(val string, expireAt int64, ok bool) (write OpKind, newVal string, exp int64) {
+	c := cell{val: val, ok: ok, expireAt: expireAt}
+	ch.s.drain(ch.op.Key, &ch.pend, !ch.run)
+	ch.pend.foldInto(&c)
 	if ch.run {
-		ch.c = cell{val: val, ok: ok, expireAt: expireAt}
-		ch.res = applyToCell(&ch.op, &ch.c)
+		ch.res = applyToCell(&ch.op, &c)
 	}
-	return ch.c.write, ch.c.val, ch.c.expireAt
+	return c.write, c.val, c.expireAt
 }
+
+// Waited records that the critical section the change ran in had to wait
+// for its key: the contention that promotes a counter to split mode.
+func (ch *Change) Waited() { ch.waited = true }
 
 // ErrNotInteger is returned when an arithmetic verb lands on a value that
 // does not parse as a signed 64-bit integer.
 var ErrNotInteger = errors.New("value is not an integer")
 
 const (
-	// stripes is the per-key lock table size (a power of two).
-	stripes = 1024
 	// splitShards is the number of padded delta shards hot keys split
 	// across (a power of two).
 	splitShards = 16
-	// promoteAfter is how many contended stripe acquisitions a key
-	// accumulates before it is promoted to split mode.
+	// promoteAfter is how many contended critical sections a key's counter
+	// verbs accumulate before it is promoted to split mode.
 	promoteAfter = 8
 )
 
-// Store runs atomic verbs and transactions against a KV. All methods are
-// safe for concurrent use.
+// Store runs atomic verbs against a KV and holds the split counters. All
+// methods are safe for concurrent use.
 type Store struct {
 	kv    KV
-	seed  maphash.Seed
-	locks *spinlock.Stripe
 	split *splitTable
 	// promoteAfter is New's constant of the same name; the package's tests
 	// lower it, or set it negative to disable splitting.
@@ -107,59 +106,15 @@ type Store struct {
 func New(kv KV) *Store {
 	return &Store{
 		kv:           kv,
-		seed:         maphash.MakeSeed(),
-		locks:        spinlock.NewStripe(stripes),
 		split:        newSplitTable(),
 		promoteAfter: promoteAfter,
 	}
 }
 
-// stripeFor maps a key to its lock stripe.
-func (s *Store) stripeFor(key string) uint64 {
-	return s.locks.IndexFor(maphash.String(s.seed, key))
-}
-
-// Every verb takes a *obs.Span and attributes its stripe wait
-// (StageLock) and backing-store work (StageProbe) to it. A nil or
-// unarmed span is free — Begin returns 0 without reading the clock and
-// End on a zero start is a no-op — so untraced callers pass nil.
-
-// WithLock runs fn while holding key's stripe, first folding any pending
-// split deltas so fn observes the reconciled value. Every out-of-band
-// mutation of the backing store (plain SET/DEL, TTL expiry, eviction,
-// cluster migration removal) must run through here, so it serializes with
-// every verb and transaction that holds the key's stripe.
-//
-//cuckoo:hotpath every keyed verb runs its critical section through here
-func (s *Store) WithLock(key string, rec *obs.Span, fn func()) {
-	i := s.stripeFor(key)
-	t0 := rec.Begin()
-	s.locks.Lock(i)
-	rec.End(obs.StageLock, t0)
-	s.reconcileIfHotLocked(key)
-	fn()
-	s.locks.Unlock(i)
-}
-
-// WithLockBytes is WithLock for a key still in byte-slice form (the
-// server's SET path aliases its read buffer): same stripe — maphash.Bytes
-// agrees with maphash.String on the same bytes — and the same fold of
-// pending split deltas; the hot set is probed with the free
-// map[string(b)] lookup and hands back its own copy of a hot key, so no
-// key is ever converted.
-//
-//cuckoo:hotpath the wire SET's critical section; converts nothing
-func (s *Store) WithLockBytes(key []byte, rec *obs.Span, fn func()) {
-	i := s.locks.IndexFor(maphash.Bytes(s.seed, key))
-	t0 := rec.Begin()
-	s.locks.Lock(i)
-	rec.End(obs.StageLock, t0)
-	if e, ok := s.split.lookupBytes(key); ok {
-		s.foldLocked(e.key)
-	}
-	fn()
-	s.locks.Unlock(i)
-}
+// Every verb takes a *obs.Span and attributes its backing-store work,
+// critical section included, to it as StageProbe. A nil or unarmed span
+// is free — Begin returns 0 without reading the clock and End on a zero
+// start is a no-op — so untraced callers pass nil.
 
 // Incr atomically adds delta to the signed 64-bit integer stored at key
 // (a missing key counts from zero; int64 arithmetic wraps on overflow).
@@ -179,35 +134,30 @@ func (s *Store) MaxUpdate(key string, n int64, hint uint64, rec *obs.Span) error
 }
 
 // commute is the one body of the commutative verbs. A key split for this
-// class takes the fast path — one padded slot update, no stripe, nothing
-// recorded in rec; everything else takes the stripe, charging contended
-// acquisitions toward promotion.
+// class takes the fast path — one padded slot update, no pin, nothing
+// recorded in rec; everything else is one Update of the key, whose having
+// had to wait for the key counts toward promotion.
 //
-//cuckoo:hotpath a split-mode INCR/MAXUPDATE is one slot update; the stripe path's value re-encode is its audited cost
+//cuckoo:hotpath a split-mode INCR/MAXUPDATE is one slot update; the pinned path's value re-encode is its audited cost
 func (s *Store) commute(key string, class uint8, n int64, hint uint64, rec *obs.Span) error {
 	if e, ok := s.split.lookup(key); ok && e.class == class {
 		if s.split.record(e, n, hint) {
 			return nil
 		}
 		// Demoted between the lookup and the slot write: fall through to
-		// the stripe path like any cold key.
+		// the pinned path like any cold key.
 	}
-	i := s.stripeFor(key)
-	t0 := rec.Begin()
-	if !s.locks.TryLock(i) {
-		if s.promoteAfter > 0 {
-			s.noteContention(key, class)
-		}
-		s.locks.Lock(i)
-	}
-	rec.End(obs.StageLock, t0)
-	s.reconcileIfHotLocked(key)
 	op := Op{Kind: OpIncr, Key: key, Delta: n}
 	if class == classMax {
 		op.Kind = OpMax
 	}
-	_, err := s.applyOne(op, rec)
-	s.locks.Unlock(i)
+	ch, err := s.applyOne(op, rec)
+	if ch.waited && s.promoteAfter > 0 {
+		s.noteContention(key, class)
+	}
+	if ch.res.Status == StatusErr {
+		return ErrNotInteger
+	}
 	return err
 }
 
@@ -224,14 +174,11 @@ const (
 )
 
 // CAS replaces key's value with newVal only if it currently equals old.
-// CAS observes the value, so it is never split; it always takes the
-// stripe and reconciles pending deltas first.
+// CAS observes the value, so it is never split; its decision folds the
+// key's pending deltas before it compares.
 func (s *Store) CAS(key, old, newVal string, rec *obs.Span) (CASResult, error) {
-	op := Op{Kind: OpCAS, Key: key, Old: old, Val: newVal}
-	var st Status
-	var err error
-	s.WithLock(key, rec, func() { st, err = s.applyOne(op, rec) })
-	switch st {
+	ch, err := s.applyOne(Op{Kind: OpCAS, Key: key, Old: old, Val: newVal}, rec)
+	switch ch.res.Status {
 	case StatusOK:
 		return CASStored, err
 	case StatusConflict:
@@ -243,35 +190,26 @@ func (s *Store) CAS(key, old, newVal string, rec *obs.Span) (CASResult, error) {
 
 // applyOne runs op alone against its key's stored value — the op
 // interpreter EXEC runs, on one cell — in the one Update that reads the
-// value and writes the result, attributed to rec as StageProbe. Caller
-// holds the key's stripe. A store error is returned unchanged so callers
-// can evict and retry outside the stripe.
-func (s *Store) applyOne(op Op, rec *obs.Span) (Status, error) {
+// value and writes the result, attributed to rec as StageProbe. A store
+// error is returned unchanged.
+func (s *Store) applyOne(op Op, rec *obs.Span) (Change, error) {
 	t0 := rec.Begin()
-	ch, err := s.kv.Update(op.Key, Change{op: op, run: true})
+	ch, err := s.kv.Update(op.Key, Change{s: s, op: op, run: true})
 	rec.End(obs.StageProbe, t0)
-	if ch.res.Status == StatusErr {
-		return ch.res.Status, ErrNotInteger // the one error INCR, MAXUPDATE and CAS can meet
-	}
-	return ch.res.Status, err
+	return ch, err
 }
 
 // ReconcileKeyBytes folds key's pending split deltas into the backing
-// store if the key is hot; a cold key costs one atomic load. Read paths
-// call this so a GET observes every acknowledged commutative update. key
-// may alias the caller's read buffer (the server's GET path): the hot-set
-// probe uses the compiler's free map[string(b)] lookup and a hot hit
-// carries the set's own copy of the key, so nothing is converted in any
-// state.
+// store if the key is hot, in one Update; a cold key costs one atomic
+// load. Read paths call this so a GET observes every acknowledged
+// commutative update. key may alias the caller's read buffer (the server's
+// GET path): the hot-set probe uses the compiler's free map[string(b)]
+// lookup and a hot hit carries the set's own copy of the key, so nothing
+// is converted in any state.
 //
 //cuckoo:hotpath GET-path split-counter fold gate; allocates nothing
 func (s *Store) ReconcileKeyBytes(key []byte) {
-	e, ok := s.split.lookupBytes(key)
-	if !ok {
-		return
+	if e, ok := s.split.lookupBytes(key); ok {
+		s.fold(e.key)
 	}
-	i := s.stripeFor(e.key)
-	s.locks.Lock(i)
-	s.reconcileIfHotLocked(e.key)
-	s.locks.Unlock(i)
 }

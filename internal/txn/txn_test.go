@@ -1,21 +1,15 @@
 package txn
 
 import (
-	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
-
-	"cuckoohash/internal/spinlock"
 )
 
-// mapKV is a mutex-guarded map backing store for tests. The stripe layer
-// above serializes per-key access; the mutex only makes the map itself
-// safe for concurrent access across distinct keys.
+// mapKV is a mutex-guarded map backing store for tests: its mutex is
+// every key's critical section at once, and an Update that finds it held
+// reports the wait, as a table pin does.
 type mapKV struct {
 	mu sync.Mutex
 	m  map[string]string
@@ -23,12 +17,7 @@ type mapKV struct {
 
 func newMapKV() *mapKV { return &mapKV{m: make(map[string]string)} }
 
-func (k *mapKV) Load(key string) (string, int64, bool) {
-	v, ok := k.value(key)
-	return v, 0, ok
-}
-
-// value is key's value, read outside any stripe.
+// value is key's value.
 func (k *mapKV) value(key string) (string, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -37,7 +26,10 @@ func (k *mapKV) value(key string) (string, bool) {
 }
 
 func (k *mapKV) Update(key string, ch Change) (Change, error) {
-	k.mu.Lock()
+	if !k.mu.TryLock() {
+		ch.Waited()
+		k.mu.Lock()
+	}
 	defer k.mu.Unlock()
 	v, ok := k.m[key]
 	switch write, val, _ := ch.Decide(v, 0, ok); write {
@@ -50,9 +42,38 @@ func (k *mapKV) Update(key string, ch Change) (Change, error) {
 }
 
 // Store seeds key with val, as a SET would.
-func (k *mapKV) Store(key, val string, _ int64, _ bool) error {
-	_, err := k.Update(key, Change{c: cell{val: val, write: OpSet}})
-	return err
+func (k *mapKV) Store(key, val string) {
+	k.mu.Lock()
+	k.m[key] = val
+	k.mu.Unlock()
+}
+
+// exec commits ops against k as cuckood's Cache.Exec does, with k's mutex
+// for the keys' pins: load every key, run, write.
+func (k *mapKV) exec(s *Store, ops []Op) []Result {
+	if len(ops) == 0 {
+		return nil
+	}
+	var tx Tx
+	s.Begin(&tx, ops)
+	k.mu.Lock()
+	for i := range ops {
+		if tx.Distinct(i) {
+			v, ok := k.m[ops[i].Key]
+			tx.Load(i, v, 0, ok)
+		}
+	}
+	tx.Run()
+	for i := range ops {
+		switch write, v, _ := tx.Write(i); write {
+		case OpSet:
+			k.m[ops[i].Key] = v
+		case OpDel:
+			delete(k.m, ops[i].Key)
+		}
+	}
+	k.mu.Unlock()
+	return tx.Done()
 }
 
 // newStore is New with the promotion threshold lowered to promote
@@ -90,7 +111,7 @@ func TestIncrBasics(t *testing.T) {
 	if got := kv.get(t, "c"); got != "40" {
 		t.Fatalf("c = %q, want 40", got)
 	}
-	kv.Store("junk", "not-a-number", 0, false)
+	kv.Store("junk", "not-a-number")
 	if err := s.Incr("junk", 1, 0, nil); err != ErrNotInteger {
 		t.Fatalf("Incr on junk = %v, want ErrNotInteger", err)
 	}
@@ -115,7 +136,7 @@ func TestCAS(t *testing.T) {
 	if res, _ := s.CAS("k", "a", "b", nil); res != CASMiss {
 		t.Fatalf("CAS on missing = %v, want CASMiss", res)
 	}
-	kv.Store("k", "a", 0, false)
+	kv.Store("k", "a")
 	if res, _ := s.CAS("k", "x", "b", nil); res != CASConflict {
 		t.Fatalf("CAS wrong old = %v, want CASConflict", res)
 	}
@@ -135,8 +156,9 @@ func TestConcurrentIncrExact(t *testing.T) {
 	// each, across direct, contended, and split regimes, must sum
 	// exactly — no lost or double-applied update. Two regimes: the key
 	// promoted up front, so every op races the split/fold machinery; and
-	// organic, where promotion happens only when TryLock collisions do
-	// (how often is the scheduler's business, so only the sum is asserted).
+	// organic, where promotion happens only when Updates collide on
+	// mapKV's mutex (how often is the scheduler's business, so only the sum
+	// is asserted).
 	const goroutines, perG = 8, 5000
 	for _, promoted := range []bool{true, false} {
 		kv := newMapKV()
@@ -236,16 +258,23 @@ func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 	s := newStore(kv, 1)
 	s.noteContention("h", classAdd)
 	s.Incr("h", 5, 0, nil)
-	// SET (the server's, under WithLock) serializes after the pending
-	// INCRs: they fold, then the SET overwrites.
-	s.WithLock("h", nil, func() { kv.Store("h", "100", 0, false) })
+	// A SET (the server's, which discards in the critical section that
+	// writes) replaces the pending INCRs with its value.
+	if !s.Discard("h") {
+		t.Fatal("Discard found no pending delta")
+	}
+	kv.Store("h", "100")
 	if got := kv.get(t, "h"); got != "100" {
 		t.Fatalf("h = %q, want 100", got)
 	}
+	s.ReconcileAll()
+	if got := kv.get(t, "h"); got != "100" {
+		t.Fatalf("h = %q after a fold, want 100: the discarded delta came back", got)
+	}
 	s.Incr("h", 5, 0, nil)
-	// So does a DEL queued in a transaction: the fold runs under the
-	// stripe Exec holds, then the entry goes with it.
-	s.Exec([]Op{{Kind: OpDel, Key: "h"}}, nil)
+	// A DEL queued in a transaction folds them: the load under the pin
+	// takes the deltas, then the entry goes with them.
+	kv.exec(s, []Op{{Kind: OpDel, Key: "h"}})
 	if v, ok := kv.value("h"); ok {
 		t.Fatalf("h survived delete: %q", v)
 	}
@@ -260,15 +289,15 @@ func TestSetAndDeleteFoldPendingDeltas(t *testing.T) {
 func TestExecReadYourWrites(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv)
-	kv.Store("a", "1", 0, false)
-	res := s.Exec([]Op{
+	kv.Store("a", "1")
+	res := kv.exec(s, []Op{
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpSet, Key: "a", Val: "2"},
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpIncr, Key: "a", Delta: 10},
 		{Kind: OpGet, Key: "a"},
 		{Kind: OpGet, Key: "missing"},
-	}, nil)
+	})
 	want := []Result{
 		{Status: StatusValue, Value: "1"},
 		{Status: StatusOK},
@@ -286,7 +315,7 @@ func TestExecReadYourWrites(t *testing.T) {
 		t.Fatalf("a = %q, want 12 after commit", got)
 	}
 	// An empty queue commits nothing.
-	if res := s.Exec(nil, nil); res != nil || s.StatsSnapshot().Commits != 1 {
+	if res := kv.exec(s, nil); res != nil || s.StatsSnapshot().Commits != 1 {
 		t.Fatalf("empty Exec = %v with %d commits, want nil after 1", res, s.StatsSnapshot().Commits)
 	}
 }
@@ -294,9 +323,9 @@ func TestExecReadYourWrites(t *testing.T) {
 func TestExecCASAndDelete(t *testing.T) {
 	kv := newMapKV()
 	s := New(kv)
-	kv.Store("k", "v1", 0, false)
-	kv.Store("m", "10", 0, false)
-	res := s.Exec([]Op{
+	kv.Store("k", "v1")
+	kv.Store("m", "10")
+	res := kv.exec(s, []Op{
 		{Kind: OpCAS, Key: "k", Old: "nope", Val: "v2"},
 		{Kind: OpCAS, Key: "k", Old: "v1", Val: "v2"},
 		{Kind: OpDel, Key: "k"},
@@ -306,7 +335,7 @@ func TestExecCASAndDelete(t *testing.T) {
 		{Kind: OpIncr, Key: "s", Delta: 1},
 		{Kind: OpMax, Key: "m", Delta: 5},
 		{Kind: OpCAS + 1, Key: "m"},
-	}, nil)
+	})
 	want := []Status{StatusConflict, StatusOK, StatusOK, StatusMiss, StatusMiss, StatusOK, StatusErr, StatusOK, StatusErr}
 	for i, w := range want {
 		if res[i].Status != w {
@@ -329,9 +358,8 @@ func TestExecAtomicTransfer(t *testing.T) {
 	// transaction commits exactly once.
 	kv := newMapKV()
 	s := New(kv)
-	s.locks = spinlock.NewStripe(8) // few stripes: transactions collide
-	kv.Store("x", "1000", 0, false)
-	kv.Store("y", "1000", 0, false)
+	kv.Store("x", "1000")
+	kv.Store("y", "1000")
 	const goroutines, transfers = 8, 300
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -339,10 +367,10 @@ func TestExecAtomicTransfer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for n := 0; n < transfers; n++ {
-				s.Exec([]Op{
+				kv.exec(s, []Op{
 					{Kind: OpIncr, Key: "x", Delta: -1},
 					{Kind: OpIncr, Key: "y", Delta: 1},
-				}, nil)
+				})
 			}
 		}()
 	}
@@ -360,185 +388,10 @@ func TestExecAtomicTransfer(t *testing.T) {
 	}
 }
 
-// yieldKV gives up the processor inside a Load of a key whose stripe is
-// free, so a transaction that read its keys before taking their stripes
-// would let another commit land between two of its reads. Exec loads
-// under the stripes it holds and never yields here: a holder that yielded
-// could starve the goroutines spinning on its stripes.
-type yieldKV struct {
-	*mapKV
-	s *Store
-}
-
-func (k *yieldKV) Load(key string) (string, int64, bool) {
-	if !k.s.locks.Locked(k.s.stripeFor(key)) {
-		runtime.Gosched()
-	}
-	return k.mapKV.Load(key)
-}
-
-// TestExecOrderedCommit checks Exec's one commit path: its results and
-// writes are those of the same ops run one after another; it does not
-// deadlock against a committer on the same stripes in the opposite
-// order; and a read-only transaction beside concurrent transfers always
-// sees their invariant sum.
-func TestExecOrderedCommit(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		rounds := 1
-		if concurrent {
-			rounds = 50
-		}
-		for range rounds {
-			checkExec(t, concurrent)
-		}
-	}
-	checkSnapshot(t)
-}
-
-func checkExec(t *testing.T, concurrent bool) {
-	t.Helper()
-	kv := newMapKV()
-	s := newStore(kv, -1)
-	s.locks = spinlock.NewStripe(8)
-	// keyOn returns the first of prefix0, prefix1, ... whose stripe is
-	// like's (or, with same false, is not).
-	keyOn := func(prefix, like string, same bool) string {
-		for i := 0; ; i++ {
-			k := fmt.Sprintf("%s%d", prefix, i)
-			if (s.stripeFor(k) == s.stripeFor(like)) == same {
-				return k
-			}
-		}
-	}
-	b := keyOn("b", "a", false)
-	seed := map[string]string{"a": "1", b: "2", "d": "x"}
-	for k, v := range seed {
-		kv.Store(k, v, 0, false)
-	}
-	ops := []Op{
-		{Kind: OpGet, Key: "a"},
-		{Kind: OpGet, Key: b},
-		{Kind: OpIncr, Key: "a", Delta: 5},
-		{Kind: OpCAS, Key: b, Old: "2", Val: "3"},
-		{Kind: OpSet, Key: "c", Val: "new"},
-		{Kind: OpDel, Key: "d"},
-		{Kind: OpMax, Key: "e", Delta: 9},
-		{Kind: OpGet, Key: "a"},
-	}
-
-	// The committer's keys share a's and b's stripes, in the opposite
-	// order, so its commits take the stripes this transaction takes.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var commits uint64
-	x, y := keyOn("x", "a", true), keyOn("y", b, true)
-	if concurrent {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Exec([]Op{{Kind: OpIncr, Key: y, Delta: 1}, {Kind: OpIncr, Key: x, Delta: 1}}, nil)
-				commits++
-			}
-		}()
-	}
-	res := s.Exec(ops, nil)
-	close(stop)
-	wg.Wait()
-	for _, k := range []string{x, y} {
-		if got, _ := kv.value(k); commits > 0 && got != strconv.FormatUint(commits, 10) {
-			t.Fatalf("%s = %q after %d committed increments", k, got, commits)
-		}
-	}
-
-	// The model: the same ops one at a time, from the same seed.
-	model := newMapKV()
-	seq := newStore(model, -1)
-	for k, v := range seed {
-		model.Store(k, v, 0, false)
-	}
-	for i := range ops {
-		want := seq.Exec(ops[i:i+1], nil)
-		if res[i] != want[0] {
-			t.Fatalf("op %d (%+v): transaction %+v, one at a time %+v", i, ops[i], res[i], want[0])
-		}
-	}
-	for _, k := range []string{"a", b, "c", "d", "e"} {
-		got, gok := kv.value(k)
-		want, wok := model.value(k)
-		if got != want || gok != wok {
-			t.Fatalf("%s = %q (%v) after the transaction, %q (%v) one at a time", k, got, gok, want, wok)
-		}
-	}
-}
-
-// checkSnapshot runs read-only EXECs of GET x, GET y while two goroutines
-// transfer between x and y: every read must see x+y unchanged.
-func checkSnapshot(t *testing.T) {
-	t.Helper()
-	kv := &yieldKV{mapKV: newMapKV()}
-	s := newStore(kv, -1)
-	kv.s = s
-	kv.Store("x", "1000", 0, false)
-	kv.Store("y", "1000", 0, false)
-	var wg sync.WaitGroup
-	var writing atomic.Int32
-	for _, d := range []int64{-1, 1} {
-		wg.Add(1)
-		writing.Add(1)
-		go func() {
-			defer wg.Done()
-			defer writing.Add(-1)
-			for range 300 {
-				s.Exec([]Op{{Kind: OpIncr, Key: "x", Delta: -d}, {Kind: OpIncr, Key: "y", Delta: d}}, nil)
-			}
-		}()
-	}
-	for n := 0; n == 0 || writing.Load() > 0; n++ {
-		res := s.Exec([]Op{{Kind: OpGet, Key: "x"}, {Kind: OpGet, Key: "y"}}, nil)
-		x, _ := strconv.Atoi(res[0].Value)
-		y, _ := strconv.Atoi(res[1].Value)
-		if x+y != 2000 {
-			t.Fatalf("read %d: x=%d y=%d, sum %d, want 2000", n, x, y, x+y)
-		}
-	}
-	wg.Wait()
-}
-
 func TestSplitShardPadding(t *testing.T) {
 	// One shard per cache line: concurrent split updates from different
 	// hints must not false-share.
 	if sz := unsafe.Sizeof(splitShard{}); sz%64 != 0 {
 		t.Fatalf("splitShard is %d bytes; want a multiple of 64", sz)
-	}
-}
-
-func TestWithLockBumpsVersion(t *testing.T) {
-	kv := newMapKV()
-	s := New(kv)
-	i := s.stripeFor("k")
-	before, _ := s.locks.Snapshot(i)
-	got := make(chan Result)
-	s.WithLock("k", nil, func() {
-		// A transaction reading k meanwhile waits the writer out: it
-		// spins on the stripe, yielding now and then, and reads what the
-		// writer wrote.
-		go func() {
-			res := s.Exec([]Op{{Kind: OpGet, Key: "k"}}, nil)
-			got <- res[0]
-		}()
-		time.Sleep(5 * time.Millisecond)
-		kv.Store("k", "v", 0, false)
-	})
-	if after, _ := s.locks.Snapshot(i); after == before {
-		t.Fatal("WithLock did not advance the stripe version")
-	}
-	if res := <-got; res != (Result{Status: StatusValue, Value: "v"}) {
-		t.Fatalf("read under a held stripe = %+v, want the writer's value", res)
 	}
 }

@@ -75,8 +75,8 @@ func BenchmarkExec(b *testing.B) {
 // made hot, cas swaps a value for itself (so every one is stored), del+set
 // deletes a key and writes it back, and set, the control, overwrites.
 // set-samekey overwrites one key with a 1 KB or a 60 KB value from every
-// goroutine, so the writers meet on one txn stripe and one table pin and
-// wait out whatever a SET does while it holds them.
+// goroutine, so the writers meet on one table pin and wait out whatever a
+// SET does while it holds it.
 func BenchmarkKeyedOps(b *testing.B) {
 	const universe = 10000
 	keys := make([]string, universe)

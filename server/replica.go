@@ -4,15 +4,16 @@ package server
 // ring placement already names a natural second home — its alternate
 // node. This file mirrors writes there asynchronously:
 //
-//   - the write path (Cache.store, cacheKV.Update, Cache.Delete) enqueues
-//     each mutation, with its version word, onto a bounded per-peer log;
+//   - the write path (Cache.store, cacheKV.Update, Cache.Delete,
+//     Cache.Exec) enqueues each mutation, with its version word, onto a
+//     bounded per-peer log, under the pin that applied it;
 //   - one mirror worker per peer drains the log in batches and streams
 //     REPLSET/REPLDEL lines over a persistent connection;
 //   - when the log overflows or a send fails, the worker falls back to
 //     bulk catch-up: the same snapshot-format HANDOFF transfer MIGRATE
 //     uses, selecting every key the pair shares (version-preserving,
 //     last-writer-wins on apply, so replaying history is always safe);
-//   - inbound REPLSET/REPLDEL apply under the key's stripe with a
+//   - inbound REPLSET/REPLDEL apply under the key's pin with a
 //     version comparison, so a delayed mirror can never clobber a newer
 //     local write — and never re-enqueue, so mirrors cannot loop.
 
@@ -81,9 +82,11 @@ func (r *replState) peerFor(key string) *replPeer {
 
 // replEnqueue mirrors one mutation of key to the key's alternate node:
 // the item just stored, or — the zero item — a client-visible delete, as a
-// versioned tombstone. Called from Cache.store, cacheKV.Update and
-// Cache.Delete with the key's stripe held: the log append spins (never
-// parks) and the wake-up send is non-blocking. The log entry outlives the
+// versioned tombstone. Called from Cache.store, cacheKV.Update,
+// Cache.Delete and Cache.Exec in the step after the write, under the pin
+// that applied it, so a key's entries are appended in the order its writes
+// were applied, once each: the log append spins (never parks) and the
+// wake-up send is non-blocking. The log entry outlives the
 // request, until the mirror worker drains it or the ring drops it, and
 // aliases the stored item: items are immutable, so it keeps alive the
 // bytes a copy would, without allocating one, and none beyond the table's

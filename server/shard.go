@@ -12,10 +12,13 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"hash/maphash"
 	"log/slog"
 	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,9 +32,9 @@ import (
 // after evicting; the connection itself stays up.
 var ErrServerFull = errors.New("server: cache full")
 
-// errShardFull is the internal no-room-without-eviction signal from the
-// txn-layer backing store; Cache-level write loops turn it into eviction
-// attempts (outside any stripe) and eventually into ErrServerFull.
+// errShardFull is the internal no-room-without-eviction signal of a
+// table write; the evict-and-retry loop (evicting) turns it into eviction
+// attempts, with no pin held, and eventually into ErrServerFull.
 var errShardFull = errors.New("server: shard full")
 
 // errStaleReplica is put's "the local copy is at least as new" outcome
@@ -92,11 +95,12 @@ type Cache struct {
 	// publish over fresher data.
 	leases *replica.LeaseTable
 
-	// txn is the cuckootxn layer (internal/txn): per-key lock stripes,
-	// atomic verbs, stripe-ordered transactions, and split counters.
-	// Every mutation of the shards — including plain SET/DEL, TTL expiry,
-	// eviction, and migration removal — runs under the key's stripe, so
-	// it serializes with every verb and transaction on the key.
+	// txn is the cuckootxn layer (internal/txn): atomic verbs, the
+	// transaction interpreter, and split counters. It holds no lock of a
+	// key's: every mutation of the shards — a verb, a transaction's
+	// commit, a plain SET/DEL, TTL expiry, eviction, migration removal —
+	// runs under the key's table pin, which serializes it with every
+	// other on the key.
 	txn *txn.Store
 }
 
@@ -178,7 +182,7 @@ func (c *Cache) growEventFunc(i int) func(generic.GrowEvent) {
 
 // nextVersion issues the next write version: wall-clock nanoseconds,
 // bumped past the previous issue when the clock stalls or steps back.
-// Lock-free (CAS loop), so it is legal under a key stripe.
+// Lock-free (CAS loop), so it is legal under a key's pin.
 func (c *Cache) nextVersion() uint64 {
 	now := uint64(time.Now().UnixNano())
 	for {
@@ -208,14 +212,8 @@ func (c *Cache) observeVersion(v uint64) {
 	}
 }
 
-// cacheKV adapts the sharded cuckoo tables to txn.KV. Its methods do raw
-// table operations only — no eviction, no stripe management — because the
-// txn layer calls them while already holding the key's stripe.
+// cacheKV adapts the sharded cuckoo tables to txn.KV.
 type cacheKV struct{ c *Cache }
-
-func (k cacheKV) Load(key string) (string, int64, bool) {
-	return live(k.c.shards[k.c.shardFor(key)].table.Get(key))
-}
 
 // live is what the txn layer sees of a table entry: its value and expiry
 // when it is there and has not expired.
@@ -227,68 +225,79 @@ func live(it item, found bool) (string, int64, bool) {
 }
 
 // Update is the txn layer's write — an INCR or MAXUPDATE, a CAS swap, a
-// split fold, a transaction's commit — as one table Update, whose decide
-// runs ch.Decide on the entry it found and builds the item there. A write
-// is mirrored as a local one is (store), a delete as a versioned
-// tombstone.
+// split fold — as one table Update of the key, evicting on a full shard
+// like SET. Its decide runs ch.Decide on the entry it found and builds the
+// item there, with the write's version; the step after the applied write
+// mirrors it (a delete as a versioned tombstone) and tells ch whether the
+// pin had to wait, the contention that promotes a counter.
 func (k cacheKV) Update(key string, ch txn.Change) (txn.Change, error) {
 	c := k.c
-	var stored item
-	act, err := c.shards[c.shardFor(key)].table.Update(key, func(cur item, found bool) (item, generic.Action) {
-		stored = item{}
-		switch write, v, exp := ch.Decide(live(cur, found)); write {
-		case txn.OpDel:
-			return stored, generic.Remove
-		case txn.OpSet:
-			stored = newItem(c.nextVersion(), exp, key, v)
-			return stored, generic.Store
+	si := c.shardFor(key)
+	err := c.evicting(si, key, nil, func() error {
+		_, err := c.shards[si].table.UpdateThen(key, func(cur item, found bool) (item, generic.Action) {
+			switch write, v, exp := ch.Decide(live(cur, found)); write {
+			case txn.OpDel:
+				return item{}, generic.Remove
+			case txn.OpSet:
+				return newItem(c.nextVersion(), exp, key, v), generic.Store
+			}
+			return item{}, generic.Keep
+		}, func(it item, act generic.Action, waited bool) {
+			if waited {
+				ch.Waited()
+			}
+			if act != generic.Keep {
+				c.replEnqueue(key, it)
+			}
+		})
+		if err != nil {
+			return errShardFull
 		}
-		return stored, generic.Keep
+		return nil
 	})
-	if err != nil {
-		return ch, errShardFull
-	}
-	if act != generic.Keep {
-		c.replEnqueue(key, stored)
-	}
-	return ch, nil
+	return ch, err
 }
 
 // store is the one write of a built item. Every item that lands in a shard
-// — a client SET, a mirrored, restored or handed-off record — is put here
-// with the key's stripe held, in a single probe; a counter fold, a CAS
-// swap and a transaction commit build theirs inside the probe instead
-// (cacheKV.Update). The decision that publishes a local write issues its
-// version (nextVersion) and stamps it into the item, so the key's pin, not
-// the stripe, orders versions: per key they rise in store order, however
-// often an attempt is sent away to evict or the table re-runs the decision
-// after a path search. A local write is mirrored to the key's alternate
-// node here; a write from a peer keeps its origin version, is
-// last-writer-wins — it lands only over an older local copy, else store
-// reports errStaleReplica — and is never re-mirrored (that is what stops a
-// mirrored write bouncing between the pair). The version is also the
-// item's age when a full shard picks a victim (evictFor).
+// — a client SET, a mirrored, restored or handed-off record — is put here,
+// in one table Update of the key; a counter fold, a CAS swap and a
+// transaction commit build theirs under the pin instead (cacheKV.Update,
+// Exec). The decision that publishes a local write issues its version
+// (nextVersion) and stamps it into the item, so the key's pin orders
+// versions: per key they rise in store order, however often an attempt is
+// sent away to evict or the table re-runs the decision after a path
+// search. The step after the applied write, under the same pin, discards
+// the key's pending split deltas — the SET replaces whatever they would
+// have added — and mirrors a local write to the key's alternate node, so
+// the peer log carries a key's writes in the order they were applied. A
+// write from a peer keeps its origin version, is last-writer-wins — it
+// lands only over an older local copy, else store reports errStaleReplica
+// — and is never re-mirrored (that is what stops a mirrored write bouncing
+// between the pair). The version is also the item's age when a full shard
+// picks a victim (evictFor).
 func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
-	act, err := sh.table.Update(it.key(), func(cur item, found bool) (item, generic.Action) {
+	act, err := sh.table.UpdateThen(it.key(), func(cur item, found bool) (item, generic.Action) {
 		if !fromPeer {
 			it.stamp(c.nextVersion())
 		} else if found && cur.ver() >= it.ver() {
 			return it, generic.Keep // the local copy is newer, or this is a redelivery
 		}
 		return it, generic.Store
+	}, func(_ item, act generic.Action, _ bool) {
+		if act == generic.Store {
+			c.txn.Discard(it.key())
+			if !fromPeer {
+				c.replEnqueue(it.key(), it)
+			}
+		}
 	})
 	switch {
 	case err != nil:
-		// ErrFull: the caller must evict outside the stripe and retry.
-		// The victim's removal takes the victim's stripe, which orders it
-		// against EXEC and a split fold on that key, and no two stripes
-		// are ever held.
+		// ErrFull: the caller must evict and retry. The victim's removal
+		// is one pin of the victim's key, and none is held meanwhile.
 		return errShardFull
 	case act == generic.Keep:
 		return errStaleReplica
-	}
-	if !fromPeer {
-		c.replEnqueue(it.key(), it)
 	}
 	return nil
 }
@@ -297,23 +306,23 @@ func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
 // migrated item (removeIfUnchanged) and of a peer's tombstone
 // (applyReplicaDel): it removes key's entry if there is one and drop, given
 // it, says so, and reports whether it did. The check and the delete are
-// one table Update under the key's txn stripe, which orders the removal
-// against EXEC and a split fold on the key; no two stripes are ever held.
-// The table work is attributed to sp as StageProbe.
+// one table Update; the step after a removal discards the key's pending
+// split deltas, which went with it. The table work is attributed to sp as
+// StageProbe.
 func (c *Cache) removeIf(key string, sp *obs.Span, drop func(item) bool) bool {
-	removed := false
-	c.txn.WithLock(key, sp, func() {
-		t0 := sp.Begin()
-		act, _ := c.shards[c.shardFor(key)].table.Update(key, func(cur item, found bool) (item, generic.Action) {
-			if found && drop(cur) {
-				return item{}, generic.Remove
-			}
-			return item{}, generic.Keep
-		})
-		removed = act == generic.Remove
-		sp.End(obs.StageProbe, t0)
+	t0 := sp.Begin()
+	act, _ := c.shards[c.shardFor(key)].table.UpdateThen(key, func(cur item, found bool) (item, generic.Action) {
+		if found && drop(cur) {
+			return item{}, generic.Remove
+		}
+		return item{}, generic.Keep
+	}, func(_ item, act generic.Action, _ bool) {
+		if act == generic.Remove {
+			c.txn.Discard(key)
+		}
 	})
-	return removed
+	sp.End(obs.StageProbe, t0)
+	return act == generic.Remove
 }
 
 // setLogger swaps the cache's logger; called before the cache is shared.
@@ -401,8 +410,8 @@ func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, e
 }
 
 // put builds the item for key=val, once and before any lock, and stores
-// it under key's stripe, with eviction on a full shard; it returns the
-// item stored. A local write is issued its version by the decision that
+// it in one pin of key, with eviction on a full shard; it returns the item
+// stored. A local write is issued its version by the decision that
 // publishes it (store), so an attempt sent away to evict retries with the
 // same item. A put from a peer (REPLSET, snapshot restore, HANDOFF load)
 // carries its origin version ver and is last-writer-wins: unless ver is
@@ -411,24 +420,22 @@ func (c *Cache) set(key, val []byte, ttl time.Duration, sp *obs.Span) (uint64, e
 func (c *Cache) put(si int, key, val []byte, expireAt int64, ver uint64, fromPeer bool, sp *obs.Span) (item, error) {
 	sh := c.shards[si]
 	it := newItem(ver, expireAt, key, val)
-	err := c.evicting(si, key, sp, func() (serr error) {
-		c.txn.WithLockBytes(key, sp, func() {
-			t0 := sp.Begin()
-			serr = c.store(sh, it, fromPeer)
-			sp.End(obs.StageProbe, t0)
-		})
-		return serr
+	err := c.evicting(si, it.key(), sp, func() error {
+		t0 := sp.Begin()
+		err := c.store(sh, it, fromPeer)
+		sp.End(obs.StageProbe, t0)
+		return err
 	})
 	return it, err
 }
 
 // evicting is the one evict-and-retry loop: run attempt (which stores
-// key, taking its stripe itself); while it reports a full shard, evict
-// one of key's bucket neighbours outside the stripe and retry. The slot
+// key, pinning it itself); while it reports a full shard, evict one of
+// key's bucket neighbours with no pin held and retry. The slot
 // freed is one the retry's first probe sees, so one eviction admits one
 // key and further rounds only make up for a slot lost to a concurrent
 // insert.
-func (c *Cache) evicting(si int, key []byte, sp *obs.Span, attempt func() error) error {
+func (c *Cache) evicting(si int, key string, sp *obs.Span, attempt func() error) error {
 	for tries := 0; ; tries++ {
 		err := attempt()
 		if !errors.Is(err, errShardFull) {
@@ -465,20 +472,19 @@ func (c *Cache) Incr(key string, delta int64, hint uint64, sp *obs.Span) error {
 			return err
 		}
 	}
-	return c.commute(key, sp, func() error { return c.txn.Incr(key, delta, hint, sp) })
+	return c.counted(key, c.txn.Incr(key, delta, hint, sp))
 }
 
 // MaxUpdate atomically raises the counter at key to n if larger.
 func (c *Cache) MaxUpdate(key string, n int64, hint uint64, sp *obs.Span) error {
-	return c.commute(key, sp, func() error { return c.txn.MaxUpdate(key, n, hint, sp) })
+	return c.counted(key, c.txn.MaxUpdate(key, n, hint, sp))
 }
 
-// commute is the shared tail of the counter verbs.
-func (c *Cache) commute(key string, sp *obs.Span, apply func() error) error {
-	si := c.shardFor(key)
-	err := c.evicting(si, []byte(key), sp, apply)
+// counted is the shared tail of the counter verbs: a write that landed
+// counts and kills key's fill lease.
+func (c *Cache) counted(key string, err error) error {
 	if err == nil {
-		c.stats.count(si, statIncrs)
+		c.stats.count(c.shardFor(key), statIncrs)
 		c.wrote(key)
 	}
 	return err
@@ -496,16 +502,54 @@ func (c *Cache) CAS(key, old, newVal string, sp *obs.Span) (txn.CASResult, error
 	return res, err
 }
 
-// Exec runs a MULTI/EXEC transaction, attributing its stripe wait to sp
-// as StageLock and its ops as StageProbe. A write that lands on a full
-// shard cannot evict at commit time (the commit holds the transaction's
-// stripes, and deleting a victim there would take one more stripe out of
-// order), and the whole transaction cannot be re-run after a partial
-// apply — so full-shard failures are repaired afterwards through the
-// evict-and-retry loop instead.
+// Exec runs a MULTI/EXEC transaction as one critical section over all its
+// keys: it takes each shard's section of them (generic.Table.Section) in
+// ascending shard order, loads every key, runs the op interpreter and
+// writes — every store first, then every removal, so that only a store can
+// fail (a key needing a slot its buckets lack) and undoing the stores
+// before it leaves the shards as they were. Each applied write is mirrored
+// under its section. A run that found no room releases everything, makes
+// room for that key and runs again from its loads. The first time a key
+// needs room it comes from a path search or a grow, else an eviction from
+// the key's own buckets; every later time from an eviction: in a nearly
+// full shard a search for one key shifts entries into the slot the round
+// before freed for another, and two new keys would trade one slot for
+// ever. After maxEvictTries rounds a key it reports ErrServerFull on every
+// op that changed its key, having written nothing. Section wait is
+// attributed to sp as StageLock, the commit as StageProbe and making room
+// as StageEvict.
 func (c *Cache) Exec(ops []txn.Op, sp *obs.Span) []txn.Result {
-	res := c.txn.Exec(ops, sp)
-	c.repairFullWrites(ops, res)
+	if len(ops) == 0 {
+		return nil
+	}
+	x := execPlans.Get().(*execPlan)
+	defer execPlans.Put(x)
+	c.planExec(x, ops)
+	for tries := 0; ; tries++ {
+		full := -1
+		t0 := sp.Begin()
+		c.inSections(x, 0, func() {
+			sp.End(obs.StageLock, t0)
+			t0 = sp.Begin()
+			full = c.commit(x)
+		})
+		sp.End(obs.StageProbe, t0)
+		if full < 0 {
+			break
+		}
+		if tries == maxEvictTries*len(x.keys) {
+			x.tx.Fail(ErrServerFull)
+			break
+		}
+		t1 := sp.Begin()
+		e := &x.keys[full]
+		if e.searched || c.shards[e.si].table.MakeRoom(x.names[full]) != nil {
+			c.evictFor(e.si, x.names[full])
+		}
+		e.searched = true
+		sp.End(obs.StageEvict, t1)
+	}
+	res := x.tx.Done()
 	for i := range ops {
 		// StatusOK on a non-GET op is exactly "this op changed its key".
 		if ops[i].Kind != txn.OpGet && res[i].Status == txn.StatusOK {
@@ -515,40 +559,122 @@ func (c *Cache) Exec(ops []txn.Op, sp *obs.Span) []txn.Result {
 	return res
 }
 
-// repairFullWrites re-applies transaction writes that failed at commit
-// because their shard had no reachable free slot. Every op kind that can
-// allocate a slot is safe to apply late: SET is blind (last writer wins)
-// and INCR/MAXUPDATE are commutative, so an application just after the
-// commit point is indistinguishable from the same op racing the
-// transaction — and strictly better than the hard error it replaces.
-// CAS only overwrites in place and GET/DEL never insert, so they cannot
-// fail this way. When one key carries several buffered ops, the commit
-// marked all of them failed and none applied, so re-running each in
-// queue order rebuilds the same final value the transaction computed.
-func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
-	for i := range res {
-		if res[i].Status != txn.StatusErr || res[i].Err != errShardFull.Error() {
-			continue
-		}
-		op := &ops[i]
-		si, key := c.shardFor(op.Key), []byte(op.Key)
-		var err error
-		switch op.Kind {
-		case txn.OpSet:
-			_, err = c.put(si, key, []byte(op.Val), op.ExpireAt, 0, false, nil)
-		case txn.OpIncr:
-			err = c.evicting(si, key, nil, func() error { return c.txn.Incr(op.Key, op.Delta, 0, nil) })
-		case txn.OpMax:
-			err = c.evicting(si, key, nil, func() error { return c.txn.MaxUpdate(op.Key, op.Delta, 0, nil) })
-		default:
-			continue
-		}
-		if err == nil {
-			res[i] = txn.Result{Status: txn.StatusOK}
-		} else {
-			res[i] = txn.Result{Status: txn.StatusErr, Err: err.Error()}
+// execPlan is one EXEC's commit, built before any lock: the interpreter's
+// state, and its distinct keys in ascending shard order (names), with
+// each one's execKey at the same index.
+type execPlan struct {
+	tx    txn.Tx
+	names []string
+	keys  []execKey
+}
+
+// execPlans keeps the scratch of finished commits: a plan allocates
+// nothing beyond its results once one of its size has been used. What a
+// pooled plan still refers to (its last commit's keys and items) stays
+// reachable until the plan is reused or the pool drops it at a collection.
+var execPlans = sync.Pool{New: func() any { return new(execPlan) }}
+
+// execKey is one key of a commit: the op that first names it, its shard,
+// the section holding it while a run is in, the item the run stored, and
+// what undoing that store writes: the entry the run loaded, or a removal
+// of a key that was absent.
+type execKey struct {
+	k        int
+	si       int
+	sec      generic.Section[string, item]
+	put      item
+	prev     item
+	back     generic.Action
+	searched bool // room was made for the key by a search or a grow once
+}
+
+func (c *Cache) planExec(x *execPlan, ops []txn.Op) {
+	c.txn.Begin(&x.tx, ops)
+	x.keys = x.keys[:0]
+	for k := range ops {
+		if x.tx.Distinct(k) {
+			x.keys = append(x.keys, execKey{k: k, si: c.shardFor(ops[k].Key)})
 		}
 	}
+	slices.SortFunc(x.keys, func(a, b execKey) int { return cmp.Compare(a.si, b.si) })
+	x.names = x.names[:0]
+	for _, e := range x.keys {
+		x.names = append(x.names, ops[e.k].Key)
+	}
+}
+
+// inSections runs fn holding the sections of x's keys from the i-th on
+// too: one table Section a shard, nested in ascending shard order, so every
+// commit takes its stripes in one global (shard, stripe) order.
+func (c *Cache) inSections(x *execPlan, i int, fn func()) {
+	if i == len(x.keys) {
+		fn()
+		return
+	}
+	j := i + 1
+	for j < len(x.keys) && x.keys[j].si == x.keys[i].si {
+		j++
+	}
+	c.shards[x.keys[i].si].table.Section(x.names[i:j], func(sec generic.Section[string, item]) {
+		for n := i; n < j; n++ {
+			x.keys[n].sec = sec
+		}
+		c.inSections(x, j, fn)
+	})
+}
+
+// write makes act of key, the key e stands for, with val under e's
+// section, reporting false for a store that found no room.
+func (e *execKey) write(key string, val item, act generic.Action) (generic.Action, bool) {
+	return e.sec.Update(key, func(item, bool) (item, generic.Action) { return val, act })
+}
+
+// commit is one run of x's transaction, holding every section: it loads
+// each key, runs the interpreter, and writes and mirrors what it
+// buffered, every store before any removal, so that only a store can fail
+// (a key needing a slot its buckets lack) and undoing the stores before it
+// leaves the shards as they were. It returns the index in x.keys of the
+// key that found no room, or -1 once every write is applied.
+func (c *Cache) commit(x *execPlan) int {
+	for i := range x.keys {
+		e := &x.keys[i]
+		e.sec.Update(x.names[i], func(cur item, found bool) (item, generic.Action) {
+			e.prev, e.back = cur, generic.Remove
+			if found {
+				e.back = generic.Store // in place: the key holds a live slot once stored
+			}
+			v, exp, ok := live(cur, found)
+			x.tx.Load(e.k, v, exp, ok)
+			return cur, generic.Keep
+		})
+	}
+	x.tx.Run()
+	for i := range x.keys {
+		e := &x.keys[i]
+		if write, v, exp := x.tx.Write(e.k); write == txn.OpSet {
+			e.put = newItem(c.nextVersion(), exp, x.names[i], v)
+			if _, ok := e.write(x.names[i], e.put, generic.Store); !ok {
+				for j := range i {
+					if w, _, _ := x.tx.Write(x.keys[j].k); w == txn.OpSet {
+						x.keys[j].write(x.names[j], x.keys[j].prev, x.keys[j].back)
+					}
+				}
+				return i
+			}
+		}
+	}
+	for i := range x.keys {
+		e := &x.keys[i]
+		switch write, _, _ := x.tx.Write(e.k); write {
+		case txn.OpSet:
+			c.replEnqueue(x.names[i], e.put)
+		case txn.OpDel:
+			if act, _ := e.write(x.names[i], item{}, generic.Remove); act == generic.Remove {
+				c.replEnqueue(x.names[i], item{})
+			}
+		}
+	}
+	return -1
 }
 
 // evictFor makes room for key in full shard si: it deletes, among the
@@ -557,17 +683,16 @@ func (c *Cache) repairFullWrites(ops []txn.Op, res []txn.Result) {
 // arXiv:1605.05236, with the hybrid-clock version as the age). Choosing
 // among at most 2·B entries is a sample of the shard, not its global
 // oldest, which is what buys deleting the eviction order altogether. The
-// delete is MIGRATE's (removeIfUnchanged): it runs under the victim's
-// stripe — never the inserting key's — which orders the removal against
-// EXEC and a split fold on the victim, and no two stripes are ever held;
-// it removes the item chosen, not a write of the victim's key that landed
-// since.
+// delete is MIGRATE's (removeIfUnchanged): one pin of the victim's key,
+// taken with none held, which orders the removal against EXEC and a split
+// fold on the victim; it removes the item chosen, not a write of the
+// victim's key that landed since.
 //
 //cuckoo:coldpath eviction runs only when a shard is full; the documented admission slow path
-func (c *Cache) evictFor(si int, key []byte) {
+func (c *Cache) evictFor(si int, key string) {
 	s := c.shards[si]
 	now := time.Now().UnixNano()
-	victim, it, ok := s.table.Oldest(string(key), func(a, b item) bool { return a.olderThan(b, now) })
+	victim, it, ok := s.table.Oldest(key, func(a, b item) bool { return a.olderThan(b, now) })
 	if ok && c.removeIfUnchanged(it) {
 		c.stats.count(si, statEvictions)
 		// Eviction only happens when a shard is full, so this is off
@@ -669,33 +794,32 @@ func (c *Cache) TTL(key string) (time.Duration, bool) {
 	return d, true
 }
 
-// Delete removes key, reporting whether it was present and live; lock
-// wait and the removal probe are attributed to sp. A live entry's delete
-// is mirrored as a versioned tombstone. An expired-but-unswept one is
-// removed as expiry removes it — unmirrored: each replica holds the same
-// absolute expireAt and lapses on its own — and looks deleted-as-miss,
-// not OK.
+// Delete removes key, reporting whether it was present and live; the
+// removal's pin and probe are attributed to sp. A live entry's delete, or
+// one of a split counter whose value is all pending deltas, discards those
+// and is mirrored as a versioned tombstone, in the step after the removal
+// under the same pin. An expired-but-unswept entry is removed as expiry
+// removes it — unmirrored: each replica holds the same absolute expireAt
+// and lapses on its own — and looks deleted-as-miss, not OK.
 func (c *Cache) Delete(key string, sp *obs.Span) bool {
 	si := c.shardFor(key)
-	s := c.shards[si]
 	c.stats.count(si, statDels)
 	present := false
-	c.txn.WithLock(key, sp, func() {
-		t0 := sp.Begin()
-		act, _ := s.table.Update(key, func(cur item, found bool) (item, generic.Action) {
-			present = found && !cur.expiredNow()
-			return item{}, generic.Remove
-		})
-		switch {
-		case present:
+	t0 := sp.Begin()
+	act, _ := c.shards[si].table.UpdateThen(key, func(cur item, found bool) (item, generic.Action) {
+		present = c.txn.Discard(key) || found && !cur.expiredNow()
+		return item{}, generic.Remove
+	}, func(_ item, _ generic.Action, _ bool) {
+		if present {
 			c.replEnqueue(key, item{})
-		case act == generic.Remove:
-			c.stats.count(si, statExpired)
 		}
-		sp.End(obs.StageProbe, t0)
 	})
-	if present {
+	sp.End(obs.StageProbe, t0)
+	switch {
+	case present:
 		c.wrote(key)
+	case act == generic.Remove:
+		c.stats.count(si, statExpired)
 	}
 	return present
 }
