@@ -57,8 +57,8 @@ test:
 	$(GO) test ./...
 
 # The second pass reruns, at 1, 2 and 4 Ps, the packages whose bugs have
-# only ever shown above two Ps (the Store.Tick nil dereference, the
-# double-folded split slot): on a 2-CPU host the default run never
+# only ever shown above two Ps (the split-counter tick's nil dereference,
+# the double-folded split slot): on a 2-CPU host the default run never
 # reaches the interleavings the paper is about. -count=1 because a
 # cached pass proves nothing about a scheduler-dependent bug.
 # ./client rides along for its pool, breaker, hot cache and version
@@ -81,15 +81,16 @@ test:
 # versions, is as rare on a 2-CPU host as the search's. So do the tests of
 # what the key's pin alone orders (docs/TRANSACTIONS.md, "What the pin
 # orders"): EXEC's exclusion and ordered commit, the mirror log's order,
-# the split-counter fold, and the counter exactness under faults.
-PARALLEL_PKGS = ./internal/txn ./generic ./server ./client ./internal/obs ./internal/metrics
+# the split-counter fold, and the counter exactness under faults, with
+# and without split counters, and promotion under contention.
+PARALLEL_PKGS = ./generic ./server ./client ./internal/obs ./internal/metrics
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 $(PARALLEL_PKGS)
 	$(GO) test -race -count=5 -cpu 1,2,4 ./internal/chained
 	$(GO) test -race -count=5 -cpu 1,2,4 -run 'Search|Concurrent|Displace' ./generic
-	$(GO) test -race -count=5 -cpu 1,2,4 -run 'EvictRetry|EvictingSet|OnePin|ExecOrderedCommit|ExecExcludes|MirrorOrder|BlindWrite|ChaosCounterExactness' ./server
+	$(GO) test -race -count=5 -cpu 1,2,4 -run 'EvictRetry|EvictingSet|OnePin|ExecOrderedCommit|ExecExcludes|MirrorOrder|BlindWrite|ChaosCounterExactness|ConcurrentIncrExact|ContentionPromotes' ./server
 
 # The repository benchmark's own tests (declared metric names match
 # BENCHMARK.json, recorder arithmetic, cuckoovet-clean harness). It is

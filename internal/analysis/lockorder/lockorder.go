@@ -21,10 +21,13 @@
 // entry comes from any other busy-waiting lock (Lock/Unlock/Locked, like
 // spinlock.Mutex) and only marks the code it covers as a critical section.
 //
-// The check is interprocedural: every function gets a lock summary from
-// the callgraph — whether it (transitively, through static calls) takes a
+// The check is interprocedural: every function gets a lock summary —
+// whether it (transitively, through static calls in the callgraph) takes a
 // raw Stripe.Lock, and whether it returns with stripe locks still held
-// (Table.lockAllGens). Calling a raw-locking function while a stripe lock
+// (Table.lockAllGens, Table.pin), which the walk of its body decides from
+// what it holds at each return, net of its deferred releases: a helper
+// that releases and retakes its stripes in a retry loop before it returns
+// holding them counts as holding. Calling a raw-locking function while a stripe lock
 // is held is the same hand-ordered two-lock sequence, merely hidden
 // behind a call; it is reported at the call site. A call to a function
 // that returns holding locks pushes a sentinel stripe entry that the
@@ -34,7 +37,7 @@
 //
 // Nesting across lock instances — one table's stripes held while
 // another's are taken, as a transaction takes its shards' sections in
-// shard order (internal/txn package doc) — is legal as long as each layer
+// shard order (server.Cache.Exec) — is legal as long as each layer
 // goes through LockPair/LockOrdered; only raw Lock propagates through
 // summaries. Dynamic calls (interface methods, function values) are not
 // followed: the held-set reasoning would cross object instances where the
@@ -58,7 +61,7 @@ import (
 // LockFact summarizes a function's striped-lock behavior for callers.
 type LockFact struct {
 	RawLock     bool // transitively performs a raw Stripe.Lock
-	NetHeld     bool // returns with stripe locks held (lockAllGens)
+	NetHeld     bool // returns with stripe locks held (lockAllGens, pin)
 	NetReleased bool // only releases stripe locks, which its caller took (core's unlockPair)
 }
 
@@ -105,7 +108,16 @@ func run(pass *analysis.Pass) (any, error) {
 	// Phase 1: export lock summaries for this package's functions so the
 	// walker (and downstream packages) can consult them uniformly.
 	if g, ok := pass.ResultOf[callgraph.Analyzer].(*callgraph.Graph); ok && g != nil {
-		c := &facts{pass: pass, g: g, state: make(map[*types.Func]int), done: make(map[*types.Func]LockFact)}
+		c := &facts{pass: pass, g: g, state: make(map[*types.Func]int), done: make(map[*types.Func]LockFact), bodies: make(map[*types.Func]*ast.BlockStmt)}
+		for _, file := range pass.Files {
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+						c.bodies[fn] = fd.Body
+					}
+				}
+			}
+		}
 		for fn := range g.Funcs {
 			c.compute(fn)
 		}
@@ -127,10 +139,11 @@ func run(pass *analysis.Pass) (any, error) {
 // facts computes LockFact per function from callgraph summaries, with
 // memoized recursion (cycles resolve to the empty fact).
 type facts struct {
-	pass  *analysis.Pass
-	g     *callgraph.Graph
-	state map[*types.Func]int // 1 = computing
-	done  map[*types.Func]LockFact
+	pass   *analysis.Pass
+	g      *callgraph.Graph
+	state  map[*types.Func]int // 1 = computing
+	done   map[*types.Func]LockFact
+	bodies map[*types.Func]*ast.BlockStmt
 }
 
 func (c *facts) compute(fn *types.Func) LockFact {
@@ -182,7 +195,15 @@ func (c *facts) compute(fn *types.Func) LockFact {
 	// A function that takes a lock and releases it on more than one path
 	// (core.Table.Delete) releases nothing of its caller's: counting calls
 	// cannot tell its paths apart, so only a pure release helper counts.
-	lf.NetHeld, lf.NetReleased = acq > rel, acq == 0 && rel > 0
+	// Whether it returns holding is the walk's: its callees' facts are in.
+	lf.NetReleased = acq == 0 && rel > 0
+	if body := c.bodies[fn]; body != nil {
+		w := &walker{pass: c.pass, quiet: true}
+		if held := w.block(nil, body.List); !w.exits(body) {
+			w.exit(held) // the body's end is a return too
+		}
+		lf.NetHeld = w.holds
+	}
 	c.done[fn] = lf
 	if lf != (LockFact{}) {
 		c.pass.ExportObjectFact(fn, &lf)
@@ -204,6 +225,26 @@ type walker struct {
 	pass  *analysis.Pass
 	spans []Span
 	gap   bool // code ran with no lock held, or a lock was released, since the last span began
+
+	quiet    bool     // a summary's walk: it reports nothing
+	deferred []string // the locks the body's deferred calls release, as release takes them
+	holds    bool     // some return leaves a stripe held
+}
+
+// reportf reports a finding unless the walk is a summary's.
+func (w *walker) reportf(pos token.Pos, format string, args ...any) {
+	if !w.quiet {
+		w.pass.Reportf(pos, format, args...)
+	}
+}
+
+// exit notes what a return leaves held once the deferred releases run.
+func (w *walker) exit(held []entry) {
+	held = slices.Clone(held)
+	for _, key := range w.deferred {
+		held = release(held, key)
+	}
+	w.holds = w.holds || topStripe(held) != ""
 }
 
 // cover records that the code between from and to runs with held held,
@@ -278,6 +319,9 @@ func (w *walker) stmt(held []entry, s ast.Stmt) []entry {
 		// Deferred Unlocks run at return, not here: a deferred UnlockPair
 		// does not license another raw Lock in the body, and the lock is
 		// held to the end of it.
+		if key, ok := w.releases(st.Call); ok {
+			w.deferred = append(w.deferred, key)
+		}
 		return w.args(held, st.Pos(), st.Call)
 	case *ast.GoStmt:
 		// The call runs on another goroutine, which holds nothing of ours
@@ -285,10 +329,34 @@ func (w *walker) stmt(held []entry, s ast.Stmt) []entry {
 		return w.args(held, st.Pos(), st.Call)
 	case *ast.LabeledStmt:
 		return w.stmt(held, st.Stmt)
+	case *ast.ReturnStmt:
+		held = w.expr(held, st)
+		w.exit(held)
+		return held
 	default:
 		// A simple statement: its expressions in source order.
 		return w.expr(held, st)
 	}
+}
+
+// releases reports whether call releases a lock, and which: an
+// Unlock-family method names its receiver, a pure release helper the
+// stripes its caller's helper left held ("").
+func (w *walker) releases(call *ast.CallExpr) (string, bool) {
+	fn := checkutil.Callee(w.pass.TypesInfo, call)
+	if fn == nil {
+		return "", false
+	}
+	recv := checkutil.Receiver(w.pass.TypesInfo, call)
+	if recv == nil || !isSpinLock(w.pass.TypesInfo.Types[recv].Type) {
+		var lf LockFact
+		return "", w.pass.ImportObjectFact(fn.Origin(), &lf) && lf.NetReleased
+	}
+	switch fn.Name() {
+	case "Unlock", "UnlockPair", "UnlockAll", "UnlockOrdered":
+		return types.ExprString(recv), true
+	}
+	return "", false
 }
 
 // args skips a deferred or launched call but scans its arguments, which
@@ -400,7 +468,7 @@ func (w *walker) expr(held []entry, e ast.Node) []entry {
 				return true
 			}
 			if top := topStripe(held); lf.RawLock && top != "" {
-				w.pass.Reportf(call.Pos(),
+				w.reportf(call.Pos(),
 					"call to %s, which takes a raw stripe lock, while stripe lock %s is held; cross-function two-lock sequences must go through LockPair (§4.4)",
 					callgraph.DisplayName(fn), top)
 			}
@@ -422,7 +490,7 @@ func (w *walker) expr(held []entry, e ast.Node) []entry {
 		switch top := topStripe(held); fn.Name() {
 		case "Lock":
 			if stripe && top != "" {
-				w.pass.Reportf(call.Pos(),
+				w.reportf(call.Pos(),
 					"Stripe.Lock on %s while stripe lock %s is held; two stripes must be acquired via LockPair (ascending stripe order, §4.4)",
 					key, top)
 			}
@@ -431,7 +499,7 @@ func (w *walker) expr(held []entry, e ast.Node) []entry {
 			return turn(call, entry{}, key)
 		case "LockPair", "LockAll", "LockOrdered":
 			if top != "" {
-				w.pass.Reportf(call.Pos(),
+				w.reportf(call.Pos(),
 					"%s on %s while stripe lock %s is held; release it first (§4.4)",
 					fn.Name(), key, top)
 			}

@@ -271,6 +271,25 @@ func badSleepAfterBalancedHelper(t *table, i, j uint64, bail bool) {
 	t.locks.Unlock(i)
 }
 
+// pinLike is generic.Table.pin's shape: it takes its stripe, and while a
+// re-check fails it releases the stripe and takes it again. Its text makes
+// as many releases as acquisitions, yet every return holds the stripe.
+func pinLike(t *table, i uint64) []uint64 {
+	for {
+		locked := t.locks.LockOrdered([]uint64{i})
+		if t.ch != nil {
+			return locked
+		}
+		t.locks.UnlockOrdered(locked)
+	}
+}
+
+func badSleepUnderPinLike(t *table, i uint64) {
+	locked := pinLike(t, i)
+	time.Sleep(1) // want `blocking time call time\.Sleep reachable inside spinlock critical section on locks held by pinLike\(\): blockchecktest\.badSleepUnderPinLike`
+	t.locks.UnlockOrdered(locked)
+}
+
 func slowIndex(i uint64) uint64 {
 	time.Sleep(1) // want `blocking time call time\.Sleep reachable inside spinlock critical section on t\.locks: blockchecktest\.badSleepInUnlockArg -> blockchecktest\.slowIndex`
 	return i

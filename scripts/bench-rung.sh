@@ -38,8 +38,16 @@ rm -rf "$out"
 mkdir -p "$out/base"
 export GOCACHE="$root/.bench_build/gocache" GOTOOLCHAIN=local XDG_CONFIG_HOME="$root/.bench_build/config"
 git archive "$rev" | tar -x -C "$out/base"
+# A BASE that lacks something this checkout's bench file names (an API
+# renamed or moved since) builds with its own PKG/bench_test.go instead, and
+# the header says so: its benchmarks are then only as alike as their names.
+benchfile=""
 cp "$pkg/bench_test.go" "$out/base/$pkg/bench_test.go"
-(cd "$out/base" && go test -c -o "$out/base.test" "./$pkg")
+if ! (cd "$out/base" && go test -c -o "$out/base.test" "./$pkg" 2>"$out/base-build.log"); then
+	git show "$rev:$pkg/bench_test.go" >"$out/base/$pkg/bench_test.go"
+	(cd "$out/base" && go test -c -o "$out/base.test" "./$pkg")
+	benchfile="  base runs its own $pkg/bench_test.go"
+fi
 go test -c -o "$out/head.test" "./$pkg"
 
 # go test names a row run at N > 1 Ps Name-N. With one CPU count the suffix
@@ -64,7 +72,7 @@ for n in $(seq 1 "$rounds"); do
 	done
 done
 
-echo "bench-rung  pkg $pkg  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu${scale:+  scale $scale}  GOGC ${GOGC:-100}"
+echo "bench-rung  pkg $pkg  rung $rung  base $rev  head $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)  rounds $rounds  benchtime $benchtime  cpu $cpu${scale:+  scale $scale}  GOGC ${GOGC:-100}$benchfile"
 grep -m1 '^cpu: ' "$out/head-1.log"
 # Whether the host backs huge-page advice (internal/hugepage): the bracketed
 # word is the mode, and "never" leaves every table on 4 KiB pages.

@@ -3,19 +3,23 @@ package server_test
 // The go test -bench rungs for the server package (make bench-rung
 // PKG=server RUNG='Wire|Exec|KeyedOps'): BenchmarkWire is one client.Conn
 // round trip against an in-process server on loopback, per value size,
-// plus a depth-16 pipeline; BenchmarkExec is Cache.Exec in process, and
-// BenchmarkKeyedOps the single-key writes. Exported API only, so the file
-// compiles against any parent it is copied over (scripts/bench-rung.sh).
+// plus a depth-16 pipeline; BenchmarkExec is Cache.Exec in process,
+// BenchmarkKeyedOps the single-key writes, and BenchmarkIncrZipf the split
+// counters against the pinned path. The exported API only, but for the two
+// split-table handles BenchmarkIncrZipf takes from split_test.go, so the
+// file compiles against any parent it is copied over that has the API it
+// names (scripts/bench-rung.sh).
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cuckoohash/client"
-	"cuckoohash/internal/txn"
+	"cuckoohash/internal/workload"
 	"cuckoohash/server"
 )
 
@@ -49,7 +53,7 @@ func BenchmarkExec(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				x := seeds.Add(1) * 0x9e3779b97f4a7c15 // per-goroutine xorshift state
-				ops := []txn.Op{{Kind: txn.OpIncr, Delta: -1}, {Kind: txn.OpIncr, Delta: 1}}
+				ops := []server.Op{{Kind: server.OpIncr, Delta: -1}, {Kind: server.OpIncr, Delta: 1}}
 				for pb.Next() {
 					x ^= x << 13
 					x ^= x >> 7
@@ -58,7 +62,7 @@ func BenchmarkExec(b *testing.B) {
 					j := (i + 1 + int(x>>32)%(cell.span-1)) % cell.span
 					ops[0].Key, ops[1].Key = keys[i], keys[j]
 					for _, r := range c.Exec(ops, nil) {
-						if r.Status != txn.StatusOK {
+						if r.Status != server.StatusOK {
 							b.Errorf("transfer %s -> %s: %+v", keys[i], keys[j], r)
 							return
 						}
@@ -91,7 +95,7 @@ func BenchmarkKeyedOps(b *testing.B) {
 	}{
 		{"incr", universe, func(c *server.Cache, key string) error { return c.Incr(key, 1, 0, nil) }},
 		{"cas", universe, func(c *server.Cache, key string) error {
-			if res, err := c.CAS(key, "1", "1", nil); err != nil || res != txn.CASStored {
+			if res, err := c.CAS(key, "1", "1", nil); err != nil || res != server.StatusOK {
 				return fmt.Errorf("CAS = %v, %v", res, err)
 			}
 			return nil
@@ -129,6 +133,74 @@ func BenchmarkKeyedOps(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkIncrZipf is INCR under heavy zipf skew (s = 1.2 over 1 024
+// counters), the workload split counters exist for, through Cache.Incr.
+// naive turns promotion off, so every INCR is one pin of its key's bucket
+// stripes around a parse, a format and a store; split promotes the 64
+// hottest ranks up front, so a hot INCR is a shard-local add until the
+// GETs that end the cell, inside the timed region, fold it. mixed walks the
+// whole stream; hot-head walks the same draws restricted to the promoted
+// ranks, where the two paths differ on every op (the cold tail takes the
+// pinned path in both). Each RunParallel goroutine walks a stream of its
+// own, drawn before the timer. Exactness is TestConcurrentIncrExact's.
+func BenchmarkIncrZipf(b *testing.B) {
+	const universe, hotRanks, draws = 1 << 10, 64, 1 << 16
+	keys := make([]string, universe)
+	for r := range keys {
+		keys[r] = "ctr" + strconv.Itoa(r)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	mixed, head := make([][]uint32, procs), make([][]uint32, procs)
+	for p := range mixed {
+		gen := workload.NewZipfSKeys(uint64(p)+1, universe, 1.2)
+		for range draws {
+			r := uint32(gen.Rank())
+			mixed[p] = append(mixed[p], r)
+			if r < hotRanks {
+				head[p] = append(head[p], r)
+			}
+		}
+	}
+	for _, mode := range []string{"naive", "split"} {
+		for _, stream := range []struct {
+			name  string
+			ranks [][]uint32
+		}{{"mixed", mixed}, {"hot-head", head}} {
+			b.Run(mode+"/"+stream.name, func(b *testing.B) {
+				c, err := server.NewCache(4, 1<<13)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if mode == "naive" {
+					c.NoPromotion()
+				} else {
+					for _, k := range keys[:hotRanks] {
+						c.Promote(k)
+					}
+				}
+				var next atomic.Uint64
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					id := next.Add(1) - 1
+					ranks := stream.ranks[id%uint64(procs)]
+					for i := 0; pb.Next(); i++ {
+						if i == len(ranks) {
+							i = 0
+						}
+						if err := c.Incr(keys[ranks[i]], 1, id, nil); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+				for _, k := range keys[:hotRanks] {
+					c.Get(k)
+				}
+			})
+		}
 	}
 }
 

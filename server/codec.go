@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cuckoohash/internal/obs"
-	"cuckoohash/internal/txn"
 )
 
 // The wire protocol (docs/PROTOCOL.md) is memcached-style text lines. One
@@ -116,10 +115,10 @@ type verb struct {
 	// overloaded node, QUIT is how a drain ends) or only this connection's
 	// MULTI state.
 	exempt bool
-	// queue is the txn.OpKind the verb queues as inside MULTI, plus one;
+	// queue is the OpKind the verb queues as inside MULTI, plus one;
 	// zero means the verb has no transactional meaning and poisons the
 	// transaction.
-	queue txn.OpKind
+	queue OpKind
 }
 
 // verbs is the verb table, indexed by opCode: the one place a verb's wire
@@ -127,21 +126,21 @@ type verb struct {
 // are declared. The parser matches names in row order, so GET and SET
 // lead.
 var verbs = [...]verb{
-	opGet:       {name: "GET", shape: shapeKey, stage: stGet, queue: 1 + txn.OpGet},
-	opSet:       {name: "SET", shape: shapeStore, stage: stSet, queue: 1 + txn.OpSet},
-	opSetEx:     {name: "SETEX", shape: shapeStore, words: 1, stage: stSet, queue: 1 + txn.OpSet},
-	opDel:       {name: "DEL", shape: shapeKey, stage: stDel, queue: 1 + txn.OpDel},
+	opGet:       {name: "GET", shape: shapeKey, stage: stGet, queue: 1 + OpGet},
+	opSet:       {name: "SET", shape: shapeStore, stage: stSet, queue: 1 + OpSet},
+	opSetEx:     {name: "SETEX", shape: shapeStore, words: 1, stage: stSet, queue: 1 + OpSet},
+	opDel:       {name: "DEL", shape: shapeKey, stage: stDel, queue: 1 + OpDel},
 	opTTL:       {name: "TTL", shape: shapeKey, stage: stTTL},
 	opStats:     {name: "STATS", shape: shapeBare, stage: stStats, exempt: true},
 	opQuit:      {name: "QUIT", shape: shapeIgnored, stage: stOther, exempt: true},
 	opCluster:   {name: "CLUSTER", shape: shapeBare, stage: stCluster, exempt: true},
 	opMigrate:   {name: "MIGRATE", shape: shapeMigrate, stage: stMigrate},
 	opHandoff:   {name: "HANDOFF", shape: shapeHandoff, stage: stHandoff},
-	opIncr:      {name: "INCR", shape: shapeCounter, stage: stIncr, queue: 1 + txn.OpIncr},
-	opDecr:      {name: "DECR", shape: shapeCounter, stage: stIncr, queue: 1 + txn.OpIncr},
-	opAdd:       {name: "ADD", shape: shapeCounter, words: 1, stage: stIncr, queue: 1 + txn.OpIncr},
-	opMaxUpdate: {name: "MAXUPDATE", shape: shapeCounter, words: 1, stage: stMaxUpdate, queue: 1 + txn.OpMax},
-	opCAS:       {name: "CAS", shape: shapeCAS, stage: stCAS, queue: 1 + txn.OpCAS},
+	opIncr:      {name: "INCR", shape: shapeCounter, stage: stIncr, queue: 1 + OpIncr},
+	opDecr:      {name: "DECR", shape: shapeCounter, stage: stIncr, queue: 1 + OpIncr},
+	opAdd:       {name: "ADD", shape: shapeCounter, words: 1, stage: stIncr, queue: 1 + OpIncr},
+	opMaxUpdate: {name: "MAXUPDATE", shape: shapeCounter, words: 1, stage: stMaxUpdate, queue: 1 + OpMax},
+	opCAS:       {name: "CAS", shape: shapeCAS, stage: stCAS, queue: 1 + OpCAS},
 	opMulti:     {name: "MULTI", shape: shapeBare, stage: stOther, exempt: true},
 	opExec:      {name: "EXEC", shape: shapeBare, stage: stExec},
 	opDiscard:   {name: "DISCARD", shape: shapeBare, stage: stOther, exempt: true},
@@ -657,19 +656,19 @@ func writeQueued(w *bufio.Writer) {
 
 // writeExecResults renders an EXEC reply: a header naming the result
 // count, then one reply line per queued op in queue order.
-func writeExecResults(w *bufio.Writer, results []txn.Result) {
+func writeExecResults(w *bufio.Writer, results []Result) {
 	w.WriteString("EXEC ")
 	w.WriteString(strconv.Itoa(len(results)))
 	w.WriteByte('\n')
 	for i := range results {
 		switch results[i].Status {
-		case txn.StatusOK:
+		case StatusOK:
 			writeOK(w)
-		case txn.StatusValue:
+		case StatusValue:
 			writeValue(w, tagValue, 0, results[i].Value)
-		case txn.StatusMiss:
+		case StatusMiss:
 			writeMiss(w)
-		case txn.StatusConflict:
+		case StatusConflict:
 			writeConflict(w)
 		default:
 			w.WriteString("ERR ")

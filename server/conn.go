@@ -11,7 +11,6 @@ import (
 
 	"cuckoohash/internal/connbuf"
 	"cuckoohash/internal/obs"
-	"cuckoohash/internal/txn"
 )
 
 // Compile-time: the codec's TRACE id bound equals the span scratch size,
@@ -55,7 +54,7 @@ type connState struct {
 	// a partial op list.
 	inTxn  bool
 	txnBad bool
-	txnOps []txn.Op
+	txnOps []Op
 }
 
 // resetTxn drops all MULTI state, e.g. after EXEC or DISCARD.
@@ -357,9 +356,9 @@ func (s *Server) serveRequest(line []byte, r *connbuf.Reader, w *bufio.Writer, c
 		switch {
 		case err != nil:
 			s.replyErr(w, cs, err)
-		case res == txn.CASStored:
+		case res == StatusOK:
 			writeOK(w)
-		case res == txn.CASMiss:
+		case res == StatusMiss:
 			writeMiss(w)
 		default:
 			writeConflict(w)
@@ -550,7 +549,7 @@ func (s *Server) queueTxnOp(w *bufio.Writer, cs *connState, req request) {
 	}
 	// The operands a verb does not carry parsed as zero, so one copy-out
 	// fits every queueable verb.
-	op := txn.Op{Kind: kind - 1, Key: string(req.key), Val: string(req.val), Old: string(req.old), Delta: req.delta}
+	op := Op{Kind: kind - 1, Key: string(req.key), Val: string(req.val), Old: string(req.old), Delta: req.delta}
 	if req.ttl > 0 {
 		op.ExpireAt = time.Now().Add(req.ttl).UnixNano()
 	}

@@ -9,7 +9,6 @@ import (
 
 	"cuckoohash/internal/cluster"
 	"cuckoohash/internal/replica"
-	"cuckoohash/internal/txn"
 )
 
 // keyOnShard returns the first of prefix0, prefix1, ... on shard si of c
@@ -63,15 +62,15 @@ func checkExec(t *testing.T, concurrent bool) {
 			t.Fatal(err)
 		}
 	}
-	ops := []txn.Op{
-		{Kind: txn.OpGet, Key: "a"},
-		{Kind: txn.OpGet, Key: b},
-		{Kind: txn.OpIncr, Key: "a", Delta: 5},
-		{Kind: txn.OpCAS, Key: b, Old: "2", Val: "3"},
-		{Kind: txn.OpSet, Key: "c", Val: "new"},
-		{Kind: txn.OpDel, Key: "d"},
-		{Kind: txn.OpMax, Key: "e", Delta: 9},
-		{Kind: txn.OpGet, Key: "a"},
+	ops := []Op{
+		{Kind: OpGet, Key: "a"},
+		{Kind: OpGet, Key: b},
+		{Kind: OpIncr, Key: "a", Delta: 5},
+		{Kind: OpCAS, Key: b, Old: "2", Val: "3"},
+		{Kind: OpSet, Key: "c", Val: "new"},
+		{Kind: OpDel, Key: "d"},
+		{Kind: OpMax, Key: "e", Delta: 9},
+		{Kind: OpGet, Key: "a"},
 	}
 
 	// The committer's keys share a's and b's shards, queued in the
@@ -91,7 +90,7 @@ func checkExec(t *testing.T, concurrent bool) {
 					return
 				default:
 				}
-				c.Exec([]txn.Op{{Kind: txn.OpIncr, Key: y, Delta: 1}, {Kind: txn.OpIncr, Key: x, Delta: 1}}, nil)
+				c.Exec([]Op{{Kind: OpIncr, Key: y, Delta: 1}, {Kind: OpIncr, Key: x, Delta: 1}}, nil)
 				commits++
 			}
 		}()
@@ -149,12 +148,12 @@ func checkSnapshot(t *testing.T) {
 			defer wg.Done()
 			defer writing.Add(-1)
 			for range 2000 {
-				c.Exec([]txn.Op{{Kind: txn.OpIncr, Key: x, Delta: -d}, {Kind: txn.OpIncr, Key: y, Delta: d}}, nil)
+				c.Exec([]Op{{Kind: OpIncr, Key: x, Delta: -d}, {Kind: OpIncr, Key: y, Delta: d}}, nil)
 			}
 		}()
 	}
 	for n := 0; n == 0 || writing.Load() > 0; n++ {
-		res := c.Exec([]txn.Op{{Kind: txn.OpGet, Key: x}, {Kind: txn.OpGet, Key: y}}, nil)
+		res := c.Exec([]Op{{Kind: OpGet, Key: x}, {Kind: OpGet, Key: y}}, nil)
 		vx, _ := strconv.Atoi(res[0].Value)
 		vy, _ := strconv.Atoi(res[1].Value)
 		if vx+vy != 2000 {
@@ -186,7 +185,7 @@ func TestExecExcludesSingleKeyWrites(t *testing.T) {
 			defer wg.Done()
 			seen := int64(0)
 			for !done.Load() {
-				res := c.Exec([]txn.Op{{Kind: txn.OpIncr, Key: "k", Delta: 1}, {Kind: txn.OpGet, Key: "k"}}, nil)
+				res := c.Exec([]Op{{Kind: OpIncr, Key: "k", Delta: 1}, {Kind: OpGet, Key: "k"}}, nil)
 				n, err := strconv.ParseInt(res[1].Value, 10, 64)
 				if err != nil {
 					t.Errorf("EXEC read %+v", res)
@@ -312,7 +311,7 @@ func TestBlindWriteDropsSplitDeltas(t *testing.T) {
 		}, "", false},
 	} {
 		key := "ctr-" + tc.name
-		if !c.txn.Promote(key) {
+		if !c.split.promote(key) {
 			t.Fatalf("%s: %s was already split", tc.name, key)
 		}
 		for range 5 {
@@ -323,7 +322,7 @@ func TestBlindWriteDropsSplitDeltas(t *testing.T) {
 		if err := tc.write(key); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		c.txn.ReconcileAll()
+		c.reconcileAll()
 		if v, ok := c.Get(key); v != tc.want || ok != tc.found {
 			t.Errorf("%s over 5 pending INCRs, then a fold: GET = %q, %v; want %q, %v", tc.name, v, ok, tc.want, tc.found)
 		}
@@ -348,14 +347,14 @@ func TestExecAllOrNothingAtCapacity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ops := make([]txn.Op, tc.keys)
+		ops := make([]Op, tc.keys)
 		for i := range ops {
-			ops[i] = txn.Op{Kind: txn.OpSet, Key: fmt.Sprintf("new%d", i), Val: "v"}
+			ops[i] = Op{Kind: OpSet, Key: fmt.Sprintf("new%d", i), Val: "v"}
 		}
 		res := c.Exec(ops, nil)
 		stored := 0
 		for i := range ops {
-			if _, ok := c.Get(ops[i].Key); ok != (res[i].Status == txn.StatusOK) {
+			if _, ok := c.Get(ops[i].Key); ok != (res[i].Status == StatusOK) {
 				t.Fatalf("EXEC of %d new keys: %s is present %v with result %+v", tc.keys, ops[i].Key, ok, res[i])
 			} else if ok {
 				stored++

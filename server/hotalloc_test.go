@@ -71,13 +71,22 @@ func TestGetWirePathZeroAlloc(t *testing.T) {
 // the connection read buffer. Nothing else on the steady-state overwrite
 // path may allocate, whatever the sizes — the second line's key and value
 // are past the 32 bytes a non-escaping conversion gets on the stack — and
-// Cache.Set, the in-process entry point, is held to the same one.
+// Cache.Set, the in-process entry point, is held to the same one. So are
+// the counter verbs and CAS overwriting a key: each runs its op in the one
+// table update that stores the item it built, and its decision and step
+// are closures that must stay on the stack.
 func TestSetWirePathAllocBound(t *testing.T) {
 	c, err := NewCache(4, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &Server{cache: c}
+	for _, k := range []string{"ctr", "cas"} {
+		if err := c.Set(k, "7", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta := int64(-1)
 	for _, tc := range []struct {
 		name string
 		op   func()
@@ -88,6 +97,17 @@ func TestSetWirePathAllocBound(t *testing.T) {
 		{"Cache.Set, string overwrite", func() {
 			if err := c.Set("hot", "value-3", 0); err != nil {
 				panic(err)
+			}
+		}},
+		{"Cache.Incr, existing key", func() {
+			delta = -delta // 7 and 8 in turn: strconv has both strings ready
+			if err := c.Incr("ctr", delta, 0, nil); err != nil {
+				panic(err)
+			}
+		}},
+		{"Cache.CAS, existing key", func() {
+			if res, err := c.CAS("cas", "7", "7", nil); err != nil || res != StatusOK {
+				panic("CAS did not store")
 			}
 		}},
 	} {

@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"testing"
-
-	"cuckoohash/internal/txn"
 )
 
 // TestOnePinPerKeyedOp counts the shard stripe acquisitions each keyed
@@ -63,17 +61,17 @@ func TestOnePinPerKeyedOp(t *testing.T) {
 		{"INCR cold", func() error { return c.Incr("k6", 1, 0, nil) }, 2},
 		{"CAS", func() error {
 			res, err := c.CAS("k7", "7", "70", nil)
-			if err == nil && res != txn.CASStored {
+			if err == nil && res != StatusOK {
 				err = fmt.Errorf("CAS result %v", res)
 			}
 			return err
 		}, 2},
 		{"EXEC 2-key INCR", func() error {
-			for _, r := range c.Exec([]txn.Op{
-				{Kind: txn.OpIncr, Key: "k8", Delta: 1},
-				{Kind: txn.OpIncr, Key: other, Delta: -1},
+			for _, r := range c.Exec([]Op{
+				{Kind: OpIncr, Key: "k8", Delta: 1},
+				{Kind: OpIncr, Key: other, Delta: -1},
 			}, nil) {
-				if r.Status != txn.StatusOK {
+				if r.Status != StatusOK {
 					return fmt.Errorf("EXEC result %+v", r)
 				}
 			}

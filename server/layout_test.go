@@ -156,7 +156,7 @@ func TestHoldersDoNotPinReplacedItems(t *testing.T) {
 		if !ok || len(it.String()) < itemSize {
 			t.Fatalf("stored item: %d bytes, present %v", len(it.String()), ok)
 		}
-		if !c.txn.Promote(it.key()) {
+		if !c.split.promote(it.key()) {
 			t.Fatalf("Promote refused %s", key(i))
 		}
 		c.stats.touchHot(uint64(i), []byte(it.key()))

@@ -4,7 +4,7 @@ package server
 // ring placement already names a natural second home — its alternate
 // node. This file mirrors writes there asynchronously:
 //
-//   - the write path (Cache.store, cacheKV.Update, Cache.Delete,
+//   - the write path (Cache.store, Cache.update, Cache.Delete,
 //     Cache.Exec) enqueues each mutation, with its version word, onto a
 //     bounded per-peer log, under the pin that applied it;
 //   - one mirror worker per peer drains the log in batches and streams
@@ -82,7 +82,7 @@ func (r *replState) peerFor(key string) *replPeer {
 
 // replEnqueue mirrors one mutation of key to the key's alternate node:
 // the item just stored, or — the zero item — a client-visible delete, as a
-// versioned tombstone. Called from Cache.store, cacheKV.Update,
+// versioned tombstone. Called from Cache.store, Cache.update,
 // Cache.Delete and Cache.Exec in the step after the write, under the pin
 // that applied it, so a key's entries are appended in the order its writes
 // were applied, once each: the log append spins (never parks) and the

@@ -352,7 +352,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.log.Info("drain complete")
-		s.cache.txn.ReconcileAll()
+		s.cache.reconcileAll()
 		s.saveSnapshotOnce()
 		return nil
 	case <-ctx.Done():
@@ -365,7 +365,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		s.log.Warn("drain deadline expired; connections closed hard",
 			"conns", remaining)
-		s.cache.txn.ReconcileAll()
+		s.cache.reconcileAll()
 		s.saveSnapshotOnce()
 		return ctx.Err()
 	}
@@ -381,7 +381,7 @@ func (s *Server) txnPhaseTicker(interval time.Duration, stop chan struct{}) {
 	for {
 		select {
 		case <-t.C:
-			s.cache.txn.Tick()
+			s.cache.tick()
 		case <-stop:
 			return
 		}

@@ -12,20 +12,16 @@
 package server
 
 import (
-	"cmp"
 	"errors"
 	"hash/maphash"
 	"log/slog"
 	"math/bits"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cuckoohash/generic"
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
-	"cuckoohash/internal/txn"
 )
 
 // ErrServerFull is reported to a client when a SET cannot find room even
@@ -95,13 +91,16 @@ type Cache struct {
 	// publish over fresher data.
 	leases *replica.LeaseTable
 
-	// txn is the cuckootxn layer (internal/txn): atomic verbs, the
-	// transaction interpreter, and split counters. It holds no lock of a
-	// key's: every mutation of the shards — a verb, a transaction's
-	// commit, a plain SET/DEL, TTL expiry, eviction, migration removal —
-	// runs under the key's table pin, which serializes it with every
-	// other on the key.
-	txn *txn.Store
+	// split holds the hot counters' pending deltas (split.go). Every
+	// mutation of the shards — a verb, a transaction's commit, a plain
+	// SET/DEL, TTL expiry, eviction, migration removal — runs under the
+	// key's table pin, which serializes it with every other on the key,
+	// and drains or discards the key's deltas under it.
+	split *splitTable
+
+	// commits and casConflicts are the txn_commits and txn_cas_conflicts
+	// STATS rows (txn.go).
+	commits, casConflicts atomic.Uint64
 }
 
 // shard is one cuckoo table of items (item.go): a slot is a tag byte and
@@ -141,6 +140,7 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		stats:  newStats(shards),
 		log:    slog.New(slog.DiscardHandler),
 		leases: replica.NewLeaseTable(0),
+		split:  newSplitTable(),
 	}
 	initial := slotsPerShard / growInitialDivisor
 	if initial < 64 {
@@ -157,7 +157,6 @@ func NewCache(shards int, slotsPerShard uint64) (*Cache, error) {
 		}
 		c.shards[i] = &shard{table: t}
 	}
-	c.txn = txn.New(cacheKV{c})
 	return c, nil
 }
 
@@ -212,56 +211,10 @@ func (c *Cache) observeVersion(v uint64) {
 	}
 }
 
-// cacheKV adapts the sharded cuckoo tables to txn.KV.
-type cacheKV struct{ c *Cache }
-
-// live is what the txn layer sees of a table entry: its value and expiry
-// when it is there and has not expired.
-func live(it item, found bool) (string, int64, bool) {
-	if !found || it.expiredNow() {
-		return "", 0, false
-	}
-	return it.val(), it.expireAt(), true
-}
-
-// Update is the txn layer's write — an INCR or MAXUPDATE, a CAS swap, a
-// split fold — as one table Update of the key, evicting on a full shard
-// like SET. Its decide runs ch.Decide on the entry it found and builds the
-// item there, with the write's version; the step after the applied write
-// mirrors it (a delete as a versioned tombstone) and tells ch whether the
-// pin had to wait, the contention that promotes a counter.
-func (k cacheKV) Update(key string, ch txn.Change) (txn.Change, error) {
-	c := k.c
-	si := c.shardFor(key)
-	err := c.evicting(si, key, nil, func() error {
-		_, err := c.shards[si].table.UpdateThen(key, func(cur item, found bool) (item, generic.Action) {
-			switch write, v, exp := ch.Decide(live(cur, found)); write {
-			case txn.OpDel:
-				return item{}, generic.Remove
-			case txn.OpSet:
-				return newItem(c.nextVersion(), exp, key, v), generic.Store
-			}
-			return item{}, generic.Keep
-		}, func(it item, act generic.Action, waited bool) {
-			if waited {
-				ch.Waited()
-			}
-			if act != generic.Keep {
-				c.replEnqueue(key, it)
-			}
-		})
-		if err != nil {
-			return errShardFull
-		}
-		return nil
-	})
-	return ch, err
-}
-
 // store is the one write of a built item. Every item that lands in a shard
 // — a client SET, a mirrored, restored or handed-off record — is put here,
-// in one table Update of the key; a counter fold, a CAS swap and a
-// transaction commit build theirs under the pin instead (cacheKV.Update,
+// in one table Update of the key; a counter verb, a CAS swap, a split fold
+// and a transaction commit build theirs under the pin instead (update,
 // Exec). The decision that publishes a local write issues its version
 // (nextVersion) and stamps it into the item, so the key's pin orders
 // versions: per key they rise in store order, however often an attempt is
@@ -285,7 +238,7 @@ func (c *Cache) store(sh *shard, it item, fromPeer bool) error {
 		return it, generic.Store
 	}, func(_ item, act generic.Action, _ bool) {
 		if act == generic.Store {
-			c.txn.Discard(it.key())
+			c.split.discard(it.key())
 			if !fromPeer {
 				c.replEnqueue(it.key(), it)
 			}
@@ -318,7 +271,7 @@ func (c *Cache) removeIf(key string, sp *obs.Span, drop func(item) bool) bool {
 		return item{}, generic.Keep
 	}, func(_ item, act generic.Action, _ bool) {
 		if act == generic.Remove {
-			c.txn.Discard(key)
+			c.split.discard(key)
 		}
 	})
 	sp.End(obs.StageProbe, t0)
@@ -462,221 +415,6 @@ func (c *Cache) wrote(key string) {
 	}
 }
 
-// Incr atomically adds delta to the counter at key (missing keys count
-// from zero), evicting on a full shard like SET. hint spreads split-mode
-// updates across delta shards; pass a stable per-connection value. The
-// new count is intentionally not returned — see txn.Store.Incr.
-func (c *Cache) Incr(key string, delta int64, hint uint64, sp *obs.Span) error {
-	if f := c.failOp; f != nil {
-		if err := f(opIncr.String(), key); err != nil {
-			return err
-		}
-	}
-	return c.counted(key, c.txn.Incr(key, delta, hint, sp))
-}
-
-// MaxUpdate atomically raises the counter at key to n if larger.
-func (c *Cache) MaxUpdate(key string, n int64, hint uint64, sp *obs.Span) error {
-	return c.counted(key, c.txn.MaxUpdate(key, n, hint, sp))
-}
-
-// counted is the shared tail of the counter verbs: a write that landed
-// counts and kills key's fill lease.
-func (c *Cache) counted(key string, err error) error {
-	if err == nil {
-		c.stats.count(c.shardFor(key), statIncrs)
-		c.wrote(key)
-	}
-	return err
-}
-
-// CAS replaces key's value only if it currently equals old. A store on
-// an existing key consumes no new slot, so no eviction loop is needed.
-func (c *Cache) CAS(key, old, newVal string, sp *obs.Span) (txn.CASResult, error) {
-	si := c.shardFor(key)
-	c.stats.count(si, statCAS)
-	res, err := c.txn.CAS(key, old, newVal, sp)
-	if err == nil && res == txn.CASStored {
-		c.wrote(key)
-	}
-	return res, err
-}
-
-// Exec runs a MULTI/EXEC transaction as one critical section over all its
-// keys: it takes each shard's section of them (generic.Table.Section) in
-// ascending shard order, loads every key, runs the op interpreter and
-// writes — every store first, then every removal, so that only a store can
-// fail (a key needing a slot its buckets lack) and undoing the stores
-// before it leaves the shards as they were. Each applied write is mirrored
-// under its section. A run that found no room releases everything, makes
-// room for that key and runs again from its loads. The first time a key
-// needs room it comes from a path search or a grow, else an eviction from
-// the key's own buckets; every later time from an eviction: in a nearly
-// full shard a search for one key shifts entries into the slot the round
-// before freed for another, and two new keys would trade one slot for
-// ever. After maxEvictTries rounds a key it reports ErrServerFull on every
-// op that changed its key, having written nothing. Section wait is
-// attributed to sp as StageLock, the commit as StageProbe and making room
-// as StageEvict.
-func (c *Cache) Exec(ops []txn.Op, sp *obs.Span) []txn.Result {
-	if len(ops) == 0 {
-		return nil
-	}
-	x := execPlans.Get().(*execPlan)
-	defer execPlans.Put(x)
-	c.planExec(x, ops)
-	for tries := 0; ; tries++ {
-		full := -1
-		t0 := sp.Begin()
-		c.inSections(x, 0, func() {
-			sp.End(obs.StageLock, t0)
-			t0 = sp.Begin()
-			full = c.commit(x)
-		})
-		sp.End(obs.StageProbe, t0)
-		if full < 0 {
-			break
-		}
-		if tries == maxEvictTries*len(x.keys) {
-			x.tx.Fail(ErrServerFull)
-			break
-		}
-		t1 := sp.Begin()
-		e := &x.keys[full]
-		if e.searched || c.shards[e.si].table.MakeRoom(x.names[full]) != nil {
-			c.evictFor(e.si, x.names[full])
-		}
-		e.searched = true
-		sp.End(obs.StageEvict, t1)
-	}
-	res := x.tx.Done()
-	for i := range ops {
-		// StatusOK on a non-GET op is exactly "this op changed its key".
-		if ops[i].Kind != txn.OpGet && res[i].Status == txn.StatusOK {
-			c.wrote(ops[i].Key)
-		}
-	}
-	return res
-}
-
-// execPlan is one EXEC's commit, built before any lock: the interpreter's
-// state, and its distinct keys in ascending shard order (names), with
-// each one's execKey at the same index.
-type execPlan struct {
-	tx    txn.Tx
-	names []string
-	keys  []execKey
-}
-
-// execPlans keeps the scratch of finished commits: a plan allocates
-// nothing beyond its results once one of its size has been used. What a
-// pooled plan still refers to (its last commit's keys and items) stays
-// reachable until the plan is reused or the pool drops it at a collection.
-var execPlans = sync.Pool{New: func() any { return new(execPlan) }}
-
-// execKey is one key of a commit: the op that first names it, its shard,
-// the section holding it while a run is in, the item the run stored, and
-// what undoing that store writes: the entry the run loaded, or a removal
-// of a key that was absent.
-type execKey struct {
-	k        int
-	si       int
-	sec      generic.Section[string, item]
-	put      item
-	prev     item
-	back     generic.Action
-	searched bool // room was made for the key by a search or a grow once
-}
-
-func (c *Cache) planExec(x *execPlan, ops []txn.Op) {
-	c.txn.Begin(&x.tx, ops)
-	x.keys = x.keys[:0]
-	for k := range ops {
-		if x.tx.Distinct(k) {
-			x.keys = append(x.keys, execKey{k: k, si: c.shardFor(ops[k].Key)})
-		}
-	}
-	slices.SortFunc(x.keys, func(a, b execKey) int { return cmp.Compare(a.si, b.si) })
-	x.names = x.names[:0]
-	for _, e := range x.keys {
-		x.names = append(x.names, ops[e.k].Key)
-	}
-}
-
-// inSections runs fn holding the sections of x's keys from the i-th on
-// too: one table Section a shard, nested in ascending shard order, so every
-// commit takes its stripes in one global (shard, stripe) order.
-func (c *Cache) inSections(x *execPlan, i int, fn func()) {
-	if i == len(x.keys) {
-		fn()
-		return
-	}
-	j := i + 1
-	for j < len(x.keys) && x.keys[j].si == x.keys[i].si {
-		j++
-	}
-	c.shards[x.keys[i].si].table.Section(x.names[i:j], func(sec generic.Section[string, item]) {
-		for n := i; n < j; n++ {
-			x.keys[n].sec = sec
-		}
-		c.inSections(x, j, fn)
-	})
-}
-
-// write makes act of key, the key e stands for, with val under e's
-// section, reporting false for a store that found no room.
-func (e *execKey) write(key string, val item, act generic.Action) (generic.Action, bool) {
-	return e.sec.Update(key, func(item, bool) (item, generic.Action) { return val, act })
-}
-
-// commit is one run of x's transaction, holding every section: it loads
-// each key, runs the interpreter, and writes and mirrors what it
-// buffered, every store before any removal, so that only a store can fail
-// (a key needing a slot its buckets lack) and undoing the stores before it
-// leaves the shards as they were. It returns the index in x.keys of the
-// key that found no room, or -1 once every write is applied.
-func (c *Cache) commit(x *execPlan) int {
-	for i := range x.keys {
-		e := &x.keys[i]
-		e.sec.Update(x.names[i], func(cur item, found bool) (item, generic.Action) {
-			e.prev, e.back = cur, generic.Remove
-			if found {
-				e.back = generic.Store // in place: the key holds a live slot once stored
-			}
-			v, exp, ok := live(cur, found)
-			x.tx.Load(e.k, v, exp, ok)
-			return cur, generic.Keep
-		})
-	}
-	x.tx.Run()
-	for i := range x.keys {
-		e := &x.keys[i]
-		if write, v, exp := x.tx.Write(e.k); write == txn.OpSet {
-			e.put = newItem(c.nextVersion(), exp, x.names[i], v)
-			if _, ok := e.write(x.names[i], e.put, generic.Store); !ok {
-				for j := range i {
-					if w, _, _ := x.tx.Write(x.keys[j].k); w == txn.OpSet {
-						x.keys[j].write(x.names[j], x.keys[j].prev, x.keys[j].back)
-					}
-				}
-				return i
-			}
-		}
-	}
-	for i := range x.keys {
-		e := &x.keys[i]
-		switch write, _, _ := x.tx.Write(e.k); write {
-		case txn.OpSet:
-			c.replEnqueue(x.names[i], e.put)
-		case txn.OpDel:
-			if act, _ := e.write(x.names[i], item{}, generic.Remove); act == generic.Remove {
-				c.replEnqueue(x.names[i], item{})
-			}
-		}
-	}
-	return -1
-}
-
 // evictFor makes room for key in full shard si: it deletes, among the
 // entries sharing key's two candidate buckets, an expired one if there
 // is one and the oldest write otherwise (Kuszmaul's kick-out eviction,
@@ -719,7 +457,7 @@ const (
 // outlives its TTL from a client's point of view even if the sweeper has
 // not run yet), LEASE serves it.
 func (c *Cache) lookup(key []byte, sp *obs.Span) (it item, si int, state int) {
-	c.txn.ReconcileKeyBytes(key)
+	c.reconcileKeyBytes(key)
 	si = c.shardForBytes(key)
 	t0 := sp.Begin()
 	it, ok := generic.GetBytes(c.shards[si].table, key)
@@ -807,7 +545,7 @@ func (c *Cache) Delete(key string, sp *obs.Span) bool {
 	present := false
 	t0 := sp.Begin()
 	act, _ := c.shards[si].table.UpdateThen(key, func(cur item, found bool) (item, generic.Action) {
-		present = c.txn.Discard(key) || found && !cur.expiredNow()
+		present = c.split.discard(key) || found && !cur.expiredNow()
 		return item{}, generic.Remove
 	}, func(_ item, _ generic.Action, _ bool) {
 		if present {

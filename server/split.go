@@ -1,4 +1,4 @@
-package txn
+package server
 
 import (
 	"strconv"
@@ -9,6 +9,20 @@ import (
 	"cuckoohash/internal/spinlock"
 )
 
+// Split counters. For commutative verbs on skewed workloads, even perfect
+// stripes melt: every INCR of one hot key serializes on one pin. Doppel
+// (Narula et al., OSDI 2014) splits such keys: during a split phase,
+// commutative updates land in per-shard delta slots and the canonical
+// value is reconciled on read or at phase ticks. Because a split op cannot
+// observe the value, the commutative verbs reply OK without returning the
+// new count — that contract is what makes the split legal. A key is
+// promoted after its counter verbs' pins keep having to wait for it.
+//
+// Lock order (outermost first): a key's table pin, then the split-shard
+// spinlocks, which a pin holder takes to drain the key's deltas (update's
+// decision, EXEC's load, a blind write's step). A split-shard lock is never
+// held while a pin is being taken, and promoteMu is taken with no pin held.
+
 // Operation classes a key can be split for. A key splits for exactly one
 // class at a time: ADD and MAX are each commutative with themselves but
 // not with each other, so mixing them on one hot key forces a reconcile
@@ -16,6 +30,15 @@ import (
 const (
 	classAdd = uint8(iota)
 	classMax
+)
+
+const (
+	// splitShards is the number of padded delta shards hot keys split
+	// across (a power of two).
+	splitShards = 16
+	// promoteAfter is how many contended pins a key's counter verbs
+	// accumulate before it is promoted to split mode.
+	promoteAfter = 8
 )
 
 // hotEntry is one promoted key's state in the copy-on-write hot set.
@@ -49,8 +72,8 @@ type delta struct {
 // splitShard is one padded shard of pending deltas. Updates take only
 // the shard's spinlock — never a key's pin — so a split-phase INCR
 // touches no cache line shared with another core's split ops. A spinlock
-// rather than sync.Mutex because a drain (Store.drain) runs with the
-// key's pin held: the holder of a stripe must never park.
+// rather than sync.Mutex because a drain runs with the key's pin held: the
+// holder of a stripe must never park.
 // The padding keeps adjacent shards off each other's lines (the paper's
 // principle P1, same reasoning as metrics.ShardedCounter).
 type splitShard struct {
@@ -59,7 +82,10 @@ type splitShard struct {
 	_      [64 - 8 - 8]byte // spinlock (4, padded to 8) + map header (8) → one 64-byte line
 }
 
-// splitTable routes hot-key commutative updates to per-shard delta slots.
+// splitTable routes hot-key commutative updates to per-shard delta slots,
+// and counts what they do for the txn_* STATS rows. Its counters are plain
+// atomics bumped off the fast path — never per split op: splitOps is
+// credited in bulk at fold time from the drained slots' op counts.
 type splitTable struct {
 	shards []splitShard
 	mask   uint64
@@ -73,13 +99,19 @@ type splitTable struct {
 
 	promoteMu sync.Mutex
 	contend   map[string]int
+	// promoteAfter is the constant of the same name; tests lower it, or
+	// set it negative to disable splitting.
+	promoteAfter int
+
+	splitOps, reconciles, promotions, demotions atomic.Uint64
 }
 
 func newSplitTable() *splitTable {
 	t := &splitTable{
-		shards:  make([]splitShard, splitShards),
-		mask:    splitShards - 1,
-		contend: make(map[string]int),
+		shards:       make([]splitShard, splitShards),
+		mask:         splitShards - 1,
+		contend:      make(map[string]int),
+		promoteAfter: promoteAfter,
 	}
 	for i := range t.shards {
 		t.shards[i].deltas = make(map[string]*delta)
@@ -162,7 +194,7 @@ func (f *pending) take(p *delta) {
 
 // pendingKeys snapshots every key registered in any shard: all hot keys
 // (their slots stay registered while promoted, pending or not) plus any
-// demoted key whose final fold has not run yet. Tick folds each one;
+// demoted key whose final fold has not run yet. tick folds each one;
 // zero-pending folds are free.
 func (t *splitTable) pendingKeys() map[string]struct{} {
 	keys := make(map[string]struct{})
@@ -177,37 +209,35 @@ func (t *splitTable) pendingKeys() map[string]struct{} {
 	return keys
 }
 
-// noteContention charges one contended critical section to key and
-// promotes it to split mode once the threshold is reached. Called only
-// after a pin that had to wait, once it is released, so the bookkeeping
-// mutex is off the uncontended fast path entirely.
+// noteContention charges one contended pin to key and promotes it to
+// split mode once the threshold is reached. Called only after a pin that
+// had to wait, once it is released, so the bookkeeping mutex is off the
+// uncontended fast path entirely.
 //
 //cuckoo:coldpath promotion bookkeeping runs only after contended pins, never on the uncontended per-op path
-func (s *Store) noteContention(key string, class uint8) {
-	t := s.split
+func (t *splitTable) noteContention(key string, class uint8) {
 	t.promoteMu.Lock()
 	t.contend[key]++
-	if t.contend[key] >= s.promoteAfter {
+	if t.contend[key] >= t.promoteAfter {
 		delete(t.contend, key)
 		if t.insertHotLocked(key, class) {
-			s.stats.promotions.Add(1)
+			t.promotions.Add(1)
 		}
 	}
 	t.promoteMu.Unlock()
 }
 
-// Promote forces key into split mode for the commutative-add class, as
-// if it had crossed the contention threshold. Benchmarks and tests use
-// it to measure split-phase behaviour deterministically: organic
-// promotion depends on pins colliding, which is scheduler-timing
+// promote forces key into split mode for the commutative-add class, as
+// if it had crossed the contention threshold. Tests and the split-counter
+// benchmark use it to measure split-phase behaviour deterministically:
+// organic promotion depends on pins colliding, which is scheduler-timing
 // dependent. Returns false when the key is already hot.
-func (s *Store) Promote(key string) bool {
-	t := s.split
+func (t *splitTable) promote(key string) bool {
 	t.promoteMu.Lock()
 	ok := t.insertHotLocked(key, classAdd)
 	t.promoteMu.Unlock()
 	if ok {
-		s.stats.promotions.Add(1)
+		t.promotions.Add(1)
 	}
 	return ok
 }
@@ -261,17 +291,17 @@ func (t *splitTable) insertHotLocked(key string, class uint8) bool {
 // pinned path, and no state for the key remains in any shard nor can
 // silently reappear. Without all a key that is not hot costs one atomic
 // load: a demoted key's deltas wait for the phase tick's fold.
-func (s *Store) drain(key string, p *pending, all bool) {
-	if !all && s.split.hotCount.Load() == 0 {
+func (t *splitTable) drain(key string, p *pending, all bool) {
+	if !all && t.hotCount.Load() == 0 {
 		return
 	}
-	e, hot := s.split.lookup(key)
+	e, hot := t.lookup(key)
 	if !hot && !all {
 		return
 	}
 	before := p.ops
-	for i := range s.split.shards {
-		sh := &s.split.shards[i]
+	for i := range t.shards {
+		sh := &t.shards[i]
 		sh.mu.Lock()
 		if hot {
 			p.take(e.slots[i])
@@ -283,9 +313,19 @@ func (s *Store) drain(key string, p *pending, all bool) {
 		sh.mu.Unlock()
 	}
 	if n := p.ops - before; n > 0 {
-		s.stats.splitOps.Add(n)
-		s.stats.reconciles.Add(1)
+		t.splitOps.Add(n)
+		t.reconciles.Add(1)
 	}
+}
+
+// discard drops key's pending split deltas, reporting whether there were
+// any: a blind write (SET, DEL) or a removal replaces whatever they would
+// have added. Call it under the pin that applies the write, and only for
+// a write it applies.
+func (t *splitTable) discard(key string) bool {
+	var p pending
+	t.drain(key, &p, false)
+	return p.ops > 0
 }
 
 // foldInto makes drained deltas a write of c: the adds onto its integer,
@@ -311,35 +351,39 @@ func (p *pending) foldInto(c *cell) {
 }
 
 // fold folds key's pending deltas, a hot key's or a demoted key's, into
-// the backing store in one Update, and returns how many ops it folded. A
-// store too full to take the key the deltas would create drops them: a
+// the table in one update of the key, and returns how many ops it folded.
+// A shard too full to take the key the deltas would create drops them: a
 // counter on a shard that cannot even hold the key is already lost.
 //
 //cuckoo:coldpath a fold runs once per phase tick, or on a hot key's read
-func (s *Store) fold(key string) uint64 {
-	ch, _ := s.kv.Update(key, Change{s: s, op: Op{Key: key}})
-	return ch.pend.ops
+func (c *Cache) fold(key string) uint64 {
+	_, folded, _, _ := c.update(Op{Key: key}, nil)
+	return folded
 }
 
-// Discard drops key's pending split deltas, reporting whether there were
-// any: a blind write (SET, DEL) or a removal replaces whatever they would
-// have added. Call it in the critical section that applies the write, and
-// only for a write it applies.
-func (s *Store) Discard(key string) bool {
-	var p pending
-	s.drain(key, &p, false)
-	return p.ops > 0
+// reconcileKeyBytes folds key's pending split deltas into the table if the
+// key is hot; a cold key costs one atomic load. lookup calls this so a GET
+// observes every acknowledged commutative update. key may alias the
+// connection read buffer: the hot-set probe uses the compiler's free
+// map[string(b)] lookup and a hot hit carries the set's own copy of the
+// key, so nothing is converted in any state.
+//
+//cuckoo:hotpath GET-path split-counter fold gate; allocates nothing
+func (c *Cache) reconcileKeyBytes(key []byte) {
+	if e, ok := c.split.lookupBytes(key); ok {
+		c.fold(e.key)
+	}
 }
 
-// Tick runs one split-phase boundary: every pending delta is folded into
+// tick runs one split-phase boundary: every pending delta is folded into
 // its canonical value, and hot keys that were idle for two consecutive
-// ticks are demoted. Call it periodically (tens of milliseconds — the
-// phase length bounds read staleness). It is safe to call concurrently:
-// folds serialize on the keys' pins and the hot-set rebuild on
-// promoteMu; a Tick that loses the race to another's demotions simply
-// finds less (or nothing) left to do.
-func (s *Store) Tick() {
-	t := s.split
+// ticks are demoted. The server calls it every TxnPhaseInterval (the phase
+// length bounds read staleness). It is safe to call concurrently: folds
+// serialize on the keys' pins and the hot-set rebuild on promoteMu; a tick
+// that loses the race to another's demotions simply finds less (or
+// nothing) left to do.
+func (c *Cache) tick() {
+	t := c.split
 	hot := t.hot.Load()
 
 	// Fold every key with queued deltas, hot or not: a key demoted while
@@ -347,7 +391,7 @@ func (s *Store) Tick() {
 	// this sweep is what guarantees it still lands.
 	folded := make(map[string]uint64)
 	for key := range t.pendingKeys() {
-		folded[key] = s.fold(key)
+		folded[key] = c.fold(key)
 	}
 
 	if hot == nil {
@@ -357,11 +401,11 @@ func (s *Store) Tick() {
 	// workload's current skew rather than its history. Reload the hot
 	// set under promoteMu: a promotion may have raced the fold above,
 	// and rebuilding from a stale snapshot would silently drop it —
-	// or another Tick may have emptied the set entirely.
+	// or another tick may have emptied the set entirely.
 	t.promoteMu.Lock()
 	hot = t.hot.Load()
 	if hot == nil {
-		// A concurrent Tick demoted the last hot key since the load above.
+		// A concurrent tick demoted the last hot key since the load above.
 		t.promoteMu.Unlock()
 		return
 	}
@@ -389,7 +433,7 @@ func (s *Store) Tick() {
 	}
 	if len(demote) > 0 {
 		t.hotCount.Add(int64(-len(demote)))
-		s.stats.demotions.Add(uint64(len(demote)))
+		t.demotions.Add(uint64(len(demote)))
 	}
 	t.promoteMu.Unlock()
 
@@ -397,15 +441,15 @@ func (s *Store) Tick() {
 	// the swap may have parked one more delta; fold it now rather than
 	// waiting a full phase.
 	for _, k := range demote {
-		s.fold(k)
+		c.fold(k)
 	}
 }
 
-// ReconcileAll folds every pending delta. Call on drain before taking a
-// persistent snapshot so no acknowledged commutative op is left sitting
-// in a delta shard.
-func (s *Store) ReconcileAll() {
-	for key := range s.split.pendingKeys() {
-		s.fold(key)
+// reconcileAll folds every pending delta. The server calls it on drain
+// before taking a persistent snapshot so no acknowledged commutative op
+// is left sitting in a delta shard.
+func (c *Cache) reconcileAll() {
+	for key := range c.split.pendingKeys() {
+		c.fold(key)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"cuckoohash/internal/obs"
 	"cuckoohash/internal/replica"
 	"cuckoohash/internal/spinlock"
-	"cuckoohash/internal/txn"
 )
 
 // latencySampleMask samples one request latency out of every 16 per
@@ -111,7 +110,7 @@ const (
 	statSets
 	statDels
 	statIncrs     // INCR/DECR/ADD/MAXUPDATE applied
-	statCAS       // CAS attempts (conflicts counted by txn)
+	statCAS       // CAS attempts (conflicts are Cache.casConflicts)
 	statExpired   // entries removed because their TTL passed
 	statEvictions // entries evicted to make room
 	numOpStats
@@ -271,13 +270,11 @@ type reading struct {
 	st   *stats
 	lat  once[metrics.Histogram]
 	tab  once[tableTotals]
-	tx   once[txn.Stats]
 	repl once[replica.LogStats]
 }
 
 func (r *reading) latency() *metrics.Histogram { return r.lat.get(r.st.lat.Snapshot) }
 func (r *reading) table() *tableTotals         { return r.tab.get(r.c.tableTotals) }
-func (r *reading) txn() *txn.Stats             { return r.tx.get(r.c.txn.StatsSnapshot) }
 func (r *reading) replLog() *replica.LogStats  { return r.repl.get(r.c.replLogTotals) }
 
 // slot places a counter row in the /metrics exposition, whose family
@@ -393,13 +390,13 @@ var counters = []counter{
 	{stat: "lease_fills", prom: "cuckood_lease_fills_total", help: "SETL fills accepted from lease winners.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseFills.Load()) }},
 	{stat: "lease_rejects", prom: "cuckood_lease_rejects_total", help: "SETL fills rejected because the lease was invalidated or expired.", at: atLease, read: func(r *reading) float64 { return float64(r.st.leaseRejects.Load()) }},
 	{prom: "cuckood_lease_active", help: "Outstanding fill leases.", kind: obs.KindGauge, at: atLease, read: func(r *reading) float64 { return float64(r.c.leases.Active()) }},
-	{stat: "txn_commits", prom: "cuckood_txn_commits_total", help: "EXEC transactions committed.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Commits) }},
-	{stat: "txn_cas_conflicts", prom: "cuckood_txn_cas_conflicts_total", help: "CAS operations rejected because the current value differed.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().CASConflicts) }},
-	{stat: "txn_split_ops", prom: "cuckood_txn_split_ops_total", help: "Commutative updates absorbed by per-shard split counters instead of the key's stripe.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().SplitOps) }},
-	{stat: "txn_split_reconciles", prom: "cuckood_txn_split_reconciles_total", help: "Hot-key delta reconciliations folded into the table.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Reconciles) }},
-	{stat: "txn_split_promotions", prom: "cuckood_txn_split_promotions_total", help: "Keys promoted to split-counter mode after stripe contention.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Promotions) }},
-	{stat: "txn_split_demotions", prom: "cuckood_txn_split_demotions_total", help: "Hot keys demoted back to the direct path after going idle.", at: atTxn, read: func(r *reading) float64 { return float64(r.txn().Demotions) }},
-	{stat: "txn_hot_keys", prom: "cuckood_txn_hot_keys", help: "Keys currently in split-counter mode.", kind: obs.KindGauge, at: atTxn, read: func(r *reading) float64 { return float64(r.txn().HotKeys) }},
+	{stat: "txn_commits", prom: "cuckood_txn_commits_total", help: "EXEC transactions committed.", at: atTxn, read: func(r *reading) float64 { return float64(r.c.commits.Load()) }},
+	{stat: "txn_cas_conflicts", prom: "cuckood_txn_cas_conflicts_total", help: "CAS operations rejected because the current value differed.", at: atTxn, read: func(r *reading) float64 { return float64(r.c.casConflicts.Load()) }},
+	{stat: "txn_split_ops", prom: "cuckood_txn_split_ops_total", help: "Commutative updates absorbed by per-shard split counters instead of the key's stripe.", at: atTxn, read: func(r *reading) float64 { return float64(r.c.split.splitOps.Load()) }},
+	{stat: "txn_split_reconciles", prom: "cuckood_txn_split_reconciles_total", help: "Hot-key delta reconciliations folded into the table.", at: atTxn, read: func(r *reading) float64 { return float64(r.c.split.reconciles.Load()) }},
+	{stat: "txn_split_promotions", prom: "cuckood_txn_split_promotions_total", help: "Keys promoted to split-counter mode after stripe contention.", at: atTxn, read: func(r *reading) float64 { return float64(r.c.split.promotions.Load()) }},
+	{stat: "txn_split_demotions", prom: "cuckood_txn_split_demotions_total", help: "Hot keys demoted back to the direct path after going idle.", at: atTxn, read: func(r *reading) float64 { return float64(r.c.split.demotions.Load()) }},
+	{stat: "txn_hot_keys", prom: "cuckood_txn_hot_keys", help: "Keys currently in split-counter mode.", kind: obs.KindGauge, at: atTxn, read: func(r *reading) float64 { return float64(r.c.split.hotCount.Load()) }},
 	{stat: "table_searches", prom: "cuckoo_table_searches_total", help: "BFS cuckoo-path searches (slow-path inserts).", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.Searches) }},
 	{stat: "table_displacements", prom: "cuckoo_table_displacements_total", help: "Item moves along cuckoo paths.", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.Displacements) }},
 	{stat: "table_path_restarts", prom: "cuckoo_table_path_restarts_total", help: "Inserts restarted because a concurrent writer invalidated the path (Eq. 1).", at: atTable, read: func(r *reading) float64 { return float64(r.table().tab.PathRestarts) }},

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cuckoohash/internal/txn"
 )
 
 // TestOpCountersExact: a shard's nine operation counters share one padded
@@ -43,7 +41,7 @@ func TestOpCountersExact(t *testing.T) {
 				if err := c.Incr(fmt.Sprintf("w%d-counter", w), 1, uint64(w), nil); err != nil {
 					fail("INCR: %v", err)
 				}
-				if res, err := c.CAS(k, "v1", "v2", nil); err != nil || res != txn.CASStored {
+				if res, err := c.CAS(k, "v1", "v2", nil); err != nil || res != StatusOK {
 					fail("CAS %s = %v, %v", k, res, err)
 				}
 				if !c.Delete(k, nil) || c.Delete(k, nil) {

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"cuckoohash/internal/txn"
 )
 
 // Wire-level coverage for the transaction verbs (docs/TRANSACTIONS.md):
@@ -31,6 +29,11 @@ func TestCounterVerbs(t *testing.T) {
 		{"GET m", "VALUE 7"},
 		{"MAXUPDATE m 3", "OK"}, // lower operand is a no-op
 		{"GET m", "VALUE 7"},
+		{"MAXUPDATE m 9", "OK"},
+		{"MAXUPDATE m 8", "OK"},
+		{"GET m", "VALUE 9"},
+		{"SET junk not-a-number", "OK"},
+		{"INCR junk", "ERR " + ErrNotInteger.Error()},
 		{"SET s hello", "OK"},
 		{"GET s", "VALUE hello"},
 		{"ADD", "ERR wrong number of arguments"}, // operand required for ADD/MAXUPDATE
@@ -103,6 +106,9 @@ func TestCASVerb(t *testing.T) {
 		if got := c.roundTrip(tc.req); got != tc.want {
 			t.Errorf("%s: got %q, want %q", tc.req, got, tc.want)
 		}
+	}
+	if got := s.cache.casConflicts.Load(); got != 1 {
+		t.Errorf("CAS conflicts = %d, want 1", got)
 	}
 }
 
@@ -329,12 +335,12 @@ func TestExecEvictsOnFullCache(t *testing.T) {
 	var counter, value string
 	for n := 0; n < 64 && c.Stats().Evictions() == evicted; n++ {
 		counter, value = fmt.Sprintf("fresh-counter%d", n), fmt.Sprintf("fresh-value%d", n)
-		res := c.Exec([]txn.Op{
-			{Kind: txn.OpIncr, Key: counter, Delta: 7},
-			{Kind: txn.OpSet, Key: value, Val: "v"},
+		res := c.Exec([]Op{
+			{Kind: OpIncr, Key: counter, Delta: 7},
+			{Kind: OpSet, Key: value, Val: "v"},
 		}, nil)
 		for i, r := range res {
-			if r.Status != txn.StatusOK {
+			if r.Status != StatusOK {
 				t.Fatalf("EXEC %d op %d on full cache: status %d err %q", n, i, r.Status, r.Err)
 			}
 		}
