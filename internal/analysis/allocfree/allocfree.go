@@ -274,7 +274,7 @@ func (c *checker) site(sum *callgraph.Summary, s *callgraph.Site) string {
 // chain — the RTA visibility filter. A component cannot dispatch to an
 // implementation it could never have constructed, one in a package
 // neither it nor any of its importers reach; but a package that imports
-// it can hand it one, as the server hands internal/txn its backing store.
+// it can hand it one, an implementation of an interface it declares.
 func (c *checker) reaches(p *types.Package) bool {
 	if v, ok := c.reachMemo[p]; ok {
 		return v

@@ -27,9 +27,9 @@
 // (Table.lockAllGens, Table.pin), which the walk of its body decides from
 // what it holds at each return, net of its deferred releases: a helper
 // that releases and retakes its stripes in a retry loop before it returns
-// holding them counts as holding. Calling a raw-locking function while a stripe lock
-// is held is the same hand-ordered two-lock sequence, merely hidden
-// behind a call; it is reported at the call site. A call to a function
+// holding them counts as holding. Calling a raw-locking function while a
+// stripe lock is held is the same hand-ordered two-lock sequence, merely
+// hidden behind a call; it is reported at the call site. A call to a function
 // that returns holding locks pushes a sentinel stripe entry that the
 // matching Unlock/UnlockOrdered, or a pure release helper, releases. A
 // deferred or launched (go) call is not applied where it stands; only its
