@@ -226,9 +226,9 @@ type walker struct {
 	spans []Span
 	gap   bool // code ran with no lock held, or a lock was released, since the last span began
 
-	quiet    bool     // a summary's walk: it reports nothing
-	deferred []string // the locks the body's deferred calls release, as release takes them
-	holds    bool     // some return leaves a stripe held
+	quiet    bool            // a summary's walk: it reports nothing
+	deferred []*ast.CallExpr // the body's deferred calls, which run at every later return
+	holds    bool            // some return leaves a stripe held
 }
 
 // reportf reports a finding unless the walk is a summary's.
@@ -238,11 +238,11 @@ func (w *walker) reportf(pos token.Pos, format string, args ...any) {
 	}
 }
 
-// exit notes what a return leaves held once the deferred releases run.
+// exit notes what a return leaves held once the deferred calls have run.
 func (w *walker) exit(held []entry) {
 	held = slices.Clone(held)
-	for _, key := range w.deferred {
-		held = release(held, key)
+	for _, call := range w.deferred {
+		held = (&walker{pass: w.pass, quiet: true}).expr(held, call)
 	}
 	w.holds = w.holds || topStripe(held) != ""
 }
@@ -319,9 +319,7 @@ func (w *walker) stmt(held []entry, s ast.Stmt) []entry {
 		// Deferred Unlocks run at return, not here: a deferred UnlockPair
 		// does not license another raw Lock in the body, and the lock is
 		// held to the end of it.
-		if key, ok := w.releases(st.Call); ok {
-			w.deferred = append(w.deferred, key)
-		}
+		w.deferred = append(w.deferred, st.Call)
 		return w.args(held, st.Pos(), st.Call)
 	case *ast.GoStmt:
 		// The call runs on another goroutine, which holds nothing of ours
@@ -337,26 +335,6 @@ func (w *walker) stmt(held []entry, s ast.Stmt) []entry {
 		// A simple statement: its expressions in source order.
 		return w.expr(held, st)
 	}
-}
-
-// releases reports whether call releases a lock, and which: an
-// Unlock-family method names its receiver, a pure release helper the
-// stripes its caller's helper left held ("").
-func (w *walker) releases(call *ast.CallExpr) (string, bool) {
-	fn := checkutil.Callee(w.pass.TypesInfo, call)
-	if fn == nil {
-		return "", false
-	}
-	recv := checkutil.Receiver(w.pass.TypesInfo, call)
-	if recv == nil || !isSpinLock(w.pass.TypesInfo.Types[recv].Type) {
-		var lf LockFact
-		return "", w.pass.ImportObjectFact(fn.Origin(), &lf) && lf.NetReleased
-	}
-	switch fn.Name() {
-	case "Unlock", "UnlockPair", "UnlockAll", "UnlockOrdered":
-		return types.ExprString(recv), true
-	}
-	return "", false
 }
 
 // args skips a deferred or launched call but scans its arguments, which

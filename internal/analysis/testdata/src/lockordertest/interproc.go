@@ -86,3 +86,16 @@ func goodGoHelperHoldsElsewhere(t *table, a, b uint64) {
 	t.locks.Lock(b)
 	t.locks.Unlock(b)
 }
+
+// deferredRelease takes its stripe and releases it with a deferred
+// Unlock, which runs at its return: it returns holding nothing.
+func deferredRelease(t *table, i uint64) {
+	t.locks.Lock(i)
+	defer t.locks.Unlock(i)
+}
+
+func goodLockAfterDeferredRelease(t *table, a, b uint64) {
+	deferredRelease(t, a)
+	t.locks.Lock(b)
+	t.locks.Unlock(b)
+}

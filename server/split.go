@@ -91,7 +91,7 @@ type splitTable struct {
 	mask   uint64
 
 	// hotCount gates the fast path: when zero (no promoted keys, the
-	// common state), hotClass is a single atomic load and no map is
+	// common state), lookup is a single atomic load and no map is
 	// touched. hot is copy-on-write: readers load the pointer lock-free;
 	// promote/demote copy the map under promoteMu and swap the pointer.
 	hotCount atomic.Int64
@@ -387,7 +387,7 @@ func (c *Cache) tick() {
 	hot := t.hot.Load()
 
 	// Fold every key with queued deltas, hot or not: a key demoted while
-	// an update raced hotClass can leave a straggler delta behind, and
+	// an update raced lookup can leave a straggler delta behind, and
 	// this sweep is what guarantees it still lands.
 	folded := make(map[string]uint64)
 	for key := range t.pendingKeys() {
