@@ -34,6 +34,77 @@ func stored(c *Cache, key string) (string, bool) {
 	return it.val(), true
 }
 
+// get is key's value as a GET reads it; a miss fails the test.
+func get(t *testing.T, c *Cache, key string) string {
+	t.Helper()
+	v, ok := c.Get(key)
+	if !ok {
+		t.Fatalf("%s missing", key)
+	}
+	return v
+}
+
+func TestIncrBasics(t *testing.T) {
+	c := newSplitCache(t, -1)
+	for _, d := range []int64{1, 41} {
+		if err := c.Incr("c", d, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := get(t, c, "c"); got != "42" {
+		t.Fatalf("c = %q, want 42", got)
+	}
+	if err := c.Incr("c", -2, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, c, "c"); got != "40" {
+		t.Fatalf("c = %q, want 40", got)
+	}
+	if err := c.Set("junk", "not-a-number", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Incr("junk", 1, 0, nil); err != ErrNotInteger {
+		t.Fatalf("Incr on junk = %v, want ErrNotInteger", err)
+	}
+	if got := get(t, c, "junk"); got != "not-a-number" {
+		t.Fatalf("junk = %q after a failed Incr, want it unchanged", got)
+	}
+}
+
+func TestMaxUpdate(t *testing.T) {
+	c := newSplitCache(t, -1)
+	for _, n := range []int64{5, 3, 9, 7} {
+		if err := c.MaxUpdate("m", n, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := get(t, c, "m"); got != "9" {
+		t.Fatalf("m = %q, want 9", got)
+	}
+}
+
+func TestCAS(t *testing.T) {
+	c := newSplitCache(t, -1)
+	if st, err := c.CAS("k", "a", "b", nil); st != StatusMiss || err != nil {
+		t.Fatalf("CAS on missing = %v, %v; want StatusMiss", st, err)
+	}
+	if err := c.Set("k", "a", 0); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.CAS("k", "x", "b", nil); st != StatusConflict || err != nil {
+		t.Fatalf("CAS wrong old = %v, %v; want StatusConflict", st, err)
+	}
+	if st, err := c.CAS("k", "a", "b", nil); st != StatusOK || err != nil {
+		t.Fatalf("CAS matching = %v, %v; want StatusOK", st, err)
+	}
+	if got := get(t, c, "k"); got != "b" {
+		t.Fatalf("k = %q, want b", got)
+	}
+	if got := c.casConflicts.Load(); got != 1 {
+		t.Fatalf("casConflicts = %d, want 1", got)
+	}
+}
+
 func TestConcurrentIncrExact(t *testing.T) {
 	// The headline counter-exactness property: G goroutines × N INCRs
 	// each, across direct, contended, and split regimes, must sum
