@@ -101,7 +101,8 @@ bench-selftest:
 # Paired runs of the repository benchmark, this checkout against BASE,
 # alternating which side goes first (benchmark/README.md, "How to claim a
 # gain on a moved metric"): per metric both medians, both quartile
-# distances and the pairs this checkout won. About a minute per pair;
+# distances, the pairs this checkout won and an A/A column (the base run
+# twice a pair). About a minute and a half per pair;
 # results/PAIR_*.txt are committed outputs of this target. TRACE=1 pairs
 # traced runs, for the per-layer metrics (no gain is claimed from those).
 WORKLOAD ?= wire-get-pipelined

@@ -998,25 +998,27 @@ func BenchmarkAblationSearch(b *testing.B) {
 // largeMap's shape: 2^22 slots, B = 8, filled by one writer from empty to
 // load 0.95 with largeMap's keys, 64 MB, so that an insert's buckets miss
 // every cache. Whole fills run until b.N inserts have been made (at least
-// one), and it reports the time per insert and per insert over each fill's
-// final tenth (ns/insert-last-decile, the dense end where nearly every
-// insert searches a path). b.N only says when to stop, so ns/op is
-// suppressed.
+// one), and it reports the time per insert, and the time and the path
+// searches per insert over each fill's final tenth (ns/insert-last-decile
+// and searches/insert-last-decile, the dense end where inserts search
+// paths). b.N only says when to stop, so ns/op is suppressed.
 func BenchmarkAblationPrefetch(b *testing.B) {
 	const slots = 1 << 22
 	n := uint64(slots) * 95 / 100
 	for _, pf := range []bool{true, false} {
 		b.Run(fmt.Sprintf("prefetch=%v", pf), func(b *testing.B) {
-			var inserts, last uint64
+			var inserts, last, lastSearches uint64
 			var took, lastTook time.Duration
 			for inserts < uint64(b.N) {
 				o := core.Defaults(slots)
 				o.Prefetch = pf
 				tab := core.MustNewTable(o)
 				var mark time.Time
+				var searches uint64
 				start := time.Now()
 				for j := range n {
 					if j == n-n/10 {
+						searches = tab.Stats().Searches
 						mark = time.Now()
 					}
 					if err := tab.Insert(largeKey(j), j); err != nil {
@@ -1026,10 +1028,12 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 				end := time.Now()
 				inserts, took = inserts+n, took+end.Sub(start)
 				last, lastTook = last+n/10, lastTook+end.Sub(mark)
+				lastSearches += tab.Stats().Searches - searches
 			}
 			b.ReportMetric(0, "ns/op")
 			b.ReportMetric(float64(took.Nanoseconds())/float64(inserts), "ns/insert")
 			b.ReportMetric(float64(lastTook.Nanoseconds())/float64(last), "ns/insert-last-decile")
+			b.ReportMetric(float64(lastSearches)/float64(last), "searches/insert-last-decile")
 		})
 	}
 }

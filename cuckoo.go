@@ -93,7 +93,10 @@ type Config struct {
 	Concurrency Concurrency
 	// Search selects BFS (default) or DFS.
 	Search SearchStrategy
-	// NoPrefetch disables the BFS next-bucket prefetch.
+	// NoPrefetch disables the prefetches of §4.3.2: the path search's
+	// prefetch of each bucket it enqueues, the prefetch of both candidate
+	// buckets that starts every lookup, write and delete, and LookupBatch's
+	// prefetch of the keys ahead.
 	NoPrefetch bool
 	// AutoGrow makes write operations react to a full table by growing it
 	// (doubling capacity, briefly stopping the world) instead of returning

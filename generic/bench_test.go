@@ -158,7 +158,7 @@ func BenchmarkDeleteUpsert(b *testing.B) {
 // fill's final tenth of inserts, the densest, and the time they took,
 // timed from the last of the clock readings taken every 2^shift inserts
 // (about 512 a fill) that precedes it.
-func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []*rec) (inserts int, took time.Duration, load float64, keyOfs, last int, lastTook time.Duration) {
+func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []*rec) (inserts int, took time.Duration, load float64, keyOfs, last int, lastTook time.Duration, lastSearches uint64) {
 	tab, err := NewKeyed(Config{InitialCapacity: slots, MaxCapacity: slots, Associativity: assoc,
 		DisableAutoGrow: true},
 		func(r *rec) string { keyOfs++; return r.key })
@@ -167,10 +167,14 @@ func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []
 	}
 	shift := max(0, bits.Len(uint(len(keys)))-10)
 	marks := make([]time.Duration, 0, len(keys)>>shift+1)
+	searches := make([]uint64, 0, len(keys)>>shift+1)
 	start := time.Now()
 	for i, k := range keys {
 		if i&(1<<shift-1) == 0 {
-			marks = append(marks, time.Since(start))
+			now := time.Now()
+			marks = append(marks, now.Sub(start))
+			searches = append(searches, tab.Stats().Searches)
+			start = start.Add(time.Since(now)) // reading the count is not the fill's time
 		}
 		if err := tab.Insert(k, vals[i]); err != nil {
 			if !errors.Is(err, ErrFull) {
@@ -178,7 +182,7 @@ func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []
 			}
 			took = time.Since(start)
 			from := (i - i/10) >> shift
-			return i, took, tab.LoadFactor(), keyOfs, i - from<<shift, took - marks[from]
+			return i, took, tab.LoadFactor(), keyOfs, i - from<<shift, took - marks[from], tab.Stats().Searches - searches[from]
 		}
 	}
 	b.Fatalf("%d keys never filled %d slots", len(keys), slots)
@@ -188,10 +192,10 @@ func fillToRefusal(b *testing.B, assoc int, slots uint64, keys []string, vals []
 // BenchmarkFillToRefusal fills keyed tables of a shard's size and of a
 // DRAM-resident size to their first refusal, whole fills until b.N inserts
 // have been made (at least one), and reports per insert the time and the
-// keyOf calls, the time per insert over each fill's final tenth
-// (ns/insert-last-decile, the dense end where nearly every insert is a path
-// search), and the load at refusal. b.N only says when to stop, so ns/op is
-// suppressed.
+// keyOf calls, the time and the path searches per insert over each fill's
+// final tenth (ns/insert-last-decile and searches/insert-last-decile, the
+// dense end where inserts search paths), and the load at refusal. b.N only
+// says when to stop, so ns/op is suppressed.
 func BenchmarkFillToRefusal(b *testing.B) {
 	for _, slots := range []uint64{2048, 1 << 20} {
 		// One key more than slots: a small table now and then takes every
@@ -206,14 +210,16 @@ func BenchmarkFillToRefusal(b *testing.B) {
 				var inserts, keyOfs, fills, last int
 				var took, lastTook time.Duration
 				var loads float64
+				var lastSearches uint64
 				for inserts < b.N {
-					n, d, load, calls, ln, ld := fillToRefusal(b, assoc, slots, keys, vals)
+					n, d, load, calls, ln, ld, ls := fillToRefusal(b, assoc, slots, keys, vals)
 					inserts, took, loads, keyOfs, fills = inserts+n, took+d, loads+load, keyOfs+calls, fills+1
-					last, lastTook = last+ln, lastTook+ld
+					last, lastTook, lastSearches = last+ln, lastTook+ld, lastSearches+ls
 				}
 				b.ReportMetric(0, "ns/op")
 				b.ReportMetric(float64(took.Nanoseconds())/float64(inserts), "ns/insert")
 				b.ReportMetric(float64(lastTook.Nanoseconds())/float64(last), "ns/insert-last-decile")
+				b.ReportMetric(float64(lastSearches)/float64(last), "searches/insert-last-decile")
 				b.ReportMetric(loads/float64(fills), "load")
 				b.ReportMetric(float64(keyOfs)/float64(inserts), "keyOf/insert")
 			})

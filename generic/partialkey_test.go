@@ -257,15 +257,21 @@ func TestDisplaceMovesSameTagOccupant(t *testing.T) {
 					{bucket: altOf(b, tag, live.buckets), slot: 0},
 				}
 
-				// Between search and shift the slot changes hands.
-				tab.Delete(a)
-				if err := tab.Insert(newcomer, rec{key: newcomer, n: 2}); err != nil {
-					t.Fatal(err)
-				}
+				// Between search and shift the slot changes hands: a moves to
+				// another slot of its bucket and newcomer takes the one the
+				// path names. The slots are written directly, so the change
+				// does not depend on where an insert would place either key.
+				s := int(i % tab.assoc)
+				tab.moveSlot(live, b, (s+1)%int(tab.assoc), live, b, s)
+				tab.place(live, b, s, newcomer, rec{key: newcomer, n: 2}, tagOf(tab.hash(newcomer)))
+				tab.size.Add(b, 1)
 				if _, _, ni, ok := tab.locate(st, tab.hash(newcomer), match(newcomer)); !ok || ni != i {
 					t.Fatalf("%s did not take %s's slot", newcomer, a)
 				}
-				if err := tab.Insert(a, rec{key: a, n: 3}); err != nil {
+				if _, ab, ai, ok := tab.locate(st, tab.hash(a), match(a)); !ok || ab != b || ai == i {
+					t.Fatalf("%s did not move to another slot of bucket %d", a, b)
+				}
+				if err := tab.Upsert(a, rec{key: a, n: 3}); err != nil {
 					t.Fatal(err)
 				}
 

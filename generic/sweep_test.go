@@ -90,18 +90,25 @@ type sweepFill struct {
 }
 
 // modelFill fills a model table of that shape under rule to its first
-// refusal. A slot holds its entry's hash (0 = empty); hashes come from a
-// splitmix64 stream started at seed.
+// refusal, placing as the table does: a key with room in either bucket
+// takes the emptier one, its first on a tie. A slot holds its entry's hash
+// (0 = empty); hashes come from a splitmix64 stream started at seed.
 func modelFill(rule altRule, assoc int, slots, seed uint64) sweepFill {
 	buckets := slots / uint64(assoc)
 	table := make([]uint64, slots)
-	free := func(b uint64) int {
+	// free returns bucket b's first empty slot (-1 if none) and how many
+	// are empty.
+	free := func(b uint64) (first, n int) {
+		first = -1
 		for s, h := range table[b*uint64(assoc) : (b+1)*uint64(assoc)] {
 			if h == 0 {
-				return s
+				if first < 0 {
+					first = s
+				}
+				n++
 			}
 		}
-		return -1
+		return first, n
 	}
 	type node struct {
 		bucket uint64
@@ -121,12 +128,13 @@ func modelFill(rule altRule, assoc int, slots, seed uint64) sweepFill {
 		}
 		b1 := rule.first(h, buckets)
 		b2 := rule.alt(b1, h, buckets, assoc)
-		if s := free(b1); s >= 0 {
-			table[b1*uint64(assoc)+uint64(s)] = h
+		s1, n1 := free(b1)
+		if s2, n2 := free(b2); n2 > n1 {
+			table[b2*uint64(assoc)+uint64(s2)] = h
 			continue
 		}
-		if s := free(b2); s >= 0 {
-			table[b2*uint64(assoc)+uint64(s)] = h
+		if n1 > 0 {
+			table[b1*uint64(assoc)+uint64(s1)] = h
 			continue
 		}
 		// search's BFS: same roots, same budget, same queue bound.
@@ -135,7 +143,7 @@ func modelFill(rule altRule, assoc int, slots, seed uint64) sweepFill {
 		for qi := 0; qi < len(nodes) && examined < maxSearchSlots; qi++ {
 			b := nodes[qi].bucket
 			examined += assoc
-			if free(b) >= 0 {
+			if s, _ := free(b); s >= 0 {
 				found = qi
 				break
 			}
@@ -150,7 +158,8 @@ func modelFill(rule altRule, assoc int, slots, seed uint64) sweepFill {
 			break
 		}
 		// shift: the hole travels from the free slot back to a root.
-		hole := nodes[found].bucket*uint64(assoc) + uint64(free(nodes[found].bucket))
+		s, _ := free(nodes[found].bucket)
+		hole := nodes[found].bucket*uint64(assoc) + uint64(s)
 		length := 0
 		for i := found; nodes[i].parent >= 0; i = int(nodes[i].parent) {
 			from := nodes[nodes[i].parent].bucket*uint64(assoc) + uint64(nodes[i].slot)

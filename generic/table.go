@@ -771,7 +771,8 @@ type liveTarget struct {
 
 // liveSlotFor picks the destination slot for a value landing in the
 // live generation: the pinned path-head slot when reqSlot >= 0,
-// otherwise the first free slot of either candidate. Caller holds the
+// otherwise the first free slot of the emptier candidate, b1 on a tie
+// (its tag words are the ones locate just read). Caller holds the
 // stripes.
 func (t *Table[K, V]) liveSlotFor(live *tArrays[K, V], b1, b2 uint64, reqSlot int) (liveTarget, bool) {
 	if reqSlot >= 0 {
@@ -780,10 +781,12 @@ func (t *Table[K, V]) liveSlotFor(live *tArrays[K, V], b1, b2 uint64, reqSlot in
 		}
 		return liveTarget{bucket: b1, slot: reqSlot}, true
 	}
-	for _, b := range [2]uint64{b1, b2} {
-		if s, ok := t.freeSlot(t.bucketTags(live, b)); ok {
-			return liveTarget{bucket: b, slot: s}, true
-		}
+	b, ws := b1, t.bucketTags(live, b1)
+	if ws2 := t.bucketTags(live, b2); bits.OnesCount32(used(ws2)) < bits.OnesCount32(used(ws)) {
+		b, ws = b2, ws2
+	}
+	if s, ok := t.freeSlot(ws); ok {
+		return liveTarget{bucket: b, slot: s}, true
 	}
 	return liveTarget{}, false
 }

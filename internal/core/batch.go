@@ -1,6 +1,9 @@
 package core
 
-import "cuckoohash/internal/hashfn"
+import (
+	"cuckoohash/internal/hashfn"
+	"cuckoohash/internal/prefetch"
+)
 
 // batchWindow is how far ahead LookupBatch touches candidate buckets before
 // scanning them. Deep enough to overlap a DRAM miss, shallow enough to stay
@@ -15,7 +18,8 @@ const batchWindow = 8
 // lookups into a DRAM-resident table are dependent-miss bound, and because
 // the bucket schedule is known in advance the misses can be overlapped. The
 // implementation touches both candidate buckets of key i+batchWindow before
-// scanning key i, converting serial misses into pipelined ones.
+// scanning key i, converting serial misses into pipelined ones. Like every
+// prefetch of the table it is off when Options.Prefetch is.
 func (t *Table) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 	if len(vals) < len(keys) || len(found) < len(keys) {
 		panic("cuckoo: LookupBatch output slices shorter than keys")
@@ -39,9 +43,11 @@ func (t *Table) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 		if j := i + batchWindow; j < n {
 			hj := t.hash(keys[j])
 			hashes[j%batchWindow] = hj
-			b1, b2 := hashfn.TwoBuckets(hj, arr.buckets)
-			prefetchBucket(arr, b1, t.assoc)
-			prefetchBucket(arr, b2, t.assoc)
+			if t.opts.Prefetch {
+				b1, b2 := hashfn.TwoBuckets(hj, arr.buckets)
+				prefetchBucket(arr, b1, t.assoc)
+				prefetchBucket(arr, b2, t.assoc)
+			}
 		}
 		var v [1]uint64
 		found[i] = t.lookupHashed(keys[i], h, v[:])
@@ -49,8 +55,8 @@ func (t *Table) LookupBatch(keys []uint64, vals []uint64, found []bool) {
 	}
 }
 
-// prefetchBucket warms bucket b's key line with an early read (the value is
-// deliberately discarded), as the BFS does for its frontier.
+// prefetchBucket prefetches bucket b's key line, as the BFS does for each
+// bucket it enqueues.
 func prefetchBucket(arr *arrays, b uint64, assoc uint64) {
-	_ = arr.loadKey(b * assoc)
+	prefetch.Line(&arr.keys[b*assoc])
 }

@@ -87,11 +87,13 @@ type Options struct {
 	Locking LockMode
 	// Search selects BFS (default) or the DFS baseline.
 	Search SearchMode
-	// Prefetch enables the prefetches of §4.3.2: the BFS touches the next
-	// frontier bucket, and Table's lookups, writes and deletes touch the
-	// key line and first value line of both candidate buckets before
-	// reading either. On hardware each is a prefetch instruction; here it
-	// is an early read whose value is discarded (see DESIGN.md §2).
+	// Prefetch enables the prefetches of §4.3.2: the BFS prefetches the
+	// key line of every bucket it enqueues, Table's lookups, writes and
+	// deletes prefetch the key line and first value line of both candidate
+	// buckets before reading either, and LookupBatch prefetches the key
+	// lines of the keys batchWindow ahead. On amd64 each is a PREFETCHT0
+	// instruction; elsewhere it is an early read whose value is discarded
+	// (internal/prefetch, DESIGN.md §2).
 	Prefetch bool
 }
 

@@ -101,6 +101,9 @@ const (
 // their direct array access.
 type bucketReader interface {
 	numBuckets() uint64
+	// prefetch asks for bucket b's occupancy and key line ahead of its
+	// loadOcc; a search inside a transaction prefetches nothing.
+	prefetch(b uint64)
 	// loadOcc is bucket b's occupancy bitmask: *arrays derives it from the
 	// bucket's key line (a zero key word is an empty slot), so a frontier
 	// bucket costs that one line; *TxTable reads its record's bitmap word.
@@ -158,13 +161,6 @@ func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]
 	slotsExamined := 0
 
 	for qi := 0; qi < tail && slotsExamined < budget; qi++ {
-		if f.opts.Prefetch && qi+1 < tail {
-			// Emulated prefetch: touch the next frontier bucket so its
-			// lines are warm when we examine it (see DESIGN.md §2). Go
-			// has no portable prefetch intrinsic; an early read has the
-			// same overlap effect (the values are deliberately discarded).
-			_ = r.slotKey(nodes[qi+1].bucket, 0)
-		}
 		n := nodes[qi]
 		occ := r.loadOcc(n.bucket)
 		slotsExamined += assoc
@@ -184,6 +180,11 @@ func (f *finder) searchBFS(r bucketReader, sc *searchScratch, b1, b2 uint64) ([]
 		r.slotKeys(n.bucket, sc.keys)
 		for s, k := range sc.keys {
 			alt := hashfn.AltBucket(f.hash(k), nb, n.bucket)
+			if f.opts.Prefetch {
+				// §4.3.2: the child waits behind every node queued
+				// before it, and its key line's miss overlaps theirs.
+				r.prefetch(alt)
+			}
 			nodes[tail] = bfsNode{
 				bucket:   alt,
 				pathcode: childCode + uint32(s),

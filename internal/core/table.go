@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/hugepage"
 	"cuckoohash/internal/metrics"
+	"cuckoohash/internal/prefetch"
 	"cuckoohash/internal/spinlock"
+	"cuckoohash/internal/txarena"
 )
 
 // Table is the cuckoo+ hash table: fixed 8-byte keys, fixed-size values of
@@ -134,6 +137,7 @@ func (a *arrays) zeroIdx() uint64 { return a.buckets * a.assoc }
 // With loadOcc below, the bucketReader the unlocked path search reads
 // through.
 func (a *arrays) numBuckets() uint64             { return a.buckets }
+func (a *arrays) prefetch(b uint64)              { prefetch.Line(&a.keys[b*a.assoc]) }
 func (a *arrays) slotKey(b uint64, s int) uint64 { return a.loadKey(b*a.assoc + uint64(s)) }
 func (a *arrays) slotKeys(b uint64, dst []uint64) {
 	for s := range dst {
@@ -164,18 +168,16 @@ func (a *arrays) valWords(i, vw uint64) []uint64 {
 	return a.vals[i*vw : (i+1)*vw]
 }
 
-// touch loads bucket b's key line and the first line of its values and
-// discards what it reads: a software prefetch, since Go has no portable
-// prefetch instruction.
+// touch prefetches bucket b's key line and the first line of its values.
 func (a *arrays) touch(b, vw uint64) {
-	_ = a.loadKey(b * a.assoc)
-	_ = atomic.LoadUint64(&a.vals[b*a.assoc*vw])
+	prefetch.Line(&a.keys[b*a.assoc])
+	prefetch.Line(&a.vals[b*a.assoc*vw])
 }
 
-// touchPair, with Options.Prefetch, touches both candidate buckets before
-// anything reads them, so that their four misses overlap instead of each
-// meeting the scan, the free-slot peek, the lock or the value copy as it
-// gets there.
+// touchPair, with Options.Prefetch, prefetches both candidate buckets
+// before anything reads them, so that their four misses overlap instead of
+// each meeting the scan, the free-slot peek, the lock or the value copy as
+// it gets there.
 func (t *Table) touchPair(arr *arrays, b1, b2 uint64) {
 	if t.opts.Prefetch {
 		arr.touch(b1, t.vw)
@@ -210,6 +212,19 @@ func (a *arrays) freeIn(b uint64) (uint64, bool) {
 func (a *arrays) hasFree(b uint64) bool {
 	_, ok := a.freeIn(b)
 	return ok
+}
+
+// emptier returns the slot index of the first empty slot of whichever of
+// buckets b1 and b2 has more empty slots, b1 on a tie: where a key that
+// needs no path lands. Both key lines were loaded by the duplicate check
+// just before, so the counts cost no miss.
+func (a *arrays) emptier(b1, b2 uint64) (uint64, bool) {
+	b, occ := b1, a.loadOcc(b1)
+	if occ2 := a.loadOcc(b2); bits.OnesCount32(occ2) < bits.OnesCount32(occ) {
+		b, occ = b2, occ2
+	}
+	s, ok := txarena.FreeSlot(occ, int(a.assoc))
+	return b*a.assoc + uint64(s), ok
 }
 
 // entries yields the slot index and key of every stored entry, key 0's slot
@@ -498,9 +513,10 @@ const (
 )
 
 // attemptInPair locks buckets b1 and b2, checks for the key, and inserts
-// into an empty slot if one exists. If reqSlot >= 0, the insert must go
-// into that slot of bucket b1 (used by executePath after freeing it) and
-// the attempt fails with attemptNoSpace if that slot was re-occupied.
+// into an empty slot of the emptier bucket if either has one. If reqSlot >=
+// 0, the insert must go into that slot of bucket b1 (used by executePath
+// after freeing it) and the attempt fails with attemptNoSpace if that slot
+// was re-occupied.
 func (t *Table) attemptInPair(arr *arrays, b1, b2 uint64, key uint64, val []uint64, mode writeMode, reqSlot int) attemptResult {
 	l1, l2 := t.lockPair(b1, b2)
 	defer t.unlockPair(l1, l2)
@@ -526,9 +542,7 @@ func (t *Table) attemptInPair(arr *arrays, b1, b2 uint64, key uint64, val []uint
 		i = arr.slotIdx(b1, reqSlot, t.assoc)
 		ok = arr.loadKey(i) == 0
 	default:
-		if i, ok = arr.freeIn(b1); !ok {
-			i, ok = arr.freeIn(b2)
-		}
+		i, ok = arr.emptier(b1, b2)
 	}
 	if !ok {
 		return attemptNoSpace

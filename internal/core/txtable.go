@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 
 	"cuckoohash/internal/hashfn"
 	"cuckoohash/internal/htm"
@@ -67,6 +68,7 @@ func (t *TxTable) Stats() Stats { return Stats{ProbeStats: t.probe.Snapshot()} }
 // The bucketReader the path search reads through outside a transaction:
 // direct, untracked loads of the arena.
 func (t *TxTable) numBuckets() uint64             { return t.NumBuckets() }
+func (t *TxTable) prefetch(b uint64)              { t.Prefetch(b) }
 func (t *TxTable) loadOcc(b uint64) uint32        { return t.Occ(b) }
 func (t *TxTable) slotKey(b uint64, s int) uint64 { return t.Key(b, s) }
 func (t *TxTable) slotKeys(b uint64, dst []uint64) {
@@ -250,12 +252,15 @@ func (t *TxTable) txAttempt(tx *htm.Txn, b1, b2 uint64, key uint64, val []uint64
 	}
 
 	if len(path) == 0 {
-		// Direct insert into either candidate bucket.
-		for _, b := range [2]uint64{b1, b2} {
-			if s, ok := t.TxFree(tx, b); ok {
-				t.TxPlace(tx, b, s, key, val)
-				return 0, nil
-			}
+		// Direct insert into the emptier candidate bucket, b1 on a tie,
+		// as Table places: the bitmaps are the ones TxFind just read.
+		b, occ := b1, t.TxOcc(tx, b1)
+		if occ2 := t.TxOcc(tx, b2); bits.OnesCount32(occ2) < bits.OnesCount32(occ) {
+			b, occ = b2, occ2
+		}
+		if s, ok := txarena.FreeSlot(occ, int(t.assoc)); ok {
+			t.TxPlace(tx, b, s, key, val)
+			return 0, nil
 		}
 		return 0, errNoSpace
 	}
@@ -282,7 +287,9 @@ func (t *TxTable) txAttempt(tx *htm.Txn, b1, b2 uint64, key uint64, val []uint64
 // txSearch is a search inside a transaction (LockEarly mode): the
 // bucketReader it reads through, whose every read goes through tx so that
 // every bucket the search visits joins the transaction's read set, and
-// what the transaction did, for writeEarly to count once it commits.
+// what the transaction did, for writeEarly to count once it commits. It
+// prefetches nothing: where prefetch.Line is an early load, that load
+// would be a read the transaction does not track.
 type txSearch struct {
 	t        *TxTable
 	tx       *htm.Txn
@@ -292,6 +299,7 @@ type txSearch struct {
 }
 
 func (r *txSearch) numBuckets() uint64             { return r.t.NumBuckets() }
+func (r *txSearch) prefetch(uint64)                {} // see below
 func (r *txSearch) loadOcc(b uint64) uint32        { return r.t.TxOcc(r.tx, b) }
 func (r *txSearch) slotKey(b uint64, s int) uint64 { return r.t.TxKey(r.tx, b, s) }
 func (r *txSearch) slotKeys(b uint64, dst []uint64) {

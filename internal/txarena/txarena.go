@@ -13,6 +13,7 @@ import (
 
 	"cuckoohash/internal/htm"
 	"cuckoohash/internal/metrics"
+	"cuckoohash/internal/prefetch"
 )
 
 // MaxWords bounds an arena: the tables address it with uint32 words, and
@@ -153,6 +154,10 @@ func (a *Buckets) Occ(b uint64) uint32 { return uint32(a.region.LoadDirect(a.occ
 // Key returns the key word of slot (b, s), meaningful only if occupied.
 func (a *Buckets) Key(b uint64, s int) uint64 { return a.region.LoadDirect(a.keyAddr(b, s)) }
 
+// Prefetch asks for the line of bucket b's occupancy bitmap and first keys.
+// It reads nothing, so it joins no transaction's read set.
+func (a *Buckets) Prefetch(b uint64) { prefetch.Line(&a.region.Words()[a.occAddr(b)]) }
+
 // The Tx methods below are the transactional slot operations; each takes
 // the transaction it runs in.
 
@@ -171,11 +176,6 @@ func (a *Buckets) TxFind(tx *htm.Txn, b, key uint64) int {
 		}
 	}
 	return -1
-}
-
-// TxFree returns a free slot of bucket b, if it has one.
-func (a *Buckets) TxFree(tx *htm.Txn, b uint64) (int, bool) {
-	return FreeSlot(a.TxOcc(tx, b), int(a.assoc))
 }
 
 // FreeSlot returns the index of a clear bit in occ below assoc.

@@ -8,8 +8,11 @@
 # wins nine pairs in ten by more than the distance between the base's
 # quartiles. BASE is exported with git archive into .bench_build/ (ignored
 # by git), so both sides build from committed or working-tree source with
-# the benchmark's own run.sh. Prints, per metric, both medians, both
-# quartile distances and the pairs this checkout won. TRACE=1 pairs traced
+# the benchmark's own run.sh. BASE runs twice a pair; its second run is the
+# A/A side, which differs from the first in nothing but when it ran, so its
+# columns are the host's noise beside the gain (as in bench-rung.sh).
+# Prints, per metric, both medians, both quartile distances, the pairs this
+# checkout won, and the A/A median and pairs won. TRACE=1 pairs traced
 # runs instead, whose result line carries the per-layer metrics too (those
 # that are zero in every run, because the workload has no such layer, are
 # left out); gains are still claimed on untraced pairs only.
@@ -42,10 +45,10 @@ one() {
 }
 
 for n in $(seq 1 "$pairs"); do
-	if ((n % 2)); then order="base head"; else order="head base"; fi
+	if ((n % 2)); then order="base head aa"; else order="aa head base"; fi
 	for side in $order; do
 		echo "pair $n/$pairs: $side" >&2
-		if [ "$side" = base ]; then one base "$basedir" "$n"; else one head "$root" "$n"; fi
+		if [ "$side" = head ]; then one head "$root" "$n"; else one "$side" "$basedir" "$n"; fi
 	done
 done
 
@@ -54,11 +57,11 @@ grep -m1 '^host ' "$out/head-1.log"
 # Whether the host backs huge-page advice (internal/hugepage): the bracketed
 # word is the mode, and "never" leaves every table on 4 KiB pages.
 echo "thp $(cat /sys/kernel/mm/transparent_hugepage/enabled 2>/dev/null || echo unknown)"
+echo "a/a is base's own second run each pair: its distance from base is what the host adds"
 # "better" per metric, from BENCHMARK.json (one metric per line there).
 sed -n 's/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' BENCHMARK.json >"$out/better.txt"
 for n in $(seq 1 "$pairs"); do
-	sed "s/^/base $n /" "$out/base-$n.txt"
-	sed "s/^/head $n /" "$out/head-$n.txt"
+	for side in base head aa; do sed "s/^/$side $n /" "$out/$side-$n.txt"; done
 done | awk -v pairs="$pairs" '
 	function quantile(a, n, q,    pos, lo) { pos = (n - 1) * q; lo = int(pos); return a[lo + 1] + (pos - lo) * (a[(lo + 2 > n) ? n : lo + 2] - a[lo + 1]) }
 	function summarize(side, m, res,    n, i, j, t, a) {
@@ -66,18 +69,22 @@ done | awk -v pairs="$pairs" '
 		for (i = 2; i <= pairs; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 		res["med"] = quantile(a, pairs, 0.5); res["iqr"] = quantile(a, pairs, 0.75) - quantile(a, pairs, 0.25)
 	}
+	# won SIDE M: pairs in which SIDE read better than base.
+	function won(side, m,    n, d, w) {
+		for (n = 1; n <= pairs; n++) {
+			d = v[side, n, m] - v["base", n, m]
+			if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) w++
+		}
+		return w + 0
+	}
 	NR == FNR { better[$1] = $2; next }
 	{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 } }
 	END {
-		printf "%-30s %-7s %12s %10s %12s %10s %9s\n", "metric", "better", "base median", "base iqr", "head median", "head iqr", "head won"
+		printf "%-30s %-7s %12s %10s %12s %10s %9s %12s %8s\n", "metric", "better", "base median", "base iqr", "head median", "head iqr", "head won", "a/a median", "a/a won"
 		for (k = 1; k <= nm; k++) {
-			m = order[k]; won = 0
-			for (n = 1; n <= pairs; n++) {
-				d = v["head", n, m] - v["base", n, m]
-				if ((better[m] == "lower" && d < 0) || (better[m] == "higher" && d > 0)) won++
-			}
-			summarize("base", m, b); summarize("head", m, h)
+			m = order[k]
+			summarize("base", m, b); summarize("head", m, h); summarize("aa", m, a)
 			if (b["med"] == 0 && h["med"] == 0 && b["iqr"] == 0 && h["iqr"] == 0) continue
-			printf "%-30s %-7s %12.6g %10.4g %12.6g %10.4g %6d/%d\n", m, better[m], b["med"], b["iqr"], h["med"], h["iqr"], won, pairs
+			printf "%-30s %-7s %12.6g %10.4g %12.6g %10.4g %6d/%-2d %12.6g %5d/%d\n", m, better[m], b["med"], b["iqr"], h["med"], h["iqr"], won("head", m), pairs, a["med"], won("aa", m), pairs
 		}
 	}' "$out/better.txt" -
