@@ -605,10 +605,7 @@ func eq2(sc scale) []cell {
 	var cells []cell
 	for _, assoc := range []int{2, 4, 8, 16} {
 		cells = append(cells, cell{fmt.Sprintf("B=%d", assoc), func() (uint64, []metric) {
-			o := core.Defaults(sc.slots / 4)
-			o.Assoc = assoc
-			for o.Buckets = 2; o.Buckets*uint64(assoc) < sc.slots/4; o.Buckets <<= 1 {
-			}
+			o := core.Sized(sc.slots/4, assoc)
 			o.MaxSearchSlots = m
 			o.Seed = sc.seed
 			tab := core.MustNewTable(o)
@@ -1103,13 +1100,7 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 		b.Run(fmt.Sprintf("%d-way", assoc), func(b *testing.B) {
 			var mops float64
 			for i := 0; i < b.N; i++ {
-				o := core.Defaults(1 << 15)
-				o.Assoc = assoc
-				buckets := uint64(2)
-				for buckets*uint64(assoc) < 1<<15 {
-					buckets <<= 1
-				}
-				o.Buckets = buckets
+				o := core.Sized(1<<15, assoc)
 				o.Seed = 7
 				mops = fillOnce(o, 4)
 			}

@@ -81,28 +81,13 @@ type Conn struct {
 	nc        net.Conn
 	r         *connbuf.Reader
 	w         *connbuf.Writer
-	pending   []opCode
+	pending   int // requests buffered since the last Flush
 	replies   []Reply
 	closed    bool
 	broken    error         // sticky transport failure; nil while healthy
 	ioTimeout time.Duration // per-Flush deadline; 0 = none
 	trace     string        // wire trace ID prefixed to queued requests; "" = untraced
 }
-
-type opCode uint8
-
-const (
-	opGet opCode = iota
-	opSet
-	opDel
-	opTTL
-	opIncr  // INCR/DECR/ADD/MAXUPDATE: all reply OK or ERR
-	opCAS   // OK, MISS, or CONFLICT
-	opGetV  // VALUEV, MISS, or ERR
-	opSetV  // VER or ERR
-	opLease // VALUEV, LEASE, STALE, WAIT, or ERR
-	opSetL  // VER, MISS (fill rejected), or ERR
-)
 
 // Dial connects to a cuckood server with no deadlines configured.
 func Dial(addr string) (*Conn, error) {
@@ -141,7 +126,7 @@ func (c *Conn) Err() error { return c.broken }
 func (c *Conn) fail(err error) error {
 	if c.broken == nil {
 		c.broken = fmt.Errorf("%w: %w", ErrBrokenConn, err)
-		c.pending = c.pending[:0]
+		c.pending = 0
 	}
 	return c.broken
 }
@@ -175,37 +160,55 @@ func notToken(s string) bool {
 	return strings.IndexByte(s, ' ') >= 0 || hasNewline(s)
 }
 
-// queue buffers one request line "<verb> <key>[ <arg>...]" whose reply
-// will be read as class op; every Queue* method is this encoder plus its
-// verb's own argument checks.
-func (c *Conn) queue(op opCode, verb, key string, args ...string) error {
-	if c.broken != nil {
-		return c.broken
-	}
+// checkRequest reports why words cannot be sent as one data-verb request
+// line: the verb, the key, then the verb's arguments in wire order. In a
+// store the last word is the value, which runs to the end of the line: it
+// may hold spaces but no newline. Every other argument must be one
+// non-empty protocol token.
+func checkRequest(store bool, words []string) error {
+	key, args := words[1], words[2:]
 	if err := validKey(key); err != nil {
 		return err
 	}
-	c.writeTrace()
-	c.w.WriteString(verb)
-	c.w.WriteByte(' ')
-	c.w.WriteString(key)
-	for _, a := range args {
-		c.w.WriteByte(' ')
-		c.w.WriteString(a)
+	if store {
+		if hasNewline(args[len(args)-1]) {
+			return fmt.Errorf("client: value for %q contains newline", key)
+		}
+		args = args[:len(args)-1]
 	}
-	c.w.WriteByte('\n')
-	c.pending = append(c.pending, op)
+	for _, a := range args {
+		if a == "" || notToken(a) {
+			return fmt.Errorf("client: %s argument %q must be one token", words[0], a)
+		}
+	}
 	return nil
 }
 
-// queueStore buffers a SET-shaped request: args in wire order, the last
-// of them the value, which runs to the end of the line and so must not
-// contain a newline.
-func (c *Conn) queueStore(op opCode, verb, key string, args ...string) error {
-	if hasNewline(args[len(args)-1]) {
-		return fmt.Errorf("client: value for %q contains newline", key)
+// writeRequest writes words, joined by spaces, and a newline to w.
+func writeRequest(w *connbuf.Writer, words []string) {
+	w.WriteString(words[0])
+	for _, word := range words[1:] {
+		w.WriteByte(' ')
+		w.WriteString(word)
 	}
-	return c.queue(op, verb, key, args...)
+	w.WriteByte('\n')
+}
+
+// queue buffers the request line of words for the next Flush, behind the
+// trace prefix; store marks a last word that is a value (checkRequest).
+// Every Queue* method is this and the words its verb spells, and a Txn
+// checks and writes its ops with the same two functions.
+func (c *Conn) queue(store bool, words ...string) error {
+	if c.broken != nil {
+		return c.broken
+	}
+	if err := checkRequest(store, words); err != nil {
+		return err
+	}
+	c.writeTrace()
+	writeRequest(c.w, words)
+	c.pending++
+	return nil
 }
 
 // ttlMillis renders ttl as the wire's whole-millisecond word, rounding
@@ -218,34 +221,34 @@ func ttlMillis(ttl time.Duration) string {
 }
 
 // QueueGet buffers a GET request.
-func (c *Conn) QueueGet(key string) error { return c.queue(opGet, "GET", key) }
+func (c *Conn) QueueGet(key string) error { return c.queue(false, "GET", key) }
 
 // QueueSet buffers a SET (ttl == 0) or SETEX request. The value must not
 // contain newlines; ttl is rounded up to a whole millisecond.
 func (c *Conn) QueueSet(key, val string, ttl time.Duration) error {
 	if ttl <= 0 {
-		return c.queueStore(opSet, "SET", key, val)
+		return c.queue(true, "SET", key, val)
 	}
-	return c.queueStore(opSet, "SETEX", key, ttlMillis(ttl), val)
+	return c.queue(true, "SETEX", key, ttlMillis(ttl), val)
 }
 
 // QueueDel buffers a DEL request.
-func (c *Conn) QueueDel(key string) error { return c.queue(opDel, "DEL", key) }
+func (c *Conn) QueueDel(key string) error { return c.queue(false, "DEL", key) }
 
 // QueueGetV buffers a GETV request: a GET whose hit reply carries the
 // entry's replication version word.
-func (c *Conn) QueueGetV(key string) error { return c.queue(opGetV, "GETV", key) }
+func (c *Conn) QueueGetV(key string) error { return c.queue(false, "GETV", key) }
 
 // QueueSetV buffers a SETV request: a SET acknowledged with the write's
 // version word (ttl 0 = no expiry; rounded up to a whole millisecond).
 func (c *Conn) QueueSetV(key, val string, ttl time.Duration) error {
-	return c.queueStore(opSetV, "SETV", key, ttlMillis(ttl), val)
+	return c.queue(true, "SETV", key, ttlMillis(ttl), val)
 }
 
 // QueueLease buffers a LEASE request: a GET that, on a miss, enters the
 // server's fill-lease protocol instead of returning MISS. The reply is
 // a VALUEV hit, a granted LEASE token, a STALE copy, or a WAIT hint.
-func (c *Conn) QueueLease(key string) error { return c.queue(opLease, "LEASE", key) }
+func (c *Conn) QueueLease(key string) error { return c.queue(false, "LEASE", key) }
 
 // QueueSetLease buffers a SETL request: the lease winner's fill,
 // publishing val under the token a LEASE grant handed out. A MISS reply
@@ -255,14 +258,14 @@ func (c *Conn) QueueSetLease(key string, token uint64, val string, ttl time.Dura
 	if token == 0 {
 		return fmt.Errorf("client: zero lease token for %q", key)
 	}
-	return c.queueStore(opSetL, "SETL", key, strconv.FormatUint(token, 16), ttlMillis(ttl), val)
+	return c.queue(true, "SETL", key, strconv.FormatUint(token, 16), ttlMillis(ttl), val)
 }
 
 // QueueTTL buffers a TTL query.
-func (c *Conn) QueueTTL(key string) error { return c.queue(opTTL, "TTL", key) }
+func (c *Conn) QueueTTL(key string) error { return c.queue(false, "TTL", key) }
 
 // Pending returns the number of queued, unflushed requests.
-func (c *Conn) Pending() int { return len(c.pending) }
+func (c *Conn) Pending() int { return c.pending }
 
 // Flush sends every queued request in one write and reads their replies
 // in order. The returned slice is reused by the next Flush. A non-nil
@@ -276,7 +279,7 @@ func (c *Conn) Flush() ([]Reply, error) {
 	if c.broken != nil {
 		return nil, c.broken
 	}
-	if len(c.pending) == 0 {
+	if c.pending == 0 {
 		return nil, nil
 	}
 	if c.ioTimeout > 0 {
@@ -286,24 +289,24 @@ func (c *Conn) Flush() ([]Reply, error) {
 		return nil, c.fail(err)
 	}
 	c.replies = c.replies[:0]
-	for _, op := range c.pending {
+	for range c.pending {
 		if c.ioTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(c.ioTimeout))
 		}
-		rep, err := c.readReply(op)
+		rep, err := c.readReply()
 		if err != nil {
 			return nil, c.fail(err)
 		}
 		c.replies = append(c.replies, rep)
 	}
-	c.pending = c.pending[:0]
+	c.pending = 0
 	if c.ioTimeout > 0 {
 		c.nc.SetDeadline(time.Time{})
 	}
 	return c.replies, nil
 }
 
-func (c *Conn) readReply(op opCode) (Reply, error) {
+func (c *Conn) readReply() (Reply, error) {
 	line, err := c.readLine()
 	if err != nil {
 		return Reply{}, err
@@ -368,7 +371,7 @@ func (c *Conn) readReply(op opCode) (Reply, error) {
 	case strings.HasPrefix(line, "ERR "):
 		return Reply{Err: &ServerError{Msg: line[len("ERR "):]}}, nil
 	}
-	return Reply{}, fmt.Errorf("client: unexpected reply %q for op %d", line, op)
+	return Reply{}, fmt.Errorf("client: unexpected reply %q", line)
 }
 
 // cutUint splits "<uint> <rest>" where rest may contain spaces, parsing
@@ -465,7 +468,7 @@ func (c *Conn) exchange(verb string, floor time.Duration, write func(), read fun
 		return ErrClosed
 	case c.broken != nil:
 		return c.broken
-	case len(c.pending) > 0:
+	case c.pending > 0:
 		return fmt.Errorf("client: %s with requests still queued", verb)
 	}
 	if c.ioTimeout > 0 {
@@ -836,7 +839,7 @@ func (p *Pool) Get() (*Conn, error) {
 // discarded instead; Discard does both explicitly.
 func (p *Pool) Put(c *Conn) {
 	p.mu.Lock()
-	if p.done || c.closed || c.broken != nil || len(c.pending) > 0 {
+	if p.done || c.closed || c.broken != nil || c.pending > 0 {
 		done := p.done
 		p.mu.Unlock()
 		c.Close()

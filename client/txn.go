@@ -26,23 +26,20 @@ var ErrTxnAborted = errors.New("client: transaction aborted")
 // request: key's integer value changes by delta, starting from 0 for a
 // missing key.
 func (c *Conn) QueueIncr(key string, delta int64) error {
-	return c.queue(opIncr, "INCR", key, strconv.FormatInt(delta, 10))
+	return c.queue(false, "INCR", key, strconv.FormatInt(delta, 10))
 }
 
 // QueueMaxUpdate buffers a MAXUPDATE request: key's integer value becomes
 // max(current, val), treating a missing key as 0.
 func (c *Conn) QueueMaxUpdate(key string, val int64) error {
-	return c.queue(opIncr, "MAXUPDATE", key, strconv.FormatInt(val, 10))
+	return c.queue(false, "MAXUPDATE", key, strconv.FormatInt(val, 10))
 }
 
 // QueueCAS buffers a CAS request: key's value becomes newVal only if it
 // currently equals old. old is a single protocol token (no spaces);
 // newVal may contain spaces but not newlines.
 func (c *Conn) QueueCAS(key, old, newVal string) error {
-	if old == "" || notToken(old) {
-		return fmt.Errorf("client: CAS expected value %q must be one token", old)
-	}
-	return c.queueStore(opCAS, "CAS", key, old, newVal)
+	return c.queue(true, "CAS", key, old, newVal)
 }
 
 // Incr adds delta to key's integer value (negative deltas subtract).
@@ -76,10 +73,8 @@ func casResult(rep Reply, err error) (stored, found bool, _ error) {
 // the Txn and is returned by Exec, so call sites can build the whole
 // transaction without per-op error checks.
 type Txn struct {
-	keys  []string
-	lines []string
-	codes []opCode
-	err   error
+	ops [][]string // each op's request-line words (checkRequest)
+	err error
 }
 
 // NewTxn returns an empty transaction builder.
@@ -91,9 +86,10 @@ func (t *Txn) Err() error { return t.err }
 // Keys returns the distinct keys the transaction touches, in first-use
 // order (the cluster router uses this to pin the transaction to a node).
 func (t *Txn) Keys() []string {
-	seen := make(map[string]struct{}, len(t.keys))
-	out := make([]string, 0, len(t.keys))
-	for _, k := range t.keys {
+	seen := make(map[string]struct{}, len(t.ops))
+	out := make([]string, 0, len(t.ops))
+	for _, op := range t.ops {
+		k := op[1]
 		if _, dup := seen[k]; !dup {
 			seen[k] = struct{}{}
 			out = append(out, k)
@@ -102,66 +98,45 @@ func (t *Txn) Keys() []string {
 	return out
 }
 
-func (t *Txn) add(key, line string, code opCode) *Txn {
-	if t.err != nil {
-		return t
+// add queues the request line of words after the checks Conn.queue
+// makes of it.
+func (t *Txn) add(store bool, words ...string) *Txn {
+	if t.err == nil {
+		if t.err = checkRequest(store, words); t.err == nil {
+			t.ops = append(t.ops, words)
+		}
 	}
-	if err := validKey(key); err != nil {
-		t.err = err
-		return t
-	}
-	t.keys = append(t.keys, key)
-	t.lines = append(t.lines, line)
-	t.codes = append(t.codes, code)
 	return t
 }
 
 // Get queues a read; its EXEC result carries the value.
-func (t *Txn) Get(key string) *Txn {
-	return t.add(key, "GET "+key, opGet)
-}
+func (t *Txn) Get(key string) *Txn { return t.add(false, "GET", key) }
 
 // Set queues a write (ttl 0 = no expiry).
 func (t *Txn) Set(key, val string, ttl time.Duration) *Txn {
-	if t.err == nil && hasNewline(val) {
-		t.err = fmt.Errorf("client: value for %q contains newline", key)
-		return t
-	}
 	if ttl <= 0 {
-		return t.add(key, "SET "+key+" "+val, opSet)
+		return t.add(true, "SET", key, val)
 	}
-	return t.add(key, "SETEX "+key+" "+ttlMillis(ttl)+" "+val, opSet)
+	return t.add(true, "SETEX", key, ttlMillis(ttl), val)
 }
 
 // Del queues a delete; its EXEC result is Found when the key existed.
-func (t *Txn) Del(key string) *Txn {
-	return t.add(key, "DEL "+key, opDel)
-}
+func (t *Txn) Del(key string) *Txn { return t.add(false, "DEL", key) }
 
 // Incr queues an increment by delta (negative subtracts; missing keys
 // start at 0).
 func (t *Txn) Incr(key string, delta int64) *Txn {
-	return t.add(key, fmt.Sprintf("INCR %s %d", key, delta), opIncr)
+	return t.add(false, "INCR", key, strconv.FormatInt(delta, 10))
 }
 
 // MaxUpdate queues a monotonic raise to val.
 func (t *Txn) MaxUpdate(key string, val int64) *Txn {
-	return t.add(key, fmt.Sprintf("MAXUPDATE %s %d", key, val), opIncr)
+	return t.add(false, "MAXUPDATE", key, strconv.FormatInt(val, 10))
 }
 
 // CAS queues a compare-and-set; its EXEC result is Found on success,
 // Conflict on a value mismatch, neither on a missing key.
-func (t *Txn) CAS(key, old, newVal string) *Txn {
-	if t.err == nil && (old == "" || notToken(old)) {
-		t.err = fmt.Errorf("client: CAS expected value %q must be one token", old)
-		return t
-	}
-	if t.err == nil && hasNewline(newVal) {
-		t.err = fmt.Errorf("client: value for %q contains newline", key)
-		return t
-	}
-	return t.add(key, "CAS "+key+" "+old+" "+newVal, opCAS)
-}
+func (t *Txn) CAS(key, old, newVal string) *Txn { return t.add(true, "CAS", key, old, newVal) }
 
 // ExecTxn runs t as one MULTI…EXEC exchange and returns the per-op
 // results in queue order. The ops execute atomically on the server: reads
@@ -171,18 +146,18 @@ func (t *Txn) CAS(key, old, newVal string) *Txn {
 // sequence, so a transport failure mid-exchange breaks the Conn exactly
 // like a failed Flush would.
 func (c *Conn) ExecTxn(t *Txn) ([]Reply, error) {
-	if t.err != nil || len(t.lines) == 0 {
+	if t.err != nil || len(t.ops) == 0 {
 		return nil, t.err
 	}
 	var replies []Reply
 	err := c.exchange("MULTI", 0, func() {
 		c.w.WriteString("MULTI\n")
-		for _, line := range t.lines {
-			c.w.WriteString(line)
-			c.w.WriteByte('\n')
+		for _, op := range t.ops {
+			writeRequest(c.w, op)
 		}
 		// The trace rides on the EXEC line: that is the request whose span
-		// covers the transaction's OCC retries and commit.
+		// covers the transaction's section wait, commit and any room made
+		// for a key that found none.
 		c.writeTrace()
 		c.w.WriteString("EXEC\n")
 	}, func() error {
@@ -192,7 +167,7 @@ func (c *Conn) ExecTxn(t *Txn) ([]Reply, error) {
 		// its own line; the count is fixed either way, so all of them are
 		// read before any is reported and the stream stays in sync.
 		var refused, queueErr error
-		for i := 0; i <= len(t.lines); i++ {
+		for i := 0; i <= len(t.ops); i++ {
 			line, err := c.readLine()
 			if err != nil {
 				return err
@@ -217,12 +192,12 @@ func (c *Conn) ExecTxn(t *Txn) ([]Reply, error) {
 		case !ok:
 			return c.unexpected(line)
 		}
-		if n, err := strconv.Atoi(count); err != nil || n != len(t.lines) {
-			return c.fail(fmt.Errorf("client: bad EXEC header %q for %d ops", line, len(t.lines)))
+		if n, err := strconv.Atoi(count); err != nil || n != len(t.ops) {
+			return c.fail(fmt.Errorf("client: bad EXEC header %q for %d ops", line, len(t.ops)))
 		}
-		out := make([]Reply, len(t.codes))
-		for i, code := range t.codes {
-			if out[i], err = c.readReply(code); err != nil {
+		out := make([]Reply, len(t.ops))
+		for i := range out {
+			if out[i], err = c.readReply(); err != nil {
 				return c.fail(err)
 			}
 		}

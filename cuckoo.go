@@ -16,13 +16,13 @@
 //
 // # Choosing a table
 //
-//   - NewMap: the production table (fine-grained locking by default).
-//   - NewElidedMap: the same algorithm under a single coarse lock with
-//     emulated hardware-transactional-memory lock elision, matching §5 of
-//     the paper. Primarily for experiments; the fine-grained Map is the
-//     portable choice.
+//   - NewMap: the paper's cuckoo+ table (§4) with fine-grained locking.
 //   - package generic: arbitrary key/value types with locked reads and
 //     automatic resizing, the libcuckoo-style general-purpose variant (§7).
+//
+// The paper's other configurations (the §5 lock-elided table and the
+// factor-analysis modes of Fig. 5) are internal/core options that the
+// figure benchmarks and examples/tsxlab build directly.
 //
 // # Example
 //
@@ -36,7 +36,6 @@ import (
 	"errors"
 
 	"cuckoohash/internal/core"
-	"cuckoohash/internal/htm"
 )
 
 // Errors returned by table operations.
@@ -46,30 +45,6 @@ var (
 	ErrFull = core.ErrFull
 	// ErrExists is returned by Insert when the key is already present.
 	ErrExists = core.ErrExists
-)
-
-// Concurrency selects the writer concurrency-control scheme of a Map.
-type Concurrency int
-
-const (
-	// FineGrained uses striped per-bucket-pair spinlocks (§4.4); the
-	// default and the best scaling choice.
-	FineGrained Concurrency = iota
-	// GlobalLock serializes writers on one lock while keeping the
-	// optimistic lock-free readers and the out-of-lock path search. It is
-	// the paper's "+lock later" configuration and is mainly useful for
-	// comparison.
-	GlobalLock
-)
-
-// SearchStrategy selects how inserts look for an empty slot.
-type SearchStrategy int
-
-const (
-	// BFS is the paper's breadth-first path search (§4.3.2); default.
-	BFS SearchStrategy = iota
-	// DFS is the MemC3-style random-walk search, retained for experiments.
-	DFS
 )
 
 // Config configures a Map. The zero value of every field selects a sound
@@ -83,58 +58,30 @@ type Config struct {
 	Associativity int
 	// ValueWords is the value size in 8-byte words (default 1).
 	ValueWords int
-	// LockStripes is the size of the striped lock table (default 4096).
-	LockStripes int
-	// MaxSearchSlots is the insert search budget M (default 2000).
-	MaxSearchSlots int
 	// Seed perturbs the hash function (default 0: fixed hash).
 	Seed uint64
-	// Concurrency selects FineGrained (default) or GlobalLock.
-	Concurrency Concurrency
-	// Search selects BFS (default) or DFS.
-	Search SearchStrategy
-	// NoPrefetch disables the prefetches of §4.3.2: the path search's
-	// prefetch of each bucket it enqueues, the prefetch of both candidate
-	// buckets that starts every lookup, write and delete, and LookupBatch's
-	// prefetch of the keys ahead.
-	NoPrefetch bool
 	// AutoGrow makes write operations react to a full table by growing it
 	// (doubling capacity, briefly stopping the world) instead of returning
 	// ErrFull.
 	AutoGrow bool
 }
 
+// coreOptions is the table NewMap builds for c: the paper's defaults
+// (BFS with prefetch, 4096 stripes, M = 2000, fine-grained locking) sized
+// for Capacity at Associativity.
 func (c Config) coreOptions() (core.Options, error) {
 	if c.Capacity == 0 {
 		return core.Options{}, errors.New("cuckoohash: Config.Capacity is required")
 	}
-	o := core.Defaults(c.Capacity)
+	assoc := 8
 	if c.Associativity != 0 {
-		// Re-derive the bucket count for the requested associativity.
-		o.Assoc = c.Associativity
-		buckets := uint64(2)
-		for buckets*uint64(c.Associativity) < c.Capacity {
-			buckets <<= 1
-		}
-		o.Buckets = buckets
+		assoc = c.Associativity
 	}
+	o := core.Sized(c.Capacity, assoc)
 	if c.ValueWords != 0 {
 		o.ValueWords = c.ValueWords
 	}
-	if c.LockStripes != 0 {
-		o.Stripes = c.LockStripes
-	}
-	if c.MaxSearchSlots != 0 {
-		o.MaxSearchSlots = c.MaxSearchSlots
-	}
 	o.Seed = c.Seed
-	if c.Concurrency == GlobalLock {
-		o.Locking = core.LockGlobal
-	}
-	if c.Search == DFS {
-		o.Search = core.SearchDFS
-	}
-	o.Prefetch = !c.NoPrefetch
 	return o, nil
 }
 
@@ -263,87 +210,3 @@ func (m *Map) Stats() Stats { return m.t.Stats() }
 // shards — the "no pointers" memory story of the paper. TestMemoryFootprint
 // holds it to within 1% of the live heap a new Map takes.
 func (m *Map) MemoryFootprint() uint64 { return m.t.MemoryFootprint() }
-
-// ElisionPolicy selects the lock-elision retry strategy of an ElidedMap.
-type ElisionPolicy int
-
-const (
-	// ElisionTuned is the paper's TSX* policy (Appendix A): aggressive
-	// retry tuned for the short transactions of the optimized table.
-	ElisionTuned ElisionPolicy = iota
-	// ElisionGlibc is the released glibc policy: conservative, falls back
-	// to the serializing lock on any abort without the retry hint.
-	ElisionGlibc
-	// ElisionNone disables speculation: every operation takes the coarse
-	// lock (the naive global-lock baseline of §2.3).
-	ElisionNone
-)
-
-func (p ElisionPolicy) htm() htm.Policy {
-	switch p {
-	case ElisionGlibc:
-		return htm.PolicyGlibc
-	case ElisionNone:
-		return htm.PolicyNone
-	default:
-		return htm.PolicyTuned
-	}
-}
-
-// ElidedMap is cuckoo+ under a single coarse lock with emulated
-// hardware-transactional-memory lock elision (§5 of the paper). Its
-// capacity is fixed at creation. See the htm package note in DESIGN.md for
-// what the software emulation preserves of real Intel TSX.
-type ElidedMap struct {
-	t *core.TxTable
-}
-
-// NewElidedMap creates an ElidedMap.
-func NewElidedMap(cfg Config, policy ElisionPolicy) (*ElidedMap, error) {
-	o, err := cfg.coreOptions()
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.NewTxTable(o, policy.htm(), htm.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &ElidedMap{t: t}, nil
-}
-
-// MustNewElidedMap panics on error.
-func MustNewElidedMap(cfg Config, policy ElisionPolicy) *ElidedMap {
-	m, err := NewElidedMap(cfg, policy)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Insert adds key, failing with ErrExists or ErrFull.
-func (m *ElidedMap) Insert(key, val uint64) error { return m.t.Insert(key, val) }
-
-// Upsert inserts or overwrites key.
-func (m *ElidedMap) Upsert(key, val uint64) error { return m.t.Upsert(key, val) }
-
-// Lookup returns the value for key.
-func (m *ElidedMap) Lookup(key uint64) (uint64, bool) { return m.t.Lookup(key) }
-
-// Delete removes key, reporting whether it was present.
-func (m *ElidedMap) Delete(key uint64) bool { return m.t.Delete(key) }
-
-// Len returns the number of stored keys.
-func (m *ElidedMap) Len() uint64 { return m.t.Len() }
-
-// Cap returns the number of slots.
-func (m *ElidedMap) Cap() uint64 { return m.t.Cap() }
-
-// LoadFactor returns Len/Cap.
-func (m *ElidedMap) LoadFactor() float64 { return m.t.LoadFactor() }
-
-// Stats returns the map's operational counters.
-func (m *ElidedMap) Stats() Stats { return m.t.Stats() }
-
-// TxStats reports the transactional execution counters (commits, aborts by
-// cause, fallback-lock acquisitions), the §2.3-style abort-rate evidence.
-func (m *ElidedMap) TxStats() htm.Stats { return m.t.Region().Stats() }

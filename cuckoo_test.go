@@ -19,29 +19,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1024, Associativity: 33}); err == nil {
 		t.Fatal("Associativity 33 accepted")
 	}
-	if _, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1024, LockStripes: 3}); err == nil {
-		t.Fatal("non-power-of-two LockStripes accepted")
-	}
-	if _, err := cuckoohash.NewElidedMap(cuckoohash.Config{}, cuckoohash.ElisionTuned); err == nil {
-		t.Fatal("ElidedMap: zero Capacity accepted")
-	}
-	if _, err := cuckoohash.NewElidedMap(cuckoohash.Config{Capacity: 1024, LockStripes: 3}, cuckoohash.ElisionTuned); err == nil {
-		t.Fatal("ElidedMap: non-power-of-two LockStripes accepted")
-	}
-	for name, mustNew := range map[string]func(){
-		"MustNewMap":       func() { cuckoohash.MustNewMap(cuckoohash.Config{}) },
-		"MustNewElidedMap": func() { cuckoohash.MustNewElidedMap(cuckoohash.Config{}, cuckoohash.ElisionTuned) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted a zero Capacity", name)
-				}
-			}()
-			mustNew()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("MustNewMap accepted a zero Capacity")
+			}
 		}()
-	}
-	m, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1000, MaxSearchSlots: 100})
+		cuckoohash.MustNewMap(cuckoohash.Config{})
+	}()
+	m, err := cuckoohash.NewMap(cuckoohash.Config{Capacity: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,54 +144,10 @@ func TestPublicMultiWordValues(t *testing.T) {
 	}
 }
 
-func TestGlobalLockMode(t *testing.T) {
-	m := cuckoohash.MustNewMap(cuckoohash.Config{
-		Capacity:    1 << 12,
-		Concurrency: cuckoohash.GlobalLock,
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint64(w+1) << 32
-			for i := uint64(0); i < 800; i++ {
-				if err := m.Insert(base|i, i); err != nil {
-					t.Errorf("Insert: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if m.Len() != 3200 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	// The whole-table operations take the global lock too.
-	if err := m.Grow(); err != nil || m.Cap() != 1<<13 || m.Len() != 3200 {
-		t.Fatalf("Grow = %v: Cap %d, Len %d", err, m.Cap(), m.Len())
-	}
-	visited := 0
-	m.Range(func(key uint64, val []uint64) bool {
-		visited++
-		return visited < 10
-	})
-	if visited != 10 {
-		t.Fatalf("Range visited %d entries after fn said stop at 10", visited)
-	}
-	m.Clear()
-	if m.Len() != 0 || m.Contains(1<<32) {
-		t.Fatalf("after Clear: Len %d", m.Len())
-	}
-}
-
-func TestDFSAndNoPrefetchModes(t *testing.T) {
+// TestAssociativityConfigs fills a Map to 90% at the bucket widths other
+// than the default and reads every key back.
+func TestAssociativityConfigs(t *testing.T) {
 	for _, cfg := range []cuckoohash.Config{
-		{Capacity: 1 << 12, Search: cuckoohash.DFS},
-		{Capacity: 1 << 12, NoPrefetch: true},
 		{Capacity: 1 << 12, Associativity: 4},
 		{Capacity: 1 << 12, Associativity: 16},
 	} {
@@ -220,61 +162,6 @@ func TestDFSAndNoPrefetchModes(t *testing.T) {
 			if v, ok := m.Lookup(i + 1); !ok || v != i {
 				t.Fatalf("cfg %+v Lookup(%d) = %d,%v", cfg, i+1, v, ok)
 			}
-		}
-	}
-}
-
-func TestElidedMapAllPolicies(t *testing.T) {
-	for _, p := range []cuckoohash.ElisionPolicy{
-		cuckoohash.ElisionTuned, cuckoohash.ElisionGlibc, cuckoohash.ElisionNone,
-	} {
-		m := cuckoohash.MustNewElidedMap(cuckoohash.Config{Capacity: 1 << 12}, p)
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				base := uint64(w+1) << 32
-				for i := uint64(0); i < 500; i++ {
-					if err := m.Insert(base|i, i); err != nil {
-						t.Errorf("Insert: %v", err)
-						return
-					}
-					if v, ok := m.Lookup(base | i); !ok || v != i {
-						t.Errorf("Lookup(%d) = %d,%v", base|i, v, ok)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		if m.Len() != 2000 {
-			t.Fatalf("policy %v: Len = %d", p, m.Len())
-		}
-		if err := m.Upsert(1<<32, 7); err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := m.Lookup(1 << 32); v != 7 {
-			t.Fatalf("policy %v: after Upsert Lookup = %d", p, v)
-		}
-		if !m.Delete(1<<32) || m.Delete(1<<32) {
-			t.Fatalf("policy %v: Delete semantics", p)
-		}
-		if lf := m.LoadFactor(); lf != float64(1999)/float64(m.Cap()) || m.Cap() != 1<<12 {
-			t.Fatalf("policy %v: LoadFactor %v, Cap %d with 1999 keys", p, lf, m.Cap())
-		}
-		if g := m.Stats().Grows; g != 0 {
-			t.Fatalf("policy %v: fixed-capacity map grew %d times", p, g)
-		}
-		ts := m.TxStats()
-		if p == cuckoohash.ElisionNone && ts.Commits != 0 {
-			t.Fatalf("ElisionNone speculated: %+v", ts)
-		}
-		if p != cuckoohash.ElisionNone && ts.Commits == 0 {
-			t.Fatalf("policy %v never committed speculatively: %+v", p, ts)
 		}
 	}
 }

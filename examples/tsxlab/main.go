@@ -99,8 +99,7 @@ func main() {
 	for _, p := range []htm.Policy{htm.PolicyNone, htm.PolicyGlibc, htm.PolicyTuned} {
 		// MemC3's table: 4-way buckets, its random-walk search, and the
 		// writer lock (here, the one transaction) taken before the search.
-		o := core.Defaults(slots)
-		o.Assoc, o.Buckets = 4, 2*o.Buckets
+		o := core.Sized(slots, 4)
 		o.Locking, o.Search, o.Prefetch = core.LockEarly, core.SearchDFS, false
 		tab := core.MustNewTxTable(o, p, cfg)
 		prefill(tab.Cap(), tab.Insert)

@@ -67,21 +67,14 @@ type coreKV struct{ *core.Table }
 func (a coreKV) Insert(k, v uint64) error { return stopIfFull(a.Table.Insert(k, v)) }
 
 func coreOptions(slots uint64, valueWords int, seed uint64) core.Options {
-	o := core.Defaults(slots)
-	o.ValueWords = valueWords
-	o.Seed = seed
-	return o
+	return assocOptions(slots, valueWords, 8, seed)
 }
 
-// assocOptions is coreOptions at set-associativity assoc, with the bucket
-// count re-derived for slots.
+// assocOptions is coreOptions at set-associativity assoc.
 func assocOptions(slots uint64, valueWords, assoc int, seed uint64) core.Options {
-	o := coreOptions(slots, valueWords, seed)
-	o.Assoc = assoc
-	o.Buckets = 2
-	for o.Buckets*uint64(assoc) < slots {
-		o.Buckets <<= 1
-	}
+	o := core.Sized(slots, assoc)
+	o.ValueWords = valueWords
+	o.Seed = seed
 	return o
 }
 

@@ -98,13 +98,17 @@ type Options struct {
 }
 
 // Defaults returns the paper's default configuration scaled to the given
-// slot count: 8-way buckets, 4096 lock stripes, M = 2000, BFS with
-// prefetch, fine-grained locking.
-func Defaults(slots uint64) Options {
-	const assoc = 8
-	buckets := ceilPow2((slots + assoc - 1) / assoc)
+// slot count: Sized(slots, 8).
+func Defaults(slots uint64) Options { return Sized(slots, 8) }
+
+// Sized returns the paper's defaults at set-associativity assoc for the
+// given slot count: the smallest power-of-two bucket count (at least 2)
+// that holds slots, 4096 lock stripes, M = 2000, BFS with prefetch,
+// fine-grained locking.
+func Sized(slots uint64, assoc int) Options {
+	a := uint64(assoc)
 	return Options{
-		Buckets:        buckets,
+		Buckets:        ceilPow2((slots + a - 1) / a),
 		Assoc:          assoc,
 		ValueWords:     1,
 		Stripes:        4096,

@@ -41,6 +41,22 @@ func TestInsertLookupBasic(t *testing.T) {
 		if !tab.Delete(1) || tab.Delete(1) || tab.Len() != 499 {
 			t.Fatalf("locking=%v: Delete semantics or Len wrong", locking)
 		}
+		// Grow, Range's early stop and Clear, in every locking mode.
+		if err := tab.Grow(); err != nil || tab.Cap() != 2<<10 || tab.Len() != 499 {
+			t.Fatalf("locking=%v: Grow = %v: Cap %d, Len %d", locking, err, tab.Cap(), tab.Len())
+		}
+		visited := 0
+		tab.Range(func(uint64, []uint64) bool {
+			visited++
+			return visited < 10
+		})
+		if visited != 10 {
+			t.Fatalf("locking=%v: Range visited %d entries after fn said stop at 10", locking, visited)
+		}
+		tab.Clear()
+		if tab.Len() != 0 || tab.Contains(2) {
+			t.Fatalf("locking=%v: after Clear: Len %d", locking, tab.Len())
+		}
 	}
 }
 
@@ -89,23 +105,38 @@ func TestUpdateDelete(t *testing.T) {
 }
 
 // TestFillTo95 verifies the paper's occupancy claim: with 8-way buckets the
-// table fills past 95% before returning ErrFull.
+// table fills past 95% before returning ErrFull, with either search and
+// with the prefetches off, and every accepted key reads back.
 func TestFillTo95(t *testing.T) {
-	for _, search := range []SearchMode{SearchBFS, SearchDFS} {
+	for _, c := range []struct {
+		name     string
+		search   SearchMode
+		prefetch bool
+	}{
+		{"BFS", SearchBFS, true},
+		{"DFS", SearchDFS, true},
+		{"BFS no prefetch", SearchBFS, false},
+	} {
 		o := testOptions(1 << 14)
-		o.Search = search
+		o.Search, o.Prefetch = c.search, c.prefetch
 		tab := MustNewTable(o)
 		gen := workload.NewSequentialKeys(1)
-		var inserted uint64
+		var keys []uint64
 		for {
-			if err := tab.Insert(gen.NextKey(), 1); err != nil {
+			k := gen.NextKey()
+			if err := tab.Insert(k, k^1); err != nil {
 				break
 			}
-			inserted++
+			keys = append(keys, k)
 		}
-		lf := float64(inserted) / float64(tab.Cap())
+		lf := float64(len(keys)) / float64(tab.Cap())
 		if lf < 0.95 {
-			t.Fatalf("search=%v: table full at load factor %.3f, want >= 0.95", search, lf)
+			t.Fatalf("%s: table full at load factor %.3f, want >= 0.95", c.name, lf)
+		}
+		for _, k := range keys {
+			if v, ok := tab.Lookup(k); !ok || v != k^1 {
+				t.Fatalf("%s: Lookup(%d) = %d,%v", c.name, k, v, ok)
+			}
 		}
 	}
 }

@@ -47,6 +47,10 @@ func TestTxInsertLookupBasic(t *testing.T) {
 				if tab.Len() != 399 {
 					t.Fatalf("locking=%v: Len after delete = %d", locking, tab.Len())
 				}
+				// A TxTable's capacity is fixed at creation.
+				if lf := tab.LoadFactor(); tab.Cap() != 1<<10 || lf != 399.0/(1<<10) || tab.Stats().Grows != 0 {
+					t.Fatalf("locking=%v: Cap %d, LoadFactor %v, Grows %d with 399 keys", locking, tab.Cap(), lf, tab.Stats().Grows)
+				}
 			}
 		})
 	}
@@ -71,9 +75,10 @@ func TestTxFillTo95(t *testing.T) {
 }
 
 // TestTxConcurrentOracle runs with the search outside the transaction and
-// inside it (LockEarly).
+// inside it (LockEarly), under each elision policy: PolicyNone must never
+// speculate and the other two must commit speculatively.
 func TestTxConcurrentOracle(t *testing.T) {
-	for _, p := range []htm.Policy{htm.PolicyGlibc, htm.PolicyTuned} {
+	for _, p := range []htm.Policy{htm.PolicyNone, htm.PolicyGlibc, htm.PolicyTuned} {
 		t.Run(p.String(), func(t *testing.T) {
 			for _, locking := range []LockMode{LockStriped, LockEarly} {
 				tab := newTxTest(1<<15, p, locking)
@@ -134,7 +139,10 @@ func TestTxConcurrentOracle(t *testing.T) {
 					t.Fatalf("locking=%v: Len = %d, want %d", locking, got, want)
 				}
 				s := tab.Region().Stats()
-				if s.Commits == 0 {
+				if p == htm.PolicyNone && s.Commits != 0 {
+					t.Fatalf("locking=%v: PolicyNone speculated: %+v", locking, s)
+				}
+				if p != htm.PolicyNone && s.Commits == 0 {
 					t.Fatalf("locking=%v: no transactions committed", locking)
 				}
 				t.Logf("locking=%v: region stats: %+v abort-rate=%.3f", locking, s, s.AbortRate())

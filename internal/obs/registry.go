@@ -23,6 +23,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"cuckoohash/internal/metrics"
 )
 
 // Kind is a Prometheus metric type.
@@ -116,6 +118,26 @@ func (m *Metrics) Histogram(name, help string, buckets []HistBucket, count uint6
 		count:   count,
 		sum:     sum,
 	})
+}
+
+// nanosExportBuckets bounds an exported nanosecond histogram: its finite
+// bounds are 2^0 .. 2^39 ns (~9 minutes); anything slower lands in the
+// +Inf bucket.
+const nanosExportBuckets = 40
+
+// NanosHistogram emits h, whose bucket i counts samples of at most 2^i ns,
+// as a cumulative histogram in seconds with bounds le = 2^i / 1e9.
+func (m *Metrics) NanosHistogram(name, help string, h *metrics.Histogram, labels ...string) {
+	raw := h.Buckets()
+	buckets := make([]HistBucket, nanosExportBuckets)
+	var cum uint64
+	for i, n := range raw {
+		cum += n
+		if i < nanosExportBuckets {
+			buckets[i] = HistBucket{UpperBound: math.Ldexp(1, i) / 1e9, Count: cum}
+		}
+	}
+	m.Histogram(name, help, buckets, cum, float64(h.Sum())/1e9, labels...)
 }
 
 // renderLabels renders k/v pairs as a canonical, sorted label block.

@@ -13,7 +13,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -269,10 +268,6 @@ func (t *StageTable) RecordSpan(verb int, shard uint64, sp *Span) {
 	}
 }
 
-// stageExportBuckets bounds the exported histogram: power-of-two
-// nanosecond buckets up to ~1.1s, beyond which +Inf absorbs the tail.
-const stageExportBuckets = 40
-
 // Collect exports every non-empty cell as a {stage, verb}-labelled
 // histogram in seconds.
 func (t *StageTable) Collect(m *Metrics, name, help string) {
@@ -289,21 +284,7 @@ func (t *StageTable) Collect(m *Metrics, name, help string) {
 			if snap.Count() == 0 {
 				continue
 			}
-			raw := snap.Buckets()
-			buckets := make([]HistBucket, stageExportBuckets)
-			var cum uint64
-			for i := 0; i < stageExportBuckets; i++ {
-				cum += raw[i]
-				buckets[i] = HistBucket{
-					UpperBound: math.Ldexp(1, i) / 1e9,
-					Count:      cum,
-				}
-			}
-			for i := stageExportBuckets; i < len(raw); i++ {
-				cum += raw[i]
-			}
-			m.Histogram(name, help, buckets, cum, float64(snap.Sum())/1e9,
-				"stage", Stage(st).String(), "verb", verb)
+			m.NanosHistogram(name, help, &snap, "stage", Stage(st).String(), "verb", verb)
 		}
 	}
 }

@@ -63,8 +63,7 @@ func (m *Map) Save(w io.Writer) error {
 
 // Load reads a snapshot produced by Save and returns a new Map holding its
 // entries. The returned table has the snapshot's geometry and hash seed;
-// cfg fields other than Capacity/Associativity/ValueWords/Seed still apply
-// (locking mode, stripes, search strategy). A corrupt stream is an error
+// of cfg, only AutoGrow still applies. A corrupt stream is an error
 // wrapping ErrBadSnapshot and costs no more memory than the bytes it
 // delivers; a good one is held in memory whole until its table is built.
 func Load(r io.Reader, cfg Config) (*Map, error) {

@@ -222,7 +222,7 @@ func TestMirrorLogHoldsNoSecondCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := mirrorTo(t, c, 64)
-	if allocs := testing.AllocsPerRun(500, func() {
+	if allocs := allocsPerOp(500, func() {
 		if err := c.Set("hot", "value", 0); err != nil {
 			panic(err)
 		}

@@ -2,16 +2,9 @@ package server
 
 import (
 	"fmt"
-	"math"
 
-	"cuckoohash/internal/metrics"
 	"cuckoohash/internal/obs"
 )
-
-// latencyExportBuckets bounds the exported request-latency histogram at
-// 2^40 ns (~18 minutes); anything slower lands in the automatic +Inf
-// bucket. The internal histogram keeps all 64 power-of-two buckets.
-const latencyExportBuckets = 40
 
 // Collect implements obs.Collector: it renders the counter table, the
 // sampled request-latency histogram, and the cuckoo tables' internal probe
@@ -31,7 +24,8 @@ func (s *Server) Collect(m *obs.Metrics) {
 				m.Gauge("cuckood_shard_entries", "Stored entries per shard.",
 					float64(sh.table.Len()), "shard", fmt.Sprint(i))
 			}
-			collectLatency(m, r.latency())
+			m.NanosHistogram("cuckood_request_duration_seconds",
+				"Sampled request service time (excludes network I/O).", r.latency())
 		case atGrow:
 			// The signal the paper's Eq. 2 bounds: PathLenHist[i] counts
 			// paths of exactly i displacements.
@@ -97,25 +91,6 @@ func exactBuckets(hist []uint64) (hb []obs.HistBucket, total uint64, sum float64
 		}
 	}
 	return hb, total, sum
-}
-
-// collectLatency exports the sampled request-service-time histogram. The
-// internal buckets are powers of two in nanoseconds, so bucket i maps to
-// le = 2^i / 1e9 seconds.
-func collectLatency(m *obs.Metrics, lat *metrics.Histogram) {
-	bk := lat.Buckets()
-	hb := make([]obs.HistBucket, 0, latencyExportBuckets)
-	var cum uint64
-	for i := 0; i < latencyExportBuckets; i++ {
-		cum += bk[i]
-		hb = append(hb, obs.HistBucket{
-			UpperBound: math.Ldexp(1, i) / 1e9,
-			Count:      cum,
-		})
-	}
-	m.Histogram("cuckood_request_duration_seconds",
-		"Sampled request service time (excludes network I/O).",
-		hb, lat.Count(), float64(lat.Sum())/1e9)
 }
 
 // ExpvarSnapshot returns the STATS lines as a name→value map, suitable for
